@@ -44,6 +44,9 @@ EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 
+#: deepest grade of j that any command reads off a jet
+MIN_ORDER = 2
+
 DEFAULT_COUPLINGS = {"g": 0.65, "gp": 0.35, "R": 1.0, "h_e": 1.0}
 
 
@@ -124,7 +127,6 @@ def _couplings_from(args, file_cfg: dict) -> Couplings:
         return Couplings(
             g=float(values["g"]), gp=float(values["gp"]),
             R=float(values["R"]), h_e=float(values["h_e"]),
-            mode=_parse_mode(args.mode),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad couplings: {exc}") from exc
@@ -180,7 +182,6 @@ def cmd_verify(args) -> int:
         raise ConfigError("empty suite selection")
     cfg = RunConfig(
         couplings=couplings,
-        mode=_parse_mode(args.mode),
         order=args.order,
         seed=args.seed,
         suites=tuple(suite_names) if suite_names else (),
@@ -239,8 +240,6 @@ def cmd_spectrum(args) -> int:
 def cmd_expand(args) -> int:
     file_cfg = _load_config_file(args.config)
     couplings = _couplings_from(args, file_cfg)
-    if args.format == "csv":
-        raise ConfigError("CSV output is only available for the spectrum table")
     mode = _parse_mode(args.mode)
     jval = mode.t if mode.kind == "numeric" else None
 
@@ -260,6 +259,15 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
+def _check_flags(args) -> None:
+    """Reject flag values that would crash a command or silently do nothing."""
+    if args.order < MIN_ORDER:
+        raise ConfigError(f"--order must be at least {MIN_ORDER}")
+    if args.format == "csv" and args.command != "spectrum":
+        raise ConfigError("CSV output is only available for the spectrum table")
+    _parse_mode(args.mode)
+
+
 COMMANDS = {
     "verify": cmd_verify,
     "spectrum": cmd_spectrum,
@@ -271,6 +279,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return COMMANDS[args.command](args)
     except (ConfigError, IllConditioned) as exc:
         print(f"error: {exc}", file=sys.stderr)

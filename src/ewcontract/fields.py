@@ -15,12 +15,12 @@ verified claims are algebraic identities and never need a signature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .jets import DEFAULT_ORDER, ContractionMode, Jet
+from .jets import DEFAULT_ORDER, Jet, jparam
 
 Vec4 = np.ndarray
 
@@ -127,15 +127,16 @@ def sample(f: AnalyticField, x: Vec4) -> Tuple[complex, np.ndarray]:
 @dataclass(frozen=True)
 class Couplings:
     """Model constants: SU(2) coupling g, U(1) coupling gp, target-sphere
-    radius R, Yukawa constant h_e, and the contraction regime."""
+    radius R and Yukawa constant h_e."""
 
     g: float
     gp: float
     R: float
     h_e: float = 0.0
-    mode: ContractionMode = field(default_factory=ContractionMode.unit)
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.g, self.gp, self.R, self.h_e)):
+            raise ConfigError("couplings g, gp, R and h_e must be finite")
         if self.g <= 0 or self.R <= 0:
             raise ConfigError("couplings g and R must be positive")
         if self.gp < 0:
@@ -234,10 +235,6 @@ def _jet(value: complex, order: int) -> Jet:
     return Jet.const(value, order)
 
 
-def _jfactor(order: int, jval: Optional[float]) -> Jet:
-    return Jet.variable(order) if jval is None else Jet.const(jval, order)
-
-
 @dataclass
 class GaugeSample:
     """Graded gauge values at a point: a[k][mu], da[k][mu][nu] = d_mu A^k_nu,
@@ -279,7 +276,7 @@ def sample_gauge(cfg: GaugeConfig, x: Vec4, order: int = DEFAULT_ORDER,
                  jval: Optional[float] = None) -> GaugeSample:
     """Sample with the contraction substitution A^1 -> jA^1, A^2 -> jA^2
     applied (A^3 and B stay in the base)."""
-    j = _jfactor(order, jval)
+    j = jparam(order, jval)
     one = Jet.const(1.0, order)
     grading = [j, j, one]
     a, da = [], []
@@ -299,7 +296,7 @@ def sample_gauge(cfg: GaugeConfig, x: Vec4, order: int = DEFAULT_ORDER,
 def sample_psi(cfg: PsiConfig, x: Vec4, order: int = DEFAULT_ORDER,
                jval: Optional[float] = None, with_hessian: bool = False) -> PsiSample:
     """Sample with psi_1 -> j psi_1, psi_2 -> j psi_2 applied."""
-    j = _jfactor(order, jval)
+    j = jparam(order, jval)
     one = Jet.const(1.0, order)
     grading = [j, j, one]
     psi, dpsi, hpsi = [], [], []
@@ -319,7 +316,7 @@ def sample_psi(cfg: PsiConfig, x: Vec4, order: int = DEFAULT_ORDER,
 def sample_fermions(cfg: FermionConfig, x: Vec4, order: int = DEFAULT_ORDER,
                     jval: Optional[float] = None) -> FermionSample:
     """Sample with nu_l -> j nu_l applied; e_l and e_r are unchanged."""
-    j = _jfactor(order, jval)
+    j = jparam(order, jval)
 
     def spinor(sp: Spinor, g: Jet):
         vals = [g * _jet(sp[s].value(x), order) for s in range(2)]
@@ -332,52 +329,6 @@ def sample_fermions(cfg: FermionConfig, x: Vec4, order: int = DEFAULT_ORDER,
     nu, d_nu = spinor(cfg.nu_l, j)
     er, d_er = spinor(cfg.e_r, one)
     return FermionSample(el, d_el, nu, d_nu, er, d_er, order)
-
-
-@dataclass(frozen=True)
-class GradedGauge:
-    """A gauge configuration bound to its contraction grading: calling
-    sample(x) yields graded jet values."""
-
-    cfg: GaugeConfig
-    order: int = DEFAULT_ORDER
-    jval: Optional[float] = None
-
-    def sample(self, x: Vec4) -> GaugeSample:
-        return sample_gauge(self.cfg, x, self.order, self.jval)
-
-
-@dataclass(frozen=True)
-class GradedPsi:
-    cfg: PsiConfig
-    order: int = DEFAULT_ORDER
-    jval: Optional[float] = None
-
-    def sample(self, x: Vec4, with_hessian: bool = False) -> PsiSample:
-        return sample_psi(self.cfg, x, self.order, self.jval, with_hessian)
-
-
-@dataclass(frozen=True)
-class GradedFermions:
-    cfg: FermionConfig
-    order: int = DEFAULT_ORDER
-    jval: Optional[float] = None
-
-    def sample(self, x: Vec4) -> FermionSample:
-        return sample_fermions(self.cfg, x, self.order, self.jval)
-
-
-def contract_substitute(cfg, order: int = DEFAULT_ORDER, jval: Optional[float] = None):
-    """Bind a configuration to the contraction grading (fiber components
-    promoted to grade 1). Evaluating the result at unit mode recovers the
-    uncontracted configuration exactly."""
-    if isinstance(cfg, GaugeConfig):
-        return GradedGauge(cfg, order, jval)
-    if isinstance(cfg, PsiConfig):
-        return GradedPsi(cfg, order, jval)
-    if isinstance(cfg, FermionConfig):
-        return GradedFermions(cfg, order, jval)
-    raise TypeError(f"cannot contract {type(cfg).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +428,7 @@ def psi_generator_action(which: str, psi: Sequence[Jet],
     """Action of T1, T2, T3 or Y on the graded sphere coordinates, as the
     displayed graded 3-vector: j * X for the fiber generators T1, T2."""
     order = psi[0].order
-    j = _jfactor(order, jval)
+    j = jparam(order, jval)
     x = generator_vector_field(which, psi)
     if _GEN_GRADE[which] == 1:
         return [j * c for c in x]
@@ -513,7 +464,7 @@ def infinitesimal_gauge_transform(
     so invariance checks remain discretization-free.
     """
     order = gs.order
-    j = _jfactor(order, jval)
+    j = jparam(order, jval)
     one = Jet.const(1.0, order)
     grading = [j, j, one]
 

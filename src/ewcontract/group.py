@@ -16,16 +16,13 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .jets import DEFAULT_ORDER, ContractionMode, Jet, JetMatrix2, jet_cos, jet_sin
+from .jets import DEFAULT_ORDER, Jet, JetMatrix2, jet_cos, jet_sin, jparam
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
-
-#: grade carried by each generator under contraction (T1, T2 pick up j)
-GENERATOR_GRADE = {1: 1, 2: 1, 3: 0}
 
 EXP_SERIES_TERMS = 20
 
@@ -49,18 +46,9 @@ class GroupElement:
     """Element of SU(2;j) (or of U(1)/U(1)_em acting on the same space)."""
 
     matrix: JetMatrix2
-    provenance: str = "product"
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.matrix * other.matrix, "product")
-
-
-def jparam(order: int = DEFAULT_ORDER, jval: float | None = None) -> Jet:
-    """The contraction parameter as a jet: the formal variable j by default,
-    or a plain number (an untruncated numeric-j run) when jval is given."""
-    if jval is None:
-        return Jet.variable(order)
-    return Jet.const(jval, order)
+        return GroupElement(self.matrix * other.matrix)
 
 
 def generator(k: int, order: int = DEFAULT_ORDER,
@@ -135,7 +123,7 @@ def one_param(k: int, angle: float, order: int = DEFAULT_ORDER,
             m = JetMatrix2([[c, 1j * s], [1j * s, c]])
         else:
             m = JetMatrix2([[c, s], [-s, c]])
-    return GroupElement(m, f"one_param({k})")
+    return GroupElement(m)
 
 
 def exp_series(a1: float, a2: float, a3: float, order: int = DEFAULT_ORDER,
@@ -162,7 +150,7 @@ def exp_general(a1: float, a2: float, a3: float, order: int = DEFAULT_ORDER,
     for a in (a1, a2, a3):
         if not math.isfinite(a):
             raise ValueError("algebra coordinates must be finite")
-    return GroupElement(exp_series(a1, a2, a3, order, jval=jval), "exponential")
+    return GroupElement(exp_series(a1, a2, a3, order, jval=jval))
 
 
 def exp_closed_nilpotent(a1: float, a2: float, a3: float,
@@ -207,17 +195,14 @@ def exp_closed_su2(a1: float, a2: float, a3: float) -> np.ndarray:
 def u1_element(beta: float, order: int = DEFAULT_ORDER) -> GroupElement:
     """U(1) hypercharge element exp(beta*Y) = diag(e^{i beta/2}, e^{i beta/2})."""
     phase = cmath.exp(0.5j * beta)
-    return GroupElement(
-        JetMatrix2.from_array([[phase, 0.0], [0.0, phase]], order), "u1"
-    )
+    return GroupElement(JetMatrix2.from_array([[phase, 0.0], [0.0, phase]], order))
 
 
 def u1em_element(gamma: float, order: int = DEFAULT_ORDER) -> GroupElement:
     """Electromagnetic subgroup element exp(gamma*Q) = diag(e^{i gamma}, 1),
     with charge Q = Y + T3."""
     return GroupElement(
-        JetMatrix2.from_array([[cmath.exp(1j * gamma), 0.0], [0.0, 1.0]], order),
-        "u1em",
+        JetMatrix2.from_array([[cmath.exp(1j * gamma), 0.0], [0.0, 1.0]], order)
     )
 
 
@@ -259,7 +244,7 @@ def apply_group(u: GroupElement, d: MatterDoublet) -> Tuple[Jet, Jet]:
 def random_group_element(rng: np.random.Generator, order: int = DEFAULT_ORDER,
                          factors: int = 3, jval: float | None = None) -> GroupElement:
     """Product of one-parameter elements with angles uniform in [-pi, pi]."""
-    u = GroupElement(JetMatrix2.identity(order), "product")
+    u = GroupElement(JetMatrix2.identity(order))
     for _ in range(factors):
         k = int(rng.integers(1, 4))
         angle = float(rng.uniform(-math.pi, math.pi))

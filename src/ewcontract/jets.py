@@ -226,18 +226,7 @@ class Jet:
             result = result + coeff * term
         return result * (a0.real ** -0.5)
 
-    def sqrt(self) -> "Jet":
-        return self.inv_sqrt().inv()
-
     # -- misc ----------------------------------------------------------
-
-    @property
-    def real_part(self) -> "Jet":
-        return 0.5 * (self + self.conjugate())
-
-    @property
-    def imag_part(self) -> "Jet":
-        return (self - self.conjugate()) * (-0.5j)
 
     def allclose(self, other: "Jet | Scalar", tol: float = EQ_TOL) -> bool:
         other = self._coerce(other, self.order)
@@ -257,6 +246,14 @@ class Jet:
             if abs(c) > 0:
                 terms.append(f"({c:.6g})j^{n}" if n else f"({c:.6g})")
         return "Jet(" + (" + ".join(terms) if terms else "0") + f", order={self.order})"
+
+
+def jparam(order: int = DEFAULT_ORDER, jval: float | None = None) -> Jet:
+    """The contraction parameter as a jet: the formal variable j by default,
+    or a plain number (an untruncated numeric-j run) when jval is given."""
+    if jval is None:
+        return Jet.variable(order)
+    return Jet.const(jval, order)
 
 
 class JetMatrix2:

@@ -21,7 +21,6 @@ from .fields import (
     PsiSample,
     generator_vector_field,
     phi_from_psi,
-    phi_jacobian,
 )
 from .jets import Jet, JetMatrix2
 from .group import PAULI
@@ -273,8 +272,8 @@ def covariant_derivative_psi(ps: PsiSample, gs: GaugeSample,
 
 
 def lagrangian_psi(ps: PsiSample, gs: GaugeSample, c: Couplings) -> DensityValue:
-    """(R^2/2) sum_kl g_kl D psi_k D psi_l; the breakdown also carries the
-    closed rational form, which must agree grade-wise."""
+    """(R^2/2) sum_kl g_kl D psi_k D psi_l (metric form, normative); the
+    closed rational form lagrangian_psi_closed must agree grade-wise."""
     d = covariant_derivative_psi(ps, gs, c)
     g_kl = metric_tensor(ps.psi)
     order = ps.order
@@ -284,8 +283,7 @@ def lagrangian_psi(ps: PsiSample, gs: GaugeSample, c: Couplings) -> DensityValue
             for l in range(3):
                 total = total + g_kl[k][l] * d[k][mu] * d[l][mu]
     total = 0.5 * c.R**2 * total
-    return DensityValue(total, {"metric_form": total,
-                                "closed_form": lagrangian_psi_closed(ps, gs, c)})
+    return DensityValue(total, {"metric_form": total})
 
 
 def lagrangian_psi_closed(ps: PsiSample, gs: GaugeSample, c: Couplings) -> Jet:
@@ -328,23 +326,17 @@ def _tau_apply(mu: int, spinor: Sequence[Jet], sign: float) -> List[Jet]:
 
 def covariant_derivative_doublet(fs: FermionSample, gs: GaugeSample,
                                  c: Couplings) -> Tuple[List[List[Jet]], List[List[Jet]]]:
-    """Covariant derivative of the lepton doublet (e_l, nu), acting on the
-    SU(2) index exactly like on the scalar doublet."""
-    del_out: List[List[Jet]] = [[], []]
-    dnu_out: List[List[Jet]] = [[], []]
+    """Covariant derivative of the lepton doublet (e_l, nu): each Lorentz
+    spinor component is an SU(2) doublet, acted on exactly like the scalar
+    doublet."""
+    del_out: List[List[Jet]] = []
+    dnu_out: List[List[Jet]] = []
     for s in range(2):
-        for mu in range(4):
-            a1, a2, a3, b = gs.a[0][mu], gs.a[1][mu], gs.a[2][mu], gs.b[mu]
-            del_out[s].append(
-                fs.d_el[s][mu]
-                + 0.5j * ((c.g * a3 + c.gp * b) * fs.el[s])
-                + 0.5j * c.g * ((a1 - 1j * a2) * fs.nu[s])
-            )
-            dnu_out[s].append(
-                fs.d_nu[s][mu]
-                - 0.5j * ((c.g * a3 - c.gp * b) * fs.nu[s])
-                + 0.5j * c.g * ((a1 + 1j * a2) * fs.el[s])
-            )
+        d_el, d_nu = covariant_derivative_phi(
+            (fs.el[s], fs.nu[s]), (fs.d_el[s], fs.d_nu[s]), gs, c
+        )
+        del_out.append(d_el)
+        dnu_out.append(d_nu)
     return del_out, dnu_out
 
 

@@ -31,7 +31,8 @@ from .fields import (
     sample_gauge,
     sample_psi,
 )
-from .jets import DEFAULT_ORDER, Jet
+from .group import generator, hermitian_form_jets
+from .jets import DEFAULT_ORDER, Jet, jparam
 from .lagrangian import (
     lagrangian_bosonic,
     lagrangian_fermion,
@@ -185,9 +186,11 @@ def physical_fields(gs: GaugeSample, ps: PsiSample, c: Couplings) -> PhysicalFie
     return PhysicalFields(wplus, wminus, z, a)
 
 
-def _abelian_curls(gs: GaugeSample, c: Couplings):
+def _abelian_curls(gs: GaugeSample, c: Couplings, b_sign: float = 1.0):
     """Curls of the physical combinations; second derivatives of psi drop
-    out of every antisymmetrized derivative, so only gauge curls enter."""
+    out of every antisymmetrized derivative, so only gauge curls enter.
+    b_sign = -1 gives the printed convention, with B entering Z and A
+    with the opposite sign."""
     curls = [
         [
             [gs.da[k][mu][nu] - gs.da[k][nu][mu] for nu in range(4)]
@@ -203,9 +206,10 @@ def _abelian_curls(gs: GaugeSample, c: Couplings):
           for m in range(4)]
     wm = [[inv_rt2 * (curls[0][m][n] + 1j * curls[1][m][n]) for n in range(4)]
           for m in range(4)]
-    zc = [[(1.0 / c.gz) * (c.g * curls[2][m][n] + c.gp * bcurl[m][n])
+    gp_b, g_b = b_sign * c.gp, b_sign * c.g
+    zc = [[(1.0 / c.gz) * (c.g * curls[2][m][n] + gp_b * bcurl[m][n])
            for n in range(4)] for m in range(4)]
-    ac = [[(1.0 / c.gz) * (c.gp * curls[2][m][n] - c.g * bcurl[m][n])
+    ac = [[(1.0 / c.gz) * (c.gp * curls[2][m][n] - g_b * bcurl[m][n])
            for n in range(4)] for m in range(4)]
     return wp, wm, zc, ac
 
@@ -476,8 +480,8 @@ def mass_spectrum(c: Couplings, order: int = DEFAULT_ORDER) -> SpectrumReport:
 
 def _printed_physical_fields(gs: GaugeSample, ps: PsiSample, c: Couplings):
     """Field combinations exactly as displayed in the source material
-    (these differ from physical_fields by the sign conventions recorded in
-    the project notes); used only to transcribe the cubic claims."""
+    (these differ from physical_fields in the signs of the d psi_1 term of
+    W+- and of B in Z and A); used only to transcribe the cubic claims."""
     inv_rt2 = 1.0 / math.sqrt(2.0)
     wp, wm, z, a = [], [], [], []
     for mu in range(4):
@@ -490,20 +494,7 @@ def _printed_physical_fields(gs: GaugeSample, ps: PsiSample, c: Couplings):
             * (c.g * gs.a[2][mu] - c.gp * gs.b[mu] + 2.0 * ps.dpsi[2][mu])
         )
         a.append((1.0 / c.gz) * (c.gp * gs.a[2][mu] + c.g * gs.b[mu]))
-    curls = [
-        [[gs.da[k][m][n] - gs.da[k][n][m] for n in range(4)] for m in range(4)]
-        for k in range(3)
-    ]
-    bcurl = [[gs.db[m][n] - gs.db[n][m] for n in range(4)] for m in range(4)]
-    wpc = [[inv_rt2 * (curls[0][m][n] - 1j * curls[1][m][n]) for n in range(4)]
-           for m in range(4)]
-    wmc = [[inv_rt2 * (curls[0][m][n] + 1j * curls[1][m][n]) for n in range(4)]
-           for m in range(4)]
-    zc = [[(1.0 / c.gz) * (c.g * curls[2][m][n] - c.gp * bcurl[m][n])
-           for n in range(4)] for m in range(4)]
-    ac = [[(1.0 / c.gz) * (c.gp * curls[2][m][n] + c.g * bcurl[m][n])
-           for n in range(4)] for m in range(4)]
-    return wp, wm, z, a, wpc, wmc, zc, ac
+    return (wp, wm, z, a) + _abelian_curls(gs, c, b_sign=-1.0)
 
 
 def transcribed_cubic_terms(gs: GaugeSample, ps: PsiSample,
@@ -778,22 +769,20 @@ def extrapolate_even(values: Sequence[float], ts: Sequence[float] = LIMIT_T_VALU
     """Given f(t) = a0 + a2 t^2 + a4 t^4 sampled at three t values, return
     (a0, a2) by Lagrange interpolation in s = t^2 (exact for this form)."""
     s = np.asarray([t * t for t in ts], dtype=float)
+
+    def at_zero(y: np.ndarray) -> float:
+        total = 0.0
+        for i in range(len(s)):
+            w = 1.0
+            for k in range(len(s)):
+                if k != i:
+                    w *= (0.0 - s[k]) / (s[i] - s[k])
+            total += y[i] * w
+        return total
+
     y = np.asarray(values)
-    a0 = 0.0
-    for i in range(len(s)):
-        w = 1.0
-        for k in range(len(s)):
-            if k != i:
-                w *= (0.0 - s[k]) / (s[i] - s[k])
-        a0 += y[i] * w
-    reduced = (y - a0) / s
-    a2 = 0.0
-    for i in range(len(s)):
-        w = 1.0
-        for k in range(len(s)):
-            if k != i:
-                w *= (0.0 - s[k]) / (s[i] - s[k])
-        a2 += reduced[i] * w
+    a0 = at_zero(y)
+    a2 = at_zero((y - a0) / s)
     return float(a0), float(a2)
 
 
@@ -809,8 +798,6 @@ def limit_consistency(c: Optional[Couplings] = None, seed: int = 0,
                       order: int = DEFAULT_ORDER) -> dict:
     """Nilpotent-arithmetic grades vs extrapolated numeric-parameter runs
     for a battery of verified quantities."""
-    from .group import generator  # local import avoids a cycle at import time
-
     if c is None:
         c = Couplings(g=0.65, gp=0.35, R=2.0, h_e=0.0)
     rng = np.random.default_rng(seed)
@@ -837,12 +824,8 @@ def limit_consistency(c: Optional[Couplings] = None, seed: int = 0,
     compare("commutator_t1_t2", commutator_entry)
 
     def hermitian_form_value(jval: Optional[float]) -> Jet:
-        from .group import MatterDoublet, hermitian_form_jets
-        from .jets import Jet as J
-
-        j = J.variable(order) if jval is None else J.const(jval, order)
-        phi1 = J.const(0.6 + 0.2j, order)
-        phi2 = j * (0.3 - 0.7j)
+        phi1 = Jet.const(0.6 + 0.2j, order)
+        phi2 = jparam(order, jval) * (0.3 - 0.7j)
         return hermitian_form_jets((phi1, phi2), (phi1, phi2))
 
     compare("hermitian_form", hermitian_form_value)

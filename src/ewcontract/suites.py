@@ -37,12 +37,13 @@ from .group import (
     hermitian_form_jets,
     random_group_element,
 )
-from .jets import DEFAULT_ORDER, ContractionMode, Jet, JetMatrix2
+from .jets import DEFAULT_ORDER, Jet, JetMatrix2
 from .lagrangian import (
     fermion_mass_identity,
     lagrangian_bosonic,
     lagrangian_phi,
     lagrangian_psi,
+    lagrangian_psi_closed,
 )
 from .spectrum import (
     LIMIT_T_VALUES,
@@ -63,7 +64,6 @@ class RunConfig:
     report so runs stay reproducible."""
 
     couplings: Couplings
-    mode: ContractionMode = field(default_factory=ContractionMode.unit)
     order: int = DEFAULT_ORDER
     seed: int = 0
     suites: Tuple[str, ...] = ()
@@ -93,6 +93,19 @@ class SuiteResult:
             "tolerance": self.tolerance,
             "details": self.details,
         }
+
+
+def _result(name: str, gates: Sequence[Tuple[float, float]],
+            details: dict) -> SuiteResult:
+    """A suite passes when every (residual, tolerance) gate holds; it
+    reports its largest residual against its largest tolerance."""
+    return SuiteResult(
+        name,
+        all(bool(r <= t) for r, t in gates),
+        float(max(r for r, _ in gates)),
+        float(max(t for _, t in gates)),
+        details,
+    )
 
 
 def _low_grade_diff(x: Jet, y: Jet) -> float:
@@ -137,13 +150,8 @@ def suite_algebra(cfg: RunConfig) -> SuiteResult:
         gens[1].commutator(gens[2]), zero
     )
     residual = max(residual, nilpotent_resid)
-    return SuiteResult(
-        "algebra",
-        residual <= tol,
-        residual,
-        tol,
-        {"nilpotent_t1_t2": nilpotent_resid},
-    )
+    return _result("algebra", [(residual, tol)],
+                   {"nilpotent_t1_t2": nilpotent_resid})
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +194,9 @@ def suite_group(cfg: RunConfig) -> SuiteResult:
         )
         closed_resid = max(closed_resid, su2_resid)
 
-    residual = max(unitarity, det_resid, closed_resid)
-    return SuiteResult(
+    return _result(
         "group",
-        residual <= tol,
-        residual,
-        tol,
+        [(unitarity, tol), (det_resid, tol), (closed_resid, tol)],
         {
             "unitarity": unitarity,
             "determinant": det_resid,
@@ -230,6 +235,9 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
     """Hermitian-form preservation under random group elements, and the
     quadratic smallness of the Lagrangian's gauge variation (halving the
     variation parameter must quarter the change)."""
+    if cfg.couplings.gp == 0.0:
+        raise ConfigError("the invariance suite needs gp > 0 "
+                          "(the U(1) gauge shift divides by gp)")
     order = cfg.order
     tol_form = cfg.tol("invariance_form", 1.0e-12)
     tol_ratio = cfg.tol("invariance_ratio", 0.05)
@@ -276,12 +284,9 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
             ratio = dev_full / dev_half
             worst_ratio_err = max(worst_ratio_err, abs(ratio - 4.0) / 4.0)
 
-    passed = form_resid <= tol_form and worst_ratio_err <= tol_ratio
-    return SuiteResult(
+    return _result(
         "invariance",
-        passed,
-        max(form_resid, worst_ratio_err),
-        max(tol_form, tol_ratio),
+        [(form_resid, tol_form), (worst_ratio_err, tol_ratio)],
         {
             "hermitian_form_residual": form_resid,
             "hermitian_form_tolerance": tol_form,
@@ -324,35 +329,22 @@ def suite_coordinate(cfg: RunConfig) -> SuiteResult:
         ps = sample_psi(psicfg, x, order)
         phi, dphi = phi_from_psi(ps, c.R)
         doublet = lagrangian_phi(phi, dphi, gs, c).value
-        intrinsic = lagrangian_psi(ps, gs, c)
+        intrinsic = lagrangian_psi(ps, gs, c).value
         scale = max(
             max(abs(g) for g in doublet.coeffs),
-            max(abs(g) for g in intrinsic.value.coeffs),
+            max(abs(g) for g in intrinsic.coeffs),
             1.0e-30,
         )
-        equiv_resid = max(
-            equiv_resid, doublet.max_abs_diff(intrinsic.value) / scale
-        )
+        equiv_resid = max(equiv_resid, doublet.max_abs_diff(intrinsic) / scale)
         displayed_resid = max(
             displayed_resid,
-            intrinsic.breakdown["metric_form"].max_abs_diff(
-                intrinsic.breakdown["closed_form"]
-            )
-            / scale,
+            intrinsic.max_abs_diff(lagrangian_psi_closed(ps, gs, c)) / scale,
         )
 
-    residual = max(sphere_resid, equiv_resid, displayed_resid)
-    tol = max(tol_sphere, tol_equiv)
-    passed = (
-        sphere_resid <= tol_sphere
-        and equiv_resid <= tol_equiv
-        and displayed_resid <= tol_equiv
-    )
-    return SuiteResult(
+    return _result(
         "coordinate",
-        passed,
-        residual,
-        tol,
+        [(sphere_resid, tol_sphere), (equiv_resid, tol_equiv),
+         (displayed_resid, tol_equiv)],
         {
             "sphere_constraint": sphere_resid,
             "density_equivalence": equiv_resid,
@@ -411,22 +403,10 @@ def suite_quadratic(cfg: RunConfig) -> SuiteResult:
         g1 = lagrangian_bosonic(sample_gauge(rescaled, x, order), ps, c).value
         base_resid = max(base_resid, abs(g0.grade(0) - g1.grade(0)))
 
-    passed = (
-        quad["max_rel_diff"] <= tol_quad
-        and quad["tadpole_magnitude"] <= tol_zero
-        and mass_resid <= tol_mass
-        and zero_resid <= tol_zero
-        and base_resid == 0.0
-    )
-    residual = max(
-        quad["max_rel_diff"], mass_resid, zero_resid, base_resid,
-        quad["tadpole_magnitude"],
-    )
-    return SuiteResult(
+    return _result(
         "quadratic",
-        passed,
-        residual,
-        max(tol_quad, tol_mass),
+        [(quad["max_rel_diff"], tol_quad), (quad["tadpole_magnitude"], tol_zero),
+         (mass_resid, tol_mass), (zero_resid, tol_zero), (base_resid, 0.0)],
         {
             "quadratic_rel_diff": quad["max_rel_diff"],
             "tadpole": quad["tadpole_magnitude"],
@@ -454,12 +434,9 @@ def suite_cubic(cfg: RunConfig) -> SuiteResult:
     report = cubic_check(gauge, psicfg, cfg.couplings, seed=cfg.seed, order=order)
     grade0 = abs(report["exact_grade0"])
     normative = report["normative"]["rel_diff"]
-    passed = grade0 <= tol_zero and normative <= tol_match
-    return SuiteResult(
+    return _result(
         "cubic",
-        passed,
-        max(grade0, normative),
-        max(tol_zero, tol_match),
+        [(grade0, tol_zero), (normative, tol_match)],
         {
             "exact_grade0": grade0,
             "normative_rel_diff": normative,
@@ -530,17 +507,10 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
     m_e_err = abs(rep.m_e - c.h_e * c.R) / (c.h_e * c.R)
     nu_coeff = rep.nu_mass_coefficient
 
-    passed = (
-        identity_resid <= tol_id
-        and grade0_resid <= tol_id
-        and m_e_err <= tol_mass
-        and nu_coeff == 0.0
-    )
-    return SuiteResult(
+    return _result(
         "fermion",
-        passed,
-        max(identity_resid, grade0_resid, m_e_err, nu_coeff),
-        max(tol_id, tol_mass),
+        [(identity_resid, tol_id), (grade0_resid, tol_id), (m_e_err, tol_mass),
+         (nu_coeff, 0.0)],
         {
             "yukawa_identity": identity_resid,
             "grade0_oracle": grade0_resid,
@@ -559,12 +529,9 @@ def suite_limit(cfg: RunConfig) -> SuiteResult:
     """Nilpotent arithmetic vs extrapolated small-parameter numeric runs."""
     tol = cfg.tol("limit", 1.0e-6)
     report = limit_consistency(cfg.couplings, seed=cfg.seed, order=cfg.order)
-    residual = max(report["max_grade_diff"], report["scaling_exponent_error"])
-    return SuiteResult(
+    return _result(
         "limit",
-        residual <= tol,
-        residual,
-        tol,
+        [(report["max_grade_diff"], tol), (report["scaling_exponent_error"], tol)],
         {
             "max_grade_diff": report["max_grade_diff"],
             "scaling_exponent_error": report["scaling_exponent_error"],

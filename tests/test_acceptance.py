@@ -38,6 +38,7 @@ from ewcontract.lagrangian import (
     lagrangian_bosonic,
     lagrangian_phi,
     lagrangian_psi,
+    lagrangian_psi_closed,
 )
 from ewcontract.spectrum import (
     _abelian_curls,
@@ -170,8 +171,8 @@ def test_criterion_05_coordinate_equivalence():
         residual = max(
             residual,
             doublet.max_abs_diff(intrinsic.value) / scale,
-            intrinsic.breakdown["metric_form"].max_abs_diff(
-                intrinsic.breakdown["closed_form"]
+            intrinsic.value.max_abs_diff(
+                lagrangian_psi_closed(ps, gs, COUPLINGS)
             ) / scale,
         )
     _verdict(5, "coordinate equivalence of matter densities",

@@ -2,6 +2,7 @@
 format handling."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +136,71 @@ def test_environment_variable_overrides_seed(tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "algebra", "--out", str(out)]) == EXIT_OK
     assert _load(out)["seed"] == 99
+
+
+@pytest.mark.parametrize("flag,value", [("--g", "nan"), ("--gp", "inf"),
+                                        ("--R", "inf"), ("--h-e", "nan")])
+def test_spectrum_rejects_nonfinite_couplings(tmp_path, capsys, flag, value):
+    out = tmp_path / "spectrum.json"
+    assert main(["spectrum", flag, value, "--out", str(out)]) \
+        == EXIT_CONFIG_ERROR
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_invariance_with_zero_hypercharge_coupling_is_config_error(tmp_path,
+                                                                   capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"couplings": {"gp": 0.0}}))
+    assert main(["verify", "--suite", "invariance", "--config", str(cfg)]) \
+        == EXIT_CONFIG_ERROR
+    assert "gp" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--order", "1"],
+    ["expand", "--order", "-1"],
+    ["verify", "--suite", "algebra", "--order", "1"],
+])
+def test_order_below_two_is_config_error(capsys, argv):
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert "--order" in capsys.readouterr().err
+
+
+def test_verify_csv_not_supported(capsys):
+    assert main(["verify", "--suite", "algebra", "--format", "csv"]) \
+        == EXIT_CONFIG_ERROR
+    assert "spectrum table" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_every_report_matches_schema(tmp_path, capsys):
+    import jsonschema
+
+    docs = Path(__file__).resolve().parents[1] / "docs"
+    schema = _load(docs / "report_schema.json")
+    cfg = tmp_path / "cfg.json"
+    # the couplings, seed and reduced sample counts of
+    # test_suites.py::test_all_suites_pass_at_defaults
+    cfg.write_text(json.dumps({
+        "couplings": {"g": 0.65, "gp": 0.35, "R": 0.8, "h_e": 1.2},
+        "sample_counts": {"group": 100, "invariance_gauge": 5,
+                          "coordinate_equivalence": 10,
+                          "fermion_identity": 10},
+    }))
+    runs = {
+        "verify": ["verify", "--config", str(cfg), "--seed", "123"],
+        "spectrum": ["spectrum", "--g", "0.7", "--gp", "0.3"],
+        "expand": ["expand", "--n", "2", "--seed", "5"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK, name
+        report = json.loads(out.read_text(), parse_constant=_reject_constant)
+        jsonschema.validate(report, schema)
+    assert set(_load(tmp_path / "verify.json")["suites"]) == {
+        "algebra", "group", "invariance", "coordinate",
+        "quadratic", "cubic", "fermion", "limit"}

@@ -30,6 +30,7 @@ from ewcontract.lagrangian import (
     lagrangian_gauge_trace,
     lagrangian_phi,
     lagrangian_psi,
+    lagrangian_psi_closed,
     stress_tensors,
 )
 from ewcontract.spectrum import random_bosonic_config, random_plane_wave
@@ -108,9 +109,7 @@ def test_coordinate_equivalence_of_matter_densities():
         scale = max(max(abs(g) for g in doublet.coeffs), 1.0)
         assert doublet.max_abs_diff(intrinsic.value) / scale <= 1e-10
         assert (
-            intrinsic.breakdown["metric_form"].max_abs_diff(
-                intrinsic.breakdown["closed_form"]
-            )
+            intrinsic.value.max_abs_diff(lagrangian_psi_closed(ps, gs, COUPLINGS))
             / scale
             <= 1e-10
         )
