@@ -50,7 +50,6 @@ from .lagrangian import (
 )
 from .spectrum import (
     EpsilonExpansion,
-    IllConditioned,
     SpectrumReport,
     cubic_check,
     epsilon_expand,
@@ -95,7 +94,6 @@ __all__ = [
     "lagrangian_phi",
     "lagrangian_psi",
     "EpsilonExpansion",
-    "IllConditioned",
     "SpectrumReport",
     "cubic_check",
     "epsilon_expand",

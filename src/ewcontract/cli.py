@@ -29,14 +29,14 @@ import numpy as np
 from .fields import ConfigError, Couplings
 from .jets import DEFAULT_ORDER, ContractionMode
 from .spectrum import (
-    IllConditioned,
     bosonic_density_evaluator,
     epsilon_expand,
     halton_points,
     mass_spectrum,
     random_bosonic_config,
 )
-from .suites import REGISTRY, RunConfig, SCHEMA_VERSION, run_suites
+from .suites import (DEFAULTS, REGISTRY, RunConfig, SCHEMA_VERSION,
+                     check_overrides, run_suites)
 
 ENV_PREFIX = "EWCONTRACT_"
 
@@ -51,7 +51,8 @@ DEFAULT_COUPLINGS = {"g": 0.65, "gp": 0.35, "R": 1.0, "h_e": 1.0}
 
 
 def _env_default(name: str, fallback: Optional[str] = None) -> Optional[str]:
-    """CI can override any flag through EWCONTRACT_<FLAG> variables."""
+    """CI can override any flag through EWCONTRACT_<FLAG> variables; the
+    string is converted and checked by argparse like the flag itself."""
     return os.environ.get(ENV_PREFIX + name.upper(), fallback)
 
 
@@ -66,13 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", type=str, default=_env_default("config"),
                        help="JSON config file (couplings, tolerances, ...)")
-        p.add_argument("--seed", type=int,
-                       default=int(_env_default("seed", "0")))
+        p.add_argument("--seed", type=int, default=_env_default("seed", "0"))
         p.add_argument("--order", type=int,
-                       default=int(_env_default("order", str(DEFAULT_ORDER))))
-        p.add_argument("--mode", type=str,
-                       default=_env_default("mode", "unit"),
-                       help="unit | nilpotent | numeric:<t>")
+                       default=_env_default("order", str(DEFAULT_ORDER)))
         p.add_argument("--out", type=str, default=_env_default("out"),
                        help="write the machine-readable report here")
         p.add_argument("--format", type=str, choices=("json", "csv"),
@@ -99,6 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_expand)
     p_expand.add_argument("--n", type=int, default=2,
                           help="highest expansion order to report (max 6)")
+    p_expand.add_argument("--mode", type=str,
+                          default=_env_default("mode", "unit"),
+                          help="unit | nilpotent | numeric:<t>")
 
     return parser
 
@@ -113,12 +113,27 @@ def _load_config_file(path: Optional[str]) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
+    unknown = sorted(set(data) - {"couplings", "suites", *DEFAULTS})
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    suites = data.get("suites")
+    if suites is not None and not (isinstance(suites, list) and all(
+            isinstance(n, str) for n in suites)):
+        raise ConfigError("suites must be a list of suite names")
+    if suites == []:
+        raise ConfigError("empty suite selection")
+    for section in DEFAULTS:
+        check_overrides(section, data.get(section, {}))
     return data
 
 
 def _couplings_from(args, file_cfg: dict) -> Couplings:
     values = dict(DEFAULT_COUPLINGS)
-    values.update(file_cfg.get("couplings", {}))
+    from_file = file_cfg.get("couplings", {})
+    if not isinstance(from_file, dict) or not set(from_file) <= set(values):
+        raise ConfigError("couplings must be an object with keys among "
+                          + ", ".join(values))
+    values.update(from_file)
     for key in ("g", "gp", "R", "h_e"):
         cli_value = getattr(args, key, None)
         if cli_value is not None:
@@ -166,7 +181,6 @@ def _report_envelope(args, couplings: Couplings) -> dict:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "seed": args.seed,
         "order": args.order,
-        "mode": str(_parse_mode(args.mode)),
         "couplings": {
             "g": couplings.g, "gp": couplings.gp,
             "R": couplings.R, "h_e": couplings.h_e,
@@ -177,14 +191,9 @@ def _report_envelope(args, couplings: Couplings) -> dict:
 def cmd_verify(args) -> int:
     file_cfg = _load_config_file(args.config)
     couplings = _couplings_from(args, file_cfg)
-    suite_names = args.suite if args.suite is not None else file_cfg.get("suites")
-    if suite_names is not None and len(suite_names) == 0:
-        raise ConfigError("empty suite selection")
     cfg = RunConfig(
-        couplings=couplings,
-        order=args.order,
-        seed=args.seed,
-        suites=tuple(suite_names) if suite_names else (),
+        couplings, args.order, args.seed,
+        suites=tuple(args.suite or file_cfg.get("suites", ())),
         sample_counts=file_cfg.get("sample_counts", {}),
         tolerances=file_cfg.get("tolerances", {}),
     )
@@ -249,9 +258,10 @@ def cmd_expand(args) -> int:
     evaluator = bosonic_density_evaluator(
         gauge, psi, couplings, points, args.order, jval
     )
-    expansion = epsilon_expand(evaluator, args.n)
+    expansion = epsilon_expand(evaluator, args.n, args.order)
 
     payload = _report_envelope(args, couplings)
+    payload["mode"] = str(mode)
     payload["expansion"] = _sanitize(expansion.to_json())
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
@@ -263,9 +273,10 @@ def _check_flags(args) -> None:
     """Reject flag values that would crash a command or silently do nothing."""
     if args.order < MIN_ORDER:
         raise ConfigError(f"--order must be at least {MIN_ORDER}")
+    if args.format not in ("json", "csv"):
+        raise ConfigError(f"unknown --format {args.format!r}")
     if args.format == "csv" and args.command != "spectrum":
         raise ConfigError("CSV output is only available for the spectrum table")
-    _parse_mode(args.mode)
 
 
 COMMANDS = {
@@ -277,11 +288,14 @@ COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed usage or help
+        return exc.code
     try:
         _check_flags(args)
         return COMMANDS[args.command](args)
-    except (ConfigError, IllConditioned) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

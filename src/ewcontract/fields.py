@@ -6,7 +6,8 @@ free of discretization error. Sampling a configuration promotes the fiber
 components (A^1, A^2, psi_1, psi_2, the neutrino) to grade-1 jets; all
 physics formulas downstream are written once, at j=1, over these graded
 values, and the j^2 factors of the contracted model emerge from the ring
-arithmetic.
+arithmetic. Samples can also be multiplied by the field-scale variable eps
+of the ring, which expands a density in the amplitude of its fields.
 
 Spacetime index contraction is a plain Euclidean sum over mu = 0..3; the
 verified claims are algebraic identities and never need a signature.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,11 +115,6 @@ def constant(value: complex) -> Polynomial:
     return Polynomial(c0=value)
 
 
-def sample(f: AnalyticField, x: Vec4) -> Tuple[complex, np.ndarray]:
-    """Exact (value, 4-gradient) of an analytic field."""
-    return f.value(x), f.grad(x)
-
-
 # ---------------------------------------------------------------------------
 # configurations
 # ---------------------------------------------------------------------------
@@ -164,17 +160,13 @@ class GaugeConfig:
             tuple(ZERO_FIELD for _ in range(4)),
         )
 
-    def scaled(self, s: float, fiber_only: bool = False) -> "GaugeConfig":
-        """Rescale all components (or only the fiber directions A^1, A^2)."""
+    def fiber_scaled(self, s: float) -> "GaugeConfig":
+        """Rescale the fiber directions A^1, A^2 only."""
         A = tuple(
-            tuple(
-                f.scaled(s) if (k < 2 or not fiber_only) else f
-                for f in self.A[k]
-            )
+            tuple(f.scaled(s) if k < 2 else f for f in self.A[k])
             for k in range(3)
         )
-        B = tuple(f if fiber_only else f.scaled(s) for f in self.B)
-        return GaugeConfig(A, B)
+        return GaugeConfig(A, self.B)
 
 
 @dataclass(frozen=True)
@@ -186,9 +178,6 @@ class PsiConfig:
     @classmethod
     def zero(cls) -> "PsiConfig":
         return cls((ZERO_FIELD, ZERO_FIELD, ZERO_FIELD))
-
-    def scaled(self, s: float) -> "PsiConfig":
-        return PsiConfig(tuple(f.scaled(s) for f in self.psi))
 
 
 Spinor = Tuple[AnalyticField, AnalyticField]
@@ -208,13 +197,6 @@ class FermionConfig:
         z = (ZERO_FIELD, ZERO_FIELD)
         return cls(z, z, z)
 
-    def scaled(self, s: complex) -> "FermionConfig":
-        return FermionConfig(
-            tuple(f.scaled(s) for f in self.e_l),
-            tuple(f.scaled(s) for f in self.nu_l),
-            tuple(f.scaled(s) for f in self.e_r),
-        )
-
 
 @dataclass(frozen=True)
 class EpsConfig:
@@ -231,8 +213,12 @@ class EpsConfig:
 # ---------------------------------------------------------------------------
 
 
-def _jet(value: complex, order: int) -> Jet:
-    return Jet.const(value, order)
+def _grading(order: int, jval: Optional[float],
+             scale: Optional[Jet]) -> Tuple[Jet, Jet]:
+    """(fiber, base) factors of a sampled value: j and 1, times the eps jet
+    `scale` if given (exact: a configuration is linear in its amplitude)."""
+    base = Jet.const(1.0, order) if scale is None else scale
+    return jparam(order, jval) * base, base
 
 
 @dataclass
@@ -273,61 +259,60 @@ class FermionSample:
 
 
 def sample_gauge(cfg: GaugeConfig, x: Vec4, order: int = DEFAULT_ORDER,
-                 jval: Optional[float] = None) -> GaugeSample:
+                 jval: Optional[float] = None,
+                 scale: Optional[Jet] = None) -> GaugeSample:
     """Sample with the contraction substitution A^1 -> jA^1, A^2 -> jA^2
-    applied (A^3 and B stay in the base)."""
-    j = jparam(order, jval)
-    one = Jet.const(1.0, order)
-    grading = [j, j, one]
+    applied (A^3 and B stay in the base); an eps jet `scale` multiplies
+    every sampled value, B included."""
+    fiber, base = _grading(order, jval, scale)
+    grading = [fiber, fiber, base]
     a, da = [], []
     for k in range(3):
         g = grading[k]
-        a.append([g * _jet(cfg.A[k][mu].value(x), order) for mu in range(4)])
+        a.append([g * cfg.A[k][mu].value(x) for mu in range(4)])
         grads = [cfg.A[k][nu].grad(x) for nu in range(4)]
-        da.append(
-            [[g * _jet(grads[nu][mu], order) for nu in range(4)] for mu in range(4)]
-        )
-    b = [_jet(cfg.B[mu].value(x), order) for mu in range(4)]
+        da.append([[g * grads[nu][mu] for nu in range(4)] for mu in range(4)])
+    b = [base * cfg.B[mu].value(x) for mu in range(4)]
     bgrads = [cfg.B[nu].grad(x) for nu in range(4)]
-    db = [[_jet(bgrads[nu][mu], order) for nu in range(4)] for mu in range(4)]
+    db = [[base * bgrads[nu][mu] for nu in range(4)] for mu in range(4)]
     return GaugeSample(a, da, b, db, order)
 
 
 def sample_psi(cfg: PsiConfig, x: Vec4, order: int = DEFAULT_ORDER,
-               jval: Optional[float] = None, with_hessian: bool = False) -> PsiSample:
-    """Sample with psi_1 -> j psi_1, psi_2 -> j psi_2 applied."""
-    j = jparam(order, jval)
-    one = Jet.const(1.0, order)
-    grading = [j, j, one]
+               jval: Optional[float] = None, with_hessian: bool = False,
+               scale: Optional[Jet] = None) -> PsiSample:
+    """Sample with psi_1 -> j psi_1, psi_2 -> j psi_2 applied; an eps jet
+    `scale` multiplies every sampled value."""
+    fiber, base = _grading(order, jval, scale)
+    grading = [fiber, fiber, base]
     psi, dpsi, hpsi = [], [], []
     for k in range(3):
         g = grading[k]
-        psi.append(g * _jet(cfg.psi[k].value(x), order))
+        psi.append(g * cfg.psi[k].value(x))
         gr = cfg.psi[k].grad(x)
-        dpsi.append([g * _jet(gr[mu], order) for mu in range(4)])
+        dpsi.append([g * gr[mu] for mu in range(4)])
         if with_hessian:
             h = cfg.psi[k].hess(x)
-            hpsi.append(
-                [[g * _jet(h[mu][nu], order) for nu in range(4)] for mu in range(4)]
-            )
+            hpsi.append([[g * h[mu][nu] for nu in range(4)] for mu in range(4)])
     return PsiSample(psi, dpsi, hpsi if with_hessian else None, order)
 
 
 def sample_fermions(cfg: FermionConfig, x: Vec4, order: int = DEFAULT_ORDER,
-                    jval: Optional[float] = None) -> FermionSample:
-    """Sample with nu_l -> j nu_l applied; e_l and e_r are unchanged."""
-    j = jparam(order, jval)
+                    jval: Optional[float] = None,
+                    scale: Optional[Jet] = None) -> FermionSample:
+    """Sample with nu_l -> j nu_l applied; e_l and e_r are unchanged. An
+    eps jet `scale` multiplies every sampled value."""
+    fiber, base = _grading(order, jval, scale)
 
     def spinor(sp: Spinor, g: Jet):
-        vals = [g * _jet(sp[s].value(x), order) for s in range(2)]
+        vals = [g * sp[s].value(x) for s in range(2)]
         grads = [sp[s].grad(x) for s in range(2)]
-        dv = [[g * _jet(grads[s][mu], order) for mu in range(4)] for s in range(2)]
+        dv = [[g * grads[s][mu] for mu in range(4)] for s in range(2)]
         return vals, dv
 
-    one = Jet.const(1.0, order)
-    el, d_el = spinor(cfg.e_l, one)
-    nu, d_nu = spinor(cfg.nu_l, j)
-    er, d_er = spinor(cfg.e_r, one)
+    el, d_el = spinor(cfg.e_l, base)
+    nu, d_nu = spinor(cfg.nu_l, fiber)
+    er, d_er = spinor(cfg.e_r, base)
     return FermionSample(el, d_el, nu, d_nu, er, d_er, order)
 
 
@@ -452,8 +437,11 @@ def infinitesimal_gauge_transform(
     x: Vec4,
     c: Couplings,
     jval: Optional[float] = None,
+    scale: Optional[Jet] = None,
 ) -> Tuple[GaugeSample, PsiSample]:
-    """First-order gauge transformation of a point sample.
+    """First-order gauge transformation of a point sample; an eps jet
+    `scale` multiplies the gauge parameters, so the eps**1 coefficient of
+    a transformed density is its exact first-order variation.
 
     With u = exp(sum_a eps_a T_a(j) + eps_Y Y) the linearized shifts are
       dA^a_mu  = -(1/g) d_mu eps_a - eps_{bca} eps_b A^c_mu
@@ -464,20 +452,17 @@ def infinitesimal_gauge_transform(
     so invariance checks remain discretization-free.
     """
     order = gs.order
-    j = jparam(order, jval)
-    one = Jet.const(1.0, order)
-    grading = [j, j, one]
+    fiber, base = _grading(order, jval, scale)
 
     ev, dev, hev = [], [], []
     for a in range(4):
-        g = grading[a] if a < 3 else one
+        g = fiber if a < 2 else base
         f = eps_cfg.eps[a]
-        ev.append(g * _jet(f.value(x), order))
+        ev.append(g * f.value(x))
         gr = f.grad(x)
-        dev.append([g * _jet(gr[mu], order) for mu in range(4)])
+        dev.append([g * gr[mu] for mu in range(4)])
         h = f.hess(x)
-        hev.append([[g * _jet(h[mu][nu], order) for nu in range(4)]
-                    for mu in range(4)])
+        hev.append([[g * h[mu][nu] for nu in range(4)] for mu in range(4)])
 
     # gauge sector
     a_new = [[gs.a[k][mu] for mu in range(4)] for k in range(3)]

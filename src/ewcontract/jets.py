@@ -1,4 +1,5 @@
-"""Truncated power series ("jets") in the contraction parameter j.
+"""Truncated power series ("jets") in the contraction parameter j and
+the field scale eps.
 
 A :class:`Jet` stores the coefficients of a polynomial in j, truncated at a
 fixed maximum power. Setting j = 1 recovers ordinary arithmetic, reading off
@@ -6,6 +7,11 @@ the constant term realizes the nilpotent unit (j**2 == 0 after grade 1), and
 evaluating at a small real t gives the numeric-limit picture. All three views
 of the contraction are therefore carried by a single exact data structure:
 coefficients can be read off at any grade instead of ever dividing by j.
+
+A jet also carries a second truncated variable, the field scale eps, when
+a density is expanded in it: field samples are multiplied by eps, and one
+evaluation yields every eps coefficient exactly (truncated Taylor
+arithmetic). Outside an expansion a jet is a polynomial in j alone.
 
 Arithmetic is exact truncated-ring arithmetic over complex coefficients.
 Values are immutable; every operation returns a fresh Jet.
@@ -15,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -86,22 +92,29 @@ class ContractionMode:
 
 
 class Jet:
-    """Polynomial in j with complex coefficients, truncated beyond `order`.
+    """Polynomial in j and eps with complex coefficients, truncated beyond
+    j**order and eps**eps_order (0 outside an expansion).
 
-    coeffs[n] is the coefficient of j**n. Ring axioms hold exactly at fixed
-    truncation order (up to floating point).
+    coeffs[n, p] is the coefficient of j**n eps**p. Ring axioms hold exactly
+    at fixed truncation orders (up to floating point). A jet without eps
+    terms is zero-padded to the other operand's eps truncation, which is
+    exact; any other mismatch of truncation orders raises.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar], order: int = DEFAULT_ORDER):
-        c = np.zeros(order + 1, dtype=complex)
-        given = np.asarray(list(coeffs), dtype=complex)
-        if len(given) > order + 1:
-            given = given[: order + 1]
-        c[: len(given)] = given
+    def __init__(self, coeffs: Iterable, order: int = DEFAULT_ORDER,
+                 eps_order: int = 0):
+        shape = (order + 1, eps_order + 1)
+        c = np.array(coeffs if isinstance(coeffs, np.ndarray) else list(coeffs),
+                     dtype=complex)
+        if c.shape != shape:
+            given = c[:, None] if c.ndim == 1 else c
+            c = np.zeros(shape, dtype=complex)
+            rows, cols = min(len(given), shape[0]), min(given.shape[1], shape[1])
+            c[:rows, :cols] = given[:rows, :cols]
+        c.flags.writeable = False
         self.coeffs = c
-        self.coeffs.flags.writeable = False
 
     # -- constructors -------------------------------------------------
 
@@ -122,130 +135,155 @@ class Jet:
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return self.coeffs.shape[0] - 1
+
+    @property
+    def eps_order(self) -> int:
+        return self.coeffs.shape[1] - 1
 
     def grade(self, n: int) -> complex:
-        """Coefficient of j**n."""
+        """Coefficient of j**n (at eps**0)."""
         if n > self.order:
             raise IndexError(f"grade {n} exceeds truncation order {self.order}")
-        return complex(self.coeffs[n])
+        return complex(self.coeffs[n, 0])
 
     def evaluate(self, mode: ContractionMode) -> complex:
-        """Collapse the jet to a number for a given contraction regime."""
+        """Collapse the jet (at eps = 0) to a number in a contraction regime."""
+        c = self.coeffs[:, 0]
         if mode.kind == "unit":
-            return complex(self.coeffs.sum())
+            return complex(c.sum())
         if mode.kind == "nilpotent":
-            return complex(self.coeffs[0])
-        return complex(np.polyval(self.coeffs[::-1], mode.t))
+            return complex(c[0])
+        return complex(np.polyval(c[::-1], mode.t))
 
     # -- ring operations ----------------------------------------------
 
-    @staticmethod
-    def _coerce(value: "Jet | Scalar", order: int) -> "Jet":
-        if isinstance(value, Jet):
-            return value
-        return Jet.const(value, order)
-
-    def _check(self, other: "Jet") -> None:
-        if other.order != self.order:
+    def _aligned(self, other: "Jet | Scalar") -> Tuple[np.ndarray, np.ndarray]:
+        """Coefficients of self and other at one eps truncation: an operand
+        without eps terms is zero-padded to the other's."""
+        if not isinstance(other, Jet):
+            other = Jet.const(other, self.order)
+        a, b = self.coeffs, other.coeffs
+        if len(a) != len(b):
             raise ValueError(
-                f"incompatible truncation orders {self.order} != {other.order}"
+                f"incompatible truncation orders {len(a) - 1} != {len(b) - 1}"
             )
+        width = max(a.shape[1], b.shape[1])
+        if min(a.shape[1], b.shape[1]) not in (1, width):
+            raise ValueError(f"incompatible eps truncation orders "
+                             f"{a.shape[1] - 1} != {b.shape[1] - 1}")
+        return _widen(a, width), _widen(b, width)
+
+    def _new(self, coeffs: np.ndarray) -> "Jet":
+        return Jet(coeffs, self.order, coeffs.shape[1] - 1)
 
     def __add__(self, other: "Jet | Scalar") -> "Jet":
-        other = self._coerce(other, self.order)
-        self._check(other)
-        return Jet(self.coeffs + other.coeffs, self.order)
+        a, b = self._aligned(other)
+        return self._new(a + b)
 
     __radd__ = __add__
 
     def __sub__(self, other: "Jet | Scalar") -> "Jet":
-        other = self._coerce(other, self.order)
-        self._check(other)
-        return Jet(self.coeffs - other.coeffs, self.order)
+        a, b = self._aligned(other)
+        return self._new(a - b)
 
     def __rsub__(self, other: Scalar) -> "Jet":
         return Jet.const(other, self.order) - self
 
     def __neg__(self) -> "Jet":
-        return Jet(-self.coeffs, self.order)
+        return self._new(-self.coeffs)
 
     def __mul__(self, other: "Jet | Scalar") -> "Jet":
         if not isinstance(other, Jet):
-            return Jet(self.coeffs * complex(other), self.order)
-        self._check(other)
-        prod = np.convolve(self.coeffs, other.coeffs)[: self.order + 1]
-        return Jet(prod, self.order)
+            return self._new(self.coeffs * complex(other))
+        return self._new(_product(*self._aligned(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Jet | Scalar") -> "Jet":
         if not isinstance(other, Jet):
-            return Jet(self.coeffs / complex(other), self.order)
+            return self._new(self.coeffs / complex(other))
         return self * other.inv()
 
     def __rtruediv__(self, other: Scalar) -> "Jet":
         return Jet.const(other, self.order) * self.inv()
 
     def conjugate(self) -> "Jet":
-        """Coefficient-wise complex conjugation (j itself stays real)."""
-        return Jet(np.conj(self.coeffs), self.order)
+        """Coefficient-wise complex conjugation (j and eps stay real)."""
+        return self._new(np.conj(self.coeffs))
+
+    def _binomial(self, a0: Scalar, power: float) -> "Jet":
+        """(self / a0) ** power from the binomial series in u = self/a0 - 1,
+        which is exact in the truncated ring: u**(order + eps_order + 1) = 0."""
+        u = self.coeffs / a0
+        u[0, 0] = 0.0
+        result = np.zeros_like(u)
+        result[0, 0] = 1.0
+        term, coeff = result, 1.0
+        for n in range(1, self.order + self.eps_order + 1):
+            coeff *= (power - (n - 1)) / n
+            term = _product(term, u)
+            result = result + coeff * term
+        return self._new(result)
 
     def inv(self) -> "Jet":
         """Multiplicative inverse; requires a nonzero constant term."""
-        a = self.coeffs
-        if abs(a[0]) == 0.0:
+        a0 = complex(self.coeffs[0, 0])
+        if a0 == 0.0:
             raise ZeroConstantTerm(
                 "cannot invert a jet with zero constant term "
                 "(division by a nilpotent-dominated value)"
             )
-        b = np.zeros_like(a)
-        b[0] = 1.0 / a[0]
-        for n in range(1, len(a)):
-            b[n] = -(a[1 : n + 1] @ b[n - 1 :: -1]) / a[0]
-        return Jet(b, self.order)
+        return self._binomial(a0, -1.0) / a0
 
     def inv_sqrt(self) -> "Jet":
-        """1/sqrt of the jet; requires a real, positive constant term.
-
-        Computed from the binomial series (1+u)**(-1/2) with u the
-        nilpotent remainder after factoring out the constant term.
-        """
-        a0 = self.coeffs[0]
+        """1/sqrt of the jet; requires a real, positive constant term."""
+        a0 = complex(self.coeffs[0, 0])
         if abs(a0.imag) > EQ_TOL * max(1.0, abs(a0)) or a0.real <= 0.0:
             raise NonPositiveConstantTerm(
                 f"inv_sqrt requires a real positive constant term, got {a0}"
             )
-        u = Jet(self.coeffs / a0.real, self.order) - 1.0
-        result = Jet.const(1.0, self.order)
-        term = Jet.const(1.0, self.order)
-        coeff = 1.0
-        for n in range(1, self.order + 1):
-            coeff *= (-0.5 - (n - 1)) / n
-            term = term * u
-            result = result + coeff * term
-        return result * (a0.real ** -0.5)
+        return self._binomial(a0.real, -0.5) * (a0.real ** -0.5)
 
     # -- misc ----------------------------------------------------------
 
     def allclose(self, other: "Jet | Scalar", tol: float = EQ_TOL) -> bool:
-        other = self._coerce(other, self.order)
-        return bool(np.all(np.abs(self.coeffs - other.coeffs) <= tol))
+        a, b = self._aligned(other)
+        return bool(np.all(np.abs(a - b) <= tol))
 
     def max_abs_diff(self, other: "Jet | Scalar") -> float:
-        other = self._coerce(other, self.order)
-        return float(np.max(np.abs(self.coeffs - other.coeffs)))
+        a, b = self._aligned(other)
+        return float(np.max(np.abs(a - b)))
 
     def to_json(self) -> list:
-        """Serialize as [[re, im], ...] by grade."""
-        return [[c.real, c.imag] for c in self.coeffs]
+        """Serialize a jet in j alone as [[re, im], ...] by grade."""
+        if self.eps_order:
+            raise ValueError("only a jet without eps terms serializes")
+        return [[c.real, c.imag] for c in self.coeffs[:, 0]]
 
     def __repr__(self) -> str:
-        terms = []
-        for n, c in enumerate(self.coeffs):
-            if abs(c) > 0:
-                terms.append(f"({c:.6g})j^{n}" if n else f"({c:.6g})")
-        return "Jet(" + (" + ".join(terms) if terms else "0") + f", order={self.order})"
+        return (f"Jet({self.coeffs.tolist()!r}, order={self.order}, "
+                f"eps_order={self.eps_order})")
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated product of two coefficient arrays of one shape, as one
+    convolution: with rows laid out `width` apart, j**n eps**p sits at
+    n * width + p, and since no product reaches eps**width no eps power
+    carries into the next j row."""
+    rows, cols = a.shape
+    width = 2 * cols - 1
+    flat = np.convolve(_widen(a, width).ravel(), _widen(b, width).ravel())
+    return flat[: rows * width].reshape(rows, width)[:, :cols]
+
+
+def _widen(coeffs: np.ndarray, width: int) -> np.ndarray:
+    """Zero-pad a coefficient array to `width` eps columns."""
+    if coeffs.shape[1] == width:
+        return coeffs
+    out = np.zeros((coeffs.shape[0], width), dtype=complex)
+    out[:, : coeffs.shape[1]] = coeffs
+    return out
 
 
 def jparam(order: int = DEFAULT_ORDER, jval: float | None = None) -> Jet:
@@ -359,9 +397,6 @@ class JetMatrix2:
         return max(
             self[r, c].max_abs_diff(other[r, c]) for r in range(2) for c in range(2)
         )
-
-    def to_json(self) -> list:
-        return [[self[r, c].to_json() for c in range(2)] for r in range(2)]
 
     def __repr__(self) -> str:
         return f"JetMatrix2({self.entries!r})"

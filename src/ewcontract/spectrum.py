@@ -1,11 +1,12 @@
 """Small-field expansion of the exact Lagrangian and what it implies.
 
-The expansion coefficients are extracted numerically: the density is
-evaluated at Chebyshev-spaced scale factors and a Vandermonde system is
-solved. That extraction is the normative definition of every derived
-quantity (masses, quadratic form, cubic terms); closed formulas are
-cross-checks. Printed third-order displays are transcribed literally and
-treated as claims under test against the exact coefficient.
+The expansion coefficients are computed exactly: the density is evaluated
+once on field samples multiplied by the field-scale variable eps of the
+jet ring, and the coefficient of eps**n is read off like a grade of j.
+That expansion is the normative definition of every derived quantity
+(masses, quadratic form, cubic terms); closed formulas are cross-checks.
+Printed third-order displays are transcribed literally and treated as
+claims under test against the exact coefficient.
 """
 
 from __future__ import annotations
@@ -39,28 +40,14 @@ from .lagrangian import (
     phi_from_psi,
 )
 
-EPS_LO = 0.01
-EPS_HI = 0.2
-CONDITION_LIMIT = 1.0e12
 MAX_EXPANSION_ORDER = 6
 SPACETIME_SAMPLES = 16
 LIMIT_T_VALUES = (1.0e-1, 1.0e-2, 1.0e-3)
 
 
-class IllConditioned(Exception):
-    """Vandermonde system too ill-conditioned for a trustworthy fit."""
-
-
 # ---------------------------------------------------------------------------
 # extraction machinery
 # ---------------------------------------------------------------------------
-
-
-def chebyshev_nodes(count: int, lo: float = EPS_LO, hi: float = EPS_HI) -> np.ndarray:
-    """Chebyshev points mapped to [lo, hi], in increasing order."""
-    k = np.arange(count)
-    t = np.cos((2 * k + 1) * math.pi / (2 * count))
-    return np.sort(0.5 * (lo + hi) + 0.5 * (hi - lo) * t)
 
 
 def halton_points(count: int = SPACETIME_SAMPLES, seed: int = 0,
@@ -79,74 +66,35 @@ def average_jets(values: Sequence[Jet]) -> Jet:
 
 @dataclass
 class EpsilonExpansion:
-    """Coefficients of the density in powers of the field scale factor.
-
-    coeffs[n] is the jet-valued coefficient of eps^n for n = 0..n_max;
-    two guard powers beyond n_max are fitted (and kept internally) so the
-    reported residual reflects genuine truncation error.
-    """
+    """Coefficients of a density in powers of the field scale factor:
+    coeffs[n] is the jet-valued coefficient of eps**n for n = 0..n_max."""
 
     coeffs: Dict[int, Jet]
     n_max: int
-    residual: float
-    condition: float
-    _full: Dict[int, Jet]
-
-    def value_at(self, eps: float) -> Jet:
-        total = Jet.zero(self.coeffs[0].order)
-        for n, cn in self._full.items():
-            total = total + (eps**n) * cn
-        return total
 
     def to_json(self) -> dict:
         return {
             "n_max": self.n_max,
-            "residual": self.residual,
-            "condition": self.condition,
             "coefficients": {str(n): self.coeffs[n].to_json()
                              for n in sorted(self.coeffs)},
         }
 
 
-def epsilon_expand(evaluator: Callable[[float], Jet], n: int,
-                   nodes: Optional[np.ndarray] = None) -> EpsilonExpansion:
-    """Recover the eps-polynomial coefficients of a density evaluator.
+def epsilon_expand(evaluator: Callable[[Jet], Jet], n: int,
+                   order: int = DEFAULT_ORDER) -> EpsilonExpansion:
+    """Exact eps-polynomial coefficients of a density evaluator.
 
-    Samples at n+3 scale factors and solves the square Vandermonde system
-    for powers 0..n+2. Raises IllConditioned when the system's condition
-    number exceeds CONDITION_LIMIT.
-    """
+    The evaluator is called once, with the eps variable (a jet of j order
+    `order` truncated beyond eps**n) as its one argument; eps column p of
+    the result is the coefficient of eps**p."""
     if n < 0 or n > MAX_EXPANSION_ORDER:
         raise ConfigError(
             f"expansion order must be between 0 and {MAX_EXPANSION_ORDER}"
         )
-    if nodes is None:
-        nodes = chebyshev_nodes(n + 3)
-    nodes = np.asarray(nodes, dtype=float)
-    if len(set(nodes.tolist())) != len(nodes):
-        raise ConfigError("epsilon sample nodes must be distinct")
-    vander = np.vander(nodes, increasing=True)
-    condition = float(np.linalg.cond(vander))
-    if condition > CONDITION_LIMIT:
-        raise IllConditioned(
-            f"Vandermonde condition {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
-        )
-    samples = [evaluator(float(e)) for e in nodes]
-    order = samples[0].order
-    matrix = np.array([s.coeffs for s in samples])
-    solved = np.linalg.solve(vander, matrix)
-    full = {p: Jet(solved[p], order) for p in range(len(nodes))}
-    coeffs = {p: full[p] for p in range(n + 1)}
-
-    degree = len(nodes) - 1
-    checks = chebyshev_nodes(2, lo=EPS_LO * 1.7, hi=EPS_HI * 0.9)
-    residual = 0.0
-    for e in checks:
-        recon = Jet.zero(order)
-        for p in range(degree + 1):
-            recon = recon + (float(e) ** p) * full[p]
-        residual = max(residual, recon.max_abs_diff(evaluator(float(e))))
-    return EpsilonExpansion(coeffs, n, residual, condition, full)
+    value = evaluator(Jet([[0.0, 1.0]], order, n))
+    columns = Jet(value.coeffs, value.order, n).coeffs
+    return EpsilonExpansion({p: Jet(columns[:, p], value.order)
+                             for p in range(n + 1)}, n)
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +216,15 @@ def bosonic_density_evaluator(
     points: np.ndarray,
     order: int = DEFAULT_ORDER,
     jval: Optional[float] = None,
-) -> Callable[[float], Jet]:
+) -> Callable[[Jet], Jet]:
     """Point-averaged exact bosonic density as a function of the overall
-    field scale."""
+    field scale (an eps jet)."""
 
-    def evaluate(eps: float) -> Jet:
-        gcfg = gauge.scaled(eps)
-        pcfg = psi.scaled(eps)
+    def evaluate(scale: Jet) -> Jet:
         values = []
         for x in points:
-            gs = sample_gauge(gcfg, x, order, jval)
-            ps = sample_psi(pcfg, x, order, jval)
+            gs = sample_gauge(gauge, x, order, jval, scale)
+            ps = sample_psi(psi, x, order, jval, scale=scale)
             values.append(lagrangian_bosonic(gs, ps, c).value)
         return average_jets(values)
 
@@ -306,7 +252,7 @@ def quadratic_check(
     form, grade by grade."""
     points = halton_points(seed=seed)
     evaluator = bosonic_density_evaluator(gauge, psi, c, points, order)
-    expansion = epsilon_expand(evaluator, 4)
+    expansion = epsilon_expand(evaluator, 2, order)
     exact = expansion.coeffs[2]
     independent = average_jets(
         [
@@ -326,7 +272,6 @@ def quadratic_check(
     tadpole = abs(expansion.coeffs[1].grade(0)) + abs(expansion.coeffs[1].grade(2))
     return {
         "grades": grades,
-        "fit_residual": expansion.residual,
         "max_rel_diff": max(g["rel_diff"] for g in grades.values()),
         "tadpole_magnitude": tadpole,
     }
@@ -358,7 +303,6 @@ class SpectrumReport:
     nu_mass_coefficient: float
     closed: Dict[str, float]
     couplings: Dict[str, float]
-    fit_residual: float
 
     def to_json(self) -> dict:
         return {
@@ -370,7 +314,6 @@ class SpectrumReport:
             "nu_mass_coefficient": self.nu_mass_coefficient,
             "closed_form": dict(self.closed),
             "couplings": dict(self.couplings),
-            "fit_residual": self.fit_residual,
         }
 
 
@@ -389,21 +332,19 @@ def _constant_gauge(direction: Dict[str, float]) -> GaugeConfig:
 
 
 def _gauge_mass_coefficient(direction: Dict[str, float], c: Couplings,
-                            order: int, jval: Optional[float] = None
-                            ) -> Tuple[Jet, float]:
+                            order: int, jval: Optional[float] = None) -> Jet:
     """eps^2 coefficient of the bosonic density for a constant gauge
-    background at psi = 0; exact (the density is then a polynomial)."""
+    background at psi = 0."""
     gauge = _constant_gauge(direction)
     psi = PsiConfig.zero()
     x = np.zeros(4)
 
-    def evaluate(eps: float) -> Jet:
-        gs = sample_gauge(gauge.scaled(eps), x, order, jval)
+    def evaluate(scale: Jet) -> Jet:
+        gs = sample_gauge(gauge, x, order, jval, scale)
         ps = sample_psi(psi, x, order, jval)
         return lagrangian_bosonic(gs, ps, c).value
 
-    expansion = epsilon_expand(evaluate, 2)
-    return expansion.coeffs[2], expansion.residual
+    return epsilon_expand(evaluate, 2, order).coeffs[2]
 
 
 def _fermion_mass_coefficient(which: str, c: Couplings, order: int) -> Jet:
@@ -422,26 +363,26 @@ def _fermion_mass_coefficient(which: str, c: Couplings, order: int) -> Jet:
     ps = sample_psi(PsiConfig.zero(), x, order)
     phi, _ = phi_from_psi(ps, c.R)
 
-    def evaluate(eps: float) -> Jet:
-        fs = sample_fermions(cfg.scaled(eps), x, order)
+    def evaluate(scale: Jet) -> Jet:
+        fs = sample_fermions(cfg, x, order, scale=scale)
         return lagrangian_fermion(fs, phi, gs, c).value
 
-    return epsilon_expand(evaluate, 2).coeffs[2]
+    return epsilon_expand(evaluate, 2, order).coeffs[2]
 
 
 def mass_spectrum(c: Couplings, order: int = DEFAULT_ORDER) -> SpectrumReport:
     """Extract m_W, m_Z, m_A (and m_e when h_e > 0) from the exact
     Lagrangian on constant backgrounds along each physical direction."""
-    w_coeff, res_w = _gauge_mass_coefficient({"0": 1.0}, c, order)
+    w_coeff = _gauge_mass_coefficient({"0": 1.0}, c, order)
     # unit W background: W+ W- = 1/2, so the coefficient is m_W^2 / 2
     m_w = math.sqrt(max(2.0 * w_coeff.grade(2).real, 0.0))
 
     z_dir = {"2": c.g / c.gz, "B": c.gp / c.gz}
-    z_coeff, res_z = _gauge_mass_coefficient(z_dir, c, order)
+    z_coeff = _gauge_mass_coefficient(z_dir, c, order)
     m_z = math.sqrt(max(2.0 * z_coeff.grade(0).real, 0.0))
 
     a_dir = {"2": c.gp / c.gz, "B": -c.g / c.gz}
-    a_coeff, res_a = _gauge_mass_coefficient(a_dir, c, order)
+    a_coeff = _gauge_mass_coefficient(a_dir, c, order)
     m_a = math.sqrt(abs(2.0 * a_coeff.grade(0).real))
 
     if c.h_e > 0.0:
@@ -469,7 +410,6 @@ def mass_spectrum(c: Couplings, order: int = DEFAULT_ORDER) -> SpectrumReport:
             "weinberg_cos": c.g / c.gz,
         },
         couplings={"g": c.g, "gp": c.gp, "R": c.R, "h_e": c.h_e},
-        fit_residual=max(res_w, res_z, res_a),
     )
 
 
@@ -716,8 +656,7 @@ def cubic_check(
     never patched."""
     points = halton_points(seed=seed)
     evaluator = bosonic_density_evaluator(gauge, psi, c, points, order)
-    expansion = epsilon_expand(evaluator, 4)
-    exact = expansion.coeffs[3]
+    exact = epsilon_expand(evaluator, 3, order).coeffs[3]
 
     def averaged(term_fn) -> Tuple[Dict[str, Jet], Jet]:
         totals: Dict[str, Jet] = {}
@@ -755,7 +694,6 @@ def cubic_check(
         "exact_grade2": exact.grade(2),
         "literal": literal,
         "normative": normative,
-        "fit_residual": expansion.residual,
     }
 
 
@@ -842,7 +780,7 @@ def limit_consistency(c: Optional[Couplings] = None, seed: int = 0,
 
     w_values = []
     for t in LIMIT_T_VALUES:
-        coeff, _ = _gauge_mass_coefficient({"0": 1.0}, c, order, jval=t)
+        coeff = _gauge_mass_coefficient({"0": 1.0}, c, order, jval=t)
         w_values.append(coeff.grade(0).real)
     logs = np.log(np.abs(w_values))
     logt = np.log(np.asarray(LIMIT_T_VALUES))

@@ -27,7 +27,7 @@ def test_verify_single_suite_passes(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "suite algebra" in text and "pass" in text
     report = _load(out)
-    assert report["schema_version"] == "1.0"
+    assert report["schema_version"] == "1.1"
     assert report["seed"] == 42
     assert report["passed"] is True
     assert report["suites"]["algebra"]["passed"] is True
@@ -109,7 +109,6 @@ def test_expand_dumps_coefficients(tmp_path, capsys):
     report = _load(out)
     coeffs = report["expansion"]["coefficients"]
     assert set(coeffs) == {"0", "1", "2"}
-    assert report["expansion"]["residual"] <= 1e-10
 
 
 def test_expand_order_above_limit_rejected(capsys):
@@ -124,6 +123,54 @@ def test_expand_csv_not_supported(capsys):
 def test_bad_mode_is_config_error(capsys):
     assert main(["verify", "--suite", "algebra", "--mode", "weird"]) \
         == EXIT_CONFIG_ERROR
+
+
+@pytest.mark.parametrize("cfg", [
+    {"tolerances": {"algebra": "x"}},
+    {"tolerances": {"cubic_macth": 1e-9}},
+    {"sample_counts": {"group": "x"}},
+    {"couplings": [1]},
+    {"couplings": {"gz": 1.0}},
+    {"suites": 5},
+    {"tolerance": {"algebra": 1e-9}},
+])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "algebra"], ["spectrum"], ["expand", "--n", "0"],
+])
+def test_malformed_config_is_config_error(tmp_path, capsys, cfg, argv):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(argv + ["--config", str(path)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("SEED", "abc", "invalid int value"),
+    ("ORDER", "abc", "invalid int value"),
+    ("FORMAT", "xml", "unknown --format"),
+])
+def test_malformed_environment_value_is_config_error(monkeypatch, capsys,
+                                                     name, value, message):
+    monkeypatch.setenv("EWCONTRACT_" + name, value)
+    assert main(["spectrum"]) == EXIT_CONFIG_ERROR
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suite", "algebra"],
+                                  ["spectrum"]])
+def test_mode_only_accepted_by_expand(capsys, argv):
+    assert main(argv + ["--mode", "nilpotent"]) == EXIT_CONFIG_ERROR
+
+
+def test_only_expand_reports_its_mode(tmp_path, capsys):
+    out = tmp_path / "expand.json"
+    argv = ["expand", "--n", "1", "--mode", "numeric:0.5", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert _load(out)["mode"] == "numeric:0.5"
+    out = tmp_path / "spectrum.json"
+    assert main(["spectrum", "--out", str(out)]) == EXIT_OK
+    assert "mode" not in _load(out)
 
 
 def test_missing_config_file_is_config_error(capsys):

@@ -32,51 +32,69 @@ def jets(order=DEFAULT_ORDER):
     ).map(lambda cs: Jet(cs, order))
 
 
-@given(jets(), jets(), jets())
-def test_addition_associative_commutative(a, b, c):
-    assert ((a + b) + c).allclose(a + (b + c), tol=TOL)
-    assert (a + b).allclose(b + a, tol=TOL)
+def eps_jets(order=DEFAULT_ORDER, eps_order=2):
+    """Jets with an eps axis; mixed with plain jets they exercise the
+    zero-padding to the wider eps truncation."""
+    size = (order + 1) * (eps_order + 1)
+    return st.lists(finite_complex(), min_size=size, max_size=size).map(
+        lambda cs: Jet(np.reshape(cs, (order + 1, eps_order + 1)), order,
+                       eps_order))
 
 
-@given(jets(), jets(), jets())
+@given(jets(), jets(), jets(), eps_jets())
+def test_addition_associative_commutative(a, b, c, e):
+    for b in (b, e):
+        assert ((a + b) + c).allclose(a + (b + c), tol=TOL)
+        assert (a + b).allclose(b + a, tol=TOL)
+
+
+@given(jets(), jets(), jets(), eps_jets())
 @settings(max_examples=60)
-def test_multiplication_associative(a, b, c):
-    assert ((a * b) * c).allclose(a * (b * c), tol=1e-8 * 30)
+def test_multiplication_associative(a, b, c, e):
+    for b in (b, e):
+        assert ((a * b) * c).allclose(a * (b * c), tol=1e-8 * 30)
 
 
-@given(jets(), jets())
-def test_multiplication_commutative(a, b):
-    assert (a * b).allclose(b * a, tol=TOL)
+@given(jets(), jets(), eps_jets())
+def test_multiplication_commutative(a, b, e):
+    for b in (b, e):
+        assert (a * b).allclose(b * a, tol=TOL)
 
 
-@given(jets(), jets(), jets())
-def test_distributive(a, b, c):
-    lhs = a * (b + c)
-    rhs = a * b + a * c
-    assert lhs.allclose(rhs, tol=1e-8)
+@given(jets(), jets(), jets(), eps_jets())
+def test_distributive(a, b, c, e):
+    for b in (b, e):
+        lhs = a * (b + c)
+        rhs = a * b + a * c
+        assert lhs.allclose(rhs, tol=1e-8)
 
 
-@given(jets())
-def test_additive_identity_and_inverse(a):
-    assert (a + Jet.zero()).allclose(a)
-    assert (a - a).allclose(Jet.zero())
-    assert (-a + a).allclose(Jet.zero())
+@given(jets(), eps_jets())
+def test_additive_identity_and_inverse(a, e):
+    for a in (a, e):
+        assert (a + Jet.zero()).allclose(a)
+        assert (a - a).allclose(Jet.zero())
+        assert (-a + a).allclose(Jet.zero())
 
 
-@given(jets())
-def test_multiplicative_identity(a):
+@given(jets(), eps_jets())
+def test_multiplicative_identity(a, e):
     one = Jet.const(1.0)
-    assert (a * one).allclose(a)
+    for a in (a, e):
+        assert (a * one).allclose(a)
 
 
-@given(jets())
-def test_conjugation_is_an_involution(a):
-    assert a.conjugate().conjugate().allclose(a)
+@given(jets(), eps_jets())
+def test_conjugation_is_an_involution(a, e):
+    for a in (a, e):
+        assert a.conjugate().conjugate().allclose(a)
 
 
-@given(jets(), jets())
-def test_conjugation_distributes_over_products(a, b):
-    assert (a * b).conjugate().allclose(a.conjugate() * b.conjugate(), tol=1e-8)
+@given(jets(), jets(), eps_jets())
+def test_conjugation_distributes_over_products(a, b, e):
+    for b in (b, e):
+        assert (a * b).conjugate().allclose(a.conjugate() * b.conjugate(),
+                                            tol=1e-8)
 
 
 def test_variable_is_nilpotent_beyond_order():
@@ -86,11 +104,18 @@ def test_variable_is_nilpotent_beyond_order():
     assert cube.grade(3) == pytest.approx(1.0)
 
 
-@given(jets())
-def test_inverse_of_invertible_jet(a):
+@given(jets(), eps_jets())
+def test_inverse_of_invertible_jet(a, e):
     if abs(a.grade(0)) < 0.1:
         a = a + 1.0
     assert (a * a.inv()).allclose(Jet.const(1.0), tol=1e-6)
+    if abs(e.grade(0)) < 0.1:
+        e = e + 1.0
+    inv = e.inv()
+    # the round-off of a truncated product is bounded by the size of its
+    # terms, which for an inverse of depth order + eps_order can be large
+    scale = np.abs(e.coeffs).max() * np.abs(inv.coeffs).max()
+    assert (e * inv).allclose(Jet.const(1.0), tol=1e-13 * scale)
 
 
 def test_inverse_requires_nonzero_constant_term():
@@ -136,6 +161,16 @@ def test_mode_parsing_round_trip():
 def test_incompatible_orders_rejected():
     with pytest.raises(ValueError):
         Jet.variable(order=3) + Jet.variable(order=4)
+    # a jet without eps terms is zero-padded to the other operand's eps
+    # truncation; two different nonzero eps truncations raise, since the
+    # narrower jet's missing eps coefficients are unknown, not zero
+    e1 = Jet(np.ones((DEFAULT_ORDER + 1, 2)), DEFAULT_ORDER, 1)
+    e2 = Jet(np.ones((DEFAULT_ORDER + 1, 3)), DEFAULT_ORDER, 2)
+    assert (Jet.variable() * e2).eps_order == 2
+    for op in (Jet.__add__, Jet.__sub__, Jet.__mul__, Jet.allclose,
+               Jet.max_abs_diff):
+        with pytest.raises(ValueError, match="eps truncation"):
+            op(e1, e2)
 
 
 # -- 2x2 jet matrices -------------------------------------------------

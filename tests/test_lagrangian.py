@@ -33,7 +33,11 @@ from ewcontract.lagrangian import (
     lagrangian_psi_closed,
     stress_tensors,
 )
-from ewcontract.spectrum import random_bosonic_config, random_plane_wave
+from ewcontract.spectrum import (
+    epsilon_expand,
+    random_bosonic_config,
+    random_plane_wave,
+)
 
 ORDER = DEFAULT_ORDER
 COUPLINGS = Couplings(g=0.65, gp=0.35, R=1.2, h_e=1.4)
@@ -106,7 +110,7 @@ def test_coordinate_equivalence_of_matter_densities():
         phi, dphi = phi_from_psi(ps, COUPLINGS.R)
         doublet = lagrangian_phi(phi, dphi, gs, COUPLINGS).value
         intrinsic = lagrangian_psi(ps, gs, COUPLINGS)
-        scale = max(max(abs(g) for g in doublet.coeffs), 1.0)
+        scale = max(np.abs(doublet.coeffs).max(), 1.0)
         assert doublet.max_abs_diff(intrinsic.value) / scale <= 1e-10
         assert (
             intrinsic.value.max_abs_diff(lagrangian_psi_closed(ps, gs, COUPLINGS))
@@ -179,10 +183,41 @@ def test_gauge_variation_is_second_order(jval):
         assert full / half == pytest.approx(4.0, rel=0.05)
 
 
+@pytest.mark.parametrize("jval", [1.0, None, 0.1])
+def test_first_order_variation_is_exact_and_detects_a_wrong_transform(jval):
+    """The eps**1 coefficient of the density under gauge parameters scaled
+    by eps vanishes to round-off for the transformation of the density's
+    own couplings, and not for one built with g doubled."""
+    rng = np.random.default_rng(8)
+    c = COUPLINGS
+    wrong = Couplings(g=2.0 * c.g, gp=c.gp, R=c.R, h_e=c.h_e)
+    gauge, psicfg = random_bosonic_config(rng, amplitude=0.1)
+    eps = EpsConfig(tuple(random_plane_wave(rng, 0.1) for _ in range(4)))
+    x = _random_point(rng)
+    gs = sample_gauge(gauge, x, ORDER, jval)
+    ps = sample_psi(psicfg, x, ORDER, jval)
+
+    def first_order(transform_couplings):
+        def transformed(scale):
+            gs2, ps2 = infinitesimal_gauge_transform(
+                gs, ps, eps, x, transform_couplings, jval, scale
+            )
+            return lagrangian_bosonic(gs2, ps2, c).value
+
+        expansion = epsilon_expand(transformed, 1)
+        density, variation = expansion.coeffs[0], expansion.coeffs[1]
+        assert density.max_abs_diff(lagrangian_bosonic(gs, ps, c).value) \
+            <= 1e-15
+        return abs(variation.grade(0)) / abs(density.grade(0))
+
+    assert first_order(c) <= 1e-13
+    assert first_order(wrong) >= 1e-4
+
+
 def test_base_density_ignores_fiber_gauge_fields():
     rng = np.random.default_rng(7)
     gauge, psicfg = random_bosonic_config(rng, amplitude=0.2)
-    rescaled = gauge.scaled(5.0, fiber_only=True)
+    rescaled = gauge.fiber_scaled(5.0)
     for _ in range(5):
         x = _random_point(rng)
         ps = sample_psi(psicfg, x, ORDER)

@@ -9,11 +9,7 @@ import pytest
 from ewcontract.fields import ConfigError, Couplings
 from ewcontract.jets import DEFAULT_ORDER, Jet
 from ewcontract.spectrum import (
-    EPS_HI,
-    EPS_LO,
-    IllConditioned,
     base_fiber_split,
-    chebyshev_nodes,
     cubic_check,
     epsilon_expand,
     extrapolate_even,
@@ -26,12 +22,6 @@ from ewcontract.spectrum import (
 
 ORDER = DEFAULT_ORDER
 COUPLINGS = Couplings(g=0.65, gp=0.35, R=0.8, h_e=1.1)
-
-
-def test_chebyshev_nodes_live_in_window():
-    nodes = chebyshev_nodes(7)
-    assert np.all(nodes >= EPS_LO) and np.all(nodes <= EPS_HI)
-    assert len(set(nodes.tolist())) == 7
 
 
 def test_halton_points_deterministic_per_seed():
@@ -49,17 +39,45 @@ def test_epsilon_expand_recovers_known_polynomial():
         return (
             Jet.const(0.5, ORDER)
             + eps * 2.0 * j
-            + (eps**2) * (3.0 * (j * j) + 1.0)
-            + (eps**3) * Jet.const(-0.25, ORDER)
+            + (eps * eps) * (3.0 * (j * j) + 1.0)
+            + (eps * eps * eps) * Jet.const(-0.25, ORDER)
         )
 
     expansion = epsilon_expand(evaluator, 3)
-    assert expansion.coeffs[0].grade(0) == pytest.approx(0.5, abs=1e-12)
-    assert expansion.coeffs[1].grade(1) == pytest.approx(2.0, abs=1e-10)
-    assert expansion.coeffs[2].grade(0) == pytest.approx(1.0, abs=1e-9)
-    assert expansion.coeffs[2].grade(2) == pytest.approx(3.0, abs=1e-9)
-    assert expansion.coeffs[3].grade(0) == pytest.approx(-0.25, abs=1e-8)
-    assert expansion.residual <= 1e-10
+    assert expansion.coeffs[0].grade(0) == pytest.approx(0.5, abs=1e-15)
+    assert expansion.coeffs[1].grade(1) == pytest.approx(2.0, abs=1e-15)
+    assert expansion.coeffs[2].grade(0) == pytest.approx(1.0, abs=1e-15)
+    assert expansion.coeffs[2].grade(2) == pytest.approx(3.0, abs=1e-15)
+    assert expansion.coeffs[3].grade(0) == pytest.approx(-0.25, abs=1e-15)
+
+
+def _binomial(power, k):
+    out = 1.0
+    for i in range(k):
+        out *= (power - i) / (i + 1)
+    return out
+
+
+@pytest.mark.parametrize("power", [-0.5, -1.0])
+def test_epsilon_expand_recovers_taylor_coefficients_of_rational_powers(power):
+    """(1 + eps j + eps^2) ** power through inv_sqrt and inv, against the
+    double binomial expansion of (1 + w) ** power, w = eps j + eps^2."""
+    n = 6
+    j = Jet.variable(ORDER)
+
+    def evaluator(eps):
+        base = 1.0 + eps * j + eps * eps
+        return base.inv_sqrt() if power == -0.5 else base.inv()
+
+    expected = np.zeros((ORDER + 1, n + 1))
+    for k in range(n + 1):
+        for m in range(k + 1):
+            if m <= ORDER and 2 * k - m <= n:
+                expected[m, 2 * k - m] += _binomial(power, k) * math.comb(k, m)
+    expansion = epsilon_expand(evaluator, n)
+    for p in range(n + 1):
+        for m in range(ORDER + 1):
+            assert abs(expansion.coeffs[p].grade(m) - expected[m, p]) <= 1e-14
 
 
 def test_epsilon_expand_order_bounds():
@@ -68,19 +86,6 @@ def test_epsilon_expand_order_bounds():
         epsilon_expand(evaluator, 7)
     with pytest.raises(ConfigError):
         epsilon_expand(evaluator, -1)
-
-
-def test_epsilon_expand_rejects_duplicate_nodes():
-    evaluator = lambda eps: Jet.const(eps, ORDER)
-    with pytest.raises(ConfigError):
-        epsilon_expand(evaluator, 2, nodes=np.array([0.1, 0.1, 0.05, 0.02, 0.15]))
-
-
-def test_ill_conditioned_nodes_raise():
-    evaluator = lambda eps: Jet.const(eps, ORDER)
-    nodes = np.array([0.1, 0.1 + 1e-13, 0.1 + 2e-13, 0.1 + 3e-13, 0.1 + 4e-13])
-    with pytest.raises(IllConditioned):
-        epsilon_expand(evaluator, 2, nodes=nodes)
 
 
 def test_quadratic_coefficient_matches_diagonalized_form():
