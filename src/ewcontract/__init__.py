@@ -12,7 +12,6 @@ a command-line tool.
 from .jets import (
     DEFAULT_ORDER,
     EQ_TOL,
-    ContractionMode,
     Jet,
     JetError,
     JetMatrix2,
@@ -49,7 +48,6 @@ from .lagrangian import (
     lagrangian_psi,
 )
 from .spectrum import (
-    EpsilonExpansion,
     SpectrumReport,
     cubic_check,
     epsilon_expand,
@@ -64,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_ORDER",
     "EQ_TOL",
-    "ContractionMode",
     "Jet",
     "JetError",
     "JetMatrix2",
@@ -93,7 +90,6 @@ __all__ = [
     "lagrangian_gauge",
     "lagrangian_phi",
     "lagrangian_psi",
-    "EpsilonExpansion",
     "SpectrumReport",
     "cubic_check",
     "epsilon_expand",

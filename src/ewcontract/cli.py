@@ -19,15 +19,16 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fields import ConfigError, Couplings
-from .jets import DEFAULT_ORDER, ContractionMode
+from .jets import DEFAULT_ORDER
 from .spectrum import (
     bosonic_density_evaluator,
     epsilon_expand,
@@ -97,8 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--n", type=int, default=2,
                           help="highest expansion order to report (max 6)")
     p_expand.add_argument("--mode", type=str,
-                          default=_env_default("mode", "unit"),
-                          help="unit | nilpotent | numeric:<t>")
+                          default=_env_default("mode", "nilpotent"),
+                          help="the contraction parameter j: nilpotent (the "
+                          "formal j, default) | unit (j = 1) | numeric:<t> "
+                          "(j = t, 0 < t <= 1)")
 
     return parser
 
@@ -147,11 +150,24 @@ def _couplings_from(args, file_cfg: dict) -> Couplings:
         raise ConfigError(f"bad couplings: {exc}") from exc
 
 
-def _parse_mode(text: str) -> ContractionMode:
-    try:
-        return ContractionMode.parse(text)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _parse_mode(text: str) -> Tuple[str, Optional[float]]:
+    """(report label, j value) of a --mode value: the formal j (None) for
+    nilpotent, 1 for unit and t for numeric:<t>."""
+    if text == "nilpotent":
+        return text, None
+    if text == "unit":
+        return text, 1.0
+    if text.startswith("numeric:"):
+        try:
+            t = float(text.split(":", 1)[1])
+        except ValueError:
+            t = math.nan
+        if not 0.0 < t <= 1.0:
+            raise ConfigError(f"--mode {text!r}: numeric contraction "
+                              "parameter must satisfy 0 < t <= 1")
+        return f"numeric:{t}", t
+    raise ConfigError(f"unknown --mode {text!r} "
+                      "(expected unit, nilpotent or numeric:<t>)")
 
 
 def _sanitize(value):
@@ -249,8 +265,7 @@ def cmd_spectrum(args) -> int:
 def cmd_expand(args) -> int:
     file_cfg = _load_config_file(args.config)
     couplings = _couplings_from(args, file_cfg)
-    mode = _parse_mode(args.mode)
-    jval = mode.t if mode.kind == "numeric" else None
+    label, jval = _parse_mode(args.mode)
 
     rng = np.random.default_rng(args.seed)
     gauge, psi = random_bosonic_config(rng)
@@ -261,8 +276,11 @@ def cmd_expand(args) -> int:
     expansion = epsilon_expand(evaluator, args.n, args.order)
 
     payload = _report_envelope(args, couplings)
-    payload["mode"] = str(mode)
-    payload["expansion"] = _sanitize(expansion.to_json())
+    payload["mode"] = label
+    payload["expansion"] = {
+        "n_max": args.n,
+        "coefficients": {str(p): c.to_json() for p, c in enumerate(expansion)},
+    }
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     _write_report(payload, args.out)

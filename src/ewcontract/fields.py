@@ -204,9 +204,6 @@ class EpsConfig:
 
     eps: Tuple[AnalyticField, AnalyticField, AnalyticField, AnalyticField]
 
-    def scaled(self, s: float) -> "EpsConfig":
-        return EpsConfig(tuple(f.scaled(s) for f in self.eps))
-
 
 # ---------------------------------------------------------------------------
 # graded point samples
@@ -235,12 +232,10 @@ class GaugeSample:
 
 @dataclass
 class PsiSample:
-    """Graded sphere-coordinate values: psi[k], dpsi[k][mu], and (optionally)
-    hessians hpsi[k][mu][nu]."""
+    """Graded sphere-coordinate values: psi[k] and dpsi[k][mu]."""
 
     psi: List[Jet]
     dpsi: List[List[Jet]]
-    hpsi: Optional[List[List[List[Jet]]]]
     order: int
 
 
@@ -279,22 +274,19 @@ def sample_gauge(cfg: GaugeConfig, x: Vec4, order: int = DEFAULT_ORDER,
 
 
 def sample_psi(cfg: PsiConfig, x: Vec4, order: int = DEFAULT_ORDER,
-               jval: Optional[float] = None, with_hessian: bool = False,
+               jval: Optional[float] = None,
                scale: Optional[Jet] = None) -> PsiSample:
     """Sample with psi_1 -> j psi_1, psi_2 -> j psi_2 applied; an eps jet
     `scale` multiplies every sampled value."""
     fiber, base = _grading(order, jval, scale)
     grading = [fiber, fiber, base]
-    psi, dpsi, hpsi = [], [], []
+    psi, dpsi = [], []
     for k in range(3):
         g = grading[k]
         psi.append(g * cfg.psi[k].value(x))
         gr = cfg.psi[k].grad(x)
         dpsi.append([g * gr[mu] for mu in range(4)])
-        if with_hessian:
-            h = cfg.psi[k].hess(x)
-            hpsi.append([[g * h[mu][nu] for nu in range(4)] for mu in range(4)])
-    return PsiSample(psi, dpsi, hpsi if with_hessian else None, order)
+    return PsiSample(psi, dpsi, order)
 
 
 def sample_fermions(cfg: FermionConfig, x: Vec4, order: int = DEFAULT_ORDER,
@@ -519,5 +511,5 @@ def infinitesimal_gauge_transform(
 
     return (
         GaugeSample(a_new, da_new, b_new, db_new, order),
-        PsiSample(psi_new, dpsi_new, None, order),
+        PsiSample(psi_new, dpsi_new, order),
     )

@@ -36,20 +36,6 @@ class AlgebraElement:
     a3: float
     matrix: JetMatrix2 = field(compare=False)
 
-    @property
-    def coefficients(self) -> Tuple[float, float, float]:
-        return (self.a1, self.a2, self.a3)
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Element of SU(2;j) (or of U(1)/U(1)_em acting on the same space)."""
-
-    matrix: JetMatrix2
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.matrix * other.matrix)
-
 
 def generator(k: int, order: int = DEFAULT_ORDER,
               jval: float | None = None) -> AlgebraElement:
@@ -98,7 +84,7 @@ def commutator_table(order: int = DEFAULT_ORDER) -> Dict[Tuple[int, int], JetMat
 
 
 def one_param(k: int, angle: float, order: int = DEFAULT_ORDER,
-              jval: float | None = None) -> GroupElement:
+              jval: float | None = None) -> JetMatrix2:
     """One-parameter subgroup element exp(angle * T_k(j)).
 
     For k=1,2 the entries are the series of cos(j*angle/2), sin(j*angle/2);
@@ -109,21 +95,18 @@ def one_param(k: int, angle: float, order: int = DEFAULT_ORDER,
         raise ValueError("subgroup index must be 1, 2 or 3")
     half = angle / 2.0
     if k == 3:
-        m = JetMatrix2.from_array(
+        return JetMatrix2.from_array(
             [[cmath.exp(0.5j * angle), 0.0], [0.0, cmath.exp(-0.5j * angle)]], order
         )
+    if jval is None:
+        c = jet_cos(half, order)
+        s = jet_sin(half, order)
     else:
-        if jval is None:
-            c = jet_cos(half, order)
-            s = jet_sin(half, order)
-        else:
-            c = Jet.const(math.cos(jval * half), order)
-            s = Jet.const(math.sin(jval * half), order)
-        if k == 1:
-            m = JetMatrix2([[c, 1j * s], [1j * s, c]])
-        else:
-            m = JetMatrix2([[c, s], [-s, c]])
-    return GroupElement(m)
+        c = Jet.const(math.cos(jval * half), order)
+        s = Jet.const(math.sin(jval * half), order)
+    if k == 1:
+        return JetMatrix2([[c, 1j * s], [1j * s, c]])
+    return JetMatrix2([[c, s], [-s, c]])
 
 
 def exp_series(a1: float, a2: float, a3: float, order: int = DEFAULT_ORDER,
@@ -145,12 +128,12 @@ def exp_series(a1: float, a2: float, a3: float, order: int = DEFAULT_ORDER,
 
 
 def exp_general(a1: float, a2: float, a3: float, order: int = DEFAULT_ORDER,
-                jval: float | None = None) -> GroupElement:
+                jval: float | None = None) -> JetMatrix2:
     """Exponential map su(2;j) -> SU(2;j) via the truncated series."""
     for a in (a1, a2, a3):
         if not math.isfinite(a):
             raise ValueError("algebra coordinates must be finite")
-    return GroupElement(exp_series(a1, a2, a3, order, jval=jval))
+    return exp_series(a1, a2, a3, order, jval=jval)
 
 
 def exp_closed_nilpotent(a1: float, a2: float, a3: float,
@@ -192,18 +175,16 @@ def exp_closed_su2(a1: float, a2: float, a3: float) -> np.ndarray:
     return math.cos(norm / 2) * np.eye(2) + 1j * math.sin(norm / 2) * atau / norm
 
 
-def u1_element(beta: float, order: int = DEFAULT_ORDER) -> GroupElement:
+def u1_element(beta: float, order: int = DEFAULT_ORDER) -> JetMatrix2:
     """U(1) hypercharge element exp(beta*Y) = diag(e^{i beta/2}, e^{i beta/2})."""
     phase = cmath.exp(0.5j * beta)
-    return GroupElement(JetMatrix2.from_array([[phase, 0.0], [0.0, phase]], order))
+    return JetMatrix2.from_array([[phase, 0.0], [0.0, phase]], order)
 
 
-def u1em_element(gamma: float, order: int = DEFAULT_ORDER) -> GroupElement:
+def u1em_element(gamma: float, order: int = DEFAULT_ORDER) -> JetMatrix2:
     """Electromagnetic subgroup element exp(gamma*Q) = diag(e^{i gamma}, 1),
     with charge Q = Y + T3."""
-    return GroupElement(
-        JetMatrix2.from_array([[cmath.exp(1j * gamma), 0.0], [0.0, 1.0]], order)
-    )
+    return JetMatrix2.from_array([[cmath.exp(1j * gamma), 0.0], [0.0, 1.0]], order)
 
 
 def hypercharge_matrix(order: int = DEFAULT_ORDER) -> JetMatrix2:
@@ -236,15 +217,15 @@ def hermitian_form(x: MatterDoublet, y: MatterDoublet) -> Jet:
     return hermitian_form_jets(x.graded, y.graded)
 
 
-def apply_group(u: GroupElement, d: MatterDoublet) -> Tuple[Jet, Jet]:
+def apply_group(u: JetMatrix2, d: MatterDoublet) -> Tuple[Jet, Jet]:
     """Action of a group element on the graded image of a doublet."""
-    return u.matrix.apply(d.graded)
+    return u.apply(d.graded)
 
 
 def random_group_element(rng: np.random.Generator, order: int = DEFAULT_ORDER,
-                         factors: int = 3, jval: float | None = None) -> GroupElement:
+                         factors: int = 3, jval: float | None = None) -> JetMatrix2:
     """Product of one-parameter elements with angles uniform in [-pi, pi]."""
-    u = GroupElement(JetMatrix2.identity(order))
+    u = JetMatrix2.identity(order)
     for _ in range(factors):
         k = int(rng.integers(1, 4))
         angle = float(rng.uniform(-math.pi, math.pi))

@@ -2,11 +2,11 @@
 the field scale eps.
 
 A :class:`Jet` stores the coefficients of a polynomial in j, truncated at a
-fixed maximum power. Setting j = 1 recovers ordinary arithmetic, reading off
-the constant term realizes the nilpotent unit (j**2 == 0 after grade 1), and
-evaluating at a small real t gives the numeric-limit picture. All three views
-of the contraction are therefore carried by a single exact data structure:
-coefficients can be read off at any grade instead of ever dividing by j.
+fixed maximum power. With j the formal variable every grade is read off
+exactly, and the nilpotent picture (j**2 == 0) is the reading of grades 0
+and 1; :func:`jparam` can instead make j a plain number, 1 for ordinary
+arithmetic or a small real t for the numeric-limit picture. Coefficients are
+read off at any grade instead of ever dividing by j.
 
 A jet also carries a second truncated variable, the field scale eps, when
 a density is expanded in it: field samples are multiplied by eps, and one
@@ -20,7 +20,6 @@ Values are immutable; every operation returns a fresh Jet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
@@ -44,51 +43,6 @@ class ZeroConstantTerm(JetError):
 
 class NonPositiveConstantTerm(JetError):
     """inv_sqrt of a jet whose constant term is not real and positive."""
-
-
-@dataclass(frozen=True)
-class ContractionMode:
-    """How the contraction parameter j is interpreted when a jet is
-    collapsed to a number.
-
-    kind is one of "unit" (j=1), "nilpotent" (j=iota, iota**2=0) or
-    "numeric" (j=t for a small real 0 < t <= 1).
-    """
-
-    kind: str
-    t: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("unit", "nilpotent", "numeric"):
-            raise ValueError(f"unknown contraction mode {self.kind!r}")
-        if self.kind == "numeric" and not 0.0 < self.t <= 1.0:
-            raise ValueError("numeric contraction parameter must satisfy 0 < t <= 1")
-
-    @classmethod
-    def unit(cls) -> "ContractionMode":
-        return cls("unit")
-
-    @classmethod
-    def nilpotent(cls) -> "ContractionMode":
-        return cls("nilpotent")
-
-    @classmethod
-    def numeric(cls, t: float) -> "ContractionMode":
-        return cls("numeric", float(t))
-
-    @classmethod
-    def parse(cls, text: str) -> "ContractionMode":
-        """Parse 'unit' | 'nilpotent' | 'numeric:<t>'."""
-        if text == "unit":
-            return cls.unit()
-        if text == "nilpotent":
-            return cls.nilpotent()
-        if text.startswith("numeric:"):
-            return cls.numeric(float(text.split(":", 1)[1]))
-        raise ValueError(f"cannot parse contraction mode {text!r}")
-
-    def __str__(self) -> str:
-        return self.kind if self.kind != "numeric" else f"numeric:{self.t}"
 
 
 class Jet:
@@ -146,15 +100,6 @@ class Jet:
         if n > self.order:
             raise IndexError(f"grade {n} exceeds truncation order {self.order}")
         return complex(self.coeffs[n, 0])
-
-    def evaluate(self, mode: ContractionMode) -> complex:
-        """Collapse the jet (at eps = 0) to a number in a contraction regime."""
-        c = self.coeffs[:, 0]
-        if mode.kind == "unit":
-            return complex(c.sum())
-        if mode.kind == "nilpotent":
-            return complex(c[0])
-        return complex(np.polyval(c[::-1], mode.t))
 
     # -- ring operations ----------------------------------------------
 

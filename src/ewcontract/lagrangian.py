@@ -3,16 +3,13 @@ systems, and the fermion sector, evaluated as jets at spacetime points.
 
 Component formulas are normative; the matrix/trace forms are kept as
 independent cross-check routes and never share code with the component
-path. Every density returns a term-by-term breakdown so a mismatch in any
-identity test is immediately attributable.
+path. Every density returns its value as a jet; a check that needs one
+sector on its own calls that sector's density.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from .fields import (
     Couplings,
@@ -28,35 +25,16 @@ from .group import PAULI
 TAU = PAULI  # Pauli matrices; tau_0 = identity implicitly
 
 
-@dataclass
-class StressTensors:
-    """F[k][mu][nu] (graded, antisymmetric) and the abelian B[mu][nu]."""
-
-    F: List[List[List[Jet]]]
-    B: List[List[Jet]]
-
-
-@dataclass
-class DensityValue:
-    """A density value with a named breakdown summing to it grade-wise."""
-
-    value: Jet
-    breakdown: Dict[str, Jet]
-
-
-def _zeros(order: int, *shape: int):
-    if not shape:
-        return Jet.zero(order)
-    return [_zeros(order, *shape[1:]) for _ in range(shape[0])]
-
-
 # ---------------------------------------------------------------------------
 # gauge sector
 # ---------------------------------------------------------------------------
 
 
-def stress_tensors(gs: GaugeSample, c: Couplings) -> StressTensors:
-    """F^1 = dA^1 + g(A^3 A^2 - A^2 A^3) and cyclic; B_mn = dB - dB.
+def stress_tensors(gs: GaugeSample,
+                   c: Couplings) -> Tuple[List[List[List[Jet]]], List[List[Jet]]]:
+    """(F, B): F[k][mu][nu] = dA^k - dA^k + g(A^l A^m - A^m A^l) for
+    (k, l, m) = (1, 3, 2) and cyclic, graded and antisymmetric, and the
+    abelian B[mu][nu] = dB - dB.
 
     The quadratic sign is fixed by the matrix definition
     F = dA - dA + [A, A] together with the commutation table
@@ -65,39 +43,32 @@ def stress_tensors(gs: GaugeSample, c: Couplings) -> StressTensors:
     over graded samples: the j^2 on the quadratic part of F^3 appears
     because A^1, A^2 carry grade 1.
     """
-    order = gs.order
-    F = _zeros(order, 3, 4, 4)
-    B = _zeros(order, 4, 4)
-    for mu in range(4):
-        for nu in range(4):
-            curl = [gs.da[k][mu][nu] - gs.da[k][nu][mu] for k in range(3)]
-            F[0][mu][nu] = curl[0] + c.g * (
-                gs.a[2][mu] * gs.a[1][nu] - gs.a[1][mu] * gs.a[2][nu]
-            )
-            F[1][mu][nu] = curl[1] + c.g * (
-                gs.a[0][mu] * gs.a[2][nu] - gs.a[2][mu] * gs.a[0][nu]
-            )
-            F[2][mu][nu] = curl[2] + c.g * (
-                gs.a[1][mu] * gs.a[0][nu] - gs.a[0][mu] * gs.a[1][nu]
-            )
-            B[mu][nu] = gs.db[mu][nu] - gs.db[nu][mu]
-    return StressTensors(F, B)
+    a, da = gs.a, gs.da
+    F = [
+        [
+            [da[k][mu][nu] - da[k][nu][mu]
+             + c.g * (a[l][mu] * a[m][nu] - a[m][mu] * a[l][nu])
+             for nu in range(4)]
+            for mu in range(4)
+        ]
+        for k, (l, m) in enumerate(((2, 1), (0, 2), (1, 0)))
+    ]
+    B = [[gs.db[mu][nu] - gs.db[nu][mu] for nu in range(4)] for mu in range(4)]
+    return F, B
 
 
-def lagrangian_gauge(gs: GaugeSample, c: Couplings) -> DensityValue:
+def lagrangian_gauge(gs: GaugeSample, c: Couplings) -> Jet:
     """-1/4 sum_k (F^k)^2 - 1/4 B^2 (component form, normative)."""
-    st = stress_tensors(gs, c)
+    F, B = stress_tensors(gs, c)
     order = gs.order
     su2 = Jet.zero(order)
     u1 = Jet.zero(order)
     for mu in range(4):
         for nu in range(4):
             for k in range(3):
-                su2 = su2 + st.F[k][mu][nu] * st.F[k][mu][nu]
-            u1 = u1 + st.B[mu][nu] * st.B[mu][nu]
-    su2 = -0.25 * su2
-    u1 = -0.25 * u1
-    return DensityValue(su2 + u1, {"su2": su2, "u1": u1})
+                su2 = su2 + F[k][mu][nu] * F[k][mu][nu]
+            u1 = u1 + B[mu][nu] * B[mu][nu]
+    return -0.25 * su2 - 0.25 * u1
 
 
 def lagrangian_gauge_trace(gs: GaugeSample, c: Couplings) -> Jet:
@@ -216,7 +187,7 @@ def covariant_derivative_phi_matrix(
 
 def lagrangian_phi(
     phi: Sequence[Jet], dphi: Sequence[Sequence[Jet]], gs: GaugeSample, c: Couplings
-) -> DensityValue:
+) -> Jet:
     """(1/2) (D_mu phi)^dagger D_mu phi, no potential term."""
     d = covariant_derivative_phi(phi, dphi, gs, c)
     order = gs.order
@@ -224,8 +195,7 @@ def lagrangian_phi(
     for mu in range(4):
         for comp in range(2):
             total = total + d[comp][mu].conjugate() * d[comp][mu]
-    total = 0.5 * total
-    return DensityValue(total, {"kinetic": total})
+    return 0.5 * total
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +241,7 @@ def covariant_derivative_psi(ps: PsiSample, gs: GaugeSample,
     return out
 
 
-def lagrangian_psi(ps: PsiSample, gs: GaugeSample, c: Couplings) -> DensityValue:
+def lagrangian_psi(ps: PsiSample, gs: GaugeSample, c: Couplings) -> Jet:
     """(R^2/2) sum_kl g_kl D psi_k D psi_l (metric form, normative); the
     closed rational form lagrangian_psi_closed must agree grade-wise."""
     d = covariant_derivative_psi(ps, gs, c)
@@ -282,8 +252,7 @@ def lagrangian_psi(ps: PsiSample, gs: GaugeSample, c: Couplings) -> DensityValue
         for k in range(3):
             for l in range(3):
                 total = total + g_kl[k][l] * d[k][mu] * d[l][mu]
-    total = 0.5 * c.R**2 * total
-    return DensityValue(total, {"metric_form": total})
+    return 0.5 * c.R**2 * total
 
 
 def lagrangian_psi_closed(ps: PsiSample, gs: GaugeSample, c: Couplings) -> Jet:
@@ -389,7 +358,7 @@ def fermion_mass_identity(ps: PsiSample, fs: FermionSample,
 
 
 def lagrangian_fermion(fs: FermionSample, phi: Sequence[Jet], gs: GaugeSample,
-                       c: Couplings) -> DensityValue:
+                       c: Couplings) -> Jet:
     """Kinetic terms L_l+ i tilde-tau_mu D_mu L_l + e_r+ i tau_mu D_mu e_r
     plus the Yukawa term -h_e[...], all graded."""
     order = gs.order
@@ -408,12 +377,7 @@ def lagrangian_fermion(fs: FermionSample, phi: Sequence[Jet], gs: GaugeSample,
         acted = _tau_apply(mu, dvec, 1.0)
         kinetic_r = kinetic_r + 1j * _spinor_bilinear(fs.er, acted)
     yukawa = -1.0 * yukawa_matrix_form(phi, fs, c.h_e)
-    total = kinetic_l + kinetic_r + yukawa
-    return DensityValue(
-        total,
-        {"kinetic_doublet": kinetic_l, "kinetic_singlet": kinetic_r,
-         "yukawa": yukawa},
-    )
+    return kinetic_l + kinetic_r + yukawa
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +385,6 @@ def lagrangian_fermion(fs: FermionSample, phi: Sequence[Jet], gs: GaugeSample,
 # ---------------------------------------------------------------------------
 
 
-def lagrangian_bosonic(gs: GaugeSample, ps: PsiSample, c: Couplings) -> DensityValue:
+def lagrangian_bosonic(gs: GaugeSample, ps: PsiSample, c: Couplings) -> Jet:
     """L_A + L_psi, the gauge-invariant bosonic total."""
-    la = lagrangian_gauge(gs, c)
-    lp = lagrangian_psi(ps, gs, c)
-    return DensityValue(
-        la.value + lp.value, {"gauge": la.value, "matter": lp.value}
-    )
+    return lagrangian_gauge(gs, c) + lagrangian_psi(ps, gs, c)

@@ -64,37 +64,21 @@ def average_jets(values: Sequence[Jet]) -> Jet:
     return (1.0 / len(values)) * total
 
 
-@dataclass
-class EpsilonExpansion:
-    """Coefficients of a density in powers of the field scale factor:
-    coeffs[n] is the jet-valued coefficient of eps**n for n = 0..n_max."""
-
-    coeffs: Dict[int, Jet]
-    n_max: int
-
-    def to_json(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "coefficients": {str(n): self.coeffs[n].to_json()
-                             for n in sorted(self.coeffs)},
-        }
-
-
 def epsilon_expand(evaluator: Callable[[Jet], Jet], n: int,
-                   order: int = DEFAULT_ORDER) -> EpsilonExpansion:
+                   order: int = DEFAULT_ORDER) -> List[Jet]:
     """Exact eps-polynomial coefficients of a density evaluator.
 
     The evaluator is called once, with the eps variable (a jet of j order
-    `order` truncated beyond eps**n) as its one argument; eps column p of
-    the result is the coefficient of eps**p."""
+    `order` truncated beyond eps**n) as its one argument; item p of the
+    result is eps column p of its value, the jet-valued coefficient of
+    eps**p, for p = 0..n."""
     if n < 0 or n > MAX_EXPANSION_ORDER:
         raise ConfigError(
             f"expansion order must be between 0 and {MAX_EXPANSION_ORDER}"
         )
     value = evaluator(Jet([[0.0, 1.0]], order, n))
     columns = Jet(value.coeffs, value.order, n).coeffs
-    return EpsilonExpansion({p: Jet(columns[:, p], value.order)
-                             for p in range(n + 1)}, n)
+    return [Jet(columns[:, p], value.order) for p in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +209,14 @@ def bosonic_density_evaluator(
         for x in points:
             gs = sample_gauge(gauge, x, order, jval, scale)
             ps = sample_psi(psi, x, order, jval, scale=scale)
-            values.append(lagrangian_bosonic(gs, ps, c).value)
+            values.append(lagrangian_bosonic(gs, ps, c))
         return average_jets(values)
 
     return evaluate
 
 
 # ---------------------------------------------------------------------------
-# quadratic comparison and the base/fiber split
+# quadratic comparison
 # ---------------------------------------------------------------------------
 
 
@@ -253,7 +237,7 @@ def quadratic_check(
     points = halton_points(seed=seed)
     evaluator = bosonic_density_evaluator(gauge, psi, c, points, order)
     expansion = epsilon_expand(evaluator, 2, order)
-    exact = expansion.coeffs[2]
+    exact = expansion[2]
     independent = average_jets(
         [
             quadratic_form(
@@ -269,20 +253,12 @@ def quadratic_check(
             "independent": independent.grade(n),
             "rel_diff": _rel_diff(exact.grade(n), independent.grade(n)),
         }
-    tadpole = abs(expansion.coeffs[1].grade(0)) + abs(expansion.coeffs[1].grade(2))
+    tadpole = abs(expansion[1].grade(0)) + abs(expansion[1].grade(2))
     return {
         "grades": grades,
         "max_rel_diff": max(g["rel_diff"] for g in grades.values()),
         "tadpole_magnitude": tadpole,
     }
-
-
-def base_fiber_split(expansion: EpsilonExpansion) -> Tuple[float, float]:
-    """(L_b, L_f): grade-0 and grade-2 parts of the quadratic coefficient."""
-    if 2 not in expansion.coeffs:
-        raise ConfigError("expansion does not include the quadratic coefficient")
-    c2 = expansion.coeffs[2]
-    return (c2.grade(0).real, c2.grade(2).real)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +318,9 @@ def _gauge_mass_coefficient(direction: Dict[str, float], c: Couplings,
     def evaluate(scale: Jet) -> Jet:
         gs = sample_gauge(gauge, x, order, jval, scale)
         ps = sample_psi(psi, x, order, jval)
-        return lagrangian_bosonic(gs, ps, c).value
+        return lagrangian_bosonic(gs, ps, c)
 
-    return epsilon_expand(evaluate, 2, order).coeffs[2]
+    return epsilon_expand(evaluate, 2, order)[2]
 
 
 def _fermion_mass_coefficient(which: str, c: Couplings, order: int) -> Jet:
@@ -365,9 +341,9 @@ def _fermion_mass_coefficient(which: str, c: Couplings, order: int) -> Jet:
 
     def evaluate(scale: Jet) -> Jet:
         fs = sample_fermions(cfg, x, order, scale=scale)
-        return lagrangian_fermion(fs, phi, gs, c).value
+        return lagrangian_fermion(fs, phi, gs, c)
 
-    return epsilon_expand(evaluate, 2, order).coeffs[2]
+    return epsilon_expand(evaluate, 2, order)[2]
 
 
 def mass_spectrum(c: Couplings, order: int = DEFAULT_ORDER) -> SpectrumReport:
@@ -656,7 +632,7 @@ def cubic_check(
     never patched."""
     points = halton_points(seed=seed)
     evaluator = bosonic_density_evaluator(gauge, psi, c, points, order)
-    exact = epsilon_expand(evaluator, 3, order).coeffs[3]
+    exact = epsilon_expand(evaluator, 3, order)[3]
 
     def averaged(term_fn) -> Tuple[Dict[str, Jet], Jet]:
         totals: Dict[str, Jet] = {}
@@ -774,7 +750,7 @@ def limit_consistency(c: Optional[Couplings] = None, seed: int = 0,
     def density_value(jval: Optional[float]) -> Jet:
         gs = sample_gauge(gauge, x, order, jval)
         ps = sample_psi(psicfg, x, order, jval)
-        return lagrangian_bosonic(gs, ps, c).value
+        return lagrangian_bosonic(gs, ps, c)
 
     compare("bosonic_density", density_value)
 

@@ -42,6 +42,7 @@ from .jets import DEFAULT_ORDER, Jet, JetMatrix2
 from .lagrangian import (
     fermion_mass_identity,
     lagrangian_bosonic,
+    lagrangian_gauge,
     lagrangian_phi,
     lagrangian_psi,
     lagrangian_psi_closed,
@@ -216,7 +217,7 @@ def suite_group(cfg: RunConfig) -> SuiteResult:
     unitarity = 0.0
     det_resid = 0.0
     for _ in range(count):
-        u = random_group_element(rng, order).matrix
+        u = random_group_element(rng, order)
         unitarity = max(unitarity, (u * u.dagger()).max_abs_diff(identity))
         det_resid = max(det_resid, u.det().max_abs_diff(one))
 
@@ -297,20 +298,20 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
         for jval, grades in ((1.0, (0,)), (None, (0, 1)), (0.1, (0,))):
             gs = sample_gauge(gauge, x, order, jval)
             ps = sample_psi(psicfg, x, order, jval)
-            sectors = {}
+            sectors = []
 
             def transformed(scale: Jet) -> Jet:
                 """eps**0: the unvaried density; eps**1: its variation."""
                 gs2, ps2 = infinitesimal_gauge_transform(
                     gs, ps, eps_cfg, x, c, jval, scale)
-                density = lagrangian_bosonic(gs2, ps2, c)
-                sectors.update(density.breakdown)
-                return density.value
+                sectors[:] = (lagrangian_gauge(gs2, c),
+                              lagrangian_psi(ps2, gs2, c))
+                return sectors[0] + sectors[1]
 
-            variation = epsilon_expand(transformed, 1, order).coeffs[1]
+            variation = epsilon_expand(transformed, 1, order)[1]
             # the gauge and matter densities can cancel, so the unvaried
             # density is measured sector by sector
-            size = max(sum(abs(part.coeffs[n, 0]) for part in sectors.values())
+            size = max(sum(abs(part.coeffs[n, 0]) for part in sectors)
                        for n in grades)
             change = max(abs(variation.grade(n)) for n in grades)
             first_order = max(first_order, change / max(size, 1.0e-30))
@@ -359,8 +360,8 @@ def suite_coordinate(cfg: RunConfig) -> SuiteResult:
         gs = sample_gauge(gauge, x, order)
         ps = sample_psi(psicfg, x, order)
         phi, dphi = phi_from_psi(ps, c.R)
-        doublet = lagrangian_phi(phi, dphi, gs, c).value
-        intrinsic = lagrangian_psi(ps, gs, c).value
+        doublet = lagrangian_phi(phi, dphi, gs, c)
+        intrinsic = lagrangian_psi(ps, gs, c)
         scale = max(np.abs(doublet.coeffs).max(),
                     np.abs(intrinsic.coeffs).max(), 1.0e-30)
         equiv_resid = max(equiv_resid, doublet.max_abs_diff(intrinsic) / scale)
@@ -427,8 +428,8 @@ def suite_quadratic(cfg: RunConfig) -> SuiteResult:
     rescaled = gauge.fiber_scaled(3.0)
     for x in points:
         ps = sample_psi(psicfg, x, order)
-        g0 = lagrangian_bosonic(sample_gauge(gauge, x, order), ps, c).value
-        g1 = lagrangian_bosonic(sample_gauge(rescaled, x, order), ps, c).value
+        g0 = lagrangian_bosonic(sample_gauge(gauge, x, order), ps, c)
+        g1 = lagrangian_bosonic(sample_gauge(rescaled, x, order), ps, c)
         base_resid = max(base_resid, abs(g0.grade(0) - g1.grade(0)))
 
     return _result(

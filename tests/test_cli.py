@@ -173,6 +173,36 @@ def test_only_expand_reports_its_mode(tmp_path, capsys):
     assert "mode" not in _load(out)
 
 
+def _expansion(tmp_path, *mode):
+    out = tmp_path / "expand.json"
+    argv = ["expand", "--n", "2", "--seed", "5", "--out", str(out)]
+    assert main(argv + list(mode)) == EXIT_OK
+    return _load(out)
+
+
+def test_expand_modes_set_the_contraction_parameter(tmp_path, capsys):
+    """unit is j = 1, the run of numeric:1; nilpotent, the default, keeps
+    the formal j, so its coefficients differ."""
+    unit = _expansion(tmp_path, "--mode", "unit")
+    assert unit["mode"] == "unit"
+    assert unit["expansion"] == \
+        _expansion(tmp_path, "--mode", "numeric:1")["expansion"]
+    nilpotent = _expansion(tmp_path, "--mode", "nilpotent")
+    assert nilpotent["expansion"] != unit["expansion"]
+    default = _expansion(tmp_path)
+    assert default["mode"] == "nilpotent"
+    assert default["expansion"] == nilpotent["expansion"]
+
+
+@pytest.mark.parametrize("mode", ["bogus", "numeric:0", "numeric:nan",
+                                  "numeric:1.5"])
+def test_bad_expand_mode_is_config_error(capsys, mode):
+    assert main(["expand", "--n", "0", "--mode", mode]) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 def test_missing_config_file_is_config_error(capsys):
     assert main(["verify", "--config", "/nonexistent/cfg.json"]) \
         == EXIT_CONFIG_ERROR

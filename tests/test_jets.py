@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ewcontract.jets import (
     DEFAULT_ORDER,
-    ContractionMode,
     Jet,
     JetMatrix2,
     NonPositiveConstantTerm,
@@ -140,22 +139,6 @@ def test_inv_sqrt_squares_back(c0):
 def test_trig_jets_satisfy_pythagoras():
     c, s = jet_cos(0.7), jet_sin(0.7)
     assert (c * c + s * s).allclose(Jet.const(1.0), tol=1e-12)
-
-
-def test_evaluate_modes():
-    a = Jet([1.0, 2.0, 3.0, 0.0, 0.0], DEFAULT_ORDER)
-    assert a.evaluate(ContractionMode.unit()) == pytest.approx(6.0)
-    assert a.evaluate(ContractionMode.nilpotent()) == pytest.approx(1.0)
-    assert a.evaluate(ContractionMode.numeric(0.1)) == pytest.approx(1.23)
-
-
-def test_mode_parsing_round_trip():
-    for text in ("unit", "nilpotent", "numeric:0.25"):
-        assert str(ContractionMode.parse(text)) == text
-    with pytest.raises(ValueError):
-        ContractionMode.parse("bogus")
-    with pytest.raises(ValueError):
-        ContractionMode.numeric(0.0)
 
 
 def test_incompatible_orders_rejected():

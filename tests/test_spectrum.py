@@ -9,7 +9,6 @@ import pytest
 from ewcontract.fields import ConfigError, Couplings
 from ewcontract.jets import DEFAULT_ORDER, Jet
 from ewcontract.spectrum import (
-    base_fiber_split,
     cubic_check,
     epsilon_expand,
     extrapolate_even,
@@ -44,11 +43,11 @@ def test_epsilon_expand_recovers_known_polynomial():
         )
 
     expansion = epsilon_expand(evaluator, 3)
-    assert expansion.coeffs[0].grade(0) == pytest.approx(0.5, abs=1e-15)
-    assert expansion.coeffs[1].grade(1) == pytest.approx(2.0, abs=1e-15)
-    assert expansion.coeffs[2].grade(0) == pytest.approx(1.0, abs=1e-15)
-    assert expansion.coeffs[2].grade(2) == pytest.approx(3.0, abs=1e-15)
-    assert expansion.coeffs[3].grade(0) == pytest.approx(-0.25, abs=1e-15)
+    assert expansion[0].grade(0) == pytest.approx(0.5, abs=1e-15)
+    assert expansion[1].grade(1) == pytest.approx(2.0, abs=1e-15)
+    assert expansion[2].grade(0) == pytest.approx(1.0, abs=1e-15)
+    assert expansion[2].grade(2) == pytest.approx(3.0, abs=1e-15)
+    assert expansion[3].grade(0) == pytest.approx(-0.25, abs=1e-15)
 
 
 def _binomial(power, k):
@@ -77,7 +76,7 @@ def test_epsilon_expand_recovers_taylor_coefficients_of_rational_powers(power):
     expansion = epsilon_expand(evaluator, n)
     for p in range(n + 1):
         for m in range(ORDER + 1):
-            assert abs(expansion.coeffs[p].grade(m) - expected[m, p]) <= 1e-14
+            assert abs(expansion[p].grade(m) - expected[m, p]) <= 1e-14
 
 
 def test_epsilon_expand_order_bounds():
@@ -92,8 +91,8 @@ def test_quadratic_coefficient_matches_diagonalized_form():
     rng = np.random.default_rng(0)
     gauge, psi = random_bosonic_config(rng)
     report = quadratic_check(gauge, psi, COUPLINGS, seed=0)
-    assert report["max_rel_diff"] <= 1e-8
-    assert report["tadpole_magnitude"] <= 1e-10
+    assert report["max_rel_diff"] <= 1e-12
+    assert report["tadpole_magnitude"] <= 1e-12
 
 
 def test_mass_spectrum_closed_formulas():
@@ -106,46 +105,32 @@ def test_mass_spectrum_closed_formulas():
             h_e=float(rng.uniform(0.5, 2.5)),
         )
         rep = mass_spectrum(c)
-        assert rep.m_w == pytest.approx(c.R * c.g / 2.0, rel=1e-8)
-        assert rep.m_z == pytest.approx(c.R * c.gz / 2.0, rel=1e-8)
-        assert rep.m_a <= 1e-10
-        assert rep.weinberg_cos == pytest.approx(c.g / c.gz, abs=1e-10)
-        assert rep.m_e == pytest.approx(c.h_e * c.R, rel=1e-10)
+        assert rep.m_w == pytest.approx(c.R * c.g / 2.0, rel=1e-12)
+        assert rep.m_z == pytest.approx(c.R * c.gz / 2.0, rel=1e-12)
+        assert rep.m_a <= 1e-12
+        assert rep.weinberg_cos == pytest.approx(c.g / c.gz, abs=1e-12)
+        assert rep.m_e == pytest.approx(c.h_e * c.R, rel=1e-12)
         assert rep.nu_mass_coefficient == 0.0
 
 
 def test_reference_coupling_point():
     rep = mass_spectrum(Couplings(g=0.65, gp=0.35, R=0.5, h_e=2.0))
-    assert rep.m_w == pytest.approx(0.1625, abs=1e-10)
-    assert rep.m_e == pytest.approx(1.0, abs=1e-10)
-
-
-def test_base_fiber_split_reads_quadratic_grades():
-    rng = np.random.default_rng(2)
-    gauge, psi = random_bosonic_config(rng)
-    from ewcontract.spectrum import bosonic_density_evaluator
-
-    points = halton_points(seed=2)
-    expansion = epsilon_expand(
-        bosonic_density_evaluator(gauge, psi, COUPLINGS, points), 2
-    )
-    base, fiber = base_fiber_split(expansion)
-    assert base == pytest.approx(expansion.coeffs[2].grade(0).real)
-    assert fiber == pytest.approx(expansion.coeffs[2].grade(2).real)
+    assert rep.m_w == pytest.approx(0.1625, abs=1e-12)
+    assert rep.m_e == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cubic_coefficient_base_part_vanishes():
     rng = np.random.default_rng(3)
     gauge, psi = random_bosonic_config(rng, amplitude=0.04)
     report = cubic_check(gauge, psi, COUPLINGS, seed=3)
-    assert abs(report["exact_grade0"]) <= 1e-10
+    assert abs(report["exact_grade0"]) <= 1e-12
 
 
 def test_cubic_normative_form_matches_exact():
     rng = np.random.default_rng(4)
     gauge, psi = random_bosonic_config(rng, amplitude=0.04)
     report = cubic_check(gauge, psi, COUPLINGS, seed=4)
-    assert report["normative"]["rel_diff"] <= 1e-8
+    assert report["normative"]["rel_diff"] <= 1e-11
     assert set(report["normative"]["terms"]) >= {
         "A3_ww_neutral",
         "P3_wplus_block",
