@@ -33,7 +33,6 @@ from .fields import (
 from .group import (
     MatterDoublet,
     commutator_table,
-    exp_general,
     generator,
     hermitian_form,
     one_param,
@@ -79,7 +78,6 @@ __all__ = [
     "sample_psi",
     "MatterDoublet",
     "commutator_table",
-    "exp_general",
     "generator",
     "hermitian_form",
     "one_param",

@@ -9,8 +9,10 @@ Three subcommands:
 
 JSON is the machine format (schema-versioned, seed echoed, deterministic
 for a fixed config up to the timestamp field); CSV is available for the
-spectrum table only. Exit codes: 0 all checks pass, 1 a suite failed,
-2 the configuration was rejected.
+spectrum table only. Reports are strict JSON: a computed value that is not
+finite is written as null. Exit codes: 0 all checks pass, 1 a suite failed
+or spectrum/expand computed a value that is not finite, 2 the
+configuration was rejected.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ EXIT_CONFIG_ERROR = 2
 
 #: deepest grade of j that any command reads off a jet
 MIN_ORDER = 2
+#: highest truncation order accepted; a product's index plan grows with
+#: the square of the order
+MAX_ORDER = 16
 
 DEFAULT_COUPLINGS = {"g": 0.65, "gp": 0.35, "R": 1.0, "h_e": 1.0}
 
@@ -57,8 +62,15 @@ def _env_default(name: str, fallback: Optional[str] = None) -> Optional[str]:
     return os.environ.get(ENV_PREFIX + name.upper(), fallback)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError: one line, exit 2."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ewcontract",
         description="Verification and spectrum tools for the contracted "
         "electroweak model.",
@@ -112,7 +124,7 @@ def _load_config_file(path: Optional[str]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
@@ -146,7 +158,7 @@ def _couplings_from(args, file_cfg: dict) -> Couplings:
             g=float(values["g"]), gp=float(values["gp"]),
             R=float(values["R"]), h_e=float(values["h_e"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad couplings: {exc}") from exc
 
 
@@ -171,23 +183,30 @@ def _parse_mode(text: str) -> Tuple[str, Optional[float]]:
 
 
 def _sanitize(value):
-    """Make report payloads JSON-serializable (numpy scalars, tuples)."""
+    """Make report payloads strict JSON: numpy scalars and tuples become
+    Python values, complex numbers {re, im}, and non-finite numbers null."""
     if isinstance(value, dict):
         return {str(k): _sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_sanitize(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
+        return {"re": _sanitize(value.real), "im": _sanitize(value.imag)}
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _write_report(payload: dict, out: Optional[str], text: str = "") -> None:
     if out is None:
         return
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text if text else json.dumps(payload, indent=2, sort_keys=True))
+        fh.write(text if text else _json_text(payload))
         fh.write("\n")
 
 
@@ -259,7 +278,11 @@ def cmd_spectrum(args) -> int:
         payload = _report_envelope(args, couplings)
         payload["spectrum"] = _sanitize(report.to_json())
         _write_report(payload, args.out)
-    return EXIT_OK
+    values = [row[1] for row in _spectrum_rows(report)]
+    if all(math.isfinite(v) for v in values + [report.nu_mass_coefficient]):
+        return EXIT_OK
+    print("spectrum: an extracted value is not finite", file=sys.stderr)
+    return EXIT_SUITE_FAILURE
 
 
 def cmd_expand(args) -> int:
@@ -277,20 +300,24 @@ def cmd_expand(args) -> int:
 
     payload = _report_envelope(args, couplings)
     payload["mode"] = label
-    payload["expansion"] = {
+    payload["expansion"] = _sanitize({
         "n_max": args.n,
         "coefficients": {str(p): c.to_json() for p, c in enumerate(expansion)},
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
+    })
+    print(_json_text(payload))
     _write_report(payload, args.out)
-    return EXIT_OK
+    if all(np.isfinite(c.coeffs).all() for c in expansion):
+        return EXIT_OK
+    print("expand: a coefficient is not finite", file=sys.stderr)
+    return EXIT_SUITE_FAILURE
 
 
 def _check_flags(args) -> None:
     """Reject flag values that would crash a command or silently do nothing."""
-    if args.order < MIN_ORDER:
-        raise ConfigError(f"--order must be at least {MIN_ORDER}")
+    if not MIN_ORDER <= args.order <= MAX_ORDER:
+        raise ConfigError(f"--order must be between {MIN_ORDER} and {MAX_ORDER}")
+    if args.seed < 0:
+        raise ConfigError("--seed must be a non-negative integer")
     if args.format not in ("json", "csv"):
         raise ConfigError(f"unknown --format {args.format!r}")
     if args.format == "csv" and args.command != "spectrum":
@@ -308,13 +335,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse has printed usage or help
-        return exc.code
-    try:
         _check_flags(args)
         return COMMANDS[args.command](args)
+    except SystemExit as exc:  # argparse has printed the help
+        return exc.code
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line, even when the message quotes an input with line breaks
+        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
 

@@ -9,6 +9,10 @@ values, and the j^2 factors of the contracted model emerge from the ring
 arithmetic. Samples can also be multiplied by the field-scale variable eps
 of the ring, which expands a density in the amplitude of its fields.
 
+Fields and samplers take one spacetime point, shape (4,), or an array of
+points, shape (N, 4). A sample at N points holds jets with batch shape
+(N,), so a density evaluated on it is the density at every point at once.
+
 Spacetime index contraction is a plain Euclidean sum over mu = 0..3; the
 verified claims are algebraic identities and never need a signature.
 """
@@ -30,15 +34,21 @@ class ConfigError(Exception):
     """Invalid configuration (couplings, field specs, CLI input)."""
 
 
+#: nonzero couplings outside this range overflow or underflow the products
+#: of several couplings that the densities and the mass formulas form
+COUPLING_MAGNITUDES = (1.0e-50, 1.0e50)
+
+
 # ---------------------------------------------------------------------------
 # analytic fields
 # ---------------------------------------------------------------------------
 
 
 class AnalyticField:
-    """Interface: exact value / 4-gradient / hessian at a spacetime point."""
+    """Interface: exact value / 4-gradient / hessian at a spacetime point
+    x of shape (4,), or at each row of a points array of shape (N, 4)."""
 
-    def value(self, x: Vec4) -> complex:
+    def value(self, x: Vec4) -> "complex | np.ndarray":
         raise NotImplementedError
 
     def grad(self, x: Vec4) -> np.ndarray:
@@ -59,19 +69,20 @@ class PlaneWave(AnalyticField):
     wavevector: Tuple[float, float, float, float]
     phase: float = 0.0
 
-    def _arg(self, x: Vec4) -> float:
-        return float(np.dot(self.wavevector, x)) + self.phase
+    def _arg(self, x: Vec4) -> "float | np.ndarray":
+        return x @ np.asarray(self.wavevector) + self.phase
 
-    def value(self, x: Vec4) -> complex:
-        return self.amplitude * math.cos(self._arg(x))
+    def value(self, x: Vec4) -> "complex | np.ndarray":
+        return self.amplitude * np.cos(self._arg(x))
 
     def grad(self, x: Vec4) -> np.ndarray:
         k = np.asarray(self.wavevector)
-        return -self.amplitude * math.sin(self._arg(x)) * k
+        return np.multiply.outer(-self.amplitude * np.sin(self._arg(x)), k)
 
     def hess(self, x: Vec4) -> np.ndarray:
         k = np.asarray(self.wavevector)
-        return -self.amplitude * math.cos(self._arg(x)) * np.outer(k, k)
+        return np.multiply.outer(-self.amplitude * np.cos(self._arg(x)),
+                                 np.outer(k, k))
 
     def scaled(self, s: complex) -> "PlaneWave":
         return PlaneWave(self.amplitude * s, self.wavevector, self.phase)
@@ -91,15 +102,15 @@ class Polynomial(AnalyticField):
         q = np.asarray(self.quad, dtype=complex)
         return 0.5 * (q + q.T)
 
-    def value(self, x: Vec4) -> complex:
-        q = self._q()
-        return self.c0 + complex(np.dot(self.lin, x)) + complex(x @ q @ x)
+    def value(self, x: Vec4) -> "complex | np.ndarray":
+        quadratic = np.sum((x @ self._q()) * x, axis=-1)
+        return self.c0 + x @ np.asarray(self.lin, dtype=complex) + quadratic
 
     def grad(self, x: Vec4) -> np.ndarray:
-        return np.asarray(self.lin, dtype=complex) + 2.0 * (self._q() @ x)
+        return np.asarray(self.lin, dtype=complex) + 2.0 * (x @ self._q())
 
     def hess(self, x: Vec4) -> np.ndarray:
-        return 2.0 * self._q()
+        return np.broadcast_to(2.0 * self._q(), np.shape(x)[:-1] + (4, 4))
 
     def scaled(self, s: complex) -> "Polynomial":
         q = None
@@ -139,6 +150,12 @@ class Couplings:
             raise ConfigError("coupling gp must be non-negative")
         if self.h_e < 0:
             raise ConfigError("Yukawa constant h_e must be non-negative")
+        lo, hi = COUPLING_MAGNITUDES
+        for name in ("g", "gp", "R", "h_e"):
+            value = getattr(self, name)
+            if value and not lo <= value <= hi:
+                raise ConfigError(f"nonzero coupling {name} must lie between "
+                                  f"{lo:g} and {hi:g}, got {value!r}")
 
     @property
     def gz(self) -> float:
@@ -258,7 +275,8 @@ def sample_gauge(cfg: GaugeConfig, x: Vec4, order: int = DEFAULT_ORDER,
                  scale: Optional[Jet] = None) -> GaugeSample:
     """Sample with the contraction substitution A^1 -> jA^1, A^2 -> jA^2
     applied (A^3 and B stay in the base); an eps jet `scale` multiplies
-    every sampled value, B included."""
+    every sampled value, B included. A points array x of shape (N, 4)
+    gives jets with batch shape (N,), one element per point."""
     fiber, base = _grading(order, jval, scale)
     grading = [fiber, fiber, base]
     a, da = [], []
@@ -266,10 +284,10 @@ def sample_gauge(cfg: GaugeConfig, x: Vec4, order: int = DEFAULT_ORDER,
         g = grading[k]
         a.append([g * cfg.A[k][mu].value(x) for mu in range(4)])
         grads = [cfg.A[k][nu].grad(x) for nu in range(4)]
-        da.append([[g * grads[nu][mu] for nu in range(4)] for mu in range(4)])
+        da.append([[g * grads[nu][..., mu] for nu in range(4)] for mu in range(4)])
     b = [base * cfg.B[mu].value(x) for mu in range(4)]
     bgrads = [cfg.B[nu].grad(x) for nu in range(4)]
-    db = [[base * bgrads[nu][mu] for nu in range(4)] for mu in range(4)]
+    db = [[base * bgrads[nu][..., mu] for nu in range(4)] for mu in range(4)]
     return GaugeSample(a, da, b, db, order)
 
 
@@ -277,7 +295,7 @@ def sample_psi(cfg: PsiConfig, x: Vec4, order: int = DEFAULT_ORDER,
                jval: Optional[float] = None,
                scale: Optional[Jet] = None) -> PsiSample:
     """Sample with psi_1 -> j psi_1, psi_2 -> j psi_2 applied; an eps jet
-    `scale` multiplies every sampled value."""
+    `scale` multiplies every sampled value. x is one point or (N, 4)."""
     fiber, base = _grading(order, jval, scale)
     grading = [fiber, fiber, base]
     psi, dpsi = [], []
@@ -285,7 +303,7 @@ def sample_psi(cfg: PsiConfig, x: Vec4, order: int = DEFAULT_ORDER,
         g = grading[k]
         psi.append(g * cfg.psi[k].value(x))
         gr = cfg.psi[k].grad(x)
-        dpsi.append([g * gr[mu] for mu in range(4)])
+        dpsi.append([g * gr[..., mu] for mu in range(4)])
     return PsiSample(psi, dpsi, order)
 
 
@@ -293,13 +311,14 @@ def sample_fermions(cfg: FermionConfig, x: Vec4, order: int = DEFAULT_ORDER,
                     jval: Optional[float] = None,
                     scale: Optional[Jet] = None) -> FermionSample:
     """Sample with nu_l -> j nu_l applied; e_l and e_r are unchanged. An
-    eps jet `scale` multiplies every sampled value."""
+    eps jet `scale` multiplies every sampled value. x is one point or
+    (N, 4)."""
     fiber, base = _grading(order, jval, scale)
 
     def spinor(sp: Spinor, g: Jet):
         vals = [g * sp[s].value(x) for s in range(2)]
         grads = [sp[s].grad(x) for s in range(2)]
-        dv = [[g * grads[s][mu] for mu in range(4)] for s in range(2)]
+        dv = [[g * grads[s][..., mu] for mu in range(4)] for s in range(2)]
         return vals, dv
 
     el, d_el = spinor(cfg.e_l, base)

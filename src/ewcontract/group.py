@@ -127,15 +127,6 @@ def exp_series(a1: float, a2: float, a3: float, order: int = DEFAULT_ORDER,
     return result
 
 
-def exp_general(a1: float, a2: float, a3: float, order: int = DEFAULT_ORDER,
-                jval: float | None = None) -> JetMatrix2:
-    """Exponential map su(2;j) -> SU(2;j) via the truncated series."""
-    for a in (a1, a2, a3):
-        if not math.isfinite(a):
-            raise ValueError("algebra coordinates must be finite")
-    return exp_series(a1, a2, a3, order, jval=jval)
-
-
 def exp_closed_nilpotent(a1: float, a2: float, a3: float,
                          order: int = DEFAULT_ORDER) -> JetMatrix2:
     """Closed form of exp(T(iota)): diagonal phases e^{+-i a3/2} with
@@ -146,7 +137,7 @@ def exp_closed_nilpotent(a1: float, a2: float, a3: float,
     this form (use the series exponential there).
     """
     if a3 == 0.0:
-        raise ValueError("closed nilpotent form is singular at a3=0; use exp_general")
+        raise ValueError("closed nilpotent form is singular at a3=0; use exp_series")
     j = Jet.variable(order)
     a = a1 + 1j * a2
     s = math.sin(a3 / 2.0)

@@ -1,5 +1,5 @@
 """Truncated power series ("jets") in the contraction parameter j and
-the field scale eps.
+the field scale eps, optionally one per point of a batch.
 
 A :class:`Jet` stores the coefficients of a polynomial in j, truncated at a
 fixed maximum power. With j the formal variable every grade is read off
@@ -13,12 +13,19 @@ a density is expanded in it: field samples are multiplied by eps, and one
 evaluation yields every eps coefficient exactly (truncated Taylor
 arithmetic). Outside an expansion a jet is a polynomial in j alone.
 
+Leading batch axes hold independent jets, one per spacetime point of a
+sampled configuration: every operation acts on each batch element alone
+and broadcasts like numpy, so a formula written for one point evaluates
+all of them at once. A jet without batch axes (batch shape ``()``) is the
+scalar case.
+
 Arithmetic is exact truncated-ring arithmetic over complex coefficients.
 Values are immutable; every operation returns a fresh Jet.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Sequence, Tuple, Union
 
@@ -28,6 +35,11 @@ DEFAULT_ORDER = 4
 
 #: coefficient-wise tolerance for jet equality checks (floating drift only)
 EQ_TOL = 1e-12
+
+#: bytes of one gathered operand of a batched product; larger temporaries
+#: are handed back to the OS by the C allocator when freed and page-fault
+#: again on every product
+_PRODUCT_CHUNK_BYTES = 1 << 16
 
 Scalar = Union[int, float, complex]
 
@@ -46,27 +58,38 @@ class NonPositiveConstantTerm(JetError):
 
 
 class Jet:
-    """Polynomial in j and eps with complex coefficients, truncated beyond
+    """Polynomials in j and eps with complex coefficients, truncated beyond
     j**order and eps**eps_order (0 outside an expansion).
 
-    coeffs[n, p] is the coefficient of j**n eps**p. Ring axioms hold exactly
-    at fixed truncation orders (up to floating point). A jet without eps
-    terms is zero-padded to the other operand's eps truncation, which is
-    exact; any other mismatch of truncation orders raises.
+    coeffs[..., n, p] is the coefficient of j**n eps**p; the leading axes,
+    if any, are batch axes. Ring axioms hold exactly at fixed truncation
+    orders (up to floating point). A jet without eps terms is zero-padded
+    to the other operand's eps truncation, which is exact; any other
+    mismatch of truncation orders raises. A number, or an array of numbers
+    with the batch shape, acts as a constant jet.
     """
 
     __slots__ = ("coeffs",)
 
+    #: numpy operands defer to Jet's own operators (``ndarray * Jet`` is a
+    #: per-batch-element scaling, never an object array)
+    __array_ufunc__ = None
+
     def __init__(self, coeffs: Iterable, order: int = DEFAULT_ORDER,
                  eps_order: int = 0):
         shape = (order + 1, eps_order + 1)
+        if (type(coeffs) is np.ndarray and coeffs.shape[-2:] == shape
+                and coeffs.dtype == complex and not coeffs.flags.writeable):
+            # read-only coefficients are shared, never copied
+            self.coeffs = coeffs
+            return
         c = np.array(coeffs if isinstance(coeffs, np.ndarray) else list(coeffs),
                      dtype=complex)
-        if c.shape != shape:
-            given = c[:, None] if c.ndim == 1 else c
-            c = np.zeros(shape, dtype=complex)
-            rows, cols = min(len(given), shape[0]), min(given.shape[1], shape[1])
-            c[:rows, :cols] = given[:rows, :cols]
+        if c.ndim < 2 or c.shape[-2:] != shape:
+            given = c.reshape(-1, 1) if c.ndim < 2 else c
+            c = np.zeros(given.shape[:-2] + shape, dtype=complex)
+            rows, cols = min(given.shape[-2], shape[0]), min(given.shape[-1], shape[1])
+            c[..., :rows, :cols] = given[..., :rows, :cols]
         c.flags.writeable = False
         self.coeffs = c
 
@@ -89,106 +112,133 @@ class Jet:
 
     @property
     def order(self) -> int:
-        return self.coeffs.shape[0] - 1
+        return self.coeffs.shape[-2] - 1
 
     @property
     def eps_order(self) -> int:
-        return self.coeffs.shape[1] - 1
+        return self.coeffs.shape[-1] - 1
 
-    def grade(self, n: int) -> complex:
-        """Coefficient of j**n (at eps**0)."""
+    @property
+    def batch_shape(self) -> Tuple[int, ...]:
+        return self.coeffs.shape[:-2]
+
+    def grade(self, n: int) -> "complex | np.ndarray":
+        """Coefficient of j**n (at eps**0): a complex number, or an array
+        of them over the batch axes."""
         if n > self.order:
             raise IndexError(f"grade {n} exceeds truncation order {self.order}")
-        return complex(self.coeffs[n, 0])
+        value = self.coeffs[..., n, 0]
+        return complex(value) if value.ndim == 0 else value
+
+    def mean(self) -> "Jet":
+        """Average over the batch axes, coefficient by coefficient."""
+        c = self.coeffs
+        return self._new(c.reshape((-1,) + c.shape[-2:]).mean(axis=0))
 
     # -- ring operations ----------------------------------------------
 
-    def _aligned(self, other: "Jet | Scalar") -> Tuple[np.ndarray, np.ndarray]:
+    def _lift(self, other: "Jet | Scalar | np.ndarray") -> np.ndarray:
+        """Coefficients of an operand: a number or an array of numbers is
+        the constant jet at self's truncation orders."""
+        if isinstance(other, Jet):
+            return other.coeffs
+        value = np.asarray(other, dtype=complex)
+        c = np.zeros(value.shape + self.coeffs.shape[-2:], dtype=complex)
+        c[..., 0, 0] = value
+        return c
+
+    def _aligned(self, other: "Jet | Scalar | np.ndarray"
+                 ) -> Tuple[np.ndarray, np.ndarray]:
         """Coefficients of self and other at one eps truncation: an operand
         without eps terms is zero-padded to the other's."""
-        if not isinstance(other, Jet):
-            other = Jet.const(other, self.order)
-        a, b = self.coeffs, other.coeffs
-        if len(a) != len(b):
-            raise ValueError(
-                f"incompatible truncation orders {len(a) - 1} != {len(b) - 1}"
-            )
-        width = max(a.shape[1], b.shape[1])
-        if min(a.shape[1], b.shape[1]) not in (1, width):
-            raise ValueError(f"incompatible eps truncation orders "
-                             f"{a.shape[1] - 1} != {b.shape[1] - 1}")
-        return _widen(a, width), _widen(b, width)
+        a, b = self.coeffs, self._lift(other)
+        if a.shape[-2] != b.shape[-2]:
+            raise ValueError(f"incompatible truncation orders "
+                             f"{a.shape[-2] - 1} != {b.shape[-2] - 1}")
+        if a.shape[-1] != b.shape[-1]:
+            width = _product_width(a.shape[-1], b.shape[-1])
+            a, b = _widen(a, width), _widen(b, width)
+        return a, b
 
     def _new(self, coeffs: np.ndarray) -> "Jet":
-        return Jet(coeffs, self.order, coeffs.shape[1] - 1)
+        """Wrap a freshly computed coefficient array (taken over, not
+        copied)."""
+        coeffs.flags.writeable = False
+        return Jet(coeffs, coeffs.shape[-2] - 1, coeffs.shape[-1] - 1)
 
-    def __add__(self, other: "Jet | Scalar") -> "Jet":
+    def __add__(self, other: "Jet | Scalar | np.ndarray") -> "Jet":
         a, b = self._aligned(other)
         return self._new(a + b)
 
     __radd__ = __add__
 
-    def __sub__(self, other: "Jet | Scalar") -> "Jet":
+    def __sub__(self, other: "Jet | Scalar | np.ndarray") -> "Jet":
         a, b = self._aligned(other)
         return self._new(a - b)
 
-    def __rsub__(self, other: Scalar) -> "Jet":
-        return Jet.const(other, self.order) - self
+    def __rsub__(self, other: "Scalar | np.ndarray") -> "Jet":
+        return -self + other
 
     def __neg__(self) -> "Jet":
         return self._new(-self.coeffs)
 
-    def __mul__(self, other: "Jet | Scalar") -> "Jet":
-        if not isinstance(other, Jet):
-            return self._new(self.coeffs * complex(other))
-        return self._new(_product(*self._aligned(other)))
+    def __mul__(self, other: "Jet | Scalar | np.ndarray") -> "Jet":
+        if isinstance(other, Jet):
+            return self._new(_product(self.coeffs, other.coeffs))
+        return self._new(self.coeffs * _factor(other))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "Jet | Scalar") -> "Jet":
-        if not isinstance(other, Jet):
-            return self._new(self.coeffs / complex(other))
-        return self * other.inv()
+    def __truediv__(self, other: "Jet | Scalar | np.ndarray") -> "Jet":
+        if isinstance(other, Jet):
+            return self * other.inv()
+        return self._new(self.coeffs / _factor(other))
 
-    def __rtruediv__(self, other: Scalar) -> "Jet":
-        return Jet.const(other, self.order) * self.inv()
+    def __rtruediv__(self, other: "Scalar | np.ndarray") -> "Jet":
+        return self.inv() * other
 
     def conjugate(self) -> "Jet":
         """Coefficient-wise complex conjugation (j and eps stay real)."""
         return self._new(np.conj(self.coeffs))
 
-    def _binomial(self, a0: Scalar, power: float) -> "Jet":
+    def _binomial(self, a0: np.ndarray, power: float) -> np.ndarray:
         """(self / a0) ** power from the binomial series in u = self/a0 - 1,
-        which is exact in the truncated ring: u**(order + eps_order + 1) = 0."""
+        which is exact in the truncated ring: u**(order + eps_order + 1) = 0.
+        a0 holds the constant term of each batch element, shaped (..., 1, 1);
+        the series is summed by Horner's rule."""
         u = self.coeffs / a0
-        u[0, 0] = 0.0
-        result = np.zeros_like(u)
-        result[0, 0] = 1.0
-        term, coeff = result, 1.0
+        u[..., 0, 0] = 0.0
+        series = [1.0]
         for n in range(1, self.order + self.eps_order + 1):
-            coeff *= (power - (n - 1)) / n
-            term = _product(term, u)
-            result = result + coeff * term
-        return self._new(result)
+            series.append(series[-1] * (power - (n - 1)) / n)
+        result = np.zeros_like(u)
+        result[..., 0, 0] = series.pop()
+        for coeff in reversed(series):
+            result = _product(u, result)
+            result[..., 0, 0] += coeff
+        return result
 
     def inv(self) -> "Jet":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        a0 = complex(self.coeffs[0, 0])
-        if a0 == 0.0:
+        """Multiplicative inverse; requires a nonzero constant term in every
+        batch element."""
+        a0 = self.coeffs[..., :1, :1]
+        if (a0 == 0.0).any():
             raise ZeroConstantTerm(
                 "cannot invert a jet with zero constant term "
                 "(division by a nilpotent-dominated value)"
             )
-        return self._binomial(a0, -1.0) / a0
+        return self._new(self._binomial(a0, -1.0) / a0)
 
     def inv_sqrt(self) -> "Jet":
-        """1/sqrt of the jet; requires a real, positive constant term."""
-        a0 = complex(self.coeffs[0, 0])
-        if abs(a0.imag) > EQ_TOL * max(1.0, abs(a0)) or a0.real <= 0.0:
-            raise NonPositiveConstantTerm(
-                f"inv_sqrt requires a real positive constant term, got {a0}"
-            )
-        return self._binomial(a0.real, -0.5) * (a0.real ** -0.5)
+        """1/sqrt of the jet; requires a real, positive constant term in
+        every batch element."""
+        a0 = self.coeffs[..., :1, :1]
+        for value in a0.ravel().tolist():
+            if abs(value.imag) > EQ_TOL * max(1.0, abs(value)) or value.real <= 0.0:
+                raise NonPositiveConstantTerm(
+                    f"inv_sqrt requires a real positive constant term, got {value}"
+                )
+        return self._new(self._binomial(a0.real, -0.5) * a0.real ** -0.5)
 
     # -- misc ----------------------------------------------------------
 
@@ -201,9 +251,9 @@ class Jet:
         return float(np.max(np.abs(a - b)))
 
     def to_json(self) -> list:
-        """Serialize a jet in j alone as [[re, im], ...] by grade."""
-        if self.eps_order:
-            raise ValueError("only a jet without eps terms serializes")
+        """Serialize one jet in j alone as [[re, im], ...] by grade."""
+        if self.eps_order or self.batch_shape:
+            raise ValueError("only one jet without eps terms serializes")
         return [[c.real, c.imag] for c in self.coeffs[:, 0]]
 
     def __repr__(self) -> str:
@@ -211,23 +261,87 @@ class Jet:
                 f"eps_order={self.eps_order})")
 
 
+def _factor(value: "Scalar | np.ndarray"):
+    """A multiplier of coefficient arrays: a number, or an array of numbers
+    broadcast over the batch axes."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        return value[..., None, None]
+    return complex(value)
+
+
+def _product_width(a: int, b: int) -> int:
+    """eps columns of a result: equal widths, or a jet without eps terms."""
+    if a != b and min(a, b) != 1:
+        raise ValueError(f"incompatible eps truncation orders {a - 1} != {b - 1}")
+    return max(a, b)
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(a_shape: Tuple[int, ...], b_shape: Tuple[int, ...]):
+    """Index plan of the truncated product of coefficient arrays of these
+    shapes: (result shape, chunks). Every pair of flat
+    coefficient indices (i, k) whose grades sum to a kept term, sorted by
+    that term, is split into chunks of whole terms; a chunk is
+    (left, right, starts, lo, hi), its pairs' indices into each operand,
+    the offset of each term's first pair and its range of flat terms."""
+    rows, ca, cb = a_shape[-2], a_shape[-1], b_shape[-1]
+    if b_shape[-2] != rows:
+        raise ValueError(f"incompatible truncation orders {rows - 1} != "
+                         f"{b_shape[-2] - 1}")
+    cols = _product_width(ca, cb)
+    batch = np.broadcast_shapes(a_shape[:-2], b_shape[:-2])
+    terms = []  # per flat term n * cols + p: its (left, right) pairs
+    for n in range(rows):
+        for p in range(cols):
+            terms.append([(k * ca + q, (n - k) * cb + (p - q))
+                          for k in range(n + 1)
+                          for q in range(max(0, p - cb + 1), min(p, ca - 1) + 1)])
+    per_chunk = max(1, _PRODUCT_CHUNK_BYTES // (16 * math.prod(batch)))
+    chunks, lo = [], 0
+    while lo < len(terms):
+        hi, count = lo + 1, len(terms[lo])
+        while hi < len(terms) and count + len(terms[hi]) <= per_chunk:
+            count += len(terms[hi])
+            hi += 1
+        pairs = [pair for term in terms[lo:hi] for pair in term]
+        left, right = (np.array(side) for side in zip(*pairs))
+        starts = np.cumsum([0] + [len(t) for t in terms[lo:hi - 1]])
+        for index in (left, right, starts):
+            index.flags.writeable = False  # shared by every cached call
+        chunks.append((left, right, starts, lo, hi))
+        lo = hi
+    return batch + (rows, cols), tuple(chunks)
+
+
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated product of two coefficient arrays of one shape, as one
-    convolution: with rows laid out `width` apart, j**n eps**p sits at
-    n * width + p, and since no product reaches eps**width no eps power
-    carries into the next j row."""
-    rows, cols = a.shape
-    width = 2 * cols - 1
-    flat = np.convolve(_widen(a, width).ravel(), _widen(b, width).ravel())
-    return flat[: rows * width].reshape(rows, width)[:, :cols]
+    """Truncated product of two coefficient arrays, broadcast over their
+    batch axes: each term gathers the coefficient pairs that multiply into
+    it, and np.add.reduceat sums them."""
+    shape, chunks = _plan(a.shape, b.shape)
+    if len(chunks) == 1:
+        left, right, starts, _, _ = chunks[0]
+        terms = _gather(a, left) * _gather(b, right)
+        return np.add.reduceat(terms, starts, axis=-1).reshape(shape)
+    out = np.empty(shape[:-2] + (shape[-2] * shape[-1],), dtype=complex)
+    for left, right, starts, lo, hi in chunks:
+        np.add.reduceat(_gather(a, left) * _gather(b, right), starts,
+                        axis=-1, out=out[..., lo:hi])
+    return out.reshape(shape)
+
+
+def _gather(coeffs: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Coefficients at flat (row-major j, eps) positions, per batch element."""
+    if coeffs.ndim == 2:
+        return coeffs.ravel()[index]
+    return coeffs.reshape(coeffs.shape[:-2] + (-1,)).take(index, axis=-1)
 
 
 def _widen(coeffs: np.ndarray, width: int) -> np.ndarray:
     """Zero-pad a coefficient array to `width` eps columns."""
-    if coeffs.shape[1] == width:
+    if coeffs.shape[-1] == width:
         return coeffs
-    out = np.zeros((coeffs.shape[0], width), dtype=complex)
-    out[:, : coeffs.shape[1]] = coeffs
+    out = np.zeros(coeffs.shape[:-1] + (width,), dtype=complex)
+    out[..., : coeffs.shape[-1]] = coeffs
     return out
 
 
@@ -291,13 +405,8 @@ class JetMatrix2:
         if isinstance(other, JetMatrix2):
             return JetMatrix2(
                 [
-                    [
-                        sum(
-                            (self[r, k] * other[k, c] for k in range(2)),
-                            Jet.zero(self.order),
-                        )
-                        for c in range(2)
-                    ]
+                    [self[r, 0] * other[0, c] + self[r, 1] * other[1, c]
+                     for c in range(2)]
                     for r in range(2)
                 ]
             )

@@ -57,13 +57,6 @@ def halton_points(count: int = SPACETIME_SAMPLES, seed: int = 0,
     return (sampler.random(count) - 0.5) * box
 
 
-def average_jets(values: Sequence[Jet]) -> Jet:
-    total = values[0]
-    for v in values[1:]:
-        total = total + v
-    return (1.0 / len(values)) * total
-
-
 def epsilon_expand(evaluator: Callable[[Jet], Jet], n: int,
                    order: int = DEFAULT_ORDER) -> List[Jet]:
     """Exact eps-polynomial coefficients of a density evaluator.
@@ -78,7 +71,7 @@ def epsilon_expand(evaluator: Callable[[Jet], Jet], n: int,
         )
     value = evaluator(Jet([[0.0, 1.0]], order, n))
     columns = Jet(value.coeffs, value.order, n).coeffs
-    return [Jet(columns[:, p], value.order) for p in range(n + 1)]
+    return [Jet(columns[..., p:p + 1], value.order) for p in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +195,12 @@ def bosonic_density_evaluator(
     jval: Optional[float] = None,
 ) -> Callable[[Jet], Jet]:
     """Point-averaged exact bosonic density as a function of the overall
-    field scale (an eps jet)."""
+    field scale (an eps jet): one density evaluation over all points."""
 
     def evaluate(scale: Jet) -> Jet:
-        values = []
-        for x in points:
-            gs = sample_gauge(gauge, x, order, jval, scale)
-            ps = sample_psi(psi, x, order, jval, scale=scale)
-            values.append(lagrangian_bosonic(gs, ps, c))
-        return average_jets(values)
+        gs = sample_gauge(gauge, points, order, jval, scale)
+        ps = sample_psi(psi, points, order, jval, scale=scale)
+        return lagrangian_bosonic(gs, ps, c).mean()
 
     return evaluate
 
@@ -238,14 +228,9 @@ def quadratic_check(
     evaluator = bosonic_density_evaluator(gauge, psi, c, points, order)
     expansion = epsilon_expand(evaluator, 2, order)
     exact = expansion[2]
-    independent = average_jets(
-        [
-            quadratic_form(
-                sample_gauge(gauge, x, order), sample_psi(psi, x, order), c
-            )
-            for x in points
-        ]
-    )
+    independent = quadratic_form(
+        sample_gauge(gauge, points, order), sample_psi(psi, points, order), c
+    ).mean()
     grades = {}
     for n in (0, 2):
         grades[f"grade{n}"] = {
@@ -634,23 +619,14 @@ def cubic_check(
     evaluator = bosonic_density_evaluator(gauge, psi, c, points, order)
     exact = epsilon_expand(evaluator, 3, order)[3]
 
+    gs = sample_gauge(gauge, points, order)
+    ps = sample_psi(psi, points, order)
+
     def averaged(term_fn) -> Tuple[Dict[str, Jet], Jet]:
-        totals: Dict[str, Jet] = {}
-        for x in points:
-            gs = sample_gauge(gauge, x, order)
-            ps = sample_psi(psi, x, order)
-            for name, value in term_fn(gs, ps, c).items():
-                if name in totals:
-                    totals[name] = totals[name] + value
-                else:
-                    totals[name] = value
-        count = len(points)
+        terms = {name: t.mean() for name, t in term_fn(gs, ps, c).items()}
         total = Jet.zero(order)
-        terms: Dict[str, Jet] = {}
-        for name, t in totals.items():
-            avg = (1.0 / count) * t
-            terms[name] = avg
-            total = total + avg
+        for t in terms.values():
+            total = total + t
         return terms, total
 
     def record(terms: Dict[str, Jet], total: Jet) -> dict:

@@ -83,6 +83,14 @@ DEFAULTS: Dict[str, Dict[str, float]] = {
 }
 
 
+def _finite_float(value: "int | float") -> bool:
+    """Whether value converts to a finite float (a huge int overflows)."""
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
 def check_overrides(section: str, overrides) -> None:
     """Raise ConfigError for a bad key or value under DEFAULTS[section]."""
     if not isinstance(overrides, dict):
@@ -91,7 +99,7 @@ def check_overrides(section: str, overrides) -> None:
         if key not in DEFAULTS[section]:
             raise ConfigError(f"unknown {section} key {key!r}")
         real = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if section == "tolerances" and not (real and math.isfinite(value)):
+        if section == "tolerances" and not (real and _finite_float(value)):
             raise ConfigError(f"tolerance {key!r} must be a finite "
                               f"number, got {value!r}")
         if section == "sample_counts" and not (
@@ -423,14 +431,12 @@ def suite_quadratic(cfg: RunConfig) -> SuiteResult:
         )
 
     # the fiber fields A^1, A^2 must not feed the grade-0 (base) density
-    base_resid = 0.0
     points = rng.uniform(-0.5, 0.5, size=(4, 4))
-    rescaled = gauge.fiber_scaled(3.0)
-    for x in points:
-        ps = sample_psi(psicfg, x, order)
-        g0 = lagrangian_bosonic(sample_gauge(gauge, x, order), ps, c)
-        g1 = lagrangian_bosonic(sample_gauge(rescaled, x, order), ps, c)
-        base_resid = max(base_resid, abs(g0.grade(0) - g1.grade(0)))
+    ps = sample_psi(psicfg, points, order)
+    g0 = lagrangian_bosonic(sample_gauge(gauge, points, order), ps, c)
+    g1 = lagrangian_bosonic(sample_gauge(gauge.fiber_scaled(3.0), points, order),
+                            ps, c)
+    base_resid = float(np.max(np.abs(g0.grade(0) - g1.grade(0))))
 
     return _result(
         "quadratic",

@@ -1,17 +1,27 @@
 """Command-line behaviour: exit codes, report schema, determinism and
 format handling."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ewcontract.cli as cli
 from ewcontract.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_SUITE_FAILURE,
     main,
 )
+from ewcontract.jets import Jet
+from ewcontract.spectrum import mass_spectrum
+from ewcontract.suites import REGISTRY, _result
 
 
 def _load(path):
@@ -281,3 +291,102 @@ def test_every_report_matches_schema(tmp_path, capsys):
     assert set(_load(tmp_path / "verify.json")["suites"]) == {
         "algebra", "group", "invariance", "coordinate",
         "quadratic", "cubic", "fermion", "limit"}
+
+
+def test_non_finite_values_are_written_as_null(tmp_path, monkeypatch, capsys):
+    """A computed value that is not finite never reaches a report or the
+    expand output as NaN or Infinity: it is written as null, the report
+    still matches the schema, and the command exits 1."""
+    import jsonschema
+
+    schema = _load(Path(__file__).resolve().parents[1] / "docs"
+                   / "report_schema.json")
+    monkeypatch.setitem(REGISTRY, "algebra", lambda cfg: _result(
+        "algebra", [(math.nan, 1e-12)], {"worst": complex(math.inf, 0.0)}))
+
+    def spectrum_nan(c, order):
+        report = mass_spectrum(c, order)
+        report.m_w = math.nan
+        return report
+
+    monkeypatch.setattr(cli, "mass_spectrum", spectrum_nan)
+    monkeypatch.setattr(cli, "epsilon_expand", lambda evaluator, n, order: [
+        Jet([math.inf, 1.0], order) for _ in range(n + 1)])
+    runs = {
+        "verify": ["verify", "--suite", "algebra"],
+        "spectrum": ["spectrum"],
+        "expand": ["expand", "--n", "1"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.json"
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == EXIT_SUITE_FAILURE, name
+        report = json.loads(out.read_text(), parse_constant=_reject_constant)
+        jsonschema.validate(report, schema)
+        if name == "expand":
+            stdout = json.loads(capsys.readouterr().out,
+                                parse_constant=_reject_constant)
+            assert stdout["expansion"]["coefficients"]["0"][0] == [None, 0.0]
+    assert _load(tmp_path / "verify.json")["suites"]["algebra"]["residual"] \
+        is None
+    assert _load(tmp_path / "spectrum.json")["spectrum"]["m_w"] is None
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["spectrum", "--bogus"], "unrecognized arguments"),
+    (["expand", "--n", "0", "--seed", "-1"], "--seed"),
+    (["spectrum", "--order", "17"], "--order"),
+    (["spectrum", "--R", "1e-60"], "coupling R"),
+    (["spectrum", "--g", "1e51"], "coupling g"),
+    ([], "required"),
+])
+def test_rejections_are_one_line(capsys, argv, message):
+    assert main(argv) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+_KEYS = st.sampled_from(["couplings", "tolerances", "sample_counts", "suites",
+                         "g", "gp", "R", "h_e", "algebra", "group", "bogus"])
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    st.text(max_size=6), st.lists(st.integers(-3, 3), max_size=2))
+_CONFIGS = st.one_of(
+    st.recursive(_LEAVES, lambda inner: st.dictionaries(_KEYS, inner, max_size=3),
+                 max_leaves=6).map(lambda value: json.dumps(value).encode()),
+    st.text(max_size=20).map(str.encode),
+    st.binary(max_size=12),
+)
+_FLAGS = st.sampled_from(["--g", "--gp", "--R", "--h-e", "--order", "--seed",
+                          "--format", "--mode", "--n", "--suite", "--bogus"])
+_VALUES = st.one_of(
+    st.integers().map(str), st.floats().map(repr), st.text(max_size=6),
+    st.sampled_from(["nan", "-inf", "1e400", "1e-300", "0", "-1", "17", "csv",
+                     "xml", "unit", "numeric:0.5", "algebra"]),
+)
+
+
+@given(command=st.sampled_from([["spectrum"], ["verify", "--suite", "algebra"],
+                                ["expand", "--n", "0"]]),
+       flags=st.lists(st.tuples(_FLAGS, _VALUES), max_size=3),
+       config=st.none() | _CONFIGS)
+@settings(max_examples=80, deadline=None)
+def test_malformed_flags_and_config_files_keep_the_exit_contract(
+        command, flags, config):
+    """Whatever the flags and config file, the exit code is 0, 1 or 2, no
+    traceback is printed, and a rejection is one line on stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = command + [token for pair in flags for token in pair]
+        if config is not None:
+            path = Path(tmp) / "cfg.json"
+            path.write_bytes(config)
+            argv += ["--config", str(path)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(Path(tmp) / "report")])
+    assert code in (EXIT_OK, EXIT_SUITE_FAILURE, EXIT_CONFIG_ERROR), argv
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_CONFIG_ERROR:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1, argv

@@ -122,6 +122,59 @@ def test_psi_and_fermion_sample_grading():
     assert fs.er[0].grade(0) == pytest.approx(1.0)
 
 
+def _random_wave(rng, amplitude=0.7):
+    return PlaneWave(complex(rng.normal(), rng.normal()) * amplitude,
+                     tuple(rng.normal(size=4)), float(rng.uniform(-3, 3)))
+
+
+def _jets(value):
+    """The jets of a (nested) list, in order."""
+    if isinstance(value, list):
+        return [jet for item in value for jet in _jets(item)]
+    return [value]
+
+
+def _same_samples(batched, per_point, fields):
+    """Every jet field of a sample at N points equals the stack of the
+    samples at each point, to 1e-15 of scale."""
+    for name in fields:
+        got = np.array([j.coeffs for j in _jets(getattr(batched, name))])
+        want = np.array([[j.coeffs for j in _jets(getattr(s, name))]
+                         for s in per_point])
+        assert got.shape == (want.shape[1], want.shape[0]) + want.shape[2:]
+        scale = max(np.abs(want).max(), 1.0)
+        assert np.abs(got - np.swapaxes(want, 0, 1)).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("with_scale", [False, True])
+def test_sampling_a_points_array_equals_per_point_samples(with_scale):
+    rng = np.random.default_rng(21)
+    points = rng.uniform(-1.0, 1.0, size=(5, 4))
+    scale = Jet([[0.0, 1.0]], ORDER, 2) if with_scale else None
+    quad = Polynomial(0.3 - 0.2j, (0.1, 0.4, -0.2, 0.3),
+                      ((0.2, 0.1, 0.0, 0.0), (0.0, -0.3, 0.0, 0.2),
+                       (0.1, 0.0, 0.4, 0.0), (0.0, 0.0, 0.0, -0.1)))
+    gauge = GaugeConfig(
+        tuple(tuple(_random_wave(rng) for _ in range(4)) for _ in range(3)),
+        (quad,) + tuple(_random_wave(rng) for _ in range(3)),
+    )
+    psi = PsiConfig((_random_wave(rng), quad, _random_wave(rng)))
+    spinors = [tuple(_random_wave(rng) for _ in range(2)) for _ in range(3)]
+    fermions = FermionConfig(*spinors)
+    _same_samples(sample_gauge(gauge, points, ORDER, scale=scale),
+                  [sample_gauge(gauge, x, ORDER, scale=scale) for x in points],
+                  ("a", "da", "b", "db"))
+    _same_samples(sample_psi(psi, points, ORDER, scale=scale),
+                  [sample_psi(psi, x, ORDER, scale=scale) for x in points],
+                  ("psi", "dpsi"))
+    _same_samples(sample_fermions(fermions, points, ORDER, scale=scale),
+                  [sample_fermions(fermions, x, ORDER, scale=scale)
+                   for x in points],
+                  ("el", "d_el", "nu", "d_nu", "er", "d_er"))
+    for field in (quad, _random_wave(rng)):
+        assert np.allclose(field.hess(points), [field.hess(x) for x in points])
+
+
 def test_numeric_sampling_collapses_grades():
     ps = sample_psi(
         PsiConfig((constant(1.0), constant(0.0), constant(0.0))),

@@ -2,7 +2,6 @@
 invariant form and charge assignments."""
 
 import cmath
-import math
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from ewcontract.group import (
     commutator_table,
     exp_closed_nilpotent,
     exp_closed_su2,
-    exp_general,
     exp_series,
     generator,
     hermitian_form,
@@ -115,11 +113,6 @@ def test_closed_nilpotent_exponential_matches_series_low_grades():
 def test_closed_nilpotent_rejects_singular_input():
     with pytest.raises(ValueError):
         exp_closed_nilpotent(0.4, -0.2, 0.0)
-
-
-def test_exp_general_rejects_non_finite():
-    with pytest.raises(ValueError):
-        exp_general(math.nan, 0.0, 0.0)
 
 
 def test_random_products_are_unitary_and_unimodular():

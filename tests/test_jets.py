@@ -207,3 +207,121 @@ def test_trace_cyclic():
     rng = np.random.default_rng(5)
     m1, m2 = _random_matrix(rng), _random_matrix(rng)
     assert (m1 * m2).trace().allclose((m2 * m1).trace(), tol=1e-8)
+
+
+# -- batch axes ---------------------------------------------------------
+
+
+def _batched(rng, batch, order=DEFAULT_ORDER, eps_order=0, offset=0.0):
+    shape = batch + (order + 1, eps_order + 1)
+    coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    coeffs[..., 0, 0] = offset + rng.uniform(0.5, 2.0, size=batch)
+    return Jet(coeffs, order, eps_order)
+
+
+def _naive_product(a, b):
+    """Reference truncated product of two unbatched coefficient arrays, one
+    term at a time."""
+    rows, cols = a.shape[0], max(a.shape[1], b.shape[1])
+    out = np.zeros((rows, cols), dtype=complex)
+    for k in range(rows):
+        for q in range(a.shape[1]):
+            for l in range(rows - k):
+                for r in range(min(b.shape[1], cols - q)):
+                    out[k + l, q + r] += a[k, q] * b[l, r]
+    return out
+
+
+@pytest.mark.parametrize("a_eps,b_eps,batch", [
+    (0, 0, ()), (2, 2, ()), (0, 3, ()), (3, 0, ()), (6, 6, (16,)),
+    (2, 0, (4,)),
+])
+def test_product_matches_naive_truncated_convolution(a_eps, b_eps, batch):
+    rng = np.random.default_rng(10)
+    a = _batched(rng, batch, order=8, eps_order=a_eps)
+    b = _batched(rng, (), order=8, eps_order=b_eps)
+    got = (a * b).coeffs.reshape((-1,) + (a * b).coeffs.shape[-2:])
+    for i, element in enumerate(a.coeffs.reshape((-1,) + a.coeffs.shape[-2:])):
+        want = _naive_product(element, b.coeffs)
+        assert np.abs(got[i] - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _element(jet, i):
+    return Jet(jet.coeffs[i], jet.order, jet.eps_order)
+
+
+def _assert_stacked(batched, elements):
+    """A batched result equals the stack of per-element results to 1e-15
+    of their scale."""
+    stacked = np.stack([e.coeffs for e in elements])
+    assert batched.coeffs.shape == stacked.shape
+    scale = max(np.abs(stacked).max(), 1.0)
+    assert np.abs(batched.coeffs - stacked).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("eps_order", [0, 2])
+def test_batched_ring_operations_match_each_element(eps_order):
+    rng = np.random.default_rng(11)
+    a = _batched(rng, (6,), eps_order=eps_order, offset=1.0)
+    b = _batched(rng, (6,), eps_order=eps_order, offset=1.0)
+    pairs = [(_element(a, i), _element(b, i)) for i in range(6)]
+    _assert_stacked(a + b, [x + y for x, y in pairs])
+    _assert_stacked(a - b, [x - y for x, y in pairs])
+    _assert_stacked(a * b, [x * y for x, y in pairs])
+    _assert_stacked(a.inv(), [x.inv() for x, _ in pairs])
+    _assert_stacked(a.conjugate(), [x.conjugate() for x, _ in pairs])
+    real = Jet(a.coeffs.real + 0j, a.order, eps_order)
+    _assert_stacked(real.inv_sqrt(),
+                    [_element(real, i).inv_sqrt() for i in range(6)])
+    assert a.batch_shape == (6,)
+    assert np.allclose(a.grade(1), [x.grade(1) for x, _ in pairs])
+    _assert_stacked(Jet(a.mean().coeffs[None], a.order, eps_order),
+                    [sum((x for x, _ in pairs), Jet.zero()) * (1.0 / 6)])
+
+
+def test_batched_jet_broadcasts_against_unbatched():
+    rng = np.random.default_rng(12)
+    a = _batched(rng, (3, 4), eps_order=2)
+    e = _batched(rng, (), eps_order=2)
+    plain = _batched(rng, ())
+    for other in (e, plain):
+        for op in (Jet.__add__, Jet.__sub__, Jet.__mul__):
+            got = op(a, other)
+            assert got.batch_shape == (3, 4)
+            for i in range(3):
+                for k in range(4):
+                    element = Jet(a.coeffs[i, k], a.order, 2)
+                    assert got.coeffs[i, k] == pytest.approx(
+                        op(element, other).coeffs, abs=1e-14)
+    assert (plain * a).allclose(a * plain)
+
+
+def test_inverses_reject_one_invalid_batch_element():
+    rng = np.random.default_rng(13)
+    a = _batched(rng, (5,), eps_order=2)
+    coeffs = np.array(a.coeffs)
+    coeffs[3, 0, 0] = 0.0
+    with pytest.raises(ZeroConstantTerm):
+        Jet(coeffs, a.order, 2).inv()
+    coeffs[3, 0, 0] = -1.0
+    with pytest.raises(NonPositiveConstantTerm):
+        Jet(coeffs, a.order, 2).inv_sqrt()
+    a.inv()
+    Jet(a.coeffs.real + 0j, a.order, 2).inv_sqrt()
+
+
+def test_numpy_operands_scale_each_batch_element():
+    a = _batched(np.random.default_rng(14), (3,), eps_order=2)
+    values = np.array([0.5, -2.0, 3.0j])
+    for product in (values * a, a * values):
+        assert isinstance(product, Jet)
+        for i, v in enumerate(values):
+            assert np.array_equal(product.coeffs[i], a.coeffs[i] * v)
+    for scalar in (np.float64(1.5), np.complex128(0.5 - 1j)):
+        product = scalar * a
+        assert isinstance(product, Jet)
+        assert np.array_equal(product.coeffs, (a * complex(scalar)).coeffs)
+    one = Jet.const(1.0)
+    assert isinstance(np.float64(2.0) * one, Jet)
+    assert isinstance(np.float64(2.0) - one, Jet)
+    assert (values + one).grade(0) == pytest.approx(values + 1.0)
