@@ -12,6 +12,11 @@ of the ring, which expands a density in the amplitude of its fields.
 Fields and samplers take one spacetime point, shape (4,), or an array of
 points, shape (N, 4). A sample at N points holds jets with batch shape
 (N,), so a density evaluated on it is the density at every point at once.
+Field parameters may be arrays too: their leading axes broadcast against
+the leading axes of the points, so :func:`stack_configs` of N
+configurations sampled at (N, 4) points pairs configuration i with point
+i, and one configuration at (16, 4) points is that configuration at 16
+points.
 
 Spacetime index contraction is a plain Euclidean sum over mu = 0..3; the
 verified claims are algebraic identities and never need a signature.
@@ -19,9 +24,10 @@ verified claims are algebraic identities and never need a signature.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -46,7 +52,9 @@ COUPLING_MAGNITUDES = (1.0e-50, 1.0e50)
 
 class AnalyticField:
     """Interface: exact value / 4-gradient / hessian at a spacetime point
-    x of shape (4,), or at each row of a points array of shape (N, 4)."""
+    x of shape (4,), or at each row of a points array of shape (N, 4).
+    Parameters with leading axes are one field per element, broadcast
+    against the leading axes of x."""
 
     def value(self, x: Vec4) -> "complex | np.ndarray":
         raise NotImplementedError
@@ -63,26 +71,28 @@ class AnalyticField:
 
 @dataclass(frozen=True)
 class PlaneWave(AnalyticField):
-    """a * cos(k.x + phase); amplitude may be complex (spinor components)."""
+    """a * cos(k.x + phase); amplitude may be complex (spinor components).
+    Arrays of amplitudes (...,), wavevectors (..., 4) and phases (...,)
+    hold one wave per element."""
 
-    amplitude: complex
-    wavevector: Tuple[float, float, float, float]
-    phase: float = 0.0
+    amplitude: "complex | np.ndarray"
+    wavevector: "Tuple[float, float, float, float] | np.ndarray"
+    phase: "float | np.ndarray" = 0.0
 
     def _arg(self, x: Vec4) -> "float | np.ndarray":
-        return x @ np.asarray(self.wavevector) + self.phase
+        return np.einsum("...i,...i->...", x, np.asarray(self.wavevector)) + self.phase
 
     def value(self, x: Vec4) -> "complex | np.ndarray":
         return self.amplitude * np.cos(self._arg(x))
 
     def grad(self, x: Vec4) -> np.ndarray:
         k = np.asarray(self.wavevector)
-        return np.multiply.outer(-self.amplitude * np.sin(self._arg(x)), k)
+        return np.asarray(-self.amplitude * np.sin(self._arg(x)))[..., None] * k
 
     def hess(self, x: Vec4) -> np.ndarray:
         k = np.asarray(self.wavevector)
-        return np.multiply.outer(-self.amplitude * np.cos(self._arg(x)),
-                                 np.outer(k, k))
+        return (np.asarray(-self.amplitude * np.cos(self._arg(x)))[..., None, None]
+                * (k[..., :, None] * k[..., None, :]))
 
     def scaled(self, s: complex) -> "PlaneWave":
         return PlaneWave(self.amplitude * s, self.wavevector, self.phase)
@@ -90,27 +100,40 @@ class PlaneWave(AnalyticField):
 
 @dataclass(frozen=True)
 class Polynomial(AnalyticField):
-    """c0 + lin.x + x.quad.x with a symmetric quadratic part."""
+    """c0 + lin.x + x.quad.x with a symmetric quadratic part. Arrays of
+    c0 (...,), lin (..., 4) and quad (..., 4, 4) hold one polynomial per
+    element."""
 
-    c0: complex = 0.0
-    lin: Tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    quad: Optional[Tuple[Tuple[float, ...], ...]] = None
+    c0: "complex | np.ndarray" = 0.0
+    lin: "Tuple[float, float, float, float] | np.ndarray" = (0.0, 0.0, 0.0, 0.0)
+    quad: "Optional[Tuple[Tuple[float, ...], ...] | np.ndarray]" = None
 
     def _q(self) -> np.ndarray:
         if self.quad is None:
             return np.zeros((4, 4))
         q = np.asarray(self.quad, dtype=complex)
-        return 0.5 * (q + q.T)
+        return 0.5 * (q + np.swapaxes(q, -1, -2))
+
+    def _xq(self, x: Vec4) -> np.ndarray:
+        """x.quad (symmetrized), per element."""
+        return np.sum(x[..., :, None] * self._q(), axis=-2)
 
     def value(self, x: Vec4) -> "complex | np.ndarray":
-        quadratic = np.sum((x @ self._q()) * x, axis=-1)
-        return self.c0 + x @ np.asarray(self.lin, dtype=complex) + quadratic
+        value = self.c0 + np.sum(x * np.asarray(self.lin, dtype=complex), axis=-1)
+        if self.quad is not None:
+            value = value + np.sum(self._xq(x) * x, axis=-1)
+        return value
 
     def grad(self, x: Vec4) -> np.ndarray:
-        return np.asarray(self.lin, dtype=complex) + 2.0 * (x @ self._q())
+        lin = np.asarray(self.lin, dtype=complex)
+        if self.quad is None:  # the same gradient at every point
+            return np.broadcast_to(lin, np.broadcast_shapes(np.shape(x), lin.shape))
+        return lin + 2.0 * self._xq(x)
 
     def hess(self, x: Vec4) -> np.ndarray:
-        return np.broadcast_to(2.0 * self._q(), np.shape(x)[:-1] + (4, 4))
+        q = 2.0 * self._q()
+        return np.broadcast_to(q, np.broadcast_shapes(np.shape(x)[:-1] + (4, 4),
+                                                      q.shape))
 
     def scaled(self, s: complex) -> "Polynomial":
         q = None
@@ -220,6 +243,31 @@ class EpsConfig:
     """Gauge-variation parameter fields (eps_1, eps_2, eps_3, eps_Y)."""
 
     eps: Tuple[AnalyticField, AnalyticField, AnalyticField, AnalyticField]
+
+
+Config = TypeVar("Config")
+
+
+def stack_configs(configs: Sequence[Config]) -> Config:
+    """One configuration whose field parameters carry a leading axis, item
+    i being configs[i]: GaugeConfig, PsiConfig, FermionConfig or
+    EpsConfig. The configurations must match field type by field type."""
+    first = configs[0]
+    if isinstance(first, tuple):
+        return tuple(stack_configs([cfg[i] for cfg in configs])
+                     for i in range(len(first)))
+    if any(type(cfg) is not type(first) for cfg in configs):
+        raise ValueError("stacked configurations differ in field types")
+    parts = []
+    for f in dataclasses.fields(first):
+        values = [getattr(cfg, f.name) for cfg in configs]
+        if not isinstance(first, AnalyticField):
+            parts.append(stack_configs(values))
+        elif all(v is None for v in values):
+            parts.append(None)
+        else:
+            parts.append(np.array(values))
+    return type(first)(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +498,8 @@ def infinitesimal_gauge_transform(
     jval: Optional[float] = None,
     scale: Optional[Jet] = None,
 ) -> Tuple[GaugeSample, PsiSample]:
-    """First-order gauge transformation of a point sample; an eps jet
+    """First-order gauge transformation of a sample at x (one point, or
+    points with a leading axis, as the sample was taken); an eps jet
     `scale` multiplies the gauge parameters, so the eps**1 coefficient of
     a transformed density is its exact first-order variation.
 
@@ -471,9 +520,9 @@ def infinitesimal_gauge_transform(
         f = eps_cfg.eps[a]
         ev.append(g * f.value(x))
         gr = f.grad(x)
-        dev.append([g * gr[mu] for mu in range(4)])
+        dev.append([g * gr[..., mu] for mu in range(4)])
         h = f.hess(x)
-        hev.append([[g * h[mu][nu] for nu in range(4)] for mu in range(4)])
+        hev.append([[g * h[..., mu, nu] for nu in range(4)] for mu in range(4)])
 
     # gauge sector
     a_new = [[gs.a[k][mu] for mu in range(4)] for k in range(3)]

@@ -5,6 +5,10 @@ multiplied by j, T3 is not. Group elements are 2x2 jet matrices; the
 exponential map is computed as a truncated matrix-exponential series, with
 closed forms (diagonal subgroup, nilpotent off-diagonal formula, standard
 SU(2) formula at j=1) available as cross-checks.
+
+Angles, generator indices, algebra coefficients and doublet components
+may be arrays: the result is then a batch of elements, one per array
+element, held as jets with that batch shape.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -25,6 +29,9 @@ PAULI = (
 )
 
 EXP_SERIES_TERMS = 20
+
+#: a number, or an array of numbers for a batch of elements
+Param = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,7 @@ def generator(k: int, order: int = DEFAULT_ORDER,
 
 
 def algebra_element(
-    a1: float, a2: float, a3: float, order: int = DEFAULT_ORDER,
+    a1: Param, a2: Param, a3: Param, order: int = DEFAULT_ORDER,
     jval: float | None = None
 ) -> AlgebraElement:
     """General element sum_k a_k T_k(j), realized as an anti-hermitian matrix
@@ -83,33 +90,43 @@ def commutator_table(order: int = DEFAULT_ORDER) -> Dict[Tuple[int, int], JetMat
     }
 
 
-def one_param(k: int, angle: float, order: int = DEFAULT_ORDER,
+def one_param(k: "int | np.ndarray", angle: Param, order: int = DEFAULT_ORDER,
               jval: float | None = None) -> JetMatrix2:
-    """One-parameter subgroup element exp(angle * T_k(j)).
+    """One-parameter subgroup element exp(angle * T_k(j)), or a batch of
+    them for arrays k and angle of one shape.
 
     For k=1,2 the entries are the series of cos(j*angle/2), sin(j*angle/2);
     k=3 is the diagonal phase subgroup, untouched by contraction. A numeric
     jval replaces the series by exact cos/sin values at j=jval.
     """
-    if k not in (1, 2, 3):
+    k = np.asarray(k)
+    if not np.isin(k, (1, 2, 3)).all():
         raise ValueError("subgroup index must be 1, 2 or 3")
+    angle = np.asarray(angle, dtype=float)
     half = angle / 2.0
-    if k == 3:
-        return JetMatrix2.from_array(
-            [[cmath.exp(0.5j * angle), 0.0], [0.0, cmath.exp(-0.5j * angle)]], order
-        )
     if jval is None:
         c = jet_cos(half, order)
         s = jet_sin(half, order)
     else:
-        c = Jet.const(math.cos(jval * half), order)
-        s = Jet.const(math.sin(jval * half), order)
-    if k == 1:
-        return JetMatrix2([[c, 1j * s], [1j * s, c]])
-    return JetMatrix2([[c, s], [-s, c]])
+        c = Jet.const(np.cos(jval * half), order)
+        s = Jet.const(np.sin(jval * half), order)
+    zero = Jet.zero(order)
+    is1, is3 = (k == 1)[..., None, None], (k == 3)[..., None, None]
+
+    def entry(t1: Jet, t2: Jet, t3: Jet) -> Jet:
+        """The entry of exp(angle T_k) for k = 1, 2 or 3, per element."""
+        return Jet(np.where(is3, t3.coeffs,
+                            np.where(is1, t1.coeffs, t2.coeffs)), order)
+
+    return JetMatrix2([
+        [entry(c, c, Jet.const(np.exp(0.5j * angle), order)),
+         entry(1j * s, s, zero)],
+        [entry(1j * s, -s, zero),
+         entry(c, c, Jet.const(np.exp(-0.5j * angle), order))],
+    ])
 
 
-def exp_series(a1: float, a2: float, a3: float, order: int = DEFAULT_ORDER,
+def exp_series(a1: Param, a2: Param, a3: Param, order: int = DEFAULT_ORDER,
                terms: int = EXP_SERIES_TERMS, jval: float | None = None) -> JetMatrix2:
     """Truncated matrix-exponential series of the general algebra element.
 
@@ -127,7 +144,7 @@ def exp_series(a1: float, a2: float, a3: float, order: int = DEFAULT_ORDER,
     return result
 
 
-def exp_closed_nilpotent(a1: float, a2: float, a3: float,
+def exp_closed_nilpotent(a1: Param, a2: Param, a3: Param,
                          order: int = DEFAULT_ORDER) -> JetMatrix2:
     """Closed form of exp(T(iota)): diagonal phases e^{+-i a3/2} with
     grade-1 off-diagonal entries i*(conj(a)/a3)*sin(a3/2) and
@@ -136,20 +153,21 @@ def exp_closed_nilpotent(a1: float, a2: float, a3: float,
     Only grades 0 and 1 are meaningful; a3=0 is a removable singularity of
     this form (use the series exponential there).
     """
-    if a3 == 0.0:
+    a3 = np.asarray(a3, dtype=float)
+    if (a3 == 0.0).any():
         raise ValueError("closed nilpotent form is singular at a3=0; use exp_series")
     j = Jet.variable(order)
-    a = a1 + 1j * a2
-    s = math.sin(a3 / 2.0)
+    a = a1 + 1j * np.asarray(a2)
+    s = np.sin(a3 / 2.0)
     return JetMatrix2(
         [
             [
-                Jet.const(cmath.exp(0.5j * a3), order),
-                j * (1j * (a.conjugate() / a3) * s),
+                Jet.const(np.exp(0.5j * a3), order),
+                j * (1j * (np.conj(a) / a3) * s),
             ],
             [
                 j * (1j * (a / a3) * s),
-                Jet.const(cmath.exp(-0.5j * a3), order),
+                Jet.const(np.exp(-0.5j * a3), order),
             ],
         ]
     )
@@ -186,10 +204,11 @@ def hypercharge_matrix(order: int = DEFAULT_ORDER) -> JetMatrix2:
 @dataclass(frozen=True)
 class MatterDoublet:
     """Point in the fibered matter space: ungraded components (phi1, phi2)
-    and their graded image (phi1, j*phi2)."""
+    and their graded image (phi1, j*phi2). Arrays of components hold one
+    doublet per element."""
 
-    phi1: complex
-    phi2: complex
+    phi1: "complex | np.ndarray"
+    phi2: "complex | np.ndarray"
     order: int = DEFAULT_ORDER
 
     @property
@@ -213,12 +232,29 @@ def apply_group(u: JetMatrix2, d: MatterDoublet) -> Tuple[Jet, Jet]:
     return u.apply(d.graded)
 
 
+def random_factors(rng: np.random.Generator,
+                   factors: int = 3) -> Tuple[np.ndarray, np.ndarray]:
+    """Generator indices and angles, uniform in [-pi, pi], of the factors
+    of one random group element, drawn factor by factor."""
+    ks, angles = [], []
+    for _ in range(factors):
+        ks.append(int(rng.integers(1, 4)))
+        angles.append(float(rng.uniform(-math.pi, math.pi)))
+    return np.array(ks), np.array(angles)
+
+
+def group_product(ks: np.ndarray, angles: np.ndarray,
+                  order: int = DEFAULT_ORDER,
+                  jval: float | None = None) -> JetMatrix2:
+    """Product of the one-parameter elements exp(angles[..., f] T_ks[..., f])
+    over the last axis, f = 0, 1, ...; the leading axes are a batch."""
+    u = one_param(ks[..., 0], angles[..., 0], order, jval=jval)
+    for f in range(1, ks.shape[-1]):
+        u = u * one_param(ks[..., f], angles[..., f], order, jval=jval)
+    return u
+
+
 def random_group_element(rng: np.random.Generator, order: int = DEFAULT_ORDER,
                          factors: int = 3, jval: float | None = None) -> JetMatrix2:
     """Product of one-parameter elements with angles uniform in [-pi, pi]."""
-    u = JetMatrix2.identity(order)
-    for _ in range(factors):
-        k = int(rng.integers(1, 4))
-        angle = float(rng.uniform(-math.pi, math.pi))
-        u = u * one_param(k, angle, order, jval=jval)
-    return u
+    return group_product(*random_factors(rng, factors), order, jval)

@@ -14,10 +14,10 @@ evaluation yields every eps coefficient exactly (truncated Taylor
 arithmetic). Outside an expansion a jet is a polynomial in j alone.
 
 Leading batch axes hold independent jets, one per spacetime point of a
-sampled configuration: every operation acts on each batch element alone
-and broadcasts like numpy, so a formula written for one point evaluates
-all of them at once. A jet without batch axes (batch shape ``()``) is the
-scalar case.
+sampled configuration, per configuration of a stack or per group element:
+every operation acts on each batch element alone and broadcasts like
+numpy, so a formula written for one point evaluates all of them at once.
+A jet without batch axes (batch shape ``()``) is the scalar case.
 
 Arithmetic is exact truncated-ring arithmetic over complex coefficients.
 Values are immutable; every operation returns a fresh Jet.
@@ -42,6 +42,8 @@ EQ_TOL = 1e-12
 _PRODUCT_CHUNK_BYTES = 1 << 16
 
 Scalar = Union[int, float, complex]
+
+_COMPLEX = np.dtype(complex)
 
 
 class JetError(Exception):
@@ -79,7 +81,7 @@ class Jet:
                  eps_order: int = 0):
         shape = (order + 1, eps_order + 1)
         if (type(coeffs) is np.ndarray and coeffs.shape[-2:] == shape
-                and coeffs.dtype == complex and not coeffs.flags.writeable):
+                and coeffs.dtype is _COMPLEX and not coeffs.flags.writeable):
             # read-only coefficients are shared, never copied
             self.coeffs = coeffs
             return
@@ -90,14 +92,16 @@ class Jet:
             c = np.zeros(given.shape[:-2] + shape, dtype=complex)
             rows, cols = min(given.shape[-2], shape[0]), min(given.shape[-1], shape[1])
             c[..., :rows, :cols] = given[..., :rows, :cols]
-        c.flags.writeable = False
+        c.setflags(write=False)
         self.coeffs = c
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def const(cls, value: Scalar, order: int = DEFAULT_ORDER) -> "Jet":
-        return cls([value], order)
+    def const(cls, value: "Scalar | np.ndarray",
+              order: int = DEFAULT_ORDER) -> "Jet":
+        """A constant jet, or one per element of an array of values."""
+        return cls(np.asarray(value, dtype=complex)[..., None, None], order)
 
     @classmethod
     def variable(cls, order: int = DEFAULT_ORDER) -> "Jet":
@@ -163,7 +167,7 @@ class Jet:
     def _new(self, coeffs: np.ndarray) -> "Jet":
         """Wrap a freshly computed coefficient array (taken over, not
         copied)."""
-        coeffs.flags.writeable = False
+        coeffs.setflags(write=False)
         return Jet(coeffs, coeffs.shape[-2] - 1, coeffs.shape[-1] - 1)
 
     def __add__(self, other: "Jet | Scalar | np.ndarray") -> "Jet":
@@ -456,17 +460,21 @@ class JetMatrix2:
         return f"JetMatrix2({self.entries!r})"
 
 
-def jet_cos(x: float, order: int = DEFAULT_ORDER) -> Jet:
-    """Series of cos(j*x) in j, truncated."""
-    c = np.zeros(order + 1, dtype=complex)
-    for n in range(0, order + 1, 2):
-        c[n] = (-1) ** (n // 2) * x**n / math.factorial(n)
+def _series(x: "float | np.ndarray", order: int, first: int) -> Jet:
+    """sum_n (-1)**(n // 2) (j x)**n / n! over n = first, first + 2, ...,
+    one jet per element of x."""
+    x = np.asarray(x, dtype=float)
+    c = np.zeros(x.shape + (order + 1, 1), dtype=complex)
+    for n in range(first, order + 1, 2):
+        c[..., n, 0] = (-1) ** (n // 2) * x**n / math.factorial(n)
     return Jet(c, order)
 
 
-def jet_sin(x: float, order: int = DEFAULT_ORDER) -> Jet:
-    """Series of sin(j*x) in j, truncated."""
-    c = np.zeros(order + 1, dtype=complex)
-    for n in range(1, order + 1, 2):
-        c[n] = (-1) ** ((n - 1) // 2) * x**n / math.factorial(n)
-    return Jet(c, order)
+def jet_cos(x: "float | np.ndarray", order: int = DEFAULT_ORDER) -> Jet:
+    """Series of cos(j*x) in j, truncated; an array x gives a batch."""
+    return _series(x, order, 0)
+
+
+def jet_sin(x: "float | np.ndarray", order: int = DEFAULT_ORDER) -> Jet:
+    """Series of sin(j*x) in j, truncated; an array x gives a batch."""
+    return _series(x, order, 1)

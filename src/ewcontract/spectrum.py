@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import qmc
 
 from .fields import (
     ConfigError,
@@ -31,6 +30,7 @@ from .fields import (
     sample_fermions,
     sample_gauge,
     sample_psi,
+    stack_configs,
 )
 from .group import generator, hermitian_form_jets
 from .jets import DEFAULT_ORDER, Jet, jparam
@@ -52,9 +52,33 @@ LIMIT_T_VALUES = (1.0e-1, 1.0e-2, 1.0e-3)
 
 def halton_points(count: int = SPACETIME_SAMPLES, seed: int = 0,
                   box: float = 2.0) -> np.ndarray:
-    """Quasi-random spacetime points in [-box/2, box/2]^4."""
-    sampler = qmc.Halton(d=4, scramble=True, seed=seed)
-    return (sampler.random(count) - 0.5) * box
+    """Quasi-random spacetime points in [-box/2, box/2]^4: the Halton
+    sequence in bases 2, 3, 5 and 7 with Owen's random-permutation
+    scrambling (A. B. Owen, arXiv:1706.02808), the bits that
+    ``scipy.stats.qmc.Halton(d=4, scramble=True, seed=seed)`` draws.
+
+    Digit r of every index in base b is permuted by row r of a table of
+    shuffled rows of arange(b), one table per base, drawn in base order;
+    the permuted digits are weighted by b**-(r + 1) and summed from the
+    leading digit on."""
+    rng = np.random.default_rng(seed)
+    index = np.arange(count)[:, None]
+    columns = []
+    for base in (2, 3, 5, 7):
+        rows = math.ceil(54 / math.log2(base)) - 1
+        perms = np.repeat(np.arange(base)[None], rows, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        digits = index // base ** np.arange(rows) % base
+        weights = np.empty(rows)
+        weight = 1.0
+        for r in range(rows):
+            weight /= base
+            weights[r] = weight
+        terms = perms[np.arange(rows), digits] * weights
+        # a running sum keeps the left-to-right order; np.sum pairs terms
+        columns.append(np.cumsum(terms, axis=1)[:, -1])
+    return (np.stack(columns, axis=1) - 0.5) * box
 
 
 def epsilon_expand(evaluator: Callable[[Jet], Jet], n: int,
@@ -292,11 +316,13 @@ def _constant_gauge(direction: Dict[str, float]) -> GaugeConfig:
     return GaugeConfig(tuple(tuple(row) for row in A), tuple(B))
 
 
-def _gauge_mass_coefficient(direction: Dict[str, float], c: Couplings,
-                            order: int, jval: Optional[float] = None) -> Jet:
-    """eps^2 coefficient of the bosonic density for a constant gauge
-    background at psi = 0."""
-    gauge = _constant_gauge(direction)
+def _gauge_mass_coefficients(directions: Sequence[Dict[str, float]],
+                             c: Couplings, order: int,
+                             jval: Optional[float] = None) -> Jet:
+    """eps^2 coefficients of the bosonic density for constant gauge
+    backgrounds at psi = 0: one density evaluation, batch item i being
+    directions[i] (the stacked backgrounds broadcast over one point)."""
+    gauge = stack_configs([_constant_gauge(d) for d in directions])
     psi = PsiConfig.zero()
     x = np.zeros(4)
 
@@ -308,17 +334,15 @@ def _gauge_mass_coefficient(direction: Dict[str, float], c: Couplings,
     return epsilon_expand(evaluate, 2, order)[2]
 
 
-def _fermion_mass_coefficient(which: str, c: Couplings, order: int) -> Jet:
-    """eps^2 coefficient of the fermion density for a constant unit spinor
-    background (electron pair or lone neutrino) at psi = 0."""
+def _fermion_mass_coefficients(c: Couplings, order: int) -> Jet:
+    """eps^2 coefficients of the fermion density for the constant unit
+    spinor backgrounds at psi = 0: one density evaluation, batch item 0
+    the electron pair and item 1 the lone neutrino (the stacked
+    backgrounds broadcast over one point)."""
     zero_spinor = (constant(0.0), constant(0.0))
     unit_spinor = (constant(1.0), constant(0.0))
-    if which == "electron":
-        cfg = FermionConfig(unit_spinor, zero_spinor, unit_spinor)
-    elif which == "neutrino":
-        cfg = FermionConfig(zero_spinor, unit_spinor, zero_spinor)
-    else:
-        raise ValueError(f"unknown fermion background {which!r}")
+    cfg = stack_configs([FermionConfig(unit_spinor, zero_spinor, unit_spinor),
+                         FermionConfig(zero_spinor, unit_spinor, zero_spinor)])
     x = np.zeros(4)
     gs = sample_gauge(GaugeConfig.zero(), x, order)
     ps = sample_psi(PsiConfig.zero(), x, order)
@@ -334,24 +358,21 @@ def _fermion_mass_coefficient(which: str, c: Couplings, order: int) -> Jet:
 def mass_spectrum(c: Couplings, order: int = DEFAULT_ORDER) -> SpectrumReport:
     """Extract m_W, m_Z, m_A (and m_e when h_e > 0) from the exact
     Lagrangian on constant backgrounds along each physical direction."""
-    w_coeff = _gauge_mass_coefficient({"0": 1.0}, c, order)
-    # unit W background: W+ W- = 1/2, so the coefficient is m_W^2 / 2
-    m_w = math.sqrt(max(2.0 * w_coeff.grade(2).real, 0.0))
-
     z_dir = {"2": c.g / c.gz, "B": c.gp / c.gz}
-    z_coeff = _gauge_mass_coefficient(z_dir, c, order)
-    m_z = math.sqrt(max(2.0 * z_coeff.grade(0).real, 0.0))
-
     a_dir = {"2": c.gp / c.gz, "B": -c.g / c.gz}
-    a_coeff = _gauge_mass_coefficient(a_dir, c, order)
-    m_a = math.sqrt(abs(2.0 * a_coeff.grade(0).real))
+    # grade by grade, for the W, Z and A backgrounds
+    w_coeff, z_coeff, a_coeff = _gauge_mass_coefficients(
+        [{"0": 1.0}, z_dir, a_dir], c, order).coeffs[..., 0]
+    # unit W background: W+ W- = 1/2, so the coefficient is m_W^2 / 2
+    m_w = math.sqrt(max(2.0 * w_coeff[2].real, 0.0))
+    m_z = math.sqrt(max(2.0 * z_coeff[0].real, 0.0))
+    m_a = math.sqrt(abs(2.0 * a_coeff[0].real))
 
     if c.h_e > 0.0:
-        e_coeff = _fermion_mass_coefficient("electron", c, order)
+        e_coeff, nu_coeff = _fermion_mass_coefficients(c, order).grade(0)
         # mass term -m_e (e_r+ e_l + e_l+ e_r) = -2 m_e on unit spinors
-        m_e = -0.5 * e_coeff.grade(0).real
-        nu_coeff = _fermion_mass_coefficient("neutrino", c, order)
-        nu_mass = abs(nu_coeff.grade(0))
+        m_e = float(-0.5 * e_coeff.real)
+        nu_mass = float(abs(nu_coeff))
     else:
         m_e = 0.0
         nu_mass = 0.0
@@ -732,8 +753,8 @@ def limit_consistency(c: Optional[Couplings] = None, seed: int = 0,
 
     w_values = []
     for t in LIMIT_T_VALUES:
-        coeff = _gauge_mass_coefficient({"0": 1.0}, c, order, jval=t)
-        w_values.append(coeff.grade(0).real)
+        coeff = _gauge_mass_coefficients([{"0": 1.0}], c, order, jval=t)
+        w_values.append(coeff.grade(0)[0].real)
     logs = np.log(np.abs(w_values))
     logt = np.log(np.asarray(LIMIT_T_VALUES))
     slope = float(np.polyfit(logt, logs, 1)[0])

@@ -6,6 +6,12 @@ registry maps stable suite names to these functions so the CLI and the
 test harness agree on what "the algebra suite" means. DEFAULTS holds every
 suite's default tolerances and sample counts; RunConfig can override any of
 them and rejects an override that names no default or has a bad value.
+
+A sampled suite draws all of its samples first, in the order of one
+sample after the other, then stacks them and evaluates them once over a
+leading batch axis; its residual is a maximum over that axis. Evaluation
+draws no random numbers, so every sample has the numbers of its place in
+the stream.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .fields import (
     sample_gauge,
     sample_psi,
     infinitesimal_gauge_transform,
+    stack_configs,
 )
 from .group import (
     MatterDoublet,
@@ -35,8 +42,9 @@ from .group import (
     exp_closed_su2,
     exp_series,
     generator,
+    group_product,
     hermitian_form_jets,
-    random_group_element,
+    random_factors,
 )
 from .jets import DEFAULT_ORDER, Jet, JetMatrix2
 from .lagrangian import (
@@ -82,6 +90,10 @@ DEFAULTS: Dict[str, Dict[str, float]] = {
     },
 }
 
+#: largest accepted sample count: a suite holds every sample of a check at
+#: once, so its memory grows linearly with the count
+MAX_SAMPLE_COUNT = 10000
+
 
 def _finite_float(value: "int | float") -> bool:
     """Whether value converts to a finite float (a huge int overflows)."""
@@ -103,9 +115,10 @@ def check_overrides(section: str, overrides) -> None:
             raise ConfigError(f"tolerance {key!r} must be a finite "
                               f"number, got {value!r}")
         if section == "sample_counts" and not (
-                real and isinstance(value, int) and value >= 1):
-            raise ConfigError(f"sample count {key!r} must be an "
-                              f"integer >= 1, got {value!r}")
+                real and isinstance(value, int)
+                and 1 <= value <= MAX_SAMPLE_COUNT):
+            raise ConfigError(f"sample count {key!r} must be an integer "
+                              f"between 1 and {MAX_SAMPLE_COUNT}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -164,8 +177,18 @@ def _result(name: str, gates: Sequence[Tuple[float, float]],
 
 def _low_grade_diff(x: Jet, y: Jet) -> float:
     """Largest coefficient difference on grades 0 and 1 (the grades that
-    survive nilpotent arithmetic)."""
-    return max(abs(x.grade(0) - y.grade(0)), abs(x.grade(1) - y.grade(1)))
+    survive nilpotent arithmetic), over every batch element."""
+    return float(np.max(np.abs(x.coeffs[..., :2, 0] - y.coeffs[..., :2, 0])))
+
+
+def _sample_diff(x: Jet, y: Jet) -> np.ndarray:
+    """Largest coefficient difference of each batch element."""
+    return np.abs(x.coeffs - y.coeffs).max(axis=(-2, -1))
+
+
+def _sample_size(x: Jet) -> np.ndarray:
+    """Largest coefficient magnitude of each batch element."""
+    return np.abs(x.coeffs).max(axis=(-2, -1))
 
 
 def _matrix_low_grade_diff(x: JetMatrix2, y: JetMatrix2) -> float:
@@ -220,33 +243,30 @@ def suite_group(cfg: RunConfig) -> SuiteResult:
     tol = cfg.tol("group")
     count = cfg.samples("group")
     rng = np.random.default_rng(cfg.seed)
-    identity = JetMatrix2.identity(order)
-    one = Jet.const(1.0, order)
-    unitarity = 0.0
-    det_resid = 0.0
-    for _ in range(count):
-        u = random_group_element(rng, order)
-        unitarity = max(unitarity, (u * u.dagger()).max_abs_diff(identity))
-        det_resid = max(det_resid, u.det().max_abs_diff(one))
+    factors = [random_factors(rng) for _ in range(count)]
+    u = group_product(np.array([k for k, _ in factors]),
+                      np.array([angles for _, angles in factors]), order)
+    unitarity = (u * u.dagger()).max_abs_diff(JetMatrix2.identity(order))
+    det_resid = u.det().max_abs_diff(Jet.const(1.0, order))
 
-    closed_resid = 0.0
+    samples = []
     for _ in range(20):
         a = rng.uniform(-2.0, 2.0, size=3)
         if abs(a[2]) < 0.1:
             a[2] = 0.5
-        series = exp_series(*a, order=order)
-        closed_resid = max(
-            closed_resid,
-            _matrix_low_grade_diff(exp_closed_nilpotent(*a, order=order), series),
-        )
-        su2 = exp_closed_su2(*a)
-        series_at_one = exp_series(*a, order=order, jval=1.0)
-        su2_resid = max(
-            abs(series_at_one[r, c].grade(0) - su2[r][c])
-            for r in range(2)
-            for c in range(2)
-        )
-        closed_resid = max(closed_resid, su2_resid)
+        samples.append(a)
+    a = np.array(samples).T
+    series = exp_series(*a, order=order)
+    closed_resid = _matrix_low_grade_diff(
+        exp_closed_nilpotent(*a, order=order), series)
+    su2 = np.array([exp_closed_su2(*sample) for sample in samples])
+    series_at_one = exp_series(*a, order=order, jval=1.0)
+    su2_resid = max(
+        float(np.max(np.abs(series_at_one[r, c].grade(0) - su2[:, r, c])))
+        for r in range(2)
+        for c in range(2)
+    )
+    closed_resid = max(closed_resid, su2_resid)
 
     return _result(
         "group",
@@ -277,52 +297,53 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
     tol_first = cfg.tol("invariance_first_order")
     rng = np.random.default_rng(cfg.seed + 1)
 
-    form_resid = 0.0
+    doublets, group_draws = [], []
     for _ in range(cfg.samples("invariance_form")):
-        d = MatterDoublet(
-            complex(rng.normal(), rng.normal()),
-            complex(rng.normal(), rng.normal()),
-            order,
-        )
-        reference = hermitian_form_jets(d.graded, d.graded)
-        u = random_group_element(rng, order)
-        moved = apply_group(u, d)
-        transformed = hermitian_form_jets(moved, moved)
-        form_resid = max(form_resid, transformed.max_abs_diff(reference))
-        u1 = random_group_element(rng, order, jval=1.0)
-        moved1 = apply_group(u1, d)
-        form_resid = max(
-            form_resid,
-            hermitian_form_jets(moved1, moved1).max_abs_diff(reference),
-        )
+        doublets.append((complex(rng.normal(), rng.normal()),
+                         complex(rng.normal(), rng.normal())))
+        group_draws.append((random_factors(rng), random_factors(rng)))
+    d = MatterDoublet(*np.array(doublets).T, order)
+    reference = hermitian_form_jets(d.graded, d.graded)
+    form_resid = 0.0
+    for which, jval in ((0, None), (1, 1.0)):
+        ks = np.array([draw[which][0] for draw in group_draws])
+        angles = np.array([draw[which][1] for draw in group_draws])
+        moved = apply_group(group_product(ks, angles, order, jval), d)
+        form_resid = max(form_resid, hermitian_form_jets(moved, moved)
+                         .max_abs_diff(reference))
 
     c = cfg.couplings
     first_order = 0.0
     configs = cfg.samples("invariance_gauge")
+    draws = []
     for _ in range(configs):
         gauge, psicfg = random_bosonic_config(rng, amplitude=0.1)
         eps_cfg = EpsConfig(tuple(random_plane_wave(rng, 0.1) for _ in range(4)))
-        x = rng.uniform(-0.5, 0.5, size=4)
-        for jval, grades in ((1.0, (0,)), (None, (0, 1)), (0.1, (0,))):
-            gs = sample_gauge(gauge, x, order, jval)
-            ps = sample_psi(psicfg, x, order, jval)
-            sectors = []
+        draws.append((gauge, psicfg, eps_cfg, rng.uniform(-0.5, 0.5, size=4)))
+    gauge, psicfg, eps_cfg = (stack_configs([draw[i] for draw in draws])
+                              for i in range(3))
+    x = np.array([draw[3] for draw in draws])
+    for jval, grades in ((1.0, (0,)), (None, (0, 1)), (0.1, (0,))):
+        gs = sample_gauge(gauge, x, order, jval)
+        ps = sample_psi(psicfg, x, order, jval)
+        sectors = []
 
-            def transformed(scale: Jet) -> Jet:
-                """eps**0: the unvaried density; eps**1: its variation."""
-                gs2, ps2 = infinitesimal_gauge_transform(
-                    gs, ps, eps_cfg, x, c, jval, scale)
-                sectors[:] = (lagrangian_gauge(gs2, c),
-                              lagrangian_psi(ps2, gs2, c))
-                return sectors[0] + sectors[1]
+        def transformed(scale: Jet) -> Jet:
+            """eps**0: the unvaried density; eps**1: its variation."""
+            gs2, ps2 = infinitesimal_gauge_transform(
+                gs, ps, eps_cfg, x, c, jval, scale)
+            sectors[:] = (lagrangian_gauge(gs2, c),
+                          lagrangian_psi(ps2, gs2, c))
+            return sectors[0] + sectors[1]
 
-            variation = epsilon_expand(transformed, 1, order)[1]
-            # the gauge and matter densities can cancel, so the unvaried
-            # density is measured sector by sector
-            size = max(sum(abs(part.coeffs[n, 0]) for part in sectors)
-                       for n in grades)
-            change = max(abs(variation.grade(n)) for n in grades)
-            first_order = max(first_order, change / max(size, 1.0e-30))
+        variation = epsilon_expand(transformed, 1, order)[1]
+        # the gauge and matter densities can cancel, so the unvaried
+        # density is measured sector by sector, per configuration
+        size = np.max([abs(sectors[0].coeffs[..., n, 0])
+                       + abs(sectors[1].coeffs[..., n, 0]) for n in grades], axis=0)
+        change = np.max([abs(variation.grade(n)) for n in grades], axis=0)
+        first_order = max(first_order,
+                          float(np.max(change / np.maximum(size, 1.0e-30))))
 
     return _result(
         "invariance",
@@ -351,32 +372,30 @@ def suite_coordinate(cfg: RunConfig) -> SuiteResult:
     rng = np.random.default_rng(cfg.seed + 2)
     c = cfg.couplings
 
-    sphere_resid = 0.0
+    draws = []
     for _ in range(cfg.samples("coordinate_sphere")):
         psicfg = PsiConfig(tuple(random_plane_wave(rng, 0.6) for _ in range(3)))
-        x = rng.uniform(-0.5, 0.5, size=4)
-        ps = sample_psi(psicfg, x, order)
-        phi, _ = phi_from_psi(ps, c.R)
-        form = hermitian_form_jets(phi, phi)
-        sphere_resid = max(sphere_resid, form.max_abs_diff(c.R**2))
+        draws.append((psicfg, rng.uniform(-0.5, 0.5, size=4)))
+    ps = sample_psi(stack_configs([draw[0] for draw in draws]),
+                    np.array([draw[1] for draw in draws]), order)
+    phi, _ = phi_from_psi(ps, c.R)
+    sphere_resid = hermitian_form_jets(phi, phi).max_abs_diff(c.R**2)
 
-    equiv_resid = 0.0
-    displayed_resid = 0.0
+    draws = []
     for _ in range(cfg.samples("coordinate_equivalence")):
         gauge, psicfg = random_bosonic_config(rng, amplitude=0.3)
-        x = rng.uniform(-0.5, 0.5, size=4)
-        gs = sample_gauge(gauge, x, order)
-        ps = sample_psi(psicfg, x, order)
-        phi, dphi = phi_from_psi(ps, c.R)
-        doublet = lagrangian_phi(phi, dphi, gs, c)
-        intrinsic = lagrangian_psi(ps, gs, c)
-        scale = max(np.abs(doublet.coeffs).max(),
-                    np.abs(intrinsic.coeffs).max(), 1.0e-30)
-        equiv_resid = max(equiv_resid, doublet.max_abs_diff(intrinsic) / scale)
-        displayed_resid = max(
-            displayed_resid,
-            intrinsic.max_abs_diff(lagrangian_psi_closed(ps, gs, c)) / scale,
-        )
+        draws.append((gauge, psicfg, rng.uniform(-0.5, 0.5, size=4)))
+    x = np.array([draw[2] for draw in draws])
+    gs = sample_gauge(stack_configs([draw[0] for draw in draws]), x, order)
+    ps = sample_psi(stack_configs([draw[1] for draw in draws]), x, order)
+    phi, dphi = phi_from_psi(ps, c.R)
+    doublet = lagrangian_phi(phi, dphi, gs, c)
+    intrinsic = lagrangian_psi(ps, gs, c)
+    scale = np.maximum(np.maximum(_sample_size(doublet), _sample_size(intrinsic)),
+                       1.0e-30)
+    equiv_resid = float(np.max(_sample_diff(doublet, intrinsic) / scale))
+    displayed_resid = float(np.max(
+        _sample_diff(intrinsic, lagrangian_psi_closed(ps, gs, c)) / scale))
 
     return _result(
         "coordinate",
@@ -430,13 +449,14 @@ def suite_quadratic(cfg: RunConfig) -> SuiteResult:
             abs(rep.weinberg_cos - rep.closed["weinberg_cos"]),
         )
 
-    # the fiber fields A^1, A^2 must not feed the grade-0 (base) density
-    points = rng.uniform(-0.5, 0.5, size=(4, 4))
-    ps = sample_psi(psicfg, points, order)
-    g0 = lagrangian_bosonic(sample_gauge(gauge, points, order), ps, c)
-    g1 = lagrangian_bosonic(sample_gauge(gauge.fiber_scaled(3.0), points, order),
-                            ps, c)
-    base_resid = float(np.max(np.abs(g0.grade(0) - g1.grade(0))))
+    # the fiber fields A^1, A^2 must not feed the grade-0 (base) density:
+    # the configuration and its fiber-scaled copy at 4 points, as a
+    # (4 points, 2 configurations) batch
+    points = rng.uniform(-0.5, 0.5, size=(4, 4))[:, None]
+    pair = stack_configs([gauge, gauge.fiber_scaled(3.0)])
+    grade0 = lagrangian_bosonic(sample_gauge(pair, points, order),
+                                sample_psi(psicfg, points, order), c).grade(0)
+    base_resid = float(np.max(np.abs(grade0[:, 0] - grade0[:, 1])))
 
     return _result(
         "quadratic",
@@ -489,14 +509,15 @@ def suite_cubic(cfg: RunConfig) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _grade0_yukawa_oracle(psi3: complex, el: Sequence[complex],
-                          er: Sequence[complex], h_e: float,
-                          R: float) -> complex:
+def _grade0_yukawa_oracle(psi3: np.ndarray, el: Sequence[np.ndarray],
+                          er: Sequence[np.ndarray], h_e: float,
+                          R: float) -> np.ndarray:
     """Base part of the Yukawa terms in plain complex arithmetic (only the
-    third sphere coordinate and the charged leptons survive at grade 0)."""
+    third sphere coordinate and the charged leptons survive at grade 0),
+    one value per sample."""
     er_el = sum(e.conjugate() * l for e, l in zip(er, el))
     el_er = sum(l.conjugate() * e for l, e in zip(el, er))
-    pref = h_e * R / math.sqrt(1.0 + psi3.real**2)
+    pref = h_e * R / np.sqrt(1.0 + psi3.real**2)
     return pref * (er_el + el_er + 1j * psi3 * (el_er - er_el))
 
 
@@ -514,8 +535,7 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
         h_e=cfg.couplings.h_e if cfg.couplings.h_e > 0 else 1.3,
     )
 
-    identity_resid = 0.0
-    grade0_resid = 0.0
+    draws = []
     for _ in range(cfg.samples("fermion_identity")):
         psicfg = PsiConfig(tuple(random_plane_wave(rng, 0.5) for _ in range(3)))
         fcfg = FermionConfig(
@@ -523,19 +543,20 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
             tuple(random_plane_wave(rng, 1.0) for _ in range(2)),
             tuple(random_plane_wave(rng, 1.0) for _ in range(2)),
         )
-        x = rng.uniform(-0.5, 0.5, size=4)
-        ps = sample_psi(psicfg, x, order)
-        fs = sample_fermions(fcfg, x, order)
-        lhs, rhs = fermion_mass_identity(ps, fs, c)
-        identity_resid = max(identity_resid, lhs.max_abs_diff(rhs))
-        oracle = _grade0_yukawa_oracle(
-            ps.psi[2].grade(0),
-            [fs.el[s].grade(0) for s in range(2)],
-            [fs.er[s].grade(0) for s in range(2)],
-            c.h_e,
-            c.R,
-        )
-        grade0_resid = max(grade0_resid, abs(lhs.grade(0) - oracle))
+        draws.append((psicfg, fcfg, rng.uniform(-0.5, 0.5, size=4)))
+    x = np.array([draw[2] for draw in draws])
+    ps = sample_psi(stack_configs([draw[0] for draw in draws]), x, order)
+    fs = sample_fermions(stack_configs([draw[1] for draw in draws]), x, order)
+    lhs, rhs = fermion_mass_identity(ps, fs, c)
+    identity_resid = lhs.max_abs_diff(rhs)
+    oracle = _grade0_yukawa_oracle(
+        ps.psi[2].grade(0),
+        [fs.el[s].grade(0) for s in range(2)],
+        [fs.er[s].grade(0) for s in range(2)],
+        c.h_e,
+        c.R,
+    )
+    grade0_resid = float(np.max(np.abs(lhs.grade(0) - oracle)))
 
     rep = mass_spectrum(c, order)
     m_e_err = abs(rep.m_e - c.h_e * c.R) / (c.h_e * c.R)

@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ewcontract.cli as cli
@@ -21,7 +21,7 @@ from ewcontract.cli import (
 )
 from ewcontract.jets import Jet
 from ewcontract.spectrum import mass_spectrum
-from ewcontract.suites import REGISTRY, _result
+from ewcontract.suites import MAX_SAMPLE_COUNT, REGISTRY, _result
 
 
 def _load(path):
@@ -347,6 +347,20 @@ def test_rejections_are_one_line(capsys, argv, message):
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+@pytest.mark.parametrize("count", [MAX_SAMPLE_COUNT + 1, 10**12])
+def test_sample_count_above_the_bound_is_one_line(tmp_path, capsys, count):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sample_counts": {"invariance_gauge": count}}))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) \
+        == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "invariance_gauge" in captured.err
+    assert str(MAX_SAMPLE_COUNT) in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
 _KEYS = st.sampled_from(["couplings", "tolerances", "sample_counts", "suites",
                          "g", "gp", "R", "h_e", "algebra", "group", "bogus"])
 _LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
@@ -366,13 +380,7 @@ _VALUES = st.one_of(
 )
 
 
-@given(command=st.sampled_from([["spectrum"], ["verify", "--suite", "algebra"],
-                                ["expand", "--n", "0"]]),
-       flags=st.lists(st.tuples(_FLAGS, _VALUES), max_size=3),
-       config=st.none() | _CONFIGS)
-@settings(max_examples=80, deadline=None)
-def test_malformed_flags_and_config_files_keep_the_exit_contract(
-        command, flags, config):
+def _keeps_the_exit_contract(command, flags, config):
     """Whatever the flags and config file, the exit code is 0, 1 or 2, no
     traceback is printed, and a rejection is one line on stderr."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -390,3 +398,22 @@ def test_malformed_flags_and_config_files_keep_the_exit_contract(
     if code == EXIT_CONFIG_ERROR:
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1, argv
+
+
+@given(command=st.sampled_from([["spectrum"], ["verify", "--suite", "algebra"],
+                                ["expand", "--n", "0"]]),
+       flags=st.lists(st.tuples(_FLAGS, _VALUES), max_size=3),
+       config=st.none() | _CONFIGS)
+@settings(max_examples=80, deadline=None)
+def test_malformed_flags_and_config_files_keep_the_exit_contract(
+        command, flags, config):
+    _keeps_the_exit_contract(command, flags, config)
+
+
+@given(flags=st.lists(st.tuples(_FLAGS, _VALUES), max_size=3),
+       config=st.none() | _CONFIGS)
+@settings(max_examples=10, deadline=None)
+@example(flags=[], config=None)
+def test_full_verify_keeps_the_exit_contract(flags, config):
+    """The same contract for verify on all eight suites."""
+    _keeps_the_exit_contract(["verify"], flags, config)

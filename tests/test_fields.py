@@ -26,6 +26,7 @@ from ewcontract.fields import (
     sample_fermions,
     sample_gauge,
     sample_psi,
+    stack_configs,
 )
 from ewcontract.group import generator, hermitian_form_jets, hypercharge_matrix
 from ewcontract.jets import DEFAULT_ORDER, Jet
@@ -173,6 +174,74 @@ def test_sampling_a_points_array_equals_per_point_samples(with_scale):
                   ("el", "d_el", "nu", "d_nu", "er", "d_er"))
     for field in (quad, _random_wave(rng)):
         assert np.allclose(field.hess(points), [field.hess(x) for x in points])
+
+
+def _random_polynomial(rng):
+    return Polynomial(complex(rng.normal(), rng.normal()),
+                      tuple(rng.normal(size=4)),
+                      tuple(tuple(row) for row in rng.normal(size=(4, 4))))
+
+
+@pytest.mark.parametrize("with_scale", [False, True])
+def test_stacked_configurations_pair_with_their_points(with_scale):
+    """N configurations stacked and sampled at (N, 4) points give, in batch
+    element i, configuration i sampled at point i; so does the gauge
+    transform with stacked parameter fields."""
+    rng = np.random.default_rng(22)
+    n = 6
+    points = rng.uniform(-1.0, 1.0, size=(n, 4))
+    scale = Jet([[0.0, 1.0]], ORDER, 2) if with_scale else None
+    gauges = [GaugeConfig(
+        tuple(tuple(_random_wave(rng, 0.3) for _ in range(4)) for _ in range(3)),
+        (_random_polynomial(rng),) + tuple(_random_wave(rng, 0.3) for _ in range(3)),
+    ) for _ in range(n)]
+    psis = [PsiConfig((_random_wave(rng, 0.3), _random_polynomial(rng),
+                       _random_wave(rng, 0.3))) for _ in range(n)]
+    fermions = [FermionConfig(*[tuple(_random_wave(rng) for _ in range(2))
+                                for _ in range(3)]) for _ in range(n)]
+    params = [EpsConfig((_random_wave(rng, 0.1), _random_polynomial(rng),
+                         _random_wave(rng, 0.1), _random_wave(rng, 0.1)))
+              for _ in range(n)]
+    per_sample = list(zip(gauges, psis, fermions, params, points))
+
+    gs = sample_gauge(stack_configs(gauges), points, ORDER, scale=scale)
+    singles = [sample_gauge(g, x, ORDER, scale=scale) for g, *_, x in per_sample]
+    _same_samples(gs, singles, ("a", "da", "b", "db"))
+    ps = sample_psi(stack_configs(psis), points, ORDER, scale=scale)
+    _same_samples(ps, [sample_psi(p, x, ORDER, scale=scale)
+                       for _, p, *_, x in per_sample], ("psi", "dpsi"))
+    _same_samples(sample_fermions(stack_configs(fermions), points, ORDER,
+                                  scale=scale),
+                  [sample_fermions(f, x, ORDER, scale=scale)
+                   for _, _, f, _, x in per_sample],
+                  ("el", "d_el", "nu", "d_nu", "er", "d_er"))
+
+    c = Couplings(g=0.65, gp=0.35, R=1.0)
+    gs2, ps2 = infinitesimal_gauge_transform(gs, ps, stack_configs(params),
+                                             points, c, scale=scale)
+    moved = [infinitesimal_gauge_transform(
+        sample_gauge(g, x, ORDER, scale=scale), sample_psi(p, x, ORDER, scale=scale),
+        e, x, c, scale=scale) for g, p, _, e, x in per_sample]
+    _same_samples(gs2, [m[0] for m in moved], ("a", "da", "b", "db"))
+    _same_samples(ps2, [m[1] for m in moved], ("psi", "dpsi"))
+
+
+def test_stacked_configurations_broadcast_over_one_point():
+    """Stacked constant backgrounds at one point: one sample per
+    configuration."""
+    cfgs = [PsiConfig((constant(v), constant(0.0), constant(2.0 * v)))
+            for v in (0.5, -1.0, 3.0)]
+    ps = sample_psi(stack_configs(cfgs), np.zeros(4), ORDER)
+    for i, cfg in enumerate(cfgs):
+        single = sample_psi(cfg, np.zeros(4), ORDER)
+        for k in range(3):
+            assert np.array_equal(ps.psi[k].coeffs[i], single.psi[k].coeffs)
+
+
+def test_stacking_needs_matching_field_types():
+    waves = PsiConfig((PlaneWave(0.1, (1.0, 0.0, 0.0, 0.0)),) * 3)
+    with pytest.raises(ValueError):
+        stack_configs([waves, PsiConfig.zero()])
 
 
 def test_numeric_sampling_collapses_grades():

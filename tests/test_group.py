@@ -15,10 +15,12 @@ from ewcontract.group import (
     exp_closed_su2,
     exp_series,
     generator,
+    group_product,
     hermitian_form,
     hermitian_form_jets,
     hypercharge_matrix,
     one_param,
+    random_factors,
     random_group_element,
     u1_element,
     u1em_element,
@@ -184,3 +186,75 @@ def test_electromagnetic_charge_leaves_lower_component_fixed():
     phi1, phi2 = d.graded
     assert moved[0].max_abs_diff(phi1 * cmath.exp(0.61j)) <= TOL
     assert moved[1].max_abs_diff(phi2) <= TOL
+
+
+def _entries(m: JetMatrix2) -> np.ndarray:
+    """The four entries' coefficients, stacked on a leading (2, 2) axis."""
+    return np.array([[m[r, c].coeffs for c in range(2)] for r in range(2)])
+
+
+def _assert_batch_is_stack(batched: JetMatrix2, singles) -> None:
+    """Batch element i of every entry equals element i alone, bit for bit."""
+    got = _entries(batched)
+    want = np.stack([_entries(m) for m in singles], axis=2)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("jval", [None, 1.0, 0.1])
+def test_one_param_on_arrays_is_the_stack_of_elements(jval):
+    rng = np.random.default_rng(6)
+    ks = rng.integers(1, 4, size=12)
+    angles = rng.uniform(-np.pi, np.pi, size=12)
+    _assert_batch_is_stack(
+        one_param(ks, angles, ORDER, jval=jval),
+        [one_param(int(k), float(a), ORDER, jval=jval) for k, a in zip(ks, angles)],
+    )
+
+
+def test_one_param_rejects_a_bad_index_in_an_array():
+    with pytest.raises(ValueError):
+        one_param(np.array([1, 4]), np.array([0.1, 0.2]))
+
+
+@pytest.mark.parametrize("jval", [None, 1.0])
+def test_exp_series_on_arrays_is_the_stack_of_elements(jval):
+    rng = np.random.default_rng(7)
+    a = rng.uniform(-2.0, 2.0, size=(3, 9))
+    _assert_batch_is_stack(
+        exp_series(*a, order=ORDER, jval=jval),
+        [exp_series(*sample, order=ORDER, jval=jval) for sample in a.T],
+    )
+    if jval is None:
+        closed = exp_closed_nilpotent(*a, order=ORDER)
+        for i, sample in enumerate(a.T):
+            single = exp_closed_nilpotent(*sample, order=ORDER)
+            for r in range(2):
+                for c in range(2):
+                    assert np.allclose(closed[r, c].coeffs[i],
+                                       single[r, c].coeffs, rtol=0, atol=1e-15)
+
+
+def test_group_products_of_drawn_factors_are_the_stack_of_random_elements():
+    """Drawing every factor first and multiplying once over a batch gives
+    each random element bit for bit, and leaves the generator where the
+    per-element draws leave it."""
+    rng, reference = np.random.default_rng(8), np.random.default_rng(8)
+    draws = [random_factors(rng) for _ in range(25)]
+    batch = group_product(np.array([k for k, _ in draws]),
+                          np.array([a for _, a in draws]), ORDER)
+    _assert_batch_is_stack(batch, [random_group_element(reference, ORDER)
+                                   for _ in range(25)])
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_matter_doublets_on_arrays_act_element_by_element():
+    rng = np.random.default_rng(9)
+    phi = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+    ks, angles = rng.integers(1, 4, size=(6, 3)), rng.uniform(-3, 3, size=(6, 3))
+    moved = apply_group(group_product(ks, angles, ORDER), MatterDoublet(*phi, ORDER))
+    for i in range(6):
+        single = apply_group(group_product(ks[i], angles[i], ORDER),
+                             MatterDoublet(phi[0, i], phi[1, i], ORDER))
+        for comp in range(2):
+            assert np.array_equal(moved[comp].coeffs[i], single[comp].coeffs)

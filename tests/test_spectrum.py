@@ -6,9 +6,24 @@ import math
 import numpy as np
 import pytest
 
-from ewcontract.fields import ConfigError, Couplings
+from ewcontract.fields import (
+    ConfigError,
+    Couplings,
+    FermionConfig,
+    GaugeConfig,
+    PsiConfig,
+    constant,
+    phi_from_psi,
+    sample_fermions,
+    sample_gauge,
+    sample_psi,
+)
 from ewcontract.jets import DEFAULT_ORDER, Jet
+from ewcontract.lagrangian import lagrangian_bosonic, lagrangian_fermion
 from ewcontract.spectrum import (
+    _constant_gauge,
+    _fermion_mass_coefficients,
+    _gauge_mass_coefficients,
     cubic_check,
     epsilon_expand,
     extrapolate_even,
@@ -29,6 +44,17 @@ def test_halton_points_deterministic_per_seed():
     c = halton_points(seed=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_halton_points_are_scipys_scrambled_halton_bits():
+    """scipy stays the oracle of the scrambled sequence, not the route."""
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    for seed in range(200):
+        for count in (4, 16, 50):
+            expected = (qmc.Halton(d=4, scramble=True, seed=seed).random(count)
+                        - 0.5) * 2.0
+            assert np.array_equal(halton_points(count, seed), expected), \
+                (seed, count)
 
 
 def test_epsilon_expand_recovers_known_polynomial():
@@ -111,6 +137,45 @@ def test_mass_spectrum_closed_formulas():
         assert rep.weinberg_cos == pytest.approx(c.g / c.gz, abs=1e-12)
         assert rep.m_e == pytest.approx(c.h_e * c.R, rel=1e-12)
         assert rep.nu_mass_coefficient == 0.0
+
+
+@pytest.mark.parametrize("jval", [None, 0.1])
+def test_batched_gauge_mass_coefficients_equal_one_background_at_a_time(jval):
+    """One evaluation over the stacked W, Z and A backgrounds gives each
+    background's coefficients bit for bit, as the evaluation of that
+    background alone at one point does."""
+    c = COUPLINGS
+    directions = [{"0": 1.0}, {"2": c.g / c.gz, "B": c.gp / c.gz},
+                  {"2": c.gp / c.gz, "B": -c.g / c.gz}]
+    batch = _gauge_mass_coefficients(directions, c, ORDER, jval)
+    assert batch.batch_shape == (3,)
+    x = np.zeros(4)
+    for i, direction in enumerate(directions):
+        gauge = _constant_gauge(direction)
+
+        def evaluate(scale):
+            return lagrangian_bosonic(sample_gauge(gauge, x, ORDER, jval, scale),
+                                      sample_psi(PsiConfig.zero(), x, ORDER, jval),
+                                      c)
+
+        alone = epsilon_expand(evaluate, 2, ORDER)[2]
+        assert np.array_equal(batch.coeffs[i], alone.coeffs)
+
+
+def test_batched_fermion_mass_coefficients_equal_one_background_at_a_time():
+    c = COUPLINGS
+    batch = _fermion_mass_coefficients(c, ORDER)
+    zero, unit = (constant(0.0), constant(0.0)), (constant(1.0), constant(0.0))
+    x = np.zeros(4)
+    gs = sample_gauge(GaugeConfig.zero(), x, ORDER)
+    phi, _ = phi_from_psi(sample_psi(PsiConfig.zero(), x, ORDER), c.R)
+    for i, cfg in enumerate((FermionConfig(unit, zero, unit),
+                             FermionConfig(zero, unit, zero))):
+        alone = epsilon_expand(
+            lambda scale: lagrangian_fermion(
+                sample_fermions(cfg, x, ORDER, scale=scale), phi, gs, c),
+            2, ORDER)[2]
+        assert np.array_equal(batch.coeffs[i], alone.coeffs)
 
 
 def test_reference_coupling_point():

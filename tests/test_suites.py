@@ -1,10 +1,16 @@
 """The suite registry: names, pass state and config overrides."""
 
+import math
+
+import numpy as np
 import pytest
 
 from ewcontract.cli import DEFAULT_COUPLINGS
 from ewcontract.fields import ConfigError, Couplings
-from ewcontract.suites import DEFAULTS, REGISTRY, RunConfig, run_suites
+from ewcontract.group import random_group_element
+from ewcontract.jets import Jet, JetMatrix2
+from ewcontract.suites import (DEFAULTS, MAX_SAMPLE_COUNT, REGISTRY, RunConfig,
+                               run_suites)
 
 EXPECTED_NAMES = {
     "algebra",
@@ -82,6 +88,7 @@ def test_exact_expansion_suites_pass_at_defaults(suite, seed):
     {"sample_counts": {"group": "x"}},
     {"sample_counts": {"quadratic_form": 3}},
     {"sample_counts": [1]},
+    {"sample_counts": {"group": MAX_SAMPLE_COUNT + 1}},
 ])
 def test_bad_overrides_rejected_before_any_suite_runs(overrides):
     with pytest.raises(ConfigError):
@@ -90,3 +97,83 @@ def test_bad_overrides_rejected_before_any_suite_runs(overrides):
 
 def test_every_default_is_a_valid_override():
     _config(**DEFAULTS)
+
+
+def _wave(rng):
+    """The draws of one random plane wave."""
+    rng.normal()
+    rng.normal(size=4)
+    rng.uniform(-math.pi, math.pi)
+
+
+def _group_element(rng):
+    for _ in range(3):
+        rng.integers(1, 4)
+        rng.uniform(-math.pi, math.pi)
+
+
+def _per_sample_draws(suite, seed, n):
+    """A generator advanced by the draws of the per-sample loops: every
+    sample's numbers drawn in turn, n samples per sampled check."""
+    if suite == "group":
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            _group_element(rng)
+        for _ in range(20):
+            rng.uniform(-2.0, 2.0, size=3)
+    elif suite == "invariance":
+        rng = np.random.default_rng(seed + 1)
+        for _ in range(n):
+            rng.normal(), rng.normal(), rng.normal(), rng.normal()
+            _group_element(rng)
+            _group_element(rng)
+        for _ in range(n):
+            for _ in range(19 + 4):
+                _wave(rng)
+            rng.uniform(-0.5, 0.5, size=4)
+    elif suite == "coordinate":
+        rng = np.random.default_rng(seed + 2)
+        for waves in (3, 19):
+            for _ in range(n):
+                for _ in range(waves):
+                    _wave(rng)
+                rng.uniform(-0.5, 0.5, size=4)
+    else:
+        rng = np.random.default_rng(seed + 5)
+        for _ in range(n):
+            for _ in range(3 + 6):
+                _wave(rng)
+            rng.uniform(-0.5, 0.5, size=4)
+    return rng.bit_generator.state
+
+
+@pytest.mark.parametrize("suite", ["group", "invariance", "coordinate",
+                                   "fermion"])
+def test_batched_suites_draw_what_the_per_sample_loops_draw(monkeypatch, suite):
+    """Drawing every sample first leaves the suite's generator where the
+    per-sample loops left it."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    counts = {key: 7 for key in DEFAULTS["sample_counts"] if key != "mass_sets"}
+    REGISTRY[suite](_config(sample_counts=counts))
+    monkeypatch.undo()
+    assert made[0].bit_generator.state == _per_sample_draws(suite, 123, 7)
+
+
+def test_group_suite_residuals_are_the_per_sample_maxima():
+    result = REGISTRY["group"](_config(sample_counts={"group": 40}))
+    rng = np.random.default_rng(123)
+    identity, one = JetMatrix2.identity(), Jet.const(1.0)
+    unitarity = determinant = 0.0
+    for _ in range(40):
+        u = random_group_element(rng)
+        unitarity = max(unitarity, (u * u.dagger()).max_abs_diff(identity))
+        determinant = max(determinant, u.det().max_abs_diff(one))
+    assert result.details["unitarity"] == unitarity
+    assert result.details["determinant"] == determinant
