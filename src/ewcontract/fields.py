@@ -9,14 +9,16 @@ values, and the j^2 factors of the contracted model emerge from the ring
 arithmetic. Samples can also be multiplied by the field-scale variable eps
 of the ring, which expands a density in the amplitude of its fields.
 
-Fields and samplers take one spacetime point, shape (4,), or an array of
-points, shape (N, 4). A sample at N points holds jets with batch shape
-(N,), so a density evaluated on it is the density at every point at once.
-Field parameters may be arrays too: their leading axes broadcast against
-the leading axes of the points, so :func:`stack_configs` of N
-configurations sampled at (N, 4) points pairs configuration i with point
-i, and one configuration at (16, 4) points is that configuration at 16
-points.
+A sample holds one jet per field, its component indices on trailing batch
+axes: a gauge sample's ``a[..., k, mu]`` is A^k_mu and ``da[..., k, mu, nu]``
+is d_mu A^k_nu. The leading axes are the points: fields and samplers take
+one spacetime point, shape (4,), or an array of points, shape (N, 4), and
+a sample at N points has leading batch shape (N,), so a density evaluated
+on it is the density at every point at once. Field parameters may be
+arrays too: their leading axes broadcast against the leading axes of the
+points, so :func:`stack_configs` of N configurations sampled at (N, 4)
+points pairs configuration i with point i, and one configuration at
+(16, 4) points is that configuration at 16 points.
 
 Spacetime index contraction is a plain Euclidean sum over mu = 0..3; the
 verified claims are algebraic identities and never need a signature.
@@ -27,11 +29,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, TypeVar
+from typing import Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from .jets import DEFAULT_ORDER, Jet, jparam
+from .jets import DEFAULT_ORDER, Jet, jparam, stack
 
 Vec4 = np.ndarray
 
@@ -275,47 +277,62 @@ def stack_configs(configs: Sequence[Config]) -> Config:
 # ---------------------------------------------------------------------------
 
 
-def _grading(order: int, jval: Optional[float],
-             scale: Optional[Jet]) -> Tuple[Jet, Jet]:
-    """(fiber, base) factors of a sampled value: j and 1, times the eps jet
-    `scale` if given (exact: a configuration is linear in its amplitude)."""
+def _grading(fiber: Sequence[bool], order: int, jval: Optional[float],
+             scale: Optional[Jet]) -> Jet:
+    """Factors of a sampled component axis, one per component: j on a
+    fiber component and 1 on a base one, times the eps jet `scale` if
+    given (exact: a configuration is linear in its amplitude). j shifts
+    the scale's coefficients up one grade, or a numeric j multiplies
+    them, so no jet product is taken."""
     base = Jet.const(1.0, order) if scale is None else scale
-    return jparam(order, jval) * base, base
+    c = base.coeffs
+    if jval is None:
+        shifted = np.zeros_like(c)
+        shifted[..., 1:, :] = c[..., :-1, :]
+    else:
+        shifted = c * jval
+    graded = Jet(shifted, order, base.eps_order)
+    return stack([graded if f else base for f in fiber])
+
+
+def _stacked(fields: Sequence[AnalyticField], method: str, x: Vec4,
+             derivatives: int = 0) -> np.ndarray:
+    """`method` ("value", "grad" or "hess") of each field at x, the field
+    index as an axis before the `derivatives` axes of the method."""
+    parts = np.broadcast_arrays(*(getattr(f, method)(x) for f in fields))
+    return np.stack(parts, axis=-1 - derivatives)
 
 
 @dataclass
 class GaugeSample:
-    """Graded gauge values at a point: a[k][mu], da[k][mu][nu] = d_mu A^k_nu,
-    b[mu], db[mu][nu] = d_mu B_nu."""
+    """Graded gauge values: a[..., k, mu] = A^k_mu, da[..., k, mu, nu] =
+    d_mu A^k_nu, b[..., mu] = B_mu and db[..., mu, nu] = d_mu B_nu."""
 
-    a: List[List[Jet]]
-    da: List[List[List[Jet]]]
-    b: List[Jet]
-    db: List[List[Jet]]
-    order: int
+    a: Jet
+    da: Jet
+    b: Jet
+    db: Jet
 
 
 @dataclass
 class PsiSample:
-    """Graded sphere-coordinate values: psi[k] and dpsi[k][mu]."""
+    """Graded sphere-coordinate values psi[..., k] and dpsi[..., k, mu]."""
 
-    psi: List[Jet]
-    dpsi: List[List[Jet]]
-    order: int
+    psi: Jet
+    dpsi: Jet
 
 
 @dataclass
 class FermionSample:
-    """Graded spinor values: 2-component el/nu/er and their 4-gradients
-    d*[s][mu]; the neutrino carries grade 1."""
+    """Graded spinor values: 2-component el, nu and er on a trailing axis
+    and their 4-gradients d_*[..., s, mu]; the neutrino carries grade 1."""
 
-    el: List[Jet]
-    d_el: List[List[Jet]]
-    nu: List[Jet]
-    d_nu: List[List[Jet]]
-    er: List[Jet]
-    d_er: List[List[Jet]]
-    order: int
+    el: Jet
+    d_el: Jet
+    nu: Jet
+    d_nu: Jet
+    er: Jet
+    d_er: Jet
 
 
 def sample_gauge(cfg: GaugeConfig, x: Vec4, order: int = DEFAULT_ORDER,
@@ -324,19 +341,18 @@ def sample_gauge(cfg: GaugeConfig, x: Vec4, order: int = DEFAULT_ORDER,
     """Sample with the contraction substitution A^1 -> jA^1, A^2 -> jA^2
     applied (A^3 and B stay in the base); an eps jet `scale` multiplies
     every sampled value, B included. A points array x of shape (N, 4)
-    gives jets with batch shape (N,), one element per point."""
-    fiber, base = _grading(order, jval, scale)
-    grading = [fiber, fiber, base]
-    a, da = [], []
-    for k in range(3):
-        g = grading[k]
-        a.append([g * cfg.A[k][mu].value(x) for mu in range(4)])
-        grads = [cfg.A[k][nu].grad(x) for nu in range(4)]
-        da.append([[g * grads[nu][..., mu] for nu in range(4)] for mu in range(4)])
-    b = [base * cfg.B[mu].value(x) for mu in range(4)]
-    bgrads = [cfg.B[nu].grad(x) for nu in range(4)]
-    db = [[base * bgrads[nu][..., mu] for nu in range(4)] for mu in range(4)]
-    return GaugeSample(a, da, b, db, order)
+    gives jets with leading batch shape (N,), one element per point."""
+    g = _grading((True, True, False, False), order, jval, scale)
+    a = np.stack(np.broadcast_arrays(*(_stacked(row, "value", x)
+                                       for row in cfg.A)), axis=-2)
+    da = np.stack(np.broadcast_arrays(*(_stacked(row, "grad", x, 1)
+                                        for row in cfg.A)), axis=-3)
+    db = _stacked(cfg.B, "grad", x, 1)
+    # stacked gradients hold d_mu of field nu at [..., nu, mu]
+    return GaugeSample(g[..., :3, None] * a,
+                       g[..., :3, None, None] * np.swapaxes(da, -1, -2),
+                       g[..., 3] * _stacked(cfg.B, "value", x),
+                       g[..., 3] * np.swapaxes(db, -1, -2))
 
 
 def sample_psi(cfg: PsiConfig, x: Vec4, order: int = DEFAULT_ORDER,
@@ -344,15 +360,9 @@ def sample_psi(cfg: PsiConfig, x: Vec4, order: int = DEFAULT_ORDER,
                scale: Optional[Jet] = None) -> PsiSample:
     """Sample with psi_1 -> j psi_1, psi_2 -> j psi_2 applied; an eps jet
     `scale` multiplies every sampled value. x is one point or (N, 4)."""
-    fiber, base = _grading(order, jval, scale)
-    grading = [fiber, fiber, base]
-    psi, dpsi = [], []
-    for k in range(3):
-        g = grading[k]
-        psi.append(g * cfg.psi[k].value(x))
-        gr = cfg.psi[k].grad(x)
-        dpsi.append([g * gr[..., mu] for mu in range(4)])
-    return PsiSample(psi, dpsi, order)
+    g = _grading((True, True, False), order, jval, scale)
+    return PsiSample(g * _stacked(cfg.psi, "value", x),
+                     g[..., None] * _stacked(cfg.psi, "grad", x, 1))
 
 
 def sample_fermions(cfg: FermionConfig, x: Vec4, order: int = DEFAULT_ORDER,
@@ -361,18 +371,13 @@ def sample_fermions(cfg: FermionConfig, x: Vec4, order: int = DEFAULT_ORDER,
     """Sample with nu_l -> j nu_l applied; e_l and e_r are unchanged. An
     eps jet `scale` multiplies every sampled value. x is one point or
     (N, 4)."""
-    fiber, base = _grading(order, jval, scale)
+    fiber, base = _grading((True, False), order, jval, scale)
 
-    def spinor(sp: Spinor, g: Jet):
-        vals = [g * sp[s].value(x) for s in range(2)]
-        grads = [sp[s].grad(x) for s in range(2)]
-        dv = [[g * grads[s][..., mu] for mu in range(4)] for s in range(2)]
-        return vals, dv
+    def spinor(sp: Spinor, g: Jet) -> Tuple[Jet, Jet]:
+        return g * _stacked(sp, "value", x), g * _stacked(sp, "grad", x, 1)
 
-    el, d_el = spinor(cfg.e_l, base)
-    nu, d_nu = spinor(cfg.nu_l, fiber)
-    er, d_er = spinor(cfg.e_r, base)
-    return FermionSample(el, d_el, nu, d_nu, er, d_er, order)
+    return FermionSample(*spinor(cfg.e_l, base), *spinor(cfg.nu_l, fiber),
+                         *spinor(cfg.e_r, base))
 
 
 # ---------------------------------------------------------------------------
@@ -380,62 +385,48 @@ def sample_fermions(cfg: FermionConfig, x: Vec4, order: int = DEFAULT_ORDER,
 # ---------------------------------------------------------------------------
 
 
-def phi_from_psi(ps: PsiSample, R: float) -> Tuple[List[Jet], List[List[Jet]]]:
-    """Graded doublet (phi_1, j phi_2) on the radius-R sphere and its exact
-    4-gradient, from phi_1 = r(1 + i psi_3), phi_2 = r(psi_2 + i psi_1),
-    r = R / sqrt(1 + psi^2)."""
-    v = ps.psi
-    s = 1.0 + v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    sinv = s.inv()
+def phi_from_psi(ps: PsiSample, R: float) -> Tuple[Jet, Jet]:
+    """Graded doublet phi[..., c] = (phi_1, j phi_2) on the radius-R sphere
+    and its exact 4-gradient dphi[..., c, mu], from
+    phi_1 = r(1 + i psi_3), phi_2 = r(psi_2 + i psi_1), r = R / sqrt(1 + psi^2)."""
+    v, dv = ps.psi, ps.dpsi
+    s = 1.0 + (v * v).sum(-1)
     r = R * s.inv_sqrt()
-    phi = [r * (1.0 + 1j * v[2]), r * (v[1] + 1j * v[0])]
-    dphi: List[List[Jet]] = [[], []]
-    for mu in range(4):
-        ds = 2.0 * (v[0] * ps.dpsi[0][mu] + v[1] * ps.dpsi[1][mu]
-                    + v[2] * ps.dpsi[2][mu])
-        dr = -0.5 * (r * sinv * ds)
-        dphi[0].append(dr * (1.0 + 1j * v[2]) + r * (1j * ps.dpsi[2][mu]))
-        dphi[1].append(dr * (v[1] + 1j * v[0])
-                       + r * (ps.dpsi[1][mu] + 1j * ps.dpsi[0][mu]))
-    return phi, dphi
+    unit = stack([1.0 + 1j * v[..., 2], v[..., 1] + 1j * v[..., 0]])
+    dunit = stack([1j * dv[..., 2, :], dv[..., 1, :] + 1j * dv[..., 0, :]],
+                  axis=-2)
+    ds = 2.0 * (v[..., None] * dv).sum(-2)
+    dr = -0.5 * ((r * s.inv())[..., None] * ds)
+    return (r[..., None] * unit,
+            dr[..., None, :] * unit[..., None] + r[..., None, None] * dunit)
 
 
-def phi_jacobian(psi: Sequence[Jet], R: float) -> List[List[Jet]]:
-    """d(phi_component)/d(psi_l) on the sphere, used by the chain-rule
-    oracle for the covariant derivatives."""
-    v = list(psi)
-    s = 1.0 + v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    sinv = s.inv()
+def phi_jacobian(psi: Jet, R: float) -> Jet:
+    """d(phi_c)/d(psi_l) on the sphere as jac[..., c, l], used by the
+    chain-rule oracle for the covariant derivatives."""
+    v1, v2, v3 = psi[..., 0], psi[..., 1], psi[..., 2]
+    s = 1.0 + v1 * v1 + v2 * v2 + v3 * v3
     r = R * s.inv_sqrt()
-    comps = [1.0 + 1j * v[2], v[1] + 1j * v[0]]
-    direct = [
-        [Jet.zero(v[0].order), Jet.zero(v[0].order), Jet.const(1j, v[0].order)],
-        [Jet.const(1j, v[0].order), Jet.const(1.0, v[0].order), Jet.zero(v[0].order)],
-    ]
-    jac = []
-    for c in range(2):
-        row = []
-        for l in range(3):
-            dr = -(r * v[l] * sinv)
-            row.append(dr * comps[c] + r * direct[c][l])
-        jac.append(row)
-    return jac
+    comps = stack([1.0 + 1j * v3, v2 + 1j * v1])
+    direct = np.array([[0.0, 0.0, 1j], [1j, 1.0, 0.0]])
+    dr = -((r * s.inv())[..., None] * psi)
+    return comps[..., :, None] * dr[..., None, :] + r[..., None, None] * direct
 
 
 _GEN_GRADE = {"T1": 1, "T2": 1, "T3": 0, "Y": 0}
 
 
-def generator_vector_field(which: str, v: Sequence[Jet]) -> List[Jet]:
-    """Real vector field on the sphere coordinates induced by a generator:
-    the exact pushforward of the linear action on the doublet through the
-    coordinate map. Written at j=1; grading of the inputs supplies all
-    contraction factors.
+def generator_vector_field(which: str, v: Jet) -> Jet:
+    """Real vector field X[..., k] on the sphere coordinates v[..., k]
+    induced by a generator: the exact pushforward of the linear action on
+    the doublet through the coordinate map. Written at j=1; grading of
+    the inputs supplies all contraction factors.
 
     The sign of each action is pinned by requiring the doublet-space and
     sphere-coordinate covariant derivatives to be chain-rule consistent;
     this fixes T1 and Y with the opposite sign from T2, T3 relative to a
     naive transcription of the matrix action."""
-    v1, v2, v3 = v
+    v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
     if which == "T1":
         comps = [1.0 + v1 * v1, v1 * v2 - v3, v2 + v1 * v3]
     elif which == "T2":
@@ -446,48 +437,38 @@ def generator_vector_field(which: str, v: Sequence[Jet]) -> List[Jet]:
         comps = [v2 + v1 * v3, v2 * v3 - v1, 1.0 + v3 * v3]
     else:
         raise ValueError(f"unknown generator {which!r}")
-    return [0.5 * c for c in comps]
+    return 0.5 * stack(comps)
 
 
-def generator_vector_jacobian(which: str, v: Sequence[Jet]) -> List[List[Jet]]:
-    """d(X_k)/d(v_l) for the four vector fields above."""
-    v1, v2, v3 = v
-    z = Jet.zero(v1.order)
-    one = Jet.const(1.0, v1.order)
+def generator_vector_jacobian(which: str, v: Jet) -> Jet:
+    """d(X_k)/d(v_l) as jac[..., k, l] for the four vector fields above."""
+    v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
     if which == "T1":
-        rows = [[2.0 * v1, z, z], [v2, v1, -one], [v3, one, v1]]
+        rows = [[2.0 * v1, 0.0, 0.0], [v2, v1, -1.0], [v3, 1.0, v1]]
     elif which == "T2":
-        rows = [[-v2, -v1, -one], [z, -2.0 * v2, z], [one, -v3, -v2]]
+        rows = [[-v2, -v1, -1.0], [0.0, -2.0 * v2, 0.0], [1.0, -v3, -v2]]
     elif which == "T3":
-        rows = [[v3, -one, v1], [one, v3, v2], [z, z, 2.0 * v3]]
+        rows = [[v3, -1.0, v1], [1.0, v3, v2], [0.0, 0.0, 2.0 * v3]]
     elif which == "Y":
-        rows = [[v3, one, v1], [-one, v3, v2], [z, z, 2.0 * v3]]
+        rows = [[v3, 1.0, v1], [-1.0, v3, v2], [0.0, 0.0, 2.0 * v3]]
     else:
         raise ValueError(f"unknown generator {which!r}")
-    return [[0.5 * e for e in row] for row in rows]
+    return 0.5 * stack([stack(row) for row in rows], axis=-2)
 
 
-def psi_generator_action(which: str, psi: Sequence[Jet],
-                         jval: Optional[float] = None) -> List[Jet]:
+def psi_generator_action(which: str, psi: Jet,
+                         jval: Optional[float] = None) -> Jet:
     """Action of T1, T2, T3 or Y on the graded sphere coordinates, as the
     displayed graded 3-vector: j * X for the fiber generators T1, T2."""
-    order = psi[0].order
-    j = jparam(order, jval)
     x = generator_vector_field(which, psi)
     if _GEN_GRADE[which] == 1:
-        return [j * c for c in x]
-    return list(x)
+        return jparam(psi.order, jval) * x
+    return x
 
 
 # ---------------------------------------------------------------------------
 # infinitesimal gauge transformation (pointwise)
 # ---------------------------------------------------------------------------
-
-_EPS_LC = np.zeros((3, 3, 3))
-for _p in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS_LC[_p] = 1.0
-    _EPS_LC[_p[::-1]] = -1.0
-
 
 def infinitesimal_gauge_transform(
     gs: GaugeSample,
@@ -511,73 +492,50 @@ def infinitesimal_gauge_transform(
     T_2(j)). Derivatives of the shifted fields are produced analytically,
     so invariance checks remain discretization-free.
     """
-    order = gs.order
-    fiber, base = _grading(order, jval, scale)
+    g = _grading((True, True, False, False), gs.a.order, jval, scale)
+    ev = g * _stacked(eps_cfg.eps, "value", x)
+    dev = g[..., None] * _stacked(eps_cfg.eps, "grad", x, 1)
 
-    ev, dev, hev = [], [], []
-    for a in range(4):
-        g = fiber if a < 2 else base
-        f = eps_cfg.eps[a]
-        ev.append(g * f.value(x))
-        gr = f.grad(x)
-        dev.append([g * gr[..., mu] for mu in range(4)])
-        h = f.hess(x)
-        hev.append([[g * h[..., mu, nu] for nu in range(4)] for mu in range(4)])
+    def hess_shift(a: int, coupling: float) -> Jet:
+        """-(1/coupling) d_mu d_nu eps_a, graded like eps_a."""
+        return g[..., a] * ((-1.0 / coupling) * eps_cfg.eps[a].hess(x))
 
-    # gauge sector
-    a_new = [[gs.a[k][mu] for mu in range(4)] for k in range(3)]
-    da_new = [[[gs.da[k][mu][nu] for nu in range(4)] for mu in range(4)]
-              for k in range(3)]
-    for aidx in range(3):
-        for mu in range(4):
-            delta = (-1.0 / c.g) * dev[aidx][mu]
-            for b in range(3):
-                for cc in range(3):
-                    lc = _EPS_LC[b][cc][aidx]
-                    if lc:
-                        delta = delta - lc * (ev[b] * gs.a[cc][mu])
-            a_new[aidx][mu] = gs.a[aidx][mu] + delta
-        for mu in range(4):
-            for nu in range(4):
-                ddelta = (-1.0 / c.g) * hev[aidx][mu][nu]
-                for b in range(3):
-                    for cc in range(3):
-                        lc = _EPS_LC[b][cc][aidx]
-                        if lc:
-                            ddelta = ddelta - lc * (
-                                dev[b][mu] * gs.a[cc][nu]
-                                + ev[b] * gs.da[cc][mu][nu]
-                            )
-                da_new[aidx][mu][nu] = gs.da[aidx][mu][nu] + ddelta
+    # Over a large batch every whole-component temporary here is tens of
+    # MiB, so the shifts are built one generator, one jacobian column and
+    # one su(2) direction at a time, the matter sector before the gauge
+    # sector and B last: each step then reuses memory the previous one
+    # freed (at 10,000 configurations this keeps the process peak near
+    # that of per-component lists of jets).
 
-    b_new = [gs.b[mu] + (-1.0 / c.gp) * dev[3][mu] for mu in range(4)]
-    db_new = [
-        [gs.db[mu][nu] + (-1.0 / c.gp) * hev[3][mu][nu] for nu in range(4)]
-        for mu in range(4)
-    ]
+    # matter sector, one generator a at a time
+    psi_new, dpsi_new = ps.psi, ps.dpsi
+    for a, which in enumerate(("T1", "T2", "T3", "Y")):
+        X = generator_vector_field(which, ps.psi)
+        J = generator_vector_jacobian(which, ps.psi)
+        chain = 0.0  # d_mu X_a(psi)_k = sum_l J[k, l] d_mu psi_l
+        for l in range(3):
+            chain = chain + J[..., :, l, None] * ps.dpsi[..., l, None, :]
+        psi_new = psi_new + ev[..., a, None] * X
+        dpsi_new = (dpsi_new + dev[..., a, None, :] * X[..., None]
+                    + ev[..., a, None, None] * chain)
 
-    # matter sector
-    fields = [generator_vector_field(w, ps.psi) for w in ("T1", "T2", "T3", "Y")]
-    jacs = [generator_vector_jacobian(w, ps.psi) for w in ("T1", "T2", "T3", "Y")]
-    psi_new = []
-    dpsi_new = []
-    for k in range(3):
-        val = ps.psi[k]
-        for a in range(4):
-            val = val + ev[a] * fields[a][k]
-        psi_new.append(val)
-        row = []
-        for mu in range(4):
-            d = ps.dpsi[k][mu]
-            for a in range(4):
-                chain = Jet.zero(order)
-                for l in range(3):
-                    chain = chain + jacs[a][k][l] * ps.dpsi[l][mu]
-                d = d + dev[a][mu] * fields[a][k] + ev[a] * chain
-            row.append(d)
-        dpsi_new.append(row)
+    # gauge sector, one su(2) direction a at a time: eps_{bca} = +1 for
+    # (b, e) below and -1 for (e, b)
+    a_new, da_new = [], []
+    for a in range(3):
+        b, e = (a + 1) % 3, (a + 2) % 3
+        a_new.append(gs.a[..., a, :] + (
+            (-1.0 / c.g) * dev[..., a, :]
+            - (ev[..., b, None] * gs.a[..., e, :]
+               - ev[..., e, None] * gs.a[..., b, :])))
+        da_new.append(gs.da[..., a, :, :] + (
+            hess_shift(a, c.g)
+            - (dev[..., b, :, None] * gs.a[..., e, None, :]
+               + ev[..., b, None, None] * gs.da[..., e, :, :])
+            + (dev[..., e, :, None] * gs.a[..., b, None, :]
+               + ev[..., e, None, None] * gs.da[..., b, :, :])))
 
-    return (
-        GaugeSample(a_new, da_new, b_new, db_new, order),
-        PsiSample(psi_new, dpsi_new, order),
-    )
+    a_new, da_new = stack(a_new, axis=-2), stack(da_new, axis=-3)
+    b_new = gs.b + (-1.0 / c.gp) * dev[..., 3, :]
+    db_new = gs.db + hess_shift(3, c.gp)
+    return GaugeSample(a_new, da_new, b_new, db_new), PsiSample(psi_new, dpsi_new)

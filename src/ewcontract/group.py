@@ -8,7 +8,8 @@ SU(2) formula at j=1) available as cross-checks.
 
 Angles, generator indices, algebra coefficients and doublet components
 may be arrays: the result is then a batch of elements, one per array
-element, held as jets with that batch shape.
+element, held as jets with that leading batch shape; a matrix's entries
+and a doublet's components sit on trailing batch axes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from .jets import DEFAULT_ORDER, Jet, JetMatrix2, jet_cos, jet_sin, jparam
+from .jets import DEFAULT_ORDER, Jet, JetMatrix2, jet_cos, jet_sin, jparam, stack
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -58,22 +59,12 @@ def algebra_element(
     a1: Param, a2: Param, a3: Param, order: int = DEFAULT_ORDER,
     jval: float | None = None
 ) -> AlgebraElement:
-    """General element sum_k a_k T_k(j), realized as an anti-hermitian matrix
-    with grade-1 off-diagonal and grade-0 diagonal entries."""
-    j = jparam(order, jval)
-    half_i = 0.5j
-    m = JetMatrix2(
-        [
-            [
-                Jet.const(half_i * a3, order),
-                j * (half_i * (a1 - 1j * a2)),
-            ],
-            [
-                j * (half_i * (a1 + 1j * a2)),
-                Jet.const(-half_i * a3, order),
-            ],
-        ]
-    )
+    """General element sum_k a_k T_k(j), realized as the anti-hermitian
+    matrix (i/2)(j a1 tau1 + j a2 tau2 + a3 tau3): grade-1 off-diagonal
+    and grade-0 diagonal entries."""
+    x1, x2, x3 = (np.asarray(a, dtype=float)[..., None, None] for a in (a1, a2, a3))
+    fiber = 0.5j * (x1 * PAULI[0] + x2 * PAULI[1])
+    m = JetMatrix2(jparam(order, jval) * fiber + 0.5j * x3 * PAULI[2])
     return AlgebraElement(a1, a2, a3, m)
 
 
@@ -111,19 +102,19 @@ def one_param(k: "int | np.ndarray", angle: Param, order: int = DEFAULT_ORDER,
         c = Jet.const(np.cos(jval * half), order)
         s = Jet.const(np.sin(jval * half), order)
     zero = Jet.zero(order)
-    is1, is3 = (k == 1)[..., None, None], (k == 3)[..., None, None]
+    by_k = [[[c, 1j * s], [1j * s, c]],
+            [[c, s], [-s, c]],
+            [[Jet.const(np.exp(0.5j * angle), order), zero],
+             [zero, Jet.const(np.exp(-0.5j * angle), order)]]]
+    is1, is3 = ((k == n)[..., None, None] for n in (1, 3))
 
-    def entry(t1: Jet, t2: Jet, t3: Jet) -> Jet:
-        """The entry of exp(angle T_k) for k = 1, 2 or 3, per element."""
-        return Jet(np.where(is3, t3.coeffs,
-                            np.where(is1, t1.coeffs, t2.coeffs)), order)
+    def entry(r: int, col: int) -> Jet:
+        """Entry (r, col) of exp(angle T_k) for k = 1, 2 or 3, per element."""
+        m1, m2, m3 = (np.broadcast_to(m[r][col].coeffs, c.coeffs.shape)
+                      for m in by_k)
+        return Jet(np.where(is3, m3, np.where(is1, m1, m2)), order)
 
-    return JetMatrix2([
-        [entry(c, c, Jet.const(np.exp(0.5j * angle), order)),
-         entry(1j * s, s, zero)],
-        [entry(1j * s, -s, zero),
-         entry(c, c, Jet.const(np.exp(-0.5j * angle), order))],
-    ])
+    return JetMatrix2([[entry(r, col) for col in range(2)] for r in range(2)])
 
 
 def exp_series(a1: Param, a2: Param, a3: Param, order: int = DEFAULT_ORDER,
@@ -140,7 +131,7 @@ def exp_series(a1: Param, a2: Param, a3: Param, order: int = DEFAULT_ORDER,
     for n in range(1, terms + 1):
         fact *= n
         power = power * t
-        result = result + power.scale(1.0 / fact)
+        result = result + power * (1.0 / fact)
     return result
 
 
@@ -159,18 +150,10 @@ def exp_closed_nilpotent(a1: Param, a2: Param, a3: Param,
     j = Jet.variable(order)
     a = a1 + 1j * np.asarray(a2)
     s = np.sin(a3 / 2.0)
-    return JetMatrix2(
-        [
-            [
-                Jet.const(np.exp(0.5j * a3), order),
-                j * (1j * (np.conj(a) / a3) * s),
-            ],
-            [
-                j * (1j * (a / a3) * s),
-                Jet.const(np.exp(-0.5j * a3), order),
-            ],
-        ]
-    )
+    return JetMatrix2([
+        [Jet.const(np.exp(0.5j * a3), order), j * (1j * (np.conj(a) / a3) * s)],
+        [j * (1j * (a / a3) * s), Jet.const(np.exp(-0.5j * a3), order)],
+    ])
 
 
 def exp_closed_su2(a1: float, a2: float, a3: float) -> np.ndarray:
@@ -186,19 +169,18 @@ def exp_closed_su2(a1: float, a2: float, a3: float) -> np.ndarray:
 
 def u1_element(beta: float, order: int = DEFAULT_ORDER) -> JetMatrix2:
     """U(1) hypercharge element exp(beta*Y) = diag(e^{i beta/2}, e^{i beta/2})."""
-    phase = cmath.exp(0.5j * beta)
-    return JetMatrix2.from_array([[phase, 0.0], [0.0, phase]], order)
+    return JetMatrix2(Jet.const(cmath.exp(0.5j * beta) * np.eye(2), order))
 
 
 def u1em_element(gamma: float, order: int = DEFAULT_ORDER) -> JetMatrix2:
     """Electromagnetic subgroup element exp(gamma*Q) = diag(e^{i gamma}, 1),
     with charge Q = Y + T3."""
-    return JetMatrix2.from_array([[cmath.exp(1j * gamma), 0.0], [0.0, 1.0]], order)
+    return JetMatrix2(Jet.const(np.diag([cmath.exp(1j * gamma), 1.0]), order))
 
 
 def hypercharge_matrix(order: int = DEFAULT_ORDER) -> JetMatrix2:
     """Y = (i/2) 1."""
-    return JetMatrix2.from_array([[0.5j, 0.0], [0.0, 0.5j]], order)
+    return JetMatrix2(Jet.const(0.5j * np.eye(2), order))
 
 
 @dataclass(frozen=True)
@@ -212,22 +194,23 @@ class MatterDoublet:
     order: int = DEFAULT_ORDER
 
     @property
-    def graded(self) -> Tuple[Jet, Jet]:
-        j = Jet.variable(self.order)
-        return (Jet.const(self.phi1, self.order), j * self.phi2)
+    def graded(self) -> Jet:
+        """The graded doublet on a trailing axis of 2."""
+        return stack([Jet.const(self.phi1, self.order),
+                      Jet.variable(self.order) * self.phi2])
 
 
-def hermitian_form_jets(x: Tuple[Jet, Jet], y: Tuple[Jet, Jet]) -> Jet:
-    """Invariant form on graded doublets; for graded inputs this equals
-    conj(x1)y1 + j^2 conj(x2)y2 automatically."""
-    return x[0].conjugate() * y[0] + x[1].conjugate() * y[1]
+def hermitian_form_jets(x: Jet, y: Jet) -> Jet:
+    """Invariant form on graded doublets (trailing axis of 2); for graded
+    inputs this equals conj(x1)y1 + j^2 conj(x2)y2 automatically."""
+    return (x.conjugate() * y).sum(-1)
 
 
 def hermitian_form(x: MatterDoublet, y: MatterDoublet) -> Jet:
     return hermitian_form_jets(x.graded, y.graded)
 
 
-def apply_group(u: JetMatrix2, d: MatterDoublet) -> Tuple[Jet, Jet]:
+def apply_group(u: JetMatrix2, d: MatterDoublet) -> Jet:
     """Action of a group element on the graded image of a doublet."""
     return u.apply(d.graded)
 

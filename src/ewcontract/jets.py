@@ -13,11 +13,15 @@ a density is expanded in it: field samples are multiplied by eps, and one
 evaluation yields every eps coefficient exactly (truncated Taylor
 arithmetic). Outside an expansion a jet is a polynomial in j alone.
 
-Leading batch axes hold independent jets, one per spacetime point of a
-sampled configuration, per configuration of a stack or per group element:
-every operation acts on each batch element alone and broadcasts like
-numpy, so a formula written for one point evaluates all of them at once.
-A jet without batch axes (batch shape ``()``) is the scalar case.
+Batch axes hold independent jets: leading ones per spacetime point of a
+sampled configuration, per configuration of a stack or per group element,
+and trailing ones per field component (a gauge sample's ``a[..., k, mu]``,
+a 2x2 matrix's entries). Every operation acts on each batch element alone
+and broadcasts like numpy; indexing, :meth:`Jet.sum` and
+:meth:`Jet.swapaxes` act on the batch axes only, so a component formula
+is a few broadcast products and contractions, and a formula written for
+one point evaluates all of them at once. A jet without batch axes (batch
+shape ``()``) is the scalar case.
 
 Arithmetic is exact truncated-ring arithmetic over complex coefficients.
 Values are immutable; every operation returns a fresh Jet.
@@ -36,10 +40,13 @@ DEFAULT_ORDER = 4
 #: coefficient-wise tolerance for jet equality checks (floating drift only)
 EQ_TOL = 1e-12
 
-#: bytes of one gathered operand of a batched product; larger temporaries
-#: are handed back to the OS by the C allocator when freed and page-fault
-#: again on every product
-_PRODUCT_CHUNK_BYTES = 1 << 16
+#: target bytes of one gathered operand of a batched product, whose terms
+#: are split into chunks of about this size: larger temporaries are handed
+#: back to the OS by the C allocator when freed and page-fault again on
+#: every product. A chunk never splits a term, so an operand can exceed
+#: the target: the largest term of j**8 eps**6 has 63 pairs, 252 KiB over
+#: 256 batch elements (16 points by a 4x4 block)
+_PRODUCT_CHUNK_BYTES = 1 << 17
 
 Scalar = Union[int, float, complex]
 
@@ -139,6 +146,28 @@ class Jet:
         c = self.coeffs
         return self._new(c.reshape((-1,) + c.shape[-2:]).mean(axis=0))
 
+    def __getitem__(self, key) -> "Jet":
+        """Batch elements, indexed like numpy (ints, slices, ``...``,
+        ``None`` and index arrays) over the batch axes only."""
+        key = key if isinstance(key, tuple) else (key,)
+        if not any(k is Ellipsis for k in key):
+            key += (Ellipsis,)
+        return self._new(self.coeffs[key + (slice(None), slice(None))])
+
+    def _batch_axes(self, axis: "int | Tuple[int, ...]") -> Tuple[int, ...]:
+        """Batch axes as non-negative axes of the coefficient array."""
+        axes = np.arange(len(self.batch_shape))[np.ravel(axis)]
+        return tuple(axes.tolist())
+
+    def sum(self, axis: "int | Tuple[int, ...]" = -1) -> "Jet":
+        """Sum over one batch axis or a tuple of them."""
+        return self._new(self.coeffs.sum(axis=self._batch_axes(axis)))
+
+    def swapaxes(self, a: int, b: int) -> "Jet":
+        """Interchange two batch axes."""
+        a, b = self._batch_axes((a, b))
+        return self._new(np.swapaxes(self.coeffs, a, b))
+
     # -- ring operations ----------------------------------------------
 
     def _lift(self, other: "Jet | Scalar | np.ndarray") -> np.ndarray:
@@ -170,15 +199,31 @@ class Jet:
         coeffs.setflags(write=False)
         return Jet(coeffs, coeffs.shape[-2] - 1, coeffs.shape[-1] - 1)
 
+    def _combined(self, other: "Jet | Scalar | np.ndarray", op) -> "Jet":
+        """np.add or np.subtract of coefficients; an operand without eps
+        terms lands in the eps**0 column in place (a zero-padded copy of
+        it would be one more temporary the size of the result)."""
+        a, b = self.coeffs, self._lift(other)
+        if a.shape[-2] != b.shape[-2]:
+            raise ValueError(f"incompatible truncation orders "
+                             f"{a.shape[-2] - 1} != {b.shape[-2] - 1}")
+        if a.shape[-1] == b.shape[-1]:
+            return self._new(op(a, b))
+        width = _product_width(a.shape[-1], b.shape[-1])
+        out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+                       + (width,), dtype=complex)
+        out[..., :a.shape[-1]] = a
+        narrow = out[..., :b.shape[-1]]
+        op(narrow, b, out=narrow)
+        return self._new(out)
+
     def __add__(self, other: "Jet | Scalar | np.ndarray") -> "Jet":
-        a, b = self._aligned(other)
-        return self._new(a + b)
+        return self._combined(other, np.add)
 
     __radd__ = __add__
 
     def __sub__(self, other: "Jet | Scalar | np.ndarray") -> "Jet":
-        a, b = self._aligned(other)
-        return self._new(a - b)
+        return self._combined(other, np.subtract)
 
     def __rsub__(self, other: "Scalar | np.ndarray") -> "Jet":
         return -self + other
@@ -349,6 +394,23 @@ def _widen(coeffs: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
+def stack(items: Sequence["Jet | Scalar"], axis: int = -1) -> Jet:
+    """Jets (or numbers, as constant jets) stacked on a new batch axis,
+    their batch shapes broadcast; a jet without eps terms is zero-padded to
+    the others' eps truncation, as arithmetic does."""
+    first = next(x for x in items if isinstance(x, Jet))
+    coeffs = [first._lift(x) for x in items]
+    rows = {c.shape[-2] for c in coeffs}
+    if len(rows) != 1:
+        raise ValueError(f"incompatible truncation orders {sorted(rows)}")
+    width = functools.reduce(_product_width, (c.shape[-1] for c in coeffs))
+    batch = np.broadcast_shapes(*(c.shape[:-2] for c in coeffs))
+    shape = batch + (rows.pop(), width)
+    out = np.stack([np.broadcast_to(_widen(c, width), shape) for c in coeffs],
+                   axis=np.arange(len(batch) + 1)[axis])
+    return first._new(out)
+
+
 def jparam(order: int = DEFAULT_ORDER, jval: float | None = None) -> Jet:
     """The contraction parameter as a jet: the formal variable j by default,
     or a plain number (an untruncated numeric-j run) when jval is given."""
@@ -358,84 +420,63 @@ def jparam(order: int = DEFAULT_ORDER, jval: float | None = None) -> Jet:
 
 
 class JetMatrix2:
-    """2x2 matrix over jets: group elements, algebra elements, gauge fields."""
+    """2x2 matrices over jets: group elements, algebra elements, gauge
+    fields. One jet holds the entries on its trailing (2, 2) batch axes,
+    after any batch axes of its own."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("jet",)
 
-    def __init__(self, entries: Sequence[Sequence[Jet]]):
-        (a, b), (c, d) = entries
-        orders = {a.order, b.order, c.order, d.order}
-        if len(orders) != 1:
-            raise ValueError("matrix entries must share a truncation order")
-        self.entries = ((a, b), (c, d))
-
-    @classmethod
-    def from_array(cls, arr, order: int = DEFAULT_ORDER) -> "JetMatrix2":
-        """Build from a 2x2 array of plain numbers."""
-        return cls([[Jet.const(arr[r][c], order) for c in range(2)] for r in range(2)])
+    def __init__(self, entries: "Jet | Sequence[Sequence[Jet]]"):
+        if not isinstance(entries, Jet):
+            entries = stack([stack(row) for row in entries], axis=-2)
+        if entries.batch_shape[-2:] != (2, 2):
+            raise ValueError("a jet matrix needs trailing (2, 2) batch axes")
+        self.jet = entries
 
     @classmethod
     def identity(cls, order: int = DEFAULT_ORDER) -> "JetMatrix2":
-        one, zero = Jet.const(1.0, order), Jet.zero(order)
-        return cls([[one, zero], [zero, one]])
+        return cls(Jet.const(np.eye(2), order))
 
     @classmethod
     def zero(cls, order: int = DEFAULT_ORDER) -> "JetMatrix2":
-        z = Jet.zero(order)
-        return cls([[z, z], [z, z]])
+        return cls(Jet.const(np.zeros((2, 2)), order))
 
     @property
     def order(self) -> int:
-        return self.entries[0][0].order
+        return self.jet.order
 
-    def __getitem__(self, idx):
+    def __getitem__(self, idx) -> Jet:
         r, c = idx
-        return self.entries[r][c]
+        return self.jet[..., r, c]
 
     def __add__(self, other: "JetMatrix2") -> "JetMatrix2":
-        return JetMatrix2(
-            [[self[r, c] + other[r, c] for c in range(2)] for r in range(2)]
-        )
+        return JetMatrix2(self.jet + other.jet)
 
     def __sub__(self, other: "JetMatrix2") -> "JetMatrix2":
-        return JetMatrix2(
-            [[self[r, c] - other[r, c] for c in range(2)] for r in range(2)]
-        )
+        return JetMatrix2(self.jet - other.jet)
 
     def __neg__(self) -> "JetMatrix2":
-        return JetMatrix2([[-self[r, c] for c in range(2)] for r in range(2)])
+        return JetMatrix2(-self.jet)
 
-    def __mul__(self, other):
+    def __mul__(self, other: "JetMatrix2 | Jet | Scalar") -> "JetMatrix2":
+        """Matrix product, or every entry times a jet or a number."""
         if isinstance(other, JetMatrix2):
-            return JetMatrix2(
-                [
-                    [self[r, 0] * other[0, c] + self[r, 1] * other[1, c]
-                     for c in range(2)]
-                    for r in range(2)
-                ]
-            )
-        return self.scale(other)
+            a, b = self.jet, other.jet
+            return JetMatrix2(a[..., :, 0, None] * b[..., None, 0, :]
+                              + a[..., :, 1, None] * b[..., None, 1, :])
+        if isinstance(other, Jet):
+            other = other[..., None, None]
+        return JetMatrix2(self.jet * other)
 
-    def __rmul__(self, other) -> "JetMatrix2":
-        return self.scale(other)
+    def __rmul__(self, other: "Jet | Scalar") -> "JetMatrix2":
+        return self * other
 
-    def scale(self, s: "Jet | Scalar") -> "JetMatrix2":
-        return JetMatrix2([[self[r, c] * s for c in range(2)] for r in range(2)])
-
-    def apply(self, vec: Sequence[Jet]) -> tuple:
-        """Matrix-vector product on a jet 2-vector."""
-        return (
-            self[0, 0] * vec[0] + self[0, 1] * vec[1],
-            self[1, 0] * vec[0] + self[1, 1] * vec[1],
-        )
+    def apply(self, vec: Jet) -> Jet:
+        """Matrix-vector product on a jet 2-vector (trailing axis 2)."""
+        return (self.jet * vec[..., None, :]).sum(-1)
 
     def dagger(self) -> "JetMatrix2":
-        return JetMatrix2(
-            [
-                [self[0, 0].conjugate(), self[1, 0].conjugate()],
-                [self[0, 1].conjugate(), self[1, 1].conjugate()],
-            ]
-        )
+        return JetMatrix2(self.jet.swapaxes(-1, -2).conjugate())
 
     def det(self) -> Jet:
         return self[0, 0] * self[1, 1] - self[0, 1] * self[1, 0]
@@ -447,17 +488,13 @@ class JetMatrix2:
         return self * other - other * self
 
     def allclose(self, other: "JetMatrix2", tol: float = EQ_TOL) -> bool:
-        return all(
-            self[r, c].allclose(other[r, c], tol) for r in range(2) for c in range(2)
-        )
+        return self.jet.allclose(other.jet, tol)
 
     def max_abs_diff(self, other: "JetMatrix2") -> float:
-        return max(
-            self[r, c].max_abs_diff(other[r, c]) for r in range(2) for c in range(2)
-        )
+        return self.jet.max_abs_diff(other.jet)
 
     def __repr__(self) -> str:
-        return f"JetMatrix2({self.entries!r})"
+        return f"JetMatrix2({self.jet!r})"
 
 
 def _series(x: "float | np.ndarray", order: int, first: int) -> Jet:

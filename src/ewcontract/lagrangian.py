@@ -9,7 +9,9 @@ sector on its own calls that sector's density.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Tuple
+
+import numpy as np
 
 from .fields import (
     Couplings,
@@ -19,10 +21,21 @@ from .fields import (
     generator_vector_field,
     phi_from_psi,
 )
-from .jets import Jet, JetMatrix2
+from .jets import Jet, JetMatrix2, stack
 from .group import PAULI
 
-TAU = PAULI  # Pauli matrices; tau_0 = identity implicitly
+#: sigma^mu[t, s] as [t, s, mu]: (1, tau_1, tau_2, tau_3); its tilde
+#: form flips the sign of the spatial matrices
+_SIGMA = np.stack((np.eye(2),) + PAULI, axis=-1)
+_SIGMA_TILDE = _SIGMA * np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _su2_matrix(x: Jet, axis: int) -> Jet:
+    """(i/2) sum_k x^k tau_k from the constant Pauli matrices: the su(2)
+    component axis `axis` of x (negative, counted among its batch axes)
+    becomes trailing (2, 2) matrix axes."""
+    tau = np.stack(PAULI).reshape((3,) + (1,) * (-axis - 1) + (2, 2))
+    return 0.5j * (x[..., None, None] * tau).sum(axis - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -30,11 +43,11 @@ TAU = PAULI  # Pauli matrices; tau_0 = identity implicitly
 # ---------------------------------------------------------------------------
 
 
-def stress_tensors(gs: GaugeSample,
-                   c: Couplings) -> Tuple[List[List[List[Jet]]], List[List[Jet]]]:
-    """(F, B): F[k][mu][nu] = dA^k - dA^k + g(A^l A^m - A^m A^l) for
-    (k, l, m) = (1, 3, 2) and cyclic, graded and antisymmetric, and the
-    abelian B[mu][nu] = dB - dB.
+def stress_tensors(gs: GaugeSample, c: Couplings, k: "int | np.ndarray") -> Jet:
+    """F^k[..., mu, nu] = dA^k - dA^k + g(A^l A^m - A^m A^l) for
+    (k, l, m) = (1, 3, 2) and cyclic, graded and antisymmetric, for one
+    su(2) direction k (0-based), or for an index array of them on an axis
+    before mu, nu.
 
     The quadratic sign is fixed by the matrix definition
     F = dA - dA + [A, A] together with the commutation table
@@ -43,92 +56,40 @@ def stress_tensors(gs: GaugeSample,
     over graded samples: the j^2 on the quadratic part of F^3 appears
     because A^1, A^2 carry grade 1.
     """
-    a, da = gs.a, gs.da
-    F = [
-        [
-            [da[k][mu][nu] - da[k][nu][mu]
-             + c.g * (a[l][mu] * a[m][nu] - a[m][mu] * a[l][nu])
-             for nu in range(4)]
-            for mu in range(4)
-        ]
-        for k, (l, m) in enumerate(((2, 1), (0, 2), (1, 0)))
-    ]
-    B = [[gs.db[mu][nu] - gs.db[nu][mu] for nu in range(4)] for mu in range(4)]
-    return F, B
+    k = np.asarray(k)
+    half = gs.da[..., k, :, :] + (
+        (c.g * gs.a[..., (k + 2) % 3, :, None]) * gs.a[..., (k + 1) % 3, None, :])
+    return half - half.swapaxes(-1, -2)
 
 
 def lagrangian_gauge(gs: GaugeSample, c: Couplings) -> Jet:
-    """-1/4 sum_k (F^k)^2 - 1/4 B^2 (component form, normative)."""
-    F, B = stress_tensors(gs, c)
-    order = gs.order
-    su2 = Jet.zero(order)
-    u1 = Jet.zero(order)
-    for mu in range(4):
-        for nu in range(4):
-            for k in range(3):
-                su2 = su2 + F[k][mu][nu] * F[k][mu][nu]
-            u1 = u1 + B[mu][nu] * B[mu][nu]
-    return -0.25 * su2 - 0.25 * u1
+    """-1/4 sum_k (F^k)^2 - 1/4 B^2 (component form, normative), one su(2)
+    direction at a time: the whole (..., 3, 4, 4) field strength is never
+    held (at the expand command's 16 points and order 8 it would raise
+    the process's peak memory by about a tenth)."""
+    total = 0.0
+    for k in range(3):
+        F = stress_tensors(gs, c, k)
+        total = total + (F * F).sum((-2, -1))
+    B = gs.db - gs.db.swapaxes(-1, -2)
+    return -0.25 * (total + (B * B).sum((-2, -1)))
 
 
 def lagrangian_gauge_trace(gs: GaugeSample, c: Couplings) -> Jet:
     """Trace-form oracle: (1/2g^2) tr F^2 + (1/2g'^2) tr Bhat^2.
 
     The matrix field strength is assembled from the connection matrices
-    themselves, F = dA - dA + [A, A], so this route is independent of the
-    component formulas in stress_tensors."""
-    order = gs.order
-    half_i = 0.5j
-
-    def amat(mu: int) -> JetMatrix2:
-        return JetMatrix2(
-            [
-                [
-                    half_i * c.g * gs.a[2][mu],
-                    half_i * c.g * (gs.a[0][mu] - 1j * gs.a[1][mu]),
-                ],
-                [
-                    half_i * c.g * (gs.a[0][mu] + 1j * gs.a[1][mu]),
-                    -half_i * c.g * gs.a[2][mu],
-                ],
-            ]
-        )
-
-    total = Jet.zero(order)
-    amats = [amat(mu) for mu in range(4)]
-    for mu in range(4):
-        for nu in range(4):
-            curl = JetMatrix2(
-                [
-                    [
-                        half_i * c.g * (gs.da[2][mu][nu] - gs.da[2][nu][mu]),
-                        half_i
-                        * c.g
-                        * (
-                            (gs.da[0][mu][nu] - gs.da[0][nu][mu])
-                            - 1j * (gs.da[1][mu][nu] - gs.da[1][nu][mu])
-                        ),
-                    ],
-                    [
-                        half_i
-                        * c.g
-                        * (
-                            (gs.da[0][mu][nu] - gs.da[0][nu][mu])
-                            + 1j * (gs.da[1][mu][nu] - gs.da[1][nu][mu])
-                        ),
-                        -half_i * c.g * (gs.da[2][mu][nu] - gs.da[2][nu][mu]),
-                    ],
-                ]
-            )
-            fmat = curl + amats[mu].commutator(amats[nu])
-            bval = c.gp * half_i * (gs.db[mu][nu] - gs.db[nu][mu])
-            bsq = bval * bval
-            total = (
-                total
-                + (0.5 / c.g**2) * (fmat * fmat).trace()
-                + (0.5 / c.gp**2) * (bsq + bsq)
-            )
-    return total
+    g (i/2) A^k tau_k themselves, F = dA - dA + [A, A], so this route is
+    independent of the component formulas in stress_tensors."""
+    amat = JetMatrix2(c.g * _su2_matrix(gs.a, -2))  # [..., mu]
+    a_mu = JetMatrix2(amat.jet[..., :, None, :, :])
+    a_nu = JetMatrix2(amat.jet[..., None, :, :, :])
+    curl = JetMatrix2(c.g * _su2_matrix(gs.da - gs.da.swapaxes(-1, -2), -3))
+    fmat = curl + a_mu.commutator(a_nu)
+    bval = c.gp * 0.5j * (gs.db - gs.db.swapaxes(-1, -2))
+    bsq = bval * bval
+    return ((0.5 / c.g**2) * (fmat * fmat).trace()
+            + (0.5 / c.gp**2) * (bsq + bsq)).sum((-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -136,66 +97,33 @@ def lagrangian_gauge_trace(gs: GaugeSample, c: Couplings) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-def covariant_derivative_phi(
-    phi: Sequence[Jet], dphi: Sequence[Sequence[Jet]], gs: GaugeSample, c: Couplings
-) -> List[List[Jet]]:
-    """Component form:
+def covariant_derivative_phi(phi: Jet, dphi: Jet, gs: GaugeSample,
+                             c: Couplings) -> Jet:
+    """Component form, D phi[..., comp, mu]:
       D phi_1 = d phi_1 + (i/2)(g A^3 + g' B) phi_1 + (ig/2)(A^1 - iA^2) phi_2
       D phi_2 = d phi_2 - (i/2)(g A^3 - g' B) phi_2 + (ig/2)(A^1 + iA^2) phi_1
     over graded values (the first mixing term is then grade 2)."""
-    out: List[List[Jet]] = [[], []]
-    for mu in range(4):
-        a1, a2, a3, b = gs.a[0][mu], gs.a[1][mu], gs.a[2][mu], gs.b[mu]
-        out[0].append(
-            dphi[0][mu]
-            + 0.5j * ((c.g * a3 + c.gp * b) * phi[0])
-            + 0.5j * c.g * ((a1 - 1j * a2) * phi[1])
-        )
-        out[1].append(
-            dphi[1][mu]
-            - 0.5j * ((c.g * a3 - c.gp * b) * phi[1])
-            + 0.5j * c.g * ((a1 + 1j * a2) * phi[0])
-        )
-    return out
+    a1, a2, a3 = gs.a[..., 0, :], gs.a[..., 1, :], gs.a[..., 2, :]
+    p1, p2 = phi[..., 0, None], phi[..., 1, None]
+    return dphi + 0.5j * stack([
+        (c.g * a3 + c.gp * gs.b) * p1 + c.g * ((a1 - 1j * a2) * p2),
+        -((c.g * a3 - c.gp * gs.b) * p2) + c.g * ((a1 + 1j * a2) * p1),
+    ], axis=-2)
 
 
-def covariant_derivative_phi_matrix(
-    phi: Sequence[Jet], dphi: Sequence[Sequence[Jet]], gs: GaugeSample, c: Couplings
-) -> List[List[Jet]]:
-    """Matrix-action oracle: D phi = d phi + (g sum_k T_k A^k + g' Y B) phi."""
-    order = gs.order
-    out: List[List[Jet]] = [[], []]
-    half_i = 0.5j
-    for mu in range(4):
-        m = JetMatrix2(
-            [
-                [
-                    half_i * (c.g * gs.a[2][mu] + c.gp * gs.b[mu]),
-                    half_i * c.g * (gs.a[0][mu] - 1j * gs.a[1][mu]),
-                ],
-                [
-                    half_i * c.g * (gs.a[0][mu] + 1j * gs.a[1][mu]),
-                    half_i * (-c.g * gs.a[2][mu] + c.gp * gs.b[mu]),
-                ],
-            ]
-        )
-        acted = m.apply((phi[0], phi[1]))
-        out[0].append(dphi[0][mu] + acted[0])
-        out[1].append(dphi[1][mu] + acted[1])
-    return out
+def covariant_derivative_phi_matrix(phi: Jet, dphi: Jet, gs: GaugeSample,
+                                    c: Couplings) -> Jet:
+    """Matrix-action oracle: D phi = d phi + (g sum_k T_k A^k + g' Y B) phi,
+    with T_k = (i/2) tau_k and Y = (i/2) 1."""
+    m = JetMatrix2(c.g * _su2_matrix(gs.a, -2)
+                   + (0.5j * c.gp) * (gs.b[..., None, None] * np.eye(2)))
+    return dphi + m.apply(phi[..., None, :]).swapaxes(-1, -2)
 
 
-def lagrangian_phi(
-    phi: Sequence[Jet], dphi: Sequence[Sequence[Jet]], gs: GaugeSample, c: Couplings
-) -> Jet:
+def lagrangian_phi(phi: Jet, dphi: Jet, gs: GaugeSample, c: Couplings) -> Jet:
     """(1/2) (D_mu phi)^dagger D_mu phi, no potential term."""
     d = covariant_derivative_phi(phi, dphi, gs, c)
-    order = gs.order
-    total = Jet.zero(order)
-    for mu in range(4):
-        for comp in range(2):
-            total = total + d[comp][mu].conjugate() * d[comp][mu]
-    return 0.5 * total
+    return 0.5 * (d.conjugate() * d).sum((-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -203,72 +131,43 @@ def lagrangian_phi(
 # ---------------------------------------------------------------------------
 
 
-def metric_tensor(psi: Sequence[Jet]) -> List[List[Jet]]:
-    """Sphere metric in intrinsic coordinates:
-    g_kl = [(1 + psi^2) delta_kl - psi_k psi_l] / (1 + psi^2)^2,
-    evaluated on graded values (reproducing the displayed j-pattern)."""
-    v = list(psi)
-    s = 1.0 + v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    denom = (s * s).inv()
-    out = []
-    for k in range(3):
-        row = []
-        for l in range(3):
-            num = -(v[k] * v[l])
-            if k == l:
-                num = num + s
-            row.append(num * denom)
-        out.append(row)
-    return out
-
-
-def covariant_derivative_psi(ps: PsiSample, gs: GaugeSample,
-                             c: Couplings) -> List[List[Jet]]:
+def covariant_derivative_psi(ps: PsiSample, gs: GaugeSample, c: Couplings) -> Jet:
     """D_mu psi_k = d_mu psi_k + g sum_a X_a(psi)_k A^a_mu + g' X_Y(psi)_k B_mu
-    with the generator vector fields X (component form, normative)."""
-    xs = [generator_vector_field(w, ps.psi) for w in ("T1", "T2", "T3")]
-    xy = generator_vector_field("Y", ps.psi)
-    out: List[List[Jet]] = []
-    for k in range(3):
-        row = []
-        for mu in range(4):
-            d = ps.dpsi[k][mu]
-            for a in range(3):
-                d = d + c.g * (xs[a][k] * gs.a[a][mu])
-            d = d + c.gp * (xy[k] * gs.b[mu])
-            row.append(d)
-        out.append(row)
-    return out
+    as D[..., k, mu], with the generator vector fields X (component form,
+    normative), one generator at a time."""
+    ga, gb = c.g * gs.a, c.gp * gs.b
+    d = ps.dpsi
+    for a, which in enumerate(("T1", "T2", "T3", "Y")):
+        field = ga[..., a, :] if a < 3 else gb
+        d = d + generator_vector_field(which, ps.psi)[..., None] * field[..., None, :]
+    return d
 
 
 def lagrangian_psi(ps: PsiSample, gs: GaugeSample, c: Couplings) -> Jet:
-    """(R^2/2) sum_kl g_kl D psi_k D psi_l (metric form, normative); the
-    closed rational form lagrangian_psi_closed must agree grade-wise."""
+    """(R^2/2) sum_kl g_kl D psi_k D psi_l (metric form, normative) with the
+    sphere metric in intrinsic coordinates
+    g_kl = [(1 + psi^2) delta_kl - psi_k psi_l] / (1 + psi^2)^2,
+    evaluated on graded values (reproducing the displayed j-pattern) and
+    contracted one metric row at a time; the closed rational form
+    lagrangian_psi_closed must agree grade-wise."""
     d = covariant_derivative_psi(ps, gs, c)
-    g_kl = metric_tensor(ps.psi)
-    order = ps.order
-    total = Jet.zero(order)
-    for mu in range(4):
-        for k in range(3):
-            for l in range(3):
-                total = total + g_kl[k][l] * d[k][mu] * d[l][mu]
-    return 0.5 * c.R**2 * total
+    v = ps.psi
+    s = 1.0 + (v * v).sum(-1)
+    total = 0.0
+    for k in range(3):
+        row = s[..., None] * np.eye(3)[k] - v[..., k, None] * v  # (1 + psi^2)^2 g_kl
+        total = total + ((row[..., None] * d).sum(-2) * d[..., k, :]).sum(-1)
+    return 0.5 * c.R**2 * (total * (s * s).inv())
 
 
 def lagrangian_psi_closed(ps: PsiSample, gs: GaugeSample, c: Couplings) -> Jet:
     """Closed form: R^2 [(1+psi^2)(D psi)^2 - (psi . D psi)^2] / (2 (1+psi^2)^2)."""
     d = covariant_derivative_psi(ps, gs, c)
     v = ps.psi
-    order = ps.order
-    s = 1.0 + v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    dsq = Jet.zero(order)
-    proj = Jet.zero(order)
-    for mu in range(4):
-        dot = v[0] * d[0][mu] + v[1] * d[1][mu] + v[2] * d[2][mu]
-        proj = proj + dot * dot
-        for k in range(3):
-            dsq = dsq + d[k][mu] * d[k][mu]
-    return 0.5 * c.R**2 * ((s * dsq - proj) * (s * s).inv())
+    s = 1.0 + (v * v).sum(-1)
+    dot = (v[..., None] * d).sum(-2)
+    dsq = (d * d).sum((-2, -1))
+    return 0.5 * c.R**2 * ((s * dsq - (dot * dot).sum(-1)) * (s * s).inv())
 
 
 # ---------------------------------------------------------------------------
@@ -276,52 +175,37 @@ def lagrangian_psi_closed(ps: PsiSample, gs: GaugeSample, c: Couplings) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-def _spinor_bilinear(x: Sequence[Jet], y: Sequence[Jet]) -> Jet:
-    """x^dagger y over the 2 Lorentz-spinor components."""
-    return x[0].conjugate() * y[0] + x[1].conjugate() * y[1]
+def _spinor_bilinear(x: Jet, y: Jet) -> Jet:
+    """x^dagger y over the trailing 2 Lorentz-spinor components."""
+    return (x.conjugate() * y).sum(-1)
 
 
-def _tau_apply(mu: int, spinor: Sequence[Jet], sign: float) -> List[Jet]:
-    """tau_mu (sign=+1) or tilde-tau_mu (sign=-1 on the spatial matrices)."""
-    if mu == 0:
-        return list(spinor)
-    m = TAU[mu - 1]
-    factor = sign
-    return [
-        factor * (m[0][0] * spinor[0] + m[0][1] * spinor[1]),
-        factor * (m[1][0] * spinor[0] + m[1][1] * spinor[1]),
-    ]
+def _kinetic(spinor: Jet, d: Jet, sigma: np.ndarray) -> Jet:
+    """i spinor^dagger sigma^mu D_mu spinor, summed over mu, for the
+    covariant derivative d[..., s, mu]."""
+    acted = (d[..., None, :, :] * sigma).sum(-2)  # [..., t, mu]
+    return 1j * (spinor.conjugate()[..., None] * acted).sum((-2, -1))
 
 
 def covariant_derivative_doublet(fs: FermionSample, gs: GaugeSample,
-                                 c: Couplings) -> Tuple[List[List[Jet]], List[List[Jet]]]:
-    """Covariant derivative of the lepton doublet (e_l, nu): each Lorentz
-    spinor component is an SU(2) doublet, acted on exactly like the scalar
-    doublet."""
-    del_out: List[List[Jet]] = []
-    dnu_out: List[List[Jet]] = []
-    for s in range(2):
-        d_el, d_nu = covariant_derivative_phi(
-            (fs.el[s], fs.nu[s]), (fs.d_el[s], fs.d_nu[s]), gs, c
-        )
-        del_out.append(d_el)
-        dnu_out.append(d_nu)
-    return del_out, dnu_out
+                                 c: Couplings) -> Tuple[Jet, Jet]:
+    """Covariant derivative of the lepton doublet (e_l, nu) as
+    (D e_l[..., s, mu], D nu[..., s, mu]): each Lorentz spinor component s
+    is an SU(2) doublet, acted on exactly like the scalar doublet."""
+    per_s = [covariant_derivative_phi(
+        stack([fs.el[..., s], fs.nu[..., s]]),
+        stack([fs.d_el[..., s, :], fs.d_nu[..., s, :]], axis=-2), gs, c)
+        for s in range(2)]
+    return tuple(stack([d[..., comp, :] for d in per_s], axis=-2)
+                 for comp in range(2))
 
 
-def yukawa_matrix_form(phi: Sequence[Jet], fs: FermionSample, h_e: float) -> Jet:
+def yukawa_matrix_form(phi: Jet, fs: FermionSample, h_e: float) -> Jet:
     """h_e [ e_r^dagger (phi^dagger L_l) + (L_l^dagger phi) e_r ] with the
     SU(2) convolution (phi^dagger L_l) = conj(phi_1) e_l + conj(phi_2) nu."""
-    order = phi[0].order
-    inner = [
-        phi[0].conjugate() * fs.el[s] + phi[1].conjugate() * fs.nu[s]
-        for s in range(2)
-    ]
-    total = Jet.zero(order)
-    for s in range(2):
-        total = total + fs.er[s].conjugate() * inner[s]
-        total = total + inner[s].conjugate() * fs.er[s]
-    return h_e * total
+    conj = phi.conjugate()
+    inner = conj[..., 0, None] * fs.el + conj[..., 1, None] * fs.nu
+    return h_e * (_spinor_bilinear(fs.er, inner) + _spinor_bilinear(inner, fs.er))
 
 
 def yukawa_expanded_form(ps: PsiSample, fs: FermionSample, c: Couplings) -> Jet:
@@ -331,8 +215,7 @@ def yukawa_expanded_form(ps: PsiSample, fs: FermionSample, c: Couplings) -> Jet:
         + i psi_1 (nu+ e_r - e_r+ nu) + psi_2 (nu+ e_r + e_r+ nu) }
     in graded variables (the nu terms then carry grade 2)."""
     v = ps.psi
-    s = 1.0 + v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    pref = c.h_e * c.R * s.inv_sqrt()
+    pref = c.h_e * c.R * (1.0 + (v * v).sum(-1)).inv_sqrt()
     er_el = _spinor_bilinear(fs.er, fs.el)
     el_er = _spinor_bilinear(fs.el, fs.er)
     nu_er = _spinor_bilinear(fs.nu, fs.er)
@@ -340,9 +223,9 @@ def yukawa_expanded_form(ps: PsiSample, fs: FermionSample, c: Couplings) -> Jet:
     bracket = (
         er_el
         + el_er
-        + 1j * (v[2] * (el_er - er_el))
-        + 1j * (v[0] * (nu_er - er_nu))
-        + v[1] * (nu_er + er_nu)
+        + 1j * (v[..., 2] * (el_er - er_el))
+        + 1j * (v[..., 0] * (nu_er - er_nu))
+        + v[..., 1] * (nu_er + er_nu)
     )
     return pref * bracket
 
@@ -357,27 +240,16 @@ def fermion_mass_identity(ps: PsiSample, fs: FermionSample,
     return lhs, rhs
 
 
-def lagrangian_fermion(fs: FermionSample, phi: Sequence[Jet], gs: GaugeSample,
+def lagrangian_fermion(fs: FermionSample, phi: Jet, gs: GaugeSample,
                        c: Couplings) -> Jet:
     """Kinetic terms L_l+ i tilde-tau_mu D_mu L_l + e_r+ i tau_mu D_mu e_r
     plus the Yukawa term -h_e[...], all graded."""
-    order = gs.order
     d_el, d_nu = covariant_derivative_doublet(fs, gs, c)
-    kinetic_l = Jet.zero(order)
-    for mu in range(4):
-        for comp, dcomp in ((fs.el, d_el), (fs.nu, d_nu)):
-            dvec = [dcomp[0][mu], dcomp[1][mu]]
-            acted = _tau_apply(mu, dvec, -1.0)
-            kinetic_l = kinetic_l + 1j * _spinor_bilinear(comp, acted)
-    kinetic_r = Jet.zero(order)
-    for mu in range(4):
-        dvec = [
-            fs.d_er[s][mu] + 1j * c.gp * (gs.b[mu] * fs.er[s]) for s in range(2)
-        ]
-        acted = _tau_apply(mu, dvec, 1.0)
-        kinetic_r = kinetic_r + 1j * _spinor_bilinear(fs.er, acted)
-    yukawa = -1.0 * yukawa_matrix_form(phi, fs, c.h_e)
-    return kinetic_l + kinetic_r + yukawa
+    d_er = fs.d_er + 1j * c.gp * (gs.b[..., None, :] * fs.er[..., None])
+    kinetic = (_kinetic(fs.el, d_el, _SIGMA_TILDE)
+               + _kinetic(fs.nu, d_nu, _SIGMA_TILDE)
+               + _kinetic(fs.er, d_er, _SIGMA))
+    return kinetic - yukawa_matrix_form(phi, fs, c.h_e)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .fields import (
     stack_configs,
 )
 from .group import generator, hermitian_form_jets
-from .jets import DEFAULT_ORDER, Jet, jparam
+from .jets import DEFAULT_ORDER, Jet, jparam, stack
 from .lagrangian import (
     lagrangian_bosonic,
     lagrangian_fermion,
@@ -105,7 +105,7 @@ def epsilon_expand(evaluator: Callable[[Jet], Jet], n: int,
 
 @dataclass
 class PhysicalFields:
-    """W+-, Z and A 4-vectors at a point, as graded jet values.
+    """W+-, Z and A 4-vectors [..., mu], as graded jet values.
 
     The linear combinations diagonalize the quadratic Lagrangian of this
     package's (pushforward-consistent) conventions: the massive neutral
@@ -113,54 +113,38 @@ class PhysicalFields:
     one to g' A^3 - g B. W+- carry grade 1, Z and A grade 0.
     """
 
-    wplus: List[Jet]
-    wminus: List[Jet]
-    z: List[Jet]
-    a: List[Jet]
+    wplus: Jet
+    wminus: Jet
+    z: Jet
+    a: Jet
 
 
 def physical_fields(gs: GaugeSample, ps: PsiSample, c: Couplings) -> PhysicalFields:
     inv_rt2 = 1.0 / math.sqrt(2.0)
-    wplus, wminus, z, a = [], [], [], []
-    for mu in range(4):
-        hat1 = gs.a[0][mu] + (2.0 / c.g) * ps.dpsi[0][mu]
-        hat2 = gs.a[1][mu] - (2.0 / c.g) * ps.dpsi[1][mu]
-        wplus.append(inv_rt2 * (hat1 - 1j * hat2))
-        wminus.append(inv_rt2 * (hat1 + 1j * hat2))
-        z.append(
-            (1.0 / c.gz)
-            * (c.g * gs.a[2][mu] + c.gp * gs.b[mu] + 2.0 * ps.dpsi[2][mu])
-        )
-        a.append((1.0 / c.gz) * (c.gp * gs.a[2][mu] - c.g * gs.b[mu]))
-    return PhysicalFields(wplus, wminus, z, a)
+    a, dp = gs.a, ps.dpsi
+    hat1 = a[..., 0, :] + (2.0 / c.g) * dp[..., 0, :]
+    hat2 = a[..., 1, :] - (2.0 / c.g) * dp[..., 1, :]
+    return PhysicalFields(
+        inv_rt2 * (hat1 - 1j * hat2),
+        inv_rt2 * (hat1 + 1j * hat2),
+        (1.0 / c.gz) * (c.g * a[..., 2, :] + c.gp * gs.b + 2.0 * dp[..., 2, :]),
+        (1.0 / c.gz) * (c.gp * a[..., 2, :] - c.g * gs.b),
+    )
 
 
 def _abelian_curls(gs: GaugeSample, c: Couplings, b_sign: float = 1.0):
-    """Curls of the physical combinations; second derivatives of psi drop
-    out of every antisymmetrized derivative, so only gauge curls enter.
-    b_sign = -1 gives the printed convention, with B entering Z and A
-    with the opposite sign."""
-    curls = [
-        [
-            [gs.da[k][mu][nu] - gs.da[k][nu][mu] for nu in range(4)]
-            for mu in range(4)
-        ]
-        for k in range(3)
-    ]
-    bcurl = [
-        [gs.db[mu][nu] - gs.db[nu][mu] for nu in range(4)] for mu in range(4)
-    ]
+    """Curls [..., mu, nu] of the physical combinations W+, W-, Z and A;
+    second derivatives of psi drop out of every antisymmetrized
+    derivative, so only gauge curls enter. b_sign = -1 gives the printed
+    convention, with B entering Z and A with the opposite sign."""
+    curls = gs.da - gs.da.swapaxes(-1, -2)
+    bcurl = gs.db - gs.db.swapaxes(-1, -2)
+    c1, c2, c3 = curls[..., 0, :, :], curls[..., 1, :, :], curls[..., 2, :, :]
     inv_rt2 = 1.0 / math.sqrt(2.0)
-    wp = [[inv_rt2 * (curls[0][m][n] - 1j * curls[1][m][n]) for n in range(4)]
-          for m in range(4)]
-    wm = [[inv_rt2 * (curls[0][m][n] + 1j * curls[1][m][n]) for n in range(4)]
-          for m in range(4)]
     gp_b, g_b = b_sign * c.gp, b_sign * c.g
-    zc = [[(1.0 / c.gz) * (c.g * curls[2][m][n] + gp_b * bcurl[m][n])
-           for n in range(4)] for m in range(4)]
-    ac = [[(1.0 / c.gz) * (c.gp * curls[2][m][n] - g_b * bcurl[m][n])
-           for n in range(4)] for m in range(4)]
-    return wp, wm, zc, ac
+    return (inv_rt2 * (c1 - 1j * c2), inv_rt2 * (c1 + 1j * c2),
+            (1.0 / c.gz) * (c.g * c3 + gp_b * bcurl),
+            (1.0 / c.gz) * (c.gp * c3 - g_b * bcurl))
 
 
 def quadratic_form(gs: GaugeSample, ps: PsiSample, c: Couplings) -> Jet:
@@ -169,19 +153,11 @@ def quadratic_form(gs: GaugeSample, ps: PsiSample, c: Couplings) -> Jet:
     + m_W^2 W+_mu W-_mu, with the closed-formula masses."""
     pf = physical_fields(gs, ps, c)
     wp, wm, zc, ac = _abelian_curls(gs, c)
-    order = gs.order
     m_w2 = (c.R * c.g / 2.0) ** 2
     m_z2 = (c.R * c.gz / 2.0) ** 2
-    total = Jet.zero(order)
-    for mu in range(4):
-        for nu in range(4):
-            total = total - 0.25 * (ac[mu][nu] * ac[mu][nu])
-            total = total - 0.25 * (zc[mu][nu] * zc[mu][nu])
-            total = total - 0.5 * (wp[mu][nu] * wm[mu][nu])
-    for mu in range(4):
-        total = total + (m_z2 / 2.0) * (pf.z[mu] * pf.z[mu])
-        total = total + m_w2 * (pf.wplus[mu] * pf.wminus[mu])
-    return total
+    curls = -0.25 * (ac * ac) - 0.25 * (zc * zc) - 0.5 * (wp * wm)
+    masses = (m_z2 / 2.0) * (pf.z * pf.z) + m_w2 * (pf.wplus * pf.wminus)
+    return curls.sum((-2, -1)) + masses.sum(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +381,21 @@ def _printed_physical_fields(gs: GaugeSample, ps: PsiSample, c: Couplings):
     (these differ from physical_fields in the signs of the d psi_1 term of
     W+- and of B in Z and A); used only to transcribe the cubic claims."""
     inv_rt2 = 1.0 / math.sqrt(2.0)
-    wp, wm, z, a = [], [], [], []
-    for mu in range(4):
-        hat1 = gs.a[0][mu] - (2.0 / c.g) * ps.dpsi[0][mu]
-        hat2 = gs.a[1][mu] - (2.0 / c.g) * ps.dpsi[1][mu]
-        wp.append(inv_rt2 * (hat1 - 1j * hat2))
-        wm.append(inv_rt2 * (hat1 + 1j * hat2))
-        z.append(
-            (1.0 / c.gz)
-            * (c.g * gs.a[2][mu] - c.gp * gs.b[mu] + 2.0 * ps.dpsi[2][mu])
-        )
-        a.append((1.0 / c.gz) * (c.gp * gs.a[2][mu] + c.g * gs.b[mu]))
-    return (wp, wm, z, a) + _abelian_curls(gs, c, b_sign=-1.0)
+    a, dp = gs.a, ps.dpsi
+    hat1 = a[..., 0, :] - (2.0 / c.g) * dp[..., 0, :]
+    hat2 = a[..., 1, :] - (2.0 / c.g) * dp[..., 1, :]
+    return (
+        inv_rt2 * (hat1 - 1j * hat2),
+        inv_rt2 * (hat1 + 1j * hat2),
+        (1.0 / c.gz) * (c.g * a[..., 2, :] - c.gp * gs.b + 2.0 * dp[..., 2, :]),
+        (1.0 / c.gz) * (c.gp * a[..., 2, :] + c.g * gs.b),
+    ) + _abelian_curls(gs, c, b_sign=-1.0)
+
+
+def _components(ps: PsiSample) -> Tuple[Jet, ...]:
+    """psi_1, psi_2, psi_3 and the gradients d psi_1, d psi_2, d psi_3."""
+    return tuple(ps.psi[..., k] for k in range(3)) + tuple(
+        ps.dpsi[..., k, :] for k in range(3))
 
 
 def transcribed_cubic_terms(gs: GaugeSample, ps: PsiSample,
@@ -424,100 +403,55 @@ def transcribed_cubic_terms(gs: GaugeSample, ps: PsiSample,
     """Literal transcription of the printed third-order displays.
 
     Every spacetime index appearing in a printed product is summed over
-    0..3, including the places where an index is repeated more than twice;
-    the transcription deliberately preserves such oddities (they are part
-    of the claim being tested)."""
-    order = gs.order
+    0..3, including the places where an index is repeated more than twice
+    (written as explicit loops over that index); the transcription
+    deliberately preserves such oddities (they are part of the claim
+    being tested). Arrays are indexed [..., m] or [..., m, n]."""
     wp, wm, z, a, wpc, wmc, zc, ac = _printed_physical_fields(gs, ps, c)
-    dp = ps.dpsi
-    psi = ps.psi
+    psi1, psi2, psi3, dp1, dp2, dp3 = _components(ps)
     rt2 = math.sqrt(2.0)
     gz = c.gz
-
-    def zero() -> Jet:
-        return Jet.zero(order)
+    minus, plus = dp2 - 1j * dp1, dp2 + 1j * dp1
+    neutral = c.gp * a + c.g * z
+    ww = wmc * wp[..., :, None] - wpc * wm[..., :, None]
+    bracket = wpc * minus[..., None, :] + wmc * plus[..., None, :]
 
     terms: Dict[str, Jet] = {}
 
     # gauge-sector display: overall prefactor -g/gz on five summands
-    t = zero()
-    for m in range(4):
-        for n in range(4):
-            t = t + 1j * (
-                (wmc[m][n] * wp[m] - wpc[m][n] * wm[m])
-                * (c.gp * a[n] + c.g * z[n])
-            )
-    terms["A3_ww_neutral"] = (-c.g / gz) * t
+    terms["A3_ww_neutral"] = (-c.g / gz) * (
+        1j * (ww * neutral[..., None, :])).sum((-2, -1))
+    terms["A3_wcurl_dpsi_neutral"] = (-c.g / gz) * (-(rt2 / c.g)) * (
+        neutral[..., :, None] * bracket).sum((-2, -1))
+    terms["A3_ww_dpsi3"] = (-c.g / gz) * (-2j * c.g / gz) * (
+        ww * dp3[..., None, :]).sum((-2, -1))
 
-    t = zero()
-    for m in range(4):
-        for n in range(4):
-            bracket = wpc[m][n] * (dp[1][n] - 1j * dp[0][n]) + wmc[m][n] * (
-                dp[1][n] + 1j * dp[0][n]
-            )
-            t = t + (c.gp * a[m] + c.g * z[m]) * bracket
-    terms["A3_wcurl_dpsi_neutral"] = (-c.g / gz) * (-(rt2 / c.g)) * t
-
-    t = zero()
-    for m in range(4):
-        for n in range(4):
-            t = t + (wmc[m][n] * wp[m] - wpc[m][n] * wm[m]) * dp[2][n]
-    terms["A3_ww_dpsi3"] = (-c.g / gz) * (-2j * c.g / gz) * t
-
-    t = zero()
-    for m in range(4):
-        for n in range(4):
-            bracket = wpc[m][n] * (dp[1][n] - 1j * dp[0][n]) + wmc[m][n] * (
-                dp[1][n] + 1j * dp[0][n]
-            )
-            t = t + bracket * dp[2][n]
+    t = 0.0
+    for n in range(4):  # n appears three times in each printed product
+        t = t + (bracket[..., :, n] * dp3[..., n, None]).sum(-1)
     terms["A3_wcurl_dpsi_dpsi3"] = (-c.g / gz) * (-2.0 * rt2 / gz) * t
 
-    t = zero()
-    for m in range(4):
-        for n in range(4):
-            neutral = c.gp * ac[m][n] + c.g * zc[m][n]
-            inner = (
-                0.25j * (wp[m] * wp[m] - wm[m] * wm[m])
-                + (4.0 / c.g**2) * (dp[0][m] * dp[1][n])
-                + (rt2 / c.g)
-                * (
-                    wp[m] * (dp[1][n] - 1j * dp[0][n])
-                    + wm[m] * (dp[1][n] + 1j * dp[0][n])
-                )
-            )
-            t = t + neutral * inner
+    ncurl = c.gp * ac + c.g * zc
+    t = 0.0
+    for m in range(4):  # m appears three times in the W W products
+        wp_m, wm_m = wp[..., m, None], wm[..., m, None]
+        inner = (0.25j * (wp_m * wp_m - wm_m * wm_m)
+                 + (4.0 / c.g**2) * (dp1[..., m, None] * dp2)
+                 + (rt2 / c.g) * (wp_m * minus + wm_m * plus))
+        t = t + (ncurl[..., m, :] * inner).sum(-1)
     terms["A3_neutral_curl_block"] = (-c.g / gz) * t
 
     # matter-sector display: prefactor R^2 g / (2 sqrt(2))
     pref = c.R**2 * c.g / (2.0 * rt2)
     ratio = (c.g**2 - c.gp**2) / (c.g**2 + c.gp**2)
-
-    t = zero()
-    for m in range(4):
-        neutral = (c.gp * (c.g * a[m] - c.gp * z[m])) / gz
-        t = t + wp[m] * (
-            psi[2] * (dp[1][m] - 1j * dp[0][m])
-            - ratio * ((psi[1] - 1j * psi[0]) * dp[2][m])
-            + neutral * (psi[1] - 1j * psi[0])
-        )
-    terms["P3_wplus_block"] = pref * t
-
-    t = zero()
-    for m in range(4):
-        neutral = (c.gp * (c.g * a[m] - c.gp * z[m])) / gz
-        t = t + wm[m] * (
-            psi[2] * (dp[1][m] + 1j * dp[0][m])
-            - ratio * ((psi[1] + 1j * psi[0]) * dp[2][m])
-            + neutral * (psi[1] + 1j * psi[0])
-        )
-    terms["P3_wminus_block"] = pref * t
-
-    t = zero()
-    for m in range(4):
-        t = t + z[m] * (psi[0] * dp[1][m] - psi[1] * dp[0][m])
-    terms["P3_z_block"] = pref * (gz / c.g) * t
-
+    neutral = (c.gp * (c.g * a - c.gp * z)) / gz
+    lower, upper = (psi2 - 1j * psi1)[..., None], (psi2 + 1j * psi1)[..., None]
+    terms["P3_wplus_block"] = pref * (wp * (
+        psi3[..., None] * minus - ratio * (lower * dp3) + neutral * lower)).sum(-1)
+    terms["P3_wminus_block"] = pref * (wm * (
+        psi3[..., None] * plus - ratio * (upper * dp3) + neutral * upper)).sum(-1)
+    terms["P3_z_block"] = pref * (gz / c.g) * (
+        z * (psi1[..., None] * dp2 - psi2[..., None] * dp1)).sum(-1)
     return terms
 
 
@@ -527,97 +461,46 @@ def normative_cubic_terms(gs: GaugeSample, ps: PsiSample,
     fields, derived from the exact expansion (see the project notes for
     the relation to the printed displays: two typo-level corrections plus
     the sign conventions of physical_fields)."""
-    order = gs.order
     pf = physical_fields(gs, ps, c)
     wp, wm = pf.wplus, pf.wminus
     wpc, wmc, zc, ac = _abelian_curls(gs, c)
-    dp = ps.dpsi
-    psi = ps.psi
+    psi1, psi2, psi3, dp1, dp2, dp3 = _components(ps)
     rt2 = math.sqrt(2.0)
     gz = c.gz
+    plus, minus = dp2 + 1j * dp1, dp2 - 1j * dp1
+    n_vec = (1.0 / gz) * (c.g * pf.z + c.gp * pf.a)
+    ww = wmc * wp[..., :, None] - wpc * wm[..., :, None]
+    bracket = wpc * plus[..., None, :] + wmc * minus[..., None, :]
+    ncurl = (1.0 / gz) * (c.g * zc + c.gp * ac)
 
-    n_vec = [(1.0 / gz) * (c.g * pf.z[mu] + c.gp * pf.a[mu]) for mu in range(4)]
-
-    def zero() -> Jet:
-        return Jet.zero(order)
-
-    terms: Dict[str, Jet] = {}
-
-    t = zero()
-    for m in range(4):
-        for n in range(4):
-            t = t + (wmc[m][n] * wp[m] - wpc[m][n] * wm[m]) * n_vec[n]
-    terms["A3_ww_neutral"] = 1j * c.g * t
-
-    t = zero()
-    for m in range(4):
-        for n in range(4):
-            bracket = wpc[m][n] * (dp[1][n] + 1j * dp[0][n]) + wmc[m][n] * (
-                dp[1][n] - 1j * dp[0][n]
-            )
-            t = t + n_vec[m] * bracket
-    terms["A3_wcurl_dpsi_neutral"] = -rt2 * t
-
-    t = zero()
-    for m in range(4):
-        for n in range(4):
-            t = t + (wmc[m][n] * wp[m] - wpc[m][n] * wm[m]) * dp[2][n]
-    terms["A3_ww_dpsi3"] = (-2j * c.g**2 / gz**2) * t
-
-    t = zero()
-    for m in range(4):
-        bm = zero()
-        for n in range(4):
-            bm = bm + wpc[m][n] * (dp[1][n] + 1j * dp[0][n]) + wmc[m][n] * (
-                dp[1][n] - 1j * dp[0][n]
-            )
-        t = t + bm * dp[2][m]
-    terms["A3_wcurl_dpsi_dpsi3"] = (2.0 * rt2 * c.g / gz**2) * t
-
-    t = zero()
-    tb = zero()
-    tc = zero()
-    for m in range(4):
-        for n in range(4):
-            ncurl = (1.0 / gz) * (c.g * zc[m][n] + c.gp * ac[m][n])
-            t = t + ncurl * (wp[m] * wm[n])
-            tb = tb + ncurl * (
-                wp[m] * (dp[1][n] + 1j * dp[0][n])
-                + wm[m] * (dp[1][n] - 1j * dp[0][n])
-            )
-            tc = tc + ncurl * (dp[0][m] * dp[1][n])
-    terms["A3_neutral_ww"] = -1j * c.g * t
-    terms["A3_neutral_w_dpsi"] = rt2 * tb
-    terms["A3_neutral_dpsi_dpsi"] = (-4.0 / c.g) * tc
+    mn = (-2, -1)  # the summed index pair m, n
+    terms: Dict[str, Jet] = {
+        "A3_ww_neutral": 1j * c.g * (ww * n_vec[..., None, :]).sum(mn),
+        "A3_wcurl_dpsi_neutral": -rt2 * (n_vec[..., :, None] * bracket).sum(mn),
+        "A3_ww_dpsi3": (-2j * c.g**2 / gz**2) * (ww * dp3[..., None, :]).sum(mn),
+        "A3_wcurl_dpsi_dpsi3":
+            (2.0 * rt2 * c.g / gz**2) * (bracket.sum(-1) * dp3).sum(-1),
+        "A3_neutral_ww":
+            -1j * c.g * (ncurl * (wp[..., :, None] * wm[..., None, :])).sum(mn),
+        "A3_neutral_w_dpsi": rt2 * (ncurl * (
+            wp[..., :, None] * plus[..., None, :]
+            + wm[..., :, None] * minus[..., None, :])).sum(mn),
+        "A3_neutral_dpsi_dpsi":
+            (-4.0 / c.g) * (ncurl * (dp1[..., :, None] * dp2[..., None, :])).sum(mn),
+    }
 
     pref = c.R**2 * c.g / (2.0 * rt2)
     ratio = (c.g**2 - c.gp**2) / (c.g**2 + c.gp**2)
-
-    t = zero()
-    for m in range(4):
-        neutral = (c.gp / gz) * (c.g * pf.a[m] - c.gp * pf.z[m])
-        t = t + wp[m] * (
-            -1.0 * (psi[2] * (dp[1][m] + 1j * dp[0][m]))
-            + ratio * ((psi[1] + 1j * psi[0]) * dp[2][m])
-            - neutral * (psi[1] + 1j * psi[0])
-        )
-    terms["P3_wplus_block"] = pref * t
-
-    t = zero()
-    for m in range(4):
-        neutral = (c.gp / gz) * (c.g * pf.a[m] - c.gp * pf.z[m])
-        t = t + wm[m] * (
-            -1.0 * (psi[2] * (dp[1][m] - 1j * dp[0][m]))
-            + ratio * ((psi[1] - 1j * psi[0]) * dp[2][m])
-            - neutral * (psi[1] - 1j * psi[0])
-        )
-    terms["P3_wminus_block"] = pref * t
-
-    t = zero()
-    for m in range(4):
-        t = t + pf.z[m] * (psi[0] * dp[1][m] - psi[1] * dp[0][m])
-    terms["P3_z_block"] = pref * (rt2 * gz / c.g) * t
-
+    neutral = (c.gp / gz) * (c.g * pf.a - c.gp * pf.z)
+    lower, upper = (psi2 - 1j * psi1)[..., None], (psi2 + 1j * psi1)[..., None]
+    terms["P3_wplus_block"] = pref * (wp * (
+        -1.0 * (psi3[..., None] * plus) + ratio * (upper * dp3)
+        - neutral * upper)).sum(-1)
+    terms["P3_wminus_block"] = pref * (wm * (
+        -1.0 * (psi3[..., None] * minus) + ratio * (lower * dp3)
+        - neutral * lower)).sum(-1)
+    terms["P3_z_block"] = pref * (rt2 * gz / c.g) * (
+        pf.z * (psi1[..., None] * dp2 - psi2[..., None] * dp1)).sum(-1)
     return terms
 
 
@@ -735,9 +618,9 @@ def limit_consistency(c: Optional[Couplings] = None, seed: int = 0,
     compare("commutator_t1_t2", commutator_entry)
 
     def hermitian_form_value(jval: Optional[float]) -> Jet:
-        phi1 = Jet.const(0.6 + 0.2j, order)
-        phi2 = jparam(order, jval) * (0.3 - 0.7j)
-        return hermitian_form_jets((phi1, phi2), (phi1, phi2))
+        phi = stack([Jet.const(0.6 + 0.2j, order),
+                     jparam(order, jval) * (0.3 - 0.7j)])
+        return hermitian_form_jets(phi, phi)
 
     compare("hermitian_form", hermitian_form_value)
 

@@ -191,12 +191,6 @@ def _sample_size(x: Jet) -> np.ndarray:
     return np.abs(x.coeffs).max(axis=(-2, -1))
 
 
-def _matrix_low_grade_diff(x: JetMatrix2, y: JetMatrix2) -> float:
-    return max(
-        _low_grade_diff(x[r, c], y[r, c]) for r in range(2) for c in range(2)
-    )
-
-
 # ---------------------------------------------------------------------------
 # algebra
 # ---------------------------------------------------------------------------
@@ -210,11 +204,7 @@ def suite_algebra(cfg: RunConfig) -> SuiteResult:
     gens = {k: generator(k, order).matrix for k in (1, 2, 3)}
     j = Jet.variable(order)
     zero = JetMatrix2.zero(order)
-    expected = {
-        (1, 2): gens[3].scale(-(j * j)),
-        (2, 3): gens[1].scale(-1.0),
-        (3, 1): gens[2].scale(-1.0),
-    }
+    expected = {(1, 2): gens[3] * -(j * j), (2, 3): -gens[1], (3, 1): -gens[2]}
     residual = 0.0
     for k in (1, 2, 3):
         residual = max(residual, gens[k].commutator(gens[k]).max_abs_diff(zero))
@@ -222,10 +212,8 @@ def suite_algebra(cfg: RunConfig) -> SuiteResult:
         comm = gens[k].commutator(gens[l])
         residual = max(residual, comm.max_abs_diff(rhs))
         flipped = gens[l].commutator(gens[k])
-        residual = max(residual, flipped.max_abs_diff(rhs.scale(-1.0)))
-    nilpotent_resid = _matrix_low_grade_diff(
-        gens[1].commutator(gens[2]), zero
-    )
+        residual = max(residual, flipped.max_abs_diff(-rhs))
+    nilpotent_resid = _low_grade_diff(gens[1].commutator(gens[2]).jet, zero.jet)
     residual = max(residual, nilpotent_resid)
     return _result("algebra", [(residual, tol)],
                    {"nilpotent_t1_t2": nilpotent_resid})
@@ -257,15 +245,11 @@ def suite_group(cfg: RunConfig) -> SuiteResult:
         samples.append(a)
     a = np.array(samples).T
     series = exp_series(*a, order=order)
-    closed_resid = _matrix_low_grade_diff(
-        exp_closed_nilpotent(*a, order=order), series)
+    closed_resid = _low_grade_diff(exp_closed_nilpotent(*a, order=order).jet,
+                                   series.jet)
     su2 = np.array([exp_closed_su2(*sample) for sample in samples])
     series_at_one = exp_series(*a, order=order, jval=1.0)
-    su2_resid = max(
-        float(np.max(np.abs(series_at_one[r, c].grade(0) - su2[:, r, c])))
-        for r in range(2)
-        for c in range(2)
-    )
+    su2_resid = float(np.max(np.abs(series_at_one.jet.grade(0) - su2)))
     closed_resid = max(closed_resid, su2_resid)
 
     return _result(
@@ -509,14 +493,13 @@ def suite_cubic(cfg: RunConfig) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _grade0_yukawa_oracle(psi3: np.ndarray, el: Sequence[np.ndarray],
-                          er: Sequence[np.ndarray], h_e: float,
-                          R: float) -> np.ndarray:
+def _grade0_yukawa_oracle(psi3: np.ndarray, el: np.ndarray, er: np.ndarray,
+                          h_e: float, R: float) -> np.ndarray:
     """Base part of the Yukawa terms in plain complex arithmetic (only the
     third sphere coordinate and the charged leptons survive at grade 0),
-    one value per sample."""
-    er_el = sum(e.conjugate() * l for e, l in zip(er, el))
-    el_er = sum(l.conjugate() * e for l, e in zip(el, er))
+    one value per sample; spinors carry their components on a last axis."""
+    er_el = (er.conjugate() * el).sum(-1)
+    el_er = (el.conjugate() * er).sum(-1)
     pref = h_e * R / np.sqrt(1.0 + psi3.real**2)
     return pref * (er_el + el_er + 1j * psi3 * (el_er - er_el))
 
@@ -549,13 +532,8 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
     fs = sample_fermions(stack_configs([draw[1] for draw in draws]), x, order)
     lhs, rhs = fermion_mass_identity(ps, fs, c)
     identity_resid = lhs.max_abs_diff(rhs)
-    oracle = _grade0_yukawa_oracle(
-        ps.psi[2].grade(0),
-        [fs.el[s].grade(0) for s in range(2)],
-        [fs.er[s].grade(0) for s in range(2)],
-        c.h_e,
-        c.R,
-    )
+    oracle = _grade0_yukawa_oracle(ps.psi.grade(0)[..., 2], fs.el.grade(0),
+                                   fs.er.grade(0), c.h_e, c.R)
     grade0_resid = float(np.max(np.abs(lhs.grade(0) - oracle)))
 
     rep = mass_spectrum(c, order)

@@ -66,16 +66,12 @@ def _verdict(number: int, label: str, passed: bool, detail: str = "") -> None:
 def test_criterion_01_commutator_table():
     gens = {k: generator(k, ORDER).matrix for k in (1, 2, 3)}
     j = Jet.variable(ORDER)
-    expected = {
-        (1, 2): gens[3].scale(-(j * j)),
-        (2, 3): gens[1].scale(-1.0),
-        (3, 1): gens[2].scale(-1.0),
-    }
+    expected = {(1, 2): gens[3] * -(j * j), (2, 3): -gens[1], (3, 1): -gens[2]}
     table = commutator_table(ORDER)
     residual = 0.0
     for (k, l), rhs in expected.items():
         residual = max(residual, table[(k, l)].max_abs_diff(rhs))
-        residual = max(residual, table[(l, k)].max_abs_diff(rhs.scale(-1.0)))
+        residual = max(residual, table[(l, k)].max_abs_diff(-rhs))
     for k in (1, 2, 3):
         residual = max(
             residual, table[(k, k)].max_abs_diff(JetMatrix2.zero(ORDER))

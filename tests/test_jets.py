@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ewcontract.jets import (
     DEFAULT_ORDER,
@@ -13,6 +14,7 @@ from ewcontract.jets import (
     ZeroConstantTerm,
     jet_cos,
     jet_sin,
+    stack,
 )
 
 TOL = 1e-10
@@ -94,6 +96,84 @@ def test_conjugation_distributes_over_products(a, b, e):
     for b in (b, e):
         assert (a * b).conjugate().allclose(a.conjugate() * b.conjugate(),
                                             tol=1e-8)
+
+
+def batched_jets(shape=(2, 3), order=DEFAULT_ORDER, eps_order=2):
+    """Jets with batch axes, for the laws of the batch-axis operations."""
+    elements = st.complex_numbers(max_magnitude=3.0, allow_nan=False,
+                                  allow_infinity=False)
+    return arrays(complex, shape + (order + 1, eps_order + 1),
+                  elements=elements).map(lambda c: Jet(c, order, eps_order))
+
+
+#: batch-axis keys of a (2, 3) batch: ints, slices, ..., None, index arrays
+BATCH_KEYS = [0, (1, 2), (..., 1), (slice(None), None, 2), (None, ..., 0),
+              (..., np.array([2, 0, 2])), (np.array([1, 0]), slice(1, None))]
+
+
+@given(batched_jets(), batched_jets(), jets())
+def test_indexing_commutes_with_ring_operations(a, b, plain):
+    for key in BATCH_KEYS:
+        want = np.asarray(a.coeffs[..., 0, 0])[key]
+        assert a[key].coeffs[..., 0, 0].shape == want.shape
+        assert (a + b)[key].allclose(a[key] + b[key], tol=TOL)
+        assert (a * b)[key].allclose(a[key] * b[key], tol=TOL)
+        assert (a * plain)[key].allclose(a[key] * plain, tol=TOL)
+        assert a.conjugate()[key].allclose(a[key].conjugate())
+
+
+@given(batched_jets(), batched_jets(), jets())
+def test_summing_commutes_with_ring_operations(a, b, plain):
+    for axis in (0, -1, (0, 1), (-2, -1)):
+        assert (a + b).sum(axis).allclose(a.sum(axis) + b.sum(axis), tol=TOL)
+        assert (a * plain).sum(axis).allclose(a.sum(axis) * plain, tol=1e-8)
+        assert a.conjugate().sum(axis).allclose(a.sum(axis).conjugate())
+    assert np.array_equal(a.sum((0, 1)).coeffs, a.coeffs.sum(axis=(0, 1)))
+
+
+@given(batched_jets(), batched_jets())
+def test_swapping_axes_commutes_with_ring_operations(a, b):
+    swapped = a.swapaxes(0, 1)
+    assert swapped.batch_shape == (3, 2)
+    assert np.array_equal(swapped.coeffs, np.swapaxes(a.coeffs, 0, 1))
+    assert (a * b).swapaxes(-1, -2).allclose(swapped * b.swapaxes(0, 1), tol=TOL)
+    assert (a + b).swapaxes(0, 1).allclose(swapped + b.swapaxes(-2, -1), tol=TOL)
+    assert a.conjugate().swapaxes(0, 1).allclose(swapped.conjugate())
+    assert swapped.swapaxes(1, 0).allclose(a, tol=0.0)
+
+
+@given(batched_jets(), jets(), eps_jets())
+def test_stack_zero_pads_eps_as_arithmetic_does(a, plain, e):
+    stacked = stack([plain, e, 2.0])
+    assert stacked.batch_shape == (3,) and stacked.eps_order == 2
+    assert stacked[0].allclose(plain + 0.0 * e, tol=0.0)
+    assert stacked[1].allclose(e, tol=0.0)
+    assert stacked[2].allclose(Jet.const(2.0), tol=0.0)
+    # batch shapes broadcast; the new axis goes where `axis` says
+    mixed = stack([a, plain], axis=0)
+    assert mixed.batch_shape == (2, 2, 3)
+    assert mixed[1].allclose(plain + 0.0 * a, tol=0.0)
+    assert stack([a, a], axis=-2)[..., 1, :].allclose(a, tol=0.0)
+
+
+def test_batch_operations_never_touch_coefficient_axes():
+    a = Jet(np.ones((2, 3, DEFAULT_ORDER + 1, 1)), DEFAULT_ORDER)
+    for key in ((0, 0, 0), (..., 0, 0, 0)):
+        with pytest.raises(IndexError):
+            a[key]
+    with pytest.raises(IndexError):
+        Jet.const(1.0)[0]
+    for axis in (2, -3):
+        with pytest.raises(IndexError):
+            a.sum(axis)
+        with pytest.raises(IndexError):
+            a.swapaxes(0, axis)
+    with pytest.raises(ValueError, match="truncation orders"):
+        stack([Jet.variable(order=3), Jet.variable(order=4)])
+    e1 = Jet(np.ones((DEFAULT_ORDER + 1, 2)), DEFAULT_ORDER, 1)
+    e2 = Jet(np.ones((DEFAULT_ORDER + 1, 3)), DEFAULT_ORDER, 2)
+    with pytest.raises(ValueError, match="eps truncation"):
+        stack([e1, e2])
 
 
 def test_variable_is_nilpotent_beyond_order():

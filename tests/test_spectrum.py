@@ -2,10 +2,12 @@
 contraction-limit consistency battery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ewcontract.cli import DEFAULT_COUPLINGS
 from ewcontract.fields import (
     ConfigError,
     Couplings,
@@ -24,6 +26,7 @@ from ewcontract.spectrum import (
     _constant_gauge,
     _fermion_mass_coefficients,
     _gauge_mass_coefficients,
+    bosonic_density_evaluator,
     cubic_check,
     epsilon_expand,
     extrapolate_even,
@@ -121,6 +124,41 @@ def test_quadratic_coefficient_matches_diagonalized_form():
     assert report["tadpole_magnitude"] <= 1e-12
 
 
+def test_expand_shaped_evaluation_stays_small(monkeypatch):
+    """One evaluation of the expand command's shape (seed 0, n 6, order 8,
+    16 points) takes a few dozen jets and products, because component
+    indices are batch axes of a few jets, and never holds the whole
+    (16, 3, 4, 4) field strength: that alone peaks at about 5.4 MiB, the
+    per-direction contraction at about 3 MiB."""
+    gauge, psi = random_bosonic_config(np.random.default_rng(0))
+    evaluator = bosonic_density_evaluator(
+        gauge, psi, Couplings(**DEFAULT_COUPLINGS), halton_points(seed=0), 8)
+    epsilon_expand(evaluator, 6, 8)  # caches every product plan first
+    counts = {"jets": 0, "products": 0}
+    init, mul = Jet.__init__, Jet.__mul__
+
+    def counted_init(jet, *args, **kwargs):
+        counts["jets"] += 1
+        init(jet, *args, **kwargs)
+
+    def counted_mul(jet, other):
+        counts["products"] += 1
+        return mul(jet, other)
+
+    monkeypatch.setattr(Jet, "__init__", counted_init)
+    monkeypatch.setattr(Jet, "__mul__", counted_mul)
+    monkeypatch.setattr(Jet, "__rmul__", counted_mul)
+    tracemalloc.start()
+    try:
+        epsilon_expand(evaluator, 6, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts["products"] <= 60
+    assert counts["jets"] <= 200
+    assert peak <= 4 * 2**20
+
+
 def test_mass_spectrum_closed_formulas():
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -212,6 +250,59 @@ def test_cubic_literal_transcription_reported_not_patched():
     assert "rel_diff" in report["literal"]
     assert len(report["literal"]["terms"]) == 8
     assert report["literal"]["rel_diff"] >= 0.0
+
+
+#: the literal transcription's point-averaged grade-2 values, per term and
+#: in total, and its rel_diff against the exact coefficient, for
+#: random_bosonic_config(default_rng(seed), amplitude=0.04) at COUPLINGS
+#: and Halton seed `seed`; pinned so an index slip in the transcription
+#: (or in its b_sign=-1 curls) changes a value the report prints
+LITERAL_GOLDEN = {
+    5: (-4.6393553868313966e-05, 0.6487475010637571, {
+        "A3_ww_neutral": 0.0001732175181081355,
+        "A3_wcurl_dpsi_neutral": -7.421533673184975e-05,
+        "A3_ww_dpsi3": -0.00015504723112293148,
+        "A3_wcurl_dpsi_dpsi3": 1.0393306482132083e-05,
+        "A3_neutral_curl_block": 3.760196866664782e-07,
+        "P3_wplus_block": -7.59326812615788e-07 - 2.000771793447555e-06j,
+        "P3_wminus_block": -7.59326812615788e-07 + 2.000771793447555e-06j,
+        "P3_z_block": 4.0082333476478063e-07,
+    }),
+    11: (2.9014149289913727e-06, 0.15204104825219703, {
+        "A3_ww_neutral": -2.58211521016477e-05,
+        "A3_wcurl_dpsi_neutral": 2.164119235063582e-05,
+        "A3_ww_dpsi3": -1.3775072688836403e-06,
+        "A3_wcurl_dpsi_dpsi3": -1.236957874595546e-06,
+        "A3_neutral_curl_block": 7.800359464119896e-06,
+        "P3_wplus_block": 1.0552065511869978e-06 - 4.748981435237265e-08j,
+        "P3_wminus_block": 1.0552065511869978e-06 + 4.748981435237265e-08j,
+        "P3_z_block": -2.1493274301145485e-07,
+    }),
+    23: (-2.2989987339058313e-05, 1.6700818674407654, {
+        "A3_ww_neutral": -2.4019644219964197e-05,
+        "A3_wcurl_dpsi_neutral": -5.869846532233719e-06,
+        "A3_ww_dpsi3": -6.934980752587914e-06,
+        "A3_wcurl_dpsi_dpsi3": 6.925517643497811e-06,
+        "A3_neutral_curl_block": 6.311202740101151e-06,
+        "P3_wplus_block": -5.944322741761025e-07 - 4.895754126267065e-06j,
+        "P3_wminus_block": -5.944322741761025e-07 + 4.895754126267065e-06j,
+        "P3_z_block": 1.7866283304807575e-06,
+    }),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LITERAL_GOLDEN))
+def test_cubic_literal_transcription_values_are_pinned(seed):
+    total, rel_diff, terms = LITERAL_GOLDEN[seed]
+    rng = np.random.default_rng(seed)
+    gauge, psi = random_bosonic_config(rng, amplitude=0.04)
+    literal = cubic_check(gauge, psi, COUPLINGS, seed=seed)["literal"]
+    assert set(literal["terms"]) == set(terms)
+    for name, want in terms.items():
+        got = literal["terms"][name]["grade2"]
+        assert abs(got - want) <= 1e-12 * abs(want), name
+    assert abs(literal["grade2"] - total) <= 1e-12 * abs(total)
+    assert abs(literal["rel_diff"] - rel_diff) <= 1e-12 * rel_diff
 
 
 def test_extrapolation_exact_for_even_quartics():
