@@ -9,16 +9,19 @@ values, and the j^2 factors of the contracted model emerge from the ring
 arithmetic. Samples can also be multiplied by the field-scale variable eps
 of the ring, which expands a density in the amplitude of its fields.
 
-A sample holds one jet per field, its component indices on trailing batch
-axes: a gauge sample's ``a[..., k, mu]`` is A^k_mu and ``da[..., k, mu, nu]``
-is d_mu A^k_nu. The leading axes are the points: fields and samplers take
-one spacetime point, shape (4,), or an array of points, shape (N, 4), and
-a sample at N points has leading batch shape (N,), so a density evaluated
-on it is the density at every point at once. Field parameters may be
-arrays too: their leading axes broadcast against the leading axes of the
-points, so :func:`stack_configs` of N configurations sampled at (N, 4)
-points pairs configuration i with point i, and one configuration at
-(16, 4) points is that configuration at 16 points.
+Each slot of a configuration is one field whose parameters carry its
+component indices on trailing axes, A^k_mu over (3, 4), B_mu and eps over
+(4,), psi over (3,) and each lepton spinor over (2,); a sample holds one
+jet per slot with the same axes: ``a[..., k, mu]`` is A^k_mu and
+``da[..., k, mu, nu]`` is d_mu A^k_nu. The leading axes are the points:
+samplers take one spacetime point, shape (4,), or an array of points,
+shape (N, 4), and a sample at N points has leading batch shape (N,), so a
+density evaluated on it is the density at every point at once. Leading
+configuration axes of field parameters, before the component axes,
+broadcast against those of the points, so :func:`stack_configs` of N
+configurations sampled at (N, 4) points pairs configuration i with point
+i, and one configuration at (16, 4) points is that configuration at 16
+points.
 
 Spacetime index contraction is a plain Euclidean sum over mu = 0..3; the
 verified claims are algebraic identities and never need a signature.
@@ -48,34 +51,17 @@ COUPLING_MAGNITUDES = (1.0e-50, 1.0e50)
 
 
 # ---------------------------------------------------------------------------
-# analytic fields
+# analytic fields: exact value, 4-gradient [..., mu] and hessian
+# [..., mu, nu] at a point x (4,) or points (..., 4), one field per element
+# of the parameters' leading axes broadcast against those of x
 # ---------------------------------------------------------------------------
 
 
-class AnalyticField:
-    """Interface: exact value / 4-gradient / hessian at a spacetime point
-    x of shape (4,), or at each row of a points array of shape (N, 4).
-    Parameters with leading axes are one field per element, broadcast
-    against the leading axes of x."""
-
-    def value(self, x: Vec4) -> "complex | np.ndarray":
-        raise NotImplementedError
-
-    def grad(self, x: Vec4) -> np.ndarray:
-        raise NotImplementedError
-
-    def hess(self, x: Vec4) -> np.ndarray:
-        raise NotImplementedError
-
-    def scaled(self, s: complex) -> "AnalyticField":
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class PlaneWave(AnalyticField):
+class PlaneWave:
     """a * cos(k.x + phase); amplitude may be complex (spinor components).
-    Arrays of amplitudes (...,), wavevectors (..., 4) and phases (...,)
-    hold one wave per element."""
+    Amplitudes (...,), wavevectors (..., 4) and phases (...,) hold one
+    wave per element."""
 
     amplitude: "complex | np.ndarray"
     wavevector: "Tuple[float, float, float, float] | np.ndarray"
@@ -96,15 +82,15 @@ class PlaneWave(AnalyticField):
         return (np.asarray(-self.amplitude * np.cos(self._arg(x)))[..., None, None]
                 * (k[..., :, None] * k[..., None, :]))
 
-    def scaled(self, s: complex) -> "PlaneWave":
+    def scaled(self, s: "complex | np.ndarray") -> "PlaneWave":
         return PlaneWave(self.amplitude * s, self.wavevector, self.phase)
 
 
 @dataclass(frozen=True)
-class Polynomial(AnalyticField):
+class Polynomial:
     """c0 + lin.x + x.quad.x with a symmetric quadratic part. Arrays of
     c0 (...,), lin (..., 4) and quad (..., 4, 4) hold one polynomial per
-    element."""
+    element, the elements being those of all three shapes broadcast."""
 
     c0: "complex | np.ndarray" = 0.0
     lin: "Tuple[float, float, float, float] | np.ndarray" = (0.0, 0.0, 0.0, 0.0)
@@ -120,6 +106,11 @@ class Polynomial(AnalyticField):
         """x.quad (symmetrized), per element."""
         return np.sum(x[..., :, None] * self._q(), axis=-2)
 
+    def _elements(self, x: Vec4) -> Tuple[int, ...]:
+        """The leading axes of x and of every parameter, broadcast."""
+        return np.broadcast_shapes(np.shape(x)[:-1], np.shape(self.c0),
+                                   np.shape(self.lin)[:-1], np.shape(self.quad)[:-2])
+
     def value(self, x: Vec4) -> "complex | np.ndarray":
         value = self.c0 + np.sum(x * np.asarray(self.lin, dtype=complex), axis=-1)
         if self.quad is not None:
@@ -128,27 +119,22 @@ class Polynomial(AnalyticField):
 
     def grad(self, x: Vec4) -> np.ndarray:
         lin = np.asarray(self.lin, dtype=complex)
-        if self.quad is None:  # the same gradient at every point
-            return np.broadcast_to(lin, np.broadcast_shapes(np.shape(x), lin.shape))
-        return lin + 2.0 * self._xq(x)
+        if self.quad is not None:
+            lin = lin + 2.0 * self._xq(x)
+        return np.broadcast_to(lin, self._elements(x) + (4,))
 
     def hess(self, x: Vec4) -> np.ndarray:
-        q = 2.0 * self._q()
-        return np.broadcast_to(q, np.broadcast_shapes(np.shape(x)[:-1] + (4, 4),
-                                                      q.shape))
+        return np.broadcast_to(2.0 * self._q(), self._elements(x) + (4, 4))
 
-    def scaled(self, s: complex) -> "Polynomial":
-        q = None
-        if self.quad is not None:
-            q = tuple(tuple(s * v for v in row) for row in self.quad)
-        return Polynomial(self.c0 * s, tuple(s * v for v in self.lin), q)
+    def scaled(self, s: "complex | np.ndarray") -> "Polynomial":
+        s = np.asarray(s)
+        quad = None if self.quad is None else np.asarray(self.quad) * s[..., None, None]
+        return Polynomial(self.c0 * s, np.asarray(self.lin) * s[..., None], quad)
 
 
-ZERO_FIELD = Polynomial()
-
-
-def constant(value: complex) -> Polynomial:
-    return Polynomial(c0=value)
+def constant(values: "complex | np.ndarray") -> Polynomial:
+    """Constant fields, one per element of `values`."""
+    return Polynomial(values, np.zeros(np.shape(values) + (4,)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,61 +176,46 @@ class Couplings:
 
 @dataclass(frozen=True)
 class GaugeConfig:
-    """A[k][mu] for k=0..2 (the three su(2) directions) and B[mu]."""
+    """A^k_mu over components (3, 4), k the su(2) direction, and B_mu."""
 
-    A: Tuple[Tuple[AnalyticField, ...], ...]
-    B: Tuple[AnalyticField, ...]
+    A: "PlaneWave | Polynomial"
+    B: "PlaneWave | Polynomial"
 
     @classmethod
     def zero(cls) -> "GaugeConfig":
-        return cls(
-            tuple(tuple(ZERO_FIELD for _ in range(4)) for _ in range(3)),
-            tuple(ZERO_FIELD for _ in range(4)),
-        )
+        return cls(constant(np.zeros((3, 4))), constant(np.zeros(4)))
 
     def fiber_scaled(self, s: float) -> "GaugeConfig":
         """Rescale the fiber directions A^1, A^2 only."""
-        A = tuple(
-            tuple(f.scaled(s) if k < 2 else f for f in self.A[k])
-            for k in range(3)
-        )
-        return GaugeConfig(A, self.B)
+        return GaugeConfig(self.A.scaled(np.array([[s], [s], [1.0]])), self.B)
 
 
 @dataclass(frozen=True)
 class PsiConfig:
     """The three intrinsic sphere coordinates as spacetime fields."""
 
-    psi: Tuple[AnalyticField, AnalyticField, AnalyticField]
+    psi: "PlaneWave | Polynomial"
 
     @classmethod
     def zero(cls) -> "PsiConfig":
-        return cls((ZERO_FIELD, ZERO_FIELD, ZERO_FIELD))
-
-
-Spinor = Tuple[AnalyticField, AnalyticField]
+        return cls(constant(np.zeros(3)))
 
 
 @dataclass(frozen=True)
 class FermionConfig:
     """Lepton fields: the doublet (e_l, nu_l) and the singlet e_r, each a
-    2-component Lorentz spinor of analytic fields."""
+    2-component Lorentz spinor."""
 
-    e_l: Spinor
-    nu_l: Spinor
-    e_r: Spinor
-
-    @classmethod
-    def zero(cls) -> "FermionConfig":
-        z = (ZERO_FIELD, ZERO_FIELD)
-        return cls(z, z, z)
+    e_l: "PlaneWave | Polynomial"
+    nu_l: "PlaneWave | Polynomial"
+    e_r: "PlaneWave | Polynomial"
 
 
 @dataclass(frozen=True)
 class EpsConfig:
     """Gauge-variation parameter fields (eps_1, eps_2, eps_3, eps_Y)."""
 
-    eps: Tuple[AnalyticField, AnalyticField, AnalyticField, AnalyticField]
+    eps: "PlaneWave | Polynomial"
 
 
 Config = TypeVar("Config")
@@ -255,15 +226,12 @@ def stack_configs(configs: Sequence[Config]) -> Config:
     i being configs[i]: GaugeConfig, PsiConfig, FermionConfig or
     EpsConfig. The configurations must match field type by field type."""
     first = configs[0]
-    if isinstance(first, tuple):
-        return tuple(stack_configs([cfg[i] for cfg in configs])
-                     for i in range(len(first)))
     if any(type(cfg) is not type(first) for cfg in configs):
         raise ValueError("stacked configurations differ in field types")
     parts = []
     for f in dataclasses.fields(first):
         values = [getattr(cfg, f.name) for cfg in configs]
-        if not isinstance(first, AnalyticField):
+        if dataclasses.is_dataclass(values[0]):
             parts.append(stack_configs(values))
         elif all(v is None for v in values):
             parts.append(None)
@@ -293,14 +261,6 @@ def _grading(fiber: Sequence[bool], order: int, jval: Optional[float],
         shifted = c * jval
     graded = Jet(shifted, order, base.eps_order)
     return stack([graded if f else base for f in fiber])
-
-
-def _stacked(fields: Sequence[AnalyticField], method: str, x: Vec4,
-             derivatives: int = 0) -> np.ndarray:
-    """`method` ("value", "grad" or "hess") of each field at x, the field
-    index as an axis before the `derivatives` axes of the method."""
-    parts = np.broadcast_arrays(*(getattr(f, method)(x) for f in fields))
-    return np.stack(parts, axis=-1 - derivatives)
 
 
 @dataclass
@@ -343,16 +303,12 @@ def sample_gauge(cfg: GaugeConfig, x: Vec4, order: int = DEFAULT_ORDER,
     every sampled value, B included. A points array x of shape (N, 4)
     gives jets with leading batch shape (N,), one element per point."""
     g = _grading((True, True, False, False), order, jval, scale)
-    a = np.stack(np.broadcast_arrays(*(_stacked(row, "value", x)
-                                       for row in cfg.A)), axis=-2)
-    da = np.stack(np.broadcast_arrays(*(_stacked(row, "grad", x, 1)
-                                        for row in cfg.A)), axis=-3)
-    db = _stacked(cfg.B, "grad", x, 1)
-    # stacked gradients hold d_mu of field nu at [..., nu, mu]
-    return GaugeSample(g[..., :3, None] * a,
-                       g[..., :3, None, None] * np.swapaxes(da, -1, -2),
-                       g[..., 3] * _stacked(cfg.B, "value", x),
-                       g[..., 3] * np.swapaxes(db, -1, -2))
+    xa, xb = x[..., None, None, :], x[..., None, :]
+    # gradients hold d_mu of component nu at [..., nu, mu]
+    return GaugeSample(g[..., :3, None] * cfg.A.value(xa),
+                       g[..., :3, None, None] * np.swapaxes(cfg.A.grad(xa), -1, -2),
+                       g[..., 3] * cfg.B.value(xb),
+                       g[..., 3] * np.swapaxes(cfg.B.grad(xb), -1, -2))
 
 
 def sample_psi(cfg: PsiConfig, x: Vec4, order: int = DEFAULT_ORDER,
@@ -361,8 +317,8 @@ def sample_psi(cfg: PsiConfig, x: Vec4, order: int = DEFAULT_ORDER,
     """Sample with psi_1 -> j psi_1, psi_2 -> j psi_2 applied; an eps jet
     `scale` multiplies every sampled value. x is one point or (N, 4)."""
     g = _grading((True, True, False), order, jval, scale)
-    return PsiSample(g * _stacked(cfg.psi, "value", x),
-                     g[..., None] * _stacked(cfg.psi, "grad", x, 1))
+    xc = x[..., None, :]
+    return PsiSample(g * cfg.psi.value(xc), g[..., None] * cfg.psi.grad(xc))
 
 
 def sample_fermions(cfg: FermionConfig, x: Vec4, order: int = DEFAULT_ORDER,
@@ -372,9 +328,10 @@ def sample_fermions(cfg: FermionConfig, x: Vec4, order: int = DEFAULT_ORDER,
     eps jet `scale` multiplies every sampled value. x is one point or
     (N, 4)."""
     fiber, base = _grading((True, False), order, jval, scale)
+    xc = x[..., None, :]
 
-    def spinor(sp: Spinor, g: Jet) -> Tuple[Jet, Jet]:
-        return g * _stacked(sp, "value", x), g * _stacked(sp, "grad", x, 1)
+    def spinor(field: "PlaneWave | Polynomial", g: Jet) -> Tuple[Jet, Jet]:
+        return g * field.value(xc), g * field.grad(xc)
 
     return FermionSample(*spinor(cfg.e_l, base), *spinor(cfg.nu_l, fiber),
                          *spinor(cfg.e_r, base))
@@ -493,12 +450,14 @@ def infinitesimal_gauge_transform(
     so invariance checks remain discretization-free.
     """
     g = _grading((True, True, False, False), gs.a.order, jval, scale)
-    ev = g * _stacked(eps_cfg.eps, "value", x)
-    dev = g[..., None] * _stacked(eps_cfg.eps, "grad", x, 1)
+    xc = x[..., None, :]
+    ev = g * eps_cfg.eps.value(xc)
+    dev = g[..., None] * eps_cfg.eps.grad(xc)
+    hess = eps_cfg.eps.hess(xc)
 
     def hess_shift(a: int, coupling: float) -> Jet:
         """-(1/coupling) d_mu d_nu eps_a, graded like eps_a."""
-        return g[..., a] * ((-1.0 / coupling) * eps_cfg.eps[a].hess(x))
+        return g[..., a] * ((-1.0 / coupling) * hess[..., a, :, :])
 
     # Over a large batch every whole-component temporary here is tens of
     # MiB, so the shifts are built one generator, one jacobian column and

@@ -234,6 +234,8 @@ class Jet:
     def __mul__(self, other: "Jet | Scalar | np.ndarray") -> "Jet":
         if isinstance(other, Jet):
             return self._new(_product(self.coeffs, other.coeffs))
+        if not isinstance(other, _FACTORS):  # let other.__rmul__ try
+            return NotImplemented
         return self._new(self.coeffs * _factor(other))
 
     __rmul__ = __mul__
@@ -241,6 +243,8 @@ class Jet:
     def __truediv__(self, other: "Jet | Scalar | np.ndarray") -> "Jet":
         if isinstance(other, Jet):
             return self * other.inv()
+        if not isinstance(other, _FACTORS):
+            return NotImplemented
         return self._new(self.coeffs / _factor(other))
 
     def __rtruediv__(self, other: "Scalar | np.ndarray") -> "Jet":
@@ -308,6 +312,10 @@ class Jet:
     def __repr__(self) -> str:
         return (f"Jet({self.coeffs.tolist()!r}, order={self.order}, "
                 f"eps_order={self.eps_order})")
+
+
+#: operand types that scale a jet's coefficients
+_FACTORS = (int, float, complex, np.number, np.ndarray)
 
 
 def _factor(value: "Scalar | np.ndarray"):

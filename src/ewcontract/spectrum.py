@@ -165,25 +165,22 @@ def quadratic_form(gs: GaugeSample, ps: PsiSample, c: Couplings) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-def random_plane_wave(rng: np.random.Generator, amplitude: float) -> PlaneWave:
-    return PlaneWave(
-        float(rng.normal()) * amplitude,
-        tuple(float(v) for v in rng.normal(size=4) * 0.6),
-        float(rng.uniform(-math.pi, math.pi)),
-    )
+def random_plane_wave(rng: np.random.Generator, amplitude: float,
+                      shape: Tuple[int, ...] = ()) -> PlaneWave:
+    """Random waves over components `shape`, drawn one component after
+    the other in row-major order: amplitude, wavevector, phase."""
+    draws = [(rng.normal(), rng.normal(size=4), rng.uniform(-math.pi, math.pi))
+             for _ in range(math.prod(shape))]
+    amp, k, phase = (np.array(p) for p in zip(*draws))
+    return PlaneWave(amp.reshape(shape) * amplitude,
+                     k.reshape(shape + (4,)) * 0.6, phase.reshape(shape))
 
 
 def random_bosonic_config(rng: np.random.Generator,
                           amplitude: float = 0.05) -> Tuple[GaugeConfig, PsiConfig]:
-    gauge = GaugeConfig(
-        tuple(
-            tuple(random_plane_wave(rng, amplitude) for _ in range(4))
-            for _ in range(3)
-        ),
-        tuple(random_plane_wave(rng, amplitude) for _ in range(4)),
-    )
-    psi = PsiConfig(tuple(random_plane_wave(rng, amplitude) for _ in range(3)))
-    return gauge, psi
+    gauge = GaugeConfig(random_plane_wave(rng, amplitude, (3, 4)),
+                        random_plane_wave(rng, amplitude, (4,)))
+    return gauge, PsiConfig(random_plane_wave(rng, amplitude, (3,)))
 
 
 def bosonic_density_evaluator(
@@ -281,15 +278,13 @@ class SpectrumReport:
 def _constant_gauge(direction: Dict[str, float]) -> GaugeConfig:
     """Constant gauge configuration with unit time components along the
     requested raw-field directions."""
-    zero = GaugeConfig.zero()
-    A = [list(row) for row in zero.A]
-    B = list(zero.B)
+    A, B = np.zeros((3, 4)), np.zeros(4)
     for key, value in direction.items():
         if key == "B":
-            B[0] = constant(value)
+            B[0] = value
         else:
-            A[int(key)][0] = constant(value)
-    return GaugeConfig(tuple(tuple(row) for row in A), tuple(B))
+            A[int(key), 0] = value
+    return GaugeConfig(constant(A), constant(B))
 
 
 def _gauge_mass_coefficients(directions: Sequence[Dict[str, float]],
@@ -315,8 +310,8 @@ def _fermion_mass_coefficients(c: Couplings, order: int) -> Jet:
     spinor backgrounds at psi = 0: one density evaluation, batch item 0
     the electron pair and item 1 the lone neutrino (the stacked
     backgrounds broadcast over one point)."""
-    zero_spinor = (constant(0.0), constant(0.0))
-    unit_spinor = (constant(1.0), constant(0.0))
+    zero_spinor = constant(np.zeros(2))
+    unit_spinor = constant(np.array([1.0, 0.0]))
     cfg = stack_configs([FermionConfig(unit_spinor, zero_spinor, unit_spinor),
                          FermionConfig(zero_spinor, unit_spinor, zero_spinor)])
     x = np.zeros(4)

@@ -302,7 +302,7 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
     draws = []
     for _ in range(configs):
         gauge, psicfg = random_bosonic_config(rng, amplitude=0.1)
-        eps_cfg = EpsConfig(tuple(random_plane_wave(rng, 0.1) for _ in range(4)))
+        eps_cfg = EpsConfig(random_plane_wave(rng, 0.1, (4,)))
         draws.append((gauge, psicfg, eps_cfg, rng.uniform(-0.5, 0.5, size=4)))
     gauge, psicfg, eps_cfg = (stack_configs([draw[i] for draw in draws])
                               for i in range(3))
@@ -358,7 +358,7 @@ def suite_coordinate(cfg: RunConfig) -> SuiteResult:
 
     draws = []
     for _ in range(cfg.samples("coordinate_sphere")):
-        psicfg = PsiConfig(tuple(random_plane_wave(rng, 0.6) for _ in range(3)))
+        psicfg = PsiConfig(random_plane_wave(rng, 0.6, (3,)))
         draws.append((psicfg, rng.uniform(-0.5, 0.5, size=4)))
     ps = sample_psi(stack_configs([draw[0] for draw in draws]),
                     np.array([draw[1] for draw in draws]), order)
@@ -520,12 +520,9 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
 
     draws = []
     for _ in range(cfg.samples("fermion_identity")):
-        psicfg = PsiConfig(tuple(random_plane_wave(rng, 0.5) for _ in range(3)))
-        fcfg = FermionConfig(
-            tuple(random_plane_wave(rng, 1.0) for _ in range(2)),
-            tuple(random_plane_wave(rng, 1.0) for _ in range(2)),
-            tuple(random_plane_wave(rng, 1.0) for _ in range(2)),
-        )
+        psicfg = PsiConfig(random_plane_wave(rng, 0.5, (3,)))
+        fcfg = FermionConfig(*(random_plane_wave(rng, 1.0, (2,))
+                               for _ in range(3)))
         draws.append((psicfg, fcfg, rng.uniform(-0.5, 0.5, size=4)))
     x = np.array([draw[2] for draw in draws])
     ps = sample_psi(stack_configs([draw[0] for draw in draws]), x, order)

@@ -138,7 +138,7 @@ def test_criterion_04_sphere_constraint():
     rng = np.random.default_rng(13)
     residual = 0.0
     for _ in range(100):
-        cfg = PsiConfig(tuple(random_plane_wave(rng, 0.7) for _ in range(3)))
+        cfg = PsiConfig(random_plane_wave(rng, 0.7, (3,)))
         ps = sample_psi(cfg, rng.uniform(-1, 1, size=4), ORDER)
         phi, _ = phi_from_psi(ps, COUPLINGS.R)
         residual = max(
@@ -180,7 +180,7 @@ def test_criterion_06_gauge_invariance_scaling():
     first, second = 0.0, math.inf
     for _ in range(20):
         gauge, psicfg = random_bosonic_config(rng, amplitude=0.1)
-        eps = EpsConfig(tuple(random_plane_wave(rng, 0.1) for _ in range(4)))
+        eps = EpsConfig(random_plane_wave(rng, 0.1, (4,)))
         x = rng.uniform(-0.5, 0.5, size=4)
         for jval in (1.0, None, 0.1):
             grades = (0, 1) if jval is None else (0,)
@@ -269,12 +269,9 @@ def test_criterion_09_fermion_sector():
     rng = np.random.default_rng(18)
     identity_resid = 0.0
     for _ in range(50):
-        psicfg = PsiConfig(tuple(random_plane_wave(rng, 0.5) for _ in range(3)))
-        fcfg = FermionConfig(
-            tuple(random_plane_wave(rng, 1.0) for _ in range(2)),
-            tuple(random_plane_wave(rng, 1.0) for _ in range(2)),
-            tuple(random_plane_wave(rng, 1.0) for _ in range(2)),
-        )
+        psicfg = PsiConfig(random_plane_wave(rng, 0.5, (3,)))
+        fcfg = FermionConfig(*(random_plane_wave(rng, 1.0, (2,))
+                               for _ in range(3)))
         x = rng.uniform(-0.5, 0.5, size=4)
         ps = sample_psi(psicfg, x, ORDER)
         fs = sample_fermions(fcfg, x, ORDER)

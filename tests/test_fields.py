@@ -77,6 +77,13 @@ def test_scaled_field_scales_everything():
     g = f.scaled(3.0)
     assert g.value(x) == pytest.approx(3.0 * f.value(x))
     assert np.allclose(g.grad(x), 3.0 * f.grad(x))
+    # one factor per element
+    p = Polynomial(np.array([0.5, 1.0]), np.ones((2, 4)), np.ones((2, 4, 4)))
+    s = np.array([3.0, -2.0])
+    q = p.scaled(s)
+    assert np.allclose(q.value(x), s * p.value(x))
+    assert np.allclose(q.grad(x), s[:, None] * p.grad(x))
+    assert np.allclose(q.hess(x), s[:, None, None] * p.hess(x))
 
 
 def test_couplings_validation():
@@ -90,10 +97,36 @@ def test_couplings_validation():
     assert c.gz == pytest.approx(1.0)
 
 
+def test_polynomial_derivatives_keep_element_axes():
+    """A polynomial's elements are those of c0, lin and quad broadcast, so
+    its gradient and hessian carry every element axis."""
+    x = np.zeros(4)
+    f = Polynomial(np.ones(3))
+    assert f.value(x).shape == (3,)
+    assert f.grad(x).shape == (3, 4)
+    assert f.hess(x).shape == (3, 4, 4)
+    f = Polynomial(1.0, np.ones((3, 4)))
+    assert f.grad(x).shape == (3, 4)
+    assert f.hess(x).shape == (3, 4, 4)
+    f = Polynomial(np.ones(3), quad=np.eye(4))
+    assert f.grad(np.zeros((5, 1, 4))).shape == (5, 3, 4)
+    assert np.array_equal(f.hess(x), np.broadcast_to(2.0 * np.eye(4), (3, 4, 4)))
+
+
+def test_constant_fields_have_the_shape_of_their_values():
+    f = constant(np.arange(12.0).reshape(3, 4))
+    assert np.shape(f.lin) == (3, 4, 4)
+    x = np.ones((2, 1, 1, 4))
+    assert np.array_equal(f.value(x), np.broadcast_to(f.c0, (2, 3, 4)))
+    assert np.array_equal(f.grad(x), np.zeros((2, 3, 4, 4)))
+    stacked = stack_configs([GaugeConfig.zero(), GaugeConfig.zero()])
+    assert np.shape(stacked.A.lin) == (2, 3, 4, 4)
+
+
 def test_gauge_sample_grading():
     cfg = GaugeConfig(
-        tuple(tuple(constant(k + 1.0) for _ in range(4)) for k in range(3)),
-        tuple(constant(9.0) for _ in range(4)),
+        constant(np.repeat([[1.0], [2.0], [3.0]], 4, axis=1)),
+        constant(np.full(4, 9.0)),
     )
     gs = sample_gauge(cfg, np.zeros(4), ORDER)
     # fiber components sit at grade 1, base components at grade 0
@@ -107,7 +140,7 @@ def test_gauge_sample_grading():
 
 def test_psi_and_fermion_sample_grading():
     ps = sample_psi(
-        PsiConfig((constant(1.0), constant(2.0), constant(3.0))),
+        PsiConfig(constant(np.array([1.0, 2.0, 3.0]))),
         np.zeros(4),
         ORDER,
     )
@@ -115,7 +148,7 @@ def test_psi_and_fermion_sample_grading():
     assert ps.psi[1].grade(1) == pytest.approx(2.0)
     assert ps.psi[2].grade(0) == pytest.approx(3.0)
 
-    unit = (constant(1.0), constant(0.0))
+    unit = constant(np.array([1.0, 0.0]))
     fs = sample_fermions(FermionConfig(unit, unit, unit), np.zeros(4), ORDER)
     assert fs.el[0].grade(0) == pytest.approx(1.0)
     assert fs.nu[0].grade(0) == 0.0
@@ -123,9 +156,22 @@ def test_psi_and_fermion_sample_grading():
     assert fs.er[0].grade(0) == pytest.approx(1.0)
 
 
-def _random_wave(rng, amplitude=0.7):
-    return PlaneWave(complex(rng.normal(), rng.normal()) * amplitude,
-                     tuple(rng.normal(size=4)), float(rng.uniform(-3, 3)))
+def _random_waves(rng, shape, amplitude=0.7):
+    """Complex plane waves over components `shape`, drawn one component
+    after the other in row-major order."""
+    draws = [(complex(rng.normal(), rng.normal()) * amplitude,
+              rng.normal(size=4), rng.uniform(-3, 3))
+             for _ in range(math.prod(shape))]
+    amp, k, phase = (np.array(p) for p in zip(*draws))
+    return PlaneWave(amp.reshape(shape), k.reshape(shape + (4,)),
+                     phase.reshape(shape))
+
+
+def _random_polynomial(rng, shape):
+    """Complex quadratic polynomials over components `shape`."""
+    return Polynomial(rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                      rng.normal(size=shape + (4,)),
+                      rng.normal(size=shape + (4, 4)))
 
 
 def _jets(value):
@@ -152,16 +198,10 @@ def test_sampling_a_points_array_equals_per_point_samples(with_scale):
     rng = np.random.default_rng(21)
     points = rng.uniform(-1.0, 1.0, size=(5, 4))
     scale = Jet([[0.0, 1.0]], ORDER, 2) if with_scale else None
-    quad = Polynomial(0.3 - 0.2j, (0.1, 0.4, -0.2, 0.3),
-                      ((0.2, 0.1, 0.0, 0.0), (0.0, -0.3, 0.0, 0.2),
-                       (0.1, 0.0, 0.4, 0.0), (0.0, 0.0, 0.0, -0.1)))
-    gauge = GaugeConfig(
-        tuple(tuple(_random_wave(rng) for _ in range(4)) for _ in range(3)),
-        (quad,) + tuple(_random_wave(rng) for _ in range(3)),
-    )
-    psi = PsiConfig((_random_wave(rng), quad, _random_wave(rng)))
-    spinors = [tuple(_random_wave(rng) for _ in range(2)) for _ in range(3)]
-    fermions = FermionConfig(*spinors)
+    gauge = GaugeConfig(_random_waves(rng, (3, 4)),
+                        _random_polynomial(rng, (4,)))
+    psi = PsiConfig(_random_polynomial(rng, (3,)))
+    fermions = FermionConfig(*(_random_waves(rng, (2,)) for _ in range(3)))
     _same_samples(sample_gauge(gauge, points, ORDER, scale=scale),
                   [sample_gauge(gauge, x, ORDER, scale=scale) for x in points],
                   ("a", "da", "b", "db"))
@@ -172,14 +212,9 @@ def test_sampling_a_points_array_equals_per_point_samples(with_scale):
                   [sample_fermions(fermions, x, ORDER, scale=scale)
                    for x in points],
                   ("el", "d_el", "nu", "d_nu", "er", "d_er"))
-    for field in (quad, _random_wave(rng)):
-        assert np.allclose(field.hess(points), [field.hess(x) for x in points])
-
-
-def _random_polynomial(rng):
-    return Polynomial(complex(rng.normal(), rng.normal()),
-                      tuple(rng.normal(size=4)),
-                      tuple(tuple(row) for row in rng.normal(size=(4, 4))))
+    for field in (gauge.B, fermions.e_l):
+        assert np.allclose(field.hess(points[:, None, :]),
+                           [field.hess(x[None, :]) for x in points])
 
 
 @pytest.mark.parametrize("with_scale", [False, True])
@@ -191,17 +226,12 @@ def test_stacked_configurations_pair_with_their_points(with_scale):
     n = 6
     points = rng.uniform(-1.0, 1.0, size=(n, 4))
     scale = Jet([[0.0, 1.0]], ORDER, 2) if with_scale else None
-    gauges = [GaugeConfig(
-        tuple(tuple(_random_wave(rng, 0.3) for _ in range(4)) for _ in range(3)),
-        (_random_polynomial(rng),) + tuple(_random_wave(rng, 0.3) for _ in range(3)),
-    ) for _ in range(n)]
-    psis = [PsiConfig((_random_wave(rng, 0.3), _random_polynomial(rng),
-                       _random_wave(rng, 0.3))) for _ in range(n)]
-    fermions = [FermionConfig(*[tuple(_random_wave(rng) for _ in range(2))
-                                for _ in range(3)]) for _ in range(n)]
-    params = [EpsConfig((_random_wave(rng, 0.1), _random_polynomial(rng),
-                         _random_wave(rng, 0.1), _random_wave(rng, 0.1)))
-              for _ in range(n)]
+    gauges = [GaugeConfig(_random_waves(rng, (3, 4), 0.3),
+                          _random_polynomial(rng, (4,))) for _ in range(n)]
+    psis = [PsiConfig(_random_waves(rng, (3,), 0.3)) for _ in range(n)]
+    fermions = [FermionConfig(*(_random_waves(rng, (2,)) for _ in range(3)))
+                for _ in range(n)]
+    params = [EpsConfig(_random_polynomial(rng, (4,))) for _ in range(n)]
     per_sample = list(zip(gauges, psis, fermions, params, points))
 
     gs = sample_gauge(stack_configs(gauges), points, ORDER, scale=scale)
@@ -229,7 +259,7 @@ def test_stacked_configurations_pair_with_their_points(with_scale):
 def test_stacked_configurations_broadcast_over_one_point():
     """Stacked constant backgrounds at one point: one sample per
     configuration."""
-    cfgs = [PsiConfig((constant(v), constant(0.0), constant(2.0 * v)))
+    cfgs = [PsiConfig(constant(np.array([v, 0.0, 2.0 * v])))
             for v in (0.5, -1.0, 3.0)]
     ps = sample_psi(stack_configs(cfgs), np.zeros(4), ORDER)
     for i, cfg in enumerate(cfgs):
@@ -238,14 +268,15 @@ def test_stacked_configurations_broadcast_over_one_point():
 
 
 def test_stacking_needs_matching_field_types():
-    waves = PsiConfig((PlaneWave(0.1, (1.0, 0.0, 0.0, 0.0)),) * 3)
+    waves = PsiConfig(PlaneWave(np.full(3, 0.1), np.tile([1.0, 0.0, 0.0, 0.0],
+                                                         (3, 1))))
     with pytest.raises(ValueError):
         stack_configs([waves, PsiConfig.zero()])
 
 
 def test_numeric_sampling_collapses_grades():
     ps = sample_psi(
-        PsiConfig((constant(1.0), constant(0.0), constant(0.0))),
+        PsiConfig(constant(np.array([1.0, 0.0, 0.0]))),
         np.zeros(4),
         ORDER,
         jval=0.25,
@@ -258,12 +289,9 @@ def test_sphere_embedding_constraint():
     rng = np.random.default_rng(0)
     R = 1.7
     for _ in range(30):
-        cfg = PsiConfig(
-            tuple(
-                PlaneWave(rng.normal() * 0.8, tuple(rng.normal(size=4)), 0.1)
-                for _ in range(3)
-            )
-        )
+        draws = [(rng.normal() * 0.8, rng.normal(size=4)) for _ in range(3)]
+        cfg = PsiConfig(PlaneWave(np.array([a for a, _ in draws]),
+                                  np.array([k for _, k in draws]), 0.1))
         ps = sample_psi(cfg, rng.uniform(-1, 1, size=4), ORDER)
         phi, _ = phi_from_psi(ps, R)
         form = hermitian_form_jets(phi, phi)
@@ -272,12 +300,9 @@ def test_sphere_embedding_constraint():
 
 def test_phi_gradient_matches_chain_rule_via_jacobian():
     rng = np.random.default_rng(1)
-    cfg = PsiConfig(
-        tuple(
-            PlaneWave(rng.normal() * 0.5, tuple(rng.normal(size=4)), 0.3)
-            for _ in range(3)
-        )
-    )
+    draws = [(rng.normal() * 0.5, rng.normal(size=4)) for _ in range(3)]
+    cfg = PsiConfig(PlaneWave(np.array([a for a, _ in draws]),
+                              np.array([k for _, k in draws]), 0.3))
     x = np.array([0.2, -0.3, 0.5, 0.1])
     ps = sample_psi(cfg, x, ORDER)
     phi, dphi = phi_from_psi(ps, 1.0)
@@ -397,20 +422,13 @@ def test_psi_generator_action_grading():
 def test_zero_parameter_gauge_transform_is_identity():
     rng = np.random.default_rng(5)
     c = Couplings(g=0.65, gp=0.35, R=1.0)
-    gauge = GaugeConfig(
-        tuple(
-            tuple(PlaneWave(0.2, tuple(rng.normal(size=4)), 0.0) for _ in range(4))
-            for _ in range(3)
-        ),
-        tuple(PlaneWave(0.2, tuple(rng.normal(size=4)), 0.0) for _ in range(4)),
-    )
-    psicfg = PsiConfig(
-        tuple(PlaneWave(0.2, tuple(rng.normal(size=4)), 0.0) for _ in range(3))
-    )
+    gauge = GaugeConfig(PlaneWave(0.2, rng.normal(size=(3, 4, 4)), 0.0),
+                        PlaneWave(0.2, rng.normal(size=(4, 4)), 0.0))
+    psicfg = PsiConfig(PlaneWave(0.2, rng.normal(size=(3, 4)), 0.0))
     x = np.array([0.1, 0.2, -0.3, 0.4])
     gs = sample_gauge(gauge, x, ORDER)
     ps = sample_psi(psicfg, x, ORDER)
-    eps = EpsConfig(tuple(Polynomial() for _ in range(4)))
+    eps = EpsConfig(Polynomial(np.zeros(4)))
     gs2, ps2 = infinitesimal_gauge_transform(gs, ps, eps, x, c)
     for k in range(3):
         for mu in range(4):

@@ -289,6 +289,19 @@ def test_trace_cyclic():
     assert (m1 * m2).trace().allclose((m2 * m1).trace(), tol=1e-8)
 
 
+def test_jet_times_matrix_scales_every_entry_in_either_order():
+    rng = np.random.default_rng(6)
+    j = Jet.variable()
+    for m in (JetMatrix2.identity(), _random_matrix(rng)):
+        left, right = j * m, m * j
+        assert isinstance(left, JetMatrix2)
+        assert left.allclose(right, tol=0.0)
+    with pytest.raises(TypeError):
+        j * object()
+    with pytest.raises(TypeError):
+        j / object()
+
+
 # -- batch axes ---------------------------------------------------------
 
 

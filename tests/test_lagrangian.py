@@ -120,14 +120,9 @@ def test_coordinate_equivalence_of_matter_densities():
 def test_yukawa_matrix_and_expanded_forms_agree():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        psicfg = PsiConfig(
-            tuple(random_plane_wave(rng, 0.5) for _ in range(3))
-        )
-        fcfg = FermionConfig(
-            tuple(random_plane_wave(rng, 1.0) for _ in range(2)),
-            tuple(random_plane_wave(rng, 1.0) for _ in range(2)),
-            tuple(random_plane_wave(rng, 1.0) for _ in range(2)),
-        )
+        psicfg = PsiConfig(random_plane_wave(rng, 0.5, (3,)))
+        fcfg = FermionConfig(*(random_plane_wave(rng, 1.0, (2,))
+                               for _ in range(3)))
         x = _random_point(rng)
         ps = sample_psi(psicfg, x, ORDER)
         fs = sample_fermions(fcfg, x, ORDER)
@@ -139,8 +134,8 @@ def test_fermion_density_mass_term_at_origin():
     """On constant unit electron spinors at psi = 0 the kinetic terms
     vanish, so the density is the mass term -h_e R (e_r+ e_l + e_l+ e_r)
     = -2 h_e R at every grade."""
-    unit = (PlaneWave(1.0, (0.0, 0.0, 0.0, 0.0)), PlaneWave(0.0, (0.0,) * 4))
-    zero = (PlaneWave(0.0, (0.0,) * 4), PlaneWave(0.0, (0.0,) * 4))
+    unit = PlaneWave(np.array([1.0, 0.0]), np.zeros((2, 4)))
+    zero = PlaneWave(np.zeros(2), np.zeros((2, 4)))
     fcfg = FermionConfig(unit, zero, unit)
     x = np.zeros(4)
     gs = sample_gauge(GaugeConfig.zero(), x, ORDER)
@@ -165,12 +160,12 @@ def _fermion_kinetic_oracle(gauge, fcfg, x, c):
     at j = 1: the doublet's D_mu is d_mu + (i/2)(g A.tau + g' B), acting on
     the SU(2) index of L_l = (e_l, nu_l), and the singlet's is
     d_mu + i g' B."""
-    A = np.array([[f.value(x) for f in row] for row in gauge.A])  # [k, mu]
-    B = np.array([f.value(x) for f in gauge.B])
-    L = np.array([[f.value(x) for f in sp] for sp in (fcfg.e_l, fcfg.nu_l)])
-    dL = np.array([[f.grad(x) for f in sp] for sp in (fcfg.e_l, fcfg.nu_l)])
-    er = np.array([f.value(x) for f in fcfg.e_r])
-    der = np.array([f.grad(x) for f in fcfg.e_r])
+    A = gauge.A.value(x)  # [k, mu]
+    B = gauge.B.value(x)
+    L = np.array([fcfg.e_l.value(x), fcfg.nu_l.value(x)])
+    dL = np.array([fcfg.e_l.grad(x), fcfg.nu_l.grad(x)])
+    er = fcfg.e_r.value(x)
+    der = fcfg.e_r.grad(x)
     total = 0.0
     for mu in range(4):
         conn = 0.5j * (c.g * np.einsum("k,kab->ab", A[:, mu], _PAULI)
@@ -182,6 +177,13 @@ def _fermion_kinetic_oracle(gauge, fcfg, x, c):
     return total
 
 
+def _complex_waves(rng):
+    """Two plane waves with complex amplitudes, drawn one after the other."""
+    draws = [(complex(rng.normal(), rng.normal()), rng.normal(size=4),
+              rng.uniform(-3, 3)) for _ in range(2)]
+    return PlaneWave(*(np.array(p) for p in zip(*draws)))
+
+
 def test_fermion_kinetic_terms_match_a_numpy_oracle():
     """The kinetic terms on random plane-wave fermions and gauge fields, at
     j = 1 and h_e = 0, against the docstring formula in plain numpy."""
@@ -189,9 +191,7 @@ def test_fermion_kinetic_terms_match_a_numpy_oracle():
     c = Couplings(g=COUPLINGS.g, gp=COUPLINGS.gp, R=COUPLINGS.R, h_e=0.0)
     for _ in range(10):
         gauge, psicfg = random_bosonic_config(rng, amplitude=0.5)
-        fcfg = FermionConfig(*[tuple(PlaneWave(
-            complex(rng.normal(), rng.normal()), tuple(rng.normal(size=4)),
-            float(rng.uniform(-3, 3))) for _ in range(2)) for _ in range(3)])
+        fcfg = FermionConfig(*(_complex_waves(rng) for _ in range(3)))
         x = _random_point(rng)
         gs = sample_gauge(gauge, x, ORDER, jval=1.0)
         phi, _ = phi_from_psi(sample_psi(psicfg, x, ORDER, jval=1.0), c.R)
@@ -212,7 +212,7 @@ def test_gauge_variation_is_second_order(jval):
     grades = (0, 1) if jval is None else (0,)
     for _ in range(5):
         gauge, psicfg = random_bosonic_config(rng, amplitude=0.1)
-        eps = EpsConfig(tuple(random_plane_wave(rng, 0.1) for _ in range(4)))
+        eps = EpsConfig(random_plane_wave(rng, 0.1, (4,)))
         x = _random_point(rng)
         gs = sample_gauge(gauge, x, ORDER, jval)
         ps = sample_psi(psicfg, x, ORDER, jval)
@@ -238,7 +238,7 @@ def test_first_order_variation_is_exact_and_detects_a_wrong_transform(jval):
     c = COUPLINGS
     wrong = Couplings(g=2.0 * c.g, gp=c.gp, R=c.R, h_e=c.h_e)
     gauge, psicfg = random_bosonic_config(rng, amplitude=0.1)
-    eps = EpsConfig(tuple(random_plane_wave(rng, 0.1) for _ in range(4)))
+    eps = EpsConfig(random_plane_wave(rng, 0.1, (4,)))
     x = _random_point(rng)
     gs = sample_gauge(gauge, x, ORDER, jval)
     ps = sample_psi(psicfg, x, ORDER, jval)

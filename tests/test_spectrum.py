@@ -35,6 +35,7 @@ from ewcontract.spectrum import (
     mass_spectrum,
     quadratic_check,
     random_bosonic_config,
+    random_plane_wave,
 )
 
 ORDER = DEFAULT_ORDER
@@ -58,6 +59,24 @@ def test_halton_points_are_scipys_scrambled_halton_bits():
                         - 0.5) * 2.0
             assert np.array_equal(halton_points(count, seed), expected), \
                 (seed, count)
+
+
+def test_random_plane_waves_are_drawn_one_component_at_a_time():
+    """Component (k, mu) of a (3, 4) draw is the wave that the (4k + mu)-th
+    of twelve single draws from the same seed gives."""
+    waves = random_plane_wave(np.random.default_rng(7), 0.3, (3, 4))
+    assert waves.amplitude.shape == (3, 4)
+    assert waves.wavevector.shape == (3, 4, 4)
+    assert waves.phase.shape == (3, 4)
+    rng = np.random.default_rng(7)
+    for k in range(3):
+        for mu in range(4):
+            amplitude = rng.normal() * 0.3
+            wavevector = rng.normal(size=4) * 0.6
+            phase = rng.uniform(-math.pi, math.pi)
+            assert waves.amplitude[k, mu] == amplitude
+            assert np.array_equal(waves.wavevector[k, mu], wavevector)
+            assert waves.phase[k, mu] == phase
 
 
 def test_epsilon_expand_recovers_known_polynomial():
@@ -203,7 +222,7 @@ def test_batched_gauge_mass_coefficients_equal_one_background_at_a_time(jval):
 def test_batched_fermion_mass_coefficients_equal_one_background_at_a_time():
     c = COUPLINGS
     batch = _fermion_mass_coefficients(c, ORDER)
-    zero, unit = (constant(0.0), constant(0.0)), (constant(1.0), constant(0.0))
+    zero, unit = constant(np.zeros(2)), constant(np.array([1.0, 0.0]))
     x = np.zeros(4)
     gs = sample_gauge(GaugeConfig.zero(), x, ORDER)
     phi, _ = phi_from_psi(sample_psi(PsiConfig.zero(), x, ORDER), c.R)
