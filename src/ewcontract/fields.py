@@ -21,7 +21,8 @@ configuration axes of field parameters, before the component axes,
 broadcast against those of the points, so :func:`stack_configs` of N
 configurations sampled at (N, 4) points pairs configuration i with point
 i, and one configuration at (16, 4) points is that configuration at 16
-points.
+points. The generators a = T1, T2, T3, Y act on the sphere coordinates as
+one table of vector fields X[..., a, k] over a generator axis.
 
 Spacetime index contraction is a plain Euclidean sum over mu = 0..3; the
 verified claims are algebraic identities and never need a signature.
@@ -36,7 +37,7 @@ from typing import Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from .jets import DEFAULT_ORDER, Jet, jparam, stack
+from .jets import DEFAULT_ORDER, Jet, stack
 
 Vec4 = np.ndarray
 
@@ -370,57 +371,45 @@ def phi_jacobian(psi: Jet, R: float) -> Jet:
     return comps[..., :, None] * dr[..., None, :] + r[..., None, None] * direct
 
 
-_GEN_GRADE = {"T1": 1, "T2": 1, "T3": 0, "Y": 0}
+#: the generators over the axis a = T1, T2, T3, Y act on the sphere
+#: coordinates as X_a(v) = (s_a/2)(e_a + (e_a.v) v + t_a e_a x v), e_a the
+#: unit vector of axis _AXIS[a], s = (1, -1, 1, 1) and t = (1, 1, 1, -1);
+#: _CROSS[a] is the matrix of v -> t_a e_a x v
+_AXIS = np.array([0, 1, 2, 2])
+_E = np.eye(3)[_AXIS]
+_TE = np.array([1.0, 1.0, 1.0, -1.0])[:, None] * _E
+_HALF_SIGN = 0.5 * np.array([1.0, -1.0, 1.0, 1.0])
+_CROSS = np.cross(_TE[:, None, :], np.eye(3)).swapaxes(-1, -2)
 
 
-def generator_vector_field(which: str, v: Jet) -> Jet:
-    """Real vector field X[..., k] on the sphere coordinates v[..., k]
-    induced by a generator: the exact pushforward of the linear action on
-    the doublet through the coordinate map. Written at j=1; grading of
-    the inputs supplies all contraction factors.
+def generator_vector_fields(v: Jet) -> Jet:
+    """Real vector fields X[..., a, k] on the sphere coordinates v[..., k]
+    induced by the generators a = T1, T2, T3, Y: the exact pushforward of
+    the linear action on the doublet through the coordinate map. Written
+    at j=1; grading of the inputs supplies all contraction factors.
 
     The sign of each action is pinned by requiring the doublet-space and
     sphere-coordinate covariant derivatives to be chain-rule consistent;
     this fixes T1 and Y with the opposite sign from T2, T3 relative to a
     naive transcription of the matrix action."""
-    v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
-    if which == "T1":
-        comps = [1.0 + v1 * v1, v1 * v2 - v3, v2 + v1 * v3]
-    elif which == "T2":
-        comps = [-(v3 + v1 * v2), -(1.0 + v2 * v2), v1 - v2 * v3]
-    elif which == "T3":
-        comps = [v1 * v3 - v2, v1 + v2 * v3, 1.0 + v3 * v3]
-    elif which == "Y":
-        comps = [v2 + v1 * v3, v2 * v3 - v1, 1.0 + v3 * v3]
-    else:
-        raise ValueError(f"unknown generator {which!r}")
-    return 0.5 * stack(comps)
+    b, e = [1, 2, 0], [2, 0, 1]  # t_a e_a x v from cyclic index arrays
+    cross = _TE[:, b] * v[..., None, e] - _TE[:, e] * v[..., None, b]
+    return _HALF_SIGN[:, None] * (_E + (v[..., _AXIS, None] * v[..., None, :] + cross))
 
 
-def generator_vector_jacobian(which: str, v: Jet) -> Jet:
-    """d(X_k)/d(v_l) as jac[..., k, l] for the four vector fields above."""
-    v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
-    if which == "T1":
-        rows = [[2.0 * v1, 0.0, 0.0], [v2, v1, -1.0], [v3, 1.0, v1]]
-    elif which == "T2":
-        rows = [[-v2, -v1, -1.0], [0.0, -2.0 * v2, 0.0], [1.0, -v3, -v2]]
-    elif which == "T3":
-        rows = [[v3, -1.0, v1], [1.0, v3, v2], [0.0, 0.0, 2.0 * v3]]
-    elif which == "Y":
-        rows = [[v3, 1.0, v1], [-1.0, v3, v2], [0.0, 0.0, 2.0 * v3]]
-    else:
-        raise ValueError(f"unknown generator {which!r}")
-    return 0.5 * stack([stack(row) for row in rows], axis=-2)
+def generator_vector_jacobians(v: Jet) -> Jet:
+    """d(X_k)/d(v_l) as jac[..., a, k, l] for the four vector fields above."""
+    outer = _E[:, None, :] * v[..., None, :, None]
+    diagonal = v[..., _AXIS, None, None] * np.eye(3)
+    return _HALF_SIGN[:, None, None] * (outer + diagonal + _CROSS)
 
 
-def psi_generator_action(which: str, psi: Jet,
-                         jval: Optional[float] = None) -> Jet:
-    """Action of T1, T2, T3 or Y on the graded sphere coordinates, as the
-    displayed graded 3-vector: j * X for the fiber generators T1, T2."""
-    x = generator_vector_field(which, psi)
-    if _GEN_GRADE[which] == 1:
-        return jparam(psi.order, jval) * x
-    return x
+def psi_generator_action(psi: Jet, jval: Optional[float] = None) -> Jet:
+    """Action of T1, T2, T3 and Y on the graded sphere coordinates, as the
+    displayed graded 3-vectors [..., a, k]: j * X for the fiber generators
+    T1, T2."""
+    g = _grading((True, True, False, False), psi.order, jval, None)
+    return g[..., None] * generator_vector_fields(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -453,48 +442,27 @@ def infinitesimal_gauge_transform(
     xc = x[..., None, :]
     ev = g * eps_cfg.eps.value(xc)
     dev = g[..., None] * eps_cfg.eps.grad(xc)
-    hess = eps_cfg.eps.hess(xc)
+    coupling = -1.0 / np.array([c.g, c.g, c.g, c.gp])
+    shift = coupling[:, None] * dev  # -(1/g) d_mu eps_a
+    hess_shift = g[..., None, None] * (coupling[:, None, None] * eps_cfg.eps.hess(xc))
 
-    def hess_shift(a: int, coupling: float) -> Jet:
-        """-(1/coupling) d_mu d_nu eps_a, graded like eps_a."""
-        return g[..., a] * ((-1.0 / coupling) * hess[..., a, :, :])
+    X = generator_vector_fields(ps.psi)
+    dX = (generator_vector_jacobians(ps.psi)[..., None]
+          * ps.dpsi[..., None, None, :, :]).sum(-2)  # d_mu X_a(psi)_k
+    psi_new = ps.psi + (ev[..., None] * X).sum(-2)
+    dpsi_new = ps.dpsi + (dev[..., :, None, :] * X[..., None]
+                          + ev[..., None, None] * dX).sum(-3)
 
-    # Over a large batch every whole-component temporary here is tens of
-    # MiB, so the shifts are built one generator, one jacobian column and
-    # one su(2) direction at a time, the matter sector before the gauge
-    # sector and B last: each step then reuses memory the previous one
-    # freed (at 10,000 configurations this keeps the process peak near
-    # that of per-component lists of jets).
-
-    # matter sector, one generator a at a time
-    psi_new, dpsi_new = ps.psi, ps.dpsi
-    for a, which in enumerate(("T1", "T2", "T3", "Y")):
-        X = generator_vector_field(which, ps.psi)
-        J = generator_vector_jacobian(which, ps.psi)
-        chain = 0.0  # d_mu X_a(psi)_k = sum_l J[k, l] d_mu psi_l
-        for l in range(3):
-            chain = chain + J[..., :, l, None] * ps.dpsi[..., l, None, :]
-        psi_new = psi_new + ev[..., a, None] * X
-        dpsi_new = (dpsi_new + dev[..., a, None, :] * X[..., None]
-                    + ev[..., a, None, None] * chain)
-
-    # gauge sector, one su(2) direction a at a time: eps_{bca} = +1 for
-    # (b, e) below and -1 for (e, b)
-    a_new, da_new = [], []
-    for a in range(3):
-        b, e = (a + 1) % 3, (a + 2) % 3
-        a_new.append(gs.a[..., a, :] + (
-            (-1.0 / c.g) * dev[..., a, :]
-            - (ev[..., b, None] * gs.a[..., e, :]
-               - ev[..., e, None] * gs.a[..., b, :])))
-        da_new.append(gs.da[..., a, :, :] + (
-            hess_shift(a, c.g)
-            - (dev[..., b, :, None] * gs.a[..., e, None, :]
-               + ev[..., b, None, None] * gs.da[..., e, :, :])
-            + (dev[..., e, :, None] * gs.a[..., b, None, :]
-               + ev[..., e, None, None] * gs.da[..., b, :, :])))
-
-    a_new, da_new = stack(a_new, axis=-2), stack(da_new, axis=-3)
-    b_new = gs.b + (-1.0 / c.gp) * dev[..., 3, :]
-    db_new = gs.db + hess_shift(3, c.gp)
-    return GaugeSample(a_new, da_new, b_new, db_new), PsiSample(psi_new, dpsi_new)
+    # eps_{bca} = +1 for a = 0, 1, 2 and (b, e) below, -1 for (e, b)
+    b, e = [1, 2, 0], [2, 0, 1]
+    a_new = gs.a + (shift[..., :3, :] - (ev[..., b, None] * gs.a[..., e, :]
+                                         - ev[..., e, None] * gs.a[..., b, :]))
+    da_new = gs.da + (
+        hess_shift[..., :3, :, :]
+        - (dev[..., b, :, None] * gs.a[..., e, None, :]
+           + ev[..., b, None, None] * gs.da[..., e, :, :])
+        + (dev[..., e, :, None] * gs.a[..., b, None, :]
+           + ev[..., e, None, None] * gs.da[..., b, :, :]))
+    return (GaugeSample(a_new, da_new, gs.b + shift[..., 3, :],
+                        gs.db + hess_shift[..., 3, :, :]),
+            PsiSample(psi_new, dpsi_new))

@@ -83,38 +83,27 @@ def commutator_table(order: int = DEFAULT_ORDER) -> Dict[Tuple[int, int], JetMat
 
 def one_param(k: "int | np.ndarray", angle: Param, order: int = DEFAULT_ORDER,
               jval: float | None = None) -> JetMatrix2:
-    """One-parameter subgroup element exp(angle * T_k(j)), or a batch of
-    them for arrays k and angle of one shape.
+    """One-parameter subgroup element exp(angle * T_k(j)) = c 1 + i s tau_k,
+    or a batch of them for arrays k and angle of one shape.
 
-    For k=1,2 the entries are the series of cos(j*angle/2), sin(j*angle/2);
-    k=3 is the diagonal phase subgroup, untouched by contraction. A numeric
-    jval replaces the series by exact cos/sin values at j=jval.
+    For k=1,2, c and s are the series of cos(j*angle/2), sin(j*angle/2);
+    k=3 is the diagonal phase subgroup, untouched by contraction, with
+    c = cos(angle/2) and s = sin(angle/2). A numeric jval replaces the
+    series by exact cos/sin values at j=jval.
     """
     k = np.asarray(k)
     if not np.isin(k, (1, 2, 3)).all():
         raise ValueError("subgroup index must be 1, 2 or 3")
-    angle = np.asarray(angle, dtype=float)
-    half = angle / 2.0
+    half = np.asarray(angle, dtype=float) / 2.0
     if jval is None:
-        c = jet_cos(half, order)
-        s = jet_sin(half, order)
+        c, s = (Jet(np.where((k != 3)[..., None, None], series(half, order).coeffs,
+                             Jet.const(closed(half), order).coeffs), order)
+                for series, closed in ((jet_cos, np.cos), (jet_sin, np.sin)))
     else:
-        c = Jet.const(np.cos(jval * half), order)
-        s = Jet.const(np.sin(jval * half), order)
-    zero = Jet.zero(order)
-    by_k = [[[c, 1j * s], [1j * s, c]],
-            [[c, s], [-s, c]],
-            [[Jet.const(np.exp(0.5j * angle), order), zero],
-             [zero, Jet.const(np.exp(-0.5j * angle), order)]]]
-    is1, is3 = ((k == n)[..., None, None] for n in (1, 3))
-
-    def entry(r: int, col: int) -> Jet:
-        """Entry (r, col) of exp(angle T_k) for k = 1, 2 or 3, per element."""
-        m1, m2, m3 = (np.broadcast_to(m[r][col].coeffs, c.coeffs.shape)
-                      for m in by_k)
-        return Jet(np.where(is3, m3, np.where(is1, m1, m2)), order)
-
-    return JetMatrix2([[entry(r, col) for col in range(2)] for r in range(2)])
+        x = np.where(k != 3, jval, 1.0) * half
+        c, s = Jet.const(np.cos(x), order), Jet.const(np.sin(x), order)
+    return JetMatrix2(c[..., None, None] * np.eye(2)
+                      + (1j * s)[..., None, None] * np.stack(PAULI)[k - 1])
 
 
 def exp_series(a1: Param, a2: Param, a3: Param, order: int = DEFAULT_ORDER,

@@ -334,26 +334,21 @@ def _product_width(a: int, b: int) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def _plan(a_shape: Tuple[int, ...], b_shape: Tuple[int, ...]):
-    """Index plan of the truncated product of coefficient arrays of these
-    shapes: (result shape, chunks). Every pair of flat
-    coefficient indices (i, k) whose grades sum to a kept term, sorted by
-    that term, is split into chunks of whole terms; a chunk is
-    (left, right, starts, lo, hi), its pairs' indices into each operand,
-    the offset of each term's first pair and its range of flat terms."""
-    rows, ca, cb = a_shape[-2], a_shape[-1], b_shape[-1]
-    if b_shape[-2] != rows:
-        raise ValueError(f"incompatible truncation orders {rows - 1} != "
-                         f"{b_shape[-2] - 1}")
+def _plan(rows: int, ca: int, cb: int, per_chunk: int):
+    """Index plan of the truncated product of coefficient arrays with
+    `rows` j rows and ca, cb eps columns: (result columns, chunks). Every
+    pair of flat coefficient indices (i, k) whose grades sum to a kept
+    term, sorted by that term, is split into chunks of whole terms of
+    about `per_chunk` pairs; a chunk is (left, right, starts, lo, hi), its
+    pairs' indices into each operand, the offset of each term's first pair
+    and its range of flat terms."""
     cols = _product_width(ca, cb)
-    batch = np.broadcast_shapes(a_shape[:-2], b_shape[:-2])
     terms = []  # per flat term n * cols + p: its (left, right) pairs
     for n in range(rows):
         for p in range(cols):
             terms.append([(k * ca + q, (n - k) * cb + (p - q))
                           for k in range(n + 1)
                           for q in range(max(0, p - cb + 1), min(p, ca - 1) + 1)])
-    per_chunk = max(1, _PRODUCT_CHUNK_BYTES // (16 * math.prod(batch)))
     chunks, lo = [], 0
     while lo < len(terms):
         hi, count = lo + 1, len(terms[lo])
@@ -367,19 +362,28 @@ def _plan(a_shape: Tuple[int, ...], b_shape: Tuple[int, ...]):
             index.flags.writeable = False  # shared by every cached call
         chunks.append((left, right, starts, lo, hi))
         lo = hi
-    return batch + (rows, cols), tuple(chunks)
+    return cols, tuple(chunks)
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated product of two coefficient arrays, broadcast over their
     batch axes: each term gathers the coefficient pairs that multiply into
     it, and np.add.reduceat sums them."""
-    shape, chunks = _plan(a.shape, b.shape)
+    rows = a.shape[-2]
+    if b.shape[-2] != rows:
+        raise ValueError(f"incompatible truncation orders {rows - 1} != "
+                         f"{b.shape[-2] - 1}")
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    # capped at the most pairs a product has: batches that fit one chunk share a plan
+    per_chunk = min(max(1, _PRODUCT_CHUNK_BYTES // (16 * math.prod(batch))),
+                    rows * a.shape[-1] * rows * b.shape[-1])
+    cols, chunks = _plan(rows, a.shape[-1], b.shape[-1], per_chunk)
+    shape = batch + (rows, cols)
     if len(chunks) == 1:
         left, right, starts, _, _ = chunks[0]
         terms = _gather(a, left) * _gather(b, right)
         return np.add.reduceat(terms, starts, axis=-1).reshape(shape)
-    out = np.empty(shape[:-2] + (shape[-2] * shape[-1],), dtype=complex)
+    out = np.empty(batch + (rows * cols,), dtype=complex)
     for left, right, starts, lo, hi in chunks:
         np.add.reduceat(_gather(a, left) * _gather(b, right), starts,
                         axis=-1, out=out[..., lo:hi])

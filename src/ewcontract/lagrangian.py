@@ -18,7 +18,7 @@ from .fields import (
     FermionSample,
     GaugeSample,
     PsiSample,
-    generator_vector_field,
+    generator_vector_fields,
     phi_from_psi,
 )
 from .jets import Jet, JetMatrix2, stack
@@ -133,13 +133,13 @@ def lagrangian_phi(phi: Jet, dphi: Jet, gs: GaugeSample, c: Couplings) -> Jet:
 
 def covariant_derivative_psi(ps: PsiSample, gs: GaugeSample, c: Couplings) -> Jet:
     """D_mu psi_k = d_mu psi_k + g sum_a X_a(psi)_k A^a_mu + g' X_Y(psi)_k B_mu
-    as D[..., k, mu], with the generator vector fields X (component form,
-    normative), one generator at a time."""
-    ga, gb = c.g * gs.a, c.gp * gs.b
+    as D[..., k, mu] (component form, normative), one generator at a time:
+    a contraction over all four raises expand's traced peak by a third."""
+    X = generator_vector_fields(ps.psi)
     d = ps.dpsi
-    for a, which in enumerate(("T1", "T2", "T3", "Y")):
-        field = ga[..., a, :] if a < 3 else gb
-        d = d + generator_vector_field(which, ps.psi)[..., None] * field[..., None, :]
+    for a in range(4):
+        field = c.g * gs.a[..., a, :] if a < 3 else c.gp * gs.b
+        d = d + X[..., a, :, None] * field[..., None, :]
     return d
 
 

@@ -275,25 +275,14 @@ class SpectrumReport:
         }
 
 
-def _constant_gauge(direction: Dict[str, float]) -> GaugeConfig:
-    """Constant gauge configuration with unit time components along the
-    requested raw-field directions."""
-    A, B = np.zeros((3, 4)), np.zeros(4)
-    for key, value in direction.items():
-        if key == "B":
-            B[0] = value
-        else:
-            A[int(key), 0] = value
-    return GaugeConfig(constant(A), constant(B))
-
-
-def _gauge_mass_coefficients(directions: Sequence[Dict[str, float]],
-                             c: Couplings, order: int,
+def _gauge_mass_coefficients(backgrounds: np.ndarray, c: Couplings, order: int,
                              jval: Optional[float] = None) -> Jet:
     """eps^2 coefficients of the bosonic density for constant gauge
-    backgrounds at psi = 0: one density evaluation, batch item i being
-    directions[i] (the stacked backgrounds broadcast over one point)."""
-    gauge = stack_configs([_constant_gauge(d) for d in directions])
+    backgrounds at psi = 0: one density evaluation, batch item i being the
+    background whose time components over (A^1, A^2, A^3, B) are
+    backgrounds[i] (the backgrounds broadcast over one point)."""
+    potentials = np.asarray(backgrounds)[..., None] * np.eye(4)[0]
+    gauge = GaugeConfig(constant(potentials[:, :3]), constant(potentials[:, 3]))
     psi = PsiConfig.zero()
     x = np.zeros(4)
 
@@ -329,11 +318,12 @@ def _fermion_mass_coefficients(c: Couplings, order: int) -> Jet:
 def mass_spectrum(c: Couplings, order: int = DEFAULT_ORDER) -> SpectrumReport:
     """Extract m_W, m_Z, m_A (and m_e when h_e > 0) from the exact
     Lagrangian on constant backgrounds along each physical direction."""
-    z_dir = {"2": c.g / c.gz, "B": c.gp / c.gz}
-    a_dir = {"2": c.gp / c.gz, "B": -c.g / c.gz}
     # grade by grade, for the W, Z and A backgrounds
+    backgrounds = np.array([[1.0, 0.0, 0.0, 0.0],
+                            [0.0, 0.0, c.g / c.gz, c.gp / c.gz],
+                            [0.0, 0.0, c.gp / c.gz, -c.g / c.gz]])
     w_coeff, z_coeff, a_coeff = _gauge_mass_coefficients(
-        [{"0": 1.0}, z_dir, a_dir], c, order).coeffs[..., 0]
+        backgrounds, c, order).coeffs[..., 0]
     # unit W background: W+ W- = 1/2, so the coefficient is m_W^2 / 2
     m_w = math.sqrt(max(2.0 * w_coeff[2].real, 0.0))
     m_z = math.sqrt(max(2.0 * z_coeff[0].real, 0.0))
@@ -629,10 +619,8 @@ def limit_consistency(c: Optional[Couplings] = None, seed: int = 0,
 
     compare("bosonic_density", density_value)
 
-    w_values = []
-    for t in LIMIT_T_VALUES:
-        coeff = _gauge_mass_coefficients([{"0": 1.0}], c, order, jval=t)
-        w_values.append(coeff.grade(0)[0].real)
+    w_values = [_gauge_mass_coefficients(np.eye(4)[:1], c, order, jval=t)
+                .grade(0)[0].real for t in LIMIT_T_VALUES]
     logs = np.log(np.abs(w_values))
     logt = np.log(np.asarray(LIMIT_T_VALUES))
     slope = float(np.polyfit(logt, logs, 1)[0])

@@ -9,9 +9,10 @@ them and rejects an override that names no default or has a bad value.
 
 A sampled suite draws all of its samples first, in the order of one
 sample after the other, then stacks them and evaluates them once over a
-leading batch axis; its residual is a maximum over that axis. Evaluation
-draws no random numbers, so every sample has the numbers of its place in
-the stream.
+leading batch axis (invariance: in chunks of CONFIG_CHUNK configurations,
+which bound its memory); its residual is a maximum over that axis.
+Evaluation draws no random numbers, so every sample has the numbers of
+its place in the stream.
 """
 
 from __future__ import annotations
@@ -90,9 +91,15 @@ DEFAULTS: Dict[str, Dict[str, float]] = {
     },
 }
 
-#: largest accepted sample count: a suite holds every sample of a check at
-#: once, so its memory grows linearly with the count
+#: largest accepted sample count: a suite other than invariance holds every
+#: sample of a check at once, so its memory grows linearly with the count;
+#: the time of every suite grows linearly with it
 MAX_SAMPLE_COUNT = 10000
+
+#: configurations the invariance suite evaluates at once: its memory is
+#: bounded by this chunk, not by its sample count. 1,000 is the largest
+#: default sample count, so a default run is one chunk
+CONFIG_CHUNK = 1000
 
 
 def _finite_float(value: "int | float") -> bool:
@@ -304,30 +311,32 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
         gauge, psicfg = random_bosonic_config(rng, amplitude=0.1)
         eps_cfg = EpsConfig(random_plane_wave(rng, 0.1, (4,)))
         draws.append((gauge, psicfg, eps_cfg, rng.uniform(-0.5, 0.5, size=4)))
-    gauge, psicfg, eps_cfg = (stack_configs([draw[i] for draw in draws])
-                              for i in range(3))
-    x = np.array([draw[3] for draw in draws])
-    for jval, grades in ((1.0, (0,)), (None, (0, 1)), (0.1, (0,))):
-        gs = sample_gauge(gauge, x, order, jval)
-        ps = sample_psi(psicfg, x, order, jval)
-        sectors = []
+    for lo in range(0, configs, CONFIG_CHUNK):
+        chunk = draws[lo:lo + CONFIG_CHUNK]
+        gauge, psicfg, eps_cfg = (stack_configs([draw[i] for draw in chunk])
+                                  for i in range(3))
+        x = np.array([draw[3] for draw in chunk])
+        for jval, grades in ((1.0, (0,)), (None, (0, 1)), (0.1, (0,))):
+            gs = sample_gauge(gauge, x, order, jval)
+            ps = sample_psi(psicfg, x, order, jval)
+            sectors = []
 
-        def transformed(scale: Jet) -> Jet:
-            """eps**0: the unvaried density; eps**1: its variation."""
-            gs2, ps2 = infinitesimal_gauge_transform(
-                gs, ps, eps_cfg, x, c, jval, scale)
-            sectors[:] = (lagrangian_gauge(gs2, c),
-                          lagrangian_psi(ps2, gs2, c))
-            return sectors[0] + sectors[1]
+            def transformed(scale: Jet) -> Jet:
+                """eps**0: the unvaried density; eps**1: its variation."""
+                gs2, ps2 = infinitesimal_gauge_transform(
+                    gs, ps, eps_cfg, x, c, jval, scale)
+                sectors[:] = (lagrangian_gauge(gs2, c),
+                              lagrangian_psi(ps2, gs2, c))
+                return sectors[0] + sectors[1]
 
-        variation = epsilon_expand(transformed, 1, order)[1]
-        # the gauge and matter densities can cancel, so the unvaried
-        # density is measured sector by sector, per configuration
-        size = np.max([abs(sectors[0].coeffs[..., n, 0])
-                       + abs(sectors[1].coeffs[..., n, 0]) for n in grades], axis=0)
-        change = np.max([abs(variation.grade(n)) for n in grades], axis=0)
-        first_order = max(first_order,
-                          float(np.max(change / np.maximum(size, 1.0e-30))))
+            variation = epsilon_expand(transformed, 1, order)[1]
+            # the gauge and matter densities can cancel, so the unvaried
+            # density is measured sector by sector, per configuration
+            size = np.max([abs(sectors[0].coeffs[..., n, 0])
+                           + abs(sectors[1].coeffs[..., n, 0]) for n in grades], axis=0)
+            change = np.max([abs(variation.grade(n)) for n in grades], axis=0)
+            first_order = max(first_order,
+                              float(np.max(change / np.maximum(size, 1.0e-30))))
 
     return _result(
         "invariance",

@@ -17,8 +17,8 @@ from ewcontract.fields import (
     Polynomial,
     PsiConfig,
     constant,
-    generator_vector_field,
-    generator_vector_jacobian,
+    generator_vector_fields,
+    generator_vector_jacobians,
     infinitesimal_gauge_transform,
     phi_from_psi,
     phi_jacobian,
@@ -329,63 +329,59 @@ def test_generator_vector_fields_are_flow_pushforwards():
     """X_a must be the time derivative of the coordinate flow induced by
     exp(t T_a) on the embedded sphere (the convention-fixing oracle)."""
     rng = np.random.default_rng(2)
-    mats = {
-        name: np.array(
+    mats = [
+        np.array(
             [
                 [generator(k, ORDER, jval=1.0).matrix[r, c].grade(0)
                  for c in range(2)]
                 for r in range(2)
             ]
         )
-        for k, name in ((1, "T1"), (2, "T2"), (3, "T3"))
-    }
-    mats["Y"] = np.array(
+        for k in (1, 2, 3)
+    ]
+    mats.append(np.array(
         [[hypercharge_matrix(ORDER)[r, c].grade(0) for c in range(2)]
          for r in range(2)]
-    )
+    ))
     h = 1e-6
     for _ in range(5):
         psi = rng.normal(size=3) * 0.6
         phi = _phi_of(psi, 1.4)
-        jets = Jet.const(psi, ORDER)
-        for name, m in mats.items():
+        fields = generator_vector_fields(Jet.const(psi, ORDER)).grade(0).real
+        for a, m in enumerate(mats):
             flowed = (
                 _psi_of(expm(h * m) @ phi) - _psi_of(expm(-h * m) @ phi)
             ) / (2 * h)
-            analytic = [x.grade(0).real for x in
-                        generator_vector_field(name, jets)]
-            assert np.allclose(flowed, analytic, atol=1e-8)
+            assert np.allclose(flowed, fields[a], atol=1e-8)
 
 
 def test_generator_jacobians_match_finite_differences():
     rng = np.random.default_rng(3)
     psi = rng.normal(size=3) * 0.7
     h = 1e-6
-    for name in ("T1", "T2", "T3", "Y"):
-        jac = generator_vector_jacobian(name, Jet.const(psi, ORDER))
-        for l in range(3):
-            up = psi.copy()
-            up[l] += h
-            dn = psi.copy()
-            dn[l] -= h
-            fd = (
-                generator_vector_field(name, Jet.const(up, ORDER)).grade(0)
-                - generator_vector_field(name, Jet.const(dn, ORDER)).grade(0)
-            ) / (2 * h)
+    jac = generator_vector_jacobians(Jet.const(psi, ORDER)).grade(0)
+    for l in range(3):
+        up = psi.copy()
+        up[l] += h
+        dn = psi.copy()
+        dn[l] -= h
+        fd = (
+            generator_vector_fields(Jet.const(up, ORDER)).grade(0)
+            - generator_vector_fields(Jet.const(dn, ORDER)).grade(0)
+        ) / (2 * h)
+        for a in range(4):
             for k in range(3):
-                assert abs(jac[k][l].grade(0) - fd[k]) <= 1e-8
+                assert abs(jac[a, k, l] - fd[a, k]) <= 1e-8
 
 
 def _bracket(a, b, v):
-    xa = generator_vector_field(a, v)
-    xb = generator_vector_field(b, v)
-    ja = generator_vector_jacobian(a, v)
-    jb = generator_vector_jacobian(b, v)
+    """[X_a, X_b]_k = sum_l X_a,l d_l X_b,k - X_b,l d_l X_a,k."""
+    x, jac = generator_vector_fields(v), generator_vector_jacobians(v)
     out = []
     for k in range(3):
         t = Jet.zero(v.order)
         for l in range(3):
-            t = t + xa[l] * jb[k][l] - xb[l] * ja[k][l]
+            t = t + x[a, l] * jac[b, k, l] - x[b, l] * jac[a, k, l]
         out.append(t)
     return out
 
@@ -396,26 +392,26 @@ def test_vector_field_bracket_table():
     hypercharge field commutes with all three."""
     rng = np.random.default_rng(4)
     v = Jet.const(rng.normal(size=3), ORDER)
-    cyclic = {("T1", "T2"): "T3", ("T2", "T3"): "T1", ("T3", "T1"): "T2"}
-    for (a, b), cname in cyclic.items():
+    fields = generator_vector_fields(v)
+    cyclic = {(0, 1): 2, (1, 2): 0, (2, 0): 1}
+    for (a, b), c in cyclic.items():
         br = _bracket(a, b, v)
-        expected = generator_vector_field(cname, v)
         for k in range(3):
-            assert br[k].max_abs_diff(expected[k]) <= 1e-12
-    for a in ("T1", "T2", "T3"):
-        br = _bracket(a, "Y", v)
+            assert br[k].max_abs_diff(fields[c, k]) <= 1e-12
+    for a in range(3):
+        br = _bracket(a, 3, v)
         for k in range(3):
             assert br[k].max_abs_diff(Jet.zero(ORDER)) <= 1e-12
 
 
 def test_psi_generator_action_grading():
     v = Jet.const(np.array([0.3, -0.2, 0.5]), ORDER)
-    for name, grade in (("T1", 1), ("T2", 1), ("T3", 0), ("Y", 0)):
-        action = psi_generator_action(name, v)
-        plain = generator_vector_field(name, v)
+    action = psi_generator_action(v)
+    plain = generator_vector_fields(v)
+    for a, grade in enumerate((1, 1, 0, 0)):
         for k in range(3):
-            assert action[k].grade(grade) == pytest.approx(
-                plain[k].grade(0), abs=1e-14
+            assert action[a, k].grade(grade) == pytest.approx(
+                plain[a, k].grade(0), abs=1e-14
             )
 
 

@@ -130,6 +130,18 @@ def test_one_param_subgroup_law():
         assert combined.max_abs_diff(direct) <= 1e-12
 
 
+@pytest.mark.parametrize("jval", [None, 1.0, 0.1])
+def test_one_param_is_the_series_exponential_along_its_generator(jval):
+    """exp(angle T_k(j)) equals the normative series exponential of
+    angle * e_k in su(2;j), for k = 1, 2, 3."""
+    for k in (1, 2, 3):
+        for angle in (-3.1, -0.4, 1.3, 2.9):
+            coefficients = [0.0, 0.0, 0.0]
+            coefficients[k - 1] = angle
+            series = exp_series(*coefficients, order=ORDER, jval=jval)
+            assert one_param(k, angle, ORDER, jval=jval).max_abs_diff(series) <= 1e-12
+
+
 def test_hermitian_form_invariance_unit_and_nilpotent():
     rng = np.random.default_rng(4)
     for _ in range(50):

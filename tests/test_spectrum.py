@@ -23,7 +23,6 @@ from ewcontract.fields import (
 from ewcontract.jets import DEFAULT_ORDER, Jet
 from ewcontract.lagrangian import lagrangian_bosonic, lagrangian_fermion
 from ewcontract.spectrum import (
-    _constant_gauge,
     _fermion_mass_coefficients,
     _gauge_mass_coefficients,
     bosonic_density_evaluator,
@@ -202,13 +201,16 @@ def test_batched_gauge_mass_coefficients_equal_one_background_at_a_time(jval):
     background's coefficients bit for bit, as the evaluation of that
     background alone at one point does."""
     c = COUPLINGS
-    directions = [{"0": 1.0}, {"2": c.g / c.gz, "B": c.gp / c.gz},
-                  {"2": c.gp / c.gz, "B": -c.g / c.gz}]
-    batch = _gauge_mass_coefficients(directions, c, ORDER, jval)
+    backgrounds = np.array([[1.0, 0.0, 0.0, 0.0],
+                            [0.0, 0.0, c.g / c.gz, c.gp / c.gz],
+                            [0.0, 0.0, c.gp / c.gz, -c.g / c.gz]])
+    batch = _gauge_mass_coefficients(backgrounds, c, ORDER, jval)
     assert batch.batch_shape == (3,)
     x = np.zeros(4)
-    for i, direction in enumerate(directions):
-        gauge = _constant_gauge(direction)
+    for i, background in enumerate(backgrounds):
+        A = np.zeros((3, 4))
+        A[:, 0] = background[:3]
+        gauge = GaugeConfig(constant(A), constant(np.array([background[3], 0, 0, 0])))
 
         def evaluate(scale):
             return lagrangian_bosonic(sample_gauge(gauge, x, ORDER, jval, scale),

@@ -1,11 +1,13 @@
 """The suite registry: names, pass state and config overrides."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ewcontract.cli import DEFAULT_COUPLINGS
+from ewcontract import suites
 from ewcontract.fields import ConfigError, Couplings
 from ewcontract.group import random_group_element
 from ewcontract.jets import Jet, JetMatrix2
@@ -177,3 +179,33 @@ def test_group_suite_residuals_are_the_per_sample_maxima():
         determinant = max(determinant, u.det().max_abs_diff(one))
     assert result.details["unitarity"] == unitarity
     assert result.details["determinant"] == determinant
+
+
+def _invariance(configs: int):
+    return REGISTRY["invariance"](_config(sample_counts={
+        "invariance_form": 1, "invariance_gauge": configs}))
+
+
+def test_invariance_residual_does_not_depend_on_its_chunks(monkeypatch):
+    """Each configuration is evaluated alone, so chunks of 7 (the last one
+    short) give the one-chunk residual bit for bit."""
+    whole = _invariance(20).details["first_order_variation"]
+    monkeypatch.setattr(suites, "CONFIG_CHUNK", 7)
+    assert _invariance(20).details["first_order_variation"] == whole
+
+
+def _traced_peak(configs: int) -> int:
+    tracemalloc.start()
+    try:
+        _invariance(configs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_invariance_memory_is_bounded_by_its_chunk(monkeypatch):
+    """Four chunks of 10 configurations peak about where one does (ratio
+    1.11 measured; evaluating all 40 at once gives 2.5)."""
+    monkeypatch.setattr(suites, "CONFIG_CHUNK", 10)
+    _invariance(10)  # caches every product plan first
+    assert _traced_peak(40) <= 1.5 * _traced_peak(10)
