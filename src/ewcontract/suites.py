@@ -7,19 +7,19 @@ test harness agree on what "the algebra suite" means. DEFAULTS holds every
 suite's default tolerances and sample counts; RunConfig can override any of
 them and rejects an override that names no default or has a bad value.
 
-A sampled suite draws all of its samples first, in the order of one
-sample after the other, then stacks them and evaluates them once over a
-leading batch axis (invariance: in chunks of CONFIG_CHUNK configurations,
-which bound its memory); its residual is a maximum over that axis.
-Evaluation draws no random numbers, so every sample has the numbers of
-its place in the stream.
+A sampled check draws its samples one after the other, CONFIG_CHUNK at a
+time, and _sampled_max evaluates each chunk over a leading batch axis; the
+check's residual is the maximum over every sample. Evaluation draws no
+random numbers, so a sample's numbers do not depend on the chunk.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -76,11 +76,11 @@ DEFAULTS: Dict[str, Dict[str, float]] = {
         "algebra": 1.0e-12,
         "group": 1.0e-12,
         "invariance_form": 1.0e-12, "invariance_first_order": 1.0e-12,
-        "coordinate_sphere": 1.0e-10, "coordinate_equivalence": 1.0e-10,
+        "coordinate_sphere": 1.0e-12, "coordinate_equivalence": 1.0e-12,
         "quadratic_form": 1.0e-12, "mass_rel": 1.0e-12, "mass_zero": 1.0e-12,
         "cubic_grade0": 1.0e-12, "cubic_match": 1.0e-11,
         "fermion_identity": 1.0e-12, "fermion_mass": 1.0e-12,
-        "limit": 1.0e-6,
+        "limit": 1.0e-7,
     },
     "sample_counts": {
         "group": 1000,
@@ -91,14 +91,13 @@ DEFAULTS: Dict[str, Dict[str, float]] = {
     },
 }
 
-#: largest accepted sample count: a suite other than invariance holds every
-#: sample of a check at once, so its memory grows linearly with the count;
-#: the time of every suite grows linearly with it
+#: largest accepted sample count: the time of a sampled check grows
+#: linearly with its count
 MAX_SAMPLE_COUNT = 10000
 
-#: configurations the invariance suite evaluates at once: its memory is
-#: bounded by this chunk, not by its sample count. 1,000 is the largest
-#: default sample count, so a default run is one chunk
+#: samples a sampled check evaluates at once: its memory is bounded by this
+#: chunk, not by its sample count. 1,000 is the largest default sample
+#: count, so a default run is one chunk per check
 CONFIG_CHUNK = 1000
 
 
@@ -188,14 +187,29 @@ def _low_grade_diff(x: Jet, y: Jet) -> float:
     return float(np.max(np.abs(x.coeffs[..., :2, 0] - y.coeffs[..., :2, 0])))
 
 
-def _sample_diff(x: Jet, y: Jet) -> np.ndarray:
-    """Largest coefficient difference of each batch element."""
-    return np.abs(x.coeffs - y.coeffs).max(axis=(-2, -1))
-
-
 def _sample_size(x: Jet) -> np.ndarray:
-    """Largest coefficient magnitude of each batch element."""
-    return np.abs(x.coeffs).max(axis=(-2, -1))
+    """Largest coefficient magnitude of each sample (leading axis)."""
+    return np.abs(x.coeffs).reshape(len(x.coeffs), -1).max(axis=1)
+
+
+def _sample_diff(x: Jet, y: "Jet | float") -> np.ndarray:
+    """Largest coefficient difference of each sample (leading axis)."""
+    return _sample_size(x - y)
+
+
+def _sampled_max(draws: Iterable[tuple],
+                 evaluate: Callable[..., Sequence[np.ndarray]]) -> list[float]:
+    """Each gate's largest residual over the draws (one tuple per sample),
+    drawn CONFIG_CHUNK at a time and stacked slot by slot: a configuration
+    by stack_configs, anything else by np.array. evaluate(*slots) returns
+    one per-sample residual array per gate; a NaN residual fails its gate."""
+    draws, worst = iter(draws), None
+    while chunk := list(itertools.islice(draws, CONFIG_CHUNK)):
+        slots = [stack_configs(slot) if dataclasses.is_dataclass(slot[0])
+                 else np.array(slot) for slot in zip(*chunk)]
+        maxima = [np.max(residual) for residual in evaluate(*slots)]
+        worst = maxima if worst is None else np.maximum(worst, maxima)
+    return [float(r) for r in worst]
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +252,18 @@ def suite_group(cfg: RunConfig) -> SuiteResult:
     tol = cfg.tol("group")
     count = cfg.samples("group")
     rng = np.random.default_rng(cfg.seed)
-    factors = [random_factors(rng) for _ in range(count)]
-    u = group_product(np.array([k for k, _ in factors]),
-                      np.array([angles for _, angles in factors]), order)
-    unitarity = (u * u.dagger()).max_abs_diff(JetMatrix2.identity(order))
-    det_resid = u.det().max_abs_diff(Jet.const(1.0, order))
+    identity = JetMatrix2.identity(order).jet
 
-    samples = []
-    for _ in range(20):
-        a = rng.uniform(-2.0, 2.0, size=3)
-        if abs(a[2]) < 0.1:
-            a[2] = 0.5
-        samples.append(a)
-    a = np.array(samples).T
+    def products(ks: np.ndarray, angles: np.ndarray):
+        u = group_product(ks, angles, order)
+        return _sample_diff((u * u.dagger()).jet, identity), _sample_diff(u.det(), 1.0)
+
+    unitarity, det_resid = _sampled_max(
+        (random_factors(rng) for _ in range(count)), products)
+
+    samples = rng.uniform(-2.0, 2.0, size=(20, 3))
+    samples[np.abs(samples[:, 2]) < 0.1, 2] = 0.5  # the closed form needs a3 != 0
+    a = samples.T
     series = exp_series(*a, order=order)
     closed_resid = _low_grade_diff(exp_closed_nilpotent(*a, order=order).jet,
                                    series.jet)
@@ -288,34 +301,30 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
     tol_first = cfg.tol("invariance_first_order")
     rng = np.random.default_rng(cfg.seed + 1)
 
-    doublets, group_draws = [], []
-    for _ in range(cfg.samples("invariance_form")):
-        doublets.append((complex(rng.normal(), rng.normal()),
-                         complex(rng.normal(), rng.normal())))
-        group_draws.append((random_factors(rng), random_factors(rng)))
-    d = MatterDoublet(*np.array(doublets).T, order)
-    reference = hermitian_form_jets(d.graded, d.graded)
-    form_resid = 0.0
-    for which, jval in ((0, None), (1, 1.0)):
-        ks = np.array([draw[which][0] for draw in group_draws])
-        angles = np.array([draw[which][1] for draw in group_draws])
-        moved = apply_group(group_product(ks, angles, order, jval), d)
-        form_resid = max(form_resid, hermitian_form_jets(moved, moved)
-                         .max_abs_diff(reference))
+    draws = ((np.array([complex(rng.normal(), rng.normal()),
+                        complex(rng.normal(), rng.normal())]),
+              *random_factors(rng), *random_factors(rng))
+             for _ in range(cfg.samples("invariance_form")))
+
+    def form(phi, ks, angles, ks_one, angles_one):
+        d = MatterDoublet(phi[:, 0], phi[:, 1], order)
+        reference = hermitian_form_jets(d.graded, d.graded)
+        moved = (apply_group(group_product(k, a, order, jval), d)
+                 for k, a, jval in ((ks, angles, None), (ks_one, angles_one, 1.0)))
+        change = np.maximum(*(_sample_diff(hermitian_form_jets(m, m), reference)
+                              for m in moved))
+        return (change / _sample_size(reference),)
+
+    form_resid, = _sampled_max(draws, form)
 
     c = cfg.couplings
-    first_order = 0.0
     configs = cfg.samples("invariance_gauge")
-    draws = []
-    for _ in range(configs):
-        gauge, psicfg = random_bosonic_config(rng, amplitude=0.1)
-        eps_cfg = EpsConfig(random_plane_wave(rng, 0.1, (4,)))
-        draws.append((gauge, psicfg, eps_cfg, rng.uniform(-0.5, 0.5, size=4)))
-    for lo in range(0, configs, CONFIG_CHUNK):
-        chunk = draws[lo:lo + CONFIG_CHUNK]
-        gauge, psicfg, eps_cfg = (stack_configs([draw[i] for draw in chunk])
-                                  for i in range(3))
-        x = np.array([draw[3] for draw in chunk])
+    draws = ((*random_bosonic_config(rng, amplitude=0.1),
+              EpsConfig(random_plane_wave(rng, 0.1, (4,))),
+              rng.uniform(-0.5, 0.5, size=4)) for _ in range(configs))
+
+    def gauge_variation(gauge, psicfg, eps_cfg, x):
+        worst = []
         for jval, grades in ((1.0, (0,)), (None, (0, 1)), (0.1, (0,))):
             gs = sample_gauge(gauge, x, order, jval)
             ps = sample_psi(psicfg, x, order, jval)
@@ -335,8 +344,10 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
             size = np.max([abs(sectors[0].coeffs[..., n, 0])
                            + abs(sectors[1].coeffs[..., n, 0]) for n in grades], axis=0)
             change = np.max([abs(variation.grade(n)) for n in grades], axis=0)
-            first_order = max(first_order,
-                              float(np.max(change / np.maximum(size, 1.0e-30))))
+            worst.append(change / np.maximum(size, 1.0e-30))
+        return (np.max(worst, axis=0),)
+
+    first_order, = _sampled_max(draws, gauge_variation)
 
     return _result(
         "invariance",
@@ -365,30 +376,31 @@ def suite_coordinate(cfg: RunConfig) -> SuiteResult:
     rng = np.random.default_rng(cfg.seed + 2)
     c = cfg.couplings
 
-    draws = []
-    for _ in range(cfg.samples("coordinate_sphere")):
-        psicfg = PsiConfig(random_plane_wave(rng, 0.6, (3,)))
-        draws.append((psicfg, rng.uniform(-0.5, 0.5, size=4)))
-    ps = sample_psi(stack_configs([draw[0] for draw in draws]),
-                    np.array([draw[1] for draw in draws]), order)
-    phi, _ = phi_from_psi(ps, c.R)
-    sphere_resid = hermitian_form_jets(phi, phi).max_abs_diff(c.R**2)
+    draws = ((PsiConfig(random_plane_wave(rng, 0.6, (3,))),
+              rng.uniform(-0.5, 0.5, size=4))
+             for _ in range(cfg.samples("coordinate_sphere")))
 
-    draws = []
-    for _ in range(cfg.samples("coordinate_equivalence")):
-        gauge, psicfg = random_bosonic_config(rng, amplitude=0.3)
-        draws.append((gauge, psicfg, rng.uniform(-0.5, 0.5, size=4)))
-    x = np.array([draw[2] for draw in draws])
-    gs = sample_gauge(stack_configs([draw[0] for draw in draws]), x, order)
-    ps = sample_psi(stack_configs([draw[1] for draw in draws]), x, order)
-    phi, dphi = phi_from_psi(ps, c.R)
-    doublet = lagrangian_phi(phi, dphi, gs, c)
-    intrinsic = lagrangian_psi(ps, gs, c)
-    scale = np.maximum(np.maximum(_sample_size(doublet), _sample_size(intrinsic)),
-                       1.0e-30)
-    equiv_resid = float(np.max(_sample_diff(doublet, intrinsic) / scale))
-    displayed_resid = float(np.max(
-        _sample_diff(intrinsic, lagrangian_psi_closed(ps, gs, c)) / scale))
+    def sphere(psicfg, x):
+        phi, _ = phi_from_psi(sample_psi(psicfg, x, order), c.R)
+        return (_sample_diff(hermitian_form_jets(phi, phi), c.R**2),)
+
+    sphere_resid, = _sampled_max(draws, sphere)
+
+    draws = ((*random_bosonic_config(rng, amplitude=0.3),
+              rng.uniform(-0.5, 0.5, size=4))
+             for _ in range(cfg.samples("coordinate_equivalence")))
+
+    def equivalence(gauge, psicfg, x):
+        gs = sample_gauge(gauge, x, order)
+        ps = sample_psi(psicfg, x, order)
+        phi, dphi = phi_from_psi(ps, c.R)
+        doublet = lagrangian_phi(phi, dphi, gs, c)
+        intrinsic = lagrangian_psi(ps, gs, c)
+        scale = np.maximum(_sample_size(doublet), _sample_size(intrinsic)).clip(1e-30)
+        return (_sample_diff(doublet, intrinsic) / scale,
+                _sample_diff(intrinsic, lagrangian_psi_closed(ps, gs, c)) / scale)
+
+    equiv_resid, displayed_resid = _sampled_max(draws, equivalence)
 
     return _result(
         "coordinate",
@@ -520,27 +532,25 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
     tol_id = cfg.tol("fermion_identity")
     tol_mass = cfg.tol("fermion_mass")
     rng = np.random.default_rng(cfg.seed + 5)
-    c = Couplings(
-        g=cfg.couplings.g,
-        gp=cfg.couplings.gp,
-        R=cfg.couplings.R,
-        h_e=cfg.couplings.h_e if cfg.couplings.h_e > 0 else 1.3,
-    )
+    c = dataclasses.replace(cfg.couplings, h_e=cfg.couplings.h_e or 1.3)
 
-    draws = []
-    for _ in range(cfg.samples("fermion_identity")):
-        psicfg = PsiConfig(random_plane_wave(rng, 0.5, (3,)))
-        fcfg = FermionConfig(*(random_plane_wave(rng, 1.0, (2,))
-                               for _ in range(3)))
-        draws.append((psicfg, fcfg, rng.uniform(-0.5, 0.5, size=4)))
-    x = np.array([draw[2] for draw in draws])
-    ps = sample_psi(stack_configs([draw[0] for draw in draws]), x, order)
-    fs = sample_fermions(stack_configs([draw[1] for draw in draws]), x, order)
-    lhs, rhs = fermion_mass_identity(ps, fs, c)
-    identity_resid = lhs.max_abs_diff(rhs)
-    oracle = _grade0_yukawa_oracle(ps.psi.grade(0)[..., 2], fs.el.grade(0),
-                                   fs.er.grade(0), c.h_e, c.R)
-    grade0_resid = float(np.max(np.abs(lhs.grade(0) - oracle)))
+    # complex spinors: with real ones the i psi_1 and i psi_3 terms vanish
+    draws = ((PsiConfig(random_plane_wave(rng, 0.5, (3,))),
+              FermionConfig(*(random_plane_wave(rng, 1.0, (2,)).scaled(
+                  np.exp(1j * rng.uniform(-math.pi, math.pi, size=2)))
+                  for _ in range(3))),
+              rng.uniform(-0.5, 0.5, size=4))
+             for _ in range(cfg.samples("fermion_identity")))
+
+    def identity(psicfg, fcfg, x):
+        ps = sample_psi(psicfg, x, order)
+        fs = sample_fermions(fcfg, x, order)
+        lhs, rhs = fermion_mass_identity(ps, fs, c)
+        oracle = _grade0_yukawa_oracle(ps.psi.grade(0)[..., 2], fs.el.grade(0),
+                                       fs.er.grade(0), c.h_e, c.R)
+        return _sample_diff(lhs, rhs), np.abs(lhs.grade(0) - oracle)
+
+    identity_resid, grade0_resid = _sampled_max(draws, identity)
 
     rep = mass_spectrum(c, order)
     m_e_err = abs(rep.m_e - c.h_e * c.R) / (c.h_e * c.R)

@@ -145,7 +145,7 @@ def test_criterion_04_sphere_constraint():
             residual,
             hermitian_form_jets(phi, phi).max_abs_diff(COUPLINGS.R**2),
         )
-    _verdict(4, "sphere constraint", residual <= 1e-10,
+    _verdict(4, "sphere constraint", residual <= 1e-12,
              f"residual {residual:.2e}")
 
 
@@ -169,7 +169,7 @@ def test_criterion_05_coordinate_equivalence():
             ) / scale,
         )
     _verdict(5, "coordinate equivalence of matter densities",
-             residual <= 1e-10, f"rel residual {residual:.2e}")
+             residual <= 1e-12, f"rel residual {residual:.2e}")
 
 
 def test_criterion_06_gauge_invariance_scaling():
@@ -270,8 +270,9 @@ def test_criterion_09_fermion_sector():
     identity_resid = 0.0
     for _ in range(50):
         psicfg = PsiConfig(random_plane_wave(rng, 0.5, (3,)))
-        fcfg = FermionConfig(*(random_plane_wave(rng, 1.0, (2,))
-                               for _ in range(3)))
+        fcfg = FermionConfig(*(random_plane_wave(rng, 1.0, (2,)).scaled(
+            np.exp(1j * rng.uniform(-math.pi, math.pi, size=2)))
+            for _ in range(3)))
         x = rng.uniform(-0.5, 0.5, size=4)
         ps = sample_psi(psicfg, x, ORDER)
         fs = sample_fermions(fcfg, x, ORDER)
@@ -300,8 +301,8 @@ def test_criterion_09_fermion_sector():
 def test_criterion_10_contraction_limit_equivalence():
     report = limit_consistency(COUPLINGS, seed=10)
     ok = (
-        report["max_grade_diff"] <= 1e-6
-        and report["scaling_exponent_error"] <= 1e-6
+        report["max_grade_diff"] <= 1e-7
+        and report["scaling_exponent_error"] <= 1e-7
     )
     _verdict(10, "nilpotent vs extrapolated numeric runs", ok,
              f"max diff {report['max_grade_diff']:.2e}")

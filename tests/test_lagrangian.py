@@ -109,20 +109,26 @@ def test_coordinate_equivalence_of_matter_densities():
         doublet = lagrangian_phi(phi, dphi, gs, COUPLINGS)
         intrinsic = lagrangian_psi(ps, gs, COUPLINGS)
         scale = max(np.abs(doublet.coeffs).max(), 1.0)
-        assert doublet.max_abs_diff(intrinsic) / scale <= 1e-10
+        assert doublet.max_abs_diff(intrinsic) / scale <= 1e-12
         assert (
             intrinsic.max_abs_diff(lagrangian_psi_closed(ps, gs, COUPLINGS))
             / scale
-            <= 1e-10
+            <= 1e-12
         )
+
+
+def _complex_waves(rng):
+    """Two plane waves with complex amplitudes, drawn one after the other."""
+    draws = [(complex(rng.normal(), rng.normal()), rng.normal(size=4),
+              rng.uniform(-3, 3)) for _ in range(2)]
+    return PlaneWave(*(np.array(p) for p in zip(*draws)))
 
 
 def test_yukawa_matrix_and_expanded_forms_agree():
     rng = np.random.default_rng(5)
     for _ in range(20):
         psicfg = PsiConfig(random_plane_wave(rng, 0.5, (3,)))
-        fcfg = FermionConfig(*(random_plane_wave(rng, 1.0, (2,))
-                               for _ in range(3)))
+        fcfg = FermionConfig(*(_complex_waves(rng) for _ in range(3)))
         x = _random_point(rng)
         ps = sample_psi(psicfg, x, ORDER)
         fs = sample_fermions(fcfg, x, ORDER)
@@ -175,13 +181,6 @@ def _fermion_kinetic_oracle(gauge, fcfg, x, c):
         Der = der[:, mu] + 1j * c.gp * B[mu] * er
         total += er.conj() @ (1j * _SIGMA[mu]) @ Der
     return total
-
-
-def _complex_waves(rng):
-    """Two plane waves with complex amplitudes, drawn one after the other."""
-    draws = [(complex(rng.normal(), rng.normal()), rng.normal(size=4),
-              rng.uniform(-3, 3)) for _ in range(2)]
-    return PlaneWave(*(np.array(p) for p in zip(*draws)))
 
 
 def test_fermion_kinetic_terms_match_a_numpy_oracle():

@@ -1,0 +1,83 @@
+"""Mutation tests: each row plants one fault in a model formula, runs the
+suites it names at their default config and asserts that every one of
+them fails by a wide margin (residual / tolerance >= 1e3). A gate that no
+plausible one-line fault can trip checks nothing.
+
+Three faults that tier-1 kills still pass `verify`: `one_param` with the
+full angle instead of the half, `_SIGMA_TILDE = _SIGMA` and the `e_r`
+hypercharge coupling halved. They join this table once `verify` runs the
+oracles that catch them.
+"""
+
+import __future__
+import inspect
+import sys
+import textwrap
+
+import pytest
+
+from ewcontract import fields, group, lagrangian
+from ewcontract.cli import DEFAULT_COUPLINGS
+from ewcontract.fields import Couplings
+from ewcontract.suites import RunConfig, run_suites
+
+
+def _edit(old: str, new: str, count: int = 1):
+    """A mutation of a function's source: the `count` occurrences of old
+    become new (a row whose text is gone from the source fails loudly)."""
+
+    def mutate(fn):
+        source = textwrap.dedent(inspect.getsource(fn))
+        assert source.count(old) == count, f"{fn.__name__} lost {old!r}"
+        namespace = dict(fn.__globals__)
+        exec(compile(source.replace(old, new), inspect.getfile(fn), "exec",
+                     flags=__future__.annotations.compiler_flag,
+                     dont_inherit=True), namespace)
+        return namespace[fn.__name__]
+
+    return mutate
+
+
+#: (name, module, attribute, mutation of the attribute, suites it fails)
+MUTANTS = [
+    ("stress_tensor_quadratic_sign", lagrangian, "stress_tensors",
+     _edit("gs.da[..., k, :, :] + (", "gs.da[..., k, :, :] - ("),
+     ("invariance", "cubic")),
+    ("t2_sign", fields, "_HALF_SIGN", abs,
+     ("invariance", "coordinate", "quadratic", "cubic")),
+    ("sphere_metric_without_psi_psi", lagrangian, "lagrangian_psi",
+     _edit(" - v[..., k, None] * v", ""), ("invariance", "coordinate")),
+    ("sphere_radius_off_by_1e-7", fields, "phi_from_psi",
+     _edit("r = R * s", "r = R * (1.0 + 1.0e-7) * s"), ("coordinate", "fermion")),
+    ("phi_1_hypercharge_sign", lagrangian, "covariant_derivative_phi",
+     _edit("(c.g * a3 + c.gp * gs.b) * p1", "(c.g * a3 - c.gp * gs.b) * p1"),
+     ("coordinate",)),
+    ("u1_gauge_shift_sign", fields, "infinitesimal_gauge_transform",
+     _edit("c.g, c.g, c.g, c.gp", "c.g, c.g, c.g, -c.gp"), ("invariance",)),
+    ("closed_nilpotent_exp_without_conj", group, "exp_closed_nilpotent",
+     _edit("np.conj(a) / a3", "a / a3"), ("group",)),
+    ("yukawa_i_psi_sign", lagrangian, "yukawa_expanded_form",
+     _edit("+ 1j * (v[", "- 1j * (v[", 2), ("fermion",)),
+]
+
+
+def _plant(monkeypatch, module, attribute: str, mutate) -> None:
+    """Replace the attribute by its mutant in every ewcontract module that
+    holds it (a module that imported it by name holds its own reference)."""
+    original = getattr(module, attribute)
+    mutant = mutate(original)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ewcontract") and vars(mod).get(attribute) is original:
+            monkeypatch.setattr(mod, attribute, mutant)
+
+
+@pytest.mark.parametrize("module,attribute,mutate,killed",
+                         [row[1:] for row in MUTANTS],
+                         ids=[row[0] for row in MUTANTS])
+def test_mutant_fails_its_suites(monkeypatch, module, attribute, mutate, killed):
+    _plant(monkeypatch, module, attribute, mutate)
+    results = run_suites(RunConfig(Couplings(**DEFAULT_COUPLINGS), suites=killed))
+    for name in killed:
+        result = results[name]
+        assert not result.passed, name
+        assert result.residual / result.tolerance >= 1.0e3, (name, result.residual)

@@ -143,8 +143,12 @@ def _per_sample_draws(suite, seed, n):
     else:
         rng = np.random.default_rng(seed + 5)
         for _ in range(n):
-            for _ in range(3 + 6):
+            for _ in range(3):
                 _wave(rng)
+            for _ in range(3):  # a spinor's two waves, then their phases
+                _wave(rng)
+                _wave(rng)
+                rng.uniform(-math.pi, math.pi, size=2)
             rng.uniform(-0.5, 0.5, size=4)
     return rng.bit_generator.state
 
@@ -181,31 +185,38 @@ def test_group_suite_residuals_are_the_per_sample_maxima():
     assert result.details["determinant"] == determinant
 
 
-def _invariance(configs: int):
-    return REGISTRY["invariance"](_config(sample_counts={
-        "invariance_form": 1, "invariance_gauge": configs}))
+SAMPLED_SUITES = ["group", "invariance", "coordinate", "fermion"]
 
 
-def test_invariance_residual_does_not_depend_on_its_chunks(monkeypatch):
-    """Each configuration is evaluated alone, so chunks of 7 (the last one
-    short) give the one-chunk residual bit for bit."""
-    whole = _invariance(20).details["first_order_variation"]
+def _sampled(suite: str, count: int):
+    """The suite with every one of its sample counts at count."""
+    return REGISTRY[suite](_config(sample_counts={
+        key: count for key in DEFAULTS["sample_counts"] if key.startswith(suite)}))
+
+
+@pytest.mark.parametrize("suite", SAMPLED_SUITES)
+def test_sampled_residuals_do_not_depend_on_the_chunk(monkeypatch, suite):
+    """Each sample is evaluated alone, so chunks of 7 (the last one short)
+    give the one-chunk residuals bit for bit."""
+    whole = _sampled(suite, 20).details
     monkeypatch.setattr(suites, "CONFIG_CHUNK", 7)
-    assert _invariance(20).details["first_order_variation"] == whole
+    assert _sampled(suite, 20).details == whole
 
 
-def _traced_peak(configs: int) -> int:
+def _traced_peak(suite: str, count: int) -> int:
     tracemalloc.start()
     try:
-        _invariance(configs)
+        _sampled(suite, count)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_invariance_memory_is_bounded_by_its_chunk(monkeypatch):
-    """Four chunks of 10 configurations peak about where one does (ratio
-    1.11 measured; evaluating all 40 at once gives 2.5)."""
+@pytest.mark.parametrize("suite", SAMPLED_SUITES)
+def test_sampled_memory_is_bounded_by_the_chunk(monkeypatch, suite):
+    """Four chunks of 10 samples peak about where one does (ratios 1.00 to
+    1.02 measured; drawing, stacking and evaluating every sample of group,
+    coordinate or fermion at once gave 1.7 to 3.9)."""
     monkeypatch.setattr(suites, "CONFIG_CHUNK", 10)
-    _invariance(10)  # caches every product plan first
-    assert _traced_peak(40) <= 1.5 * _traced_peak(10)
+    _sampled(suite, 10)  # caches every product plan first
+    assert _traced_peak(suite, 40) <= 1.5 * _traced_peak(suite, 10)
