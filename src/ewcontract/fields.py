@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from .jets import DEFAULT_ORDER, Jet, stack
+from .jets import DEFAULT_ORDER, Jet, jparam, stack
 
 Vec4 = np.ndarray
 
@@ -250,17 +250,10 @@ def _grading(fiber: Sequence[bool], order: int, jval: Optional[float],
              scale: Optional[Jet]) -> Jet:
     """Factors of a sampled component axis, one per component: j on a
     fiber component and 1 on a base one, times the eps jet `scale` if
-    given (exact: a configuration is linear in its amplitude). j shifts
-    the scale's coefficients up one grade, or a numeric j multiplies
-    them, so no jet product is taken."""
+    given (exact: a configuration is linear in its amplitude, and each
+    term of j times the scale multiplies one nonzero pair)."""
     base = Jet.const(1.0, order) if scale is None else scale
-    c = base.coeffs
-    if jval is None:
-        shifted = np.zeros_like(c)
-        shifted[..., 1:, :] = c[..., :-1, :]
-    else:
-        shifted = c * jval
-    graded = Jet(shifted, order, base.eps_order)
+    graded = jparam(order, jval) * base
     return stack([graded if f else base for f in fiber])
 
 

@@ -44,8 +44,10 @@ EQ_TOL = 1e-12
 #: are split into chunks of about this size: larger temporaries are handed
 #: back to the OS by the C allocator when freed and page-fault again on
 #: every product. A chunk never splits a term, so an operand can exceed
-#: the target: the largest term of j**8 eps**6 has 63 pairs, 252 KiB over
-#: 256 batch elements (16 points by a 4x4 block)
+#: the target: the largest term of a dense j**8 eps**6 product has 63
+#: pairs, 252 KiB over 256 batch elements (16 points by a 4x4 block). Only
+#: pairs inside the operands' supports count, so a product of eps-scaled
+#: samples, nonzero in one eps column each, has at most 9 pairs a term
 _PRODUCT_CHUNK_BYTES = 1 << 17
 
 Scalar = Union[int, float, complex]
@@ -334,60 +336,85 @@ def _product_width(a: int, b: int) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def _plan(rows: int, ca: int, cb: int, per_chunk: int):
+def _plan(rows: int, ca: int, cb: int, per_chunk: int, support_a: bytes,
+          support_b: bytes):
     """Index plan of the truncated product of coefficient arrays with
-    `rows` j rows and ca, cb eps columns: (result columns, chunks). Every
-    pair of flat coefficient indices (i, k) whose grades sum to a kept
-    term, sorted by that term, is split into chunks of whole terms of
-    about `per_chunk` pairs; a chunk is (left, right, starts, lo, hi), its
-    pairs' indices into each operand, the offset of each term's first pair
-    and its range of flat terms."""
+    `rows` j rows and ca, cb eps columns whose flat (j, eps) positions
+    outside support_a, support_b (one byte per position, row-major) are 0
+    in every batch element: (result columns, chunks). Every pair of flat
+    coefficient indices (i, k) inside the supports whose grades sum to a
+    kept term, sorted by that term and then by i, is split into chunks of
+    whole terms of about `per_chunk` pairs; a chunk is (left, right,
+    starts, terms), its pairs' indices into each operand, the offset of
+    each term's first pair and the flat terms it writes (a slice when
+    they are a run). A term with no pair is in no chunk. Full supports
+    give the dense plan."""
     cols = _product_width(ca, cb)
-    terms = []  # per flat term n * cols + p: its (left, right) pairs
+    terms = []  # per flat term n * cols + p with a pair left: (term, pairs)
     for n in range(rows):
         for p in range(cols):
-            terms.append([(k * ca + q, (n - k) * cb + (p - q))
-                          for k in range(n + 1)
-                          for q in range(max(0, p - cb + 1), min(p, ca - 1) + 1)])
+            pairs = [(k * ca + q, (n - k) * cb + (p - q))
+                     for k in range(n + 1)
+                     for q in range(max(0, p - cb + 1), min(p, ca - 1) + 1)]
+            pairs = [(i, k) for i, k in pairs if support_a[i] and support_b[k]]
+            if pairs:
+                terms.append((n * cols + p, pairs))
     chunks, lo = [], 0
     while lo < len(terms):
-        hi, count = lo + 1, len(terms[lo])
-        while hi < len(terms) and count + len(terms[hi]) <= per_chunk:
-            count += len(terms[hi])
+        hi, count = lo + 1, len(terms[lo][1])
+        while hi < len(terms) and count + len(terms[hi][1]) <= per_chunk:
+            count += len(terms[hi][1])
             hi += 1
-        pairs = [pair for term in terms[lo:hi] for pair in term]
+        pairs = [pair for _, term in terms[lo:hi] for pair in term]
         left, right = (np.array(side) for side in zip(*pairs))
-        starts = np.cumsum([0] + [len(t) for t in terms[lo:hi - 1]])
-        for index in (left, right, starts):
+        starts = np.cumsum([0] + [len(term) for _, term in terms[lo:hi - 1]])
+        written = np.array([t for t, _ in terms[lo:hi]])
+        for index in (left, right, starts, written):
             index.flags.writeable = False  # shared by every cached call
-        chunks.append((left, right, starts, lo, hi))
+        # a run of terms is written through a slice, 5x faster than an index
+        if written[-1] - written[0] == hi - lo - 1:
+            written = slice(written[0], written[-1] + 1)
+        chunks.append((left, right, starts, written))
         lo = hi
     return cols, tuple(chunks)
+
+
+def _support(coeffs: np.ndarray) -> bytes:
+    """Flat (j, eps) positions that are nonzero in some batch element, one
+    byte each; a NaN or an infinity counts as nonzero."""
+    nonzero = coeffs.astype(bool)  # coeffs != 0, at a third of the cost
+    if nonzero.ndim > 2:
+        nonzero = nonzero.any(axis=tuple(range(nonzero.ndim - 2)))
+    return nonzero.tobytes()
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated product of two coefficient arrays, broadcast over their
     batch axes: each term gathers the coefficient pairs that multiply into
-    it, and np.add.reduceat sums them."""
+    it, and np.add.reduceat sums them in the order of the dense plan.
+
+    Only pairs whose two positions are in the operands' supports are
+    multiplied; every skipped pair has a factor that is exactly 0 in every
+    batch element, and a term with no pair left is an exact 0. So a
+    0 * inf or 0 * NaN pair is skipped (fields.COUPLING_MAGNITUDES keeps
+    sampled values finite), while a NaN still spoils every term where it
+    meets a nonzero coefficient."""
     rows = a.shape[-2]
     if b.shape[-2] != rows:
         raise ValueError(f"incompatible truncation orders {rows - 1} != "
                          f"{b.shape[-2] - 1}")
-    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    # np.broadcast_shapes takes twice as long on small operands
+    batch = np.broadcast(a[..., 0, 0], b[..., 0, 0]).shape
     # capped at the most pairs a product has: batches that fit one chunk share a plan
     per_chunk = min(max(1, _PRODUCT_CHUNK_BYTES // (16 * math.prod(batch))),
                     rows * a.shape[-1] * rows * b.shape[-1])
-    cols, chunks = _plan(rows, a.shape[-1], b.shape[-1], per_chunk)
-    shape = batch + (rows, cols)
-    if len(chunks) == 1:
-        left, right, starts, _, _ = chunks[0]
-        terms = _gather(a, left) * _gather(b, right)
-        return np.add.reduceat(terms, starts, axis=-1).reshape(shape)
-    out = np.empty(batch + (rows * cols,), dtype=complex)
-    for left, right, starts, lo, hi in chunks:
-        np.add.reduceat(_gather(a, left) * _gather(b, right), starts,
-                        axis=-1, out=out[..., lo:hi])
-    return out.reshape(shape)
+    cols, chunks = _plan(rows, a.shape[-1], b.shape[-1], per_chunk,
+                         _support(a), _support(b))
+    out = np.zeros(batch + (rows * cols,), dtype=complex)
+    for left, right, starts, terms in chunks:
+        out[..., terms] = np.add.reduceat(
+            _gather(a, left) * _gather(b, right), starts, axis=-1)
+    return out.reshape(batch + (rows, cols))
 
 
 def _gather(coeffs: np.ndarray, index: np.ndarray) -> np.ndarray:

@@ -325,18 +325,71 @@ def _naive_product(a, b):
     return out
 
 
+def _sparse(jet, pattern):
+    """A copy of a jet with one of the zero patterns of sampled fields:
+    "eps" keeps eps column 1 only (a sample times eps), "fiber" zeroes
+    grade 0 (a fiber field), "some" zeroes every other batch element (a
+    jet without batch axes stays dense), "zero" every coefficient;
+    "dense" keeps every coefficient."""
+    c = np.array(jet.coeffs)
+    if pattern == "eps":
+        c[..., :, 0] = 0.0
+        c[..., :, 2:] = 0.0
+    elif pattern == "fiber":
+        c[..., 0, :] = 0.0
+    elif pattern == "some" and jet.batch_shape:
+        c[::2] = 0.0
+    elif pattern == "zero":
+        c[...] = 0.0
+    return Jet(c, jet.order, jet.eps_order)
+
+
+#: zero patterns of the two operands of a product
+ZERO_PATTERNS = [("dense", "dense"), ("eps", "eps"), ("eps", "dense"),
+                 ("eps", "fiber"), ("fiber", "eps"), ("some", "eps"),
+                 ("some", "fiber"), ("zero", "dense"), ("dense", "zero")]
+
+
 @pytest.mark.parametrize("a_eps,b_eps,batch", [
     (0, 0, ()), (2, 2, ()), (0, 3, ()), (3, 0, ()), (6, 6, (16,)),
     (2, 0, (4,)),
 ])
 def test_product_matches_naive_truncated_convolution(a_eps, b_eps, batch):
+    """Dense and sparse operands: a product skips the pairs with a factor
+    that is zero in every batch element, so a term whose pairs all have a
+    zero factor is exactly 0, and the others match the naive sum."""
     rng = np.random.default_rng(10)
-    a = _batched(rng, batch, order=8, eps_order=a_eps)
-    b = _batched(rng, (), order=8, eps_order=b_eps)
-    got = (a * b).coeffs.reshape((-1,) + (a * b).coeffs.shape[-2:])
-    for i, element in enumerate(a.coeffs.reshape((-1,) + a.coeffs.shape[-2:])):
-        want = _naive_product(element, b.coeffs)
-        assert np.abs(got[i] - want).max() <= 1e-14 * np.abs(want).max()
+    dense_a = _batched(rng, batch, order=8, eps_order=a_eps)
+    dense_b = _batched(rng, (), order=8, eps_order=b_eps)
+    for a_zeros, b_zeros in ZERO_PATTERNS:
+        a, b = _sparse(dense_a, a_zeros), _sparse(dense_b, b_zeros)
+        got = (a * b).coeffs.reshape((-1,) + (a * b).coeffs.shape[-2:])
+        elements = a.coeffs.reshape((-1,) + a.coeffs.shape[-2:])
+        for i, element in enumerate(elements):
+            want = _naive_product(element, b.coeffs)
+            live = _naive_product(element != 0, b.coeffs != 0) != 0
+            assert np.all(got[i][~live] == 0.0), (a_zeros, b_zeros)
+            assert (np.abs(got[i] - want).max()
+                    <= 1e-14 * np.abs(want).max()), (a_zeros, b_zeros)
+
+
+def test_nan_spoils_every_term_where_it_meets_a_nonzero_coefficient():
+    """Skipping pairs with a factor that is 0 in every batch element never
+    hides a NaN sample: every term that pairs it with a nonzero
+    coefficient is non-finite, in its own batch element only."""
+    rng = np.random.default_rng(15)
+    b = _sparse(_batched(rng, (), order=4, eps_order=2), "eps")
+    for position in ((1, 0), (0, 1), (3, 1)):
+        coeffs = np.array(_sparse(_batched(rng, (3,), order=4, eps_order=2),
+                                  "fiber").coeffs)
+        coeffs[1][position] = np.nan
+        got = (Jet(coeffs, 4, 2) * b).coeffs
+        nan = np.zeros(coeffs.shape[-2:])
+        nan[position] = 1.0
+        meets = _naive_product(nan, b.coeffs != 0) != 0
+        assert meets.any()
+        assert not np.isfinite(got[1][meets]).any()
+        assert np.isfinite(got[[0, 2]]).all()
 
 
 def _element(jet, i):

@@ -16,7 +16,7 @@ import textwrap
 
 import pytest
 
-from ewcontract import fields, group, lagrangian
+from ewcontract import fields, group, lagrangian, spectrum
 from ewcontract.cli import DEFAULT_COUPLINGS
 from ewcontract.fields import Couplings
 from ewcontract.suites import RunConfig, run_suites
@@ -58,6 +58,11 @@ MUTANTS = [
      _edit("np.conj(a) / a3", "a / a3"), ("group",)),
     ("yukawa_i_psi_sign", lagrangian, "yukawa_expanded_form",
      _edit("+ 1j * (v[", "- 1j * (v[", 2), ("fermion",)),
+    ("normative_cubic_ww_dpsi3_scaled", spectrum, "normative_cubic_terms",
+     _edit('"A3_ww_dpsi3": (', '"A3_ww_dpsi3": 1.01 * ('), ("cubic",)),
+    ("psi_3_graded_as_fiber", fields, "sample_psi",
+     _edit("_grading((True, True, False), order",
+           "_grading((True, True, True), order"), ("limit",)),
 ]
 
 

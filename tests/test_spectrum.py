@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ewcontract import jets
 from ewcontract.cli import DEFAULT_COUPLINGS
 from ewcontract.fields import (
     ConfigError,
@@ -147,13 +148,15 @@ def test_expand_shaped_evaluation_stays_small(monkeypatch):
     16 points) takes a few dozen jets and products, because component
     indices are batch axes of a few jets, and never holds the whole
     (16, 3, 4, 4) field strength: that alone peaks at about 5.4 MiB, the
-    per-direction contraction at about 3 MiB."""
+    per-direction contraction at about 3 MiB. Its products gather about
+    50,000 coefficients, because every sample is eps times a value and
+    fiber fields start at grade 1; dense products would gather 6,168,960."""
     gauge, psi = random_bosonic_config(np.random.default_rng(0))
     evaluator = bosonic_density_evaluator(
         gauge, psi, Couplings(**DEFAULT_COUPLINGS), halton_points(seed=0), 8)
     epsilon_expand(evaluator, 6, 8)  # caches every product plan first
-    counts = {"jets": 0, "products": 0}
-    init, mul = Jet.__init__, Jet.__mul__
+    counts = {"jets": 0, "products": 0, "gathered": 0}
+    init, mul, gather = Jet.__init__, Jet.__mul__, jets._gather
 
     def counted_init(jet, *args, **kwargs):
         counts["jets"] += 1
@@ -163,9 +166,15 @@ def test_expand_shaped_evaluation_stays_small(monkeypatch):
         counts["products"] += 1
         return mul(jet, other)
 
+    def counted_gather(coeffs, index):
+        gathered = gather(coeffs, index)
+        counts["gathered"] += gathered.size
+        return gathered
+
     monkeypatch.setattr(Jet, "__init__", counted_init)
     monkeypatch.setattr(Jet, "__mul__", counted_mul)
     monkeypatch.setattr(Jet, "__rmul__", counted_mul)
+    monkeypatch.setattr(jets, "_gather", counted_gather)
     tracemalloc.start()
     try:
         epsilon_expand(evaluator, 6, 8)
@@ -174,6 +183,7 @@ def test_expand_shaped_evaluation_stays_small(monkeypatch):
         tracemalloc.stop()
     assert counts["products"] <= 60
     assert counts["jets"] <= 200
+    assert counts["gathered"] <= 100_000
     assert peak <= 4 * 2**20
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ewcontract.cli import DEFAULT_COUPLINGS
-from ewcontract import suites
+from ewcontract import jets, suites
 from ewcontract.fields import ConfigError, Couplings
 from ewcontract.group import random_group_element
 from ewcontract.jets import Jet, JetMatrix2
@@ -47,6 +47,26 @@ def test_all_suites_pass_at_defaults():
     for name, result in results.items():
         assert result.passed, f"suite {name}: residual {result.residual}"
         assert result.residual <= result.tolerance
+
+
+def test_product_plans_depend_on_structure_not_on_samples():
+    """jets._plan is keyed on the supports of the operands, which the
+    grading and the eps scaling fix: a second seed reuses every plan of
+    the first. (The group suite draws 30 products, so every factor sees
+    more than one generator; a batch of diagonal T3 factors alone would
+    have zero off-diagonal entries.)"""
+    counts = {key: 3 for key in DEFAULTS["sample_counts"]}
+    counts["group"] = 30
+
+    def plans_after(seed):
+        run_suites(RunConfig(Couplings(**DEFAULT_COUPLINGS), seed=seed,
+                             sample_counts=counts))
+        return jets._plan.cache_info()
+
+    jets._plan.cache_clear()
+    first = plans_after(0)
+    assert first.currsize < first.maxsize  # no plan was evicted
+    assert plans_after(1).misses == first.misses
 
 
 def test_unknown_suite_rejected():
