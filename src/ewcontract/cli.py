@@ -304,8 +304,9 @@ def cmd_expand(args) -> int:
         "n_max": args.n,
         "coefficients": {str(p): c.to_json() for p, c in enumerate(expansion)},
     })
-    print(_json_text(payload))
-    _write_report(payload, args.out)
+    text = _json_text(payload)
+    print(text)
+    _write_report(payload, args.out, text=text)
     if all(np.isfinite(c.coeffs).all() for c in expansion):
         return EXIT_OK
     print("expand: a coefficient is not finite", file=sys.stderr)

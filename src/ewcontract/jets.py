@@ -196,10 +196,12 @@ class Jet:
         return a, b
 
     def _new(self, coeffs: np.ndarray) -> "Jet":
-        """Wrap a freshly computed coefficient array (taken over, not
-        copied)."""
+        """Wrap a freshly computed complex coefficient array (taken over,
+        not copied, and not checked again)."""
         coeffs.setflags(write=False)
-        return Jet(coeffs, coeffs.shape[-2] - 1, coeffs.shape[-1] - 1)
+        jet = Jet.__new__(Jet)
+        jet.coeffs = coeffs
+        return jet
 
     def _combined(self, other: "Jet | Scalar | np.ndarray", op) -> "Jet":
         """np.add or np.subtract of coefficients; an operand without eps
@@ -263,10 +265,13 @@ class Jet:
         the series is summed by Horner's rule."""
         u = self.coeffs / a0
         u[..., 0, 0] = 0.0
+        result = np.zeros_like(u)
+        if not np.count_nonzero(u):  # a constant jet: every power of u is 0
+            result[..., 0, 0] = 1.0
+            return result
         series = [1.0]
         for n in range(1, self.order + self.eps_order + 1):
             series.append(series[-1] * (power - (n - 1)) / n)
-        result = np.zeros_like(u)
         result[..., 0, 0] = series.pop()
         for coeff in reversed(series):
             result = _product(u, result)
@@ -383,8 +388,8 @@ def _support(coeffs: np.ndarray) -> bytes:
     """Flat (j, eps) positions that are nonzero in some batch element, one
     byte each; a NaN or an infinity counts as nonzero."""
     nonzero = coeffs.astype(bool)  # coeffs != 0, at a third of the cost
-    if nonzero.ndim > 2:
-        nonzero = nonzero.any(axis=tuple(range(nonzero.ndim - 2)))
+    if nonzero.ndim > 2:  # faster than ndarray.any over a tuple of axes
+        nonzero = np.logical_or.reduce(nonzero.reshape((-1,) + nonzero.shape[-2:]))
     return nonzero.tobytes()
 
 
@@ -399,17 +404,19 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     0 * inf or 0 * NaN pair is skipped (fields.COUPLING_MAGNITUDES keeps
     sampled values finite), while a NaN still spoils every term where it
     meets a nonzero coefficient."""
-    rows = a.shape[-2]
+    rows, ca, cb = a.shape[-2], a.shape[-1], b.shape[-1]
     if b.shape[-2] != rows:
         raise ValueError(f"incompatible truncation orders {rows - 1} != "
                          f"{b.shape[-2] - 1}")
     # np.broadcast_shapes takes twice as long on small operands
     batch = np.broadcast(a[..., 0, 0], b[..., 0, 0]).shape
+    support_a, support_b = _support(a), _support(b)
+    if 1 not in support_a or 1 not in support_b:  # a zero operand: no pairs
+        return np.zeros(batch + (rows, _product_width(ca, cb)), dtype=complex)
     # capped at the most pairs a product has: batches that fit one chunk share a plan
     per_chunk = min(max(1, _PRODUCT_CHUNK_BYTES // (16 * math.prod(batch))),
-                    rows * a.shape[-1] * rows * b.shape[-1])
-    cols, chunks = _plan(rows, a.shape[-1], b.shape[-1], per_chunk,
-                         _support(a), _support(b))
+                    rows * ca * rows * cb)
+    cols, chunks = _plan(rows, ca, cb, per_chunk, support_a, support_b)
     out = np.zeros(batch + (rows * cols,), dtype=complex)
     for left, right, starts, terms in chunks:
         out[..., terms] = np.add.reduceat(

@@ -168,12 +168,12 @@ def quadratic_form(gs: GaugeSample, ps: PsiSample, c: Couplings) -> Jet:
 def random_plane_wave(rng: np.random.Generator, amplitude: float,
                       shape: Tuple[int, ...] = ()) -> PlaneWave:
     """Random waves over components `shape`, drawn one component after
-    the other in row-major order: amplitude, wavevector, phase."""
-    draws = [(rng.normal(), rng.normal(size=4), rng.uniform(-math.pi, math.pi))
+    the other in row-major order: five normals (amplitude, wavevector), phase."""
+    draws = [(rng.normal(size=5), rng.uniform(-math.pi, math.pi))
              for _ in range(math.prod(shape))]
-    amp, k, phase = (np.array(p) for p in zip(*draws))
-    return PlaneWave(amp.reshape(shape) * amplitude,
-                     k.reshape(shape + (4,)) * 0.6, phase.reshape(shape))
+    normals, phase = (np.array(p) for p in zip(*draws))
+    return PlaneWave(normals[:, 0].reshape(shape) * amplitude,
+                     normals[:, 1:].reshape(shape + (4,)) * 0.6, phase.reshape(shape))
 
 
 def random_bosonic_config(rng: np.random.Generator,

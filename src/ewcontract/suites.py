@@ -258,8 +258,11 @@ def suite_group(cfg: RunConfig) -> SuiteResult:
         u = group_product(ks, angles, order)
         return _sample_diff((u * u.dagger()).jet, identity), _sample_diff(u.det(), 1.0)
 
-    unitarity, det_resid = _sampled_max(
-        (random_factors(rng) for _ in range(count)), products)
+    def draws():  # one block of factors per chunk
+        for start in range(0, count, CONFIG_CHUNK):
+            yield from zip(*random_factors(rng, (min(CONFIG_CHUNK, count - start),)))
+
+    unitarity, det_resid = _sampled_max(draws(), products)
 
     samples = rng.uniform(-2.0, 2.0, size=(20, 3))
     samples[np.abs(samples[:, 2]) < 0.1, 2] = 0.5  # the closed form needs a3 != 0
@@ -301,16 +304,14 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
     tol_first = cfg.tol("invariance_first_order")
     rng = np.random.default_rng(cfg.seed + 1)
 
-    draws = ((np.array([complex(rng.normal(), rng.normal()),
-                        complex(rng.normal(), rng.normal())]),
-              *random_factors(rng), *random_factors(rng))
+    draws = ((rng.normal(size=4).view(complex), *random_factors(rng, (2,)))
              for _ in range(cfg.samples("invariance_form")))
 
-    def form(phi, ks, angles, ks_one, angles_one):
+    def form(phi, ks, angles):
         d = MatterDoublet(phi[:, 0], phi[:, 1], order)
         reference = hermitian_form_jets(d.graded, d.graded)
-        moved = (apply_group(group_product(k, a, order, jval), d)
-                 for k, a, jval in ((ks, angles, None), (ks_one, angles_one, 1.0)))
+        moved = (apply_group(group_product(ks[:, e], angles[:, e], order, jval), d)
+                 for e, jval in enumerate((None, 1.0)))
         change = np.maximum(*(_sample_diff(hermitian_form_jets(m, m), reference)
                               for m in moved))
         return (change / _sample_size(reference),)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ewcontract import jets as jets_module
 from ewcontract.jets import (
     DEFAULT_ORDER,
     Jet,
@@ -390,6 +391,44 @@ def test_nan_spoils_every_term_where_it_meets_a_nonzero_coefficient():
         assert meets.any()
         assert not np.isfinite(got[1][meets]).any()
         assert np.isfinite(got[[0, 2]]).all()
+
+
+def test_a_zero_operand_makes_an_exact_zero_product_without_a_plan():
+    """An operand that is 0 in every batch element gives exact zeros with
+    the broadcast batch shape and eps width, and looks up no index plan."""
+    rng = np.random.default_rng(16)
+    zero = _sparse(_batched(rng, (3, 1), order=4, eps_order=2), "zero")
+    dense = _batched(rng, (4,), order=4)
+    before = jets_module._plan.cache_info()
+    for product in (zero * dense, dense * zero):
+        assert product.coeffs.shape == (3, 4, 5, 3)
+        assert not product.coeffs.any()
+        assert not np.signbit(product.coeffs.view(float)).any()
+    assert jets_module._plan.cache_info() == before
+
+
+def test_inverses_of_constant_jets_make_no_product(monkeypatch):
+    """The binomial series of a constant jet is its constant term 1, which
+    Horner's rule gives exactly (every product with u = 0 is an exact 0):
+    inv and inv_sqrt return it without a product."""
+    rng = np.random.default_rng(17)
+    a0 = rng.uniform(0.5, 2.0, size=(3, 1, 1)) + 0j
+    one = np.zeros((3, 5, 3), dtype=complex)
+    one[:, 0, 0] = 1.0
+    constant = Jet(one * a0, 4, 2)
+    product, calls = jets_module._product, []
+
+    def counting(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(jets_module, "_product", counting)
+    assert constant.inv().coeffs.tobytes() == (one / a0).tobytes()
+    assert constant.inv_sqrt().coeffs.tobytes() == (
+        one * a0.real ** -0.5).tobytes()
+    assert not calls
+    (constant + _batched(rng, (3,), order=4, eps_order=2)).inv()
+    assert len(calls) == 6  # order + eps_order Horner products
 
 
 def _element(jet, i):
