@@ -32,9 +32,7 @@ from .fields import (
 )
 from .group import (
     MatterDoublet,
-    commutator_table,
     generator,
-    hermitian_form,
     one_param,
     u1_element,
     u1em_element,
@@ -77,9 +75,7 @@ __all__ = [
     "sample_gauge",
     "sample_psi",
     "MatterDoublet",
-    "commutator_table",
     "generator",
-    "hermitian_form",
     "one_param",
     "u1_element",
     "u1em_element",

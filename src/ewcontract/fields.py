@@ -397,14 +397,6 @@ def generator_vector_jacobians(v: Jet) -> Jet:
     return _HALF_SIGN[:, None, None] * (outer + diagonal + _CROSS)
 
 
-def psi_generator_action(psi: Jet, jval: Optional[float] = None) -> Jet:
-    """Action of T1, T2, T3 and Y on the graded sphere coordinates, as the
-    displayed graded 3-vectors [..., a, k]: j * X for the fiber generators
-    T1, T2."""
-    g = _grading((True, True, False, False), psi.order, jval, None)
-    return g[..., None] * generator_vector_fields(psi)
-
-
 # ---------------------------------------------------------------------------
 # infinitesimal gauge transformation (pointwise)
 # ---------------------------------------------------------------------------

@@ -14,10 +14,9 @@ and a doublet's components sit on trailing batch axes.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -66,19 +65,6 @@ def algebra_element(
     fiber = 0.5j * (x1 * PAULI[0] + x2 * PAULI[1])
     m = JetMatrix2(jparam(order, jval) * fiber + 0.5j * x3 * PAULI[2])
     return AlgebraElement(a1, a2, a3, m)
-
-
-def commutator_table(order: int = DEFAULT_ORDER) -> Dict[Tuple[int, int], JetMatrix2]:
-    """All nine commutators [T_k(j), T_l(j)] as jet matrices.
-
-    The closed-form table is [T1,T2] = -j^2 T3, [T3,T1] = -T2,
-    [T2,T3] = -T1 (antisymmetric completion); at nilpotent j the first
-    commutator vanishes through grade 1.
-    """
-    gens = {k: generator(k, order).matrix for k in (1, 2, 3)}
-    return {
-        (k, l): gens[k].commutator(gens[l]) for k in (1, 2, 3) for l in (1, 2, 3)
-    }
 
 
 def one_param(k: "int | np.ndarray", angle: Param, order: int = DEFAULT_ORDER,
@@ -156,20 +142,17 @@ def exp_closed_su2(a1: float, a2: float, a3: float) -> np.ndarray:
     return math.cos(norm / 2) * np.eye(2) + 1j * math.sin(norm / 2) * atau / norm
 
 
-def u1_element(beta: float, order: int = DEFAULT_ORDER) -> JetMatrix2:
+def u1_element(beta: Param, order: int = DEFAULT_ORDER) -> JetMatrix2:
     """U(1) hypercharge element exp(beta*Y) = diag(e^{i beta/2}, e^{i beta/2})."""
-    return JetMatrix2(Jet.const(cmath.exp(0.5j * beta) * np.eye(2), order))
+    return JetMatrix2(Jet.const(np.exp(0.5j * np.asarray(beta))[..., None, None]
+                                * np.eye(2), order))
 
 
-def u1em_element(gamma: float, order: int = DEFAULT_ORDER) -> JetMatrix2:
+def u1em_element(gamma: Param, order: int = DEFAULT_ORDER) -> JetMatrix2:
     """Electromagnetic subgroup element exp(gamma*Q) = diag(e^{i gamma}, 1),
     with charge Q = Y + T3."""
-    return JetMatrix2(Jet.const(np.diag([cmath.exp(1j * gamma), 1.0]), order))
-
-
-def hypercharge_matrix(order: int = DEFAULT_ORDER) -> JetMatrix2:
-    """Y = (i/2) 1."""
-    return JetMatrix2(Jet.const(0.5j * np.eye(2), order))
+    phase = np.exp(1j * np.asarray(gamma))[..., None, None]
+    return JetMatrix2(Jet.const(phase * np.diag([1.0, 0.0]) + np.diag([0.0, 1.0]), order))
 
 
 @dataclass(frozen=True)
@@ -193,15 +176,6 @@ def hermitian_form_jets(x: Jet, y: Jet) -> Jet:
     """Invariant form on graded doublets (trailing axis of 2); for graded
     inputs this equals conj(x1)y1 + j^2 conj(x2)y2 automatically."""
     return (x.conjugate() * y).sum(-1)
-
-
-def hermitian_form(x: MatterDoublet, y: MatterDoublet) -> Jet:
-    return hermitian_form_jets(x.graded, y.graded)
-
-
-def apply_group(u: JetMatrix2, d: MatterDoublet) -> Jet:
-    """Action of a group element on the graded image of a doublet."""
-    return u.apply(d.graded)
 
 
 def random_factors(rng: np.random.Generator, shape: Tuple[int, ...] = (),
@@ -255,9 +229,3 @@ def group_product(ks: np.ndarray, angles: np.ndarray,
     for f in range(1, ks.shape[-1]):
         u = u * one_param(ks[..., f], angles[..., f], order, jval=jval)
     return u
-
-
-def random_group_element(rng: np.random.Generator, order: int = DEFAULT_ORDER,
-                         factors: int = 3, jval: float | None = None) -> JetMatrix2:
-    """Product of one-parameter elements with angles uniform in [-pi, pi]."""
-    return group_product(*random_factors(rng, factors=factors), order, jval)

@@ -15,7 +15,9 @@ import numpy as np
 
 from .fields import (
     Couplings,
+    FermionConfig,
     FermionSample,
+    GaugeConfig,
     GaugeSample,
     PsiSample,
     generator_vector_fields,
@@ -250,6 +252,28 @@ def lagrangian_fermion(fs: FermionSample, phi: Jet, gs: GaugeSample,
                + _kinetic(fs.nu, d_nu, _SIGMA_TILDE)
                + _kinetic(fs.er, d_er, _SIGMA))
     return kinetic - yukawa_matrix_form(phi, fs, c.h_e)
+
+
+def fermion_kinetic_oracle(gauge: GaugeConfig, fcfg: FermionConfig, x: np.ndarray,
+                           c: Couplings) -> np.ndarray:
+    """Kinetic-term oracle in plain numpy at j = 1, one value per stacked
+    configuration at the points x (N, 4): L_l+ i sigma~^mu D_mu L_l with
+    D_mu = d_mu + (i/2)(g A.tau + g' B) on L_l = (e_l, nu_l), plus
+    e_r+ i sigma^mu (d_mu + i g' B) e_r; its Pauli matrices are its own."""
+    tau = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    sigma = np.concatenate([np.eye(2)[None], tau])
+    sigma_tilde = np.concatenate([np.eye(2)[None], -tau])
+    xa, xc = x[:, None, None, :], x[:, None, :]
+    A, B = gauge.A.value(xa), gauge.B.value(xc)  # [n, k, mu], [n, mu]
+    L = np.stack([fcfg.e_l.value(xc), fcfg.nu_l.value(xc)], 1)  # [n, a, s]
+    dL = np.stack([fcfg.e_l.grad(xc), fcfg.nu_l.grad(xc)], 1)  # [n, a, s, mu]
+    er, der = fcfg.e_r.value(xc), fcfg.e_r.grad(xc)
+    conn = 0.5j * (c.g * np.einsum("nkm,kab->nmab", A, tau)
+                   + c.gp * B[..., None, None] * np.eye(2))
+    DL = dL + np.einsum("nmab,nbs->nasm", conn, L)
+    Der = der + 1j * c.gp * B[:, None, :] * er[..., None]
+    return (np.einsum("nas,mst,natm->n", L.conj(), 1j * sigma_tilde, DL)
+            + np.einsum("ns,mst,ntm->n", er.conj(), 1j * sigma, Der))
 
 
 # ---------------------------------------------------------------------------

@@ -315,45 +315,43 @@ def _fermion_mass_coefficients(c: Couplings, order: int) -> Jet:
     return epsilon_expand(evaluate, 2, order)[2]
 
 
-def mass_spectrum(c: Couplings, order: int = DEFAULT_ORDER) -> SpectrumReport:
-    """Extract m_W, m_Z, m_A (and m_e when h_e > 0) from the exact
-    Lagrangian on constant backgrounds along each physical direction."""
-    # grade by grade, for the W, Z and A backgrounds
+def closed_masses(c: Couplings) -> Dict[str, float]:
+    """The closed formulas the extracted masses are checked against."""
+    return {"m_w": c.R * c.g / 2.0, "m_z": c.R * c.gz / 2.0, "m_a": 0.0,
+            "m_e": c.h_e * c.R, "weinberg_cos": c.g / c.gz}
+
+
+def gauge_masses(c: Couplings, order: int = DEFAULT_ORDER) -> Tuple[float, float, float]:
+    """m_W, m_Z and m_A from the bosonic density on constant backgrounds
+    along the W, Z and A directions, read grade by grade."""
     backgrounds = np.array([[1.0, 0.0, 0.0, 0.0],
                             [0.0, 0.0, c.g / c.gz, c.gp / c.gz],
                             [0.0, 0.0, c.gp / c.gz, -c.g / c.gz]])
     w_coeff, z_coeff, a_coeff = _gauge_mass_coefficients(
         backgrounds, c, order).coeffs[..., 0]
     # unit W background: W+ W- = 1/2, so the coefficient is m_W^2 / 2
-    m_w = math.sqrt(max(2.0 * w_coeff[2].real, 0.0))
-    m_z = math.sqrt(max(2.0 * z_coeff[0].real, 0.0))
-    m_a = math.sqrt(abs(2.0 * a_coeff[0].real))
+    return (math.sqrt(max(2.0 * w_coeff[2].real, 0.0)),
+            math.sqrt(max(2.0 * z_coeff[0].real, 0.0)),
+            math.sqrt(abs(2.0 * a_coeff[0].real)))
 
-    if c.h_e > 0.0:
-        e_coeff, nu_coeff = _fermion_mass_coefficients(c, order).grade(0)
-        # mass term -m_e (e_r+ e_l + e_l+ e_r) = -2 m_e on unit spinors
-        m_e = float(-0.5 * e_coeff.real)
-        nu_mass = float(abs(nu_coeff))
-    else:
-        m_e = 0.0
-        nu_mass = 0.0
 
-    return SpectrumReport(
-        m_w=m_w,
-        m_z=m_z,
-        m_a=m_a,
-        m_e=m_e,
-        weinberg_cos=m_w / m_z,
-        nu_mass_coefficient=nu_mass,
-        closed={
-            "m_w": c.R * c.g / 2.0,
-            "m_z": c.R * c.gz / 2.0,
-            "m_a": 0.0,
-            "m_e": c.h_e * c.R,
-            "weinberg_cos": c.g / c.gz,
-        },
-        couplings={"g": c.g, "gp": c.gp, "R": c.R, "h_e": c.h_e},
-    )
+def lepton_masses(c: Couplings, order: int = DEFAULT_ORDER) -> Tuple[float, float]:
+    """m_e and the neutrino's mass coefficient from the fermion density on
+    unit spinor backgrounds (both 0 when h_e = 0)."""
+    if c.h_e == 0.0:
+        return 0.0, 0.0
+    e_coeff, nu_coeff = _fermion_mass_coefficients(c, order).grade(0)
+    # mass term -m_e (e_r+ e_l + e_l+ e_r) = -2 m_e on unit spinors
+    return float(-0.5 * e_coeff.real), float(abs(nu_coeff))
+
+
+def mass_spectrum(c: Couplings, order: int = DEFAULT_ORDER) -> SpectrumReport:
+    """Extract m_W, m_Z, m_A (and m_e when h_e > 0) from the exact
+    Lagrangian on constant backgrounds along each physical direction."""
+    m_w, m_z, m_a = gauge_masses(c, order)
+    m_e, nu_mass = lepton_masses(c, order)
+    return SpectrumReport(m_w, m_z, m_a, m_e, m_w / m_z, nu_mass, closed_masses(c),
+                          {"g": c.g, "gp": c.gp, "R": c.R, "h_e": c.h_e})
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +541,15 @@ def cubic_check(
 # ---------------------------------------------------------------------------
 
 
-def extrapolate_even(values: Sequence[float], ts: Sequence[float] = LIMIT_T_VALUES
-                     ) -> Tuple[float, float]:
+def extrapolate_even(values: Sequence[complex], ts: Sequence[float] = LIMIT_T_VALUES
+                     ) -> Tuple[complex, complex]:
     """Given f(t) = a0 + a2 t^2 + a4 t^4 sampled at three t values, return
-    (a0, a2) by Lagrange interpolation in s = t^2 (exact for this form)."""
+    (a0, a2) by Lagrange interpolation in s = t^2 (exact for this form),
+    real and imaginary parts as two real columns: numpy divides complex by
+    real through the reciprocal, which rounds differently."""
     s = np.asarray([t * t for t in ts], dtype=float)
 
-    def at_zero(y: np.ndarray) -> float:
+    def at_zero(y: np.ndarray) -> np.ndarray:
         total = 0.0
         for i in range(len(s)):
             w = 1.0
@@ -559,18 +559,10 @@ def extrapolate_even(values: Sequence[float], ts: Sequence[float] = LIMIT_T_VALU
             total += y[i] * w
         return total
 
-    y = np.asarray(values)
+    y = np.stack([np.real(values), np.imag(values)], axis=-1)
     a0 = at_zero(y)
-    a2 = at_zero((y - a0) / s)
-    return float(a0), float(a2)
-
-
-def extrapolate_even_complex(values: Sequence[complex],
-                             ts: Sequence[float] = LIMIT_T_VALUES
-                             ) -> Tuple[complex, complex]:
-    re = extrapolate_even([v.real for v in values], ts)
-    im = extrapolate_even([v.imag for v in values], ts)
-    return (complex(re[0], im[0]), complex(re[1], im[1]))
+    a2 = at_zero((y - a0) / s[:, None])
+    return complex(*a0), complex(*a2)
 
 
 def limit_consistency(c: Optional[Couplings] = None, seed: int = 0,
@@ -585,7 +577,7 @@ def limit_consistency(c: Optional[Couplings] = None, seed: int = 0,
     def compare(name: str, evaluator: Callable[[Optional[float]], Jet]):
         formal = evaluator(None)
         numeric = [evaluator(t).grade(0) for t in LIMIT_T_VALUES]
-        a0, a2 = extrapolate_even_complex(numeric)
+        a0, a2 = extrapolate_even(numeric)
         records[name] = {
             "grade0_formal": formal.grade(0),
             "grade0_numeric": a0,

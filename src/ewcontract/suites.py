@@ -28,8 +28,10 @@ from .fields import (
     Couplings,
     EpsConfig,
     FermionConfig,
+    GaugeConfig,
     PsiConfig,
     phi_from_psi,
+    phi_jacobian,
     sample_fermions,
     sample_gauge,
     sample_psi,
@@ -38,30 +40,40 @@ from .fields import (
 )
 from .group import (
     MatterDoublet,
-    apply_group,
     exp_closed_nilpotent,
     exp_closed_su2,
     exp_series,
     generator,
     group_product,
     hermitian_form_jets,
+    one_param,
     random_factors,
+    u1_element,
+    u1em_element,
 )
 from .jets import DEFAULT_ORDER, Jet, JetMatrix2
 from .lagrangian import (
+    covariant_derivative_phi,
+    covariant_derivative_phi_matrix,
+    covariant_derivative_psi,
+    fermion_kinetic_oracle,
     fermion_mass_identity,
     lagrangian_bosonic,
+    lagrangian_fermion,
     lagrangian_gauge,
+    lagrangian_gauge_trace,
     lagrangian_phi,
     lagrangian_psi,
     lagrangian_psi_closed,
 )
 from .spectrum import (
     LIMIT_T_VALUES,
+    closed_masses,
     cubic_check,
     epsilon_expand,
+    gauge_masses,
+    lepton_masses,
     limit_consistency,
-    mass_spectrum,
     quadratic_check,
     random_bosonic_config,
     random_plane_wave,
@@ -70,7 +82,8 @@ from .spectrum import (
 SCHEMA_VERSION = "1.1"
 
 #: default tolerance of every gate and default size of every sampled
-#: check, under the config keys that override them (one line per suite)
+#: check, under the config keys that override them (one line per suite);
+#: fermion_identity sizes and bounds both sampled fermion checks
 DEFAULTS: Dict[str, Dict[str, float]] = {
     "tolerances": {
         "algebra": 1.0e-12,
@@ -275,13 +288,24 @@ def suite_group(cfg: RunConfig) -> SuiteResult:
     su2_resid = float(np.max(np.abs(series_at_one.jet.grade(0) - su2)))
     closed_resid = max(closed_resid, su2_resid)
 
+    # exp(angle T_k(j)) along each generator, on the same angles
+    along = np.moveaxis(samples[..., None] * np.eye(3), -1, 0)
+    subgroup_resid = max(one_param(np.arange(1, 4), samples, order, jval).max_abs_diff(
+        exp_series(*along, order=order, jval=jval)) for jval in (None, 1.0))
+    # charge Q = Y + T3: exp(gamma Q) = exp(gamma Y) exp(gamma T3)
+    charge_resid = u1em_element(a[2], order).max_abs_diff(
+        u1_element(a[2], order) * one_param(3, a[2], order))
+
     return _result(
         "group",
-        [(unitarity, tol), (det_resid, tol), (closed_resid, tol)],
+        [(unitarity, tol), (det_resid, tol), (closed_resid, tol),
+         (subgroup_resid, tol), (charge_resid, tol)],
         {
             "unitarity": unitarity,
             "determinant": det_resid,
             "closed_exponentials": closed_resid,
+            "one_parameter_subgroups": subgroup_resid,
+            "electromagnetic_charge": charge_resid,
             "product_samples": count,
         },
     )
@@ -310,7 +334,7 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
     def form(phi, ks, angles):
         d = MatterDoublet(phi[:, 0], phi[:, 1], order)
         reference = hermitian_form_jets(d.graded, d.graded)
-        moved = (apply_group(group_product(ks[:, e], angles[:, e], order, jval), d)
+        moved = (group_product(ks[:, e], angles[:, e], order, jval).apply(d.graded)
                  for e, jval in enumerate((None, 1.0)))
         change = np.maximum(*(_sample_diff(hermitian_form_jets(m, m), reference)
                               for m in moved))
@@ -325,7 +349,7 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
               rng.uniform(-0.5, 0.5, size=4)) for _ in range(configs))
 
     def gauge_variation(gauge, psicfg, eps_cfg, x):
-        worst = []
+        worst, trace = [], []
         for jval, grades in ((1.0, (0,)), (None, (0, 1)), (0.1, (0,))):
             gs = sample_gauge(gauge, x, order, jval)
             ps = sample_psi(psicfg, x, order, jval)
@@ -346,18 +370,22 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
                            + abs(sectors[1].coeffs[..., n, 0]) for n in grades], axis=0)
             change = np.max([abs(variation.grade(n)) for n in grades], axis=0)
             worst.append(change / np.maximum(size, 1.0e-30))
-        return (np.max(worst, axis=0),)
+            unvaried = Jet(sectors[0].coeffs[..., :1], order)  # gauge density, eps**0
+            trace.append(_sample_diff(unvaried, lagrangian_gauge_trace(gs, c))
+                         / _sample_size(unvaried))
+        return np.max(worst, axis=0), np.max(trace, axis=0)
 
-    first_order, = _sampled_max(draws, gauge_variation)
+    first_order, trace_resid = _sampled_max(draws, gauge_variation)
 
     return _result(
         "invariance",
-        [(form_resid, tol_form), (first_order, tol_first)],
+        [(form_resid, tol_form), (first_order, tol_first), (trace_resid, tol_form)],
         {
             "hermitian_form_residual": form_resid,
             "hermitian_form_tolerance": tol_form,
             "first_order_variation": first_order,
             "first_order_tolerance": tol_first,
+            "gauge_trace_form": trace_resid,
             "gauge_configs": configs,
         },
     )
@@ -398,19 +426,30 @@ def suite_coordinate(cfg: RunConfig) -> SuiteResult:
         doublet = lagrangian_phi(phi, dphi, gs, c)
         intrinsic = lagrangian_psi(ps, gs, c)
         scale = np.maximum(_sample_size(doublet), _sample_size(intrinsic)).clip(1e-30)
+        d = covariant_derivative_phi(phi, dphi, gs, c)
+        chain = (phi_jacobian(ps.psi, c.R)[..., None]
+                 * covariant_derivative_psi(ps, gs, c)[..., None, :, :]).sum(-2)
+        d_scale = _sample_size(d).clip(1e-30)
         return (_sample_diff(doublet, intrinsic) / scale,
-                _sample_diff(intrinsic, lagrangian_psi_closed(ps, gs, c)) / scale)
+                _sample_diff(intrinsic, lagrangian_psi_closed(ps, gs, c)) / scale,
+                _sample_diff(d, covariant_derivative_phi_matrix(phi, dphi, gs, c))
+                / d_scale,
+                _sample_diff(d, chain) / d_scale)
 
-    equiv_resid, displayed_resid = _sampled_max(draws, equivalence)
+    equiv_resid, displayed_resid, matrix_resid, chain_resid = _sampled_max(
+        draws, equivalence)
 
     return _result(
         "coordinate",
         [(sphere_resid, tol_sphere), (equiv_resid, tol_equiv),
-         (displayed_resid, tol_equiv)],
+         (displayed_resid, tol_equiv), (matrix_resid, tol_equiv),
+         (chain_resid, tol_equiv)],
         {
             "sphere_constraint": sphere_resid,
             "density_equivalence": equiv_resid,
             "displayed_forms": displayed_resid,
+            "matrix_covariant_derivative": matrix_resid,
+            "chain_rule": chain_resid,
         },
     )
 
@@ -443,17 +482,14 @@ def suite_quadratic(cfg: RunConfig) -> SuiteResult:
             R=float(rng.uniform(0.4, 2.0)),
             h_e=float(rng.uniform(0.5, 2.5)),
         )
-        rep = mass_spectrum(ci, order)
+        m_w, m_z, m_a = gauge_masses(ci, order)
+        closed = closed_masses(ci)
         mass_resid = max(
             mass_resid,
-            abs(rep.m_w - rep.closed["m_w"]) / rep.closed["m_w"],
-            abs(rep.m_z - rep.closed["m_z"]) / rep.closed["m_z"],
+            abs(m_w - closed["m_w"]) / closed["m_w"],
+            abs(m_z - closed["m_z"]) / closed["m_z"],
         )
-        zero_resid = max(
-            zero_resid,
-            rep.m_a,
-            abs(rep.weinberg_cos - rep.closed["weinberg_cos"]),
-        )
+        zero_resid = max(zero_resid, m_a, abs(m_w / m_z - closed["weinberg_cos"]))
 
     # the fiber fields A^1, A^2 must not feed the grade-0 (base) density:
     # the configuration and its fiber-scaled copy at 4 points, as a
@@ -528,20 +564,22 @@ def _grade0_yukawa_oracle(psi3: np.ndarray, el: np.ndarray, er: np.ndarray,
 
 def suite_fermion(cfg: RunConfig) -> SuiteResult:
     """Matrix vs expanded Yukawa forms, the base-part closed formula, the
-    extracted electron mass and the massless neutrino."""
+    kinetic terms against a numpy oracle, the extracted electron mass and
+    the massless neutrino."""
     order = cfg.order
     tol_id = cfg.tol("fermion_identity")
     tol_mass = cfg.tol("fermion_mass")
+    count = cfg.samples("fermion_identity")
     rng = np.random.default_rng(cfg.seed + 5)
     c = dataclasses.replace(cfg.couplings, h_e=cfg.couplings.h_e or 1.3)
 
-    # complex spinors: with real ones the i psi_1 and i psi_3 terms vanish
-    draws = ((PsiConfig(random_plane_wave(rng, 0.5, (3,))),
-              FermionConfig(*(random_plane_wave(rng, 1.0, (2,)).scaled(
-                  np.exp(1j * rng.uniform(-math.pi, math.pi, size=2)))
-                  for _ in range(3))),
-              rng.uniform(-0.5, 0.5, size=4))
-             for _ in range(cfg.samples("fermion_identity")))
+    def spinors() -> FermionConfig:
+        """Complex spinors: with real ones the i psi_1 and i psi_3 terms vanish."""
+        return FermionConfig(*(random_plane_wave(rng, 1.0, (2,)).scaled(
+            np.exp(1j * rng.uniform(-math.pi, math.pi, size=2))) for _ in range(3)))
+
+    draws = ((PsiConfig(random_plane_wave(rng, 0.5, (3,))), spinors(),
+              rng.uniform(-0.5, 0.5, size=4)) for _ in range(count))
 
     def identity(psicfg, fcfg, x):
         ps = sample_psi(psicfg, x, order)
@@ -553,17 +591,32 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
 
     identity_resid, grade0_resid = _sampled_max(draws, identity)
 
-    rep = mass_spectrum(c, order)
-    m_e_err = abs(rep.m_e - c.h_e * c.R) / (c.h_e * c.R)
-    nu_coeff = rep.nu_mass_coefficient
+    draws = ((GaugeConfig(random_plane_wave(rng, 0.5, (3, 4)),
+                          random_plane_wave(rng, 0.5, (4,))), spinors(),
+              rng.uniform(-0.5, 0.5, size=4)) for _ in range(count))
+    massless = dataclasses.replace(c, h_e=0.0)
+    phi, _ = phi_from_psi(sample_psi(PsiConfig.zero(), np.zeros(4), order, 1.0), c.R)
+
+    def kinetic(gauge, fcfg, x):
+        """The density at j = 1 and h_e = 0 is its kinetic terms: phi is unread."""
+        density = lagrangian_fermion(sample_fermions(fcfg, x, order, 1.0), phi,
+                                     sample_gauge(gauge, x, order, 1.0), massless)
+        oracle = fermion_kinetic_oracle(gauge, fcfg, x, massless)
+        return (_sample_diff(density, oracle) / np.maximum(abs(oracle), 1.0),)
+
+    kinetic_resid, = _sampled_max(draws, kinetic)
+
+    m_e, nu_coeff = lepton_masses(c, order)
+    m_e_err = abs(m_e - c.h_e * c.R) / (c.h_e * c.R)
 
     return _result(
         "fermion",
-        [(identity_resid, tol_id), (grade0_resid, tol_id), (m_e_err, tol_mass),
-         (nu_coeff, 0.0)],
+        [(identity_resid, tol_id), (grade0_resid, tol_id), (kinetic_resid, tol_id),
+         (m_e_err, tol_mass), (nu_coeff, 0.0)],
         {
             "yukawa_identity": identity_resid,
             "grade0_oracle": grade0_resid,
+            "kinetic_oracle": kinetic_resid,
             "electron_mass_rel_error": m_e_err,
             "neutrino_mass_coefficient": nu_coeff,
         },

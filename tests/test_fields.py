@@ -16,19 +16,19 @@ from ewcontract.fields import (
     PlaneWave,
     Polynomial,
     PsiConfig,
+    PsiSample,
     constant,
     generator_vector_fields,
     generator_vector_jacobians,
     infinitesimal_gauge_transform,
     phi_from_psi,
     phi_jacobian,
-    psi_generator_action,
     sample_fermions,
     sample_gauge,
     sample_psi,
     stack_configs,
 )
-from ewcontract.group import generator, hermitian_form_jets, hypercharge_matrix
+from ewcontract.group import generator, hermitian_form_jets
 from ewcontract.jets import DEFAULT_ORDER, Jet
 
 ORDER = DEFAULT_ORDER
@@ -339,10 +339,7 @@ def test_generator_vector_fields_are_flow_pushforwards():
         )
         for k in (1, 2, 3)
     ]
-    mats.append(np.array(
-        [[hypercharge_matrix(ORDER)[r, c].grade(0) for c in range(2)]
-         for r in range(2)]
-    ))
+    mats.append(0.5j * np.eye(2))  # Y
     h = 1e-6
     for _ in range(5):
         psi = rng.normal(size=3) * 0.6
@@ -405,12 +402,18 @@ def test_vector_field_bracket_table():
 
 
 def test_psi_generator_action_grading():
+    """The gauge transform moves the sphere coordinates along j X_a for the
+    fiber generators T1, T2 and along X_a for T3 and Y."""
     v = Jet.const(np.array([0.3, -0.2, 0.5]), ORDER)
-    action = psi_generator_action(v)
+    ps = PsiSample(v, Jet.const(np.zeros((3, 4)), ORDER))
+    gs = sample_gauge(GaugeConfig.zero(), np.zeros(4), ORDER)
+    c = Couplings(g=0.65, gp=0.35, R=1.0)
     plain = generator_vector_fields(v)
     for a, grade in enumerate((1, 1, 0, 0)):
+        eps = EpsConfig(constant(np.eye(4)[a]))
+        action = infinitesimal_gauge_transform(gs, ps, eps, np.zeros(4), c)[1].psi - v
         for k in range(3):
-            assert action[a, k].grade(grade) == pytest.approx(
+            assert action[k].grade(grade) == pytest.approx(
                 plain[a, k].grade(0), abs=1e-14
             )
 

@@ -7,33 +7,30 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from ewcontract.fields import Couplings, GaugeConfig, constant, sample_gauge
 from ewcontract.group import (
     MatterDoublet,
-    apply_group,
-    commutator_table,
     exp_closed_nilpotent,
     exp_closed_su2,
     exp_series,
     generator,
     group_product,
-    hermitian_form,
     hermitian_form_jets,
-    hypercharge_matrix,
     one_param,
     random_factors,
-    random_group_element,
     u1_element,
     u1em_element,
 )
 from ewcontract.jets import DEFAULT_ORDER, Jet, JetMatrix2
+from ewcontract.lagrangian import covariant_derivative_phi_matrix
 
 ORDER = DEFAULT_ORDER
 TOL = 1e-12
 
 
 def test_commutator_table_closed_form():
-    table = commutator_table(ORDER)
     gens = {k: generator(k, ORDER).matrix for k in (1, 2, 3)}
+    table = {(k, l): gens[k].commutator(gens[l]) for k in gens for l in gens}
     j = Jet.variable(ORDER)
     expected = {(1, 2): gens[3] * -(j * j), (2, 3): -gens[1], (3, 1): -gens[2]}
     for (k, l), rhs in expected.items():
@@ -44,7 +41,7 @@ def test_commutator_table_closed_form():
 
 
 def test_fiber_commutator_vanishes_at_nilpotent():
-    comm = commutator_table(ORDER)[(1, 2)]
+    comm = generator(1, ORDER).matrix.commutator(generator(2, ORDER).matrix)
     for r in range(2):
         for c in range(2):
             assert abs(comm[r, c].grade(0)) <= TOL
@@ -118,7 +115,7 @@ def test_random_products_are_unitary_and_unimodular():
     identity = JetMatrix2.identity(ORDER)
     one = Jet.const(1.0, ORDER)
     for _ in range(200):
-        u = random_group_element(rng, ORDER)
+        u = group_product(*random_factors(rng), ORDER)
         assert (u * u.dagger()).max_abs_diff(identity) <= TOL
         assert u.det().max_abs_diff(one) <= TOL
 
@@ -150,16 +147,16 @@ def test_hermitian_form_invariance_unit_and_nilpotent():
             complex(rng.normal(), rng.normal()),
             ORDER,
         )
-        reference = hermitian_form(d, d)
+        reference = hermitian_form_jets(d.graded, d.graded)
         for jval in (None, 1.0):
-            u = random_group_element(rng, ORDER, jval=jval)
-            moved = apply_group(u, d)
+            u = group_product(*random_factors(rng), ORDER, jval)
+            moved = u.apply(d.graded)
             assert hermitian_form_jets(moved, moved).max_abs_diff(reference) <= 1e-11
 
 
 def test_hermitian_form_weights_fiber_by_j_squared():
     d = MatterDoublet(2.0, 3.0, ORDER)
-    form = hermitian_form(d, d)
+    form = hermitian_form_jets(d.graded, d.graded)
     assert form.grade(0) == pytest.approx(4.0)
     assert form.grade(1) == pytest.approx(0.0)
     assert form.grade(2) == pytest.approx(9.0)
@@ -169,7 +166,7 @@ def test_u1_elements_commute_with_everything():
     rng = np.random.default_rng(5)
     y = u1_element(0.9, ORDER)
     for _ in range(10):
-        u = random_group_element(rng, ORDER)
+        u = group_product(*random_factors(rng), ORDER)
         assert (y * u).max_abs_diff(u * y) <= TOL
 
 
@@ -182,7 +179,16 @@ def test_charge_is_hypercharge_plus_third_generator():
 
 
 def test_hypercharge_matrix_value():
-    y = hypercharge_matrix(ORDER)
+    """Y = (i/2) 1 as the matrix covariant derivative applies it: with
+    A = 0, d phi = 0 and g' B_0 = 1 it maps the basis doublets to the
+    columns of Y."""
+    gauge = GaugeConfig(constant(np.zeros((3, 4))), constant(np.eye(4)[0]))
+    gs = sample_gauge(gauge, np.zeros(4), ORDER)
+    basis = Jet.const(np.eye(2), ORDER)  # [column, component]
+    dphi = Jet.const(np.zeros((2, 2, 4)), ORDER)
+    c = Couplings(g=1.0, gp=1.0, R=1.0)
+    y = JetMatrix2(covariant_derivative_phi_matrix(basis, dphi, gs, c)[..., 0]
+                   .swapaxes(0, 1))
     assert y[0, 0].grade(0) == 0.5j
     assert y[1, 1].grade(0) == 0.5j
     assert abs(y[0, 1].grade(0)) == 0.0
@@ -190,7 +196,7 @@ def test_hypercharge_matrix_value():
 
 def test_electromagnetic_charge_leaves_lower_component_fixed():
     d = MatterDoublet(1.0 + 0.5j, -0.3 + 0.2j, ORDER)
-    moved = apply_group(u1em_element(0.61, ORDER), d)
+    moved = u1em_element(0.61, ORDER).apply(d.graded)
     phi1, phi2 = d.graded
     assert moved[0].max_abs_diff(phi1 * cmath.exp(0.61j)) <= TOL
     assert moved[1].max_abs_diff(phi2) <= TOL
@@ -251,7 +257,7 @@ def test_group_products_of_drawn_factors_are_the_stack_of_random_elements():
     draws = [random_factors(rng) for _ in range(25)]
     batch = group_product(np.array([k for k, _ in draws]),
                           np.array([a for _, a in draws]), ORDER)
-    _assert_batch_is_stack(batch, [random_group_element(reference, ORDER)
+    _assert_batch_is_stack(batch, [group_product(*random_factors(reference), ORDER)
                                    for _ in range(25)])
     assert rng.bit_generator.state == reference.bit_generator.state
 
@@ -260,10 +266,10 @@ def test_matter_doublets_on_arrays_act_element_by_element():
     rng = np.random.default_rng(9)
     phi = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
     ks, angles = rng.integers(1, 4, size=(6, 3)), rng.uniform(-3, 3, size=(6, 3))
-    moved = apply_group(group_product(ks, angles, ORDER), MatterDoublet(*phi, ORDER))
+    moved = group_product(ks, angles, ORDER).apply(MatterDoublet(*phi, ORDER).graded)
     for i in range(6):
-        single = apply_group(group_product(ks[i], angles[i], ORDER),
-                             MatterDoublet(phi[0, i], phi[1, i], ORDER))
+        single = group_product(ks[i], angles[i], ORDER).apply(
+            MatterDoublet(phi[0, i], phi[1, i], ORDER).graded)
         assert np.array_equal(moved[i].coeffs, single.coeffs)
 
 

@@ -17,12 +17,14 @@ from ewcontract.fields import (
     sample_fermions,
     sample_gauge,
     sample_psi,
+    stack_configs,
 )
 from ewcontract.jets import DEFAULT_ORDER, Jet
 from ewcontract.lagrangian import (
     covariant_derivative_phi,
     covariant_derivative_phi_matrix,
     covariant_derivative_psi,
+    fermion_kinetic_oracle,
     fermion_mass_identity,
     lagrangian_bosonic,
     lagrangian_fermion,
@@ -156,49 +158,25 @@ def test_fermion_density_mass_term_at_origin():
     assert kinetic.max_abs_diff(Jet.zero(ORDER)) <= 1e-14
 
 
-_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_SIGMA = np.concatenate([np.eye(2)[None], _PAULI])  # sigma^mu = (1, tau)
-_SIGMA_TILDE = np.concatenate([np.eye(2)[None], -_PAULI])  # (1, -tau)
-
-
-def _fermion_kinetic_oracle(gauge, fcfg, x, c):
-    """L_l+ i sigma~^mu D_mu L_l + e_r+ i sigma^mu D_mu e_r in plain numpy
-    at j = 1: the doublet's D_mu is d_mu + (i/2)(g A.tau + g' B), acting on
-    the SU(2) index of L_l = (e_l, nu_l), and the singlet's is
-    d_mu + i g' B."""
-    A = gauge.A.value(x)  # [k, mu]
-    B = gauge.B.value(x)
-    L = np.array([fcfg.e_l.value(x), fcfg.nu_l.value(x)])
-    dL = np.array([fcfg.e_l.grad(x), fcfg.nu_l.grad(x)])
-    er = fcfg.e_r.value(x)
-    der = fcfg.e_r.grad(x)
-    total = 0.0
-    for mu in range(4):
-        conn = 0.5j * (c.g * np.einsum("k,kab->ab", A[:, mu], _PAULI)
-                       + c.gp * B[mu] * np.eye(2))
-        DL = dL[:, :, mu] + conn @ L  # [su(2) index, spinor index]
-        total += np.einsum("as,st,at->", L.conj(), 1j * _SIGMA_TILDE[mu], DL)
-        Der = der[:, mu] + 1j * c.gp * B[mu] * er
-        total += er.conj() @ (1j * _SIGMA[mu]) @ Der
-    return total
-
-
 def test_fermion_kinetic_terms_match_a_numpy_oracle():
     """The kinetic terms on random plane-wave fermions and gauge fields, at
     j = 1 and h_e = 0, against the docstring formula in plain numpy."""
     rng = np.random.default_rng(9)
     c = Couplings(g=COUPLINGS.g, gp=COUPLINGS.gp, R=COUPLINGS.R, h_e=0.0)
-    for _ in range(10):
-        gauge, psicfg = random_bosonic_config(rng, amplitude=0.5)
-        fcfg = FermionConfig(*(_complex_waves(rng) for _ in range(3)))
-        x = _random_point(rng)
-        gs = sample_gauge(gauge, x, ORDER, jval=1.0)
-        phi, _ = phi_from_psi(sample_psi(psicfg, x, ORDER, jval=1.0), c.R)
-        fs = sample_fermions(fcfg, x, ORDER, jval=1.0)
-        density = lagrangian_fermion(fs, phi, gs, c)
-        oracle = _fermion_kinetic_oracle(gauge, fcfg, x, c)
-        assert abs(oracle) > 1e-3
-        assert density.max_abs_diff(oracle) <= 1e-12 * max(abs(oracle), 1.0)
+    draws = [(*random_bosonic_config(rng, amplitude=0.5),
+              FermionConfig(*(_complex_waves(rng) for _ in range(3))),
+              _random_point(rng)) for _ in range(10)]
+    *configs, points = zip(*draws)
+    gauge, psicfg, fcfg = map(stack_configs, configs)
+    x = np.array(points)
+    gs = sample_gauge(gauge, x, ORDER, jval=1.0)
+    phi, _ = phi_from_psi(sample_psi(psicfg, x, ORDER, jval=1.0), c.R)
+    fs = sample_fermions(fcfg, x, ORDER, jval=1.0)
+    density = lagrangian_fermion(fs, phi, gs, c)
+    oracle = fermion_kinetic_oracle(gauge, fcfg, x, c)
+    assert (abs(oracle) > 1e-3).all()
+    for i in range(10):
+        assert density[i].max_abs_diff(oracle[i]) <= 1e-12 * max(abs(oracle[i]), 1.0)
 
 
 @pytest.mark.parametrize("jval", [1.0, None, 0.1])

@@ -3,10 +3,10 @@ suites it names at their default config and asserts that every one of
 them fails by a wide margin (residual / tolerance >= 1e3). A gate that no
 plausible one-line fault can trip checks nothing.
 
-Three faults that tier-1 kills still pass `verify`: `one_param` with the
-full angle instead of the half, `_SIGMA_TILDE = _SIGMA` and the `e_r`
-hypercharge coupling halved. They join this table once `verify` runs the
-oracles that catch them.
+Every oracle runs in `verify`, so each row is killed by the suites alone:
+`one_param` with the full angle instead of the half fails the group
+suite's one-parameter-subgroup gate, and `_SIGMA_TILDE = _SIGMA` and the
+`e_r` hypercharge coupling halved fail the fermion suite's kinetic oracle.
 """
 
 import __future__
@@ -63,6 +63,12 @@ MUTANTS = [
     ("psi_3_graded_as_fiber", fields, "sample_psi",
      _edit("_grading((True, True, False), order",
            "_grading((True, True, True), order"), ("limit",)),
+    ("one_param_full_angle", group, "one_param",
+     _edit("dtype=float) / 2.0", "dtype=float)"), ("group",)),
+    ("sigma_tilde_is_sigma", lagrangian, "_SIGMA_TILDE",
+     lambda _: lagrangian._SIGMA, ("fermion",)),
+    ("e_r_hypercharge_halved", lagrangian, "lagrangian_fermion",
+     _edit("1j * c.gp * (gs.b", "0.5j * c.gp * (gs.b"), ("fermion",)),
 ]
 
 

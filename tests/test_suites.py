@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from ewcontract.cli import DEFAULT_COUPLINGS
-from ewcontract import jets, suites
+from ewcontract import jets, lagrangian, spectrum, suites
 from ewcontract.fields import ConfigError, Couplings
-from ewcontract.group import random_group_element
+from ewcontract.group import group_product, random_factors
 from ewcontract.jets import Jet, JetMatrix2
 from ewcontract.suites import (DEFAULTS, MAX_SAMPLE_COUNT, REGISTRY, RunConfig,
                                run_suites)
@@ -162,14 +162,15 @@ def _per_sample_draws(suite, seed, n):
                 rng.uniform(-0.5, 0.5, size=4)
     else:
         rng = np.random.default_rng(seed + 5)
-        for _ in range(n):
-            for _ in range(3):
-                _wave(rng)
-            for _ in range(3):  # a spinor's two waves, then their phases
-                _wave(rng)
-                _wave(rng)
-                rng.uniform(-math.pi, math.pi, size=2)
-            rng.uniform(-0.5, 0.5, size=4)
+        for waves in (3, 16):  # the Yukawa check's psi, the kinetic check's gauge
+            for _ in range(n):
+                for _ in range(waves):
+                    _wave(rng)
+                for _ in range(3):  # a spinor's two waves, then their phases
+                    _wave(rng)
+                    _wave(rng)
+                    rng.uniform(-math.pi, math.pi, size=2)
+                rng.uniform(-0.5, 0.5, size=4)
     return rng.bit_generator.state
 
 
@@ -198,11 +199,32 @@ def test_group_suite_residuals_are_the_per_sample_maxima():
     identity, one = JetMatrix2.identity(), Jet.const(1.0)
     unitarity = determinant = 0.0
     for _ in range(40):
-        u = random_group_element(rng)
+        u = group_product(*random_factors(rng))
         unitarity = max(unitarity, (u * u.dagger()).max_abs_diff(identity))
         determinant = max(determinant, u.det().max_abs_diff(one))
     assert result.details["unitarity"] == unitarity
     assert result.details["determinant"] == determinant
+
+
+def test_mass_steps_evaluate_only_the_densities_they_read(monkeypatch):
+    """quadratic reads only the gauge masses and fermion only the lepton
+    masses, so neither evaluates the other sector's density."""
+    calls = {}
+    for name in ("lagrangian_bosonic", "lagrangian_fermion"):
+        original = getattr(lagrangian, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        for module in (lagrangian, spectrum, suites):
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    REGISTRY["quadratic"](_config(sample_counts={"mass_sets": 3}))
+    assert calls.pop("lagrangian_bosonic") > 0
+    assert calls == {}
+    REGISTRY["fermion"](_config(sample_counts={"fermion_identity": 3}))
+    assert set(calls) == {"lagrangian_fermion"}
 
 
 SAMPLED_SUITES = ["group", "invariance", "coordinate", "fermion"]
