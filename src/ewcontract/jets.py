@@ -29,6 +29,7 @@ Values are immutable; every operation returns a fresh Jet.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from typing import Iterable, Sequence, Tuple, Union
@@ -340,46 +341,72 @@ def _product_width(a: int, b: int) -> int:
     return max(a, b)
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(rows: int, ca: int, cb: int) -> np.ndarray:
+    """Every coefficient pair of the dense truncated product of arrays with
+    `rows` j rows and ca, cb eps columns, as rows (left, right, term): the
+    flat (row-major j, eps) index of each pair into each operand and the
+    flat term it adds to, sorted by term and then by left index.
+
+    Term (n, p) takes left (k, q) and right (n - k, p - q) for k <= n and
+    0 <= p - q < cb; the grid over (n, p, k, q), flattened row-major, is
+    in that order, so no sort is needed. The two conditions are read from
+    step tables indexed by n - k and p - q: an integer comparison would
+    page in numpy code that no product runs."""
+    cols = _product_width(ca, cb)
+    n, p, k, q = np.ix_(range(rows), range(cols), range(rows), range(ca))
+    below = np.zeros(2 * rows - 1, dtype=bool)  # at n - k + rows - 1
+    below[rows - 1:] = True
+    within = np.zeros(ca + cols - 1, dtype=bool)  # at p - q + ca - 1
+    within[ca - 1:ca - 1 + cb] = True
+    kept = below[n - k + rows - 1] & within[p - q + ca - 1]
+    table = np.stack([np.broadcast_to(index, kept.shape)[kept]
+                      for index in (k * ca + q, (n - k) * cb + (p - q),
+                                    n * cols + p)])
+    table.flags.writeable = False  # shared by every plan of the shape
+    return table
+
+
 @functools.lru_cache(maxsize=256)
 def _plan(rows: int, ca: int, cb: int, per_chunk: int, support_a: bytes,
           support_b: bytes):
     """Index plan of the truncated product of coefficient arrays with
     `rows` j rows and ca, cb eps columns whose flat (j, eps) positions
     outside support_a, support_b (one byte per position, row-major) are 0
-    in every batch element: (result columns, chunks). Every pair of flat
-    coefficient indices (i, k) inside the supports whose grades sum to a
-    kept term, sorted by that term and then by i, is split into chunks of
-    whole terms of about `per_chunk` pairs; a chunk is (left, right,
-    starts, terms), its pairs' indices into each operand, the offset of
-    each term's first pair and the flat terms it writes (a slice when
-    they are a run). A term with no pair is in no chunk. Full supports
-    give the dense plan."""
+    in every batch element: (result columns, chunks).
+
+    The shape's table of every pair (`_pairs`) is masked by the two
+    supports, which keeps its order: by term, then by left index, so each
+    term is summed in the order of the dense plan. The pairs left are cut
+    greedily into chunks of whole terms of at most `per_chunk` pairs, or
+    of one term that alone has more; a chunk is (left, right, starts,
+    terms), its pairs' indices into each operand, the offset of each
+    term's first pair and the flat terms it writes (a slice when they are
+    a run). A term with no pair is in no chunk, so supports that meet in
+    no kept term give no chunk. Full supports give the dense plan."""
     cols = _product_width(ca, cb)
-    terms = []  # per flat term n * cols + p with a pair left: (term, pairs)
-    for n in range(rows):
-        for p in range(cols):
-            pairs = [(k * ca + q, (n - k) * cb + (p - q))
-                     for k in range(n + 1)
-                     for q in range(max(0, p - cb + 1), min(p, ca - 1) + 1)]
-            pairs = [(i, k) for i, k in pairs if support_a[i] and support_b[k]]
-            if pairs:
-                terms.append((n * cols + p, pairs))
+    left, right, term = _pairs(rows, ca, cb)
+    kept = (np.frombuffer(support_a, dtype=bool)[left]
+            & np.frombuffer(support_b, dtype=bool)[right])
+    left, right, term = left[kept], right[kept], term[kept]
+    if not len(term):  # e.g. j**3 * j**3 at order 4
+        return cols, ()
+    for index in (left, right):
+        index.flags.writeable = False  # its chunks' views are shared too
+    # offset of each term's first pair, and the end of the last term
+    bounds = [0, *(np.flatnonzero(np.diff(term)) + 1).tolist(), len(term)]
     chunks, lo = [], 0
-    while lo < len(terms):
-        hi, count = lo + 1, len(terms[lo][1])
-        while hi < len(terms) and count + len(terms[hi][1]) <= per_chunk:
-            count += len(terms[hi][1])
-            hi += 1
-        pairs = [pair for _, term in terms[lo:hi] for pair in term]
-        left, right = (np.array(side) for side in zip(*pairs))
-        starts = np.cumsum([0] + [len(term) for _, term in terms[lo:hi - 1]])
-        written = np.array([t for t, _ in terms[lo:hi]])
-        for index in (left, right, starts, written):
+    while lo < len(bounds) - 1:
+        hi = max(lo + 1, bisect.bisect_right(bounds, bounds[lo] + per_chunk) - 1)
+        first, last = bounds[lo], bounds[hi]
+        starts = np.subtract(bounds[lo:hi], first)
+        written = term[bounds[lo:hi]]
+        for index in (starts, written):
             index.flags.writeable = False  # shared by every cached call
         # a run of terms is written through a slice, 5x faster than an index
         if written[-1] - written[0] == hi - lo - 1:
-            written = slice(written[0], written[-1] + 1)
-        chunks.append((left, right, starts, written))
+            written = slice(int(written[0]), int(written[-1]) + 1)
+        chunks.append((left[first:last], right[first:last], starts, written))
         lo = hi
     return cols, tuple(chunks)
 
@@ -532,9 +559,6 @@ class JetMatrix2:
 
     def commutator(self, other: "JetMatrix2") -> "JetMatrix2":
         return self * other - other * self
-
-    def allclose(self, other: "JetMatrix2", tol: float = EQ_TOL) -> bool:
-        return self.jet.allclose(other.jet, tol)
 
     def max_abs_diff(self, other: "JetMatrix2") -> float:
         return self.jet.max_abs_diff(other.jet)

@@ -1,12 +1,17 @@
 """Ring laws and truncation behaviour of the jet arithmetic."""
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ewcontract import cli
 from ewcontract import jets as jets_module
+from ewcontract.fields import Couplings
 from ewcontract.jets import (
     DEFAULT_ORDER,
     Jet,
@@ -17,6 +22,7 @@ from ewcontract.jets import (
     jet_sin,
     stack,
 )
+from ewcontract.suites import RunConfig, run_suites
 
 TOL = 1e-10
 
@@ -275,13 +281,14 @@ def test_commutator_antisymmetry():
     m1, m2 = _random_matrix(rng), _random_matrix(rng)
     lhs = m1.commutator(m2)
     rhs = m2.commutator(m1)
-    assert lhs.allclose(-rhs, tol=1e-9)
+    assert lhs.jet.allclose((-rhs).jet, tol=1e-9)
 
 
 def test_dagger_reverses_products():
     rng = np.random.default_rng(4)
     m1, m2 = _random_matrix(rng), _random_matrix(rng)
-    assert (m1 * m2).dagger().allclose(m2.dagger() * m1.dagger(), tol=1e-9)
+    assert (m1 * m2).dagger().jet.allclose(
+        (m2.dagger() * m1.dagger()).jet, tol=1e-9)
 
 
 def test_trace_cyclic():
@@ -296,7 +303,7 @@ def test_jet_times_matrix_scales_every_entry_in_either_order():
     for m in (JetMatrix2.identity(), _random_matrix(rng)):
         left, right = j * m, m * j
         assert isinstance(left, JetMatrix2)
-        assert left.allclose(right, tol=0.0)
+        assert left.jet.allclose(right.jet, tol=0.0)
     with pytest.raises(TypeError):
         j * object()
     with pytest.raises(TypeError):
@@ -405,6 +412,88 @@ def test_a_zero_operand_makes_an_exact_zero_product_without_a_plan():
         assert not product.coeffs.any()
         assert not np.signbit(product.coeffs.view(float)).any()
     assert jets_module._plan.cache_info() == before
+
+
+def _oracle_terms(rows, ca, cb, support_a, support_b):
+    """Brute-force plan: per flat term n * cols + p, in term order, its
+    coefficient pairs (i, k) inside the supports, by left index i."""
+    cols = max(ca, cb)
+    terms = []
+    for n in range(rows):
+        for p in range(cols):
+            pairs = [(k * ca + q, (n - k) * cb + (p - q))
+                     for k in range(n + 1)
+                     for q in range(max(0, p - cb + 1), min(p, ca - 1) + 1)]
+            pairs = [(i, k) for i, k in pairs if support_a[i] and support_b[k]]
+            if pairs:
+                terms.append((n * cols + p, pairs))
+    return terms
+
+
+def _planned_terms(chunks):
+    """A plan's chunks as lists of (term, pairs), one list per chunk."""
+    planned = []
+    for left, right, starts, written in chunks:
+        for index in (left, right, starts):
+            assert not index.flags.writeable
+        if isinstance(written, slice):
+            written = np.arange(written.start, written.stop)
+        ends = list(starts[1:]) + [len(left)]
+        planned.append([(int(t), list(zip(left[s:e].tolist(),
+                                          right[s:e].tolist())))
+                        for t, s, e in zip(written, starts, ends)])
+    return planned
+
+
+PLAN_SHAPES = [(5, 1, 1), (5, 1, 3), (5, 2, 2), (5, 3, 3), (5, 4, 4),
+               (9, 1, 7), (9, 7, 7)]
+
+
+@pytest.mark.parametrize("rows,ca,cb", PLAN_SHAPES)
+def test_plan_matches_the_brute_force_enumeration(rows, ca, cb):
+    """Every pair of a plan, in the brute-force order within each term;
+    chunks hold whole terms, cut greedily: a chunk exceeds per_chunk only
+    when it is one term, and the next term would not have fitted in it."""
+    rng = np.random.default_rng(rows * 100 + ca * 10 + cb)
+    for density in (0.2, 0.5, 1.0):
+        support_a = (rng.random(rows * ca) < density).astype(np.uint8).tobytes()
+        support_b = (rng.random(rows * cb) < density).astype(np.uint8).tobytes()
+        want = _oracle_terms(rows, ca, cb, support_a, support_b)
+        for per_chunk in (1, 2, 7, 64, rows * ca * rows * cb):
+            cols, chunks = jets_module._plan(rows, ca, cb, per_chunk,
+                                             support_a, support_b)
+            assert cols == max(ca, cb)
+            planned = _planned_terms(chunks)
+            assert [term for chunk in planned for term in chunk] == want
+            for i, chunk in enumerate(planned):
+                size = sum(len(pairs) for _, pairs in chunk)
+                assert size <= per_chunk or len(chunk) == 1
+                if i + 1 < len(planned):
+                    assert size + len(planned[i + 1][0][1]) > per_chunk
+
+
+def test_supports_that_meet_in_no_kept_term_give_an_empty_plan():
+    """j**3 * j**3 at order 4: both operands are nonzero, every pair lands
+    beyond the truncation, and the product is an exact 0."""
+    cube = Jet([0, 0, 0, 1], 4)
+    support = jets_module._support(cube.coeffs)
+    assert jets_module._plan(5, 1, 1, 25, support, support) == (1, ())
+    assert _oracle_terms(5, 1, 1, support, support) == []
+    assert not (cube * cube).coeffs.any()
+
+
+def test_repeated_commands_build_no_new_plan(tmp_path):
+    """The plan cache holds every plan of a default verify and of an
+    expand at order 8: running either again misses no plan."""
+    config = RunConfig(Couplings(**cli.DEFAULT_COUPLINGS))
+    expand = ["expand", "--n", "6", "--order", "8",
+              "--out", str(tmp_path / "expand.json")]
+    for command in (lambda: run_suites(config), lambda: cli.main(expand)):
+        with contextlib.redirect_stdout(io.StringIO()):
+            command()
+            misses = jets_module._plan.cache_info().misses
+            command()
+        assert jets_module._plan.cache_info().misses == misses
 
 
 def test_inverses_of_constant_jets_make_no_product(monkeypatch):
