@@ -31,8 +31,8 @@ from .fields import (
     sample_psi,
 )
 from .group import (
-    MatterDoublet,
     generator,
+    graded_doublet,
     one_param,
     u1_element,
     u1em_element,
@@ -46,11 +46,8 @@ from .lagrangian import (
 )
 from .spectrum import (
     SpectrumReport,
-    cubic_check,
     epsilon_expand,
-    limit_consistency,
     mass_spectrum,
-    quadratic_check,
 )
 from .suites import REGISTRY, RunConfig, SuiteResult, run_suites
 
@@ -74,8 +71,8 @@ __all__ = [
     "sample_fermions",
     "sample_gauge",
     "sample_psi",
-    "MatterDoublet",
     "generator",
+    "graded_doublet",
     "one_param",
     "u1_element",
     "u1em_element",
@@ -85,11 +82,8 @@ __all__ = [
     "lagrangian_phi",
     "lagrangian_psi",
     "SpectrumReport",
-    "cubic_check",
     "epsilon_expand",
-    "limit_consistency",
     "mass_spectrum",
-    "quadratic_check",
     "REGISTRY",
     "RunConfig",
     "SuiteResult",

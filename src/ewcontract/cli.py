@@ -148,6 +148,9 @@ def _couplings_from(args, file_cfg: dict) -> Couplings:
     if not isinstance(from_file, dict) or not set(from_file) <= set(values):
         raise ConfigError("couplings must be an object with keys among "
                           + ", ".join(values))
+    for key, value in from_file.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"coupling {key!r} must be a number, got {value!r}")
     values.update(from_file)
     for key in ("g", "gp", "R", "h_e"):
         cli_value = getattr(args, key, None)

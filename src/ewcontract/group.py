@@ -155,21 +155,12 @@ def u1em_element(gamma: Param, order: int = DEFAULT_ORDER) -> JetMatrix2:
     return JetMatrix2(Jet.const(phase * np.diag([1.0, 0.0]) + np.diag([0.0, 1.0]), order))
 
 
-@dataclass(frozen=True)
-class MatterDoublet:
-    """Point in the fibered matter space: ungraded components (phi1, phi2)
-    and their graded image (phi1, j*phi2). Arrays of components hold one
+def graded_doublet(phi1: "complex | np.ndarray", phi2: "complex | np.ndarray",
+                   order: int = DEFAULT_ORDER) -> Jet:
+    """Graded image (phi1, j*phi2) of a point (phi1, phi2) of the fibered
+    matter space, on a trailing axis of 2. Arrays of components hold one
     doublet per element."""
-
-    phi1: "complex | np.ndarray"
-    phi2: "complex | np.ndarray"
-    order: int = DEFAULT_ORDER
-
-    @property
-    def graded(self) -> Jet:
-        """The graded doublet on a trailing axis of 2."""
-        return stack([Jet.const(self.phi1, self.order),
-                      Jet.variable(self.order) * self.phi2])
+    return stack([Jet.const(phi1, order), Jet.variable(order) * phi2])
 
 
 def hermitian_form_jets(x: Jet, y: Jet) -> Jet:

@@ -32,8 +32,7 @@ from .fields import (
     sample_psi,
     stack_configs,
 )
-from .group import generator, hermitian_form_jets
-from .jets import DEFAULT_ORDER, Jet, jparam, stack
+from .jets import DEFAULT_ORDER, Jet
 from .lagrangian import (
     lagrangian_bosonic,
     lagrangian_fermion,
@@ -203,47 +202,6 @@ def bosonic_density_evaluator(
 
 
 # ---------------------------------------------------------------------------
-# quadratic comparison
-# ---------------------------------------------------------------------------
-
-
-def _rel_diff(x: complex, y: complex) -> float:
-    scale = max(abs(x), abs(y), 1.0e-30)
-    return abs(x - y) / scale
-
-
-def quadratic_check(
-    gauge: GaugeConfig,
-    psi: PsiConfig,
-    c: Couplings,
-    seed: int = 0,
-    order: int = DEFAULT_ORDER,
-) -> dict:
-    """Extracted eps^2 coefficient vs the independently built quadratic
-    form, grade by grade."""
-    points = halton_points(seed=seed)
-    evaluator = bosonic_density_evaluator(gauge, psi, c, points, order)
-    expansion = epsilon_expand(evaluator, 2, order)
-    exact = expansion[2]
-    independent = quadratic_form(
-        sample_gauge(gauge, points, order), sample_psi(psi, points, order), c
-    ).mean()
-    grades = {}
-    for n in (0, 2):
-        grades[f"grade{n}"] = {
-            "exact": exact.grade(n),
-            "independent": independent.grade(n),
-            "rel_diff": _rel_diff(exact.grade(n), independent.grade(n)),
-        }
-    tadpole = abs(expansion[1].grade(0)) + abs(expansion[1].grade(2))
-    return {
-        "grades": grades,
-        "max_rel_diff": max(g["rel_diff"] for g in grades.values()),
-        "tadpole_magnitude": tadpole,
-    }
-
-
-# ---------------------------------------------------------------------------
 # mass spectrum
 # ---------------------------------------------------------------------------
 
@@ -275,8 +233,8 @@ class SpectrumReport:
         }
 
 
-def _gauge_mass_coefficients(backgrounds: np.ndarray, c: Couplings, order: int,
-                             jval: Optional[float] = None) -> Jet:
+def gauge_mass_coefficients(backgrounds: np.ndarray, c: Couplings, order: int,
+                            jval: Optional[float] = None) -> Jet:
     """eps^2 coefficients of the bosonic density for constant gauge
     backgrounds at psi = 0: one density evaluation, batch item i being the
     background whose time components over (A^1, A^2, A^3, B) are
@@ -327,7 +285,7 @@ def gauge_masses(c: Couplings, order: int = DEFAULT_ORDER) -> Tuple[float, float
     backgrounds = np.array([[1.0, 0.0, 0.0, 0.0],
                             [0.0, 0.0, c.g / c.gz, c.gp / c.gz],
                             [0.0, 0.0, c.gp / c.gz, -c.g / c.gz]])
-    w_coeff, z_coeff, a_coeff = _gauge_mass_coefficients(
+    w_coeff, z_coeff, a_coeff = gauge_mass_coefficients(
         backgrounds, c, order).coeffs[..., 0]
     # unit W background: W+ W- = 1/2, so the coefficient is m_W^2 / 2
     return (math.sqrt(max(2.0 * w_coeff[2].real, 0.0)),
@@ -355,7 +313,7 @@ def mass_spectrum(c: Couplings, order: int = DEFAULT_ORDER) -> SpectrumReport:
 
 
 # ---------------------------------------------------------------------------
-# cubic comparison
+# cubic terms
 # ---------------------------------------------------------------------------
 
 
@@ -487,55 +445,6 @@ def normative_cubic_terms(gs: GaugeSample, ps: PsiSample,
     return terms
 
 
-def cubic_check(
-    gauge: GaugeConfig,
-    psi: PsiConfig,
-    c: Couplings,
-    seed: int = 0,
-    order: int = DEFAULT_ORDER,
-) -> dict:
-    """Exact eps^3 coefficient vs two closed-form cubics.
-
-    Two transcriptions are compared against the exact expansion: the
-    literal printed form (kept verbatim as a claim under test, with its
-    known discrepancies) and the normative form rederived in this
-    package's own conventions (expected to agree). The exact expansion is
-    the oracle; per-term values and the overall differences are reported,
-    never patched."""
-    points = halton_points(seed=seed)
-    evaluator = bosonic_density_evaluator(gauge, psi, c, points, order)
-    exact = epsilon_expand(evaluator, 3, order)[3]
-
-    gs = sample_gauge(gauge, points, order)
-    ps = sample_psi(psi, points, order)
-
-    def averaged(term_fn) -> Tuple[Dict[str, Jet], Jet]:
-        terms = {name: t.mean() for name, t in term_fn(gs, ps, c).items()}
-        total = Jet.zero(order)
-        for t in terms.values():
-            total = total + t
-        return terms, total
-
-    def record(terms: Dict[str, Jet], total: Jet) -> dict:
-        diff = exact.max_abs_diff(total)
-        scale = max(abs(exact.grade(2)), abs(total.grade(2)), 1.0e-30)
-        return {
-            "grade2": total.grade(2),
-            "terms": {name: {"grade2": t.grade(2)} for name, t in terms.items()},
-            "abs_diff": diff,
-            "rel_diff": diff / scale,
-        }
-
-    literal = record(*averaged(transcribed_cubic_terms))
-    normative = record(*averaged(normative_cubic_terms))
-    return {
-        "exact_grade0": exact.grade(0),
-        "exact_grade2": exact.grade(2),
-        "literal": literal,
-        "normative": normative,
-    }
-
-
 # ---------------------------------------------------------------------------
 # contraction-limit consistency
 # ---------------------------------------------------------------------------
@@ -563,72 +472,3 @@ def extrapolate_even(values: Sequence[complex], ts: Sequence[float] = LIMIT_T_VA
     a0 = at_zero(y)
     a2 = at_zero((y - a0) / s[:, None])
     return complex(*a0), complex(*a2)
-
-
-def limit_consistency(c: Optional[Couplings] = None, seed: int = 0,
-                      order: int = DEFAULT_ORDER) -> dict:
-    """Nilpotent-arithmetic grades vs extrapolated numeric-parameter runs
-    for a battery of verified quantities."""
-    if c is None:
-        c = Couplings(g=0.65, gp=0.35, R=2.0, h_e=0.0)
-    rng = np.random.default_rng(seed)
-    records = {}
-
-    def compare(name: str, evaluator: Callable[[Optional[float]], Jet]):
-        formal = evaluator(None)
-        numeric = [evaluator(t).grade(0) for t in LIMIT_T_VALUES]
-        a0, a2 = extrapolate_even(numeric)
-        records[name] = {
-            "grade0_formal": formal.grade(0),
-            "grade0_numeric": a0,
-            "grade0_diff": abs(formal.grade(0) - a0),
-            "grade2_formal": formal.grade(2),
-            "grade2_numeric": a2,
-            "grade2_diff": abs(formal.grade(2) - a2),
-        }
-
-    def commutator_entry(jval: Optional[float]) -> Jet:
-        t1 = generator(1, order, jval).matrix
-        t2 = generator(2, order, jval).matrix
-        return t1.commutator(t2)[0, 0]
-
-    compare("commutator_t1_t2", commutator_entry)
-
-    def hermitian_form_value(jval: Optional[float]) -> Jet:
-        phi = stack([Jet.const(0.6 + 0.2j, order),
-                     jparam(order, jval) * (0.3 - 0.7j)])
-        return hermitian_form_jets(phi, phi)
-
-    compare("hermitian_form", hermitian_form_value)
-
-    gauge, psicfg = random_bosonic_config(rng, amplitude=0.1)
-    x = np.array([0.2, -0.4, 0.1, 0.3])
-
-    def density_value(jval: Optional[float]) -> Jet:
-        gs = sample_gauge(gauge, x, order, jval)
-        ps = sample_psi(psicfg, x, order, jval)
-        return lagrangian_bosonic(gs, ps, c)
-
-    compare("bosonic_density", density_value)
-
-    w_values = [_gauge_mass_coefficients(np.eye(4)[:1], c, order, jval=t)
-                .grade(0)[0].real for t in LIMIT_T_VALUES]
-    logs = np.log(np.abs(w_values))
-    logt = np.log(np.asarray(LIMIT_T_VALUES))
-    slope = float(np.polyfit(logt, logs, 1)[0])
-    records["w_mass_scaling"] = {
-        "exponent": slope,
-        "expected": 2.0,
-        "diff": abs(slope - 2.0),
-    }
-
-    max_diff = 0.0
-    for name, rec in records.items():
-        if name == "w_mass_scaling":
-            continue
-        max_diff = max(max_diff, rec["grade0_diff"], rec["grade2_diff"])
-    return {
-        "records": records,
-        "max_grade_diff": max_diff,
-        "scaling_exponent_error": records["w_mass_scaling"]["diff"],
-    }

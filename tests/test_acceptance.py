@@ -23,9 +23,9 @@ from ewcontract.fields import (
     sample_psi,
 )
 from ewcontract.group import (
-    MatterDoublet,
     exp_closed_nilpotent,
     exp_series,
+    graded_doublet,
     group_product,
     hermitian_form_jets,
     random_factors,
@@ -85,7 +85,7 @@ def test_criterion_03_hermitian_form_invariance():
     # the gate is relative to each form's size, the criterion's bound absolute
     rng = np.random.default_rng(12)
     phi = rng.normal(size=(100, 4)).view(complex)
-    d = MatterDoublet(phi[:, 0], phi[:, 1], ORDER).graded
+    d = graded_doublet(phi[:, 0], phi[:, 1], ORDER)
     reference = hermitian_form_jets(d, d)
     ks, angles = random_factors(rng, (2, 100))
     moved = [group_product(ks[e], angles[e], ORDER, jval).apply(d)

@@ -143,6 +143,8 @@ def test_bad_mode_is_config_error(capsys):
     {"couplings": {"gz": 1.0}},
     {"suites": 5},
     {"tolerance": {"algebra": 1e-9}},
+    {"couplings": {"g": True}},
+    {"couplings": {"gp": "0.35"}},
 ])
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "algebra"], ["spectrum"], ["expand", "--n", "0"],
@@ -302,7 +304,7 @@ def test_non_finite_values_are_written_as_null(tmp_path, monkeypatch, capsys):
     schema = _load(Path(__file__).resolve().parents[1] / "docs"
                    / "report_schema.json")
     monkeypatch.setitem(REGISTRY, "algebra", lambda cfg: _result(
-        "algebra", [(math.nan, 1e-12)], {"worst": complex(math.inf, 0.0)}))
+        "algebra", {"table": (math.nan, 1e-12)}, {"worst": complex(math.inf, 0.0)}))
 
     def spectrum_nan(c, order):
         report = mass_spectrum(c, order)

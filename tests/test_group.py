@@ -9,11 +9,11 @@ from scipy.linalg import expm
 
 from ewcontract.fields import Couplings, GaugeConfig, constant, sample_gauge
 from ewcontract.group import (
-    MatterDoublet,
     exp_closed_nilpotent,
     exp_closed_su2,
     exp_series,
     generator,
+    graded_doublet,
     group_product,
     hermitian_form_jets,
     one_param,
@@ -142,21 +142,21 @@ def test_one_param_is_the_series_exponential_along_its_generator(jval):
 def test_hermitian_form_invariance_unit_and_nilpotent():
     rng = np.random.default_rng(4)
     for _ in range(50):
-        d = MatterDoublet(
+        d = graded_doublet(
             complex(rng.normal(), rng.normal()),
             complex(rng.normal(), rng.normal()),
             ORDER,
         )
-        reference = hermitian_form_jets(d.graded, d.graded)
+        reference = hermitian_form_jets(d, d)
         for jval in (None, 1.0):
             u = group_product(*random_factors(rng), ORDER, jval)
-            moved = u.apply(d.graded)
+            moved = u.apply(d)
             assert hermitian_form_jets(moved, moved).max_abs_diff(reference) <= 1e-11
 
 
 def test_hermitian_form_weights_fiber_by_j_squared():
-    d = MatterDoublet(2.0, 3.0, ORDER)
-    form = hermitian_form_jets(d.graded, d.graded)
+    d = graded_doublet(2.0, 3.0, ORDER)
+    form = hermitian_form_jets(d, d)
     assert form.grade(0) == pytest.approx(4.0)
     assert form.grade(1) == pytest.approx(0.0)
     assert form.grade(2) == pytest.approx(9.0)
@@ -195,9 +195,9 @@ def test_hypercharge_matrix_value():
 
 
 def test_electromagnetic_charge_leaves_lower_component_fixed():
-    d = MatterDoublet(1.0 + 0.5j, -0.3 + 0.2j, ORDER)
-    moved = u1em_element(0.61, ORDER).apply(d.graded)
-    phi1, phi2 = d.graded
+    d = graded_doublet(1.0 + 0.5j, -0.3 + 0.2j, ORDER)
+    moved = u1em_element(0.61, ORDER).apply(d)
+    phi1, phi2 = d
     assert moved[0].max_abs_diff(phi1 * cmath.exp(0.61j)) <= TOL
     assert moved[1].max_abs_diff(phi2) <= TOL
 
@@ -266,10 +266,10 @@ def test_matter_doublets_on_arrays_act_element_by_element():
     rng = np.random.default_rng(9)
     phi = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
     ks, angles = rng.integers(1, 4, size=(6, 3)), rng.uniform(-3, 3, size=(6, 3))
-    moved = group_product(ks, angles, ORDER).apply(MatterDoublet(*phi, ORDER).graded)
+    moved = group_product(ks, angles, ORDER).apply(graded_doublet(*phi, ORDER))
     for i in range(6):
         single = group_product(ks[i], angles[i], ORDER).apply(
-            MatterDoublet(phi[0, i], phi[1, i], ORDER).graded)
+            graded_doublet(phi[0, i], phi[1, i], ORDER))
         assert np.array_equal(moved[i].coeffs, single.coeffs)
 
 

@@ -1,5 +1,5 @@
-"""Coefficient extraction, mass spectrum, cubic comparison and the
-contraction-limit consistency battery."""
+"""Coefficient extraction, mass spectrum, the cubic terms against the
+exact coefficient and the even extrapolation of the contraction limit."""
 
 import math
 import tracemalloc
@@ -25,18 +25,18 @@ from ewcontract.jets import DEFAULT_ORDER, Jet
 from ewcontract.lagrangian import lagrangian_bosonic, lagrangian_fermion
 from ewcontract.spectrum import (
     _fermion_mass_coefficients,
-    _gauge_mass_coefficients,
     bosonic_density_evaluator,
-    cubic_check,
     epsilon_expand,
     extrapolate_even,
+    gauge_mass_coefficients,
     halton_points,
-    limit_consistency,
     mass_spectrum,
-    quadratic_check,
+    normative_cubic_terms,
     random_bosonic_config,
     random_plane_wave,
+    transcribed_cubic_terms,
 )
+from ewcontract.suites import RunConfig, run_suites
 
 ORDER = DEFAULT_ORDER
 COUPLINGS = Couplings(g=0.65, gp=0.35, R=0.8, h_e=1.1)
@@ -136,11 +136,10 @@ def test_epsilon_expand_order_bounds():
 
 
 def test_quadratic_coefficient_matches_diagonalized_form():
-    rng = np.random.default_rng(0)
-    gauge, psi = random_bosonic_config(rng)
-    report = quadratic_check(gauge, psi, COUPLINGS, seed=0)
-    assert report["max_rel_diff"] <= 1e-12
-    assert report["tadpole_magnitude"] <= 1e-12
+    gates = run_suites(RunConfig(COUPLINGS, suites=("quadratic",)))[
+        "quadratic"].details
+    assert gates["quadratic_rel_diff"] <= 1e-12
+    assert gates["tadpole"] <= 1e-12
 
 
 def test_expand_shaped_evaluation_stays_small(monkeypatch):
@@ -214,7 +213,7 @@ def test_batched_gauge_mass_coefficients_equal_one_background_at_a_time(jval):
     backgrounds = np.array([[1.0, 0.0, 0.0, 0.0],
                             [0.0, 0.0, c.g / c.gz, c.gp / c.gz],
                             [0.0, 0.0, c.gp / c.gz, -c.g / c.gz]])
-    batch = _gauge_mass_coefficients(backgrounds, c, ORDER, jval)
+    batch = gauge_mass_coefficients(backgrounds, c, ORDER, jval)
     assert batch.batch_shape == (3,)
     x = np.zeros(4)
     for i, background in enumerate(backgrounds):
@@ -253,34 +252,31 @@ def test_reference_coupling_point():
     assert rep.m_e == pytest.approx(1.0, abs=1e-12)
 
 
-def test_cubic_coefficient_base_part_vanishes():
-    rng = np.random.default_rng(3)
-    gauge, psi = random_bosonic_config(rng, amplitude=0.04)
-    report = cubic_check(gauge, psi, COUPLINGS, seed=3)
-    assert abs(report["exact_grade0"]) <= 1e-12
+def _cubic(seed, term_fn):
+    """The exact eps^3 coefficient, the point-averaged terms of term_fn,
+    their sum and its difference from the exact coefficient relative to
+    grade 2, for random_bosonic_config(default_rng(seed), amplitude=0.04)
+    at COUPLINGS and Halton seed `seed`."""
+    gauge, psi = random_bosonic_config(np.random.default_rng(seed), amplitude=0.04)
+    points = halton_points(seed=seed)
+    exact = epsilon_expand(
+        bosonic_density_evaluator(gauge, psi, COUPLINGS, points), 3)[3]
+    terms = {name: t.mean() for name, t in term_fn(
+        sample_gauge(gauge, points, ORDER), sample_psi(psi, points, ORDER),
+        COUPLINGS).items()}
+    total = sum(terms.values(), Jet.zero(ORDER))
+    scale = max(abs(exact.grade(2)), abs(total.grade(2)))
+    return terms, total, exact.max_abs_diff(total) / scale
 
 
 def test_cubic_normative_form_matches_exact():
-    rng = np.random.default_rng(4)
-    gauge, psi = random_bosonic_config(rng, amplitude=0.04)
-    report = cubic_check(gauge, psi, COUPLINGS, seed=4)
-    assert report["normative"]["rel_diff"] <= 1e-11
-    assert set(report["normative"]["terms"]) >= {
+    terms, _, rel_diff = _cubic(4, normative_cubic_terms)
+    assert rel_diff <= 1e-11
+    assert set(terms) >= {
         "A3_ww_neutral",
         "P3_wplus_block",
         "P3_z_block",
     }
-
-
-def test_cubic_literal_transcription_reported_not_patched():
-    """The literal transcription's diff is data: it must be present in the
-    report alongside the per-term values, whatever its size."""
-    rng = np.random.default_rng(5)
-    gauge, psi = random_bosonic_config(rng, amplitude=0.04)
-    report = cubic_check(gauge, psi, COUPLINGS, seed=5)
-    assert "rel_diff" in report["literal"]
-    assert len(report["literal"]["terms"]) == 8
-    assert report["literal"]["rel_diff"] >= 0.0
 
 
 #: the literal transcription's point-averaged grade-2 values, per term and
@@ -325,15 +321,13 @@ LITERAL_GOLDEN = {
 @pytest.mark.parametrize("seed", sorted(LITERAL_GOLDEN))
 def test_cubic_literal_transcription_values_are_pinned(seed):
     total, rel_diff, terms = LITERAL_GOLDEN[seed]
-    rng = np.random.default_rng(seed)
-    gauge, psi = random_bosonic_config(rng, amplitude=0.04)
-    literal = cubic_check(gauge, psi, COUPLINGS, seed=seed)["literal"]
-    assert set(literal["terms"]) == set(terms)
+    literal, literal_total, literal_rel_diff = _cubic(seed, transcribed_cubic_terms)
+    assert set(literal) == set(terms)
     for name, want in terms.items():
-        got = literal["terms"][name]["grade2"]
+        got = literal[name].grade(2)
         assert abs(got - want) <= 1e-12 * abs(want), name
-    assert abs(literal["grade2"] - total) <= 1e-12 * abs(total)
-    assert abs(literal["rel_diff"] - rel_diff) <= 1e-12 * rel_diff
+    assert abs(literal_total.grade(2) - total) <= 1e-12 * abs(total)
+    assert abs(literal_rel_diff - rel_diff) <= 1e-12 * rel_diff
 
 
 def test_extrapolation_exact_for_even_quartics():
@@ -341,9 +335,3 @@ def test_extrapolation_exact_for_even_quartics():
     a0, a2 = extrapolate_even([f(t) for t in (0.1, 0.01, 0.001)])
     assert a0 == pytest.approx(1.5, abs=1e-12)
     assert a2 == pytest.approx(-0.3, abs=1e-8)
-
-
-def test_nilpotent_grades_match_extrapolated_numeric_runs():
-    report = limit_consistency(COUPLINGS, seed=0)
-    assert report["max_grade_diff"] <= 1e-6
-    assert report["scaling_exponent_error"] <= 1e-6

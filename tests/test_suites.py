@@ -81,6 +81,21 @@ def test_tolerance_override_can_force_failure():
     assert not results["algebra"].passed
 
 
+def test_result_details_name_each_gate_once():
+    """details hold each gate's residual under its name, then the data;
+    the suite reports the largest residual and tolerance, and a NaN gate
+    fails it."""
+    result = suites._result("s", {"a": (1e-13, 1e-12), "b": (2e-13, 1e-11)},
+                            {"samples": 7, "terms": {"x": 0.5}})
+    assert result.details == {"a": 1e-13, "b": 2e-13, "samples": 7,
+                              "terms": {"x": 0.5}}
+    assert result.passed
+    assert (result.residual, result.tolerance) == (2e-13, 1e-11)
+    failed = suites._result("s", {"a": (1e-13, 1e-12), "b": (math.nan, 1e-12)})
+    assert not failed.passed
+    assert math.isnan(failed.details["b"])
+
+
 def test_results_serialize_to_json_shape():
     result = run_suites(_config(suites=("algebra",)))["algebra"]
     payload = result.to_json()
