@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import os
+import shutil
 import sys
 import time
 from typing import Optional, Sequence, Tuple
@@ -70,43 +72,49 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse makes a help formatter for every add_argument and each one
+    # reads the terminal size, so the tree reads it once; the options every
+    # subcommand shares are added once and copied into each
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(
         prog="ewcontract",
         description="Verification and spectrum tools for the contracted "
         "electroweak model.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=str, default=_env_default("config"),
-                       help="JSON config file (couplings, tolerances, ...)")
-        p.add_argument("--seed", type=int, default=_env_default("seed", "0"))
-        p.add_argument("--order", type=int,
-                       default=_env_default("order", str(DEFAULT_ORDER)))
-        p.add_argument("--out", type=str, default=_env_default("out"),
-                       help="write the machine-readable report here")
-        p.add_argument("--format", type=str, choices=("json", "csv"),
-                       default=_env_default("format", "json"))
+    common = _Parser(add_help=False, formatter_class=formatter)
+    common.add_argument("--config", type=str, default=_env_default("config"),
+                        help="JSON config file (couplings, tolerances, ...)")
+    common.add_argument("--seed", type=int, default=_env_default("seed", "0"))
+    common.add_argument("--order", type=int,
+                        default=_env_default("order", str(DEFAULT_ORDER)))
+    common.add_argument("--out", type=str, default=_env_default("out"),
+                        help="write the machine-readable report here")
+    common.add_argument("--format", type=str, choices=("json", "csv"),
+                        default=_env_default("format", "json"))
 
-    p_verify = sub.add_parser("verify", help="run verification suites")
-    common(p_verify)
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary, parents=[common],
+                              formatter_class=formatter)
+
+    p_verify = command("verify", "run verification suites")
     p_verify.add_argument(
         "--suite", action="append", default=None,
         help="suite name (repeatable); default: all of "
         + ", ".join(REGISTRY),
     )
 
-    p_spectrum = sub.add_parser("spectrum", help="extracted particle masses")
-    common(p_spectrum)
+    p_spectrum = command("spectrum", "extracted particle masses")
     p_spectrum.add_argument("--g", type=float, default=None)
     p_spectrum.add_argument("--gp", type=float, default=None)
     p_spectrum.add_argument("--R", type=float, default=None)
     p_spectrum.add_argument("--h-e", dest="h_e", type=float, default=None)
 
-    p_expand = sub.add_parser(
-        "expand", help="scale-expansion coefficients of the bosonic density"
-    )
-    common(p_expand)
+    p_expand = command(
+        "expand", "scale-expansion coefficients of the bosonic density")
     p_expand.add_argument("--n", type=int, default=2,
                           help="highest expansion order to report (max 6)")
     p_expand.add_argument("--mode", type=str,

@@ -193,13 +193,15 @@ def covariant_derivative_doublet(fs: FermionSample, gs: GaugeSample,
                                  c: Couplings) -> Tuple[Jet, Jet]:
     """Covariant derivative of the lepton doublet (e_l, nu) as
     (D e_l[..., s, mu], D nu[..., s, mu]): each Lorentz spinor component s
-    is an SU(2) doublet, acted on exactly like the scalar doublet."""
-    per_s = [covariant_derivative_phi(
-        stack([fs.el[..., s], fs.nu[..., s]]),
-        stack([fs.d_el[..., s, :], fs.d_nu[..., s, :]], axis=-2), gs, c)
-        for s in range(2)]
-    return tuple(stack([d[..., comp, :] for d in per_s], axis=-2)
-                 for comp in range(2))
+    is an SU(2) doublet, acted on exactly like the scalar doublet. Both
+    components go through one covariant_derivative_phi on the doublet
+    [..., s, comp], the gauge sample broadcast over s, so each value takes
+    the same scalar operations as one component at a time would."""
+    over_s = GaugeSample(a=gs.a[..., None, :, :], da=gs.da[..., None, :, :, :],
+                         b=gs.b[..., None, :], db=gs.db[..., None, :, :])
+    d = covariant_derivative_phi(stack([fs.el, fs.nu]),
+                                 stack([fs.d_el, fs.d_nu], axis=-2), over_s, c)
+    return d[..., 0, :], d[..., 1, :]
 
 
 def yukawa_matrix_form(phi: Jet, fs: FermionSample, h_e: float) -> Jet:

@@ -167,10 +167,13 @@ def quadratic_form(gs: GaugeSample, ps: PsiSample, c: Couplings) -> Jet:
 def random_plane_wave(rng: np.random.Generator, amplitude: float,
                       shape: Tuple[int, ...] = ()) -> PlaneWave:
     """Random waves over components `shape`, drawn one component after
-    the other in row-major order: five normals (amplitude, wavevector), phase."""
-    draws = [(rng.normal(size=5), rng.uniform(-math.pi, math.pi))
-             for _ in range(math.prod(shape))]
-    normals, phase = (np.array(p) for p in zip(*draws))
+    the other in row-major order: five normals (amplitude, wavevector), then
+    the phase, bit for bit rng.uniform(-pi, pi) from one rng.random()."""
+    count = math.prod(shape)
+    normals, phase = np.empty((count, 5)), np.empty(count)
+    for row in range(count):
+        normals[row] = rng.normal(size=5)
+        phase[row] = -math.pi + 2 * math.pi * rng.random()
     return PlaneWave(normals[:, 0].reshape(shape) * amplitude,
                      normals[:, 1:].reshape(shape + (4,)) * 0.6, phase.reshape(shape))
 

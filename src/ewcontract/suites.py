@@ -193,13 +193,15 @@ def _result(name: str, gates: Dict[str, Tuple[float, float]],
             data: "dict | None" = None) -> SuiteResult:
     """A suite passes when every gate, a (residual, tolerance) pair under
     its name, holds; it reports its largest residual against its largest
-    tolerance. Its details are each gate's residual under the gate's name,
-    then data: the values it reports that are not gates."""
+    tolerance, NaN when any gate's residual is NaN (np.max propagates it,
+    where Python's max skips a NaN that follows a number). Its details are
+    each gate's residual under the gate's name, then data: the values it
+    reports that are not gates."""
     checks = gates.values()
     return SuiteResult(
         name,
         all(bool(r <= t) for r, t in checks),
-        float(max(r for r, _ in checks)),
+        float(np.max([r for r, _ in checks])),
         float(max(t for _, t in checks)),
         {**{gate: r for gate, (r, _) in gates.items()}, **(data or {})},
     )

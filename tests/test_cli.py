@@ -227,6 +227,20 @@ def test_environment_variable_overrides_seed(tmp_path, monkeypatch):
     assert _load(out)["seed"] == 99
 
 
+@pytest.mark.parametrize("command,own", [("verify", "--suite SUITE"),
+                                         ("spectrum", "--h-e H_E"),
+                                         ("expand", "--mode MODE")])
+def test_help_lists_shared_and_own_options_within_the_terminal(
+        monkeypatch, capsys, command, own):
+    monkeypatch.setenv("COLUMNS", "50")
+    assert main([command, "--help"]) == EXIT_OK
+    text = capsys.readouterr().out
+    for option in ("--config CONFIG", "--seed SEED", "--order ORDER",
+                   "--out OUT", "--format {json,csv}", own):
+        assert text.count(option) == 2, option  # usage line and option list
+    assert max(map(len, text.splitlines())) <= 48
+
+
 @pytest.mark.parametrize("flag,value", [("--g", "nan"), ("--gp", "inf"),
                                         ("--R", "inf"), ("--h-e", "nan")])
 def test_spectrum_rejects_nonfinite_couplings(tmp_path, capsys, flag, value):

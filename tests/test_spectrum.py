@@ -79,6 +79,30 @@ def test_random_plane_waves_are_drawn_one_component_at_a_time():
             assert waves.phase[k, mu] == phase
 
 
+def _scalar_plane_wave(rng, amplitude, shape):
+    """Waves drawn one numpy call at a time: per component five normals,
+    then rng.uniform(-pi, pi) for the phase."""
+    draws = [(rng.normal(size=5), rng.uniform(-math.pi, math.pi))
+             for _ in range(math.prod(shape))]
+    normals, phase = (np.array(p) for p in zip(*draws))
+    return (normals[:, 0].reshape(shape) * amplitude,
+            normals[:, 1:].reshape(shape + (4,)) * 0.6, phase.reshape(shape))
+
+
+def test_plane_waves_equal_scalar_draws_bit_for_bit():
+    """Same bytes in every array and the same PCG64 state afterwards."""
+    for seed in range(200):
+        for shape in [(), (2,), (3,), (4,), (3, 4)]:
+            rng, reference = (np.random.default_rng(seed) for _ in range(2))
+            waves = random_plane_wave(rng, 0.3, shape)
+            expected = _scalar_plane_wave(reference, 0.3, shape)
+            for got, want in zip((waves.amplitude, waves.wavevector,
+                                  waves.phase), expected):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (seed, shape)
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+
 def test_epsilon_expand_recovers_known_polynomial():
     j = Jet.variable(ORDER)
 

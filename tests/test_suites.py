@@ -84,16 +84,19 @@ def test_tolerance_override_can_force_failure():
 def test_result_details_name_each_gate_once():
     """details hold each gate's residual under its name, then the data;
     the suite reports the largest residual and tolerance, and a NaN gate
-    fails it."""
+    fails it and makes its residual NaN in either order."""
     result = suites._result("s", {"a": (1e-13, 1e-12), "b": (2e-13, 1e-11)},
                             {"samples": 7, "terms": {"x": 0.5}})
     assert result.details == {"a": 1e-13, "b": 2e-13, "samples": 7,
                               "terms": {"x": 0.5}}
     assert result.passed
     assert (result.residual, result.tolerance) == (2e-13, 1e-11)
-    failed = suites._result("s", {"a": (1e-13, 1e-12), "b": (math.nan, 1e-12)})
-    assert not failed.passed
-    assert math.isnan(failed.details["b"])
+    for gates in ({"a": (1e-13, 1e-12), "b": (math.nan, 1e-12)},
+                  {"b": (math.nan, 1e-12), "a": (1e-13, 1e-12)}):
+        failed = suites._result("s", gates)
+        assert not failed.passed
+        assert math.isnan(failed.details["b"])
+        assert math.isnan(failed.residual)
 
 
 def test_results_serialize_to_json_shape():
