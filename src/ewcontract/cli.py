@@ -216,9 +216,12 @@ def _json_text(payload: dict) -> str:
 def _write_report(payload: dict, out: Optional[str], text: str = "") -> None:
     if out is None:
         return
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text if text else _json_text(payload))
-        fh.write("\n")
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text if text else _json_text(payload))
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
 
 
 def _report_envelope(args, couplings: Couplings) -> dict:

@@ -171,44 +171,14 @@ def hermitian_form_jets(x: Jet, y: Jet) -> Jet:
 
 def random_factors(rng: np.random.Generator, shape: Tuple[int, ...] = (),
                    factors: int = 3) -> Tuple[np.ndarray, np.ndarray]:
-    """Generator indices and angles, uniform in [-pi, pi], of the factors
-    of random group elements, shaped (*shape, factors): bit for bit the
-    numbers and PCG64 state of rng.integers(1, 4), rng.uniform(-pi, pi)
-    per factor, from one block of words. An index is Lemire's (3x >> 32) + 1
-    of a 32-bit half word x, low half first, redrawn only at x = 0; the high
-    half waits in the state's has_uint32 and uinteger. An angle is -pi +
-    2pi (w >> 11) 2**-53 of a whole word w. So from an empty buffer two
-    factors take three words: index, angle, angle. A zero x (odds 2**-32)
-    is left to numpy's scalar calls. Other bit generators raise TypeError."""
-    bits = rng.bit_generator
-    if type(bits) is not np.random.PCG64:
-        raise TypeError(f"random_factors draws PCG64 words, not {type(bits).__name__}")
-    count, start = math.prod(shape) * factors, bits.state
-    x, words = _factor_words(bits, start, count)
-    ks, angles = (3 * x >> 32) + 1, -math.pi + 2 * math.pi * ((words >> 11) * 2.0**-53)
-    if not x.all():  # numpy redraws x = 0, shifting every later word
-        zero, bits.state = int(np.argmin(x)), start
-        _factor_words(bits, start, zero)
-        ks[zero], angles[zero] = rng.integers(1, 4), rng.uniform(-math.pi, math.pi)
-        ks[zero + 1:], angles[zero + 1:] = random_factors(rng, (), count - zero - 1)
-    return ks.reshape(*shape, factors), angles.reshape(*shape, factors)
-
-
-def _factor_words(bits: np.random.PCG64, state: dict,
-                  count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The 32-bit index draws x and angle words of `count` factors from
-    `state` on: one random_raw block in rows of index, angle, angle after a
-    row [waiting half << 32, 0, 0], or [..., 0, angle] if an index waits."""
-    head = state["has_uint32"]
-    raw = bits.random_raw(count + (count - head + 1) // 2)
-    words = np.zeros((5 - head + raw.size) // 3 * 3, np.uint64)
-    words[0], words[3 - head:3 - head + raw.size] = state["uinteger"] << 32, raw
-    halves = words[::3].astype("<u8").view("<u4")  # low half, then high half
-    last = 1 - head + count  # the last half drawn
-    bits.state = dict(bits.state, has_uint32=1 - last % 2,
-                      uinteger=int(halves[last | 1]))
-    angles = words.reshape(-1, 3)[:, 1:].ravel()
-    return halves[2 - head:last + 1].astype(np.int64), angles[2 - head:last + 1]
+    """Generator indices in {1, 2, 3} and angles in [-pi, pi) of the factors
+    of random group elements, shaped (*shape, factors): per factor two
+    consecutive doubles u of one rng.random block give floor(3 u0) + 1 and
+    numpy's uniform(-pi, pi) of u1. In C order, n elements are bit for bit
+    n single-element calls and leave any bit generator in the same state,
+    so a suite's numbers do not depend on its CONFIG_CHUNK."""
+    u = rng.random((*shape, factors, 2))
+    return (3 * u[..., 0]).astype(np.int64) + 1, -math.pi + 2 * math.pi * u[..., 1]
 
 
 def group_product(ks: np.ndarray, angles: np.ndarray,

@@ -470,28 +470,17 @@ def _widen(coeffs: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def stack(items: Sequence["Jet | Scalar"], axis: int = -1) -> Jet:
-    """Jets (or numbers, as constant jets) stacked on a new batch axis,
-    their batch shapes broadcast; a jet without eps terms is zero-padded to
-    the others' eps truncation, as arithmetic does. Jets of one coefficient
-    shape, the common case, go to one np.stack with nothing to broadcast
-    or pad (a third of the time of the general path)."""
-    first = next(x for x in items if isinstance(x, Jet))
+def stack(items: Sequence[Jet], axis: int = -1) -> Jet:
+    """Jets of one coefficient shape stacked on a new batch axis."""
+    first = items[0]
     shape = first.coeffs.shape
-    if (-len(shape) + 1 <= axis <= len(shape) - 2
-            and all(type(x) is Jet and x.coeffs.shape == shape for x in items)):
-        return first._new(np.stack([x.coeffs for x in items],
-                                   axis=axis if axis >= 0 else axis - 2))
-    coeffs = [first._lift(x) for x in items]
-    rows = {c.shape[-2] for c in coeffs}
-    if len(rows) != 1:
-        raise ValueError(f"incompatible truncation orders {sorted(rows)}")
-    width = functools.reduce(_product_width, (c.shape[-1] for c in coeffs))
-    batch = np.broadcast_shapes(*(c.shape[:-2] for c in coeffs))
-    shape = batch + (rows.pop(), width)
-    out = np.stack([np.broadcast_to(_widen(c, width), shape) for c in coeffs],
-                   axis=np.arange(len(batch) + 1)[axis])
-    return first._new(out)
+    if not -len(shape) + 1 <= axis <= len(shape) - 2:
+        raise IndexError(f"axis {axis} is not a batch axis of a stack of {shape[:-2]}")
+    if any(x.coeffs.shape != shape for x in items):
+        raise ValueError("stacked jets need equal batch shapes, truncation orders and eps "
+                         f"truncation, not {sorted({x.coeffs.shape for x in items})}")
+    return first._new(np.stack([x.coeffs for x in items],
+                               axis=axis if axis >= 0 else axis - 2))
 
 
 def jparam(order: int = DEFAULT_ORDER, jval: float | None = None) -> Jet:

@@ -157,6 +157,18 @@ def test_malformed_config_is_config_error(tmp_path, capsys, cfg, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "algebra"], ["spectrum"], ["expand", "--n", "0"],
+])
+def test_unwritable_out_is_config_error(tmp_path, capsys, argv, target):
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "r.json"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--out" in err and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name,value,message", [
     ("SEED", "abc", "invalid int value"),
     ("ORDER", "abc", "invalid int value"),

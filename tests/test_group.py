@@ -2,6 +2,7 @@
 invariant form and charge assignments."""
 
 import cmath
+import types
 
 import numpy as np
 import pytest
@@ -273,96 +274,27 @@ def test_matter_doublets_on_arrays_act_element_by_element():
         assert np.array_equal(moved[i].coeffs, single.coeffs)
 
 
-#: shapes and factor counts of random_factors checked against numpy's
-#: scalar draws; each draws a prefix of the longest one's stream
-FACTOR_SHAPES = [((), 1), ((), 3), ((1,), 1), ((1,), 3), ((7,), 1), ((7,), 3),
-                 ((1000,), 1), ((1000,), 3)]
+@pytest.mark.parametrize("bit_generator",
+                         [np.random.PCG64, np.random.Philox, np.random.MT19937])
+def test_random_factors_in_a_block_are_the_single_element_draws(bit_generator):
+    """A block of seven elements is bit for bit seven single-element calls
+    and leaves the generator where they leave it, for any bit generator."""
+    rng, reference = (np.random.Generator(bit_generator(5)) for _ in range(2))
+    ks, angles = random_factors(rng, (7,))
+    singles = [random_factors(reference) for _ in range(7)]
+    assert ks.shape == angles.shape == (7, 3) and ks.dtype == np.int64
+    assert np.array_equal(ks, np.array([k for k, _ in singles]))
+    assert angles.tobytes() == np.array([a for _, a in singles]).tobytes()
+    assert rng.random() == reference.random()
 
 
-def _scalar_factors(rng, counts):
-    """rng.integers(1, 4) then rng.uniform(-pi, pi), factor after factor:
-    the indices, the angles and, for each count in counts, the generator's
-    state after that many factors."""
-    ks, angles, states = [], [], {}
-    for n in range(1, max(counts) + 1):
-        ks.append(rng.integers(1, 4))
-        angles.append(rng.uniform(-np.pi, np.pi))
-        if n in counts:
-            states[n] = rng.bit_generator.state
-    return np.array(ks), np.array(angles), states
+def _constant_rng(value):
+    """A stand-in generator whose random(shape) is one value throughout."""
+    return types.SimpleNamespace(random=lambda shape: np.full(shape, value))
 
 
-def _assert_factors_are_scalar_draws(make_rng, shapes=FACTOR_SHAPES):
-    counts = {int(np.prod(shape)) * factors for shape, factors in shapes}
-    want_ks, want_angles, states = _scalar_factors(make_rng(), counts)
-    for shape, factors in shapes:
-        rng = make_rng()
-        ks, angles = random_factors(rng, shape, factors)
-        n = int(np.prod(shape)) * factors
-        assert ks.shape == angles.shape == shape + (factors,)
-        assert ks.dtype == np.int64
-        assert np.array_equal(ks.ravel(), want_ks[:n])
-        assert angles.ravel().tobytes() == want_angles[:n].tobytes()
-        assert rng.bit_generator.state == states[n]
-
-
-@pytest.mark.parametrize("buffered", [False, True])
-def test_random_factors_are_numpys_scalar_draws_bit_for_bit(buffered):
-    """One random_raw block gives the numbers of the factor-by-factor
-    loop and leaves every key of the generator's state where the loop
-    leaves it, from an empty 32-bit buffer and from a waiting half word
-    (one prior integers(1, 4))."""
-    for seed in range(200):
-        def make_rng():
-            rng = np.random.default_rng(seed)
-            if buffered:
-                rng.integers(1, 4)
-            return rng
-
-        _assert_factors_are_scalar_draws(make_rng)
-
-
-#: PCG64's 128-bit LCG multiplier
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _next_word_zero(words_before=0, waiting=None):
-    """A PCG64 generator whose next word after `words_before` words is 0:
-    its state steps to T, whose two 64-bit halves are equal, so the
-    xor-shift-rotate output is 0. `waiting` sets a waiting half word."""
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    half = 0x0123456789ABCDEF
-    target = (half << 64) | half
-    state["state"]["state"] = ((target - state["state"]["inc"])
-                               * pow(_PCG64_MULTIPLIER, -1, 2**128) % 2**128)
-    if waiting is not None:
-        state["has_uint32"], state["uinteger"] = 1, waiting
-    rng.bit_generator.state = state
-    rng.bit_generator.advance(-words_before)
-    return rng
-
-
-@pytest.mark.parametrize("words_before,waiting", [
-    (0, None),  # the first factor's index word is 0: both halves redraw
-    (3, None),  # factor 2's index word, after one block of two factors
-    (4, None),  # an angle word: no redraw
-    (0, 0),     # the waiting half is 0, and so is the next word
-    (2, 0),     # the waiting half is 0, and so is a later word
-])
-def test_random_factors_leave_a_zero_index_draw_to_numpy(words_before, waiting):
-    """numpy redraws an index whose 32-bit draw is 0; the factors before
-    it come from one block, that factor from numpy's scalar calls and the
-    rest from another block, so every number and the state still match."""
-    probe = _next_word_zero(words_before)
-    probe.bit_generator.advance(words_before)
-    assert probe.bit_generator.random_raw(1)[0] == 0
-    _assert_factors_are_scalar_draws(
-        lambda: _next_word_zero(words_before, waiting),
-        [((), 1), ((), 3), ((5,), 3), ((2, 3), 2)])
-
-
-@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937])
-def test_random_factors_reject_other_bit_generators(bit_generator):
-    with pytest.raises(TypeError):
-        random_factors(np.random.Generator(bit_generator(0)))
+def test_random_factors_map_the_unit_interval_ends_into_range():
+    ks, angles = random_factors(_constant_rng(np.nextafter(1.0, 0.0)), (2,))
+    assert (ks == 3).all() and (angles < np.pi).all()
+    ks, angles = random_factors(_constant_rng(0.0), (2,))
+    assert (ks == 1).all() and (angles == -np.pi).all()

@@ -147,9 +147,8 @@ def _wave(rng):
 
 
 def _group_element(rng):
-    for _ in range(3):
-        rng.integers(1, 4)
-        rng.uniform(-math.pi, math.pi)
+    for _ in range(3):  # a factor's index, then its angle
+        rng.random(2)
 
 
 def _per_sample_draws(suite, seed, n):
