@@ -337,6 +337,13 @@ def _check_flags(args) -> None:
         raise ConfigError(f"unknown --format {args.format!r}")
     if args.format == "csv" and args.command != "spectrum":
         raise ConfigError("CSV output is only available for the spectrum table")
+    if args.out is not None:  # probed before any work, creating no file
+        out = os.path.abspath(args.out)
+        if os.path.isdir(out):
+            raise ConfigError(f"cannot write --out {args.out}: it is a directory")
+        if not os.access(os.path.dirname(out), os.W_OK):
+            raise ConfigError(f"cannot write --out {args.out}: its directory "
+                              "is missing or not writable")
 
 
 COMMANDS = {

@@ -1,13 +1,14 @@
 """Analytic spacetime field configurations and their contraction grading.
 
-Fields are plane waves or low-degree polynomials so that values, gradients
-and hessians are exact; every identity check in the test-suite is therefore
-free of discretization error. Sampling a configuration promotes the fiber
-components (A^1, A^2, psi_1, psi_2, the neutrino) to grade-1 jets; all
-physics formulas downstream are written once, at j=1, over these graded
-values, and the j^2 factors of the contracted model emerge from the ring
-arithmetic. Samples can also be multiplied by the field-scale variable eps
-of the ring, which expands a density in the amplitude of its fields.
+Fields are plane waves, a constant field being one with zero wavevector,
+so that values, gradients and hessians are exact; every identity check
+in the test-suite is therefore free of discretization error. Sampling a
+configuration promotes the fiber components (A^1, A^2, psi_1, psi_2, the
+neutrino) to grade-1 jets; all physics formulas downstream are written
+once, at j=1, over these graded values, and the j^2 factors of the
+contracted model emerge from the ring arithmetic. Samples can also be
+multiplied by the field-scale variable eps of the ring, which expands a
+density in the amplitude of its fields.
 
 Each slot of a configuration is one field whose parameters carry its
 component indices on trailing axes, A^k_mu over (3, 4), B_mu and eps over
@@ -87,55 +88,11 @@ class PlaneWave:
         return PlaneWave(self.amplitude * s, self.wavevector, self.phase)
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """c0 + lin.x + x.quad.x with a symmetric quadratic part. Arrays of
-    c0 (...,), lin (..., 4) and quad (..., 4, 4) hold one polynomial per
-    element, the elements being those of all three shapes broadcast."""
-
-    c0: "complex | np.ndarray" = 0.0
-    lin: "Tuple[float, float, float, float] | np.ndarray" = (0.0, 0.0, 0.0, 0.0)
-    quad: "Optional[Tuple[Tuple[float, ...], ...] | np.ndarray]" = None
-
-    def _q(self) -> np.ndarray:
-        if self.quad is None:
-            return np.zeros((4, 4))
-        q = np.asarray(self.quad, dtype=complex)
-        return 0.5 * (q + np.swapaxes(q, -1, -2))
-
-    def _xq(self, x: Vec4) -> np.ndarray:
-        """x.quad (symmetrized), per element."""
-        return np.sum(x[..., :, None] * self._q(), axis=-2)
-
-    def _elements(self, x: Vec4) -> Tuple[int, ...]:
-        """The leading axes of x and of every parameter, broadcast."""
-        return np.broadcast_shapes(np.shape(x)[:-1], np.shape(self.c0),
-                                   np.shape(self.lin)[:-1], np.shape(self.quad)[:-2])
-
-    def value(self, x: Vec4) -> "complex | np.ndarray":
-        value = self.c0 + np.sum(x * np.asarray(self.lin, dtype=complex), axis=-1)
-        if self.quad is not None:
-            value = value + np.sum(self._xq(x) * x, axis=-1)
-        return value
-
-    def grad(self, x: Vec4) -> np.ndarray:
-        lin = np.asarray(self.lin, dtype=complex)
-        if self.quad is not None:
-            lin = lin + 2.0 * self._xq(x)
-        return np.broadcast_to(lin, self._elements(x) + (4,))
-
-    def hess(self, x: Vec4) -> np.ndarray:
-        return np.broadcast_to(2.0 * self._q(), self._elements(x) + (4, 4))
-
-    def scaled(self, s: "complex | np.ndarray") -> "Polynomial":
-        s = np.asarray(s)
-        quad = None if self.quad is None else np.asarray(self.quad) * s[..., None, None]
-        return Polynomial(self.c0 * s, np.asarray(self.lin) * s[..., None], quad)
-
-
-def constant(values: "complex | np.ndarray") -> Polynomial:
-    """Constant fields, one per element of `values`."""
-    return Polynomial(values, np.zeros(np.shape(values) + (4,)))
+def constant(values: "complex | np.ndarray") -> PlaneWave:
+    """Constant fields, one per element of `values`: plane waves with zero
+    wavevector and phase, exact because cos(0) = 1 and sin(0) = 0."""
+    shape = np.shape(values)
+    return PlaneWave(values, np.zeros(shape + (4,)), np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +136,8 @@ class Couplings:
 class GaugeConfig:
     """A^k_mu over components (3, 4), k the su(2) direction, and B_mu."""
 
-    A: "PlaneWave | Polynomial"
-    B: "PlaneWave | Polynomial"
+    A: PlaneWave
+    B: PlaneWave
 
     @classmethod
     def zero(cls) -> "GaugeConfig":
@@ -195,7 +152,7 @@ class GaugeConfig:
 class PsiConfig:
     """The three intrinsic sphere coordinates as spacetime fields."""
 
-    psi: "PlaneWave | Polynomial"
+    psi: PlaneWave
 
     @classmethod
     def zero(cls) -> "PsiConfig":
@@ -207,16 +164,16 @@ class FermionConfig:
     """Lepton fields: the doublet (e_l, nu_l) and the singlet e_r, each a
     2-component Lorentz spinor."""
 
-    e_l: "PlaneWave | Polynomial"
-    nu_l: "PlaneWave | Polynomial"
-    e_r: "PlaneWave | Polynomial"
+    e_l: PlaneWave
+    nu_l: PlaneWave
+    e_r: PlaneWave
 
 
 @dataclass(frozen=True)
 class EpsConfig:
     """Gauge-variation parameter fields (eps_1, eps_2, eps_3, eps_Y)."""
 
-    eps: "PlaneWave | Polynomial"
+    eps: PlaneWave
 
 
 Config = TypeVar("Config")
@@ -225,17 +182,16 @@ Config = TypeVar("Config")
 def stack_configs(configs: Sequence[Config]) -> Config:
     """One configuration whose field parameters carry a leading axis, item
     i being configs[i]: GaugeConfig, PsiConfig, FermionConfig or
-    EpsConfig. The configurations must match field type by field type."""
+    EpsConfig. The configurations must be of one type, with parameters of
+    one shape slot by slot."""
     first = configs[0]
     if any(type(cfg) is not type(first) for cfg in configs):
-        raise ValueError("stacked configurations differ in field types")
+        raise ValueError("stacked configurations differ in type")
     parts = []
     for f in dataclasses.fields(first):
         values = [getattr(cfg, f.name) for cfg in configs]
         if dataclasses.is_dataclass(values[0]):
             parts.append(stack_configs(values))
-        elif all(v is None for v in values):
-            parts.append(None)
         else:
             parts.append(np.array(values))
     return type(first)(*parts)
@@ -324,7 +280,7 @@ def sample_fermions(cfg: FermionConfig, x: Vec4, order: int = DEFAULT_ORDER,
     fiber, base = _grading((True, False), order, jval, scale)
     xc = x[..., None, :]
 
-    def spinor(field: "PlaneWave | Polynomial", g: Jet) -> Tuple[Jet, Jet]:
+    def spinor(field: PlaneWave, g: Jet) -> Tuple[Jet, Jet]:
         return g * field.value(xc), g * field.grad(xc)
 
     return FermionSample(*spinor(cfg.e_l, base), *spinor(cfg.nu_l, fiber),

@@ -183,19 +183,6 @@ class Jet:
         c[..., 0, 0] = value
         return c
 
-    def _aligned(self, other: "Jet | Scalar | np.ndarray"
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Coefficients of self and other at one eps truncation: an operand
-        without eps terms is zero-padded to the other's."""
-        a, b = self.coeffs, self._lift(other)
-        if a.shape[-2] != b.shape[-2]:
-            raise ValueError(f"incompatible truncation orders "
-                             f"{a.shape[-2] - 1} != {b.shape[-2] - 1}")
-        if a.shape[-1] != b.shape[-1]:
-            width = _product_width(a.shape[-1], b.shape[-1])
-            a, b = _widen(a, width), _widen(b, width)
-        return a, b
-
     def _new(self, coeffs: np.ndarray) -> "Jet":
         """Wrap a freshly computed complex coefficient array (taken over,
         not copied, and not checked again)."""
@@ -304,12 +291,10 @@ class Jet:
     # -- misc ----------------------------------------------------------
 
     def allclose(self, other: "Jet | Scalar", tol: float = EQ_TOL) -> bool:
-        a, b = self._aligned(other)
-        return bool(np.all(np.abs(a - b) <= tol))
+        return bool(np.all(np.abs((self - other).coeffs) <= tol))
 
     def max_abs_diff(self, other: "Jet | Scalar") -> float:
-        a, b = self._aligned(other)
-        return float(np.max(np.abs(a - b)))
+        return float(np.max(np.abs((self - other).coeffs)))
 
     def to_json(self) -> list:
         """Serialize one jet in j alone as [[re, im], ...] by grade."""
@@ -459,15 +444,6 @@ def _gather(coeffs: np.ndarray, index: np.ndarray) -> np.ndarray:
     if coeffs.ndim == 2:
         return coeffs.ravel()[index]
     return coeffs.reshape(coeffs.shape[:-2] + (-1,)).take(index, axis=-1)
-
-
-def _widen(coeffs: np.ndarray, width: int) -> np.ndarray:
-    """Zero-pad a coefficient array to `width` eps columns."""
-    if coeffs.shape[-1] == width:
-        return coeffs
-    out = np.zeros(coeffs.shape[:-1] + (width,), dtype=complex)
-    out[..., : coeffs.shape[-1]] = coeffs
-    return out
 
 
 def stack(items: Sequence[Jet], axis: int = -1) -> Jet:

@@ -164,9 +164,12 @@ def test_malformed_config_is_config_error(tmp_path, capsys, cfg, argv):
 def test_unwritable_out_is_config_error(tmp_path, capsys, argv, target):
     out = tmp_path if target == "directory" else tmp_path / "missing" / "r.json"
     assert main(argv + ["--out", str(out)]) == EXIT_CONFIG_ERROR
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith("error: ") and "--out" in err and "Traceback" not in err
     assert err.count("\n") == 1
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("name,value,message", [

@@ -14,7 +14,6 @@ from ewcontract.fields import (
     FermionConfig,
     GaugeConfig,
     PlaneWave,
-    Polynomial,
     PsiConfig,
     PsiSample,
     constant,
@@ -56,19 +55,23 @@ def _fd_hess(f, x, h=1e-4):
     "field",
     [
         PlaneWave(0.8 - 0.3j, (0.4, -0.7, 0.2, 1.1), 0.5),
-        Polynomial(
-            1.2 + 0.1j,
-            (0.3, -0.2, 0.5, 0.0),
-            ((0.2, 0.1, 0.0, 0.0), (0.0, -0.3, 0.0, 0.2),
-             (0.1, 0.0, 0.4, 0.0), (0.0, 0.0, 0.0, -0.1)),
-        ),
+        PlaneWave(np.array([1.2 + 0.1j, -0.4 + 0.6j]),
+                  np.array([[0.3, -0.2, 0.5, 0.0], [-0.6, 0.1, 0.0, 0.9]]),
+                  np.array([0.0, -1.3])),
     ],
 )
 def test_analytic_gradients_match_finite_differences(field):
+    """Per element: a wave with parameter arrays of shape (2,) is two
+    waves, each with its own exact gradient and hessian."""
     x = np.array([0.3, -0.1, 0.7, 0.2])
-    assert np.allclose(field.grad(x), _fd_grad(field, x), atol=1e-8)
-    assert np.allclose(field.hess(x), _fd_hess(field, x), atol=1e-6)
-    assert np.allclose(field.hess(x), field.hess(x).T)
+    grad, hess = field.grad(x), field.hess(x)
+    for i in np.ndindex(np.shape(field.amplitude)):
+        part = PlaneWave(np.asarray(field.amplitude)[i],
+                         np.asarray(field.wavevector)[i],
+                         np.asarray(field.phase)[i])
+        assert np.allclose(grad[i], _fd_grad(part, x), atol=1e-8)
+        assert np.allclose(hess[i], _fd_hess(part, x), atol=1e-6)
+        assert np.allclose(hess[i], hess[i].T)
 
 
 def test_scaled_field_scales_everything():
@@ -78,7 +81,7 @@ def test_scaled_field_scales_everything():
     assert g.value(x) == pytest.approx(3.0 * f.value(x))
     assert np.allclose(g.grad(x), 3.0 * f.grad(x))
     # one factor per element
-    p = Polynomial(np.array([0.5, 1.0]), np.ones((2, 4)), np.ones((2, 4, 4)))
+    p = PlaneWave(np.array([0.5, 1.0]), np.ones((2, 4)), np.array([0.2, -0.7]))
     s = np.array([3.0, -2.0])
     q = p.scaled(s)
     assert np.allclose(q.value(x), s * p.value(x))
@@ -97,30 +100,16 @@ def test_couplings_validation():
     assert c.gz == pytest.approx(1.0)
 
 
-def test_polynomial_derivatives_keep_element_axes():
-    """A polynomial's elements are those of c0, lin and quad broadcast, so
-    its gradient and hessian carry every element axis."""
-    x = np.zeros(4)
-    f = Polynomial(np.ones(3))
-    assert f.value(x).shape == (3,)
-    assert f.grad(x).shape == (3, 4)
-    assert f.hess(x).shape == (3, 4, 4)
-    f = Polynomial(1.0, np.ones((3, 4)))
-    assert f.grad(x).shape == (3, 4)
-    assert f.hess(x).shape == (3, 4, 4)
-    f = Polynomial(np.ones(3), quad=np.eye(4))
-    assert f.grad(np.zeros((5, 1, 4))).shape == (5, 3, 4)
-    assert np.array_equal(f.hess(x), np.broadcast_to(2.0 * np.eye(4), (3, 4, 4)))
-
-
 def test_constant_fields_have_the_shape_of_their_values():
-    f = constant(np.arange(12.0).reshape(3, 4))
-    assert np.shape(f.lin) == (3, 4, 4)
+    values = np.arange(12.0).reshape(3, 4)
+    f = constant(values)
     x = np.ones((2, 1, 1, 4))
-    assert np.array_equal(f.value(x), np.broadcast_to(f.c0, (2, 3, 4)))
-    assert np.array_equal(f.grad(x), np.zeros((2, 3, 4, 4)))
+    value, grad, hess = f.value(x), f.grad(x), f.hess(x)
+    assert np.array_equal(value, np.broadcast_to(values, (2, 3, 4)))
+    assert grad.shape == (2, 3, 4, 4) and not grad.any()
+    assert hess.shape == (2, 3, 4, 4, 4) and not hess.any()
     stacked = stack_configs([GaugeConfig.zero(), GaugeConfig.zero()])
-    assert np.shape(stacked.A.lin) == (2, 3, 4, 4)
+    assert np.shape(stacked.A.wavevector) == (2, 3, 4, 4)
 
 
 def test_gauge_sample_grading():
@@ -167,13 +156,6 @@ def _random_waves(rng, shape, amplitude=0.7):
                      phase.reshape(shape))
 
 
-def _random_polynomial(rng, shape):
-    """Complex quadratic polynomials over components `shape`."""
-    return Polynomial(rng.normal(size=shape) + 1j * rng.normal(size=shape),
-                      rng.normal(size=shape + (4,)),
-                      rng.normal(size=shape + (4, 4)))
-
-
 def _jets(value):
     """The jets of a (nested) list, in order."""
     if isinstance(value, list):
@@ -198,9 +180,8 @@ def test_sampling_a_points_array_equals_per_point_samples(with_scale):
     rng = np.random.default_rng(21)
     points = rng.uniform(-1.0, 1.0, size=(5, 4))
     scale = Jet([[0.0, 1.0]], ORDER, 2) if with_scale else None
-    gauge = GaugeConfig(_random_waves(rng, (3, 4)),
-                        _random_polynomial(rng, (4,)))
-    psi = PsiConfig(_random_polynomial(rng, (3,)))
+    gauge = GaugeConfig(_random_waves(rng, (3, 4)), _random_waves(rng, (4,)))
+    psi = PsiConfig(_random_waves(rng, (3,)))
     fermions = FermionConfig(*(_random_waves(rng, (2,)) for _ in range(3)))
     _same_samples(sample_gauge(gauge, points, ORDER, scale=scale),
                   [sample_gauge(gauge, x, ORDER, scale=scale) for x in points],
@@ -227,11 +208,11 @@ def test_stacked_configurations_pair_with_their_points(with_scale):
     points = rng.uniform(-1.0, 1.0, size=(n, 4))
     scale = Jet([[0.0, 1.0]], ORDER, 2) if with_scale else None
     gauges = [GaugeConfig(_random_waves(rng, (3, 4), 0.3),
-                          _random_polynomial(rng, (4,))) for _ in range(n)]
+                          _random_waves(rng, (4,))) for _ in range(n)]
     psis = [PsiConfig(_random_waves(rng, (3,), 0.3)) for _ in range(n)]
     fermions = [FermionConfig(*(_random_waves(rng, (2,)) for _ in range(3)))
                 for _ in range(n)]
-    params = [EpsConfig(_random_polynomial(rng, (4,))) for _ in range(n)]
+    params = [EpsConfig(_random_waves(rng, (4,))) for _ in range(n)]
     per_sample = list(zip(gauges, psis, fermions, params, points))
 
     gs = sample_gauge(stack_configs(gauges), points, ORDER, scale=scale)
@@ -268,9 +249,11 @@ def test_stacked_configurations_broadcast_over_one_point():
 
 
 def test_stacking_needs_matching_field_types():
+    with pytest.raises(ValueError, match="differ in type"):
+        stack_configs([PsiConfig.zero(), EpsConfig(constant(np.zeros(3)))])
     waves = PsiConfig(PlaneWave(np.full(3, 0.1), np.tile([1.0, 0.0, 0.0, 0.0],
                                                          (3, 1))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # a scalar phase against a (3,) one
         stack_configs([waves, PsiConfig.zero()])
 
 
@@ -427,7 +410,7 @@ def test_zero_parameter_gauge_transform_is_identity():
     x = np.array([0.1, 0.2, -0.3, 0.4])
     gs = sample_gauge(gauge, x, ORDER)
     ps = sample_psi(psicfg, x, ORDER)
-    eps = EpsConfig(Polynomial(np.zeros(4)))
+    eps = EpsConfig(constant(np.zeros(4)))
     gs2, ps2 = infinitesimal_gauge_transform(gs, ps, eps, x, c)
     for k in range(3):
         for mu in range(4):
