@@ -7,8 +7,10 @@ Three subcommands:
 * ``expand``   -- dump the scale-expansion coefficients of the bosonic
   density for a seeded random configuration
 
-JSON is the machine format (schema-versioned, seed echoed, deterministic
-for a fixed config up to the timestamp field); CSV is available for the
+``main`` reads the config file and builds the couplings once for every
+command. JSON is the machine format (schema-versioned, seed echoed,
+deterministic for a fixed config up to the timestamp field), built by
+``_sanitize`` from the result dataclasses; CSV is available for the
 spectrum table only. Reports are strict JSON: a computed value that is not
 finite is written as null. Exit codes: 0 all checks pass, 1 a suite failed
 or spectrum/expand computed a value that is not finite, 2 the
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -108,10 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_spectrum = command("spectrum", "extracted particle masses")
-    p_spectrum.add_argument("--g", type=float, default=None)
-    p_spectrum.add_argument("--gp", type=float, default=None)
-    p_spectrum.add_argument("--R", type=float, default=None)
-    p_spectrum.add_argument("--h-e", dest="h_e", type=float, default=None)
+    for name in DEFAULT_COUPLINGS:
+        p_spectrum.add_argument("--" + name.replace("_", "-"), dest=name,
+                                type=float, default=None)
 
     p_expand = command(
         "expand", "scale-expansion coefficients of the bosonic density")
@@ -160,16 +162,13 @@ def _couplings_from(args, file_cfg: dict) -> Couplings:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"coupling {key!r} must be a number, got {value!r}")
     values.update(from_file)
-    for key in ("g", "gp", "R", "h_e"):
+    for key in values:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             values[key] = cli_value
     try:
-        return Couplings(
-            g=float(values["g"]), gp=float(values["gp"]),
-            R=float(values["R"]), h_e=float(values["h_e"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return Couplings(**{k: float(v) for k, v in values.items()})
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad couplings: {exc}") from exc
 
 
@@ -194,8 +193,11 @@ def _parse_mode(text: str) -> Tuple[str, Optional[float]]:
 
 
 def _sanitize(value):
-    """Make report payloads strict JSON: numpy scalars and tuples become
-    Python values, complex numbers {re, im}, and non-finite numbers null."""
+    """Make report payloads strict JSON: dataclasses become dicts of their
+    fields, numpy scalars and tuples Python values, complex numbers
+    {re, im}, and non-finite numbers null."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.asdict(value)
     if isinstance(value, dict):
         return {str(k): _sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -213,12 +215,12 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _write_report(payload: dict, out: Optional[str], text: str = "") -> None:
+def _write_report(text: str, out: Optional[str]) -> None:
     if out is None:
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text else _json_text(payload))
+            fh.write(text)
             fh.write("\n")
     except OSError as exc:
         raise ConfigError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
@@ -230,16 +232,11 @@ def _report_envelope(args, couplings: Couplings) -> dict:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "seed": args.seed,
         "order": args.order,
-        "couplings": {
-            "g": couplings.g, "gp": couplings.gp,
-            "R": couplings.R, "h_e": couplings.h_e,
-        },
+        "couplings": dataclasses.asdict(couplings),
     }
 
 
-def cmd_verify(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    couplings = _couplings_from(args, file_cfg)
+def cmd_verify(args, file_cfg: dict, couplings: Couplings) -> int:
     cfg = RunConfig(
         couplings, args.order, args.seed,
         suites=tuple(args.suite or file_cfg.get("suites", ())),
@@ -256,25 +253,19 @@ def cmd_verify(args) -> int:
     print("verify:", "all suites passed" if all_passed else "suite failure")
 
     payload = _report_envelope(args, couplings)
-    payload["suites"] = _sanitize({n: r.to_json() for n, r in results.items()})
+    payload["suites"] = _sanitize(results)
     payload["passed"] = all_passed
-    _write_report(payload, args.out)
+    _write_report(_json_text(payload), args.out)
     return EXIT_OK if all_passed else EXIT_SUITE_FAILURE
 
 
 def _spectrum_rows(report) -> list:
-    return [
-        ("m_w", report.m_w, report.closed["m_w"]),
-        ("m_z", report.m_z, report.closed["m_z"]),
-        ("m_a", report.m_a, report.closed["m_a"]),
-        ("m_e", report.m_e, report.closed["m_e"]),
-        ("weinberg_cos", report.weinberg_cos, report.closed["weinberg_cos"]),
-    ]
+    """(quantity, extracted, closed form), one row per closed formula."""
+    return [(name, getattr(report, name), closed)
+            for name, closed in report.closed_form.items()]
 
 
-def cmd_spectrum(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    couplings = _couplings_from(args, file_cfg)
+def cmd_spectrum(args, file_cfg: dict, couplings: Couplings) -> int:
     report = mass_spectrum(couplings, args.order)
 
     print(f"{'quantity':14s} {'extracted':>14s} {'closed form':>14s}")
@@ -287,11 +278,11 @@ def cmd_spectrum(args) -> int:
         writer.writerow(["quantity", "extracted", "closed_form"])
         for row in _spectrum_rows(report):
             writer.writerow(row)
-        _write_report({}, args.out, text=buf.getvalue().rstrip("\n"))
+        _write_report(buf.getvalue().rstrip("\n"), args.out)
     else:
         payload = _report_envelope(args, couplings)
-        payload["spectrum"] = _sanitize(report.to_json())
-        _write_report(payload, args.out)
+        payload["spectrum"] = _sanitize(report)
+        _write_report(_json_text(payload), args.out)
     values = [row[1] for row in _spectrum_rows(report)]
     if all(math.isfinite(v) for v in values + [report.nu_mass_coefficient]):
         return EXIT_OK
@@ -299,9 +290,7 @@ def cmd_spectrum(args) -> int:
     return EXIT_SUITE_FAILURE
 
 
-def cmd_expand(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    couplings = _couplings_from(args, file_cfg)
+def cmd_expand(args, file_cfg: dict, couplings: Couplings) -> int:
     label, jval = _parse_mode(args.mode)
 
     rng = np.random.default_rng(args.seed)
@@ -320,7 +309,7 @@ def cmd_expand(args) -> int:
     })
     text = _json_text(payload)
     print(text)
-    _write_report(payload, args.out, text=text)
+    _write_report(text, args.out)
     if all(np.isfinite(c.coeffs).all() for c in expansion):
         return EXIT_OK
     print("expand: a coefficient is not finite", file=sys.stderr)
@@ -358,7 +347,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_flags(args)
-        return COMMANDS[args.command](args)
+        file_cfg = _load_config_file(args.config)
+        return COMMANDS[args.command](args, file_cfg,
+                                      _couplings_from(args, file_cfg))
     except SystemExit as exc:  # argparse has printed the help
         return exc.code
     except ConfigError as exc:

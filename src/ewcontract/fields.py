@@ -111,7 +111,8 @@ class Couplings:
     h_e: float = 0.0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.g, self.gp, self.R, self.h_e)):
+        named = [(f.name, getattr(self, f.name)) for f in dataclasses.fields(self)]
+        if not all(math.isfinite(v) for _, v in named):
             raise ConfigError("couplings g, gp, R and h_e must be finite")
         if self.g <= 0 or self.R <= 0:
             raise ConfigError("couplings g and R must be positive")
@@ -120,8 +121,7 @@ class Couplings:
         if self.h_e < 0:
             raise ConfigError("Yukawa constant h_e must be non-negative")
         lo, hi = COUPLING_MAGNITUDES
-        for name in ("g", "gp", "R", "h_e"):
-            value = getattr(self, name)
+        for name, value in named:
             if value and not lo <= value <= hi:
                 raise ConfigError(f"nonzero coupling {name} must lie between "
                                   f"{lo:g} and {hi:g}, got {value!r}")

@@ -93,7 +93,7 @@ def one_param(k: "int | np.ndarray", angle: Param, order: int = DEFAULT_ORDER,
 
 
 def exp_series(a1: Param, a2: Param, a3: Param, order: int = DEFAULT_ORDER,
-               terms: int = EXP_SERIES_TERMS, jval: float | None = None) -> JetMatrix2:
+               jval: float | None = None) -> JetMatrix2:
     """Truncated matrix-exponential series of the general algebra element.
 
     This is the normative exponential: closed forms are cross-checked
@@ -103,7 +103,7 @@ def exp_series(a1: Param, a2: Param, a3: Param, order: int = DEFAULT_ORDER,
     result = JetMatrix2.identity(order)
     power = JetMatrix2.identity(order)
     fact = 1.0
-    for n in range(1, terms + 1):
+    for n in range(1, EXP_SERIES_TERMS + 1):
         fact *= n
         power = power * t
         result = result + power * (1.0 / fact)

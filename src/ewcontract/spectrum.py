@@ -49,9 +49,8 @@ LIMIT_T_VALUES = (1.0e-1, 1.0e-2, 1.0e-3)
 # ---------------------------------------------------------------------------
 
 
-def halton_points(count: int = SPACETIME_SAMPLES, seed: int = 0,
-                  box: float = 2.0) -> np.ndarray:
-    """Quasi-random spacetime points in [-box/2, box/2]^4: the Halton
+def halton_points(count: int = SPACETIME_SAMPLES, seed: int = 0) -> np.ndarray:
+    """Quasi-random spacetime points in [-1, 1]^4: the Halton
     sequence in bases 2, 3, 5 and 7 with Owen's random-permutation
     scrambling (A. B. Owen, arXiv:1706.02808), the bits that
     ``scipy.stats.qmc.Halton(d=4, scramble=True, seed=seed)`` draws.
@@ -77,7 +76,7 @@ def halton_points(count: int = SPACETIME_SAMPLES, seed: int = 0,
         terms = perms[np.arange(rows), digits] * weights
         # a running sum keeps the left-to-right order; np.sum pairs terms
         columns.append(np.cumsum(terms, axis=1)[:, -1])
-    return (np.stack(columns, axis=1) - 0.5) * box
+    return (np.stack(columns, axis=1) - 0.5) * 2.0
 
 
 def epsilon_expand(evaluator: Callable[[Jet], Jet], n: int,
@@ -212,7 +211,7 @@ def bosonic_density_evaluator(
 @dataclass
 class SpectrumReport:
     """Masses extracted from the exact Lagrangian plus closed-formula
-    cross-checks."""
+    cross-checks; its fields are the keys of a spectrum report."""
 
     m_w: float
     m_z: float
@@ -220,20 +219,8 @@ class SpectrumReport:
     m_e: float
     weinberg_cos: float
     nu_mass_coefficient: float
-    closed: Dict[str, float]
-    couplings: Dict[str, float]
-
-    def to_json(self) -> dict:
-        return {
-            "m_w": self.m_w,
-            "m_z": self.m_z,
-            "m_a": self.m_a,
-            "m_e": self.m_e,
-            "weinberg_cos": self.weinberg_cos,
-            "nu_mass_coefficient": self.nu_mass_coefficient,
-            "closed_form": dict(self.closed),
-            "couplings": dict(self.couplings),
-        }
+    closed_form: Dict[str, float]
+    couplings: Couplings
 
 
 def gauge_mass_coefficients(backgrounds: np.ndarray, c: Couplings, order: int,
@@ -311,8 +298,7 @@ def mass_spectrum(c: Couplings, order: int = DEFAULT_ORDER) -> SpectrumReport:
     Lagrangian on constant backgrounds along each physical direction."""
     m_w, m_z, m_a = gauge_masses(c, order)
     m_e, nu_mass = lepton_masses(c, order)
-    return SpectrumReport(m_w, m_z, m_a, m_e, m_w / m_z, nu_mass, closed_masses(c),
-                          {"g": c.g, "gp": c.gp, "R": c.R, "h_e": c.h_e})
+    return SpectrumReport(m_w, m_z, m_a, m_e, m_w / m_z, nu_mass, closed_masses(c), c)
 
 
 # ---------------------------------------------------------------------------

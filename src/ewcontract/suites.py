@@ -179,15 +179,6 @@ class SuiteResult:
     tolerance: float
     details: dict
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "details": self.details,
-        }
-
 
 def _result(name: str, gates: Dict[str, Tuple[float, float]],
             data: "dict | None" = None) -> SuiteResult:

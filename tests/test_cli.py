@@ -104,12 +104,21 @@ def test_spectrum_rejects_nonpositive_couplings(capsys):
 
 
 def test_spectrum_csv_export(tmp_path, capsys):
+    """Every row in order, each carrying the JSON report's extracted and
+    closed-form values for the same couplings."""
     out = tmp_path / "spectrum.csv"
     code = main(["spectrum", "--format", "csv", "--out", str(out)])
     assert code == EXIT_OK
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "quantity,extracted,closed_form"
-    assert lines[1].startswith("m_w,")
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == [
+        "m_w", "m_z", "m_a", "m_e", "weinberg_cos"]
+    assert main(["spectrum", "--out", str(tmp_path / "spectrum.json")]) == EXIT_OK
+    spectrum = _load(tmp_path / "spectrum.json")["spectrum"]
+    for name, extracted, closed in rows:
+        assert float(extracted) == spectrum[name]
+        assert float(closed) == spectrum["closed_form"][name]
 
 
 def test_expand_dumps_coefficients(tmp_path, capsys):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ewcontract.cli import DEFAULT_COUPLINGS
+from ewcontract.cli import DEFAULT_COUPLINGS, _sanitize
 from ewcontract import jets, lagrangian, spectrum, suites
 from ewcontract.fields import ConfigError, Couplings
 from ewcontract.group import group_product, random_factors
@@ -101,7 +101,7 @@ def test_result_details_name_each_gate_once():
 
 def test_results_serialize_to_json_shape():
     result = run_suites(_config(suites=("algebra",)))["algebra"]
-    payload = result.to_json()
+    payload = _sanitize(result)
     assert payload["name"] == "algebra"
     assert set(payload) == {"name", "passed", "residual", "tolerance", "details"}
 

@@ -15,9 +15,12 @@ report numbers are identical out of the total, the largest relative and
 the largest absolute change of a number (a residual at round-off level
 can change by a large fraction of itself and by a tiny amount), the
 report paths whose numbers changed, and every verdict change: a `passed`
-flag or an exit code that differs. The `timestamp` field is skipped. The
-exit code is 1 when a verdict or the structure of a report differs, else
-0.
+flag or an exit code that differs. The `timestamp` field is skipped. It
+also compares each command's stdout with the other tree's, byte for byte
+apart from the `"timestamp"` line of expand's dump, and lists the first
+line that differs under "report differs"; a printed number that changes
+in its printed digits is such a difference. The exit code is 1 when a
+verdict, the structure of a report or stdout differs, else 0.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import argparse
 import collections
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -61,8 +65,15 @@ def couplings(seed: int) -> dict:
     return {name: float(rng.uniform(lo, hi)) for name, lo, hi in COUPLING_RANGES}
 
 
+def mask_timestamp(stdout: str) -> str:
+    """stdout with the value of expand's "timestamp" line, which differs
+    from run to run, replaced by *."""
+    return re.sub(r'^(\s*"timestamp": ).*$', r"\1*", stdout, flags=re.MULTILINE)
+
+
 def run(src: Path, tag: str, command: str, seed: int, workdir: Path) -> tuple:
-    """(exit code, report or None) of one command on the tree `tag`."""
+    """(exit code, report or None, stdout with the timestamp masked) of one
+    command on the tree `tag`."""
     config = workdir / f"config_{seed}.json"
     config.write_text(json.dumps({"couplings": couplings(seed)}))
     out = workdir / f"{tag}_{command}_{seed}.json"
@@ -74,7 +85,7 @@ def run(src: Path, tag: str, command: str, seed: int, workdir: Path) -> tuple:
         sys.stderr.write(f"{src} {command} seed {seed} exited "
                          f"{proc.returncode}:\n{proc.stderr}")
     report = json.loads(out.read_text()) if out.exists() else None
-    return proc.returncode, report
+    return proc.returncode, report, mask_timestamp(proc.stdout)
 
 
 def leaves(value, path: str = ""):
@@ -88,6 +99,15 @@ def leaves(value, path: str = ""):
             yield from leaves(item, f"{path}[{i}]")
     else:
         yield path, value
+
+
+def first_difference(old: str, new: str) -> str:
+    """The first line in which two different texts differ, line endings
+    kept, a missing line read as ''."""
+    pairs = zip(old.splitlines(True) + [""], new.splitlines(True) + [""])
+    for number, (x, y) in enumerate(pairs, 1):
+        if x != y:
+            return f"line {number} {x!r} -> {y!r}"
 
 
 def is_number(value) -> bool:
@@ -105,9 +125,12 @@ class Tally:
         self.structure = []
 
     def add(self, seed: int, old: tuple, new: tuple) -> None:
-        (old_rc, old_report), (new_rc, new_report) = old, new
+        (old_rc, old_report, old_out), (new_rc, new_report, new_out) = old, new
         if old_rc != new_rc:
             self.verdicts.append(f"seed {seed}: exit code {old_rc} -> {new_rc}")
+        if old_out != new_out:
+            self.structure.append(f"seed {seed}: stdout "
+                                  + first_difference(old_out, new_out))
         if old_report is None or new_report is None:
             if old_report is not new_report:
                 self.structure.append(f"seed {seed}: report written by one tree only")
