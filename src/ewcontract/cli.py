@@ -7,14 +7,17 @@ Three subcommands:
 * ``expand``   -- dump the scale-expansion coefficients of the bosonic
   density for a seeded random configuration
 
-``main`` reads the config file and builds the couplings once for every
-command. JSON is the machine format (schema-versioned, seed echoed,
-deterministic for a fixed config up to the timestamp field), built by
-``_sanitize`` from the result dataclasses; CSV is available for the
-spectrum table only. Reports are strict JSON: a computed value that is not
-finite is written as null. Exit codes: 0 all checks pass, 1 a suite failed
-or spectrum/expand computed a value that is not finite, 2 the
-configuration was rejected.
+The argument parser is built once per process, on the first ``main``
+call; ``main`` reads the ``EWCONTRACT_*`` defaults on every call, and
+help reads the terminal width when printed. ``main`` reads the config
+file and builds the couplings once for every command. JSON is the
+machine format (schema-versioned, seed echoed, deterministic for a fixed
+config up to the timestamp field), built by ``_sanitize`` from the
+result dataclasses; CSV is available for the spectrum table only.
+Reports are strict JSON: a computed value that is not finite is written
+as null. Exit codes: 0 all checks pass, 1 a suite failed or
+spectrum/expand computed a value that is not finite, 2 the configuration
+was rejected.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import io
 import json
 import math
 import os
-import shutil
 import sys
 import time
 from typing import Optional, Sequence, Tuple
@@ -60,11 +62,12 @@ MAX_ORDER = 16
 
 DEFAULT_COUPLINGS = {"g": 0.65, "gp": 0.35, "R": 1.0, "h_e": 1.0}
 
-
-def _env_default(name: str, fallback: Optional[str] = None) -> Optional[str]:
-    """CI can override any flag through EWCONTRACT_<FLAG> variables; the
-    string is converted and checked by argparse like the flag itself."""
-    return os.environ.get(ENV_PREFIX + name.upper(), fallback)
+#: the defaults that EWCONTRACT_<FLAG> variables override, per subcommand;
+#: argparse converts and checks the string like the flag itself
+_SHARED_DEFAULTS = {"config": None, "seed": "0", "order": str(DEFAULT_ORDER),
+                    "out": None, "format": "json"}
+_ENV_DEFAULTS = {"verify": _SHARED_DEFAULTS, "spectrum": _SHARED_DEFAULTS,
+                 "expand": {**_SHARED_DEFAULTS, "mode": "nilpotent"}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,34 +77,29 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # argparse makes a help formatter for every add_argument and each one
-    # reads the terminal size, so the tree reads it once; the options every
-    # subcommand shares are added once and copied into each
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+@functools.cache
+def build_parser() -> Tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name, built once per
+    process; the options every subcommand shares are added once and
+    copied into each."""
     parser = _Parser(
         prog="ewcontract",
         description="Verification and spectrum tools for the contracted "
         "electroweak model.",
-        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = _Parser(add_help=False, formatter_class=formatter)
-    common.add_argument("--config", type=str, default=_env_default("config"),
+    common = _Parser(add_help=False)
+    common.add_argument("--config", type=str,
                         help="JSON config file (couplings, tolerances, ...)")
-    common.add_argument("--seed", type=int, default=_env_default("seed", "0"))
-    common.add_argument("--order", type=int,
-                        default=_env_default("order", str(DEFAULT_ORDER)))
-    common.add_argument("--out", type=str, default=_env_default("out"),
+    common.add_argument("--seed", type=int)
+    common.add_argument("--order", type=int)
+    common.add_argument("--out", type=str,
                         help="write the machine-readable report here")
-    common.add_argument("--format", type=str, choices=("json", "csv"),
-                        default=_env_default("format", "json"))
+    common.add_argument("--format", type=str, choices=("json", "csv"))
 
     def command(name: str, summary: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=summary, parents=[common],
-                              formatter_class=formatter)
+        return sub.add_parser(name, help=summary, parents=[common])
 
     p_verify = command("verify", "run verification suites")
     p_verify.add_argument(
@@ -120,12 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--n", type=int, default=2,
                           help="highest expansion order to report (max 6)")
     p_expand.add_argument("--mode", type=str,
-                          default=_env_default("mode", "nilpotent"),
                           help="the contraction parameter j: nilpotent (the "
                           "formal j, default) | unit (j = 1) | numeric:<t> "
                           "(j = t, 0 < t <= 1)")
 
-    return parser
+    return parser, {"verify": p_verify, "spectrum": p_spectrum,
+                    "expand": p_expand}
 
 
 def _load_config_file(path: Optional[str]) -> dict:
@@ -343,7 +341,11 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
+    for name, defaults in _ENV_DEFAULTS.items():  # read on every call
+        commands[name].set_defaults(**{
+            flag: os.environ.get(ENV_PREFIX + flag.upper(), fallback)
+            for flag, fallback in defaults.items()})
     try:
         args = parser.parse_args(argv)
         _check_flags(args)

@@ -65,8 +65,7 @@ def halton_points(count: int = SPACETIME_SAMPLES, seed: int = 0) -> np.ndarray:
     for base in (2, 3, 5, 7):
         rows = math.ceil(54 / math.log2(base)) - 1
         perms = np.repeat(np.arange(base)[None], rows, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
+        perms = rng.permuted(perms, axis=1)
         digits = index // base ** np.arange(rows) % base
         weights = np.empty(rows)
         weight = 1.0

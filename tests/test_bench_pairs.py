@@ -23,10 +23,20 @@ METRICS = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
 WALL = {"parent": [1.0, 3.0, 2.0, 4.0, 6.0, 5.0],
         "change": [0.5, 3.5, 1.0, 3.0, 5.0, 5.5]}
 
+#: canned per-layer metrics of each side's `--trace 1` run
+LAYERS = {"parent": {"cli.self_s": {"value": 4.0e-4, "unit": "s/cmd"}},
+          "change": {"cli.self_s": {"value": 1.0e-4, "unit": "s/cmd"}}}
+
 STUB = '''\
 import json, sys
 from pathlib import Path
 here = Path(__file__).resolve().parent
+if sys.argv[-2:] == ["--trace", "1"]:
+    with open(here / "traced", "a") as fh:
+        fh.write(json.dumps(sys.argv[1:]) + "\\n")
+    print(json.dumps({{"correct": True, "attempted": 3, "failed": 0,
+                       "metrics": {layers!r}}}))
+    sys.exit(0)
 counter = here / "calls"
 call = int(counter.read_text()) if counter.exists() else 0
 counter.write_text(str(call + 1))
@@ -45,7 +55,8 @@ def _tree(root: Path, side: str, log: Path, correct: bool = True) -> Path:
     tree = root / side
     (tree / "perfbench").mkdir(parents=True)
     (tree / "perfbench" / "run.py").write_text(STUB.format(
-        log=str(log), side=side, wall=WALL[side], correct=correct))
+        log=str(log), side=side, wall=WALL[side], correct=correct,
+        layers=LAYERS[side]))
     (tree / "BENCHMARK.json").write_text(json.dumps({
         "command": [sys.executable, "perfbench/run.py"], "paths": ["perfbench"],
         "run_seconds": 20, "end_to_end": METRICS}))
@@ -108,6 +119,18 @@ def test_statistics_and_wins_per_metric(tmp_path):
     assert len(record["runs"]) == 12
     assert all(r["attempted"] == 3 and r["trace"] == 0 and r["seed"] == 7
                for r in record["runs"])
+
+
+def test_per_layer_holds_one_traced_run_per_side_and_workload(tmp_path):
+    """The traced runs leave the pairs and end_to_end as they are."""
+    _, record, _ = _run(tmp_path)
+    assert record["per_layer"] == {key: LAYERS
+                                   for key in ("expand/seed7", "verify/seed7")}
+    for side in ("parent", "change"):
+        traced = (tmp_path / side / "perfbench" / "traced").read_text()
+        assert [json.loads(line) for line in traced.splitlines()] == [
+            ["--workload", workload, "--seed", "7", "--seconds", "20",
+             "--trace", "1"] for workload in ("expand", "verify")]
 
 
 def test_an_incorrect_run_fails_the_command_but_is_recorded(tmp_path):

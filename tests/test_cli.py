@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, report schema, determinism and
 format handling."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -249,6 +250,52 @@ def test_environment_variable_overrides_seed(tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "algebra", "--out", str(out)]) == EXIT_OK
     assert _load(out)["seed"] == 99
+
+
+def test_environment_is_read_on_every_call(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process; the EWCONTRACT_* defaults
+    of each call are its own, a malformed one included."""
+    out = tmp_path / "report.json"
+    argv = ["verify", "--suite", "algebra", "--out", str(out)]
+    for value, seed in (("3", 3), ("4", 4), (None, 0)):
+        if value is None:
+            monkeypatch.delenv("EWCONTRACT_SEED")
+        else:
+            monkeypatch.setenv("EWCONTRACT_SEED", value)
+        assert main(argv) == EXIT_OK
+        assert _load(out)["seed"] == seed
+    monkeypatch.setenv("EWCONTRACT_SEED", "abc")
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert "invalid int value" in capsys.readouterr().err
+    monkeypatch.delenv("EWCONTRACT_SEED")
+    assert main(argv) == EXIT_OK
+
+
+def test_help_reads_the_terminal_width_when_printed(monkeypatch, capsys):
+    widths = {}
+    for columns in ("50", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert main(["spectrum", "--help"]) == EXIT_OK
+        widths[columns] = max(map(len, capsys.readouterr().out.splitlines()))
+    assert widths["50"] <= 48 < 50 < widths["120"]
+
+
+def test_later_calls_build_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    per_call = []
+    for _ in range(3):
+        before = len(built)
+        assert main(["spectrum"]) == EXIT_OK
+        per_call.append(len(built) - before)
+    assert per_call[1:] == [0, 0]
 
 
 @pytest.mark.parametrize("command,own", [("verify", "--suite SUITE"),

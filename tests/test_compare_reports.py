@@ -74,3 +74,47 @@ def test_seed_ranges():
     for bad in ("x", "5-2", "-1"):
         with pytest.raises(argparse.ArgumentTypeError):
             compare_reports.seed_range(bad)
+
+
+def test_surface_runs_cover_help_and_environment_errors():
+    argvs = [argv for _, argv, _ in compare_reports.SURFACE]
+    for command in ([], ["verify"], ["spectrum"], ["expand"]):
+        assert argvs.count([*command, "--help"]) == 2  # COLUMNS 80 and 133
+    assert {name for _, argv, env in compare_reports.SURFACE
+            if argv == ["spectrum"] for name in env} == {
+        "EWCONTRACT_SEED", "EWCONTRACT_ORDER", "EWCONTRACT_FORMAT"}
+
+
+def test_surface_differences_name_the_run_and_the_stream():
+    """Exit code, stdout and stderr are each compared; an equal run gives
+    no line."""
+    usage = "usage: ewcontract [-h]\n"
+    error = "error: argument --seed: invalid int value: 'abc'\n"
+    old = {"help": (0, usage, ""), "seed": (2, "", error)}
+    assert compare_reports.surface_differences(old, dict(old)) == []
+    new = {"help": (0, usage.replace("[-h]", "[-h] {verify}"), ""),
+           "seed": (1, "", error + "Traceback\n")}
+    assert compare_reports.surface_differences(old, new) == [
+        "help: stdout line 1 'usage: ewcontract [-h]\\n' -> "
+        "'usage: ewcontract [-h] {verify}\\n'",
+        "seed: exit code 2 -> 1",
+        "seed: stderr line 2 '' -> 'Traceback\\n'"]
+
+
+def test_a_surface_difference_fails_the_comparison(tmp_path, monkeypatch,
+                                                   capsys):
+    trees = []
+    for tag in ("old", "new"):
+        (tmp_path / tag / "ewcontract").mkdir(parents=True)
+        (tmp_path / tag / "ewcontract" / "cli.py").write_text("")
+        trees.append(str(tmp_path / tag))
+    monkeypatch.setattr(compare_reports, "run",
+                        lambda src, tag, command, seed, workdir: (0, None, ""))
+    # only the EWCONTRACT_SEED run names the tree in its stderr
+    monkeypatch.setattr(compare_reports, "run_cli", lambda src, argv, env: (
+        2, "", f"error: {src.name} abc\n" if "EWCONTRACT_SEED" in env else ""))
+    assert compare_reports.main([*trees, "--seeds", "0"]) == 1
+    out = capsys.readouterr().out
+    assert f"surface: 10 of {len(compare_reports.SURFACE)} runs" in out
+    assert ("  report differs, spectrum with EWCONTRACT_SEED=abc: stderr "
+            "line 1 'error: old abc\\n' -> 'error: new abc\\n'") in out

@@ -61,6 +61,36 @@ def test_halton_points_are_scipys_scrambled_halton_bits():
                 (seed, count)
 
 
+def _halton_by_row_shuffles(count, seed):
+    """halton_points with each base's table drawn one rng.shuffle per row."""
+    rng = np.random.default_rng(seed)
+    index = np.arange(count)[:, None]
+    columns = []
+    for base in (2, 3, 5, 7):
+        rows = math.ceil(54 / math.log2(base)) - 1
+        perms = np.repeat(np.arange(base)[None], rows, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        digits = index // base ** np.arange(rows) % base
+        weights = np.empty(rows)
+        weight = 1.0
+        for r in range(rows):
+            weight /= base
+            weights[r] = weight
+        terms = perms[np.arange(rows), digits] * weights
+        columns.append(np.cumsum(terms, axis=1)[:, -1])
+    return (np.stack(columns, axis=1) - 0.5) * 2.0
+
+
+def test_halton_rows_equal_row_by_row_shuffles():
+    """One rng.permuted call per base draws the bytes of one shuffle per
+    row, so the points do not change."""
+    for seed in range(200):
+        for count in (1, 16, 100):
+            assert halton_points(count, seed).tobytes() == \
+                _halton_by_row_shuffles(count, seed).tobytes(), (seed, count)
+
+
 def test_random_plane_waves_are_drawn_one_component_at_a_time():
     """Component (k, mu) of a (3, 4) draw is the wave that the (4k + mu)-th
     of twelve single draws from the same seed gives."""

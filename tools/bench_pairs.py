@@ -18,9 +18,12 @@ The output file has the layout of the earlier `BENCH_*.json` records:
 quartiles), `change_wins` (the pairs in which the change is better, in the
 metric's `better` direction; a tie is no win) and both sides' runs in pair
 order, and per side the failed and attempted units and whether every run
-was correct; and `runs`, every run in the order it ran. The exit code is 1
-when a run reports `correct: false` (the file is still written) and 2 when
-a run gives no result.
+was correct; `per_layer`, keyed like `end_to_end`, which per side gives
+the metrics of one `--trace 1` run at the same seed and seconds, made in
+each checkout (parent first) after the workload's pairs; and `runs`, every
+`--trace 0` run in the order it ran. `end_to_end` reads the `--trace 0`
+runs only. The exit code is 1 when a run reports `correct: false` (the
+file is still written) and 2 when a run gives no result.
 """
 
 from __future__ import annotations
@@ -43,10 +46,10 @@ class RunError(Exception):
 
 
 def run_once(tree: Path, command: list, workload: str, seed: int,
-             seconds: int) -> dict:
-    """The final JSON line of one `--trace 0` run in `tree`."""
+             seconds: int, trace: int) -> dict:
+    """The final JSON line of one run in `tree`."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -121,14 +124,14 @@ def main(argv=None) -> int:
             parser.error(f"{tree} holds no perfbench/run.py")
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    runs, end_to_end = [], {}
+    runs, end_to_end, per_layer, traced_correct = [], {}, {}, []
     try:
         for workload in args.workloads:
             done = []
             for pair in range(args.pairs):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                     result = run_once(trees[side], bench["command"], workload,
-                                      args.seed, seconds)
+                                      args.seed, seconds, 0)
                     done.append({"side": side, "workload": workload,
                                  "seed": args.seed, "trace": 0, "pair": pair,
                                  "correct": result["correct"],
@@ -139,8 +142,16 @@ def main(argv=None) -> int:
                         f"{name} {m['value']:.4g}"
                         for name, m in result["metrics"].items()), flush=True)
             runs += done
-            end_to_end[f"{workload}/seed{args.seed}"] = summary(
-                done, bench["end_to_end"])
+            key = f"{workload}/seed{args.seed}"
+            end_to_end[key] = summary(done, bench["end_to_end"])
+            per_layer[key] = {}
+            for side in SIDES:
+                result = run_once(trees[side], bench["command"], workload,
+                                  args.seed, seconds, 1)
+                per_layer[key][side] = result["metrics"]
+                traced_correct.append(result["correct"])
+                print(f"{workload} traced {side}: {len(result['metrics'])} "
+                      "per-layer metrics", flush=True)
     except RunError as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 2
@@ -148,13 +159,15 @@ def main(argv=None) -> int:
         "description": (f"perfbench/run.py --trace 0 --seconds {seconds}, "
                         f"{args.pairs} pairs per workload at seed {args.seed}, "
                         "parent first on even pairs and change first on odd "
-                        "ones"),
+                        "ones; then one --trace 1 run per side for per_layer"),
         "machine": machine(),
         "end_to_end": end_to_end,
+        "per_layer": per_layer,
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    return 0 if all(run["correct"] for run in runs) else 1
+    correct = [run["correct"] for run in runs] + traced_correct
+    return 0 if all(correct) else 1
 
 
 if __name__ == "__main__":

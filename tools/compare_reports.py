@@ -19,8 +19,21 @@ flag or an exit code that differs. The `timestamp` field is skipped. It
 also compares each command's stdout with the other tree's, byte for byte
 apart from the `"timestamp"` line of expand's dump, and lists the first
 line that differs under "report differs"; a printed number that changes
-in its printed digits is such a difference. The exit code is 1 when a
-verdict, the structure of a report or stdout differs, else 0.
+in its printed digits is such a difference.
+
+Once per invocation it also runs, on both trees, the CLI's surface
+outside the reports:
+
+    --help, verify --help, spectrum --help, expand --help
+                                (each at COLUMNS=80 and COLUMNS=133)
+    spectrum                    (with EWCONTRACT_SEED=abc, then
+                                 EWCONTRACT_ORDER=abc, then
+                                 EWCONTRACT_FORMAT=xml)
+
+and compares stdout, stderr and the exit code byte for byte; each run
+that differs is listed under "report differs" with its first differing
+line. The exit code is 1 when a verdict, the structure of a report,
+stdout or a surface run differs, else 0.
 """
 
 from __future__ import annotations
@@ -46,6 +59,19 @@ COMMANDS = {
 #: couplings are drawn uniformly from these ranges, in this order
 COUPLING_RANGES = (("g", 0.3, 1.2), ("gp", 0.2, 0.8),
                    ("R", 0.4, 2.0), ("h_e", 0.5, 2.5))
+
+
+#: (label, argv, environment added) of each surface run
+SURFACE = [
+    *((" ".join([*command, "--help"]) + f" at COLUMNS={columns}",
+       [*command, "--help"], {"COLUMNS": str(columns)})
+      for command in ([], ["verify"], ["spectrum"], ["expand"])
+      for columns in (80, 133)),
+    *((f"spectrum with EWCONTRACT_{name}={value}", ["spectrum"],
+       {f"EWCONTRACT_{name}": value})
+      for name, value in (("SEED", "abc"), ("ORDER", "abc"),
+                          ("FORMAT", "xml"))),
+]
 
 
 def seed_range(text: str) -> range:
@@ -77,15 +103,37 @@ def run(src: Path, tag: str, command: str, seed: int, workdir: Path) -> tuple:
     config = workdir / f"config_{seed}.json"
     config.write_text(json.dumps({"couplings": couplings(seed)}))
     out = workdir / f"{tag}_{command}_{seed}.json"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, "-m", "ewcontract.cli", *COMMANDS[command],
-            "--seed", str(seed), "--config", str(config), "--out", str(out)]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
-    if proc.returncode not in (0, 1):
-        sys.stderr.write(f"{src} {command} seed {seed} exited "
-                         f"{proc.returncode}:\n{proc.stderr}")
+    code, stdout, stderr = run_cli(src, [
+        *COMMANDS[command], "--seed", str(seed), "--config", str(config),
+        "--out", str(out)], {})
+    if code not in (0, 1):
+        sys.stderr.write(f"{src} {command} seed {seed} exited {code}:\n"
+                         f"{stderr}")
     report = json.loads(out.read_text()) if out.exists() else None
-    return proc.returncode, report, mask_timestamp(proc.stdout)
+    return code, report, mask_timestamp(stdout)
+
+
+def run_cli(src: Path, argv: list, env: dict) -> tuple:
+    """(exit code, stdout, stderr) of one CLI run on the tree at src, with
+    env added to the environment."""
+    proc = subprocess.run([sys.executable, "-m", "ewcontract.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(src), **env),
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def surface_differences(old: dict, new: dict) -> list:
+    """One line per surface run and stream in which the trees differ; old
+    and new map each label to (exit code, stdout, stderr)."""
+    lines = []
+    for label in old:
+        (old_rc, *old_streams), (new_rc, *new_streams) = old[label], new[label]
+        if old_rc != new_rc:
+            lines.append(f"{label}: exit code {old_rc} -> {new_rc}")
+        for stream, x, y in zip(("stdout", "stderr"), old_streams, new_streams):
+            if x != y:
+                lines.append(f"{label}: {stream} {first_difference(x, y)}")
+    return lines
 
 
 def leaves(value, path: str = ""):
@@ -186,10 +234,18 @@ def main(argv=None) -> int:
                 tally.add(seed, *(run(src.resolve(), tag, command, seed, workdir)
                                   for src, tag in ((args.old_src, "old"),
                                                    (args.new_src, "new"))))
+    old, new = ({label: run_cli(src.resolve(), argv, env)
+                 for label, argv, env in SURFACE}
+                for src in (args.old_src, args.new_src))
     for command, tally in tallies.items():
         tally.print(command)
+    same = sum(old[label] == new[label] for label in old)
+    print(f"surface: {same} of {len(SURFACE)} runs identical")
+    differences = surface_differences(old, new)
+    for line in differences:
+        print(f"  report differs, {line}")
     changed = any(t.verdicts or t.structure for t in tallies.values())
-    return 1 if changed else 0
+    return 1 if changed or differences else 0
 
 
 if __name__ == "__main__":
