@@ -257,31 +257,27 @@ def cmd_verify(args, file_cfg: dict, couplings: Couplings) -> int:
     return EXIT_OK if all_passed else EXIT_SUITE_FAILURE
 
 
-def _spectrum_rows(report) -> list:
-    """(quantity, extracted, closed form), one row per closed formula."""
-    return [(name, getattr(report, name), closed)
-            for name, closed in report.closed_form.items()]
-
-
 def cmd_spectrum(args, file_cfg: dict, couplings: Couplings) -> int:
     report = mass_spectrum(couplings, args.order)
 
+    # (quantity, extracted, closed form), one row per closed formula
+    rows = [(name, getattr(report, name), closed)
+            for name, closed in report.closed_form.items()]
     print(f"{'quantity':14s} {'extracted':>14s} {'closed form':>14s}")
-    for name, extracted, closed in _spectrum_rows(report):
+    for name, extracted, closed in rows:
         print(f"{name:14s} {extracted:14.10f} {closed:14.10f}")
 
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["quantity", "extracted", "closed_form"])
-        for row in _spectrum_rows(report):
-            writer.writerow(row)
+        writer.writerows(rows)
         _write_report(buf.getvalue().rstrip("\n"), args.out)
     else:
         payload = _report_envelope(args, couplings)
         payload["spectrum"] = _sanitize(report)
         _write_report(_json_text(payload), args.out)
-    values = [row[1] for row in _spectrum_rows(report)]
+    values = [row[1] for row in rows]
     if all(math.isfinite(v) for v in values + [report.nu_mass_coefficient]):
         return EXIT_OK
     print("spectrum: an extracted value is not finite", file=sys.stderr)

@@ -29,7 +29,6 @@ Values are immutable; every operation returns a fresh Jet.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from typing import Iterable, Sequence, Tuple, Union
@@ -40,16 +39,6 @@ DEFAULT_ORDER = 4
 
 #: coefficient-wise tolerance for jet equality checks (floating drift only)
 EQ_TOL = 1e-12
-
-#: target bytes of one gathered operand of a batched product, whose terms
-#: are split into chunks of about this size: larger temporaries are handed
-#: back to the OS by the C allocator when freed and page-fault again on
-#: every product. A chunk never splits a term, so an operand can exceed
-#: the target: the largest term of a dense j**8 eps**6 product has 63
-#: pairs, 252 KiB over 256 batch elements (16 points by a 4x4 block). Only
-#: pairs inside the operands' supports count, so a product of eps-scaled
-#: samples, nonzero in one eps column each, has at most 9 pairs a term
-_PRODUCT_CHUNK_BYTES = 1 << 17
 
 Scalar = Union[int, float, complex]
 
@@ -356,47 +345,34 @@ def _pairs(rows: int, ca: int, cb: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _plan(rows: int, ca: int, cb: int, per_chunk: int, support_a: bytes,
-          support_b: bytes):
+def _plan(rows: int, ca: int, cb: int, support_a: bytes, support_b: bytes):
     """Index plan of the truncated product of coefficient arrays with
     `rows` j rows and ca, cb eps columns whose flat (j, eps) positions
     outside support_a, support_b (one byte per position, row-major) are 0
-    in every batch element: (result columns, chunks).
+    in every batch element.
 
     The shape's table of every pair (`_pairs`) is masked by the two
     supports, which keeps its order: by term, then by left index, so each
-    term is summed in the order of the dense plan. The pairs left are cut
-    greedily into chunks of whole terms of at most `per_chunk` pairs, or
-    of one term that alone has more; a chunk is (left, right, starts,
-    terms), its pairs' indices into each operand, the offset of each
-    term's first pair and the flat terms it writes (a slice when they are
-    a run). A term with no pair is in no chunk, so supports that meet in
-    no kept term give no chunk. Full supports give the dense plan."""
-    cols = _product_width(ca, cb)
+    term is summed in the order of the dense plan. The plan is (left,
+    right, starts, terms): the pairs' indices into each operand, the
+    offset of each term's first pair and the flat terms it writes (a slice
+    when they are a run). A term with no pair is not written, so supports
+    that meet in no kept term give no plan (None). Full supports give the
+    dense plan."""
     left, right, term = _pairs(rows, ca, cb)
     kept = (np.frombuffer(support_a, dtype=bool)[left]
             & np.frombuffer(support_b, dtype=bool)[right])
     left, right, term = left[kept], right[kept], term[kept]
     if not len(term):  # e.g. j**3 * j**3 at order 4
-        return cols, ()
-    for index in (left, right):
-        index.flags.writeable = False  # its chunks' views are shared too
-    # offset of each term's first pair, and the end of the last term
-    bounds = [0, *(np.flatnonzero(np.diff(term)) + 1).tolist(), len(term)]
-    chunks, lo = [], 0
-    while lo < len(bounds) - 1:
-        hi = max(lo + 1, bisect.bisect_right(bounds, bounds[lo] + per_chunk) - 1)
-        first, last = bounds[lo], bounds[hi]
-        starts = np.subtract(bounds[lo:hi], first)
-        written = term[bounds[lo:hi]]
-        for index in (starts, written):
-            index.flags.writeable = False  # shared by every cached call
-        # a run of terms is written through a slice, 5x faster than an index
-        if written[-1] - written[0] == hi - lo - 1:
-            written = slice(int(written[0]), int(written[-1]) + 1)
-        chunks.append((left[first:last], right[first:last], starts, written))
-        lo = hi
-    return cols, tuple(chunks)
+        return None
+    starts = np.flatnonzero(np.diff(term, prepend=-1))
+    written = term[starts]
+    for index in (left, right, starts, written):
+        index.flags.writeable = False  # shared by every cached call
+    # a run of terms is written through a slice, 5x faster than an index
+    if written[-1] - written[0] == len(written) - 1:
+        written = slice(int(written[0]), int(written[-1]) + 1)
+    return left, right, starts, written
 
 
 def _support(coeffs: np.ndarray) -> bytes:
@@ -425,15 +401,14 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                          f"{b.shape[-2] - 1}")
     # np.broadcast_shapes takes twice as long on small operands
     batch = np.broadcast(a[..., 0, 0], b[..., 0, 0]).shape
-    support_a, support_b = _support(a), _support(b)
-    if 1 not in support_a or 1 not in support_b:  # a zero operand: no pairs
-        return np.zeros(batch + (rows, _product_width(ca, cb)), dtype=complex)
-    # capped at the most pairs a product has: batches that fit one chunk share a plan
-    per_chunk = min(max(1, _PRODUCT_CHUNK_BYTES // (16 * math.prod(batch))),
-                    rows * ca * rows * cb)
-    cols, chunks = _plan(rows, ca, cb, per_chunk, support_a, support_b)
+    cols = _product_width(ca, cb)
     out = np.zeros(batch + (rows * cols,), dtype=complex)
-    for left, right, starts, terms in chunks:
+    support_a, support_b = _support(a), _support(b)
+    # a zero operand has no pairs: it looks up no plan
+    plan = (1 in support_a and 1 in support_b
+            and _plan(rows, ca, cb, support_a, support_b))
+    if plan:
+        left, right, starts, terms = plan
         out[..., terms] = np.add.reduceat(
             _gather(a, left) * _gather(b, right), starts, axis=-1)
     return out.reshape(batch + (rows, cols))

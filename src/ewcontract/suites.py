@@ -116,10 +116,11 @@ DEFAULTS: Dict[str, Dict[str, float]] = {
 #: linearly with its count
 MAX_SAMPLE_COUNT = 10000
 
-#: samples a sampled check evaluates at once: its memory is bounded by this
-#: chunk, not by its sample count. 1,000 is the largest default sample
-#: count, so a default run is one chunk per check
-CONFIG_CHUNK = 1000
+#: samples a sampled check evaluates at once: the one bound on its memory,
+#: which does not grow with its sample count. At 10,000 samples (2-vCPU
+#: host) `invariance` peaked at 116 MiB with chunks of 1,000, 76 with 500
+#: and 57 with 250, and 250 ran `coordinate` about 6 % slower than 500
+CONFIG_CHUNK = 500
 
 
 def _finite_float(value: "int | float") -> bool:
@@ -686,9 +687,10 @@ REGISTRY: Dict[str, Callable[[RunConfig], SuiteResult]] = {
 
 
 def run_suites(cfg: RunConfig) -> Dict[str, SuiteResult]:
-    """Run the selected suites (all of them for an empty explicit list is
-    a configuration error; selection happens upstream)."""
-    names = cfg.suites or tuple(REGISTRY)
+    """Run the selected suites, each once and in the order first named
+    (all of them for an empty explicit list is a configuration error;
+    selection happens upstream)."""
+    names = tuple(dict.fromkeys(cfg.suites or REGISTRY))
     unknown = [n for n in names if n not in REGISTRY]
     if unknown:
         raise ConfigError(f"unknown suite name(s): {', '.join(unknown)}")

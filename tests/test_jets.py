@@ -433,19 +433,18 @@ def _oracle_terms(rows, ca, cb, support_a, support_b):
     return terms
 
 
-def _planned_terms(chunks):
-    """A plan's chunks as lists of (term, pairs), one list per chunk."""
-    planned = []
-    for left, right, starts, written in chunks:
-        for index in (left, right, starts):
-            assert not index.flags.writeable
-        if isinstance(written, slice):
-            written = np.arange(written.start, written.stop)
-        ends = list(starts[1:]) + [len(left)]
-        planned.append([(int(t), list(zip(left[s:e].tolist(),
-                                          right[s:e].tolist())))
-                        for t, s, e in zip(written, starts, ends)])
-    return planned
+def _planned_terms(plan):
+    """A plan as a list of (term, pairs), in the order it sums them."""
+    left, right, starts, written = plan
+    for index in (left, right, starts):
+        assert not index.flags.writeable
+    if isinstance(written, slice):
+        written = np.arange(written.start, written.stop)
+    else:
+        assert not written.flags.writeable
+    ends = list(starts[1:]) + [len(left)]
+    return [(int(t), list(zip(left[s:e].tolist(), right[s:e].tolist())))
+            for t, s, e in zip(written, starts, ends)]
 
 
 PLAN_SHAPES = [(5, 1, 1), (5, 1, 3), (5, 2, 2), (5, 3, 3), (5, 4, 4),
@@ -454,25 +453,14 @@ PLAN_SHAPES = [(5, 1, 1), (5, 1, 3), (5, 2, 2), (5, 3, 3), (5, 4, 4),
 
 @pytest.mark.parametrize("rows,ca,cb", PLAN_SHAPES)
 def test_plan_matches_the_brute_force_enumeration(rows, ca, cb):
-    """Every pair of a plan, in the brute-force order within each term;
-    chunks hold whole terms, cut greedily: a chunk exceeds per_chunk only
-    when it is one term, and the next term would not have fitted in it."""
+    """Every pair of a plan, in the brute-force order within each term."""
     rng = np.random.default_rng(rows * 100 + ca * 10 + cb)
     for density in (0.2, 0.5, 1.0):
         support_a = (rng.random(rows * ca) < density).astype(np.uint8).tobytes()
         support_b = (rng.random(rows * cb) < density).astype(np.uint8).tobytes()
         want = _oracle_terms(rows, ca, cb, support_a, support_b)
-        for per_chunk in (1, 2, 7, 64, rows * ca * rows * cb):
-            cols, chunks = jets_module._plan(rows, ca, cb, per_chunk,
-                                             support_a, support_b)
-            assert cols == max(ca, cb)
-            planned = _planned_terms(chunks)
-            assert [term for chunk in planned for term in chunk] == want
-            for i, chunk in enumerate(planned):
-                size = sum(len(pairs) for _, pairs in chunk)
-                assert size <= per_chunk or len(chunk) == 1
-                if i + 1 < len(planned):
-                    assert size + len(planned[i + 1][0][1]) > per_chunk
+        plan = jets_module._plan(rows, ca, cb, support_a, support_b)
+        assert (_planned_terms(plan) if plan else []) == want
 
 
 def test_supports_that_meet_in_no_kept_term_give_an_empty_plan():
@@ -480,9 +468,24 @@ def test_supports_that_meet_in_no_kept_term_give_an_empty_plan():
     beyond the truncation, and the product is an exact 0."""
     cube = Jet([0, 0, 0, 1], 4)
     support = jets_module._support(cube.coeffs)
-    assert jets_module._plan(5, 1, 1, 25, support, support) == (1, ())
+    assert jets_module._plan(5, 1, 1, support, support) is None
     assert _oracle_terms(5, 1, 1, support, support) == []
     assert not (cube * cube).coeffs.any()
+
+
+def test_one_plan_serves_every_batch_size():
+    """A product at batch 1 and at batch 10,000, with the same shape and
+    supports, builds one plan, and each batch element equals its own
+    unbatched product bit for bit."""
+    rng = np.random.default_rng(24)
+    a = _batched(rng, (10000,), order=4, eps_order=2)
+    b = _batched(rng, (10000,), order=4, eps_order=2)
+    jets_module._plan.cache_clear()
+    small = a[:1] * b[:1]
+    large = a * b
+    assert jets_module._plan.cache_info().misses == 1
+    assert small.coeffs.tobytes() == large.coeffs[:1].tobytes()
+    assert (a[7] * b[7]).coeffs.tobytes() == large.coeffs[7].tobytes()
 
 
 def test_repeated_commands_build_no_new_plan(tmp_path):

@@ -69,6 +69,21 @@ def test_product_plans_depend_on_structure_not_on_samples():
     assert plans_after(1).misses == first.misses
 
 
+def test_a_suite_named_more_than_once_runs_once(monkeypatch):
+    """Repeated names run each suite once, in the order first named."""
+    calls = []
+    for name in ("algebra", "group"):
+        def counted(cfg, name=name, suite=REGISTRY[name]):
+            calls.append(name)
+            return suite(cfg)
+        monkeypatch.setitem(REGISTRY, name, counted)
+    results = run_suites(_config(
+        suites=("group", "algebra", "group", "group"),
+        sample_counts={"group": 3}))
+    assert calls == ["group", "algebra"]
+    assert list(results) == ["group", "algebra"]
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ConfigError):
         run_suites(_config(suites=("algebra", "does_not_exist")))
