@@ -13,6 +13,14 @@ a density is expanded in it: field samples are multiplied by eps, and one
 evaluation yields every eps coefficient exactly (truncated Taylor
 arithmetic). Outside an expansion a jet is a polynomial in j alone.
 
+A jet stores only the leading block of its coefficients: the j rows and
+eps columns up to the highest grade and eps power its value reaches (a
+sample times eps is a block of at most two rows and two columns at any
+truncation). Every coefficient outside the block is exactly 0, and the
+truncation orders are attributes of the jet, so arithmetic allocates and
+multiplies blocks and its cost follows the degrees the values reach, not
+the truncation. :attr:`Jet.coeffs` is the full-shape view for readers.
+
 Batch axes hold independent jets: leading ones per spacetime point of a
 sampled configuration, per configuration of a stack or per group element,
 and trailing ones per field component (a gauge sample's ``a[..., k, mu]``,
@@ -62,15 +70,17 @@ class Jet:
     """Polynomials in j and eps with complex coefficients, truncated beyond
     j**order and eps**eps_order (0 outside an expansion).
 
-    coeffs[..., n, p] is the coefficient of j**n eps**p; the leading axes,
-    if any, are batch axes. Ring axioms hold exactly at fixed truncation
-    orders (up to floating point). A jet without eps terms is zero-padded
-    to the other operand's eps truncation, which is exact; any other
-    mismatch of truncation orders raises. A number, or an array of numbers
-    with the batch shape, acts as a constant jet.
+    block[..., n, p] is the coefficient of j**n eps**p over the block's
+    leading rows and columns, and every other coefficient up to the
+    truncation is 0; `coeffs` is the full array. The leading axes, if any,
+    are batch axes. Ring axioms hold exactly at fixed truncation orders
+    (up to floating point). A jet without eps terms is zero-padded to the
+    other operand's eps truncation, which is exact; any other mismatch of
+    truncation orders raises. A number, or an array of numbers with the
+    batch shape, acts as a constant jet.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("block", "order", "eps_order")
 
     #: numpy operands defer to Jet's own operators (``ndarray * Jet`` is a
     #: per-batch-element scaling, never an object array)
@@ -78,21 +88,23 @@ class Jet:
 
     def __init__(self, coeffs: Iterable, order: int = DEFAULT_ORDER,
                  eps_order: int = 0):
-        shape = (order + 1, eps_order + 1)
-        if (type(coeffs) is np.ndarray and coeffs.shape[-2:] == shape
-                and coeffs.dtype is _COMPLEX and not coeffs.flags.writeable):
-            # read-only coefficients are shared, never copied
-            self.coeffs = coeffs
-            return
-        c = np.array(coeffs if isinstance(coeffs, np.ndarray) else list(coeffs),
-                     dtype=complex)
-        if c.ndim < 2 or c.shape[-2:] != shape:
-            given = c.reshape(-1, 1) if c.ndim < 2 else c
-            c = np.zeros(given.shape[:-2] + shape, dtype=complex)
-            rows, cols = min(given.shape[-2], shape[0]), min(given.shape[-1], shape[1])
-            c[..., :rows, :cols] = given[..., :rows, :cols]
+        """A jet from its leading coefficients: a sequence of grades, or an
+        array whose last two axes are j rows and eps columns. The block is
+        stored as given, without rows or columns beyond the truncation;
+        read-only complex coefficients are shared, never copied."""
+        self.order, self.eps_order = order, eps_order
+        c = coeffs
+        if not (type(c) is np.ndarray and c.dtype is _COMPLEX and c.ndim >= 2
+                and not c.flags.writeable):
+            c = np.array(c if isinstance(c, np.ndarray) else list(c), dtype=complex)
+            if c.ndim < 2:
+                c = c.reshape(-1, 1)
+        if c.shape[-2] > order + 1 or c.shape[-1] > eps_order + 1:
+            c = c[..., :order + 1, :eps_order + 1]
+        if not c.shape[-2] or not c.shape[-1]:  # no coefficient: zero
+            c = np.zeros(c.shape[:-2] + (1, 1), dtype=complex)
         c.setflags(write=False)
-        self.coeffs = c
+        self.block = c
 
     # -- constructors -------------------------------------------------
 
@@ -114,28 +126,36 @@ class Jet:
     # -- structure ----------------------------------------------------
 
     @property
-    def order(self) -> int:
-        return self.coeffs.shape[-2] - 1
-
-    @property
-    def eps_order(self) -> int:
-        return self.coeffs.shape[-1] - 1
+    def coeffs(self) -> np.ndarray:
+        """The read-only coefficients at full shape, (..., order + 1,
+        eps_order + 1): coeffs[..., n, p] is the coefficient of j**n eps**p."""
+        block = self.block
+        rows, cols = block.shape[-2:]
+        shape = (self.order + 1, self.eps_order + 1)
+        if (rows, cols) == shape:
+            return block
+        full = np.zeros(block.shape[:-2] + shape, dtype=complex)
+        full[..., :rows, :cols] = block
+        full.setflags(write=False)
+        return full
 
     @property
     def batch_shape(self) -> Tuple[int, ...]:
-        return self.coeffs.shape[:-2]
+        return self.block.shape[:-2]
 
     def grade(self, n: int) -> "complex | np.ndarray":
         """Coefficient of j**n (at eps**0): a complex number, or an array
         of them over the batch axes."""
         if n > self.order:
             raise IndexError(f"grade {n} exceeds truncation order {self.order}")
-        value = self.coeffs[..., n, 0]
+        block = self.block
+        value = (block[..., n, 0] if n < block.shape[-2]
+                 else np.zeros(block.shape[:-2], dtype=complex))
         return complex(value) if value.ndim == 0 else value
 
     def mean(self) -> "Jet":
         """Average over the batch axes, coefficient by coefficient."""
-        c = self.coeffs
+        c = self.block
         return self._new(c.reshape((-1,) + c.shape[-2:]).mean(axis=0))
 
     def __getitem__(self, key) -> "Jet":
@@ -144,7 +164,7 @@ class Jet:
         key = key if isinstance(key, tuple) else (key,)
         if not any(k is Ellipsis for k in key):
             key += (Ellipsis,)
-        return self._new(self.coeffs[key + _COEFF_AXES])
+        return self._new(self.block[key + _COEFF_AXES])
 
     def _batch_axes(self, axis: "int | Tuple[int, ...]") -> Tuple[int, ...]:
         """Batch axes as non-negative axes of the coefficient array."""
@@ -153,50 +173,64 @@ class Jet:
 
     def sum(self, axis: "int | Tuple[int, ...]" = -1) -> "Jet":
         """Sum over one batch axis or a tuple of them."""
-        return self._new(self.coeffs.sum(axis=self._batch_axes(axis)))
+        return self._new(self.block.sum(axis=self._batch_axes(axis)))
 
     def swapaxes(self, a: int, b: int) -> "Jet":
         """Interchange two batch axes."""
         a, b = self._batch_axes((a, b))
-        return self._new(np.swapaxes(self.coeffs, a, b))
+        return self._new(np.swapaxes(self.block, a, b))
 
     # -- ring operations ----------------------------------------------
 
-    def _lift(self, other: "Jet | Scalar | np.ndarray") -> np.ndarray:
-        """Coefficients of an operand: a number or an array of numbers is
-        the constant jet at self's truncation orders."""
-        if isinstance(other, Jet):
-            return other.coeffs
-        value = np.asarray(other, dtype=complex)
-        c = np.zeros(value.shape + self.coeffs.shape[-2:], dtype=complex)
-        c[..., 0, 0] = value
-        return c
-
-    def _new(self, coeffs: np.ndarray) -> "Jet":
-        """Wrap a freshly computed complex coefficient array (taken over,
-        not copied, and not checked again)."""
-        coeffs.setflags(write=False)
+    def _new(self, block: np.ndarray, eps_order: "int | None" = None) -> "Jet":
+        """Wrap a freshly computed complex block at self's truncation orders
+        or at eps_order (taken over, not copied, and not checked again)."""
+        block.setflags(write=False)
         jet = Jet.__new__(Jet)
-        jet.coeffs = coeffs
+        jet.block = block
+        jet.order = self.order
+        jet.eps_order = self.eps_order if eps_order is None else eps_order
         return jet
 
-    def _combined(self, other: "Jet | Scalar | np.ndarray", op) -> "Jet":
-        """np.add or np.subtract of coefficients; an operand without eps
-        terms lands in the eps**0 column in place (a zero-padded copy of
-        it would be one more temporary the size of the result)."""
-        a, b = self.coeffs, self._lift(other)
-        if a.shape[-2] != b.shape[-2]:
+    def _eps_order(self, other: "Jet") -> int:
+        """eps truncation of a result of self and other: their truncation
+        orders must be equal, and so must their eps truncations unless one
+        has no eps terms."""
+        a, b = self.eps_order, other.eps_order
+        if other.order == self.order and (a == b or not a or not b):
+            return max(a, b)
+        if other.order != self.order:
             raise ValueError(f"incompatible truncation orders "
-                             f"{a.shape[-2] - 1} != {b.shape[-2] - 1}")
-        if a.shape[-1] == b.shape[-1]:
-            return self._new(op(a, b))
-        width = _product_width(a.shape[-1], b.shape[-1])
-        out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-                       + (width,), dtype=complex)
-        out[..., :a.shape[-1]] = a
-        narrow = out[..., :b.shape[-1]]
-        op(narrow, b, out=narrow)
-        return self._new(out)
+                             f"{self.order} != {other.order}")
+        raise ValueError(f"incompatible eps truncation orders {a} != {b}")
+
+    def _combined(self, other: "Jet | Scalar | np.ndarray", op) -> "Jet":
+        """np.add or np.subtract of coefficients. The result's block spans
+        both operands' blocks; a block smaller than the other is combined
+        into its corner in place (a zero-padded copy of it would be one more
+        temporary the size of the result). A number or an array of numbers
+        is a constant jet, a block of one coefficient."""
+        a = self.block
+        if isinstance(other, _NUMBERS):  # only the constant term changes
+            out = a.copy()
+            constant = out[..., :1, :1]
+            op(constant, other, out=constant)
+            return self._new(out)
+        if isinstance(other, Jet):
+            b, eps_order = other.block, self._eps_order(other)
+        else:
+            b = np.asarray(other, dtype=complex)[..., None, None]
+            eps_order = self.eps_order
+        if a.shape[-2:] == b.shape[-2:]:
+            return self._new(op(a, b), eps_order)
+        # np.broadcast_shapes takes twice as long on small operands
+        batch = np.broadcast(a[..., 0, 0], b[..., 0, 0]).shape
+        out = np.zeros(batch + (max(a.shape[-2], b.shape[-2]),
+                                max(a.shape[-1], b.shape[-1])), dtype=complex)
+        out[..., :a.shape[-2], :a.shape[-1]] = a
+        corner = out[..., :b.shape[-2], :b.shape[-1]]
+        op(corner, b, out=corner)
+        return self._new(out, eps_order)
 
     def __add__(self, other: "Jet | Scalar | np.ndarray") -> "Jet":
         return self._combined(other, np.add)
@@ -210,14 +244,16 @@ class Jet:
         return -self + other
 
     def __neg__(self) -> "Jet":
-        return self._new(-self.coeffs)
+        return self._new(-self.block)
 
     def __mul__(self, other: "Jet | Scalar | np.ndarray") -> "Jet":
         if isinstance(other, Jet):
-            return self._new(_product(self.coeffs, other.coeffs))
+            eps_order = self._eps_order(other)
+            return self._new(_product(self.block, other.block, self.order + 1,
+                                      eps_order + 1), eps_order)
         if not isinstance(other, _FACTORS):  # let other.__rmul__ try
             return NotImplemented
-        return self._new(self.coeffs * _factor(other))
+        return self._new(self.block * _factor(other))
 
     __rmul__ = __mul__
 
@@ -226,39 +262,52 @@ class Jet:
             return self * other.inv()
         if not isinstance(other, _FACTORS):
             return NotImplemented
-        return self._new(self.coeffs / _factor(other))
+        return self._new(self.block / _factor(other))
 
     def __rtruediv__(self, other: "Scalar | np.ndarray") -> "Jet":
         return self.inv() * other
 
     def conjugate(self) -> "Jet":
         """Coefficient-wise complex conjugation (j and eps stay real)."""
-        return self._new(np.conj(self.coeffs))
+        return self._new(np.conj(self.block))
 
     def _binomial(self, a0: np.ndarray, power: float) -> np.ndarray:
         """(self / a0) ** power from the binomial series in u = self/a0 - 1,
-        which is exact in the truncated ring: u**(order + eps_order + 1) = 0.
-        a0 holds the constant term of each batch element, shaped (..., 1, 1);
-        the series is summed by Horner's rule."""
-        u = self.coeffs / a0
+        summed by Horner's rule up to the last power of u that the
+        truncation keeps. a0 holds the constant term of each batch element,
+        shaped (..., 1, 1).
+
+        u**m is 0 once m times u's lowest grade exceeds order, m times its
+        lowest eps power exceeds eps_order, or m times its lowest total
+        degree exceeds order + eps_order; each is read off the support of u
+        over the whole batch. The series stops before that power, which is
+        exact: the terms it drops only ever meet truncated products, so
+        every kept coefficient sums the same pairs in the same order as a
+        series of full depth."""
+        u = self.block / a0
         u[..., 0, 0] = 0.0
-        result = np.zeros_like(u)
-        if not np.count_nonzero(u):  # a constant jet: every power of u is 0
-            result[..., 0, 0] = 1.0
-            return result
+        cols = u.shape[-1]
+        live = [divmod(i, cols) for i, nonzero in enumerate(_support(u)) if nonzero]
+        depth = 1  # a constant jet: every power of u is 0
+        if live:
+            grades, powers = zip(*live)
+            depth += min(top // low for top, low in (
+                (self.order, min(grades)), (self.eps_order, min(powers)),
+                (self.order + self.eps_order, min(map(sum, live)))) if low)
         series = [1.0]
-        for n in range(1, self.order + self.eps_order + 1):
+        for n in range(1, depth):
             series.append(series[-1] * (power - (n - 1)) / n)
+        result = np.zeros(u.shape[:-2] + (1, 1), dtype=complex)
         result[..., 0, 0] = series.pop()
         for coeff in reversed(series):
-            result = _product(u, result)
+            result = _product(u, result, self.order + 1, self.eps_order + 1)
             result[..., 0, 0] += coeff
         return result
 
     def inv(self) -> "Jet":
         """Multiplicative inverse; requires a nonzero constant term in every
         batch element."""
-        a0 = self.coeffs[..., :1, :1]
+        a0 = self.block[..., :1, :1]
         if (a0 == 0.0).any():
             raise ZeroConstantTerm(
                 "cannot invert a jet with zero constant term "
@@ -269,7 +318,7 @@ class Jet:
     def inv_sqrt(self) -> "Jet":
         """1/sqrt of the jet; requires a real, positive constant term in
         every batch element."""
-        a0 = self.coeffs[..., :1, :1]
+        a0 = self.block[..., :1, :1]
         for value in a0.ravel().tolist():
             if abs(value.imag) > EQ_TOL * max(1.0, abs(value)) or value.real <= 0.0:
                 raise NonPositiveConstantTerm(
@@ -280,10 +329,10 @@ class Jet:
     # -- misc ----------------------------------------------------------
 
     def allclose(self, other: "Jet | Scalar", tol: float = EQ_TOL) -> bool:
-        return bool(np.all(np.abs((self - other).coeffs) <= tol))
+        return bool(np.all(np.abs((self - other).block) <= tol))
 
     def max_abs_diff(self, other: "Jet | Scalar") -> float:
-        return float(np.max(np.abs((self - other).coeffs)))
+        return float(np.max(np.abs((self - other).block)))
 
     def to_json(self) -> list:
         """Serialize one jet in j alone as [[re, im], ...] by grade."""
@@ -299,8 +348,11 @@ class Jet:
 #: index of the two coefficient axes, after a key over the batch axes
 _COEFF_AXES = (slice(None), slice(None))
 
+#: operand types that act as one constant jet
+_NUMBERS = (int, float, complex, np.number)
+
 #: operand types that scale a jet's coefficients
-_FACTORS = (int, float, complex, np.number, np.ndarray)
+_FACTORS = _NUMBERS + (np.ndarray,)
 
 
 def _factor(value: "Scalar | np.ndarray"):
@@ -311,68 +363,69 @@ def _factor(value: "Scalar | np.ndarray"):
     return complex(value)
 
 
-def _product_width(a: int, b: int) -> int:
-    """eps columns of a result: equal widths, or a jet without eps terms."""
-    if a != b and min(a, b) != 1:
-        raise ValueError(f"incompatible eps truncation orders {a - 1} != {b - 1}")
-    return max(a, b)
-
-
 @functools.lru_cache(maxsize=None)
-def _pairs(rows: int, ca: int, cb: int) -> np.ndarray:
-    """Every coefficient pair of the dense truncated product of arrays with
-    `rows` j rows and ca, cb eps columns, as rows (left, right, term): the
-    flat (row-major j, eps) index of each pair into each operand and the
-    flat term it adds to, sorted by term and then by left index.
+def _pairs(block_a: Tuple[int, int], block_b: Tuple[int, int], rows: int,
+           cols: int) -> np.ndarray:
+    """Every coefficient pair of the truncated product of blocks of shapes
+    block_a and block_b, at `rows` j rows and `cols` eps columns, as rows
+    (left, right, n, p): the flat (row-major j, eps) index of each pair
+    into each block and the term j**n eps**p it adds to, sorted by term and
+    then by left index.
 
-    Term (n, p) takes left (k, q) and right (n - k, p - q) for k <= n and
-    0 <= p - q < cb; the grid over (n, p, k, q), flattened row-major, is
-    in that order, so no sort is needed. The two conditions are read from
-    step tables indexed by n - k and p - q: an integer comparison would
-    page in numpy code that no product runs."""
-    cols = _product_width(ca, cb)
-    n, p, k, q = np.ix_(range(rows), range(cols), range(rows), range(ca))
-    below = np.zeros(2 * rows - 1, dtype=bool)  # at n - k + rows - 1
-    below[rows - 1:] = True
-    within = np.zeros(ca + cols - 1, dtype=bool)  # at p - q + ca - 1
+    Term (n, p) takes left (k, q) and right (n - k, p - q) for (k, q) in
+    block_a and (n - k, p - q) in block_b; the grid over (n, p, k, q),
+    flattened row-major, is in that order, so no sort is needed. The two
+    conditions are read from step tables indexed by n - k and p - q: an
+    integer comparison would page in numpy code that no product runs."""
+    (ra, ca), (rb, cb) = block_a, block_b
+    grades, powers = min(ra + rb - 1, rows), min(ca + cb - 1, cols)
+    n, p, k, q = np.ix_(range(grades), range(powers), range(ra), range(ca))
+    below = np.zeros(grades + ra - 1, dtype=bool)  # at n - k + ra - 1
+    below[ra - 1:ra - 1 + rb] = True
+    within = np.zeros(powers + ca - 1, dtype=bool)  # at p - q + ca - 1
     within[ca - 1:ca - 1 + cb] = True
-    kept = below[n - k + rows - 1] & within[p - q + ca - 1]
+    kept = below[n - k + ra - 1] & within[p - q + ca - 1]
     table = np.stack([np.broadcast_to(index, kept.shape)[kept]
-                      for index in (k * ca + q, (n - k) * cb + (p - q),
-                                    n * cols + p)])
-    table.flags.writeable = False  # shared by every plan of the shape
+                      for index in (k * ca + q, (n - k) * cb + (p - q), n, p)])
+    table.flags.writeable = False  # shared by every plan of the shapes
     return table
 
 
 @functools.lru_cache(maxsize=256)
-def _plan(rows: int, ca: int, cb: int, support_a: bytes, support_b: bytes):
-    """Index plan of the truncated product of coefficient arrays with
-    `rows` j rows and ca, cb eps columns whose flat (j, eps) positions
-    outside support_a, support_b (one byte per position, row-major) are 0
-    in every batch element.
+def _plan(block_a: Tuple[int, int], block_b: Tuple[int, int], rows: int,
+          cols: int, support_a: bytes, support_b: bytes):
+    """Index plan of the truncated product, at `rows` j rows and `cols` eps
+    columns, of coefficient blocks of shapes block_a and block_b whose flat
+    (row-major j, eps) positions outside support_a, support_b (one byte per
+    position) are 0 in every batch element.
 
-    The shape's table of every pair (`_pairs`) is masked by the two
+    The shapes' table of every pair (`_pairs`) is masked by the two
     supports, which keeps its order: by term, then by left index, so each
     term is summed in the order of the dense plan. The plan is (left,
-    right, starts, terms): the pairs' indices into each operand, the
-    offset of each term's first pair and the flat terms it writes (a slice
-    when they are a run). A term with no pair is not written, so supports
-    that meet in no kept term give no plan (None). Full supports give the
-    dense plan."""
-    left, right, term = _pairs(rows, ca, cb)
+    right, starts, terms, shape): the pairs' indices into each block, the
+    offset of each term's first pair, and the flat terms it writes in a
+    result block of that shape, the smallest that holds them (None when
+    they are the whole block, a slice when they are a run). A term with no
+    pair is not written, so supports that meet in no kept term give no
+    plan (None)."""
+    left, right, n, p = _pairs(block_a, block_b, rows, cols)
     kept = (np.frombuffer(support_a, dtype=bool)[left]
             & np.frombuffer(support_b, dtype=bool)[right])
-    left, right, term = left[kept], right[kept], term[kept]
-    if not len(term):  # e.g. j**3 * j**3 at order 4
+    left, right, n, p = left[kept], right[kept], n[kept], p[kept]
+    if not len(n):  # e.g. j**3 * j**3 at order 4
         return None
+    shape = (int(n[-1]) + 1, max(p.tolist()) + 1)
+    term = n * shape[1] + p
     starts = np.flatnonzero(np.diff(term, prepend=-1))
     written = term[starts]
     for index in (left, right, starts, written):
         index.flags.writeable = False  # shared by every cached call
+    if len(written) == shape[0] * shape[1]:
+        written = None
     # a run of terms is written through a slice, 5x faster than an index
-    if written[-1] - written[0] == len(written) - 1:
+    elif written[-1] - written[0] == len(written) - 1:
         written = slice(int(written[0]), int(written[-1]) + 1)
-    return left, right, starts, written
+    return left, right, starts, written, shape
 
 
 def _support(coeffs: np.ndarray) -> bytes:
@@ -384,10 +437,12 @@ def _support(coeffs: np.ndarray) -> bytes:
     return nonzero.tobytes()
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated product of two coefficient arrays, broadcast over their
-    batch axes: each term gathers the coefficient pairs that multiply into
-    it, and np.add.reduceat sums them in the order of the dense plan.
+def _product(a: np.ndarray, b: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Truncated product of two coefficient blocks at `rows` j rows and
+    `cols` eps columns, broadcast over their batch axes: each term gathers
+    the coefficient pairs that multiply into it, and np.add.reduceat sums
+    them in the order of the dense plan. The result is the block of the
+    terms the plan writes.
 
     Only pairs whose two positions are in the operands' supports are
     multiplied; every skipped pair has a factor that is exactly 0 in every
@@ -395,23 +450,23 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     0 * inf or 0 * NaN pair is skipped (fields.COUPLING_MAGNITUDES keeps
     sampled values finite), while a NaN still spoils every term where it
     meets a nonzero coefficient."""
-    rows, ca, cb = a.shape[-2], a.shape[-1], b.shape[-1]
-    if b.shape[-2] != rows:
-        raise ValueError(f"incompatible truncation orders {rows - 1} != "
-                         f"{b.shape[-2] - 1}")
-    # np.broadcast_shapes takes twice as long on small operands
-    batch = np.broadcast(a[..., 0, 0], b[..., 0, 0]).shape
-    cols = _product_width(ca, cb)
-    out = np.zeros(batch + (rows * cols,), dtype=complex)
     support_a, support_b = _support(a), _support(b)
     # a zero operand has no pairs: it looks up no plan
     plan = (1 in support_a and 1 in support_b
-            and _plan(rows, ca, cb, support_a, support_b))
-    if plan:
-        left, right, starts, terms = plan
-        out[..., terms] = np.add.reduceat(
-            _gather(a, left) * _gather(b, right), starts, axis=-1)
-    return out.reshape(batch + (rows, cols))
+            and _plan(a.shape[-2:], b.shape[-2:], rows, cols,
+                      support_a, support_b))
+    if not plan:
+        # np.broadcast_shapes takes twice as long on small operands
+        batch = np.broadcast(a[..., 0, 0], b[..., 0, 0]).shape
+        return np.zeros(batch + (1, 1), dtype=complex)
+    left, right, starts, terms, shape = plan
+    sums = np.add.reduceat(_gather(a, left) * _gather(b, right), starts, axis=-1)
+    batch = sums.shape[:-1]
+    if terms is not None:
+        out = np.zeros(batch + (shape[0] * shape[1],), dtype=complex)
+        out[..., terms] = sums
+        sums = out
+    return sums.reshape(batch + shape)
 
 
 def _gather(coeffs: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -422,16 +477,30 @@ def _gather(coeffs: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def stack(items: Sequence[Jet], axis: int = -1) -> Jet:
-    """Jets of one coefficient shape stacked on a new batch axis."""
+    """Jets of one batch shape and truncation stacked on a new batch axis;
+    blocks of different shapes are zero-padded to the largest rows and
+    columns in the one allocation of the result."""
     first = items[0]
-    shape = first.coeffs.shape
-    if not -len(shape) + 1 <= axis <= len(shape) - 2:
-        raise IndexError(f"axis {axis} is not a batch axis of a stack of {shape[:-2]}")
-    if any(x.coeffs.shape != shape for x in items):
-        raise ValueError("stacked jets need equal batch shapes, truncation orders and eps "
-                         f"truncation, not {sorted({x.coeffs.shape for x in items})}")
-    return first._new(np.stack([x.coeffs for x in items],
-                               axis=axis if axis >= 0 else axis - 2))
+    batch = first.batch_shape
+    if not -len(batch) - 1 <= axis <= len(batch):
+        raise IndexError(f"axis {axis} is not a batch axis of a stack of {batch}")
+    if any(x.batch_shape != batch or x.order != first.order
+           or x.eps_order != first.eps_order for x in items):
+        raise ValueError(
+            "stacked jets need equal batch shapes, truncation orders and eps "
+            f"truncation, not {sorted({(x.batch_shape, x.order, x.eps_order) for x in items})}")
+    blocks = [x.block for x in items]
+    axis %= len(batch) + 1
+    rows = max(block.shape[-2] for block in blocks)
+    cols = max(block.shape[-1] for block in blocks)
+    if all(block.shape[-2:] == (rows, cols) for block in blocks):
+        return first._new(np.stack(blocks, axis))
+    out = np.zeros(batch[:axis] + (len(blocks),) + batch[axis:] + (rows, cols),
+                   dtype=complex)
+    for i, block in enumerate(blocks):
+        out[(slice(None),) * axis + (i, Ellipsis, slice(block.shape[-2]),
+                                     slice(block.shape[-1]))] = block
+    return first._new(out)
 
 
 def jparam(order: int = DEFAULT_ORDER, jval: float | None = None) -> Jet:

@@ -31,6 +31,9 @@ from .group import PAULI
 _SIGMA = np.stack((np.eye(2),) + PAULI, axis=-1)
 _SIGMA_TILDE = _SIGMA * np.array([1.0, -1.0, -1.0, -1.0])
 
+#: the (mu, nu) index pairs with mu < nu
+_UPPER = np.triu_indices(4, 1)
+
 
 def _su2_matrix(x: Jet, axis: int) -> Jet:
     """(i/2) sum_k x^k tau_k from the constant Pauli matrices: the su(2)
@@ -65,16 +68,13 @@ def stress_tensors(gs: GaugeSample, c: Couplings, k: "int | np.ndarray") -> Jet:
 
 
 def lagrangian_gauge(gs: GaugeSample, c: Couplings) -> Jet:
-    """-1/4 sum_k (F^k)^2 - 1/4 B^2 (component form, normative), one su(2)
-    direction at a time: the whole (..., 3, 4, 4) field strength is never
-    held (at the expand command's 16 points and order 8 it would raise
-    the process's peak memory by about a tenth)."""
-    total = 0.0
-    for k in range(3):
-        F = stress_tensors(gs, c, k)
-        total = total + (F * F).sum((-2, -1))
-    B = gs.db - gs.db.swapaxes(-1, -2)
-    return -0.25 * (total + (B * B).sum((-2, -1)))
+    """-1/4 sum_k (F^k)^2 - 1/4 B^2 (component form, normative), as -1/2
+    the sum over the mu < nu entries of the antisymmetric tensors: the
+    diagonal is exactly 0 and each entry below it is exactly minus its
+    mirror, so the squares of 6 entries in 16 carry the whole sum."""
+    F = stress_tensors(gs, c, np.arange(3))[..., _UPPER[0], _UPPER[1]]
+    B = (gs.db - gs.db.swapaxes(-1, -2))[..., _UPPER[0], _UPPER[1]]
+    return -0.5 * ((F * F).sum(-1).sum(-1) + (B * B).sum(-1))
 
 
 def lagrangian_gauge_trace(gs: GaugeSample, c: Couplings) -> Jet:
@@ -135,30 +135,24 @@ def lagrangian_phi(phi: Jet, dphi: Jet, gs: GaugeSample, c: Couplings) -> Jet:
 
 def covariant_derivative_psi(ps: PsiSample, gs: GaugeSample, c: Couplings) -> Jet:
     """D_mu psi_k = d_mu psi_k + g sum_a X_a(psi)_k A^a_mu + g' X_Y(psi)_k B_mu
-    as D[..., k, mu] (component form, normative), one generator at a time:
-    a contraction over all four raises expand's traced peak by a third."""
+    as D[..., k, mu] (component form, normative)."""
     X = generator_vector_fields(ps.psi)
-    d = ps.dpsi
-    for a in range(4):
-        field = c.g * gs.a[..., a, :] if a < 3 else c.gp * gs.b
-        d = d + X[..., a, :, None] * field[..., None, :]
-    return d
+    su2 = (X[..., :3, :, None] * (c.g * gs.a)[..., :, None, :]).sum(-3)
+    return ps.dpsi + su2 + X[..., 3, :, None] * (c.gp * gs.b)[..., None, :]
 
 
 def lagrangian_psi(ps: PsiSample, gs: GaugeSample, c: Couplings) -> Jet:
     """(R^2/2) sum_kl g_kl D psi_k D psi_l (metric form, normative) with the
     sphere metric in intrinsic coordinates
     g_kl = [(1 + psi^2) delta_kl - psi_k psi_l] / (1 + psi^2)^2,
-    evaluated on graded values (reproducing the displayed j-pattern) and
-    contracted one metric row at a time; the closed rational form
-    lagrangian_psi_closed must agree grade-wise."""
+    evaluated on graded values (reproducing the displayed j-pattern); the
+    closed rational form lagrangian_psi_closed must agree grade-wise."""
     d = covariant_derivative_psi(ps, gs, c)
     v = ps.psi
     s = 1.0 + (v * v).sum(-1)
-    total = 0.0
-    for k in range(3):
-        row = s[..., None] * np.eye(3)[k] - v[..., k, None] * v  # (1 + psi^2)^2 g_kl
-        total = total + ((row[..., None] * d).sum(-2) * d[..., k, :]).sum(-1)
+    # (1 + psi^2)^2 g_kl
+    metric = s[..., None, None] * np.eye(3) - v[..., :, None] * v[..., None, :]
+    total = ((metric[..., None] * d[..., None, :, :]).sum(-2) * d).sum((-2, -1))
     return 0.5 * c.R**2 * (total * (s * s).inv())
 
 

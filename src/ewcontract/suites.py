@@ -118,8 +118,10 @@ MAX_SAMPLE_COUNT = 10000
 
 #: samples a sampled check evaluates at once: the one bound on its memory,
 #: which does not grow with its sample count. At 10,000 samples (2-vCPU
-#: host) `invariance` peaked at 116 MiB with chunks of 1,000, 76 with 500
-#: and 57 with 250, and 250 ran `coordinate` about 6 % slower than 500
+#: host) `invariance` peaked at 69 MiB, `coordinate` at 49 and `fermion`
+#: at 42 with chunks of 500; with dense coefficient arrays `invariance`
+#: peaked at 116 MiB with chunks of 1,000, 76 with 500 and 57 with 250,
+#: and 250 ran `coordinate` about 6 % slower than 500
 CONFIG_CHUNK = 500
 
 

@@ -417,59 +417,84 @@ def test_a_zero_operand_makes_an_exact_zero_product_without_a_plan():
     assert jets_module._plan.cache_info() == before
 
 
-def _oracle_terms(rows, ca, cb, support_a, support_b):
-    """Brute-force plan: per flat term n * cols + p, in term order, its
-    coefficient pairs (i, k) inside the supports, by left index i."""
-    cols = max(ca, cb)
+def _oracle_terms(block_a, block_b, rows, cols, support_a, support_b):
+    """Brute-force plan of blocks of shapes block_a, block_b at rows j rows
+    and cols eps columns: per term (n, p), in term order, its coefficient
+    pairs (i, k) inside the supports, by left index i."""
+    (ra, ca), (rb, cb) = block_a, block_b
     terms = []
     for n in range(rows):
         for p in range(cols):
             pairs = [(k * ca + q, (n - k) * cb + (p - q))
-                     for k in range(n + 1)
-                     for q in range(max(0, p - cb + 1), min(p, ca - 1) + 1)]
+                     for k in range(min(n, ra - 1) + 1)
+                     for q in range(min(p, ca - 1) + 1)
+                     if n - k < rb and p - q < cb]
             pairs = [(i, k) for i, k in pairs if support_a[i] and support_b[k]]
             if pairs:
-                terms.append((n * cols + p, pairs))
+                terms.append(((n, p), pairs))
     return terms
 
 
 def _planned_terms(plan):
-    """A plan as a list of (term, pairs), in the order it sums them."""
-    left, right, starts, written = plan
+    """A plan as a list of ((n, p), pairs), in the order it sums them."""
+    left, right, starts, written, (rows, cols) = plan
     for index in (left, right, starts):
         assert not index.flags.writeable
-    if isinstance(written, slice):
+    if written is None:
+        written = np.arange(rows * cols)
+    elif isinstance(written, slice):
         written = np.arange(written.start, written.stop)
     else:
         assert not written.flags.writeable
     ends = list(starts[1:]) + [len(left)]
-    return [(int(t), list(zip(left[s:e].tolist(), right[s:e].tolist())))
+    return [(divmod(int(t), cols), list(zip(left[s:e].tolist(), right[s:e].tolist())))
             for t, s, e in zip(written, starts, ends)]
 
 
-PLAN_SHAPES = [(5, 1, 1), (5, 1, 3), (5, 2, 2), (5, 3, 3), (5, 4, 4),
-               (9, 1, 7), (9, 7, 7)]
+#: (block_a, block_b, rows, cols): full blocks, and blocks smaller than
+#: the truncation, as a sample times eps or a constant has
+PLAN_SHAPES = [((5, 1), (5, 1), 5, 1), ((5, 1), (5, 3), 5, 3),
+               ((5, 2), (5, 2), 5, 2), ((5, 3), (5, 3), 5, 3),
+               ((5, 4), (5, 4), 5, 4), ((9, 1), (9, 7), 9, 7),
+               ((9, 7), (9, 7), 9, 7), ((2, 2), (2, 2), 9, 7),
+               ((2, 2), (9, 7), 9, 7), ((1, 2), (3, 1), 5, 3),
+               ((3, 3), (4, 2), 5, 3), ((1, 1), (2, 2), 5, 3)]
 
 
-@pytest.mark.parametrize("rows,ca,cb", PLAN_SHAPES)
-def test_plan_matches_the_brute_force_enumeration(rows, ca, cb):
-    """Every pair of a plan, in the brute-force order within each term."""
-    rng = np.random.default_rng(rows * 100 + ca * 10 + cb)
+def _plan_id(shapes):
+    """rows-ca-cb for blocks of full height, as the dense plans were named."""
+    (ra, ca), (rb, cb), rows, cols = shapes
+    if ra == rb == rows:
+        return f"{rows}-{ca}-{cb}"
+    return f"{ra}x{ca}-{rb}x{cb}-{rows}-{cols}"
+
+
+@pytest.mark.parametrize("block_a,block_b,rows,cols", PLAN_SHAPES,
+                         ids=[_plan_id(shapes) for shapes in PLAN_SHAPES])
+def test_plan_matches_the_brute_force_enumeration(block_a, block_b, rows, cols):
+    """Every pair of a plan, in the brute-force order within each term, and
+    a result block that is the smallest holding every written term."""
+    rng = np.random.default_rng(sum(block_a) * 100 + sum(block_b) * 10 + cols)
     for density in (0.2, 0.5, 1.0):
-        support_a = (rng.random(rows * ca) < density).astype(np.uint8).tobytes()
-        support_b = (rng.random(rows * cb) < density).astype(np.uint8).tobytes()
-        want = _oracle_terms(rows, ca, cb, support_a, support_b)
-        plan = jets_module._plan(rows, ca, cb, support_a, support_b)
+        support_a = (rng.random(block_a) < density).astype(np.uint8).tobytes()
+        support_b = (rng.random(block_b) < density).astype(np.uint8).tobytes()
+        want = _oracle_terms(block_a, block_b, rows, cols, support_a, support_b)
+        plan = jets_module._plan(block_a, block_b, rows, cols,
+                                 support_a, support_b)
         assert (_planned_terms(plan) if plan else []) == want
+        if plan:
+            assert plan[-1] == (max(n for (n, _), _ in want) + 1,
+                                max(p for (_, p), _ in want) + 1)
 
 
 def test_supports_that_meet_in_no_kept_term_give_an_empty_plan():
     """j**3 * j**3 at order 4: both operands are nonzero, every pair lands
     beyond the truncation, and the product is an exact 0."""
     cube = Jet([0, 0, 0, 1], 4)
-    support = jets_module._support(cube.coeffs)
-    assert jets_module._plan(5, 1, 1, support, support) is None
-    assert _oracle_terms(5, 1, 1, support, support) == []
+    assert cube.block.shape == (4, 1)
+    support = jets_module._support(cube.block)
+    assert jets_module._plan((4, 1), (4, 1), 5, 1, support, support) is None
+    assert _oracle_terms((4, 1), (4, 1), 5, 1, support, support) == []
     assert not (cube * cube).coeffs.any()
 
 
@@ -513,9 +538,9 @@ def test_inverses_of_constant_jets_make_no_product(monkeypatch):
     constant = Jet(one * a0, 4, 2)
     product, calls = jets_module._product, []
 
-    def counting(a, b):
+    def counting(a, b, rows, cols):
         calls.append(1)
-        return product(a, b)
+        return product(a, b, rows, cols)
 
     monkeypatch.setattr(jets_module, "_product", counting)
     assert constant.inv().coeffs.tobytes() == (one / a0).tobytes()
@@ -524,6 +549,131 @@ def test_inverses_of_constant_jets_make_no_product(monkeypatch):
     assert not calls
     (constant + _batched(rng, (3,), order=4, eps_order=2)).inv()
     assert len(calls) == 6  # order + eps_order Horner products
+
+
+def _full_depth(jet, power):
+    """jet ** power for power -1 or -1/2, as inv and inv_sqrt compute it but
+    by Horner's rule over every power of u = jet/a0 - 1 up to order +
+    eps_order, the depth that never reads u's support."""
+    a0 = jet.block[..., :1, :1]
+    a0 = a0 if power == -1.0 else a0.real
+    u = jet.block / a0
+    u[..., 0, 0] = 0.0
+    series = [1.0]
+    for n in range(1, jet.order + jet.eps_order + 1):
+        series.append(series[-1] * (power - (n - 1)) / n)
+    result = np.full(u.shape[:-2] + (1, 1), series.pop(), dtype=complex)
+    for coeff in reversed(series):
+        result = jets_module._product(u, result, jet.order + 1, jet.eps_order + 1)
+        result[..., 0, 0] += coeff
+    result = result / a0 if power == -1.0 else result * a0 ** -0.5
+    return Jet(result, jet.order, jet.eps_order)
+
+
+def test_series_stop_at_the_first_power_of_u_that_vanishes(monkeypatch):
+    """1 + eps**2 w at eps_order 6: u**4 carries eps**8, so inv and inv_sqrt
+    sum u, u**2 and u**3 with three Horner products each, not order +
+    eps_order = 10, and give the full-depth series bit for bit."""
+    rng = np.random.default_rng(25)
+    coeffs = np.zeros((3, 5, 7), dtype=complex)
+    coeffs[:, 0, 0] = 1.0
+    coeffs[:, :, 2] = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    jet, real = Jet(coeffs, 4, 6), Jet(coeffs.real + 0j, 4, 6)
+    product, calls = jets_module._product, []
+
+    def counting(a, b, rows, cols):
+        calls.append(1)
+        return product(a, b, rows, cols)
+
+    monkeypatch.setattr(jets_module, "_product", counting)
+    inv, inv_sqrt = jet.inv(), real.inv_sqrt()
+    assert len(calls) == 6
+    monkeypatch.undo()
+    assert inv.coeffs.tobytes() == _full_depth(jet, -1.0).coeffs.tobytes()
+    assert inv_sqrt.coeffs.tobytes() == _full_depth(real, -0.5).coeffs.tobytes()
+
+
+#: positions of u = jet/a0 - 1 that may be nonzero, by j row and eps column
+VALUATIONS = {"dense": (slice(None), slice(None)),
+              "eps": (slice(None), slice(1, 2)), "eps2": (slice(None), slice(2, 3)),
+              "fiber": (slice(1, None), slice(None)),
+              "fiber2_eps": (slice(2, None), slice(1, None))}
+
+
+@pytest.mark.parametrize("pattern", sorted(VALUATIONS))
+@pytest.mark.parametrize("order,eps_order", [(4, 0), (4, 2), (8, 6)])
+def test_short_series_equal_the_full_depth_series_bit_for_bit(
+        pattern, order, eps_order):
+    rng = np.random.default_rng(order * 10 + eps_order)
+    shape = (4, order + 1, eps_order + 1)
+    where = (slice(None),) + VALUATIONS[pattern]
+    coeffs = np.zeros(shape, dtype=complex)
+    coeffs[where] = (rng.normal(size=shape) + 1j * rng.normal(size=shape))[where]
+    coeffs[:, 0, 0] = rng.uniform(0.5, 2.0, size=4)
+    jet, real = Jet(coeffs, order, eps_order), Jet(coeffs.real + 0j, order, eps_order)
+    assert jet.inv().coeffs.tobytes() == _full_depth(jet, -1.0).coeffs.tobytes()
+    assert real.inv_sqrt().coeffs.tobytes() == _full_depth(
+        real, -0.5).coeffs.tobytes()
+
+
+def _trimmed(jet):
+    """The jet stored as the smallest leading block that holds every
+    coefficient that is nonzero in some batch element."""
+    nonzero = jet.coeffs.reshape((-1,) + jet.coeffs.shape[-2:]).any(axis=0)
+    rows = max(np.flatnonzero(nonzero.any(axis=1)), default=0) + 1
+    cols = max(np.flatnonzero(nonzero.any(axis=0)), default=0) + 1
+    return Jet(jet.coeffs[..., :rows, :cols], jet.order, jet.eps_order)
+
+
+def _assert_full_view(jet, want):
+    """coeffs is the full, read-only coefficient array and equals want; the
+    stored block lies inside the truncation."""
+    coeffs = jet.coeffs
+    assert coeffs.shape == jet.batch_shape + (jet.order + 1, jet.eps_order + 1)
+    assert not coeffs.flags.writeable
+    assert coeffs.shape == want.shape
+    assert np.array_equal(coeffs, want)
+    assert jet.block.shape[-2] <= jet.order + 1
+    assert jet.block.shape[-1] <= jet.eps_order + 1
+
+
+def _batch_key(key):
+    key = key if isinstance(key, tuple) else (key,)
+    if not any(k is Ellipsis for k in key):
+        key += (Ellipsis,)
+    return key + (slice(None), slice(None))
+
+
+@given(batched_jets(), batched_jets(), jets())
+@settings(max_examples=25, deadline=None)
+def test_blocks_read_as_their_dense_coefficients(x, y, plain):
+    """With each operand of the product test's zero patterns stored as its
+    smallest block, +, -, *, sum, indexing and stack give full-shape,
+    read-only coeffs equal to the same operations on dense coefficients (a
+    product bit for bit, since it multiplies the same pairs in the same
+    order), and a product stores the block of the terms it writes."""
+    for a_zeros, b_zeros in ZERO_PATTERNS:
+        a, b = _trimmed(_sparse(x, a_zeros)), _trimmed(_sparse(y, b_zeros))
+        A, B = a.coeffs, b.coeffs
+        dense_a, dense_b = Jet(A, 4, 2), Jet(B, 4, 2)
+        _assert_full_view(a + b, A + B)
+        _assert_full_view(a - b, A - B)
+        _assert_full_view(a + plain, (dense_a + plain).coeffs)
+        _assert_full_view(1.5 - a, (1.5 - dense_a).coeffs)
+        product = a * b
+        _assert_full_view(product, (dense_a * dense_b).coeffs)
+        _assert_full_view(a * plain, (dense_a * plain).coeffs)
+        support = [c.reshape((-1, 5, 3)).any(axis=0).astype(float) for c in (A, B)]
+        live = np.argwhere(_naive_product(*support) != 0)
+        assert product.block.shape[-2:] == (
+            tuple(live.max(axis=0) + 1) if len(live) else (1, 1))
+        for axis, axes in ((0, 0), (-1, 1), ((0, 1), (0, 1))):
+            _assert_full_view(a.sum(axis), A.sum(axis=axes))
+        for key in BATCH_KEYS:
+            _assert_full_view(a[key], A[_batch_key(key)])
+        for axis in (0, -1, -3):
+            _assert_full_view(stack([a, b, a], axis),
+                              np.stack([A, B, A], axis=axis if axis >= 0 else axis - 2))
 
 
 def _element(jet, i):

@@ -11,6 +11,7 @@ from ewcontract.fields import (
     GaugeConfig,
     PlaneWave,
     PsiConfig,
+    generator_vector_fields,
     infinitesimal_gauge_transform,
     phi_from_psi,
     phi_jacobian,
@@ -118,6 +119,56 @@ def test_coordinate_equivalence_of_matter_densities():
             / scale
             <= 1e-12
         )
+
+
+def _gauge_one_direction_at_a_time(gs, c):
+    total = 0.0
+    for k in range(3):
+        F = stress_tensors(gs, c, k)
+        total = total + (F * F).sum((-2, -1))
+    B = gs.db - gs.db.swapaxes(-1, -2)
+    return -0.25 * (total + (B * B).sum((-2, -1)))
+
+
+def _covariant_derivative_one_generator_at_a_time(ps, gs, c):
+    X = generator_vector_fields(ps.psi)
+    d = ps.dpsi
+    for a in range(4):
+        field = c.g * gs.a[..., a, :] if a < 3 else c.gp * gs.b
+        d = d + X[..., a, :, None] * field[..., None, :]
+    return d
+
+
+def _psi_one_metric_row_at_a_time(ps, gs, c):
+    d = _covariant_derivative_one_generator_at_a_time(ps, gs, c)
+    v = ps.psi
+    s = 1.0 + (v * v).sum(-1)
+    total = 0.0
+    for k in range(3):
+        row = s[..., None] * np.eye(3)[k] - v[..., k, None] * v
+        total = total + ((row[..., None] * d).sum(-2) * d[..., k, :]).sum(-1)
+    return 0.5 * c.R**2 * (total * (s * s).inv())
+
+
+@pytest.mark.parametrize("order,scale", [(ORDER, None), (8, Jet([[0.0, 1.0]], 8, 6))])
+def test_contractions_match_their_loops(order, scale):
+    """lagrangian_gauge, covariant_derivative_psi and lagrangian_psi contract
+    every su(2) direction, generator and metric row in one broadcast; loops
+    over them, as plain jets and at the expand command's shape, sum the
+    same terms in another order, so they agree to round-off: 1e-14 of the
+    largest coefficient, about 45 units in the last place."""
+    rng = np.random.default_rng(25)
+    gauge, psicfg = random_bosonic_config(rng)
+    x = rng.uniform(-1.0, 1.0, size=(16, 4))
+    gs = sample_gauge(gauge, x, order, scale=scale)
+    ps = sample_psi(psicfg, x, order, scale=scale)
+    for got, want in (
+            (lagrangian_gauge(gs, COUPLINGS), _gauge_one_direction_at_a_time(gs, COUPLINGS)),
+            (covariant_derivative_psi(ps, gs, COUPLINGS),
+             _covariant_derivative_one_generator_at_a_time(ps, gs, COUPLINGS)),
+            (lagrangian_psi(ps, gs, COUPLINGS), _psi_one_metric_row_at_a_time(ps, gs, COUPLINGS))):
+        assert got.coeffs.shape == want.coeffs.shape
+        assert got.max_abs_diff(want) <= 1e-14 * np.abs(want.coeffs).max()
 
 
 def _complex_waves(rng):

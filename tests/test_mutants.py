@@ -46,7 +46,7 @@ MUTANTS = [
     ("t2_sign", fields, "_HALF_SIGN", abs,
      ("invariance", "coordinate", "quadratic", "cubic")),
     ("sphere_metric_without_psi_psi", lagrangian, "lagrangian_psi",
-     _edit(" - v[..., k, None] * v", ""), ("invariance", "coordinate")),
+     _edit(" - v[..., :, None] * v[..., None, :]", ""), ("invariance", "coordinate")),
     ("sphere_radius_off_by_1e-7", fields, "phi_from_psi",
      _edit("r = R * s", "r = R * (1.0 + 1.0e-7) * s"), ("coordinate", "fermion")),
     ("phi_1_hypercharge_sign", lagrangian, "covariant_derivative_phi",

@@ -199,11 +199,13 @@ def test_quadratic_coefficient_matches_diagonalized_form():
 def test_expand_shaped_evaluation_stays_small(monkeypatch):
     """One evaluation of the expand command's shape (seed 0, n 6, order 8,
     16 points) takes a few dozen jets and products, because component
-    indices are batch axes of a few jets, and never holds the whole
-    (16, 3, 4, 4) field strength: that alone peaks at about 5.4 MiB, the
-    per-direction contraction at about 3 MiB. Its products gather about
-    50,000 coefficients, because every sample is eps times a value and
-    fiber fields start at grade 1; dense products would gather 6,168,960."""
+    indices are batch axes of a few jets. A jet stores only the block of
+    coefficients its value reaches (a sample times eps is at most 2 x 2 of
+    the 9 x 7 truncation), so the evaluation, the whole (16, 3, 4, 4) field
+    strength included, peaks at about 0.9 MiB; with every jet a dense
+    9 x 7 array it peaked at 2.6 MiB. Its products gather about 65,000
+    coefficients, because every sample is eps times a value and fiber
+    fields start at grade 1; dense products would gather 6,168,960."""
     gauge, psi = random_bosonic_config(np.random.default_rng(0))
     evaluator = bosonic_density_evaluator(
         gauge, psi, Couplings(**DEFAULT_COUPLINGS), halton_points(seed=0), 8)
@@ -237,7 +239,7 @@ def test_expand_shaped_evaluation_stays_small(monkeypatch):
     assert counts["products"] <= 60
     assert counts["jets"] <= 200
     assert counts["gathered"] <= 100_000
-    assert peak <= 4 * 2**20
+    assert peak <= 2 * 2**20
 
 
 def test_mass_spectrum_closed_formulas():
