@@ -10,15 +10,17 @@ contracted model emerge from the ring arithmetic. Samples can also be
 multiplied by the field-scale variable eps of the ring, which expands a
 density in the amplitude of its fields.
 
-Each slot of a configuration is one field whose parameters carry its
-component indices on trailing axes, A^k_mu over (3, 4), B_mu and eps over
-(4,), psi over (3,) and each lepton spinor over (2,); a sample holds one
-jet per slot with the same axes: ``a[..., k, mu]`` is A^k_mu and
+A configuration is one PlaneWave whose parameters carry its component
+indices on trailing axes: the gauge field over (A^1, A^2, A^3, B) x mu,
+shape (4, 4); the sphere coordinates psi, shape (3,); the leptons over
+(e_l, nu_l, e_r) x spinor, shape (3, 2); and the gauge parameters
+(eps_1, eps_2, eps_3, eps_Y), shape (4,). A sample holds one jet per
+field with the same axes: ``a[..., k, mu]`` is A^k_mu and
 ``da[..., k, mu, nu]`` is d_mu A^k_nu. The leading axes are the points:
 samplers take one spacetime point, shape (4,), or an array of points,
 shape (N, 4), and a sample at N points has leading batch shape (N,), so a
 density evaluated on it is the density at every point at once. Leading
-configuration axes of field parameters, before the component axes,
+configuration axes of a wave's parameters, before the component axes,
 broadcast against those of the points, so :func:`stack_configs` of N
 configurations sampled at (N, 4) points pairs configuration i with point
 i, and one configuration at (16, 4) points is that configuration at 16
@@ -34,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, TypeVar
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -132,69 +134,11 @@ class Couplings:
         return math.hypot(self.g, self.gp)
 
 
-@dataclass(frozen=True)
-class GaugeConfig:
-    """A^k_mu over components (3, 4), k the su(2) direction, and B_mu."""
-
-    A: PlaneWave
-    B: PlaneWave
-
-    @classmethod
-    def zero(cls) -> "GaugeConfig":
-        return cls(constant(np.zeros((3, 4))), constant(np.zeros(4)))
-
-    def fiber_scaled(self, s: float) -> "GaugeConfig":
-        """Rescale the fiber directions A^1, A^2 only."""
-        return GaugeConfig(self.A.scaled(np.array([[s], [s], [1.0]])), self.B)
-
-
-@dataclass(frozen=True)
-class PsiConfig:
-    """The three intrinsic sphere coordinates as spacetime fields."""
-
-    psi: PlaneWave
-
-    @classmethod
-    def zero(cls) -> "PsiConfig":
-        return cls(constant(np.zeros(3)))
-
-
-@dataclass(frozen=True)
-class FermionConfig:
-    """Lepton fields: the doublet (e_l, nu_l) and the singlet e_r, each a
-    2-component Lorentz spinor."""
-
-    e_l: PlaneWave
-    nu_l: PlaneWave
-    e_r: PlaneWave
-
-
-@dataclass(frozen=True)
-class EpsConfig:
-    """Gauge-variation parameter fields (eps_1, eps_2, eps_3, eps_Y)."""
-
-    eps: PlaneWave
-
-
-Config = TypeVar("Config")
-
-
-def stack_configs(configs: Sequence[Config]) -> Config:
-    """One configuration whose field parameters carry a leading axis, item
-    i being configs[i]: GaugeConfig, PsiConfig, FermionConfig or
-    EpsConfig. The configurations must be of one type, with parameters of
-    one shape slot by slot."""
-    first = configs[0]
-    if any(type(cfg) is not type(first) for cfg in configs):
-        raise ValueError("stacked configurations differ in type")
-    parts = []
-    for f in dataclasses.fields(first):
-        values = [getattr(cfg, f.name) for cfg in configs]
-        if dataclasses.is_dataclass(values[0]):
-            parts.append(stack_configs(values))
-        else:
-            parts.append(np.array(values))
-    return type(first)(*parts)
+def stack_configs(configs: Sequence[PlaneWave]) -> PlaneWave:
+    """One configuration whose parameters carry a leading axis, item i
+    being configs[i]; the configurations must be waves of one shape."""
+    return PlaneWave(*(np.array([getattr(cfg, f.name) for cfg in configs])
+                       for f in dataclasses.fields(PlaneWave)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,46 +189,49 @@ class FermionSample:
     d_er: Jet
 
 
-def sample_gauge(cfg: GaugeConfig, x: Vec4, order: int = DEFAULT_ORDER,
+def sample_gauge(cfg: PlaneWave, x: Vec4, order: int = DEFAULT_ORDER,
                  jval: Optional[float] = None,
                  scale: Optional[Jet] = None) -> GaugeSample:
-    """Sample with the contraction substitution A^1 -> jA^1, A^2 -> jA^2
-    applied (A^3 and B stay in the base); an eps jet `scale` multiplies
-    every sampled value, B included. A points array x of shape (N, 4)
-    gives jets with leading batch shape (N,), one element per point."""
+    """Sample the gauge field over (A^1, A^2, A^3, B) x mu with the
+    contraction substitution A^1 -> jA^1, A^2 -> jA^2 applied (A^3 and B
+    stay in the base); an eps jet `scale` multiplies every sampled value,
+    B included. A points array x of shape (N, 4) gives jets with leading
+    batch shape (N,), one element per point."""
     g = _grading((True, True, False, False), order, jval, scale)
-    xa, xb = x[..., None, None, :], x[..., None, :]
+    xc = x[..., None, None, :]
     # gradients hold d_mu of component nu at [..., nu, mu]
-    return GaugeSample(g[..., :3, None] * cfg.A.value(xa),
-                       g[..., :3, None, None] * np.swapaxes(cfg.A.grad(xa), -1, -2),
-                       g[..., 3] * cfg.B.value(xb),
-                       g[..., 3] * np.swapaxes(cfg.B.grad(xb), -1, -2))
+    value, grad = cfg.value(xc), np.swapaxes(cfg.grad(xc), -1, -2)
+    return GaugeSample(g[..., :3, None] * value[..., :3, :],
+                       g[..., :3, None, None] * grad[..., :3, :, :],
+                       g[..., 3] * value[..., 3, :],
+                       g[..., 3] * grad[..., 3, :, :])
 
 
-def sample_psi(cfg: PsiConfig, x: Vec4, order: int = DEFAULT_ORDER,
+def sample_psi(cfg: PlaneWave, x: Vec4, order: int = DEFAULT_ORDER,
                jval: Optional[float] = None,
                scale: Optional[Jet] = None) -> PsiSample:
-    """Sample with psi_1 -> j psi_1, psi_2 -> j psi_2 applied; an eps jet
-    `scale` multiplies every sampled value. x is one point or (N, 4)."""
+    """Sample the sphere coordinates with psi_1 -> j psi_1, psi_2 -> j psi_2
+    applied; an eps jet `scale` multiplies every sampled value. x is one
+    point or (N, 4)."""
     g = _grading((True, True, False), order, jval, scale)
     xc = x[..., None, :]
-    return PsiSample(g * cfg.psi.value(xc), g[..., None] * cfg.psi.grad(xc))
+    return PsiSample(g * cfg.value(xc), g[..., None] * cfg.grad(xc))
 
 
-def sample_fermions(cfg: FermionConfig, x: Vec4, order: int = DEFAULT_ORDER,
+def sample_fermions(cfg: PlaneWave, x: Vec4, order: int = DEFAULT_ORDER,
                     jval: Optional[float] = None,
                     scale: Optional[Jet] = None) -> FermionSample:
-    """Sample with nu_l -> j nu_l applied; e_l and e_r are unchanged. An
-    eps jet `scale` multiplies every sampled value. x is one point or
-    (N, 4)."""
+    """Sample the leptons over (e_l, nu_l, e_r) x spinor with nu_l -> j nu_l
+    applied; e_l and e_r are unchanged. An eps jet `scale` multiplies
+    every sampled value. x is one point or (N, 4)."""
     fiber, base = _grading((True, False), order, jval, scale)
-    xc = x[..., None, :]
+    xc = x[..., None, None, :]
+    value, grad = cfg.value(xc), cfg.grad(xc)
 
-    def spinor(field: PlaneWave, g: Jet) -> Tuple[Jet, Jet]:
-        return g * field.value(xc), g * field.grad(xc)
+    def spinor(lepton: int, g: Jet) -> Tuple[Jet, Jet]:
+        return g * value[..., lepton, :], g * grad[..., lepton, :, :]
 
-    return FermionSample(*spinor(cfg.e_l, base), *spinor(cfg.nu_l, fiber),
-                         *spinor(cfg.e_r, base))
+    return FermionSample(*spinor(0, base), *spinor(1, fiber), *spinor(2, base))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +307,7 @@ def generator_vector_jacobians(v: Jet) -> Jet:
 def infinitesimal_gauge_transform(
     gs: GaugeSample,
     ps: PsiSample,
-    eps_cfg: EpsConfig,
+    eps: PlaneWave,
     x: Vec4,
     c: Couplings,
     jval: Optional[float] = None,
@@ -368,8 +315,9 @@ def infinitesimal_gauge_transform(
 ) -> Tuple[GaugeSample, PsiSample]:
     """First-order gauge transformation of a sample at x (one point, or
     points with a leading axis, as the sample was taken); an eps jet
-    `scale` multiplies the gauge parameters, so the eps**1 coefficient of
-    a transformed density is its exact first-order variation.
+    `scale` multiplies the gauge parameters `eps` over (eps_1, eps_2,
+    eps_3, eps_Y), so the eps**1 coefficient of a transformed density is
+    its exact first-order variation.
 
     With u = exp(sum_a eps_a T_a(j) + eps_Y Y) the linearized shifts are
       dA^a_mu  = -(1/g) d_mu eps_a - eps_{bca} eps_b A^c_mu
@@ -381,11 +329,11 @@ def infinitesimal_gauge_transform(
     """
     g = _grading((True, True, False, False), gs.a.order, jval, scale)
     xc = x[..., None, :]
-    ev = g * eps_cfg.eps.value(xc)
-    dev = g[..., None] * eps_cfg.eps.grad(xc)
+    ev = g * eps.value(xc)
+    dev = g[..., None] * eps.grad(xc)
     coupling = -1.0 / np.array([c.g, c.g, c.g, c.gp])
     shift = coupling[:, None] * dev  # -(1/g) d_mu eps_a
-    hess_shift = g[..., None, None] * (coupling[:, None, None] * eps_cfg.eps.hess(xc))
+    hess_shift = g[..., None, None] * (coupling[:, None, None] * eps.hess(xc))
 
     X = generator_vector_fields(ps.psi)
     dX = (generator_vector_jacobians(ps.psi)[..., None]

@@ -15,10 +15,9 @@ import numpy as np
 
 from .fields import (
     Couplings,
-    FermionConfig,
     FermionSample,
-    GaugeConfig,
     GaugeSample,
+    PlaneWave,
     PsiSample,
     generator_vector_fields,
     phi_from_psi,
@@ -250,7 +249,7 @@ def lagrangian_fermion(fs: FermionSample, phi: Jet, gs: GaugeSample,
     return kinetic - yukawa_matrix_form(phi, fs, c.h_e)
 
 
-def fermion_kinetic_oracle(gauge: GaugeConfig, fcfg: FermionConfig, x: np.ndarray,
+def fermion_kinetic_oracle(gauge: PlaneWave, leptons: PlaneWave, x: np.ndarray,
                            c: Couplings) -> np.ndarray:
     """Kinetic-term oracle in plain numpy at j = 1, one value per stacked
     configuration at the points x (N, 4): L_l+ i sigma~^mu D_mu L_l with
@@ -259,11 +258,12 @@ def fermion_kinetic_oracle(gauge: GaugeConfig, fcfg: FermionConfig, x: np.ndarra
     tau = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
     sigma = np.concatenate([np.eye(2)[None], tau])
     sigma_tilde = np.concatenate([np.eye(2)[None], -tau])
-    xa, xc = x[:, None, None, :], x[:, None, :]
-    A, B = gauge.A.value(xa), gauge.B.value(xc)  # [n, k, mu], [n, mu]
-    L = np.stack([fcfg.e_l.value(xc), fcfg.nu_l.value(xc)], 1)  # [n, a, s]
-    dL = np.stack([fcfg.e_l.grad(xc), fcfg.nu_l.grad(xc)], 1)  # [n, a, s, mu]
-    er, der = fcfg.e_r.value(xc), fcfg.e_r.grad(xc)
+    xc = x[:, None, None, :]
+    G = gauge.value(xc)  # [n, (A^1, A^2, A^3, B), mu]
+    A, B = G[:, :3], G[:, 3]
+    F, dF = leptons.value(xc), leptons.grad(xc)
+    L, dL = F[:, :2], dF[:, :2]  # the doublet (e_l, nu_l): [n, a, s], [n, a, s, mu]
+    er, der = F[:, 2], dF[:, 2]
     conn = 0.5j * (c.g * np.einsum("nkm,kab->nmab", A, tau)
                    + c.gp * B[..., None, None] * np.eye(2))
     DL = dL + np.einsum("nmab,nbs->nasm", conn, L)

@@ -20,17 +20,13 @@ import numpy as np
 from .fields import (
     ConfigError,
     Couplings,
-    FermionConfig,
-    GaugeConfig,
     GaugeSample,
     PlaneWave,
-    PsiConfig,
     PsiSample,
     constant,
     sample_fermions,
     sample_gauge,
     sample_psi,
-    stack_configs,
 )
 from .jets import DEFAULT_ORDER, Jet
 from .lagrangian import (
@@ -177,15 +173,17 @@ def random_plane_wave(rng: np.random.Generator, amplitude: float,
 
 
 def random_bosonic_config(rng: np.random.Generator,
-                          amplitude: float = 0.05) -> Tuple[GaugeConfig, PsiConfig]:
-    gauge = GaugeConfig(random_plane_wave(rng, amplitude, (3, 4)),
-                        random_plane_wave(rng, amplitude, (4,)))
-    return gauge, PsiConfig(random_plane_wave(rng, amplitude, (3,)))
+                          amplitude: float = 0.05) -> Tuple[PlaneWave, PlaneWave]:
+    """A random gauge field over (A^1, A^2, A^3, B) x mu, shape (4, 4),
+    then random sphere coordinates, shape (3,): drawn row-major, the gauge
+    draws are A's (3, 4) followed by B's (4,)."""
+    return (random_plane_wave(rng, amplitude, (4, 4)),
+            random_plane_wave(rng, amplitude, (3,)))
 
 
 def bosonic_density_evaluator(
-    gauge: GaugeConfig,
-    psi: PsiConfig,
+    gauge: PlaneWave,
+    psi: PlaneWave,
     c: Couplings,
     points: np.ndarray,
     order: int = DEFAULT_ORDER,
@@ -226,11 +224,10 @@ def gauge_mass_coefficients(backgrounds: np.ndarray, c: Couplings, order: int,
                             jval: Optional[float] = None) -> Jet:
     """eps^2 coefficients of the bosonic density for constant gauge
     backgrounds at psi = 0: one density evaluation, batch item i being the
-    background whose time components over (A^1, A^2, A^3, B) are
-    backgrounds[i] (the backgrounds broadcast over one point)."""
-    potentials = np.asarray(backgrounds)[..., None] * np.eye(4)[0]
-    gauge = GaugeConfig(constant(potentials[:, :3]), constant(potentials[:, 3]))
-    psi = PsiConfig.zero()
+    constant gauge field whose time components over (A^1, A^2, A^3, B)
+    are backgrounds[i] (the backgrounds broadcast over one point)."""
+    gauge = constant(np.asarray(backgrounds)[..., None] * np.eye(4)[0])
+    psi = constant(np.zeros(3))
     x = np.zeros(4)
 
     def evaluate(scale: Jet) -> Jet:
@@ -246,13 +243,11 @@ def _fermion_mass_coefficients(c: Couplings, order: int) -> Jet:
     spinor backgrounds at psi = 0: one density evaluation, batch item 0
     the electron pair and item 1 the lone neutrino (the stacked
     backgrounds broadcast over one point)."""
-    zero_spinor = constant(np.zeros(2))
-    unit_spinor = constant(np.array([1.0, 0.0]))
-    cfg = stack_configs([FermionConfig(unit_spinor, zero_spinor, unit_spinor),
-                         FermionConfig(zero_spinor, unit_spinor, zero_spinor)])
+    leptons = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # over (e_l, nu_l, e_r)
+    cfg = constant(leptons[..., None] * np.eye(2)[0])
     x = np.zeros(4)
-    gs = sample_gauge(GaugeConfig.zero(), x, order)
-    ps = sample_psi(PsiConfig.zero(), x, order)
+    gs = sample_gauge(constant(np.zeros((4, 4))), x, order)
+    ps = sample_psi(constant(np.zeros(3)), x, order)
     phi, _ = phi_from_psi(ps, c.R)
 
     def evaluate(scale: Jet) -> Jet:

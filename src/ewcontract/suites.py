@@ -11,10 +11,11 @@ its name plus the suite's data, the values it reports that are not gates. DEFAUL
 suite's default tolerances and sample counts; RunConfig can override any of
 them and rejects an override that names no default or has a bad value.
 
-A sampled check draws its samples one after the other, CONFIG_CHUNK at a
-time, and _sampled_max evaluates each chunk over a leading batch axis; the
-check's residual is the maximum over every sample. Evaluation draws no
-random numbers, so a sample's numbers do not depend on the chunk.
+A sampled check draws its samples one after the other (the group suite's
+factors as one block, the same numbers), and _sampled_max evaluates them
+CONFIG_CHUNK at a time over a leading batch axis; the check's residual is
+the maximum over every sample. Evaluation draws no random numbers, so a
+sample's numbers do not depend on the chunk.
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ import numpy as np
 from .fields import (
     ConfigError,
     Couplings,
-    EpsConfig,
-    FermionConfig,
-    GaugeConfig,
-    PsiConfig,
+    PlaneWave,
+    constant,
     phi_from_psi,
     phi_jacobian,
     sample_fermions,
@@ -225,12 +224,12 @@ def _sample_diff(x: Jet, y: "Jet | float") -> np.ndarray:
 def _sampled_max(draws: Iterable[tuple],
                  evaluate: Callable[..., Sequence[np.ndarray]]) -> list[float]:
     """Each gate's largest residual over the draws (one tuple per sample),
-    drawn CONFIG_CHUNK at a time and stacked slot by slot: a configuration
+    drawn CONFIG_CHUNK at a time and stacked slot by slot: a PlaneWave
     by stack_configs, anything else by np.array. evaluate(*slots) returns
     one per-sample residual array per gate; a NaN residual fails its gate."""
     draws, worst = iter(draws), None
     while chunk := list(itertools.islice(draws, CONFIG_CHUNK)):
-        slots = [stack_configs(slot) if dataclasses.is_dataclass(slot[0])
+        slots = [stack_configs(slot) if isinstance(slot[0], PlaneWave)
                  else np.array(slot) for slot in zip(*chunk)]
         maxima = [np.max(residual) for residual in evaluate(*slots)]
         worst = maxima if worst is None else np.maximum(worst, maxima)
@@ -282,11 +281,8 @@ def suite_group(cfg: RunConfig) -> SuiteResult:
         u = group_product(ks, angles, order)
         return _sample_diff((u * u.dagger()).jet, identity), _sample_diff(u.det(), 1.0)
 
-    def draws():  # one block of factors per chunk
-        for start in range(0, count, CONFIG_CHUNK):
-            yield from zip(*random_factors(rng, (min(CONFIG_CHUNK, count - start),)))
-
-    unitarity, det_resid = _sampled_max(draws(), products)
+    unitarity, det_resid = _sampled_max(zip(*random_factors(rng, (count,))),
+                                        products)
 
     samples = rng.uniform(-2.0, 2.0, size=(20, 3))
     samples[np.abs(samples[:, 2]) < 0.1, 2] = 0.5  # the closed form needs a3 != 0
@@ -350,10 +346,10 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
     c = cfg.couplings
     configs = cfg.samples("invariance_gauge")
     draws = ((*random_bosonic_config(rng, amplitude=0.1),
-              EpsConfig(random_plane_wave(rng, 0.1, (4,))),
+              random_plane_wave(rng, 0.1, (4,)),
               rng.uniform(-0.5, 0.5, size=4)) for _ in range(configs))
 
-    def gauge_variation(gauge, psicfg, eps_cfg, x):
+    def gauge_variation(gauge, psicfg, eps, x):
         worst, trace = [], []
         for jval, grades in ((1.0, (0,)), (None, (0, 1)), (0.1, (0,))):
             gs = sample_gauge(gauge, x, order, jval)
@@ -363,7 +359,7 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
             def transformed(scale: Jet) -> Jet:
                 """eps**0: the unvaried density; eps**1: its variation."""
                 gs2, ps2 = infinitesimal_gauge_transform(
-                    gs, ps, eps_cfg, x, c, jval, scale)
+                    gs, ps, eps, x, c, jval, scale)
                 sectors[:] = (lagrangian_gauge(gs2, c),
                               lagrangian_psi(ps2, gs2, c))
                 return sectors[0] + sectors[1]
@@ -407,7 +403,7 @@ def suite_coordinate(cfg: RunConfig) -> SuiteResult:
     rng = np.random.default_rng(cfg.seed + 2)
     c = cfg.couplings
 
-    draws = ((PsiConfig(random_plane_wave(rng, 0.6, (3,))),
+    draws = ((random_plane_wave(rng, 0.6, (3,)),
               rng.uniform(-0.5, 0.5, size=4))
              for _ in range(cfg.samples("coordinate_sphere")))
 
@@ -496,10 +492,10 @@ def suite_quadratic(cfg: RunConfig) -> SuiteResult:
         zero_resid = max(zero_resid, m_a, abs(m_w / m_z - closed["weinberg_cos"]))
 
     # the fiber fields A^1, A^2 must not feed the grade-0 (base) density:
-    # the configuration and its fiber-scaled copy at 4 points, as a
-    # (4 points, 2 configurations) batch
+    # the configuration and its copy with A^1, A^2 tripled at 4 points, as
+    # a (4 points, 2 configurations) batch
     points = rng.uniform(-0.5, 0.5, size=(4, 4))[:, None]
-    pair = stack_configs([gauge, gauge.fiber_scaled(3.0)])
+    pair = stack_configs([gauge, gauge.scaled([[3.0], [3.0], [1.0], [1.0]])])
     grade0 = lagrangian_bosonic(sample_gauge(pair, points, order),
                                 sample_psi(psicfg, points, order), c).grade(0)
     base_resid = float(np.max(np.abs(grade0[:, 0] - grade0[:, 1])))
@@ -581,12 +577,13 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
     rng = np.random.default_rng(cfg.seed + 5)
     c = dataclasses.replace(cfg.couplings, h_e=cfg.couplings.h_e or 1.3)
 
-    def spinors() -> FermionConfig:
-        """Complex spinors: with real ones the i psi_1 and i psi_3 terms vanish."""
-        return FermionConfig(*(random_plane_wave(rng, 1.0, (2,)).scaled(
-            np.exp(1j * rng.uniform(-math.pi, math.pi, size=2))) for _ in range(3)))
+    def spinors() -> PlaneWave:
+        """Complex spinors over (e_l, nu_l, e_r): with real ones the i psi_1
+        and i psi_3 terms vanish."""
+        return stack_configs([random_plane_wave(rng, 1.0, (2,)).scaled(
+            np.exp(1j * rng.uniform(-math.pi, math.pi, size=2))) for _ in range(3)])
 
-    draws = ((PsiConfig(random_plane_wave(rng, 0.5, (3,))), spinors(),
+    draws = ((random_plane_wave(rng, 0.5, (3,)), spinors(),
               rng.uniform(-0.5, 0.5, size=4)) for _ in range(count))
 
     def identity(psicfg, fcfg, x):
@@ -599,11 +596,11 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
 
     identity_resid, grade0_resid = _sampled_max(draws, identity)
 
-    draws = ((GaugeConfig(random_plane_wave(rng, 0.5, (3, 4)),
-                          random_plane_wave(rng, 0.5, (4,))), spinors(),
+    draws = ((random_plane_wave(rng, 0.5, (4, 4)), spinors(),
               rng.uniform(-0.5, 0.5, size=4)) for _ in range(count))
     massless = dataclasses.replace(c, h_e=0.0)
-    phi, _ = phi_from_psi(sample_psi(PsiConfig.zero(), np.zeros(4), order, 1.0), c.R)
+    origin = np.zeros(4)
+    phi, _ = phi_from_psi(sample_psi(constant(np.zeros(3)), origin, order, 1.0), c.R)
 
     def kinetic(gauge, fcfg, x):
         """The density at j = 1 and h_e = 0 is its kinetic terms: phi is unread."""

@@ -7,6 +7,7 @@ bounds, and emits a single pass/fail line (bypassing pytest capture so
 the lines appear in batch logs). Where a gate is looser than the
 criterion, the criterion keeps its own check next to the gate."""
 
+import dataclasses
 import math
 import sys
 
@@ -14,9 +15,7 @@ import numpy as np
 
 from ewcontract.fields import (
     Couplings,
-    EpsConfig,
-    GaugeConfig,
-    PsiConfig,
+    PlaneWave,
     infinitesimal_gauge_transform,
     phi_from_psi,
     sample_gauge,
@@ -101,7 +100,7 @@ def test_criterion_04_sphere_constraint():
                 coordinate_equivalence=1).details["sphere_constraint"]
     # the suite draws amplitude 0.6 on [-0.5, 0.5]^4, the criterion 0.7 on [-1, 1]^4
     rng = np.random.default_rng(13)
-    psicfg = PsiConfig(random_plane_wave(rng, 0.7, (100, 3)))
+    psicfg = random_plane_wave(rng, 0.7, (100, 3))
     ps = sample_psi(psicfg, rng.uniform(-1, 1, size=(100, 4)), ORDER)
     phi, _ = phi_from_psi(ps, COUPLINGS.R)
     residual = hermitian_form_jets(phi, phi).max_abs_diff(COUPLINGS.R**2)
@@ -126,10 +125,13 @@ def test_criterion_06_gauge_invariance_scaling():
     # the gate divides by the gauge and matter sectors' sizes added, the
     # criterion by the density itself, and only the criterion reads eps**2
     rng = np.random.default_rng(15)
-    gauge = GaugeConfig(random_plane_wave(rng, 0.1, (20, 3, 4)),
-                        random_plane_wave(rng, 0.1, (20, 4)))
-    psicfg = PsiConfig(random_plane_wave(rng, 0.1, (20, 3)))
-    eps = EpsConfig(random_plane_wave(rng, 0.1, (20, 4)))
+    # all 20 A fields are drawn before the 20 B fields; they join along the
+    # component axis into the gauge field over (A^1, A^2, A^3, B)
+    A, B = (dataclasses.astuple(random_plane_wave(rng, 0.1, shape))
+            for shape in ((20, 3, 4), (20, 4)))
+    gauge = PlaneWave(*(np.concatenate([a, b[:, None]], 1) for a, b in zip(A, B)))
+    psicfg = random_plane_wave(rng, 0.1, (20, 3))
+    eps = random_plane_wave(rng, 0.1, (20, 4))
     x = rng.uniform(-0.5, 0.5, size=(20, 4))
     first, second = 0.0, math.inf
     for jval, grades in ((1.0, (0,)), (None, (0, 1)), (0.1, (0,))):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ewcontract.fields import Couplings, GaugeConfig, constant, sample_gauge
+from ewcontract.fields import Couplings, constant, sample_gauge
 from ewcontract.group import (
     exp_closed_nilpotent,
     exp_closed_su2,
@@ -183,8 +183,9 @@ def test_hypercharge_matrix_value():
     """Y = (i/2) 1 as the matrix covariant derivative applies it: with
     A = 0, d phi = 0 and g' B_0 = 1 it maps the basis doublets to the
     columns of Y."""
-    gauge = GaugeConfig(constant(np.zeros((3, 4))), constant(np.eye(4)[0]))
-    gs = sample_gauge(gauge, np.zeros(4), ORDER)
+    potentials = np.zeros((4, 4))  # over (A^1, A^2, A^3, B) x mu
+    potentials[3, 0] = 1.0
+    gs = sample_gauge(constant(potentials), np.zeros(4), ORDER)
     basis = Jet.const(np.eye(2), ORDER)  # [column, component]
     dphi = Jet.const(np.zeros((2, 2, 4)), ORDER)
     c = Couplings(g=1.0, gp=1.0, R=1.0)

@@ -6,11 +6,8 @@ import pytest
 
 from ewcontract.fields import (
     Couplings,
-    EpsConfig,
-    FermionConfig,
-    GaugeConfig,
     PlaneWave,
-    PsiConfig,
+    constant,
     generator_vector_fields,
     infinitesimal_gauge_transform,
     phi_from_psi,
@@ -171,18 +168,20 @@ def test_contractions_match_their_loops(order, scale):
         assert got.max_abs_diff(want) <= 1e-14 * np.abs(want.coeffs).max()
 
 
-def _complex_waves(rng):
-    """Two plane waves with complex amplitudes, drawn one after the other."""
+def _complex_leptons(rng):
+    """Plane waves with complex amplitudes over (e_l, nu_l, e_r) x spinor,
+    drawn one after the other."""
     draws = [(complex(rng.normal(), rng.normal()), rng.normal(size=4),
-              rng.uniform(-3, 3)) for _ in range(2)]
-    return PlaneWave(*(np.array(p) for p in zip(*draws)))
+              rng.uniform(-3, 3)) for _ in range(6)]
+    amp, k, phase = (np.array(p) for p in zip(*draws))
+    return PlaneWave(amp.reshape(3, 2), k.reshape(3, 2, 4), phase.reshape(3, 2))
 
 
 def test_yukawa_matrix_and_expanded_forms_agree():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        psicfg = PsiConfig(random_plane_wave(rng, 0.5, (3,)))
-        fcfg = FermionConfig(*(_complex_waves(rng) for _ in range(3)))
+        psicfg = random_plane_wave(rng, 0.5, (3,))
+        fcfg = _complex_leptons(rng)
         x = _random_point(rng)
         ps = sample_psi(psicfg, x, ORDER)
         fs = sample_fermions(fcfg, x, ORDER)
@@ -194,12 +193,10 @@ def test_fermion_density_mass_term_at_origin():
     """On constant unit electron spinors at psi = 0 the kinetic terms
     vanish, so the density is the mass term -h_e R (e_r+ e_l + e_l+ e_r)
     = -2 h_e R at every grade."""
-    unit = PlaneWave(np.array([1.0, 0.0]), np.zeros((2, 4)))
-    zero = PlaneWave(np.zeros(2), np.zeros((2, 4)))
-    fcfg = FermionConfig(unit, zero, unit)
+    fcfg = constant(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
     x = np.zeros(4)
-    gs = sample_gauge(GaugeConfig.zero(), x, ORDER)
-    ps = sample_psi(PsiConfig.zero(), x, ORDER)
+    gs = sample_gauge(constant(np.zeros((4, 4))), x, ORDER)
+    ps = sample_psi(constant(np.zeros(3)), x, ORDER)
     fs = sample_fermions(fcfg, x, ORDER)
     phi, _ = phi_from_psi(ps, COUPLINGS.R)
     density = lagrangian_fermion(fs, phi, gs, COUPLINGS)
@@ -215,8 +212,7 @@ def test_fermion_kinetic_terms_match_a_numpy_oracle():
     j = 1 and h_e = 0, against the docstring formula in plain numpy."""
     rng = np.random.default_rng(9)
     c = Couplings(g=COUPLINGS.g, gp=COUPLINGS.gp, R=COUPLINGS.R, h_e=0.0)
-    draws = [(*random_bosonic_config(rng, amplitude=0.5),
-              FermionConfig(*(_complex_waves(rng) for _ in range(3))),
+    draws = [(*random_bosonic_config(rng, amplitude=0.5), _complex_leptons(rng),
               _random_point(rng)) for _ in range(10)]
     *configs, points = zip(*draws)
     gauge, psicfg, fcfg = map(stack_configs, configs)
@@ -229,6 +225,25 @@ def test_fermion_kinetic_terms_match_a_numpy_oracle():
     assert (abs(oracle) > 1e-3).all()
     for i in range(10):
         assert density[i].max_abs_diff(oracle[i]) <= 1e-12 * max(abs(oracle[i]), 1.0)
+
+
+def test_lepton_density_is_even_in_j():
+    """The neutrino carries one power of j, and every term of the fermion
+    density pairs it with a second grade-1 factor (A^1, A^2, phi_2 or the
+    neutrino again), so grades 1, 3 and 5 vanish exactly at formal j."""
+    rng = np.random.default_rng(12)
+    order = 6
+    draws = [(*random_bosonic_config(rng, amplitude=0.5), _complex_leptons(rng),
+              _random_point(rng)) for _ in range(20)]
+    *configs, points = zip(*draws)
+    gauge, psicfg, fcfg = map(stack_configs, configs)
+    x = np.array(points)
+    phi, _ = phi_from_psi(sample_psi(psicfg, x, order), COUPLINGS.R)
+    density = lagrangian_fermion(sample_fermions(fcfg, x, order), phi,
+                                 sample_gauge(gauge, x, order), COUPLINGS)
+    assert density.batch_shape == (20,)
+    assert np.abs(density.coeffs[:, 0::2]).max() > 0.1
+    assert not density.coeffs[:, 1::2].any()
 
 
 def _doublet_one_component_at_a_time(fs, gs, c):
@@ -247,8 +262,7 @@ def test_doublet_derivative_equals_one_spinor_component_at_a_time(scale):
     """Both spinor components in one pass give, bit for bit, the values of
     the per-component route, on 50 stacked configurations at 50 points."""
     rng = np.random.default_rng(11)
-    draws = [(random_bosonic_config(rng, amplitude=0.5)[0],
-              FermionConfig(*(_complex_waves(rng) for _ in range(3))),
+    draws = [(random_bosonic_config(rng, amplitude=0.5)[0], _complex_leptons(rng),
               _random_point(rng)) for _ in range(50)]
     gauge, fcfg, points = zip(*draws)
     x = np.array(points)
@@ -272,7 +286,7 @@ def test_gauge_variation_is_second_order(jval):
     grades = (0, 1) if jval is None else (0,)
     for _ in range(5):
         gauge, psicfg = random_bosonic_config(rng, amplitude=0.1)
-        eps = EpsConfig(random_plane_wave(rng, 0.1, (4,)))
+        eps = random_plane_wave(rng, 0.1, (4,))
         x = _random_point(rng)
         gs = sample_gauge(gauge, x, ORDER, jval)
         ps = sample_psi(psicfg, x, ORDER, jval)
@@ -298,7 +312,7 @@ def test_first_order_variation_is_exact_and_detects_a_wrong_transform(jval):
     c = COUPLINGS
     wrong = Couplings(g=2.0 * c.g, gp=c.gp, R=c.R, h_e=c.h_e)
     gauge, psicfg = random_bosonic_config(rng, amplitude=0.1)
-    eps = EpsConfig(random_plane_wave(rng, 0.1, (4,)))
+    eps = random_plane_wave(rng, 0.1, (4,))
     x = _random_point(rng)
     gs = sample_gauge(gauge, x, ORDER, jval)
     ps = sample_psi(psicfg, x, ORDER, jval)
@@ -321,7 +335,7 @@ def test_first_order_variation_is_exact_and_detects_a_wrong_transform(jval):
 def test_base_density_ignores_fiber_gauge_fields():
     rng = np.random.default_rng(7)
     gauge, psicfg = random_bosonic_config(rng, amplitude=0.2)
-    rescaled = gauge.fiber_scaled(5.0)
+    rescaled = gauge.scaled([[5.0], [5.0], [1.0], [1.0]])  # A^1 and A^2
     for _ in range(5):
         x = _random_point(rng)
         ps = sample_psi(psicfg, x, ORDER)

@@ -63,6 +63,9 @@ MUTANTS = [
     ("psi_3_graded_as_fiber", fields, "sample_psi",
      _edit("_grading((True, True, False), order",
            "_grading((True, True, True), order"), ("limit",)),
+    ("B_graded_as_fiber", fields, "sample_gauge",
+     _edit("_grading((True, True, False, False), order",
+           "_grading((True, True, False, True), order"), ("quadratic", "limit")),
     ("one_param_full_angle", group, "one_param",
      _edit("dtype=float) / 2.0", "dtype=float)"), ("group",)),
     ("sigma_tilde_is_sigma", lagrangian, "_SIGMA_TILDE",

@@ -12,9 +12,6 @@ from ewcontract.cli import DEFAULT_COUPLINGS
 from ewcontract.fields import (
     ConfigError,
     Couplings,
-    FermionConfig,
-    GaugeConfig,
-    PsiConfig,
     constant,
     phi_from_psi,
     sample_fermions,
@@ -273,13 +270,13 @@ def test_batched_gauge_mass_coefficients_equal_one_background_at_a_time(jval):
     assert batch.batch_shape == (3,)
     x = np.zeros(4)
     for i, background in enumerate(backgrounds):
-        A = np.zeros((3, 4))
-        A[:, 0] = background[:3]
-        gauge = GaugeConfig(constant(A), constant(np.array([background[3], 0, 0, 0])))
+        potentials = np.zeros((4, 4))  # over (A^1, A^2, A^3, B) x mu
+        potentials[:, 0] = background
+        gauge = constant(potentials)
 
         def evaluate(scale):
             return lagrangian_bosonic(sample_gauge(gauge, x, ORDER, jval, scale),
-                                      sample_psi(PsiConfig.zero(), x, ORDER, jval),
+                                      sample_psi(constant(np.zeros(3)), x, ORDER, jval),
                                       c)
 
         alone = epsilon_expand(evaluate, 2, ORDER)[2]
@@ -289,12 +286,12 @@ def test_batched_gauge_mass_coefficients_equal_one_background_at_a_time(jval):
 def test_batched_fermion_mass_coefficients_equal_one_background_at_a_time():
     c = COUPLINGS
     batch = _fermion_mass_coefficients(c, ORDER)
-    zero, unit = constant(np.zeros(2)), constant(np.array([1.0, 0.0]))
+    zero, unit = np.zeros(2), np.array([1.0, 0.0])
     x = np.zeros(4)
-    gs = sample_gauge(GaugeConfig.zero(), x, ORDER)
-    phi, _ = phi_from_psi(sample_psi(PsiConfig.zero(), x, ORDER), c.R)
-    for i, cfg in enumerate((FermionConfig(unit, zero, unit),
-                             FermionConfig(zero, unit, zero))):
+    gs = sample_gauge(constant(np.zeros((4, 4))), x, ORDER)
+    phi, _ = phi_from_psi(sample_psi(constant(np.zeros(3)), x, ORDER), c.R)
+    for i, cfg in enumerate((constant(np.array([unit, zero, unit])),
+                             constant(np.array([zero, unit, zero])))):
         alone = epsilon_expand(
             lambda scale: lagrangian_fermion(
                 sample_fermions(cfg, x, ORDER, scale=scale), phi, gs, c),
