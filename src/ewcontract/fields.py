@@ -14,18 +14,20 @@ A configuration is one PlaneWave whose parameters carry its component
 indices on trailing axes: the gauge field over (A^1, A^2, A^3, B) x mu,
 shape (4, 4); the sphere coordinates psi, shape (3,); the leptons over
 (e_l, nu_l, e_r) x spinor, shape (3, 2); and the gauge parameters
-(eps_1, eps_2, eps_3, eps_Y), shape (4,). A sample holds one jet per
-field with the same axes: ``a[..., k, mu]`` is A^k_mu and
-``da[..., k, mu, nu]`` is d_mu A^k_nu. The leading axes are the points:
-samplers take one spacetime point, shape (4,), or an array of points,
-shape (N, 4), and a sample at N points has leading batch shape (N,), so a
-density evaluated on it is the density at every point at once. Leading
-configuration axes of a wave's parameters, before the component axes,
-broadcast against those of the points, so :func:`stack_configs` of N
-configurations sampled at (N, 4) points pairs configuration i with point
-i, and one configuration at (16, 4) points is that configuration at 16
-points. The generators a = T1, T2, T3, Y act on the sphere coordinates as
-one table of vector fields X[..., a, k] over a generator axis.
+(eps_1, eps_2, eps_3, eps_Y), shape (4,). A sample of a configuration is
+one :class:`Sample`, its graded value and its 4-gradient on one more
+axis: for the gauge field ``value[..., k, mu]`` is A^k_mu (B at k = 3)
+and ``grad[..., k, mu, nu]`` is d_mu A^k_nu. The leading axes are the
+points: samplers take one spacetime point, shape (4,), or an array of
+points, shape (N, 4), and a sample at N points has leading batch shape
+(N,), so a density evaluated on it is the density at every point at
+once. Leading configuration axes of a wave's parameters, before the
+component axes, broadcast against those of the points, so
+:func:`stack_configs` of N configurations sampled at (N, 4) points pairs
+configuration i with point i, and one configuration at (16, 4) points is
+that configuration at 16 points. The generators a = T1, T2, T3, Y act on
+the sphere coordinates as one table of vector fields X[..., a, k] over a
+generator axis.
 
 Spacetime index contraction is a plain Euclidean sum over mu = 0..3; the
 verified claims are algebraic identities and never need a signature.
@@ -158,40 +160,17 @@ def _grading(fiber: Sequence[bool], order: int, jval: Optional[float],
 
 
 @dataclass
-class GaugeSample:
-    """Graded gauge values: a[..., k, mu] = A^k_mu, da[..., k, mu, nu] =
-    d_mu A^k_nu, b[..., mu] = B_mu and db[..., mu, nu] = d_mu B_nu."""
+class Sample:
+    """A sampled configuration: graded values value[..., *comp] of its
+    components and their 4-gradients grad[..., *comp, mu]."""
 
-    a: Jet
-    da: Jet
-    b: Jet
-    db: Jet
-
-
-@dataclass
-class PsiSample:
-    """Graded sphere-coordinate values psi[..., k] and dpsi[..., k, mu]."""
-
-    psi: Jet
-    dpsi: Jet
-
-
-@dataclass
-class FermionSample:
-    """Graded spinor values: 2-component el, nu and er on a trailing axis
-    and their 4-gradients d_*[..., s, mu]; the neutrino carries grade 1."""
-
-    el: Jet
-    d_el: Jet
-    nu: Jet
-    d_nu: Jet
-    er: Jet
-    d_er: Jet
+    value: Jet
+    grad: Jet
 
 
 def sample_gauge(cfg: PlaneWave, x: Vec4, order: int = DEFAULT_ORDER,
                  jval: Optional[float] = None,
-                 scale: Optional[Jet] = None) -> GaugeSample:
+                 scale: Optional[Jet] = None) -> Sample:
     """Sample the gauge field over (A^1, A^2, A^3, B) x mu with the
     contraction substitution A^1 -> jA^1, A^2 -> jA^2 applied (A^3 and B
     stay in the base); an eps jet `scale` multiplies every sampled value,
@@ -200,38 +179,30 @@ def sample_gauge(cfg: PlaneWave, x: Vec4, order: int = DEFAULT_ORDER,
     g = _grading((True, True, False, False), order, jval, scale)
     xc = x[..., None, None, :]
     # gradients hold d_mu of component nu at [..., nu, mu]
-    value, grad = cfg.value(xc), np.swapaxes(cfg.grad(xc), -1, -2)
-    return GaugeSample(g[..., :3, None] * value[..., :3, :],
-                       g[..., :3, None, None] * grad[..., :3, :, :],
-                       g[..., 3] * value[..., 3, :],
-                       g[..., 3] * grad[..., 3, :, :])
+    return Sample(g[..., None] * cfg.value(xc),
+                  g[..., None, None] * np.swapaxes(cfg.grad(xc), -1, -2))
 
 
 def sample_psi(cfg: PlaneWave, x: Vec4, order: int = DEFAULT_ORDER,
                jval: Optional[float] = None,
-               scale: Optional[Jet] = None) -> PsiSample:
+               scale: Optional[Jet] = None) -> Sample:
     """Sample the sphere coordinates with psi_1 -> j psi_1, psi_2 -> j psi_2
     applied; an eps jet `scale` multiplies every sampled value. x is one
     point or (N, 4)."""
     g = _grading((True, True, False), order, jval, scale)
     xc = x[..., None, :]
-    return PsiSample(g * cfg.value(xc), g[..., None] * cfg.grad(xc))
+    return Sample(g * cfg.value(xc), g[..., None] * cfg.grad(xc))
 
 
 def sample_fermions(cfg: PlaneWave, x: Vec4, order: int = DEFAULT_ORDER,
                     jval: Optional[float] = None,
-                    scale: Optional[Jet] = None) -> FermionSample:
+                    scale: Optional[Jet] = None) -> Sample:
     """Sample the leptons over (e_l, nu_l, e_r) x spinor with nu_l -> j nu_l
     applied; e_l and e_r are unchanged. An eps jet `scale` multiplies
     every sampled value. x is one point or (N, 4)."""
-    fiber, base = _grading((True, False), order, jval, scale)
+    g = _grading((False, True, False), order, jval, scale)
     xc = x[..., None, None, :]
-    value, grad = cfg.value(xc), cfg.grad(xc)
-
-    def spinor(lepton: int, g: Jet) -> Tuple[Jet, Jet]:
-        return g * value[..., lepton, :], g * grad[..., lepton, :, :]
-
-    return FermionSample(*spinor(0, base), *spinor(1, fiber), *spinor(2, base))
+    return Sample(g[..., None] * cfg.value(xc), g[..., None, None] * cfg.grad(xc))
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +210,11 @@ def sample_fermions(cfg: PlaneWave, x: Vec4, order: int = DEFAULT_ORDER,
 # ---------------------------------------------------------------------------
 
 
-def phi_from_psi(ps: PsiSample, R: float) -> Tuple[Jet, Jet]:
-    """Graded doublet phi[..., c] = (phi_1, j phi_2) on the radius-R sphere
-    and its exact 4-gradient dphi[..., c, mu], from
+def phi_from_psi(ps: Sample, R: float) -> Sample:
+    """The graded doublet (phi_1, j phi_2) on the radius-R sphere as a
+    sample over its component axis c, with its exact 4-gradient, from
     phi_1 = r(1 + i psi_3), phi_2 = r(psi_2 + i psi_1), r = R / sqrt(1 + psi^2)."""
-    v, dv = ps.psi, ps.dpsi
+    v, dv = ps.value, ps.grad
     s = 1.0 + (v * v).sum(-1)
     r = R * s.inv_sqrt()
     unit = stack([1.0 + 1j * v[..., 2], v[..., 1] + 1j * v[..., 0]])
@@ -251,8 +222,8 @@ def phi_from_psi(ps: PsiSample, R: float) -> Tuple[Jet, Jet]:
                   axis=-2)
     ds = 2.0 * (v[..., None] * dv).sum(-2)
     dr = -0.5 * ((r * s.inv())[..., None] * ds)
-    return (r[..., None] * unit,
-            dr[..., None, :] * unit[..., None] + r[..., None, None] * dunit)
+    return Sample(r[..., None] * unit,
+                  dr[..., None, :] * unit[..., None] + r[..., None, None] * dunit)
 
 
 def phi_jacobian(psi: Jet, R: float) -> Jet:
@@ -305,19 +276,19 @@ def generator_vector_jacobians(v: Jet) -> Jet:
 # ---------------------------------------------------------------------------
 
 def infinitesimal_gauge_transform(
-    gs: GaugeSample,
-    ps: PsiSample,
+    gs: Sample,
+    ps: Sample,
     eps: PlaneWave,
     x: Vec4,
     c: Couplings,
     jval: Optional[float] = None,
     scale: Optional[Jet] = None,
-) -> Tuple[GaugeSample, PsiSample]:
-    """First-order gauge transformation of a sample at x (one point, or
-    points with a leading axis, as the sample was taken); an eps jet
-    `scale` multiplies the gauge parameters `eps` over (eps_1, eps_2,
-    eps_3, eps_Y), so the eps**1 coefficient of a transformed density is
-    its exact first-order variation.
+) -> Tuple[Sample, Sample]:
+    """First-order gauge transformation of a gauge and a sphere-coordinate
+    sample at x (one point, or points with a leading axis, as the samples
+    were taken); an eps jet `scale` multiplies the gauge parameters `eps`
+    over (eps_1, eps_2, eps_3, eps_Y), so the eps**1 coefficient of a
+    transformed density is its exact first-order variation.
 
     With u = exp(sum_a eps_a T_a(j) + eps_Y Y) the linearized shifts are
       dA^a_mu  = -(1/g) d_mu eps_a - eps_{bca} eps_b A^c_mu
@@ -325,9 +296,10 @@ def infinitesimal_gauge_transform(
       dpsi_k   = sum_a eps_a X_a(psi)_k + eps_Y X_Y(psi)_k
     in graded variables (eps_1, eps_2 carry grade 1, matching T_1(j),
     T_2(j)). Derivatives of the shifted fields are produced analytically,
-    so invariance checks remain discretization-free.
+    so invariance checks remain discretization-free. The su(2) rows and
+    the B row are shifted apart and stacked back over (A^1, A^2, A^3, B).
     """
-    g = _grading((True, True, False, False), gs.a.order, jval, scale)
+    g = _grading((True, True, False, False), gs.value.order, jval, scale)
     xc = x[..., None, :]
     ev = g * eps.value(xc)
     dev = g[..., None] * eps.grad(xc)
@@ -335,23 +307,26 @@ def infinitesimal_gauge_transform(
     shift = coupling[:, None] * dev  # -(1/g) d_mu eps_a
     hess_shift = g[..., None, None] * (coupling[:, None, None] * eps.hess(xc))
 
-    X = generator_vector_fields(ps.psi)
-    dX = (generator_vector_jacobians(ps.psi)[..., None]
-          * ps.dpsi[..., None, None, :, :]).sum(-2)  # d_mu X_a(psi)_k
-    psi_new = ps.psi + (ev[..., None] * X).sum(-2)
-    dpsi_new = ps.dpsi + (dev[..., :, None, :] * X[..., None]
+    X = generator_vector_fields(ps.value)
+    dX = (generator_vector_jacobians(ps.value)[..., None]
+          * ps.grad[..., None, None, :, :]).sum(-2)  # d_mu X_a(psi)_k
+    psi_new = ps.value + (ev[..., None] * X).sum(-2)
+    dpsi_new = ps.grad + (dev[..., :, None, :] * X[..., None]
                           + ev[..., None, None] * dX).sum(-3)
 
     # eps_{bca} = +1 for a = 0, 1, 2 and (b, e) below, -1 for (e, b)
     b, e = [1, 2, 0], [2, 0, 1]
-    a_new = gs.a + (shift[..., :3, :] - (ev[..., b, None] * gs.a[..., e, :]
-                                         - ev[..., e, None] * gs.a[..., b, :]))
-    da_new = gs.da + (
+    a, da = gs.value[..., :3, :], gs.grad[..., :3, :, :]
+    a_new = a + (shift[..., :3, :] - (ev[..., b, None] * a[..., e, :]
+                                      - ev[..., e, None] * a[..., b, :]))
+    da_new = da + (
         hess_shift[..., :3, :, :]
-        - (dev[..., b, :, None] * gs.a[..., e, None, :]
-           + ev[..., b, None, None] * gs.da[..., e, :, :])
-        + (dev[..., e, :, None] * gs.a[..., b, None, :]
-           + ev[..., e, None, None] * gs.da[..., b, :, :]))
-    return (GaugeSample(a_new, da_new, gs.b + shift[..., 3, :],
-                        gs.db + hess_shift[..., 3, :, :]),
-            PsiSample(psi_new, dpsi_new))
+        - (dev[..., b, :, None] * a[..., e, None, :]
+           + ev[..., b, None, None] * da[..., e, :, :])
+        + (dev[..., e, :, None] * a[..., b, None, :]
+           + ev[..., e, None, None] * da[..., b, :, :]))
+    b_new = gs.value[..., 3, :] + shift[..., 3, :]
+    db_new = gs.grad[..., 3, :, :] + hess_shift[..., 3, :, :]
+    value = stack([*(a_new[..., k, :] for k in range(3)), b_new], axis=-2)
+    grad = stack([*(da_new[..., k, :, :] for k in range(3)), db_new], axis=-3)
+    return Sample(value, grad), Sample(psi_new, dpsi_new)

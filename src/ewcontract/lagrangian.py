@@ -15,10 +15,8 @@ import numpy as np
 
 from .fields import (
     Couplings,
-    FermionSample,
-    GaugeSample,
     PlaneWave,
-    PsiSample,
+    Sample,
     generator_vector_fields,
     phi_from_psi,
 )
@@ -47,7 +45,7 @@ def _su2_matrix(x: Jet, axis: int) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-def stress_tensors(gs: GaugeSample, c: Couplings, k: "int | np.ndarray") -> Jet:
+def stress_tensors(gs: Sample, c: Couplings, k: "int | np.ndarray") -> Jet:
     """F^k[..., mu, nu] = dA^k - dA^k + g(A^l A^m - A^m A^l) for
     (k, l, m) = (1, 3, 2) and cyclic, graded and antisymmetric, for one
     su(2) direction k (0-based), or for an index array of them on an axis
@@ -60,34 +58,36 @@ def stress_tensors(gs: GaugeSample, c: Couplings, k: "int | np.ndarray") -> Jet:
     over graded samples: the j^2 on the quadratic part of F^3 appears
     because A^1, A^2 carry grade 1.
     """
-    k = np.asarray(k)
-    half = gs.da[..., k, :, :] + (
-        (c.g * gs.a[..., (k + 2) % 3, :, None]) * gs.a[..., (k + 1) % 3, None, :])
+    k, a = np.asarray(k), gs.value
+    half = gs.grad[..., k, :, :] + (
+        (c.g * a[..., (k + 2) % 3, :, None]) * a[..., (k + 1) % 3, None, :])
     return half - half.swapaxes(-1, -2)
 
 
-def lagrangian_gauge(gs: GaugeSample, c: Couplings) -> Jet:
+def lagrangian_gauge(gs: Sample, c: Couplings) -> Jet:
     """-1/4 sum_k (F^k)^2 - 1/4 B^2 (component form, normative), as -1/2
     the sum over the mu < nu entries of the antisymmetric tensors: the
     diagonal is exactly 0 and each entry below it is exactly minus its
     mirror, so the squares of 6 entries in 16 carry the whole sum."""
     F = stress_tensors(gs, c, np.arange(3))[..., _UPPER[0], _UPPER[1]]
-    B = (gs.db - gs.db.swapaxes(-1, -2))[..., _UPPER[0], _UPPER[1]]
+    db = gs.grad[..., 3, :, :]
+    B = (db - db.swapaxes(-1, -2))[..., _UPPER[0], _UPPER[1]]
     return -0.5 * ((F * F).sum(-1).sum(-1) + (B * B).sum(-1))
 
 
-def lagrangian_gauge_trace(gs: GaugeSample, c: Couplings) -> Jet:
+def lagrangian_gauge_trace(gs: Sample, c: Couplings) -> Jet:
     """Trace-form oracle: (1/2g^2) tr F^2 + (1/2g'^2) tr Bhat^2.
 
     The matrix field strength is assembled from the connection matrices
     g (i/2) A^k tau_k themselves, F = dA - dA + [A, A], so this route is
     independent of the component formulas in stress_tensors."""
-    amat = JetMatrix2(c.g * _su2_matrix(gs.a, -2))  # [..., mu]
+    da, db = gs.grad[..., :3, :, :], gs.grad[..., 3, :, :]
+    amat = JetMatrix2(c.g * _su2_matrix(gs.value[..., :3, :], -2))  # [..., mu]
     a_mu = JetMatrix2(amat.jet[..., :, None, :, :])
     a_nu = JetMatrix2(amat.jet[..., None, :, :, :])
-    curl = JetMatrix2(c.g * _su2_matrix(gs.da - gs.da.swapaxes(-1, -2), -3))
+    curl = JetMatrix2(c.g * _su2_matrix(da - da.swapaxes(-1, -2), -3))
     fmat = curl + a_mu.commutator(a_nu)
-    bval = c.gp * 0.5j * (gs.db - gs.db.swapaxes(-1, -2))
+    bval = c.gp * 0.5j * (db - db.swapaxes(-1, -2))
     bsq = bval * bval
     return ((0.5 / c.g**2) * (fmat * fmat).trace()
             + (0.5 / c.gp**2) * (bsq + bsq)).sum((-2, -1))
@@ -98,32 +98,30 @@ def lagrangian_gauge_trace(gs: GaugeSample, c: Couplings) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-def covariant_derivative_phi(phi: Jet, dphi: Jet, gs: GaugeSample,
-                             c: Couplings) -> Jet:
-    """Component form, D phi[..., comp, mu]:
+def covariant_derivative_phi(phi: Sample, gs: Sample, c: Couplings) -> Jet:
+    """Component form, D phi[..., comp, mu], of a doublet sample over comp:
       D phi_1 = d phi_1 + (i/2)(g A^3 + g' B) phi_1 + (ig/2)(A^1 - iA^2) phi_2
       D phi_2 = d phi_2 - (i/2)(g A^3 - g' B) phi_2 + (ig/2)(A^1 + iA^2) phi_1
     over graded values (the first mixing term is then grade 2)."""
-    a1, a2, a3 = gs.a[..., 0, :], gs.a[..., 1, :], gs.a[..., 2, :]
-    p1, p2 = phi[..., 0, None], phi[..., 1, None]
-    return dphi + 0.5j * stack([
-        (c.g * a3 + c.gp * gs.b) * p1 + c.g * ((a1 - 1j * a2) * p2),
-        -((c.g * a3 - c.gp * gs.b) * p2) + c.g * ((a1 + 1j * a2) * p1),
+    a1, a2, a3, b = (gs.value[..., k, :] for k in range(4))
+    p1, p2 = phi.value[..., 0, None], phi.value[..., 1, None]
+    return phi.grad + 0.5j * stack([
+        (c.g * a3 + c.gp * b) * p1 + c.g * ((a1 - 1j * a2) * p2),
+        -((c.g * a3 - c.gp * b) * p2) + c.g * ((a1 + 1j * a2) * p1),
     ], axis=-2)
 
 
-def covariant_derivative_phi_matrix(phi: Jet, dphi: Jet, gs: GaugeSample,
-                                    c: Couplings) -> Jet:
+def covariant_derivative_phi_matrix(phi: Sample, gs: Sample, c: Couplings) -> Jet:
     """Matrix-action oracle: D phi = d phi + (g sum_k T_k A^k + g' Y B) phi,
     with T_k = (i/2) tau_k and Y = (i/2) 1."""
-    m = JetMatrix2(c.g * _su2_matrix(gs.a, -2)
-                   + (0.5j * c.gp) * (gs.b[..., None, None] * np.eye(2)))
-    return dphi + m.apply(phi[..., None, :]).swapaxes(-1, -2)
+    m = JetMatrix2(c.g * _su2_matrix(gs.value[..., :3, :], -2)
+                   + (0.5j * c.gp) * (gs.value[..., 3, :, None, None] * np.eye(2)))
+    return phi.grad + m.apply(phi.value[..., None, :]).swapaxes(-1, -2)
 
 
-def lagrangian_phi(phi: Jet, dphi: Jet, gs: GaugeSample, c: Couplings) -> Jet:
+def lagrangian_phi(phi: Sample, gs: Sample, c: Couplings) -> Jet:
     """(1/2) (D_mu phi)^dagger D_mu phi, no potential term."""
-    d = covariant_derivative_phi(phi, dphi, gs, c)
+    d = covariant_derivative_phi(phi, gs, c)
     return 0.5 * (d.conjugate() * d).sum((-2, -1))
 
 
@@ -132,22 +130,23 @@ def lagrangian_phi(phi: Jet, dphi: Jet, gs: GaugeSample, c: Couplings) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-def covariant_derivative_psi(ps: PsiSample, gs: GaugeSample, c: Couplings) -> Jet:
+def covariant_derivative_psi(ps: Sample, gs: Sample, c: Couplings) -> Jet:
     """D_mu psi_k = d_mu psi_k + g sum_a X_a(psi)_k A^a_mu + g' X_Y(psi)_k B_mu
     as D[..., k, mu] (component form, normative)."""
-    X = generator_vector_fields(ps.psi)
-    su2 = (X[..., :3, :, None] * (c.g * gs.a)[..., :, None, :]).sum(-3)
-    return ps.dpsi + su2 + X[..., 3, :, None] * (c.gp * gs.b)[..., None, :]
+    X = generator_vector_fields(ps.value)
+    a, b = gs.value[..., :3, :], gs.value[..., 3, :]
+    su2 = (X[..., :3, :, None] * (c.g * a)[..., :, None, :]).sum(-3)
+    return ps.grad + su2 + X[..., 3, :, None] * (c.gp * b)[..., None, :]
 
 
-def lagrangian_psi(ps: PsiSample, gs: GaugeSample, c: Couplings) -> Jet:
+def lagrangian_psi(ps: Sample, gs: Sample, c: Couplings) -> Jet:
     """(R^2/2) sum_kl g_kl D psi_k D psi_l (metric form, normative) with the
     sphere metric in intrinsic coordinates
     g_kl = [(1 + psi^2) delta_kl - psi_k psi_l] / (1 + psi^2)^2,
     evaluated on graded values (reproducing the displayed j-pattern); the
     closed rational form lagrangian_psi_closed must agree grade-wise."""
     d = covariant_derivative_psi(ps, gs, c)
-    v = ps.psi
+    v = ps.value
     s = 1.0 + (v * v).sum(-1)
     # (1 + psi^2)^2 g_kl
     metric = s[..., None, None] * np.eye(3) - v[..., :, None] * v[..., None, :]
@@ -155,10 +154,10 @@ def lagrangian_psi(ps: PsiSample, gs: GaugeSample, c: Couplings) -> Jet:
     return 0.5 * c.R**2 * (total * (s * s).inv())
 
 
-def lagrangian_psi_closed(ps: PsiSample, gs: GaugeSample, c: Couplings) -> Jet:
+def lagrangian_psi_closed(ps: Sample, gs: Sample, c: Couplings) -> Jet:
     """Closed form: R^2 [(1+psi^2)(D psi)^2 - (psi . D psi)^2] / (2 (1+psi^2)^2)."""
     d = covariant_derivative_psi(ps, gs, c)
-    v = ps.psi
+    v = ps.value
     s = 1.0 + (v * v).sum(-1)
     dot = (v[..., None] * d).sum(-2)
     dsq = (d * d).sum((-2, -1))
@@ -182,41 +181,43 @@ def _kinetic(spinor: Jet, d: Jet, sigma: np.ndarray) -> Jet:
     return 1j * (spinor.conjugate()[..., None] * acted).sum((-2, -1))
 
 
-def covariant_derivative_doublet(fs: FermionSample, gs: GaugeSample,
+def covariant_derivative_doublet(fs: Sample, gs: Sample,
                                  c: Couplings) -> Tuple[Jet, Jet]:
     """Covariant derivative of the lepton doublet (e_l, nu) as
     (D e_l[..., s, mu], D nu[..., s, mu]): each Lorentz spinor component s
     is an SU(2) doublet, acted on exactly like the scalar doublet. Both
-    components go through one covariant_derivative_phi on the doublet
-    [..., s, comp], the gauge sample broadcast over s, so each value takes
-    the same scalar operations as one component at a time would."""
-    over_s = GaugeSample(a=gs.a[..., None, :, :], da=gs.da[..., None, :, :, :],
-                         b=gs.b[..., None, :], db=gs.db[..., None, :, :])
-    d = covariant_derivative_phi(stack([fs.el, fs.nu]),
-                                 stack([fs.d_el, fs.d_nu], axis=-2), over_s, c)
+    go through one covariant_derivative_phi on a view of the leptons'
+    doublet rows as [..., s, comp], the gauge sample broadcast over s, so
+    each value takes the same scalar operations as one at a time would."""
+    doublet = Sample(fs.value[..., :2, :].swapaxes(-1, -2),
+                     fs.grad[..., :2, :, :].swapaxes(-2, -3))
+    over_s = Sample(gs.value[..., None, :, :], gs.grad[..., None, :, :, :])
+    d = covariant_derivative_phi(doublet, over_s, c)
     return d[..., 0, :], d[..., 1, :]
 
 
-def yukawa_matrix_form(phi: Jet, fs: FermionSample, h_e: float) -> Jet:
+def yukawa_matrix_form(phi: Jet, fs: Sample, h_e: float) -> Jet:
     """h_e [ e_r^dagger (phi^dagger L_l) + (L_l^dagger phi) e_r ] with the
     SU(2) convolution (phi^dagger L_l) = conj(phi_1) e_l + conj(phi_2) nu."""
+    el, nu, er = (fs.value[..., k, :] for k in range(3))
     conj = phi.conjugate()
-    inner = conj[..., 0, None] * fs.el + conj[..., 1, None] * fs.nu
-    return h_e * (_spinor_bilinear(fs.er, inner) + _spinor_bilinear(inner, fs.er))
+    inner = conj[..., 0, None] * el + conj[..., 1, None] * nu
+    return h_e * (_spinor_bilinear(er, inner) + _spinor_bilinear(inner, er))
 
 
-def yukawa_expanded_form(ps: PsiSample, fs: FermionSample, c: Couplings) -> Jet:
+def yukawa_expanded_form(ps: Sample, fs: Sample, c: Couplings) -> Jet:
     """Expanded mass terms:
       h_e R / sqrt(1 + psi^2) * { e_r+ e_l + e_l+ e_r
         + i psi_3 (e_l+ e_r - e_r+ e_l)
         + i psi_1 (nu+ e_r - e_r+ nu) + psi_2 (nu+ e_r + e_r+ nu) }
     in graded variables (the nu terms then carry grade 2)."""
-    v = ps.psi
+    v = ps.value
+    el, nu, er = (fs.value[..., k, :] for k in range(3))
     pref = c.h_e * c.R * (1.0 + (v * v).sum(-1)).inv_sqrt()
-    er_el = _spinor_bilinear(fs.er, fs.el)
-    el_er = _spinor_bilinear(fs.el, fs.er)
-    nu_er = _spinor_bilinear(fs.nu, fs.er)
-    er_nu = _spinor_bilinear(fs.er, fs.nu)
+    er_el = _spinor_bilinear(er, el)
+    el_er = _spinor_bilinear(el, er)
+    nu_er = _spinor_bilinear(nu, er)
+    er_nu = _spinor_bilinear(er, nu)
     bracket = (
         er_el
         + el_er
@@ -227,25 +228,24 @@ def yukawa_expanded_form(ps: PsiSample, fs: FermionSample, c: Couplings) -> Jet:
     return pref * bracket
 
 
-def fermion_mass_identity(ps: PsiSample, fs: FermionSample,
+def fermion_mass_identity(ps: Sample, fs: Sample,
                           c: Couplings) -> Tuple[Jet, Jet]:
     """(matrix form, expanded form) of the Yukawa mass terms; they must
     agree grade-wise."""
-    phi, _ = phi_from_psi(ps, c.R)
-    lhs = yukawa_matrix_form(phi, fs, c.h_e)
+    lhs = yukawa_matrix_form(phi_from_psi(ps, c.R).value, fs, c.h_e)
     rhs = yukawa_expanded_form(ps, fs, c)
     return lhs, rhs
 
 
-def lagrangian_fermion(fs: FermionSample, phi: Jet, gs: GaugeSample,
-                       c: Couplings) -> Jet:
+def lagrangian_fermion(fs: Sample, phi: Jet, gs: Sample, c: Couplings) -> Jet:
     """Kinetic terms L_l+ i tilde-tau_mu D_mu L_l + e_r+ i tau_mu D_mu e_r
-    plus the Yukawa term -h_e[...], all graded."""
+    plus the Yukawa term -h_e[...] with the doublet value phi, all graded."""
+    el, nu, er = (fs.value[..., k, :] for k in range(3))
     d_el, d_nu = covariant_derivative_doublet(fs, gs, c)
-    d_er = fs.d_er + 1j * c.gp * (gs.b[..., None, :] * fs.er[..., None])
-    kinetic = (_kinetic(fs.el, d_el, _SIGMA_TILDE)
-               + _kinetic(fs.nu, d_nu, _SIGMA_TILDE)
-               + _kinetic(fs.er, d_er, _SIGMA))
+    d_er = fs.grad[..., 2, :, :] + 1j * c.gp * (gs.value[..., 3, None, :] * er[..., None])
+    kinetic = (_kinetic(el, d_el, _SIGMA_TILDE)
+               + _kinetic(nu, d_nu, _SIGMA_TILDE)
+               + _kinetic(er, d_er, _SIGMA))
     return kinetic - yukawa_matrix_form(phi, fs, c.h_e)
 
 
@@ -277,6 +277,6 @@ def fermion_kinetic_oracle(gauge: PlaneWave, leptons: PlaneWave, x: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def lagrangian_bosonic(gs: GaugeSample, ps: PsiSample, c: Couplings) -> Jet:
+def lagrangian_bosonic(gs: Sample, ps: Sample, c: Couplings) -> Jet:
     """L_A + L_psi, the gauge-invariant bosonic total."""
     return lagrangian_gauge(gs, c) + lagrangian_psi(ps, gs, c)

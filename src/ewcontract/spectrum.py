@@ -20,9 +20,8 @@ import numpy as np
 from .fields import (
     ConfigError,
     Couplings,
-    GaugeSample,
     PlaneWave,
-    PsiSample,
+    Sample,
     constant,
     sample_fermions,
     sample_gauge,
@@ -96,43 +95,33 @@ def epsilon_expand(evaluator: Callable[[Jet], Jet], n: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PhysicalFields:
-    """W+-, Z and A 4-vectors [..., mu], as graded jet values.
+def physical_fields(gs: Sample, ps: Sample, c: Couplings) -> Tuple[Jet, Jet, Jet, Jet]:
+    """W+, W-, Z and A 4-vectors [..., mu], as graded jet values.
 
     The linear combinations diagonalize the quadratic Lagrangian of this
     package's (pushforward-consistent) conventions: the massive neutral
     field is proportional to g A^3 + g' B + 2 d(psi_3) and the massless
     one to g' A^3 - g B. W+- carry grade 1, Z and A grade 0.
     """
-
-    wplus: Jet
-    wminus: Jet
-    z: Jet
-    a: Jet
-
-
-def physical_fields(gs: GaugeSample, ps: PsiSample, c: Couplings) -> PhysicalFields:
     inv_rt2 = 1.0 / math.sqrt(2.0)
-    a, dp = gs.a, ps.dpsi
+    a, dp = gs.value, ps.grad
     hat1 = a[..., 0, :] + (2.0 / c.g) * dp[..., 0, :]
     hat2 = a[..., 1, :] - (2.0 / c.g) * dp[..., 1, :]
-    return PhysicalFields(
+    return (
         inv_rt2 * (hat1 - 1j * hat2),
         inv_rt2 * (hat1 + 1j * hat2),
-        (1.0 / c.gz) * (c.g * a[..., 2, :] + c.gp * gs.b + 2.0 * dp[..., 2, :]),
-        (1.0 / c.gz) * (c.gp * a[..., 2, :] - c.g * gs.b),
+        (1.0 / c.gz) * (c.g * a[..., 2, :] + c.gp * a[..., 3, :] + 2.0 * dp[..., 2, :]),
+        (1.0 / c.gz) * (c.gp * a[..., 2, :] - c.g * a[..., 3, :]),
     )
 
 
-def _abelian_curls(gs: GaugeSample, c: Couplings, b_sign: float = 1.0):
+def _abelian_curls(gs: Sample, c: Couplings, b_sign: float = 1.0):
     """Curls [..., mu, nu] of the physical combinations W+, W-, Z and A;
     second derivatives of psi drop out of every antisymmetrized
     derivative, so only gauge curls enter. b_sign = -1 gives the printed
     convention, with B entering Z and A with the opposite sign."""
-    curls = gs.da - gs.da.swapaxes(-1, -2)
-    bcurl = gs.db - gs.db.swapaxes(-1, -2)
-    c1, c2, c3 = curls[..., 0, :, :], curls[..., 1, :, :], curls[..., 2, :, :]
+    curls = gs.grad - gs.grad.swapaxes(-1, -2)
+    c1, c2, c3, bcurl = (curls[..., k, :, :] for k in range(4))
     inv_rt2 = 1.0 / math.sqrt(2.0)
     gp_b, g_b = b_sign * c.gp, b_sign * c.g
     return (inv_rt2 * (c1 - 1j * c2), inv_rt2 * (c1 + 1j * c2),
@@ -140,16 +129,16 @@ def _abelian_curls(gs: GaugeSample, c: Couplings, b_sign: float = 1.0):
             (1.0 / c.gz) * (c.gp * c3 - g_b * bcurl))
 
 
-def quadratic_form(gs: GaugeSample, ps: PsiSample, c: Couplings) -> Jet:
+def quadratic_form(gs: Sample, ps: Sample, c: Couplings) -> Jet:
     """Independent construction of the quadratic density:
     -1/4 F^2 - 1/4 Z^2 + (m_Z^2/2) Z_mu^2 - 1/2 W+_{mn} W-_{mn}
     + m_W^2 W+_mu W-_mu, with the closed-formula masses."""
-    pf = physical_fields(gs, ps, c)
+    wplus, wminus, z, _ = physical_fields(gs, ps, c)
     wp, wm, zc, ac = _abelian_curls(gs, c)
     m_w2 = (c.R * c.g / 2.0) ** 2
     m_z2 = (c.R * c.gz / 2.0) ** 2
     curls = -0.25 * (ac * ac) - 0.25 * (zc * zc) - 0.5 * (wp * wm)
-    masses = (m_z2 / 2.0) * (pf.z * pf.z) + m_w2 * (pf.wplus * pf.wminus)
+    masses = (m_z2 / 2.0) * (z * z) + m_w2 * (wplus * wminus)
     return curls.sum((-2, -1)) + masses.sum(-1)
 
 
@@ -248,7 +237,7 @@ def _fermion_mass_coefficients(c: Couplings, order: int) -> Jet:
     x = np.zeros(4)
     gs = sample_gauge(constant(np.zeros((4, 4))), x, order)
     ps = sample_psi(constant(np.zeros(3)), x, order)
-    phi, _ = phi_from_psi(ps, c.R)
+    phi = phi_from_psi(ps, c.R).value
 
     def evaluate(scale: Jet) -> Jet:
         fs = sample_fermions(cfg, x, order, scale=scale)
@@ -300,30 +289,29 @@ def mass_spectrum(c: Couplings, order: int = DEFAULT_ORDER) -> SpectrumReport:
 # ---------------------------------------------------------------------------
 
 
-def _printed_physical_fields(gs: GaugeSample, ps: PsiSample, c: Couplings):
+def _printed_physical_fields(gs: Sample, ps: Sample, c: Couplings):
     """Field combinations exactly as displayed in the source material
     (these differ from physical_fields in the signs of the d psi_1 term of
     W+- and of B in Z and A); used only to transcribe the cubic claims."""
     inv_rt2 = 1.0 / math.sqrt(2.0)
-    a, dp = gs.a, ps.dpsi
+    a, dp = gs.value, ps.grad
     hat1 = a[..., 0, :] - (2.0 / c.g) * dp[..., 0, :]
     hat2 = a[..., 1, :] - (2.0 / c.g) * dp[..., 1, :]
     return (
         inv_rt2 * (hat1 - 1j * hat2),
         inv_rt2 * (hat1 + 1j * hat2),
-        (1.0 / c.gz) * (c.g * a[..., 2, :] - c.gp * gs.b + 2.0 * dp[..., 2, :]),
-        (1.0 / c.gz) * (c.gp * a[..., 2, :] + c.g * gs.b),
+        (1.0 / c.gz) * (c.g * a[..., 2, :] - c.gp * a[..., 3, :] + 2.0 * dp[..., 2, :]),
+        (1.0 / c.gz) * (c.gp * a[..., 2, :] + c.g * a[..., 3, :]),
     ) + _abelian_curls(gs, c, b_sign=-1.0)
 
 
-def _components(ps: PsiSample) -> Tuple[Jet, ...]:
+def _components(ps: Sample) -> Tuple[Jet, ...]:
     """psi_1, psi_2, psi_3 and the gradients d psi_1, d psi_2, d psi_3."""
-    return tuple(ps.psi[..., k] for k in range(3)) + tuple(
-        ps.dpsi[..., k, :] for k in range(3))
+    return tuple(ps.value[..., k] for k in range(3)) + tuple(
+        ps.grad[..., k, :] for k in range(3))
 
 
-def transcribed_cubic_terms(gs: GaugeSample, ps: PsiSample,
-                            c: Couplings) -> Dict[str, Jet]:
+def transcribed_cubic_terms(gs: Sample, ps: Sample, c: Couplings) -> Dict[str, Jet]:
     """Literal transcription of the printed third-order displays.
 
     Every spacetime index appearing in a printed product is summed over
@@ -379,20 +367,18 @@ def transcribed_cubic_terms(gs: GaugeSample, ps: PsiSample,
     return terms
 
 
-def normative_cubic_terms(gs: GaugeSample, ps: PsiSample,
-                          c: Couplings) -> Dict[str, Jet]:
+def normative_cubic_terms(gs: Sample, ps: Sample, c: Couplings) -> Dict[str, Jet]:
     """Third-order terms of this package's Lagrangian in its own physical
     fields, derived from the exact expansion (see the project notes for
     the relation to the printed displays: two typo-level corrections plus
     the sign conventions of physical_fields)."""
-    pf = physical_fields(gs, ps, c)
-    wp, wm = pf.wplus, pf.wminus
+    wp, wm, z, a = physical_fields(gs, ps, c)
     wpc, wmc, zc, ac = _abelian_curls(gs, c)
     psi1, psi2, psi3, dp1, dp2, dp3 = _components(ps)
     rt2 = math.sqrt(2.0)
     gz = c.gz
     plus, minus = dp2 + 1j * dp1, dp2 - 1j * dp1
-    n_vec = (1.0 / gz) * (c.g * pf.z + c.gp * pf.a)
+    n_vec = (1.0 / gz) * (c.g * z + c.gp * a)
     ww = wmc * wp[..., :, None] - wpc * wm[..., :, None]
     bracket = wpc * plus[..., None, :] + wmc * minus[..., None, :]
     ncurl = (1.0 / gz) * (c.g * zc + c.gp * ac)
@@ -415,7 +401,7 @@ def normative_cubic_terms(gs: GaugeSample, ps: PsiSample,
 
     pref = c.R**2 * c.g / (2.0 * rt2)
     ratio = (c.g**2 - c.gp**2) / (c.g**2 + c.gp**2)
-    neutral = (c.gp / gz) * (c.g * pf.a - c.gp * pf.z)
+    neutral = (c.gp / gz) * (c.g * a - c.gp * z)
     lower, upper = (psi2 - 1j * psi1)[..., None], (psi2 + 1j * psi1)[..., None]
     terms["P3_wplus_block"] = pref * (wp * (
         -1.0 * (psi3[..., None] * plus) + ratio * (upper * dp3)
@@ -424,7 +410,7 @@ def normative_cubic_terms(gs: GaugeSample, ps: PsiSample,
         -1.0 * (psi3[..., None] * minus) + ratio * (lower * dp3)
         - neutral * lower)).sum(-1)
     terms["P3_z_block"] = pref * (rt2 * gz / c.g) * (
-        pf.z * (psi1[..., None] * dp2 - psi2[..., None] * dp1)).sum(-1)
+        z * (psi1[..., None] * dp2 - psi2[..., None] * dp1)).sum(-1)
     return terms
 
 

@@ -102,7 +102,7 @@ def test_criterion_04_sphere_constraint():
     rng = np.random.default_rng(13)
     psicfg = random_plane_wave(rng, 0.7, (100, 3))
     ps = sample_psi(psicfg, rng.uniform(-1, 1, size=(100, 4)), ORDER)
-    phi, _ = phi_from_psi(ps, COUPLINGS.R)
+    phi = phi_from_psi(ps, COUPLINGS.R).value
     residual = hermitian_form_jets(phi, phi).max_abs_diff(COUPLINGS.R**2)
     _verdict(4, "sphere constraint", gate <= 1e-12 and residual <= 1e-12,
              f"residual {residual:.2e}, suite {gate:.2e}")

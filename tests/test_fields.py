@@ -12,7 +12,7 @@ from ewcontract.fields import (
     ConfigError,
     Couplings,
     PlaneWave,
-    PsiSample,
+    Sample,
     constant,
     generator_vector_fields,
     generator_vector_jacobians,
@@ -113,26 +113,53 @@ def test_gauge_sample_grading():
     cfg = constant(np.repeat([[1.0], [2.0], [3.0], [9.0]], 4, axis=1))
     gs = sample_gauge(cfg, np.zeros(4), ORDER)
     # fiber components sit at grade 1, base components at grade 0
-    assert gs.a[0][0].grade(0) == 0.0
-    assert gs.a[0][0].grade(1) == pytest.approx(1.0)
-    assert gs.a[1][0].grade(1) == pytest.approx(2.0)
-    assert gs.a[2][0].grade(0) == pytest.approx(3.0)
-    assert gs.a[2][0].grade(1) == 0.0
-    assert gs.b[0].grade(0) == pytest.approx(9.0)
+    assert gs.value[0][0].grade(0) == 0.0
+    assert gs.value[0][0].grade(1) == pytest.approx(1.0)
+    assert gs.value[1][0].grade(1) == pytest.approx(2.0)
+    assert gs.value[2][0].grade(0) == pytest.approx(3.0)
+    assert gs.value[2][0].grade(1) == 0.0
+    assert gs.value[3][0].grade(0) == pytest.approx(9.0)
 
 
 def test_psi_and_fermion_sample_grading():
     ps = sample_psi(constant(np.array([1.0, 2.0, 3.0])), np.zeros(4), ORDER)
-    assert ps.psi[0].grade(1) == pytest.approx(1.0)
-    assert ps.psi[1].grade(1) == pytest.approx(2.0)
-    assert ps.psi[2].grade(0) == pytest.approx(3.0)
+    assert ps.value[0].grade(1) == pytest.approx(1.0)
+    assert ps.value[1].grade(1) == pytest.approx(2.0)
+    assert ps.value[2].grade(0) == pytest.approx(3.0)
 
     unit = constant(np.tile([1.0, 0.0], (3, 1)))
     fs = sample_fermions(unit, np.zeros(4), ORDER)
-    assert fs.el[0].grade(0) == pytest.approx(1.0)
-    assert fs.nu[0].grade(0) == 0.0
-    assert fs.nu[0].grade(1) == pytest.approx(1.0)
-    assert fs.er[0].grade(0) == pytest.approx(1.0)
+    el, nu, er = fs.value[0][0], fs.value[1][0], fs.value[2][0]
+    assert el.grade(0) == pytest.approx(1.0)
+    assert nu.grade(0) == 0.0
+    assert nu.grade(1) == pytest.approx(1.0)
+    assert er.grade(0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("points", [np.array([0.1, -0.2, 0.3, 0.4]),
+                                    np.linspace(-1.0, 1.0, 20).reshape(5, 4)],
+                         ids=["one_point", "points_array"])
+def test_samples_carry_the_points_then_the_component_axes(points):
+    """A sample's value has the points' batch shape, then its wave's
+    component shape, and its gradient one more axis of 4; the gauge
+    transform returns samples of its inputs' shapes."""
+    rng = np.random.default_rng(24)
+    samples = []
+    for sampler, components in ((sample_gauge, (4, 4)), (sample_psi, (3,)),
+                                (sample_fermions, (3, 2))):
+        sample = sampler(_random_waves(rng, components), points, ORDER)
+        shape = points.shape[:-1] + components
+        assert isinstance(sample, Sample)
+        assert sample.value.batch_shape == shape
+        assert sample.grad.batch_shape == shape + (4,)
+        samples.append(sample)
+    c = Couplings(g=0.65, gp=0.35, R=1.0)
+    moved = infinitesimal_gauge_transform(*samples[:2], _random_waves(rng, (4,)),
+                                          points, c)
+    for before, after in zip(samples, moved):
+        assert isinstance(after, Sample)
+        assert after.value.batch_shape == before.value.batch_shape
+        assert after.grad.batch_shape == before.grad.batch_shape
 
 
 def _random_waves(rng, shape, amplitude=0.7):
@@ -182,14 +209,14 @@ def test_sampling_a_points_array_equals_per_point_samples(with_scale):
     fermions = _random_waves(rng, (3, 2))
     _same_samples(sample_gauge(gauge, points, ORDER, scale=scale),
                   [sample_gauge(gauge, x, ORDER, scale=scale) for x in points],
-                  ("a", "da", "b", "db"))
+                  ("value", "grad"))
     _same_samples(sample_psi(psi, points, ORDER, scale=scale),
                   [sample_psi(psi, x, ORDER, scale=scale) for x in points],
-                  ("psi", "dpsi"))
+                  ("value", "grad"))
     _same_samples(sample_fermions(fermions, points, ORDER, scale=scale),
                   [sample_fermions(fermions, x, ORDER, scale=scale)
                    for x in points],
-                  ("el", "d_el", "nu", "d_nu", "er", "d_er"))
+                  ("value", "grad"))
     for field in (gauge, fermions):
         assert np.allclose(field.hess(points[:, None, None, :]),
                            [field.hess(x[None, None, :]) for x in points])
@@ -213,15 +240,15 @@ def test_stacked_configurations_pair_with_their_points(with_scale):
 
     gs = sample_gauge(stack_configs(gauges), points, ORDER, scale=scale)
     singles = [sample_gauge(g, x, ORDER, scale=scale) for g, *_, x in per_sample]
-    _same_samples(gs, singles, ("a", "da", "b", "db"))
+    _same_samples(gs, singles, ("value", "grad"))
     ps = sample_psi(stack_configs(psis), points, ORDER, scale=scale)
     _same_samples(ps, [sample_psi(p, x, ORDER, scale=scale)
-                       for _, p, *_, x in per_sample], ("psi", "dpsi"))
+                       for _, p, *_, x in per_sample], ("value", "grad"))
     _same_samples(sample_fermions(stack_configs(fermions), points, ORDER,
                                   scale=scale),
                   [sample_fermions(f, x, ORDER, scale=scale)
                    for _, _, f, _, x in per_sample],
-                  ("el", "d_el", "nu", "d_nu", "er", "d_er"))
+                  ("value", "grad"))
 
     c = Couplings(g=0.65, gp=0.35, R=1.0)
     gs2, ps2 = infinitesimal_gauge_transform(gs, ps, stack_configs(params),
@@ -229,8 +256,8 @@ def test_stacked_configurations_pair_with_their_points(with_scale):
     moved = [infinitesimal_gauge_transform(
         sample_gauge(g, x, ORDER, scale=scale), sample_psi(p, x, ORDER, scale=scale),
         e, x, c, scale=scale) for g, p, _, e, x in per_sample]
-    _same_samples(gs2, [m[0] for m in moved], ("a", "da", "b", "db"))
-    _same_samples(ps2, [m[1] for m in moved], ("psi", "dpsi"))
+    _same_samples(gs2, [m[0] for m in moved], ("value", "grad"))
+    _same_samples(ps2, [m[1] for m in moved], ("value", "grad"))
 
 
 def test_stacked_configurations_broadcast_over_one_point():
@@ -240,7 +267,7 @@ def test_stacked_configurations_broadcast_over_one_point():
     ps = sample_psi(stack_configs(cfgs), np.zeros(4), ORDER)
     for i, cfg in enumerate(cfgs):
         single = sample_psi(cfg, np.zeros(4), ORDER)
-        assert np.array_equal(ps.psi[i].coeffs, single.psi.coeffs)
+        assert np.array_equal(ps.value[i].coeffs, single.value.coeffs)
 
 
 def test_stacking_needs_matching_field_types():
@@ -254,8 +281,8 @@ def test_stacking_needs_matching_field_types():
 def test_numeric_sampling_collapses_grades():
     ps = sample_psi(constant(np.array([1.0, 0.0, 0.0])), np.zeros(4), ORDER,
                     jval=0.25)
-    assert ps.psi[0].grade(0) == pytest.approx(0.25)
-    assert ps.psi[0].grade(1) == 0.0
+    assert ps.value[0].grade(0) == pytest.approx(0.25)
+    assert ps.value[0].grade(1) == 0.0
 
 
 def test_sphere_embedding_constraint():
@@ -266,7 +293,7 @@ def test_sphere_embedding_constraint():
         cfg = PlaneWave(np.array([a for a, _ in draws]),
                         np.array([k for _, k in draws]), 0.1)
         ps = sample_psi(cfg, rng.uniform(-1, 1, size=4), ORDER)
-        phi, _ = phi_from_psi(ps, R)
+        phi = phi_from_psi(ps, R).value
         form = hermitian_form_jets(phi, phi)
         assert form.max_abs_diff(R**2) <= 1e-10
 
@@ -278,13 +305,13 @@ def test_phi_gradient_matches_chain_rule_via_jacobian():
                     np.array([k for _, k in draws]), 0.3)
     x = np.array([0.2, -0.3, 0.5, 0.1])
     ps = sample_psi(cfg, x, ORDER)
-    phi, dphi = phi_from_psi(ps, 1.0)
-    jac = phi_jacobian(ps.psi, 1.0)
+    dphi = phi_from_psi(ps, 1.0).grad
+    jac = phi_jacobian(ps.value, 1.0)
     for comp in range(2):
         for mu in range(4):
             chain = Jet.zero(ORDER)
             for l in range(3):
-                chain = chain + jac[comp][l] * ps.dpsi[l][mu]
+                chain = chain + jac[comp][l] * ps.grad[l][mu]
             assert dphi[comp][mu].max_abs_diff(chain) <= 1e-12
 
 
@@ -378,13 +405,13 @@ def test_psi_generator_action_grading():
     """The gauge transform moves the sphere coordinates along j X_a for the
     fiber generators T1, T2 and along X_a for T3 and Y."""
     v = Jet.const(np.array([0.3, -0.2, 0.5]), ORDER)
-    ps = PsiSample(v, Jet.const(np.zeros((3, 4)), ORDER))
+    ps = Sample(v, Jet.const(np.zeros((3, 4)), ORDER))
     gs = sample_gauge(constant(np.zeros((4, 4))), np.zeros(4), ORDER)
     c = Couplings(g=0.65, gp=0.35, R=1.0)
     plain = generator_vector_fields(v)
     for a, grade in enumerate((1, 1, 0, 0)):
         eps = constant(np.eye(4)[a])
-        action = infinitesimal_gauge_transform(gs, ps, eps, np.zeros(4), c)[1].psi - v
+        action = infinitesimal_gauge_transform(gs, ps, eps, np.zeros(4), c)[1].value - v
         for k in range(3):
             assert action[k].grade(grade) == pytest.approx(
                 plain[a, k].grade(0), abs=1e-14
@@ -404,6 +431,6 @@ def test_zero_parameter_gauge_transform_is_identity():
     gs2, ps2 = infinitesimal_gauge_transform(gs, ps, eps, x, c)
     for k in range(3):
         for mu in range(4):
-            assert gs2.a[k][mu].max_abs_diff(gs.a[k][mu]) == 0.0
+            assert gs2.value[k][mu].max_abs_diff(gs.value[k][mu]) == 0.0
     for k in range(3):
-        assert ps2.psi[k].max_abs_diff(ps.psi[k]) == 0.0
+        assert ps2.value[k].max_abs_diff(ps.value[k]) == 0.0

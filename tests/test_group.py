@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ewcontract.fields import Couplings, constant, sample_gauge
+from ewcontract.fields import Couplings, Sample, constant, sample_gauge
 from ewcontract.group import (
     exp_closed_nilpotent,
     exp_closed_su2,
@@ -189,7 +189,7 @@ def test_hypercharge_matrix_value():
     basis = Jet.const(np.eye(2), ORDER)  # [column, component]
     dphi = Jet.const(np.zeros((2, 2, 4)), ORDER)
     c = Couplings(g=1.0, gp=1.0, R=1.0)
-    y = JetMatrix2(covariant_derivative_phi_matrix(basis, dphi, gs, c)[..., 0]
+    y = JetMatrix2(covariant_derivative_phi_matrix(Sample(basis, dphi), gs, c)[..., 0]
                    .swapaxes(0, 1))
     assert y[0, 0].grade(0) == 0.5j
     assert y[1, 1].grade(0) == 0.5j

@@ -7,6 +7,7 @@ import pytest
 from ewcontract.fields import (
     Couplings,
     PlaneWave,
+    Sample,
     constant,
     generator_vector_fields,
     infinitesimal_gauge_transform,
@@ -76,9 +77,9 @@ def test_gauge_density_matches_matrix_trace_oracle():
 def test_covariant_derivative_component_vs_matrix_action():
     rng = np.random.default_rng(2)
     gs, ps = _random_samples(rng)
-    phi, dphi = phi_from_psi(ps, COUPLINGS.R)
-    comp = covariant_derivative_phi(phi, dphi, gs, COUPLINGS)
-    matrix = covariant_derivative_phi_matrix(phi, dphi, gs, COUPLINGS)
+    phi = phi_from_psi(ps, COUPLINGS.R)
+    comp = covariant_derivative_phi(phi, gs, COUPLINGS)
+    matrix = covariant_derivative_phi_matrix(phi, gs, COUPLINGS)
     for c in range(2):
         for mu in range(4):
             assert comp[c][mu].max_abs_diff(matrix[c][mu]) <= 1e-13
@@ -90,10 +91,10 @@ def test_covariant_chain_rule():
     rng = np.random.default_rng(3)
     for _ in range(5):
         gs, ps = _random_samples(rng)
-        phi, dphi = phi_from_psi(ps, COUPLINGS.R)
-        dphi_cov = covariant_derivative_phi(phi, dphi, gs, COUPLINGS)
+        phi = phi_from_psi(ps, COUPLINGS.R)
+        dphi_cov = covariant_derivative_phi(phi, gs, COUPLINGS)
         dpsi_cov = covariant_derivative_psi(ps, gs, COUPLINGS)
-        jac = phi_jacobian(ps.psi, COUPLINGS.R)
+        jac = phi_jacobian(ps.value, COUPLINGS.R)
         for comp in range(2):
             for mu in range(4):
                 chain = Jet.zero(ORDER)
@@ -106,8 +107,8 @@ def test_coordinate_equivalence_of_matter_densities():
     rng = np.random.default_rng(4)
     for _ in range(10):
         gs, ps = _random_samples(rng)
-        phi, dphi = phi_from_psi(ps, COUPLINGS.R)
-        doublet = lagrangian_phi(phi, dphi, gs, COUPLINGS)
+        phi = phi_from_psi(ps, COUPLINGS.R)
+        doublet = lagrangian_phi(phi, gs, COUPLINGS)
         intrinsic = lagrangian_psi(ps, gs, COUPLINGS)
         scale = max(np.abs(doublet.coeffs).max(), 1.0)
         assert doublet.max_abs_diff(intrinsic) / scale <= 1e-12
@@ -123,22 +124,23 @@ def _gauge_one_direction_at_a_time(gs, c):
     for k in range(3):
         F = stress_tensors(gs, c, k)
         total = total + (F * F).sum((-2, -1))
-    B = gs.db - gs.db.swapaxes(-1, -2)
+    db = gs.grad[..., 3, :, :]
+    B = db - db.swapaxes(-1, -2)
     return -0.25 * (total + (B * B).sum((-2, -1)))
 
 
 def _covariant_derivative_one_generator_at_a_time(ps, gs, c):
-    X = generator_vector_fields(ps.psi)
-    d = ps.dpsi
+    X = generator_vector_fields(ps.value)
+    d = ps.grad
     for a in range(4):
-        field = c.g * gs.a[..., a, :] if a < 3 else c.gp * gs.b
+        field = (c.g if a < 3 else c.gp) * gs.value[..., a, :]
         d = d + X[..., a, :, None] * field[..., None, :]
     return d
 
 
 def _psi_one_metric_row_at_a_time(ps, gs, c):
     d = _covariant_derivative_one_generator_at_a_time(ps, gs, c)
-    v = ps.psi
+    v = ps.value
     s = 1.0 + (v * v).sum(-1)
     total = 0.0
     for k in range(3):
@@ -198,7 +200,7 @@ def test_fermion_density_mass_term_at_origin():
     gs = sample_gauge(constant(np.zeros((4, 4))), x, ORDER)
     ps = sample_psi(constant(np.zeros(3)), x, ORDER)
     fs = sample_fermions(fcfg, x, ORDER)
-    phi, _ = phi_from_psi(ps, COUPLINGS.R)
+    phi = phi_from_psi(ps, COUPLINGS.R).value
     density = lagrangian_fermion(fs, phi, gs, COUPLINGS)
     expected = -2.0 * COUPLINGS.h_e * COUPLINGS.R
     assert density.max_abs_diff(expected) <= 1e-13
@@ -218,7 +220,7 @@ def test_fermion_kinetic_terms_match_a_numpy_oracle():
     gauge, psicfg, fcfg = map(stack_configs, configs)
     x = np.array(points)
     gs = sample_gauge(gauge, x, ORDER, jval=1.0)
-    phi, _ = phi_from_psi(sample_psi(psicfg, x, ORDER, jval=1.0), c.R)
+    phi = phi_from_psi(sample_psi(psicfg, x, ORDER, jval=1.0), c.R).value
     fs = sample_fermions(fcfg, x, ORDER, jval=1.0)
     density = lagrangian_fermion(fs, phi, gs, c)
     oracle = fermion_kinetic_oracle(gauge, fcfg, x, c)
@@ -238,7 +240,7 @@ def test_lepton_density_is_even_in_j():
     *configs, points = zip(*draws)
     gauge, psicfg, fcfg = map(stack_configs, configs)
     x = np.array(points)
-    phi, _ = phi_from_psi(sample_psi(psicfg, x, order), COUPLINGS.R)
+    phi = phi_from_psi(sample_psi(psicfg, x, order), COUPLINGS.R).value
     density = lagrangian_fermion(sample_fermions(fcfg, x, order), phi,
                                  sample_gauge(gauge, x, order), COUPLINGS)
     assert density.batch_shape == (20,)
@@ -249,9 +251,11 @@ def test_lepton_density_is_even_in_j():
 def _doublet_one_component_at_a_time(fs, gs, c):
     """The lepton doublet's covariant derivative, one Lorentz spinor
     component s after the other through the scalar doublet's."""
-    per_s = [covariant_derivative_phi(
-        stack([fs.el[..., s], fs.nu[..., s]]),
-        stack([fs.d_el[..., s, :], fs.d_nu[..., s, :]], axis=-2), gs, c)
+    el, nu = fs.value[..., 0, :], fs.value[..., 1, :]
+    d_el, d_nu = fs.grad[..., 0, :, :], fs.grad[..., 1, :, :]
+    per_s = [covariant_derivative_phi(Sample(
+        stack([el[..., s], nu[..., s]]),
+        stack([d_el[..., s, :], d_nu[..., s, :]], axis=-2)), gs, c)
         for s in range(2)]
     return tuple(stack([d[..., comp, :] for d in per_s], axis=-2)
                  for comp in range(2))

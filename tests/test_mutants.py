@@ -41,7 +41,7 @@ def _edit(old: str, new: str, count: int = 1):
 #: (name, module, attribute, mutation of the attribute, suites it fails)
 MUTANTS = [
     ("stress_tensor_quadratic_sign", lagrangian, "stress_tensors",
-     _edit("gs.da[..., k, :, :] + (", "gs.da[..., k, :, :] - ("),
+     _edit("gs.grad[..., k, :, :] + (", "gs.grad[..., k, :, :] - ("),
      ("invariance", "cubic")),
     ("t2_sign", fields, "_HALF_SIGN", abs,
      ("invariance", "coordinate", "quadratic", "cubic")),
@@ -50,7 +50,7 @@ MUTANTS = [
     ("sphere_radius_off_by_1e-7", fields, "phi_from_psi",
      _edit("r = R * s", "r = R * (1.0 + 1.0e-7) * s"), ("coordinate", "fermion")),
     ("phi_1_hypercharge_sign", lagrangian, "covariant_derivative_phi",
-     _edit("(c.g * a3 + c.gp * gs.b) * p1", "(c.g * a3 - c.gp * gs.b) * p1"),
+     _edit("(c.g * a3 + c.gp * b) * p1", "(c.g * a3 - c.gp * b) * p1"),
      ("coordinate",)),
     ("u1_gauge_shift_sign", fields, "infinitesimal_gauge_transform",
      _edit("c.g, c.g, c.g, c.gp", "c.g, c.g, c.g, -c.gp"), ("invariance",)),
@@ -62,16 +62,19 @@ MUTANTS = [
      _edit('"A3_ww_dpsi3": (', '"A3_ww_dpsi3": 1.01 * ('), ("cubic",)),
     ("psi_3_graded_as_fiber", fields, "sample_psi",
      _edit("_grading((True, True, False), order",
-           "_grading((True, True, True), order"), ("limit",)),
+           "_grading((True, True, True), order"), ("quadratic", "limit")),
     ("B_graded_as_fiber", fields, "sample_gauge",
      _edit("_grading((True, True, False, False), order",
            "_grading((True, True, False, True), order"), ("quadratic", "limit")),
+    ("nu_l_graded_as_base", fields, "sample_fermions",
+     _edit("_grading((False, True, False), order",
+           "_grading((False, False, False), order"), ("fermion",)),
     ("one_param_full_angle", group, "one_param",
      _edit("dtype=float) / 2.0", "dtype=float)"), ("group",)),
     ("sigma_tilde_is_sigma", lagrangian, "_SIGMA_TILDE",
      lambda _: lagrangian._SIGMA, ("fermion",)),
     ("e_r_hypercharge_halved", lagrangian, "lagrangian_fermion",
-     _edit("1j * c.gp * (gs.b", "0.5j * c.gp * (gs.b"), ("fermion",)),
+     _edit("1j * c.gp * (gs.value", "0.5j * c.gp * (gs.value"), ("fermion",)),
 ]
 
 

@@ -289,7 +289,7 @@ def test_batched_fermion_mass_coefficients_equal_one_background_at_a_time():
     zero, unit = np.zeros(2), np.array([1.0, 0.0])
     x = np.zeros(4)
     gs = sample_gauge(constant(np.zeros((4, 4))), x, ORDER)
-    phi, _ = phi_from_psi(sample_psi(constant(np.zeros(3)), x, ORDER), c.R)
+    phi = phi_from_psi(sample_psi(constant(np.zeros(3)), x, ORDER), c.R).value
     for i, cfg in enumerate((constant(np.array([unit, zero, unit])),
                              constant(np.array([zero, unit, zero])))):
         alone = epsilon_expand(
