@@ -299,7 +299,8 @@ def cmd_expand(args, file_cfg: dict, couplings: Couplings) -> int:
     payload["mode"] = label
     payload["expansion"] = _sanitize({
         "n_max": args.n,
-        "coefficients": {str(p): c.to_json() for p, c in enumerate(expansion)},
+        "coefficients": {str(p): [[z.real, z.imag] for z in c.coeffs[:, 0]]
+                         for p, c in enumerate(expansion)},
     })
     text = _json_text(payload)
     print(text)

@@ -20,7 +20,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .jets import DEFAULT_ORDER, Jet, JetMatrix2, jet_cos, jet_sin, jparam, stack
+from .jets import DEFAULT_ORDER, Jet, JetMatrix2, jparam, stack
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -67,24 +67,36 @@ def algebra_element(
     return AlgebraElement(a1, a2, a3, m)
 
 
+def _series(x: "float | np.ndarray", order: int, first: int) -> np.ndarray:
+    """Coefficients (..., order + 1, 1) in j of sum_n (-1)**(n // 2)
+    (j x)**n / n! over n = first, first + 2, ..., truncated: the series of
+    cos(j x) for first = 0 and of sin(j x) for first = 1, one per element
+    of x."""
+    x = np.asarray(x, dtype=float)
+    c = np.zeros(x.shape + (order + 1, 1), dtype=complex)
+    for n in range(first, order + 1, 2):
+        c[..., n, 0] = (-1) ** (n // 2) * x**n / math.factorial(n)
+    return c
+
+
 def one_param(k: "int | np.ndarray", angle: Param, order: int = DEFAULT_ORDER,
               jval: float | None = None) -> JetMatrix2:
     """One-parameter subgroup element exp(angle * T_k(j)) = c 1 + i s tau_k,
     or a batch of them for arrays k and angle of one shape.
 
-    For k=1,2, c and s are the series of cos(j*angle/2), sin(j*angle/2);
-    k=3 is the diagonal phase subgroup, untouched by contraction, with
-    c = cos(angle/2) and s = sin(angle/2). A numeric jval replaces the
-    series by exact cos/sin values at j=jval.
+    For k=1,2, c and s are the truncated series (_series) of
+    cos(j*angle/2) and sin(j*angle/2); k=3 is the diagonal phase subgroup,
+    untouched by contraction, with c = cos(angle/2) and s = sin(angle/2).
+    A numeric jval replaces the series by exact cos/sin values at j=jval.
     """
     k = np.asarray(k)
     if not np.isin(k, (1, 2, 3)).all():
         raise ValueError("subgroup index must be 1, 2 or 3")
     half = np.asarray(angle, dtype=float) / 2.0
     if jval is None:
-        c, s = (Jet(np.where((k != 3)[..., None, None], series(half, order).coeffs,
+        c, s = (Jet(np.where((k != 3)[..., None, None], _series(half, order, first),
                              Jet.const(closed(half), order).coeffs), order)
-                for series, closed in ((jet_cos, np.cos), (jet_sin, np.sin)))
+                for first, closed in ((0, np.cos), (1, np.sin)))
     else:
         x = np.where(k != 3, jval, 1.0) * half
         c, s = Jet.const(np.cos(x), order), Jet.const(np.sin(x), order)
@@ -169,15 +181,16 @@ def hermitian_form_jets(x: Jet, y: Jet) -> Jet:
     return (x.conjugate() * y).sum(-1)
 
 
-def random_factors(rng: np.random.Generator, shape: Tuple[int, ...] = (),
-                   factors: int = 3) -> Tuple[np.ndarray, np.ndarray]:
-    """Generator indices in {1, 2, 3} and angles in [-pi, pi) of the factors
-    of random group elements, shaped (*shape, factors): per factor two
-    consecutive doubles u of one rng.random block give floor(3 u0) + 1 and
-    numpy's uniform(-pi, pi) of u1. In C order, n elements are bit for bit
-    n single-element calls and leave any bit generator in the same state,
-    so a suite's numbers do not depend on its CONFIG_CHUNK."""
-    u = rng.random((*shape, factors, 2))
+def random_factors(rng: np.random.Generator,
+                   shape: Tuple[int, ...] = ()) -> Tuple[np.ndarray, np.ndarray]:
+    """Generator indices in {1, 2, 3} and angles in [-pi, pi) of the three
+    one-parameter factors of random group elements, shaped (*shape, 3): per
+    factor two consecutive doubles u of one rng.random block give
+    floor(3 u0) + 1 and numpy's uniform(-pi, pi) of u1. In C order, n
+    elements are bit for bit n single-element calls and leave any bit
+    generator in the same state, so a suite's numbers do not depend on its
+    CONFIG_CHUNK."""
+    u = rng.random((*shape, 3, 2))
     return (3 * u[..., 0]).astype(np.int64) + 1, -math.pi + 2 * math.pi * u[..., 1]
 
 

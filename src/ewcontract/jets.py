@@ -38,7 +38,6 @@ Values are immutable; every operation returns a fresh Jet.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
@@ -144,10 +143,11 @@ class Jet:
         return self.block.shape[:-2]
 
     def grade(self, n: int) -> "complex | np.ndarray":
-        """Coefficient of j**n (at eps**0): a complex number, or an array
-        of them over the batch axes."""
-        if n > self.order:
-            raise IndexError(f"grade {n} exceeds truncation order {self.order}")
+        """Coefficient of j**n (at eps**0) for 0 <= n <= order: a complex
+        number, or an array of them over the batch axes. Any other n raises
+        IndexError; a negative n would read a row of the stored block."""
+        if not 0 <= n <= self.order:
+            raise IndexError(f"grade {n} is outside 0..{self.order}")
         block = self.block
         value = (block[..., n, 0] if n < block.shape[-2]
                  else np.zeros(block.shape[:-2], dtype=complex))
@@ -333,12 +333,6 @@ class Jet:
 
     def max_abs_diff(self, other: "Jet | Scalar") -> float:
         return float(np.max(np.abs((self - other).block)))
-
-    def to_json(self) -> list:
-        """Serialize one jet in j alone as [[re, im], ...] by grade."""
-        if self.eps_order or self.batch_shape:
-            raise ValueError("only one jet without eps terms serializes")
-        return [[c.real, c.imag] for c in self.coeffs[:, 0]]
 
     def __repr__(self) -> str:
         return (f"Jet({self.coeffs.tolist()!r}, order={self.order}, "
@@ -585,22 +579,3 @@ class JetMatrix2:
     def __repr__(self) -> str:
         return f"JetMatrix2({self.jet!r})"
 
-
-def _series(x: "float | np.ndarray", order: int, first: int) -> Jet:
-    """sum_n (-1)**(n // 2) (j x)**n / n! over n = first, first + 2, ...,
-    one jet per element of x."""
-    x = np.asarray(x, dtype=float)
-    c = np.zeros(x.shape + (order + 1, 1), dtype=complex)
-    for n in range(first, order + 1, 2):
-        c[..., n, 0] = (-1) ** (n // 2) * x**n / math.factorial(n)
-    return Jet(c, order)
-
-
-def jet_cos(x: "float | np.ndarray", order: int = DEFAULT_ORDER) -> Jet:
-    """Series of cos(j*x) in j, truncated; an array x gives a batch."""
-    return _series(x, order, 0)
-
-
-def jet_sin(x: "float | np.ndarray", order: int = DEFAULT_ORDER) -> Jet:
-    """Series of sin(j*x) in j, truncated; an array x gives a batch."""
-    return _series(x, order, 1)

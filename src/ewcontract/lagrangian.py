@@ -13,13 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .fields import (
-    Couplings,
-    PlaneWave,
-    Sample,
-    generator_vector_fields,
-    phi_from_psi,
-)
+from .fields import Couplings, PlaneWave, Sample, generator_vector_fields
 from .jets import Jet, JetMatrix2, stack
 from .group import PAULI
 
@@ -226,15 +220,6 @@ def yukawa_expanded_form(ps: Sample, fs: Sample, c: Couplings) -> Jet:
         + v[..., 1] * (nu_er + er_nu)
     )
     return pref * bracket
-
-
-def fermion_mass_identity(ps: Sample, fs: Sample,
-                          c: Couplings) -> Tuple[Jet, Jet]:
-    """(matrix form, expanded form) of the Yukawa mass terms; they must
-    agree grade-wise."""
-    lhs = yukawa_matrix_form(phi_from_psi(ps, c.R).value, fs, c.h_e)
-    rhs = yukawa_expanded_form(ps, fs, c)
-    return lhs, rhs
 
 
 def lagrangian_fermion(fs: Sample, phi: Jet, gs: Sample, c: Couplings) -> Jet:

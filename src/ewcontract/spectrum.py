@@ -23,16 +23,13 @@ from .fields import (
     PlaneWave,
     Sample,
     constant,
+    phi_from_psi,
     sample_fermions,
     sample_gauge,
     sample_psi,
 )
 from .jets import DEFAULT_ORDER, Jet
-from .lagrangian import (
-    lagrangian_bosonic,
-    lagrangian_fermion,
-    phi_from_psi,
-)
+from .lagrangian import lagrangian_bosonic, lagrangian_fermion
 
 MAX_EXPANSION_ORDER = 6
 SPACETIME_SAMPLES = 16
@@ -79,15 +76,16 @@ def epsilon_expand(evaluator: Callable[[Jet], Jet], n: int,
 
     The evaluator is called once, with the eps variable (a jet of j order
     `order` truncated beyond eps**n) as its one argument; item p of the
-    result is eps column p of its value, the jet-valued coefficient of
-    eps**p, for p = 0..n."""
+    result is eps column p of its value's block, the jet-valued
+    coefficient of eps**p with the value's batch axes, for p = 0..n. A
+    power beyond the block (a value that stops below eps**n, or has no
+    eps terms) is an exact zero jet."""
     if n < 0 or n > MAX_EXPANSION_ORDER:
         raise ConfigError(
             f"expansion order must be between 0 and {MAX_EXPANSION_ORDER}"
         )
     value = evaluator(Jet([[0.0, 1.0]], order, n))
-    columns = Jet(value.coeffs, value.order, n).coeffs
-    return [Jet(columns[..., p:p + 1], value.order) for p in range(n + 1)]
+    return [Jet(value.block[..., p:p + 1], value.order) for p in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +417,13 @@ def normative_cubic_terms(gs: Sample, ps: Sample, c: Couplings) -> Dict[str, Jet
 # ---------------------------------------------------------------------------
 
 
-def extrapolate_even(values: Sequence[complex], ts: Sequence[float] = LIMIT_T_VALUES
-                     ) -> Tuple[complex, complex]:
-    """Given f(t) = a0 + a2 t^2 + a4 t^4 sampled at three t values, return
-    (a0, a2) by Lagrange interpolation in s = t^2 (exact for this form),
-    real and imaginary parts as two real columns: numpy divides complex by
-    real through the reciprocal, which rounds differently."""
-    s = np.asarray([t * t for t in ts], dtype=float)
+def extrapolate_even(values: Sequence[complex]) -> Tuple[complex, complex]:
+    """Given f(t) = a0 + a2 t^2 + a4 t^4 sampled at the three t of
+    LIMIT_T_VALUES, in that order, return (a0, a2) by Lagrange
+    interpolation in s = t^2 (exact for this form), real and imaginary
+    parts as two real columns: numpy divides complex by real through the
+    reciprocal, which rounds differently."""
+    s = np.asarray([t * t for t in LIMIT_T_VALUES], dtype=float)
 
     def at_zero(y: np.ndarray) -> np.ndarray:
         total = 0.0

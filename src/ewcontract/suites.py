@@ -60,7 +60,6 @@ from .lagrangian import (
     covariant_derivative_phi_matrix,
     covariant_derivative_psi,
     fermion_kinetic_oracle,
-    fermion_mass_identity,
     lagrangian_bosonic,
     lagrangian_fermion,
     lagrangian_gauge,
@@ -68,6 +67,8 @@ from .lagrangian import (
     lagrangian_phi,
     lagrangian_psi,
     lagrangian_psi_closed,
+    yukawa_expanded_form,
+    yukawa_matrix_form,
 )
 from .spectrum import (
     LIMIT_T_VALUES,
@@ -216,11 +217,6 @@ def _sample_size(x: Jet) -> np.ndarray:
     return np.abs(x.coeffs).reshape(len(x.coeffs), -1).max(axis=1)
 
 
-def _sample_diff(x: Jet, y: "Jet | float") -> np.ndarray:
-    """Largest coefficient difference of each sample (leading axis)."""
-    return _sample_size(x - y)
-
-
 def _odd_grades(x: Jet) -> np.ndarray:
     """Largest coefficient at odd grades of j of each batch element."""
     return np.abs(x.coeffs[..., 1::2, :]).max(axis=(-2, -1))
@@ -284,7 +280,8 @@ def suite_group(cfg: RunConfig) -> SuiteResult:
 
     def products(ks: np.ndarray, angles: np.ndarray):
         u = group_product(ks, angles, order)
-        return _sample_diff((u * u.dagger()).jet, identity), _sample_diff(u.det(), 1.0)
+        return (_sample_size((u * u.dagger()).jet - identity),
+                _sample_size(u.det() - 1.0))
 
     unitarity, det_resid = _sampled_max(zip(*random_factors(rng, (count,))),
                                         products)
@@ -325,7 +322,13 @@ def suite_group(cfg: RunConfig) -> SuiteResult:
 def suite_invariance(cfg: RunConfig) -> SuiteResult:
     """Hermitian-form preservation under random group elements, and the
     vanishing of the Lagrangian's first-order gauge variation relative to
-    the unvaried density, at the grades each contraction regime reads."""
+    the unvaried density, at the grades each contraction regime reads.
+
+    One evaluation expands the gauge and matter densities, stacked on a
+    trailing sector axis, to eps**1: the variation is the sum of the
+    sectors' eps**1 coefficients, its size the sum of the sectors'
+    unvaried magnitudes, and the gauge sector's eps**0 coefficient is
+    checked against the trace form."""
     if cfg.couplings.gp == 0.0:
         raise ConfigError("the invariance suite needs gp > 0 "
                           "(the U(1) gauge shift divides by gp)")
@@ -342,7 +345,7 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
         reference = hermitian_form_jets(d, d)
         moved = (group_product(ks[:, e], angles[:, e], order, jval).apply(d)
                  for e, jval in enumerate((None, 1.0)))
-        change = np.maximum(*(_sample_diff(hermitian_form_jets(m, m), reference)
+        change = np.maximum(*(_sample_size(hermitian_form_jets(m, m) - reference)
                               for m in moved))
         return (change / _sample_size(reference),)
 
@@ -359,26 +362,24 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
         for jval, grades in ((1.0, (0,)), (None, (0, 1)), (0.1, (0,))):
             gs = sample_gauge(gauge, x, order, jval)
             ps = sample_psi(psicfg, x, order, jval)
-            sectors = []
 
-            def transformed(scale: Jet) -> Jet:
-                """eps**0: the unvaried density; eps**1: its variation."""
+            def sectors(scale: Jet) -> Jet:
+                """The gauge and matter densities on a trailing axis; eps**0:
+                unvaried, eps**1: their variations."""
                 gs2, ps2 = infinitesimal_gauge_transform(
                     gs, ps, eps, x, c, jval, scale)
-                sectors[:] = (lagrangian_gauge(gs2, c),
-                              lagrangian_psi(ps2, gs2, c))
-                return sectors[0] + sectors[1]
+                return stack([lagrangian_gauge(gs2, c), lagrangian_psi(ps2, gs2, c)])
 
-            variation = epsilon_expand(transformed, 1, order)[1]
+            unvaried, variations = epsilon_expand(sectors, 1, order)
+            variation = variations.sum(-1)
             # the gauge and matter densities can cancel, so the unvaried
             # density is measured sector by sector, per configuration
-            size = np.max([abs(sectors[0].coeffs[..., n, 0])
-                           + abs(sectors[1].coeffs[..., n, 0]) for n in grades], axis=0)
+            size = np.max([abs(unvaried.grade(n)).sum(-1) for n in grades], axis=0)
             change = np.max([abs(variation.grade(n)) for n in grades], axis=0)
             worst.append(change / np.maximum(size, 1.0e-30))
-            unvaried = Jet(sectors[0].coeffs[..., :1], order)  # gauge density, eps**0
-            trace.append(_sample_diff(unvaried, lagrangian_gauge_trace(gs, c))
-                         / _sample_size(unvaried))
+            gauge_density = unvaried[..., 0]
+            trace.append(_sample_size(gauge_density - lagrangian_gauge_trace(gs, c))
+                         / _sample_size(gauge_density))
         return np.max(worst, axis=0), np.max(trace, axis=0)
 
     first_order, trace_resid = _sampled_max(draws, gauge_variation)
@@ -414,7 +415,7 @@ def suite_coordinate(cfg: RunConfig) -> SuiteResult:
 
     def sphere(psicfg, x):
         phi = phi_from_psi(sample_psi(psicfg, x, order), c.R).value
-        return (_sample_diff(hermitian_form_jets(phi, phi), c.R**2),)
+        return (_sample_size(hermitian_form_jets(phi, phi) - c.R**2),)
 
     sphere_resid, = _sampled_max(draws, sphere)
 
@@ -433,11 +434,11 @@ def suite_coordinate(cfg: RunConfig) -> SuiteResult:
         chain = (phi_jacobian(ps.value, c.R)[..., None]
                  * covariant_derivative_psi(ps, gs, c)[..., None, :, :]).sum(-2)
         d_scale = _sample_size(d).clip(1e-30)
-        return (_sample_diff(doublet, intrinsic) / scale,
-                _sample_diff(intrinsic, lagrangian_psi_closed(ps, gs, c)) / scale,
-                _sample_diff(d, covariant_derivative_phi_matrix(phi, gs, c))
+        return (_sample_size(doublet - intrinsic) / scale,
+                _sample_size(intrinsic - lagrangian_psi_closed(ps, gs, c)) / scale,
+                _sample_size(d - covariant_derivative_phi_matrix(phi, gs, c))
                 / d_scale,
-                _sample_diff(d, chain) / d_scale)
+                _sample_size(d - chain) / d_scale)
 
     equiv_resid, displayed_resid, matrix_resid, chain_resid = _sampled_max(
         draws, equivalence)
@@ -602,11 +603,12 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
     def identity(psicfg, fcfg, x):
         ps = sample_psi(psicfg, x, order)
         fs = sample_fermions(fcfg, x, order)
-        lhs, rhs = fermion_mass_identity(ps, fs, c)
+        lhs = yukawa_matrix_form(phi_from_psi(ps, c.R).value, fs, c.h_e)
+        rhs = yukawa_expanded_form(ps, fs, c)
         leptons = fs.value.grade(0)
         oracle = _grade0_yukawa_oracle(ps.value.grade(0)[..., 2], leptons[..., 0, :],
                                        leptons[..., 2, :], c.h_e, c.R)
-        return _sample_diff(lhs, rhs), np.abs(lhs.grade(0) - oracle)
+        return _sample_size(lhs - rhs), np.abs(lhs.grade(0) - oracle)
 
     identity_resid, grade0_resid = _sampled_max(draws, identity)
 
@@ -624,7 +626,7 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
         oracle = fermion_kinetic_oracle(gauge, fcfg, x, massless)
         graded = lagrangian_fermion(sample_fermions(fcfg, x, order), phi,
                                     sample_gauge(gauge, x, order), c)
-        return (_sample_diff(density, oracle) / np.maximum(abs(oracle), 1.0),
+        return (_sample_size(density - oracle) / np.maximum(abs(oracle), 1.0),
                 _odd_grades(graded))
 
     kinetic_resid, odd = _sampled_max(draws, kinetic)

@@ -121,6 +121,14 @@ def test_random_products_are_unitary_and_unimodular():
         assert u.det().max_abs_diff(one) <= TOL
 
 
+def test_trig_jets_satisfy_pythagoras():
+    """det(c 1 + i s tau_k) = c^2 + s^2 = 1 for the truncated series of
+    cos(j x) and sin(j x) at formal j, and for k = 3's closed values."""
+    for k in (1, 2, 3):
+        assert one_param(k, 1.4, ORDER).det().allclose(Jet.const(1.0, ORDER),
+                                                       tol=1e-12), k
+
+
 def test_one_param_subgroup_law():
     for k in (1, 2, 3):
         combined = one_param(k, 0.7) * one_param(k, 0.4)

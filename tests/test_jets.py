@@ -18,8 +18,6 @@ from ewcontract.jets import (
     JetMatrix2,
     NonPositiveConstantTerm,
     ZeroConstantTerm,
-    jet_cos,
-    jet_sin,
     stack,
 )
 from ewcontract.suites import RunConfig, run_suites
@@ -166,6 +164,17 @@ def test_stack_equals_a_broadcasting_reference_bit_for_bit():
             stack([a, b], axis)
 
 
+def test_grade_outside_the_truncation_raises():
+    """A negative grade is no coefficient: it must not read the highest
+    stored row of the block, whose shape follows the values it reached."""
+    for jet in (Jet([1, 2, 3], 4), Jet.variable(4), Jet(np.ones((2, 2, 1)), 4)):
+        for n in (-1, -2, 5):
+            with pytest.raises(IndexError):
+                jet.grade(n)
+        grades = np.stack([jet.grade(n) for n in range(5)], axis=-1)
+        assert np.array_equal(grades, jet.coeffs[..., 0])
+
+
 def test_batch_operations_never_touch_coefficient_axes():
     a = Jet(np.ones((2, 3, DEFAULT_ORDER + 1, 1)), DEFAULT_ORDER)
     for key in ((0, 0, 0), (..., 0, 0, 0)):
@@ -224,11 +233,6 @@ def test_inv_sqrt_squares_back(c0):
     a = Jet.const(c0) + Jet.variable() * 0.3
     s = a.inv_sqrt()
     assert (a * s * s).allclose(Jet.const(1.0), tol=1e-9)
-
-
-def test_trig_jets_satisfy_pythagoras():
-    c, s = jet_cos(0.7), jet_sin(0.7)
-    assert (c * c + s * s).allclose(Jet.const(1.0), tol=1e-12)
 
 
 def test_incompatible_orders_rejected():

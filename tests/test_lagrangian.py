@@ -25,7 +25,6 @@ from ewcontract.lagrangian import (
     covariant_derivative_phi_matrix,
     covariant_derivative_psi,
     fermion_kinetic_oracle,
-    fermion_mass_identity,
     lagrangian_bosonic,
     lagrangian_fermion,
     lagrangian_gauge,
@@ -34,6 +33,8 @@ from ewcontract.lagrangian import (
     lagrangian_psi,
     lagrangian_psi_closed,
     stress_tensors,
+    yukawa_expanded_form,
+    yukawa_matrix_form,
 )
 from ewcontract.spectrum import (
     epsilon_expand,
@@ -187,7 +188,9 @@ def test_yukawa_matrix_and_expanded_forms_agree():
         x = _random_point(rng)
         ps = sample_psi(psicfg, x, ORDER)
         fs = sample_fermions(fcfg, x, ORDER)
-        lhs, rhs = fermion_mass_identity(ps, fs, COUPLINGS)
+        lhs = yukawa_matrix_form(phi_from_psi(ps, COUPLINGS.R).value, fs,
+                                 COUPLINGS.h_e)
+        rhs = yukawa_expanded_form(ps, fs, COUPLINGS)
         assert lhs.max_abs_diff(rhs) <= 1e-12
 
 

@@ -18,7 +18,7 @@ from ewcontract.fields import (
     sample_gauge,
     sample_psi,
 )
-from ewcontract.jets import DEFAULT_ORDER, Jet
+from ewcontract.jets import DEFAULT_ORDER, Jet, stack
 from ewcontract.lagrangian import lagrangian_bosonic, lagrangian_fermion
 from ewcontract.spectrum import (
     _fermion_mass_coefficients,
@@ -184,6 +184,29 @@ def test_epsilon_expand_order_bounds():
         epsilon_expand(evaluator, 7)
     with pytest.raises(ConfigError):
         epsilon_expand(evaluator, -1)
+
+
+def test_epsilon_expand_of_values_that_stop_below_the_expansion_order():
+    """A batch of jets without eps terms expands to itself and n exact zero
+    jets of its batch shape; a stack of two sectors keeps its trailing
+    sector axis, each sector expanding as it does alone."""
+    batch = Jet(np.random.default_rng(3).normal(size=(3, ORDER + 1, 1)), ORDER)
+    expansion = epsilon_expand(lambda eps: batch, 4)
+    assert len(expansion) == 5
+    assert expansion[0].coeffs.tobytes() == batch.coeffs.tobytes()
+    for zero in expansion[1:]:
+        assert zero.batch_shape == (3,) and not zero.coeffs.any()
+
+    j = Jet.variable(ORDER)
+    first = lambda eps: eps * j + batch
+    second = lambda eps: (eps * eps) * (2.0 * j) - batch
+    stacked = epsilon_expand(lambda eps: stack([first(eps), second(eps)]), 4)
+    for p, sectors in enumerate(zip(epsilon_expand(first, 4),
+                                    epsilon_expand(second, 4))):
+        assert stacked[p].batch_shape == (3, 2)
+        for s, alone in enumerate(sectors):
+            assert stacked[p][..., s].coeffs.tobytes() == alone.coeffs.tobytes()
+    assert not stacked[3].coeffs.any() and not stacked[4].coeffs.any()
 
 
 def test_quadratic_coefficient_matches_diagonalized_form():
