@@ -258,7 +258,7 @@ def cmd_verify(args, file_cfg: dict, couplings: Couplings) -> int:
 
 
 def cmd_spectrum(args, file_cfg: dict, couplings: Couplings) -> int:
-    report = mass_spectrum(couplings, args.order)
+    report = mass_spectrum(couplings)
 
     # (quantity, extracted, closed form), one row per closed formula
     rows = [(name, getattr(report, name), closed)
@@ -321,13 +321,16 @@ def _check_flags(args) -> None:
         raise ConfigError(f"unknown --format {args.format!r}")
     if args.format == "csv" and args.command != "spectrum":
         raise ConfigError("CSV output is only available for the spectrum table")
+    if args.format == "csv" and args.out is None:
+        raise ConfigError("CSV output is written only to --out; none was given")
     if args.out is not None:  # probed before any work, creating no file
         out = os.path.abspath(args.out)
         if os.path.isdir(out):
             raise ConfigError(f"cannot write --out {args.out}: it is a directory")
-        if not os.access(os.path.dirname(out), os.W_OK):
-            raise ConfigError(f"cannot write --out {args.out}: its directory "
-                              "is missing or not writable")
+        parent = os.path.dirname(out)
+        if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            raise ConfigError(f"cannot write --out {args.out}: its parent "
+                              "is not a writable directory")
 
 
 COMMANDS = {

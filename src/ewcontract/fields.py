@@ -162,7 +162,9 @@ def _grading(fiber: Sequence[bool], order: int, jval: Optional[float],
 @dataclass
 class Sample:
     """A sampled configuration: graded values value[..., *comp] of its
-    components and their 4-gradients grad[..., *comp, mu]."""
+    components and their 4-gradients grad[..., *comp, mu]; the gauge
+    sample's value[..., k, nu] has grad[..., k, mu, nu] = d_mu A^k_nu, the
+    derivative index before the Lorentz index, the layout its curls read."""
 
     value: Jet
     grad: Jet
@@ -224,6 +226,12 @@ def phi_from_psi(ps: Sample, R: float) -> Sample:
     dr = -0.5 * ((r * s.inv())[..., None] * ds)
     return Sample(r[..., None] * unit,
                   dr[..., None, :] * unit[..., None] + r[..., None, None] * dunit)
+
+
+def hermitian_form_jets(x: Jet, y: Jet) -> Jet:
+    """x^dagger y over a trailing axis of 2: the invariant form of graded
+    doublets, conj(x1)y1 + j^2 conj(x2)y2, and every spinor bilinear."""
+    return (x.conjugate() * y).sum(-1)
 
 
 def phi_jacobian(psi: Jet, R: float) -> Jet:

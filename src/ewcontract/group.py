@@ -15,7 +15,7 @@ and a doublet's components sit on trailing batch axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
@@ -36,12 +36,9 @@ Param = Union[float, np.ndarray]
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """Element a1*T1(j) + a2*T2(j) + a3*T3(j) of su(2;j)."""
+    """Element a1*T1(j) + a2*T2(j) + a3*T3(j) of su(2;j), as its matrix."""
 
-    a1: float
-    a2: float
-    a3: float
-    matrix: JetMatrix2 = field(compare=False)
+    matrix: JetMatrix2
 
 
 def generator(k: int, order: int = DEFAULT_ORDER,
@@ -64,7 +61,7 @@ def algebra_element(
     x1, x2, x3 = (np.asarray(a, dtype=float)[..., None, None] for a in (a1, a2, a3))
     fiber = 0.5j * (x1 * PAULI[0] + x2 * PAULI[1])
     m = JetMatrix2(jparam(order, jval) * fiber + 0.5j * x3 * PAULI[2])
-    return AlgebraElement(a1, a2, a3, m)
+    return AlgebraElement(m)
 
 
 def _series(x: "float | np.ndarray", order: int, first: int) -> np.ndarray:
@@ -173,12 +170,6 @@ def graded_doublet(phi1: "complex | np.ndarray", phi2: "complex | np.ndarray",
     matter space, on a trailing axis of 2. Arrays of components hold one
     doublet per element."""
     return stack([Jet.const(phi1, order), Jet.variable(order) * phi2])
-
-
-def hermitian_form_jets(x: Jet, y: Jet) -> Jet:
-    """Invariant form on graded doublets (trailing axis of 2); for graded
-    inputs this equals conj(x1)y1 + j^2 conj(x2)y2 automatically."""
-    return (x.conjugate() * y).sum(-1)
 
 
 def random_factors(rng: np.random.Generator,

@@ -44,7 +44,7 @@ import numpy as np
 
 DEFAULT_ORDER = 4
 
-#: coefficient-wise tolerance for jet equality checks (floating drift only)
+#: imaginary drift, relative, that inv_sqrt allows in a real constant term
 EQ_TOL = 1e-12
 
 Scalar = Union[int, float, complex]
@@ -328,9 +328,6 @@ class Jet:
 
     # -- misc ----------------------------------------------------------
 
-    def allclose(self, other: "Jet | Scalar", tol: float = EQ_TOL) -> bool:
-        return bool(np.all(np.abs((self - other).block) <= tol))
-
     def max_abs_diff(self, other: "Jet | Scalar") -> float:
         return float(np.max(np.abs((self - other).block)))
 
@@ -526,10 +523,6 @@ class JetMatrix2:
     @classmethod
     def zero(cls, order: int = DEFAULT_ORDER) -> "JetMatrix2":
         return cls(Jet.const(np.zeros((2, 2)), order))
-
-    @property
-    def order(self) -> int:
-        return self.jet.order
 
     def __getitem__(self, idx) -> Jet:
         r, c = idx

@@ -9,11 +9,9 @@ sector on its own calls that sector's density.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-from .fields import Couplings, PlaneWave, Sample, generator_vector_fields
+from .fields import Couplings, PlaneWave, Sample, generator_vector_fields, hermitian_form_jets
 from .jets import Jet, JetMatrix2, stack
 from .group import PAULI
 
@@ -163,11 +161,6 @@ def lagrangian_psi_closed(ps: Sample, gs: Sample, c: Couplings) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-def _spinor_bilinear(x: Jet, y: Jet) -> Jet:
-    """x^dagger y over the trailing 2 Lorentz-spinor components."""
-    return (x.conjugate() * y).sum(-1)
-
-
 def _kinetic(spinor: Jet, d: Jet, sigma: np.ndarray) -> Jet:
     """i spinor^dagger sigma^mu D_mu spinor, summed over mu, for the
     covariant derivative d[..., s, mu]."""
@@ -175,19 +168,17 @@ def _kinetic(spinor: Jet, d: Jet, sigma: np.ndarray) -> Jet:
     return 1j * (spinor.conjugate()[..., None] * acted).sum((-2, -1))
 
 
-def covariant_derivative_doublet(fs: Sample, gs: Sample,
-                                 c: Couplings) -> Tuple[Jet, Jet]:
-    """Covariant derivative of the lepton doublet (e_l, nu) as
-    (D e_l[..., s, mu], D nu[..., s, mu]): each Lorentz spinor component s
-    is an SU(2) doublet, acted on exactly like the scalar doublet. Both
-    go through one covariant_derivative_phi on a view of the leptons'
-    doublet rows as [..., s, comp], the gauge sample broadcast over s, so
-    each value takes the same scalar operations as one at a time would."""
+def covariant_derivative_doublet(fs: Sample, gs: Sample, c: Couplings) -> Jet:
+    """Covariant derivative D L[..., comp, s, mu] of the lepton doublet
+    L = (e_l, nu): each Lorentz spinor component s is an SU(2) doublet,
+    acted on exactly like the scalar doublet. One covariant_derivative_phi
+    runs on a view of the leptons' doublet rows as [..., s, comp], the
+    gauge sample broadcast over s, so each value takes the same scalar
+    operations as one at a time would."""
     doublet = Sample(fs.value[..., :2, :].swapaxes(-1, -2),
                      fs.grad[..., :2, :, :].swapaxes(-2, -3))
     over_s = Sample(gs.value[..., None, :, :], gs.grad[..., None, :, :, :])
-    d = covariant_derivative_phi(doublet, over_s, c)
-    return d[..., 0, :], d[..., 1, :]
+    return covariant_derivative_phi(doublet, over_s, c).swapaxes(-3, -2)
 
 
 def yukawa_matrix_form(phi: Jet, fs: Sample, h_e: float) -> Jet:
@@ -196,7 +187,7 @@ def yukawa_matrix_form(phi: Jet, fs: Sample, h_e: float) -> Jet:
     el, nu, er = (fs.value[..., k, :] for k in range(3))
     conj = phi.conjugate()
     inner = conj[..., 0, None] * el + conj[..., 1, None] * nu
-    return h_e * (_spinor_bilinear(er, inner) + _spinor_bilinear(inner, er))
+    return h_e * (hermitian_form_jets(er, inner) + hermitian_form_jets(inner, er))
 
 
 def yukawa_expanded_form(ps: Sample, fs: Sample, c: Couplings) -> Jet:
@@ -208,10 +199,10 @@ def yukawa_expanded_form(ps: Sample, fs: Sample, c: Couplings) -> Jet:
     v = ps.value
     el, nu, er = (fs.value[..., k, :] for k in range(3))
     pref = c.h_e * c.R * (1.0 + (v * v).sum(-1)).inv_sqrt()
-    er_el = _spinor_bilinear(er, el)
-    el_er = _spinor_bilinear(el, er)
-    nu_er = _spinor_bilinear(nu, er)
-    er_nu = _spinor_bilinear(er, nu)
+    er_el = hermitian_form_jets(er, el)
+    el_er = hermitian_form_jets(el, er)
+    nu_er = hermitian_form_jets(nu, er)
+    er_nu = hermitian_form_jets(er, nu)
     bracket = (
         er_el
         + el_er
@@ -225,11 +216,10 @@ def yukawa_expanded_form(ps: Sample, fs: Sample, c: Couplings) -> Jet:
 def lagrangian_fermion(fs: Sample, phi: Jet, gs: Sample, c: Couplings) -> Jet:
     """Kinetic terms L_l+ i tilde-tau_mu D_mu L_l + e_r+ i tau_mu D_mu e_r
     plus the Yukawa term -h_e[...] with the doublet value phi, all graded."""
-    el, nu, er = (fs.value[..., k, :] for k in range(3))
-    d_el, d_nu = covariant_derivative_doublet(fs, gs, c)
+    doublet, er = fs.value[..., :2, :], fs.value[..., 2, :]
+    d_doublet = covariant_derivative_doublet(fs, gs, c)
     d_er = fs.grad[..., 2, :, :] + 1j * c.gp * (gs.value[..., 3, None, :] * er[..., None])
-    kinetic = (_kinetic(el, d_el, _SIGMA_TILDE)
-               + _kinetic(nu, d_nu, _SIGMA_TILDE)
+    kinetic = (_kinetic(doublet, d_doublet, _SIGMA_TILDE).sum(-1)
                + _kinetic(er, d_er, _SIGMA))
     return kinetic - yukawa_matrix_form(phi, fs, c.h_e)
 

@@ -32,6 +32,9 @@ from .jets import DEFAULT_ORDER, Jet
 from .lagrangian import lagrangian_bosonic, lagrangian_fermion
 
 MAX_EXPANSION_ORDER = 6
+#: truncation of every mass evaluation: W's j^2 is the deepest grade a
+#: mass reads, and no coefficient up to it depends on the truncation
+MASS_ORDER = 2
 SPACETIME_SAMPLES = 16
 LIMIT_T_VALUES = (1.0e-1, 1.0e-2, 1.0e-3)
 
@@ -207,7 +210,7 @@ class SpectrumReport:
     couplings: Couplings
 
 
-def gauge_mass_coefficients(backgrounds: np.ndarray, c: Couplings, order: int,
+def gauge_mass_coefficients(backgrounds: np.ndarray, c: Couplings,
                             jval: Optional[float] = None) -> Jet:
     """eps^2 coefficients of the bosonic density for constant gauge
     backgrounds at psi = 0: one density evaluation, batch item i being the
@@ -218,14 +221,14 @@ def gauge_mass_coefficients(backgrounds: np.ndarray, c: Couplings, order: int,
     x = np.zeros(4)
 
     def evaluate(scale: Jet) -> Jet:
-        gs = sample_gauge(gauge, x, order, jval, scale)
-        ps = sample_psi(psi, x, order, jval)
+        gs = sample_gauge(gauge, x, MASS_ORDER, jval, scale)
+        ps = sample_psi(psi, x, MASS_ORDER, jval)
         return lagrangian_bosonic(gs, ps, c)
 
-    return epsilon_expand(evaluate, 2, order)[2]
+    return epsilon_expand(evaluate, 2, MASS_ORDER)[2]
 
 
-def _fermion_mass_coefficients(c: Couplings, order: int) -> Jet:
+def _fermion_mass_coefficients(c: Couplings) -> Jet:
     """eps^2 coefficients of the fermion density for the constant unit
     spinor backgrounds at psi = 0: one density evaluation, batch item 0
     the electron pair and item 1 the lone neutrino (the stacked
@@ -233,15 +236,15 @@ def _fermion_mass_coefficients(c: Couplings, order: int) -> Jet:
     leptons = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # over (e_l, nu_l, e_r)
     cfg = constant(leptons[..., None] * np.eye(2)[0])
     x = np.zeros(4)
-    gs = sample_gauge(constant(np.zeros((4, 4))), x, order)
-    ps = sample_psi(constant(np.zeros(3)), x, order)
+    gs = sample_gauge(constant(np.zeros((4, 4))), x, MASS_ORDER)
+    ps = sample_psi(constant(np.zeros(3)), x, MASS_ORDER)
     phi = phi_from_psi(ps, c.R).value
 
     def evaluate(scale: Jet) -> Jet:
-        fs = sample_fermions(cfg, x, order, scale=scale)
+        fs = sample_fermions(cfg, x, MASS_ORDER, scale=scale)
         return lagrangian_fermion(fs, phi, gs, c)
 
-    return epsilon_expand(evaluate, 2, order)[2]
+    return epsilon_expand(evaluate, 2, MASS_ORDER)[2]
 
 
 def closed_masses(c: Couplings) -> Dict[str, float]:
@@ -250,35 +253,34 @@ def closed_masses(c: Couplings) -> Dict[str, float]:
             "m_e": c.h_e * c.R, "weinberg_cos": c.g / c.gz}
 
 
-def gauge_masses(c: Couplings, order: int = DEFAULT_ORDER) -> Tuple[float, float, float]:
+def gauge_masses(c: Couplings) -> Tuple[float, float, float]:
     """m_W, m_Z and m_A from the bosonic density on constant backgrounds
     along the W, Z and A directions, read grade by grade."""
     backgrounds = np.array([[1.0, 0.0, 0.0, 0.0],
                             [0.0, 0.0, c.g / c.gz, c.gp / c.gz],
                             [0.0, 0.0, c.gp / c.gz, -c.g / c.gz]])
-    w_coeff, z_coeff, a_coeff = gauge_mass_coefficients(
-        backgrounds, c, order).coeffs[..., 0]
+    w_coeff, z_coeff, a_coeff = gauge_mass_coefficients(backgrounds, c).coeffs[..., 0]
     # unit W background: W+ W- = 1/2, so the coefficient is m_W^2 / 2
     return (math.sqrt(max(2.0 * w_coeff[2].real, 0.0)),
             math.sqrt(max(2.0 * z_coeff[0].real, 0.0)),
             math.sqrt(abs(2.0 * a_coeff[0].real)))
 
 
-def lepton_masses(c: Couplings, order: int = DEFAULT_ORDER) -> Tuple[float, float]:
+def lepton_masses(c: Couplings) -> Tuple[float, float]:
     """m_e and the neutrino's mass coefficient from the fermion density on
     unit spinor backgrounds (both 0 when h_e = 0)."""
     if c.h_e == 0.0:
         return 0.0, 0.0
-    e_coeff, nu_coeff = _fermion_mass_coefficients(c, order).grade(0)
+    e_coeff, nu_coeff = _fermion_mass_coefficients(c).grade(0)
     # mass term -m_e (e_r+ e_l + e_l+ e_r) = -2 m_e on unit spinors
     return float(-0.5 * e_coeff.real), float(abs(nu_coeff))
 
 
-def mass_spectrum(c: Couplings, order: int = DEFAULT_ORDER) -> SpectrumReport:
+def mass_spectrum(c: Couplings) -> SpectrumReport:
     """Extract m_W, m_Z, m_A (and m_e when h_e > 0) from the exact
     Lagrangian on constant backgrounds along each physical direction."""
-    m_w, m_z, m_a = gauge_masses(c, order)
-    m_e, nu_mass = lepton_masses(c, order)
+    m_w, m_z, m_a = gauge_masses(c)
+    m_e, nu_mass = lepton_masses(c)
     return SpectrumReport(m_w, m_z, m_a, m_e, m_w / m_z, nu_mass, closed_masses(c), c)
 
 

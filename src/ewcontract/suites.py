@@ -33,6 +33,7 @@ from .fields import (
     Couplings,
     PlaneWave,
     constant,
+    hermitian_form_jets,
     phi_from_psi,
     phi_jacobian,
     sample_fermions,
@@ -48,7 +49,6 @@ from .group import (
     generator,
     graded_doublet,
     group_product,
-    hermitian_form_jets,
     one_param,
     random_factors,
     u1_element,
@@ -490,7 +490,7 @@ def suite_quadratic(cfg: RunConfig) -> SuiteResult:
             R=float(rng.uniform(0.4, 2.0)),
             h_e=float(rng.uniform(0.5, 2.5)),
         )
-        m_w, m_z, m_a = gauge_masses(ci, order)
+        m_w, m_z, m_a = gauge_masses(ci)
         closed = closed_masses(ci)
         mass_resid = max(
             mass_resid,
@@ -631,7 +631,7 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
 
     kinetic_resid, odd = _sampled_max(draws, kinetic)
 
-    m_e, nu_coeff = lepton_masses(c, order)
+    m_e, nu_coeff = lepton_masses(c)
     m_e_err = abs(m_e - c.h_e * c.R) / (c.h_e * c.R)
 
     return _result("fermion", {
@@ -682,7 +682,7 @@ def suite_limit(cfg: RunConfig) -> SuiteResult:
         grade_diff = max(grade_diff, abs(formal.grade(0) - a0),
                          abs(formal.grade(2) - a2))
 
-    w_values = [gauge_mass_coefficients(np.eye(4)[:1], c, order, jval=t)
+    w_values = [gauge_mass_coefficients(np.eye(4)[:1], c, jval=t)
                 .grade(0)[0].real for t in LIMIT_T_VALUES]
     logs = np.log(np.abs(w_values))
     logt = np.log(np.asarray(LIMIT_T_VALUES))

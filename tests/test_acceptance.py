@@ -16,6 +16,7 @@ import numpy as np
 from ewcontract.fields import (
     Couplings,
     PlaneWave,
+    hermitian_form_jets,
     infinitesimal_gauge_transform,
     phi_from_psi,
     sample_gauge,
@@ -26,7 +27,6 @@ from ewcontract.group import (
     exp_series,
     graded_doublet,
     group_product,
-    hermitian_form_jets,
     random_factors,
 )
 from ewcontract.jets import DEFAULT_ORDER

@@ -3,6 +3,7 @@ checkouts whose perfbench/run.py prints canned results."""
 
 import importlib.util
 import json
+import os
 import statistics
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ import json, sys
 from pathlib import Path
 here = Path(__file__).resolve().parent
 if sys.argv[-2:] == ["--trace", "1"]:
-    with open(here / "traced", "a") as fh:
+    with open({traced!r}, "a") as fh:
         fh.write(json.dumps(sys.argv[1:]) + "\\n")
     print(json.dumps({{"correct": True, "attempted": 3, "failed": 0,
                        "metrics": {layers!r}}}))
@@ -50,13 +51,23 @@ print(json.dumps({{"correct": {correct!r}, "attempted": 3, "failed": call % 2,
                                "rate": {{"value": 1.0 / wall, "unit": "1/s"}}}}}}))
 '''
 
+#: put before a stub: the directory it runs in, what that holds at the top
+#: and whether it holds the two nested entries a copy leaves out
+WHERE = '''\
+import json, os
+with open({where!r}, "a") as fh:
+    fh.write(json.dumps([{side!r}, os.getcwd(), sorted(os.listdir()),
+                         os.path.exists("src/__pycache__"),
+                         os.path.exists("perfbench/.tmp")]) + "\\n")
+'''
+
 
 def _tree(root: Path, side: str, log: Path, correct: bool = True) -> Path:
     tree = root / side
     (tree / "perfbench").mkdir(parents=True)
     (tree / "perfbench" / "run.py").write_text(STUB.format(
         log=str(log), side=side, wall=WALL[side], correct=correct,
-        layers=LAYERS[side]))
+        layers=LAYERS[side], traced=str(tree / "perfbench" / "traced")))
     (tree / "BENCHMARK.json").write_text(json.dumps({
         "command": [sys.executable, "perfbench/run.py"], "paths": ["perfbench"],
         "run_seconds": 20, "end_to_end": METRICS}))
@@ -131,6 +142,36 @@ def test_per_layer_holds_one_traced_run_per_side_and_workload(tmp_path):
         assert [json.loads(line) for line in traced.splitlines()] == [
             ["--workload", workload, "--seed", "7", "--seconds", "20",
              "--trace", "1"] for workload in ("expand", "verify")]
+
+
+def test_each_side_runs_from_a_fresh_copy_of_its_checkout(tmp_path):
+    """Both sides run from sibling copies, never from the trees given, and
+    the copies leave out version control, caches and benchmark scratch."""
+    log, where = tmp_path / "log.jsonl", tmp_path / "where.jsonl"
+    trees = {side: _tree(tmp_path, side, log) for side in ("parent", "change")}
+    for side, tree in trees.items():
+        for junk in (".git", "src/__pycache__", "perfbench/.tmp", ".hypothesis",
+                     ".pytest_cache"):
+            (tree / junk).mkdir(parents=True)
+        run = tree / "perfbench" / "run.py"
+        run.write_text(WHERE.format(where=str(where), side=side) + run.read_text())
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(trees["parent"]), str(trees["change"]),
+                             "--workloads", "expand", "--pairs", "2",
+                             "--out", str(out)]) == 0
+    runs = [json.loads(line) for line in where.read_text().splitlines()]
+    assert len(runs) == 6  # 2 pairs and 1 traced run per side
+    cwd = {side: {run[1] for run in runs if run[0] == side} for side in trees}
+    assert all(len(dirs) == 1 for dirs in cwd.values())
+    (parent,), (change,) = cwd["parent"], cwd["change"]
+    assert os.path.dirname(parent) == os.path.dirname(change)
+    for side, tree in trees.items():
+        assert str(tree) not in cwd[side]
+        assert not (tree / "perfbench" / "calls").exists()
+    assert all(run[2] == ["BENCHMARK.json", "perfbench", "src"] and not any(run[3:])
+               for run in runs)
+    assert not os.path.exists(parent) and not os.path.exists(change)
+    assert parent in json.loads(out.read_text())["description"]
 
 
 def test_an_incorrect_run_fails_the_command_but_is_recorded(tmp_path):

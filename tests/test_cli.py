@@ -167,25 +167,30 @@ def test_malformed_config_is_config_error(tmp_path, capsys, cfg, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("target", ["directory", "missing parent"])
+@pytest.mark.parametrize("target", ["directory", "missing parent", "file parent"])
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "algebra"], ["spectrum"], ["expand", "--n", "0"],
 ])
 def test_unwritable_out_is_config_error(tmp_path, capsys, argv, target):
-    out = tmp_path if target == "directory" else tmp_path / "missing" / "r.json"
+    """A regular file is writable, but no file can be made inside it."""
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = {"directory": tmp_path, "missing parent": tmp_path / "missing" / "r.json",
+           "file parent": afile / "r.json"}[target]
     assert main(argv + ["--out", str(out)]) == EXIT_CONFIG_ERROR
     captured = capsys.readouterr()
     err = captured.err
     assert err.startswith("error: ") and "--out" in err and "Traceback" not in err
     assert err.count("\n") == 1
     assert captured.out == ""
-    assert not (tmp_path / "missing").exists()
+    assert list(tmp_path.iterdir()) == [afile] and afile.read_text() == ""
 
 
 @pytest.mark.parametrize("name,value,message", [
     ("SEED", "abc", "invalid int value"),
     ("ORDER", "abc", "invalid int value"),
     ("FORMAT", "xml", "unknown --format"),
+    ("FORMAT", "csv", "--out"),
 ])
 def test_malformed_environment_value_is_config_error(monkeypatch, capsys,
                                                      name, value, message):
@@ -391,8 +396,8 @@ def test_non_finite_values_are_written_as_null(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(REGISTRY, "algebra", lambda cfg: _result(
         "algebra", {"table": (math.nan, 1e-12)}, {"worst": complex(math.inf, 0.0)}))
 
-    def spectrum_nan(c, order):
-        report = mass_spectrum(c, order)
+    def spectrum_nan(c):
+        report = mass_spectrum(c)
         report.m_w = math.nan
         return report
 
@@ -426,6 +431,7 @@ def test_non_finite_values_are_written_as_null(tmp_path, monkeypatch, capsys):
     (["spectrum", "--R", "1e-60"], "coupling R"),
     (["spectrum", "--g", "1e51"], "coupling g"),
     ([], "required"),
+    (["spectrum", "--format", "csv"], "--out"),
 ])
 def test_rejections_are_one_line(capsys, argv, message):
     assert main(argv) == EXIT_CONFIG_ERROR

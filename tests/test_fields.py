@@ -16,6 +16,7 @@ from ewcontract.fields import (
     constant,
     generator_vector_fields,
     generator_vector_jacobians,
+    hermitian_form_jets,
     infinitesimal_gauge_transform,
     phi_from_psi,
     phi_jacobian,
@@ -24,7 +25,7 @@ from ewcontract.fields import (
     sample_psi,
     stack_configs,
 )
-from ewcontract.group import generator, hermitian_form_jets
+from ewcontract.group import generator
 from ewcontract.jets import DEFAULT_ORDER, Jet
 
 ORDER = DEFAULT_ORDER

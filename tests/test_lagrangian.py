@@ -277,7 +277,8 @@ def test_doublet_derivative_equals_one_spinor_component_at_a_time(scale):
     fs = sample_fermions(stack_configs(fcfg), x, ORDER, scale=scale)
     got = covariant_derivative_doublet(fs, gs, COUPLINGS)
     expected = _doublet_one_component_at_a_time(fs, gs, COUPLINGS)
-    for d, ref in zip(got, expected):
+    assert got.batch_shape == (50, 2, 2, 4)
+    for d, ref in zip((got[..., 0, :, :], got[..., 1, :, :]), expected):
         assert d.batch_shape == (50, 2, 4)
         assert d.coeffs.shape == ref.coeffs.shape
         assert d.coeffs.tobytes() == ref.coeffs.tobytes()

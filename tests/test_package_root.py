@@ -1,15 +1,21 @@
 """The package root exports the README's entry points and nothing else,
-and every public function and class of the package has a caller."""
+every public function and class of the package has a caller, and every
+public member of a public class is called by a command."""
 
 import ast
 import contextlib
+import importlib
+import inspect
 import io
+import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import ewcontract
+from ewcontract import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -54,3 +60,48 @@ def test_every_public_function_and_class_has_a_caller():
     assert public
     assert sorted(name for name in public
                   if name.split(".")[1] not in used) == []
+
+
+def _public_members() -> dict:
+    """The code of every public method, property (its getter) and
+    classmethod of a public class of the package, by Class.member."""
+    members = {}
+    for path in sorted((ROOT / "src" / "ewcontract").glob("*.py")):
+        module = importlib.import_module(f"ewcontract.{path.stem}")
+        for cls in vars(module).values():
+            if not (inspect.isclass(cls) and cls.__module__ == module.__name__
+                    and not cls.__name__.startswith("_")):
+                continue
+            for name, attr in vars(cls).items():
+                fn = attr.fget if isinstance(attr, property) else getattr(
+                    attr, "__func__", attr)
+                if not name.startswith("_") and inspect.isfunction(fn):
+                    members[f"{cls.__name__}.{name}"] = fn.__code__
+    return members
+
+
+def test_every_public_member_of_a_public_class_is_called_by_a_command(
+        monkeypatch):
+    """verify, expand --n 6 --order 8 and spectrum, run in-process at their
+    defaults, call each public method, property and classmethod of the
+    package's public classes; a call from a test is not a use."""
+    for key in [k for k in os.environ if k.startswith(cli.ENV_PREFIX)]:
+        monkeypatch.delenv(key)
+    members = _public_members()
+    assert members
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(argv) for argv in (
+                ["verify"], ["expand", "--n", "6", "--order", "8"], ["spectrum"])]
+    finally:
+        sys.setprofile(None)
+    assert codes == [cli.EXIT_OK] * 3
+    assert sorted(name for name, code in members.items()
+                  if code not in called) == []

@@ -1,6 +1,9 @@
 """Coefficient extraction, mass spectrum, the cubic terms against the
 exact coefficient and the even extrapolation of the contraction limit."""
 
+import contextlib
+import io
+import json
 import math
 import tracemalloc
 
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 
 from ewcontract import jets
-from ewcontract.cli import DEFAULT_COUPLINGS
+from ewcontract.cli import DEFAULT_COUPLINGS, main
 from ewcontract.fields import (
     ConfigError,
     Couplings,
@@ -21,6 +24,7 @@ from ewcontract.fields import (
 from ewcontract.jets import DEFAULT_ORDER, Jet, stack
 from ewcontract.lagrangian import lagrangian_bosonic, lagrangian_fermion
 from ewcontract.spectrum import (
+    MASS_ORDER,
     _fermion_mass_coefficients,
     bosonic_density_evaluator,
     epsilon_expand,
@@ -289,7 +293,7 @@ def test_batched_gauge_mass_coefficients_equal_one_background_at_a_time(jval):
     backgrounds = np.array([[1.0, 0.0, 0.0, 0.0],
                             [0.0, 0.0, c.g / c.gz, c.gp / c.gz],
                             [0.0, 0.0, c.gp / c.gz, -c.g / c.gz]])
-    batch = gauge_mass_coefficients(backgrounds, c, ORDER, jval)
+    batch = gauge_mass_coefficients(backgrounds, c, jval)
     assert batch.batch_shape == (3,)
     x = np.zeros(4)
     for i, background in enumerate(backgrounds):
@@ -298,27 +302,27 @@ def test_batched_gauge_mass_coefficients_equal_one_background_at_a_time(jval):
         gauge = constant(potentials)
 
         def evaluate(scale):
-            return lagrangian_bosonic(sample_gauge(gauge, x, ORDER, jval, scale),
-                                      sample_psi(constant(np.zeros(3)), x, ORDER, jval),
-                                      c)
+            return lagrangian_bosonic(
+                sample_gauge(gauge, x, MASS_ORDER, jval, scale),
+                sample_psi(constant(np.zeros(3)), x, MASS_ORDER, jval), c)
 
-        alone = epsilon_expand(evaluate, 2, ORDER)[2]
+        alone = epsilon_expand(evaluate, 2, MASS_ORDER)[2]
         assert np.array_equal(batch.coeffs[i], alone.coeffs)
 
 
 def test_batched_fermion_mass_coefficients_equal_one_background_at_a_time():
     c = COUPLINGS
-    batch = _fermion_mass_coefficients(c, ORDER)
+    batch = _fermion_mass_coefficients(c)
     zero, unit = np.zeros(2), np.array([1.0, 0.0])
     x = np.zeros(4)
-    gs = sample_gauge(constant(np.zeros((4, 4))), x, ORDER)
-    phi = phi_from_psi(sample_psi(constant(np.zeros(3)), x, ORDER), c.R).value
+    gs = sample_gauge(constant(np.zeros((4, 4))), x, MASS_ORDER)
+    phi = phi_from_psi(sample_psi(constant(np.zeros(3)), x, MASS_ORDER), c.R).value
     for i, cfg in enumerate((constant(np.array([unit, zero, unit])),
                              constant(np.array([zero, unit, zero])))):
         alone = epsilon_expand(
             lambda scale: lagrangian_fermion(
-                sample_fermions(cfg, x, ORDER, scale=scale), phi, gs, c),
-            2, ORDER)[2]
+                sample_fermions(cfg, x, MASS_ORDER, scale=scale), phi, gs, c),
+            2, MASS_ORDER)[2]
         assert np.array_equal(batch.coeffs[i], alone.coeffs)
 
 
@@ -326,6 +330,28 @@ def test_reference_coupling_point():
     rep = mass_spectrum(Couplings(g=0.65, gp=0.35, R=0.5, h_e=2.0))
     assert rep.m_w == pytest.approx(0.1625, abs=1e-12)
     assert rep.m_e == pytest.approx(1.0, abs=1e-12)
+
+
+def test_spectrum_reports_do_not_depend_on_the_order(tmp_path):
+    """The spectrum report at --order 2, 4, 8 and 16 is the same apart
+    from the echoed order and the timestamp, at three drawn coupling sets:
+    no mass reads a grade above j^2, and the coefficients up to it do not
+    depend on the truncation."""
+    rng = np.random.default_rng(7)
+    for draw in range(3):
+        flags = [f"--{name}={float(rng.uniform(low, high))!r}" for name, low, high in
+                 (("g", 0.3, 1.2), ("gp", 0.2, 0.8), ("R", 0.4, 2.0), ("h-e", 0.5, 2.5))]
+        reports = []
+        for order in (2, 4, 8, 16):
+            out = tmp_path / f"{draw}-{order}.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["spectrum", *flags, "--order", str(order),
+                             "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report.pop("order") == order
+            del report["timestamp"]
+            reports.append(report)
+        assert all(report == reports[0] for report in reports[1:]), flags
 
 
 def _cubic(seed, term_fn):

@@ -4,13 +4,17 @@
         --pairs 10 --seed 0 --out BENCH_16.json
 
 PARENT and CHANGE are the roots of two checkouts, each with its own
-`perfbench/run.py`. For each workload, pair i runs the benchmark command
-of CHANGE's `BENCHMARK.json` once in each checkout, with the checkout as
-working directory and the arguments `--workload W --seed S --seconds T
---trace 0`, T being its `run_seconds`: the parent first on even pairs,
-the change first on odd ones, so that a drift of the host's speed falls
-on both sides alike (T. Kalibera and R. Jones, "Rigorous benchmarking in
-reasonable time", ISMM 2013).
+`perfbench/run.py`. Each side runs from a fresh copy of its checkout,
+both copies in one temporary directory, removed at the end, so that
+neither side runs from a working tree with its own caches and scratch
+files: the copies leave out `.git`, `__pycache__`, `perfbench/.tmp`,
+`.hypothesis` and `.pytest_cache`. For each workload, pair i runs the
+benchmark command of CHANGE's `BENCHMARK.json` once in each copy, with
+the copy as working directory and the arguments `--workload W --seed S
+--seconds T --trace 0`, T being its `run_seconds`: the parent first on
+even pairs, the change first on odd ones, so that a drift of the host's
+speed falls on both sides alike (T. Kalibera and R. Jones, "Rigorous
+benchmarking in reasonable time", ISMM 2013).
 
 The output file has the layout of the earlier `BENCH_*.json` records:
 `machine`; `end_to_end`, keyed `W/seedS`, which per metric of
@@ -20,7 +24,7 @@ metric's `better` direction; a tie is no win) and both sides' runs in pair
 order, and per side the failed and attempted units and whether every run
 was correct; `per_layer`, keyed like `end_to_end`, which per side gives
 the metrics of one `--trace 1` run at the same seed and seconds, made in
-each checkout (parent first) after the workload's pairs; and `runs`, every
+each copy (parent first) after the workload's pairs; and `runs`, every
 `--trace 0` run in the order it ran. `end_to_end` reads the `--trace 0`
 runs only. The exit code is 1 when a run reports `correct: false` (the
 file is still written) and 2 when a run gives no result.
@@ -33,12 +37,18 @@ import importlib.metadata
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+#: left out of a checkout's copy wherever they occur: version control and
+#: caches (and `perfbench/.tmp`, the benchmark's scratch directory)
+SKIPPED = {".git", "__pycache__", ".hypothesis", ".pytest_cache"}
 
 
 class RunError(Exception):
@@ -56,6 +66,20 @@ def run_once(tree: Path, command: list, workload: str, seed: int,
         raise RunError(f"{tree}: {' '.join(argv)} exited {done.returncode}:\n"
                        f"{done.stderr.strip()}")
     return json.loads(lines[-1])
+
+
+def copy_checkout(tree: Path, dest: Path) -> Path:
+    """A fresh copy of the checkout `tree` at `dest`, without SKIPPED and
+    `perfbench/.tmp`."""
+
+    def ignored(directory: str, names: list) -> set:
+        skip = SKIPPED.intersection(names)
+        if Path(directory) == tree / "perfbench" and ".tmp" in names:
+            skip.add(".tmp")
+        return skip
+
+    shutil.copytree(tree, dest, symlinks=True, ignore=ignored)
+    return dest
 
 
 def quartiles(values: list) -> dict:
@@ -125,12 +149,15 @@ def main(argv=None) -> int:
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     runs, end_to_end, per_layer, traced_correct = [], {}, {}, []
+    tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
+        copies = {side: copy_checkout(tree, tmp / side)
+                  for side, tree in trees.items()}
         for workload in args.workloads:
             done = []
             for pair in range(args.pairs):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                    result = run_once(trees[side], bench["command"], workload,
+                    result = run_once(copies[side], bench["command"], workload,
                                       args.seed, seconds, 0)
                     done.append({"side": side, "workload": workload,
                                  "seed": args.seed, "trace": 0, "pair": pair,
@@ -146,7 +173,7 @@ def main(argv=None) -> int:
             end_to_end[key] = summary(done, bench["end_to_end"])
             per_layer[key] = {}
             for side in SIDES:
-                result = run_once(trees[side], bench["command"], workload,
+                result = run_once(copies[side], bench["command"], workload,
                                   args.seed, seconds, 1)
                 per_layer[key][side] = result["metrics"]
                 traced_correct.append(result["correct"])
@@ -155,11 +182,17 @@ def main(argv=None) -> int:
     except RunError as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 2
+    finally:
+        shutil.rmtree(tmp)
     record = {
         "description": (f"perfbench/run.py --trace 0 --seconds {seconds}, "
                         f"{args.pairs} pairs per workload at seed {args.seed}, "
                         "parent first on even pairs and change first on odd "
-                        "ones; then one --trace 1 run per side for per_layer"),
+                        "ones; then one --trace 1 run per side for per_layer; "
+                        f"each side ran from a fresh copy of its checkout in "
+                        f"{tmp}/parent and {tmp}/change (removed afterwards), "
+                        "without " + ", ".join(sorted(SKIPPED))
+                        + " and perfbench/.tmp"),
         "machine": machine(),
         "end_to_end": end_to_end,
         "per_layer": per_layer,
