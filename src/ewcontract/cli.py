@@ -10,10 +10,10 @@ Three subcommands:
 The argument parser is built once per process, on the first ``main``
 call; ``main`` reads the ``EWCONTRACT_*`` defaults on every call, and
 help reads the terminal width when printed. ``main`` reads the config
-file and builds the couplings once for every command. JSON is the
-machine format (schema-versioned, seed echoed, deterministic for a fixed
-config up to the timestamp field), built by ``_sanitize`` from the
-result dataclasses; CSV is available for the spectrum table only.
+file and builds the couplings once for every command, which takes only
+the flags it reads. JSON is the machine format (schema-versioned,
+deterministic for a fixed config up to the timestamp field), built by
+``_sanitize`` from the result dataclasses; CSV is for spectrum only.
 Reports are strict JSON: a computed value that is not finite is written
 as null. Exit codes: 0 all checks pass, 1 a suite failed or
 spectrum/expand computed a value that is not finite, 2 the configuration
@@ -62,12 +62,12 @@ MAX_ORDER = 16
 
 DEFAULT_COUPLINGS = {"g": 0.65, "gp": 0.35, "R": 1.0, "h_e": 1.0}
 
-#: the defaults that EWCONTRACT_<FLAG> variables override, per subcommand;
-#: argparse converts and checks the string like the flag itself
-_SHARED_DEFAULTS = {"config": None, "seed": "0", "order": str(DEFAULT_ORDER),
-                    "out": None, "format": "json"}
-_ENV_DEFAULTS = {"verify": _SHARED_DEFAULTS, "spectrum": _SHARED_DEFAULTS,
-                 "expand": {**_SHARED_DEFAULTS, "mode": "nilpotent"}}
+#: the defaults that EWCONTRACT_<FLAG> variables override, per subcommand
+#: and flag it takes; argparse converts and checks the string like the flag
+_FILES = {"config": None, "out": None}
+_SEEDED = {**_FILES, "seed": "0", "order": str(DEFAULT_ORDER)}
+_ENV_DEFAULTS = {"verify": _SEEDED, "spectrum": {**_FILES, "format": "json"},
+                 "expand": {**_SEEDED, "mode": "nilpotent"}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,8 +80,8 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> Tuple[argparse.ArgumentParser, dict]:
     """The parser and its subcommand parsers by name, built once per
-    process; the options every subcommand shares are added once and
-    copied into each."""
+    process; the options that several subcommands share are added once,
+    to a parent parser, and copied into each."""
     parser = _Parser(
         prog="ewcontract",
         description="Verification and spectrum tools for the contracted "
@@ -92,29 +92,30 @@ def build_parser() -> Tuple[argparse.ArgumentParser, dict]:
     common = _Parser(add_help=False)
     common.add_argument("--config", type=str,
                         help="JSON config file (couplings, tolerances, ...)")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--order", type=int)
     common.add_argument("--out", type=str,
                         help="write the machine-readable report here")
-    common.add_argument("--format", type=str, choices=("json", "csv"))
+    seeded = _Parser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int)
+    seeded.add_argument("--order", type=int)
 
-    def command(name: str, summary: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=summary, parents=[common])
-
-    p_verify = command("verify", "run verification suites")
+    p_verify = sub.add_parser("verify", help="run verification suites",
+                              parents=[seeded])
     p_verify.add_argument(
         "--suite", action="append", default=None,
         help="suite name (repeatable); default: all of "
         + ", ".join(REGISTRY),
     )
 
-    p_spectrum = command("spectrum", "extracted particle masses")
+    p_spectrum = sub.add_parser("spectrum", help="extracted particle masses",
+                                parents=[common])
+    p_spectrum.add_argument("--format", type=str, choices=("json", "csv"))
     for name in DEFAULT_COUPLINGS:
         p_spectrum.add_argument("--" + name.replace("_", "-"), dest=name,
                                 type=float, default=None)
 
-    p_expand = command(
-        "expand", "scale-expansion coefficients of the bosonic density")
+    p_expand = sub.add_parser(
+        "expand", help="scale-expansion coefficients of the bosonic density",
+        parents=[seeded])
     p_expand.add_argument("--n", type=int, default=2,
                           help="highest expansion order to report (max 6)")
     p_expand.add_argument("--mode", type=str,
@@ -132,7 +133,7 @@ def _load_config_file(path: Optional[str]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
@@ -228,8 +229,7 @@ def _report_envelope(args, couplings: Couplings) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "seed": args.seed,
-        "order": args.order,
+        **{key: vars(args)[key] for key in ("seed", "order") if key in args},
         "couplings": dataclasses.asdict(couplings),
     }
 
@@ -313,15 +313,13 @@ def cmd_expand(args, file_cfg: dict, couplings: Couplings) -> int:
 
 def _check_flags(args) -> None:
     """Reject flag values that would crash a command or silently do nothing."""
-    if not MIN_ORDER <= args.order <= MAX_ORDER:
+    if "order" in args and not MIN_ORDER <= args.order <= MAX_ORDER:
         raise ConfigError(f"--order must be between {MIN_ORDER} and {MAX_ORDER}")
-    if args.seed < 0:
+    if "seed" in args and args.seed < 0:
         raise ConfigError("--seed must be a non-negative integer")
-    if args.format not in ("json", "csv"):
+    if "format" in args and args.format not in ("json", "csv"):
         raise ConfigError(f"unknown --format {args.format!r}")
-    if args.format == "csv" and args.command != "spectrum":
-        raise ConfigError("CSV output is only available for the spectrum table")
-    if args.format == "csv" and args.out is None:
+    if "format" in args and args.format == "csv" and args.out is None:
         raise ConfigError("CSV output is written only to --out; none was given")
     if args.out is not None:  # probed before any work, creating no file
         out = os.path.abspath(args.out)

@@ -207,7 +207,6 @@ class SpectrumReport:
     weinberg_cos: float
     nu_mass_coefficient: float
     closed_form: Dict[str, float]
-    couplings: Couplings
 
 
 def gauge_mass_coefficients(backgrounds: np.ndarray, c: Couplings,
@@ -281,7 +280,7 @@ def mass_spectrum(c: Couplings) -> SpectrumReport:
     Lagrangian on constant backgrounds along each physical direction."""
     m_w, m_z, m_a = gauge_masses(c)
     m_e, nu_mass = lepton_masses(c)
-    return SpectrumReport(m_w, m_z, m_a, m_e, m_w / m_z, nu_mass, closed_masses(c), c)
+    return SpectrumReport(m_w, m_z, m_a, m_e, m_w / m_z, nu_mass, closed_masses(c))
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ from .spectrum import (
     transcribed_cubic_terms,
 )
 
-SCHEMA_VERSION = "1.1"
+SCHEMA_VERSION = "1.2"
 
 #: default tolerance of every gate and default size of every sampled
 #: check, under the config keys that override them (one line per suite);

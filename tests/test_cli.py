@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -38,7 +39,7 @@ def test_verify_single_suite_passes(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "suite algebra" in text and "pass" in text
     report = _load(out)
-    assert report["schema_version"] == "1.1"
+    assert report["schema_version"] == "1.2"
     assert report["seed"] == 42
     assert report["passed"] is True
     assert report["suites"]["algebra"]["passed"] is True
@@ -89,6 +90,9 @@ def test_spectrum_table_and_json(tmp_path, capsys):
     report = _load(out)
     assert report["spectrum"]["m_w"] == pytest.approx(0.1625, abs=1e-10)
     assert report["spectrum"]["m_e"] == pytest.approx(1.0, abs=1e-10)
+    # spectrum takes no --seed or --order, and the couplings are echoed once
+    assert not {"seed", "order"} & set(report)
+    assert "couplings" not in report["spectrum"] and report["couplings"]["R"] == 0.5
 
 
 def test_spectrum_degenerate_hypercharge_coupling(capsys):
@@ -137,7 +141,7 @@ def test_expand_order_above_limit_rejected(capsys):
 
 def test_expand_csv_not_supported(capsys):
     assert main(["expand", "--format", "csv"]) == EXIT_CONFIG_ERROR
-    assert "spectrum table" in capsys.readouterr().err
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 def test_bad_mode_is_config_error(capsys):
@@ -155,16 +159,18 @@ def test_bad_mode_is_config_error(capsys):
     {"tolerance": {"algebra": 1e-9}},
     {"couplings": {"g": True}},
     {"couplings": {"gp": "0.35"}},
+    pytest.param("[" * 200_000, id="nested_too_deep_for_the_json_parser"),
 ])
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "algebra"], ["spectrum"], ["expand", "--n", "0"],
 ])
 def test_malformed_config_is_config_error(tmp_path, capsys, cfg, argv):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     assert main(argv + ["--config", str(path)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("target", ["directory", "missing parent", "file parent"])
@@ -194,9 +200,14 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, argv, target):
 ])
 def test_malformed_environment_value_is_config_error(monkeypatch, capsys,
                                                      name, value, message):
+    """A variable is read by the commands that take its flag, and only by
+    them: spectrum takes no --seed or --order, expand no --format."""
     monkeypatch.setenv("EWCONTRACT_" + name, value)
-    assert main(["spectrum"]) == EXIT_CONFIG_ERROR
+    takes, ignores = ((["spectrum"], ["expand", "--n", "0"]) if name == "FORMAT"
+                      else (["expand", "--n", "0"], ["spectrum"]))
+    assert main(takes) == EXIT_CONFIG_ERROR
     assert message in capsys.readouterr().err
+    assert main(ignores) == EXIT_OK
 
 
 @pytest.mark.parametrize("argv", [["verify", "--suite", "algebra"],
@@ -311,10 +322,67 @@ def test_help_lists_shared_and_own_options_within_the_terminal(
     monkeypatch.setenv("COLUMNS", "50")
     assert main([command, "--help"]) == EXIT_OK
     text = capsys.readouterr().out
-    for option in ("--config CONFIG", "--seed SEED", "--order ORDER",
-                   "--out OUT", "--format {json,csv}", own):
+    seeded = ("--seed SEED", "--order ORDER")
+    takes = {"verify": seeded, "spectrum": ("--format {json,csv}",),
+             "expand": seeded}[command]
+    for option in ("--config CONFIG", "--out OUT", *takes, own):
         assert text.count(option) == 2, option  # usage line and option list
+    for option in ("--seed", "--order", "--format"):
+        assert (option in text) == any(o.startswith(option) for o in takes)
     assert max(map(len, text.splitlines())) <= 48
+
+
+#: one valid value other than the default for each flag of each command
+#: (the config file's content for --config)
+_FLAG_VALUES = {
+    "verify": {"--config": {"sample_counts": {"group": 5}}, "--out": "r.json",
+               "--seed": "3", "--order": "6", "--suite": "algebra"},
+    "spectrum": {"--config": {"couplings": {"R": 2.0}}, "--out": "r.json",
+                 "--format": "csv", "--g": "0.7", "--gp": "0.3", "--R": "0.5",
+                 "--h-e": "2"},
+    "expand": {"--config": {"couplings": {"g": 0.7}}, "--out": "r.json",
+               "--seed": "3", "--order": "6", "--n": "1", "--mode": "unit"},
+}
+
+
+def _outcome(argv, echo):
+    """stdout and the --out report of a passing run, each without its
+    timestamp line and the lines that echo the flag `echo`."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == EXIT_OK, argv
+    texts = [stdout.getvalue()]
+    if "--out" in argv:
+        report = Path(argv[argv.index("--out") + 1])
+        texts.append(report.read_text())
+        report.unlink()
+    return [[line for line in text.splitlines() if not line.lstrip().startswith(
+        ('"timestamp": ', f'"{echo}": '))] for text in texts]
+
+
+def test_every_flag_of_every_command_changes_its_output(tmp_path, monkeypatch):
+    """_FLAG_VALUES lists every option each command declares, and each
+    value changes the command's stdout or report by more than the flag's
+    own echo: a command takes no flag that it does not read. The --out row
+    is compared with the run that writes no report."""
+    for key in [k for k in os.environ if k.startswith(cli.ENV_PREFIX)]:
+        monkeypatch.delenv(key)
+    monkeypatch.chdir(tmp_path)
+    _, commands = cli.build_parser()
+    declared = {(name, option) for name, parser in commands.items()
+                for action in parser._actions for option in action.option_strings
+                if option not in ("-h", "--help")}
+    assert declared == {(name, flag) for name, flags in _FLAG_VALUES.items()
+                        for flag in flags}
+    for name, flags in _FLAG_VALUES.items():
+        for flag, value in flags.items():
+            if flag == "--config":
+                Path("cfg.json").write_text(json.dumps(value))
+                value = "cfg.json"
+            echo = flag.lstrip("-").replace("-", "_")
+            base = [name] if flag == "--out" else [name, "--out", "report"]
+            assert _outcome(base + [flag, value], echo) \
+                != _outcome(base, echo), (name, flag)
 
 
 @pytest.mark.parametrize("flag,value", [("--g", "nan"), ("--gp", "inf"),
@@ -337,7 +405,7 @@ def test_invariance_with_zero_hypercharge_coupling_is_config_error(tmp_path,
 
 
 @pytest.mark.parametrize("argv", [
-    ["spectrum", "--order", "1"],
+    ["expand", "--n", "0", "--order", "1"],
     ["expand", "--order", "-1"],
     ["verify", "--suite", "algebra", "--order", "1"],
 ])
@@ -349,7 +417,7 @@ def test_order_below_two_is_config_error(capsys, argv):
 def test_verify_csv_not_supported(capsys):
     assert main(["verify", "--suite", "algebra", "--format", "csv"]) \
         == EXIT_CONFIG_ERROR
-    assert "spectrum table" in capsys.readouterr().err
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 def _reject_constant(name):
@@ -427,11 +495,15 @@ def test_non_finite_values_are_written_as_null(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("argv,message", [
     (["spectrum", "--bogus"], "unrecognized arguments"),
     (["expand", "--n", "0", "--seed", "-1"], "--seed"),
-    (["spectrum", "--order", "17"], "--order"),
+    (["expand", "--n", "0", "--order", "17"], "--order"),
     (["spectrum", "--R", "1e-60"], "coupling R"),
     (["spectrum", "--g", "1e51"], "coupling g"),
     ([], "required"),
     (["spectrum", "--format", "csv"], "--out"),
+    (["spectrum", "--order", "4"], "unrecognized arguments: --order"),
+    (["spectrum", "--seed", "3"], "unrecognized arguments: --seed"),
+    (["verify", "--format", "json"], "unrecognized arguments: --format"),
+    (["expand", "--format", "json"], "unrecognized arguments: --format"),
 ])
 def test_rejections_are_one_line(capsys, argv, message):
     assert main(argv) == EXIT_CONFIG_ERROR

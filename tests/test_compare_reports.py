@@ -80,9 +80,12 @@ def test_surface_runs_cover_help_and_environment_errors():
     argvs = [argv for _, argv, _ in compare_reports.SURFACE]
     for command in ([], ["verify"], ["spectrum"], ["expand"]):
         assert argvs.count([*command, "--help"]) == 2  # COLUMNS 80 and 133
-    assert {name for _, argv, env in compare_reports.SURFACE
-            if argv == ["spectrum"] for name in env} == {
-        "EWCONTRACT_SEED", "EWCONTRACT_ORDER", "EWCONTRACT_FORMAT"}
+    environments = {(label, name) for label, argv, env in compare_reports.SURFACE
+                    for name in env if name.startswith("EWCONTRACT_")}
+    assert environments == {
+        ("expand --n 0 with EWCONTRACT_SEED=abc", "EWCONTRACT_SEED"),
+        ("expand --n 0 with EWCONTRACT_ORDER=abc", "EWCONTRACT_ORDER"),
+        ("spectrum with EWCONTRACT_FORMAT=xml", "EWCONTRACT_FORMAT")}
 
 
 def test_surface_differences_name_the_run_and_the_stream():
@@ -116,5 +119,5 @@ def test_a_surface_difference_fails_the_comparison(tmp_path, monkeypatch,
     assert compare_reports.main([*trees, "--seeds", "0"]) == 1
     out = capsys.readouterr().out
     assert f"surface: 10 of {len(compare_reports.SURFACE)} runs" in out
-    assert ("  report differs, spectrum with EWCONTRACT_SEED=abc: stderr "
+    assert ("  report differs, expand --n 0 with EWCONTRACT_SEED=abc: stderr "
             "line 1 'error: old abc\\n' -> 'error: new abc\\n'") in out

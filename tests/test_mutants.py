@@ -75,6 +75,8 @@ MUTANTS = [
      lambda _: lagrangian._SIGMA, ("fermion",)),
     ("e_r_hypercharge_halved", lagrangian, "lagrangian_fermion",
      _edit("1j * c.gp * (gs.value", "0.5j * c.gp * (gs.value"), ("fermion",)),
+    ("hermitian_form_without_conjugate", fields, "hermitian_form_jets",
+     _edit("x.conjugate() * y", "x * y"), ("invariance", "coordinate", "fermion")),
 ]
 
 

@@ -1,17 +1,14 @@
 """Coefficient extraction, mass spectrum, the cubic terms against the
 exact coefficient and the even extrapolation of the contraction limit."""
 
-import contextlib
-import io
-import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ewcontract import jets
-from ewcontract.cli import DEFAULT_COUPLINGS, main
+from ewcontract import jets, spectrum
+from ewcontract.cli import DEFAULT_COUPLINGS
 from ewcontract.fields import (
     ConfigError,
     Couplings,
@@ -332,26 +329,29 @@ def test_reference_coupling_point():
     assert rep.m_e == pytest.approx(1.0, abs=1e-12)
 
 
-def test_spectrum_reports_do_not_depend_on_the_order(tmp_path):
-    """The spectrum report at --order 2, 4, 8 and 16 is the same apart
-    from the echoed order and the timestamp, at three drawn coupling sets:
-    no mass reads a grade above j^2, and the coefficients up to it do not
-    depend on the truncation."""
+def test_mass_coefficients_do_not_depend_on_the_order(monkeypatch):
+    """The eps^2 coefficients of the gauge and lepton mass backgrounds at
+    MASS_ORDER equal, grade by grade up to j^2, those of the same
+    evaluations at order 8, at three drawn coupling sets: no mass reads a
+    grade above j^2, and the coefficients up to it do not depend on the
+    truncation."""
     rng = np.random.default_rng(7)
-    for draw in range(3):
-        flags = [f"--{name}={float(rng.uniform(low, high))!r}" for name, low, high in
-                 (("g", 0.3, 1.2), ("gp", 0.2, 0.8), ("R", 0.4, 2.0), ("h-e", 0.5, 2.5))]
-        reports = []
-        for order in (2, 4, 8, 16):
-            out = tmp_path / f"{draw}-{order}.json"
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(["spectrum", *flags, "--order", str(order),
-                             "--out", str(out)]) == 0
-            report = json.loads(out.read_text())
-            assert report.pop("order") == order
-            del report["timestamp"]
-            reports.append(report)
-        assert all(report == reports[0] for report in reports[1:]), flags
+    draws = [Couplings(*(float(rng.uniform(low, high)) for low, high in
+                         ((0.3, 1.2), (0.2, 0.8), (0.4, 2.0), (0.5, 2.5))))
+             for _ in range(3)]
+
+    def coefficients(c):
+        backgrounds = np.array([[1.0, 0.0, 0.0, 0.0],
+                                [0.0, 0.0, c.g / c.gz, c.gp / c.gz],
+                                [0.0, 0.0, c.gp / c.gz, -c.g / c.gz]])
+        return gauge_mass_coefficients(backgrounds, c), _fermion_mass_coefficients(c)
+
+    at_mass_order = [coefficients(c) for c in draws]
+    monkeypatch.setattr(spectrum, "MASS_ORDER", 8)
+    for c, low in zip(draws, at_mass_order):
+        for short, long in zip(low, coefficients(c)):
+            assert (short.order, long.order) == (MASS_ORDER, 8)
+            assert np.array_equal(short.coeffs, long.coeffs[..., :MASS_ORDER + 1, :])
 
 
 def _cubic(seed, term_fn):

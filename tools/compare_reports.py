@@ -10,9 +10,10 @@ in fresh subprocesses with the tree on PYTHONPATH:
     expand --n 6 --order 8
     spectrum
 
-each at the seed and the drawn couplings. Per command it prints how many
-report numbers are identical out of the total, the largest relative and
-the largest absolute change of a number (a residual at round-off level
+each at the drawn couplings, and verify and expand, the commands that
+take --seed, at the seed. Per command it prints how many report numbers
+are identical out of the total, the largest relative and the largest
+absolute change of a number (a residual at round-off level
 can change by a large fraction of itself and by a tiny amount), the
 report paths whose numbers changed, and every verdict change: a `passed`
 flag or an exit code that differs. The `timestamp` field is skipped. It
@@ -26,9 +27,9 @@ outside the reports:
 
     --help, verify --help, spectrum --help, expand --help
                                 (each at COLUMNS=80 and COLUMNS=133)
-    spectrum                    (with EWCONTRACT_SEED=abc, then
-                                 EWCONTRACT_ORDER=abc, then
-                                 EWCONTRACT_FORMAT=xml)
+    expand --n 0                (with EWCONTRACT_SEED=abc, then
+                                 EWCONTRACT_ORDER=abc)
+    spectrum                    (with EWCONTRACT_FORMAT=xml)
 
 and compares stdout, stderr and the exit code byte for byte; each run
 that differs is listed under "report differs" with its first differing
@@ -50,9 +51,10 @@ from pathlib import Path
 
 import numpy as np
 
+#: argv of each compared command; {seed} stands for the seed of the run
 COMMANDS = {
-    "verify": ["verify"],
-    "expand": ["expand", "--n", "6", "--order", "8"],
+    "verify": ["verify", "--seed", "{seed}"],
+    "expand": ["expand", "--n", "6", "--order", "8", "--seed", "{seed}"],
     "spectrum": ["spectrum"],
 }
 
@@ -67,10 +69,11 @@ SURFACE = [
        [*command, "--help"], {"COLUMNS": str(columns)})
       for command in ([], ["verify"], ["spectrum"], ["expand"])
       for columns in (80, 133)),
-    *((f"spectrum with EWCONTRACT_{name}={value}", ["spectrum"],
+    *((" ".join(argv) + f" with EWCONTRACT_{name}={value}", argv,
        {f"EWCONTRACT_{name}": value})
-      for name, value in (("SEED", "abc"), ("ORDER", "abc"),
-                          ("FORMAT", "xml"))),
+      for name, value, argv in (("SEED", "abc", ["expand", "--n", "0"]),
+                                ("ORDER", "abc", ["expand", "--n", "0"]),
+                                ("FORMAT", "xml", ["spectrum"]))),
 ]
 
 
@@ -104,8 +107,8 @@ def run(src: Path, tag: str, command: str, seed: int, workdir: Path) -> tuple:
     config.write_text(json.dumps({"couplings": couplings(seed)}))
     out = workdir / f"{tag}_{command}_{seed}.json"
     code, stdout, stderr = run_cli(src, [
-        *COMMANDS[command], "--seed", str(seed), "--config", str(config),
-        "--out", str(out)], {})
+        *(arg.format(seed=seed) for arg in COMMANDS[command]),
+        "--config", str(config), "--out", str(out)], {})
     if code not in (0, 1):
         sys.stderr.write(f"{src} {command} seed {seed} exited {code}:\n"
                          f"{stderr}")
