@@ -7,17 +7,17 @@ Three subcommands:
 * ``expand``   -- dump the scale-expansion coefficients of the bosonic
   density for a seeded random configuration
 
-The argument parser is built once per process, on the first ``main``
-call; ``main`` reads the ``EWCONTRACT_*`` defaults on every call, and
-help reads the terminal width when printed. ``main`` reads the config
-file and builds the couplings once for every command, which takes only
-the flags it reads. JSON is the machine format (schema-versioned,
-deterministic for a fixed config up to the timestamp field), built by
-``_sanitize`` from the result dataclasses; CSV is for spectrum only.
-Reports are strict JSON: a computed value that is not finite is written
-as null. Exit codes: 0 all checks pass, 1 a suite failed or
-spectrum/expand computed a value that is not finite, 2 the configuration
-was rejected.
+The command line and the config file are the only inputs, and each
+setting comes from one of them. The argument parser is built once per
+process, on the first ``main`` call, and help reads the terminal width
+when printed. ``main`` reads the config file and builds the couplings
+once for every command, which takes only the flags it reads. JSON is
+the machine format (schema-versioned, deterministic for a fixed config
+up to the timestamp field), built by ``_sanitize`` from the result
+dataclasses; CSV is for spectrum only. Reports are strict JSON: a
+computed value that is not finite is written as null. Exit codes: 0 all
+checks pass, 1 a suite failed or spectrum/expand computed a value that
+is not finite, 2 the configuration was rejected.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ from .spectrum import (
 from .suites import (DEFAULTS, REGISTRY, RunConfig, SCHEMA_VERSION,
                      check_overrides, run_suites)
 
-ENV_PREFIX = "EWCONTRACT_"
-
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
@@ -62,13 +60,6 @@ MAX_ORDER = 16
 
 DEFAULT_COUPLINGS = {"g": 0.65, "gp": 0.35, "R": 1.0, "h_e": 1.0}
 
-#: the defaults that EWCONTRACT_<FLAG> variables override, per subcommand
-#: and flag it takes; argparse converts and checks the string like the flag
-_FILES = {"config": None, "out": None}
-_SEEDED = {**_FILES, "seed": "0", "order": str(DEFAULT_ORDER)}
-_ENV_DEFAULTS = {"verify": _SEEDED, "spectrum": {**_FILES, "format": "json"},
-                 "expand": {**_SEEDED, "mode": "nilpotent"}}
-
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as a ConfigError: one line, exit 2."""
@@ -78,10 +69,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser() -> Tuple[argparse.ArgumentParser, dict]:
-    """The parser and its subcommand parsers by name, built once per
-    process; the options that several subcommands share are added once,
-    to a parent parser, and copied into each."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; the options that several
+    subcommands share are added once, to a parent parser, and copied into
+    each."""
     parser = _Parser(
         prog="ewcontract",
         description="Verification and spectrum tools for the contracted "
@@ -95,8 +86,8 @@ def build_parser() -> Tuple[argparse.ArgumentParser, dict]:
     common.add_argument("--out", type=str,
                         help="write the machine-readable report here")
     seeded = _Parser(add_help=False, parents=[common])
-    seeded.add_argument("--seed", type=int)
-    seeded.add_argument("--order", type=int)
+    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--order", type=int, default=DEFAULT_ORDER)
 
     p_verify = sub.add_parser("verify", help="run verification suites",
                               parents=[seeded])
@@ -108,7 +99,8 @@ def build_parser() -> Tuple[argparse.ArgumentParser, dict]:
 
     p_spectrum = sub.add_parser("spectrum", help="extracted particle masses",
                                 parents=[common])
-    p_spectrum.add_argument("--format", type=str, choices=("json", "csv"))
+    p_spectrum.add_argument("--format", type=str, choices=("json", "csv"),
+                            default="json")
     for name in DEFAULT_COUPLINGS:
         p_spectrum.add_argument("--" + name.replace("_", "-"), dest=name,
                                 type=float, default=None)
@@ -118,13 +110,12 @@ def build_parser() -> Tuple[argparse.ArgumentParser, dict]:
         parents=[seeded])
     p_expand.add_argument("--n", type=int, default=2,
                           help="highest expansion order to report (max 6)")
-    p_expand.add_argument("--mode", type=str,
+    p_expand.add_argument("--mode", type=str, default="nilpotent",
                           help="the contraction parameter j: nilpotent (the "
                           "formal j, default) | unit (j = 1) | numeric:<t> "
                           "(j = t, 0 < t <= 1)")
 
-    return parser, {"verify": p_verify, "spectrum": p_spectrum,
-                    "expand": p_expand}
+    return parser
 
 
 def _load_config_file(path: Optional[str]) -> dict:
@@ -137,15 +128,9 @@ def _load_config_file(path: Optional[str]) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
-    unknown = sorted(set(data) - {"couplings", "suites", *DEFAULTS})
+    unknown = sorted(set(data) - {"couplings", *DEFAULTS})
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    suites = data.get("suites")
-    if suites is not None and not (isinstance(suites, list) and all(
-            isinstance(n, str) for n in suites)):
-        raise ConfigError("suites must be a list of suite names")
-    if suites == []:
-        raise ConfigError("empty suite selection")
     for section in DEFAULTS:
         check_overrides(section, data.get(section, {}))
     return data
@@ -237,7 +222,7 @@ def _report_envelope(args, couplings: Couplings) -> dict:
 def cmd_verify(args, file_cfg: dict, couplings: Couplings) -> int:
     cfg = RunConfig(
         couplings, args.order, args.seed,
-        suites=tuple(args.suite or file_cfg.get("suites", ())),
+        suites=tuple(args.suite or ()),
         sample_counts=file_cfg.get("sample_counts", {}),
         tolerances=file_cfg.get("tolerances", {}),
     )
@@ -317,8 +302,6 @@ def _check_flags(args) -> None:
         raise ConfigError(f"--order must be between {MIN_ORDER} and {MAX_ORDER}")
     if "seed" in args and args.seed < 0:
         raise ConfigError("--seed must be a non-negative integer")
-    if "format" in args and args.format not in ("json", "csv"):
-        raise ConfigError(f"unknown --format {args.format!r}")
     if "format" in args and args.format == "csv" and args.out is None:
         raise ConfigError("CSV output is written only to --out; none was given")
     if args.out is not None:  # probed before any work, creating no file
@@ -339,13 +322,8 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, commands = build_parser()
-    for name, defaults in _ENV_DEFAULTS.items():  # read on every call
-        commands[name].set_defaults(**{
-            flag: os.environ.get(ENV_PREFIX + flag.upper(), fallback)
-            for flag, fallback in defaults.items()})
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         _check_flags(args)
         file_cfg = _load_config_file(args.config)
         return COMMANDS[args.command](args, file_cfg,

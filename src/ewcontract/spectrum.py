@@ -368,9 +368,9 @@ def transcribed_cubic_terms(gs: Sample, ps: Sample, c: Couplings) -> Dict[str, J
 
 def normative_cubic_terms(gs: Sample, ps: Sample, c: Couplings) -> Dict[str, Jet]:
     """Third-order terms of this package's Lagrangian in its own physical
-    fields, derived from the exact expansion (see the project notes for
-    the relation to the printed displays: two typo-level corrections plus
-    the sign conventions of physical_fields)."""
+    fields, derived from the exact expansion. Their relation to the
+    printed displays (two typo-level corrections plus the sign
+    conventions of physical_fields) is not recorded yet: ROADMAP item 12."""
     wp, wm, z, a = physical_fields(gs, ps, c)
     wpc, wmc, zc, ac = _abelian_curls(gs, c)
     psi1, psi2, psi3, dp1, dp2, dp3 = _components(ps)

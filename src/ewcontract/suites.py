@@ -494,8 +494,8 @@ def suite_quadratic(cfg: RunConfig) -> SuiteResult:
         closed = closed_masses(ci)
         mass_resid = max(
             mass_resid,
-            abs(m_w - closed["m_w"]) / closed["m_w"],
-            abs(m_z - closed["m_z"]) / closed["m_z"],
+            abs(m_w - closed["m_w"]) / abs(closed["m_w"]),
+            abs(m_z - closed["m_z"]) / abs(closed["m_z"]),
         )
         zero_resid = max(zero_resid, m_a, abs(m_w / m_z - closed["weinberg_cos"]))
 
@@ -708,8 +708,7 @@ REGISTRY: Dict[str, Callable[[RunConfig], SuiteResult]] = {
 
 def run_suites(cfg: RunConfig) -> Dict[str, SuiteResult]:
     """Run the selected suites, each once and in the order first named
-    (all of them for an empty explicit list is a configuration error;
-    selection happens upstream)."""
+    (all of them when none is named)."""
     names = tuple(dict.fromkeys(cfg.suites or REGISTRY))
     unknown = [n for n in names if n not in REGISTRY]
     if unknown:

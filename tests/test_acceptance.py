@@ -198,8 +198,8 @@ def test_criterion_11_cubic_terms():
     grade0 = gates["exact_grade0"]
     produced = len(gates["literal_terms"]) == 8 and "literal_rel_diff" in gates
     # the rederived closed form must match the exact coefficient; the
-    # literal transcription's diff is reported as data (its documented
-    # discrepancy lives in the project notes, not in a patched formula)
+    # literal transcription's diff is reported as data (its relation to
+    # the printed display is not recorded yet: ROADMAP item 12)
     normative = gates["normative_rel_diff"]
     ok = grade0 <= 1e-12 and produced and normative <= 1e-11
     _verdict(11, "cubic coefficient and term-by-term report", ok,

@@ -80,12 +80,11 @@ def test_surface_runs_cover_help_and_environment_errors():
     argvs = [argv for _, argv, _ in compare_reports.SURFACE]
     for command in ([], ["verify"], ["spectrum"], ["expand"]):
         assert argvs.count([*command, "--help"]) == 2  # COLUMNS 80 and 133
-    environments = {(label, name) for label, argv, env in compare_reports.SURFACE
-                    for name in env if name.startswith("EWCONTRACT_")}
-    assert environments == {
-        ("expand --n 0 with EWCONTRACT_SEED=abc", "EWCONTRACT_SEED"),
-        ("expand --n 0 with EWCONTRACT_ORDER=abc", "EWCONTRACT_ORDER"),
-        ("spectrum with EWCONTRACT_FORMAT=xml", "EWCONTRACT_FORMAT")}
+    errors = {label: env for label, argv, env in compare_reports.SURFACE
+              if "--help" not in argv}
+    assert errors == {"expand --n 0 --seed abc": {},
+                      "expand --n 0 --order abc": {},
+                      "spectrum --format xml": {}}
 
 
 def test_surface_differences_name_the_run_and_the_stream():
@@ -113,11 +112,11 @@ def test_a_surface_difference_fails_the_comparison(tmp_path, monkeypatch,
         trees.append(str(tmp_path / tag))
     monkeypatch.setattr(compare_reports, "run",
                         lambda src, tag, command, seed, workdir: (0, None, ""))
-    # only the EWCONTRACT_SEED run names the tree in its stderr
+    # only the --seed abc run names the tree in its stderr
     monkeypatch.setattr(compare_reports, "run_cli", lambda src, argv, env: (
-        2, "", f"error: {src.name} abc\n" if "EWCONTRACT_SEED" in env else ""))
+        2, "", f"error: {src.name} abc\n" if "--seed" in argv else ""))
     assert compare_reports.main([*trees, "--seeds", "0"]) == 1
     out = capsys.readouterr().out
     assert f"surface: 10 of {len(compare_reports.SURFACE)} runs" in out
-    assert ("  report differs, expand --n 0 with EWCONTRACT_SEED=abc: stderr "
+    assert ("  report differs, expand --n 0 --seed abc: stderr "
             "line 1 'error: old abc\\n' -> 'error: new abc\\n'") in out

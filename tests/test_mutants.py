@@ -77,6 +77,8 @@ MUTANTS = [
      _edit("1j * c.gp * (gs.value", "0.5j * c.gp * (gs.value"), ("fermion",)),
     ("hermitian_form_without_conjugate", fields, "hermitian_form_jets",
      _edit("x.conjugate() * y", "x * y"), ("invariance", "coordinate", "fermion")),
+    ("closed_m_w_negated", spectrum, "closed_masses",
+     _edit('"m_w": c.R * c.g / 2.0', '"m_w": -c.R * c.g / 2.0'), ("quadratic",)),
 ]
 
 

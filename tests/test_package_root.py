@@ -7,7 +7,6 @@ import contextlib
 import importlib
 import inspect
 import io
-import os
 import re
 import sys
 from pathlib import Path
@@ -85,8 +84,6 @@ def test_every_public_member_of_a_public_class_is_called_by_a_command(
     """verify, expand --n 6 --order 8 and spectrum, run in-process at their
     defaults, call each public method, property and classmethod of the
     package's public classes; a call from a test is not a use."""
-    for key in [k for k in os.environ if k.startswith(cli.ENV_PREFIX)]:
-        monkeypatch.delenv(key)
     members = _public_members()
     assert members
     called = set()

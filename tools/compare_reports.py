@@ -27,9 +27,9 @@ outside the reports:
 
     --help, verify --help, spectrum --help, expand --help
                                 (each at COLUMNS=80 and COLUMNS=133)
-    expand --n 0                (with EWCONTRACT_SEED=abc, then
-                                 EWCONTRACT_ORDER=abc)
-    spectrum                    (with EWCONTRACT_FORMAT=xml)
+    expand --n 0 --seed abc
+    expand --n 0 --order abc
+    spectrum --format xml
 
 and compares stdout, stderr and the exit code byte for byte; each run
 that differs is listed under "report differs" with its first differing
@@ -69,11 +69,10 @@ SURFACE = [
        [*command, "--help"], {"COLUMNS": str(columns)})
       for command in ([], ["verify"], ["spectrum"], ["expand"])
       for columns in (80, 133)),
-    *((" ".join(argv) + f" with EWCONTRACT_{name}={value}", argv,
-       {f"EWCONTRACT_{name}": value})
-      for name, value, argv in (("SEED", "abc", ["expand", "--n", "0"]),
-                                ("ORDER", "abc", ["expand", "--n", "0"]),
-                                ("FORMAT", "xml", ["spectrum"]))),
+    *((" ".join(argv), argv, {})
+      for argv in (["expand", "--n", "0", "--seed", "abc"],
+                   ["expand", "--n", "0", "--order", "abc"],
+                   ["spectrum", "--format", "xml"])),
 ]
 
 
