@@ -8,16 +8,17 @@ Three subcommands:
   density for a seeded random configuration
 
 The command line and the config file are the only inputs, and each
-setting comes from one of them. The argument parser is built once per
-process, on the first ``main`` call, and help reads the terminal width
-when printed. ``main`` reads the config file and builds the couplings
-once for every command, which takes only the flags it reads. JSON is
-the machine format (schema-versioned, deterministic for a fixed config
-up to the timestamp field), built by ``_sanitize`` from the result
-dataclasses; CSV is for spectrum only. Reports are strict JSON: a
-computed value that is not finite is written as null. Exit codes: 0 all
-checks pass, 1 a suite failed or spectrum/expand computed a value that
-is not finite, 2 the configuration was rejected.
+setting comes from one of them. The config file holds couplings and
+sample counts; no input changes a gate's tolerance. The argument parser
+is built once per process, on the first ``main`` call, and help reads
+the terminal width when printed. ``main`` reads the config file and
+builds the couplings once for every command, which takes only the flags
+it reads. JSON is the machine format (schema-versioned, deterministic
+for a fixed config up to the timestamp field), built by ``_sanitize``
+from the result dataclasses; CSV is for spectrum only. Reports are
+strict JSON: a computed value that is not finite is written as null.
+Exit codes: 0 all checks pass, 1 a suite failed or spectrum/expand
+computed a value that is not finite, 2 the configuration was rejected.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = _Parser(add_help=False)
     common.add_argument("--config", type=str,
-                        help="JSON config file (couplings, tolerances, ...)")
+                        help="JSON config file (couplings, sample_counts)")
     common.add_argument("--out", type=str,
                         help="write the machine-readable report here")
     seeded = _Parser(add_help=False, parents=[common])
@@ -224,7 +225,6 @@ def cmd_verify(args, file_cfg: dict, couplings: Couplings) -> int:
         couplings, args.order, args.seed,
         suites=tuple(args.suite or ()),
         sample_counts=file_cfg.get("sample_counts", {}),
-        tolerances=file_cfg.get("tolerances", {}),
     )
     results = run_suites(cfg)
     all_passed = all(r.passed for r in results.values())

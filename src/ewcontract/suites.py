@@ -7,9 +7,10 @@ test harness agree on what "the algebra suite" means. A suite computes
 each of its gates once, from the building blocks of the lower layers,
 and names it once: _result takes the gates as (residual, tolerance)
 pairs by name, and the report's details hold each gate's residual under
-its name plus the suite's data, the values it reports that are not gates. DEFAULTS holds every
-suite's default tolerances and sample counts; RunConfig can override any of
-them and rejects an override that names no default or has a bad value.
+its name plus the suite's data, the values it reports that are not gates.
+TOLERANCES holds every gate's tolerance, which no input changes; DEFAULTS
+holds every sampled check's default size, and RunConfig can override any
+of them and rejects an override that names no default or has a bad value.
 
 A sampled check draws its samples one after the other (the group suite's
 factors as one block, the same numbers), and _sampled_max evaluates them
@@ -89,20 +90,23 @@ from .spectrum import (
 
 SCHEMA_VERSION = "1.2"
 
-#: default tolerance of every gate and default size of every sampled
-#: check, under the config keys that override them (one line per suite);
-#: fermion_identity sizes and bounds both sampled fermion checks
-DEFAULTS: Dict[str, Dict[str, float]] = {
-    "tolerances": {
-        "algebra": 1.0e-12,
-        "group": 1.0e-12,
-        "invariance_form": 1.0e-12, "invariance_first_order": 1.0e-12,
-        "coordinate_sphere": 1.0e-12, "coordinate_equivalence": 1.0e-12,
-        "quadratic_form": 1.0e-12, "mass_rel": 1.0e-12, "mass_zero": 1.0e-12,
-        "cubic_grade0": 1.0e-12, "cubic_match": 1.0e-11,
-        "fermion_identity": 1.0e-12, "fermion_mass": 1.0e-12,
-        "limit": 1.0e-7,
-    },
+#: tolerance of every gate, under the key its suite reads (one line per
+#: suite); fermion_identity bounds both sampled fermion checks
+TOLERANCES: Dict[str, float] = {
+    "algebra": 1.0e-12,
+    "group": 1.0e-12,
+    "invariance_form": 1.0e-12, "invariance_first_order": 1.0e-12,
+    "coordinate_sphere": 1.0e-12, "coordinate_equivalence": 1.0e-12,
+    "quadratic_form": 1.0e-12, "mass_rel": 1.0e-12, "mass_zero": 1.0e-12,
+    "cubic_grade0": 1.0e-12, "cubic_match": 1.0e-11,
+    "fermion_identity": 1.0e-12, "fermion_mass": 1.0e-12,
+    "limit": 1.0e-7,
+}
+
+#: default size of every sampled check, under the config key that
+#: overrides it (one line per suite); fermion_identity sizes both sampled
+#: fermion checks
+DEFAULTS: Dict[str, Dict[str, int]] = {
     "sample_counts": {
         "group": 1000,
         "invariance_form": 100, "invariance_gauge": 20,
@@ -125,14 +129,6 @@ MAX_SAMPLE_COUNT = 10000
 CONFIG_CHUNK = 500
 
 
-def _finite_float(value: "int | float") -> bool:
-    """Whether value converts to a finite float (a huge int overflows)."""
-    try:
-        return math.isfinite(float(value))
-    except OverflowError:
-        return False
-
-
 def check_overrides(section: str, overrides) -> None:
     """Raise ConfigError for a bad key or value under DEFAULTS[section]."""
     if not isinstance(overrides, dict):
@@ -140,28 +136,23 @@ def check_overrides(section: str, overrides) -> None:
     for key, value in overrides.items():
         if key not in DEFAULTS[section]:
             raise ConfigError(f"unknown {section} key {key!r}")
-        real = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if section == "tolerances" and not (real and _finite_float(value)):
-            raise ConfigError(f"tolerance {key!r} must be a finite "
-                              f"number, got {value!r}")
-        if section == "sample_counts" and not (
-                real and isinstance(value, int)
-                and 1 <= value <= MAX_SAMPLE_COUNT):
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or not 1 <= value <= MAX_SAMPLE_COUNT:
             raise ConfigError(f"sample count {key!r} must be an integer "
                               f"between 1 and {MAX_SAMPLE_COUNT}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a suite run depends on; the seed is echoed into every
-    report so runs stay reproducible."""
+    """Everything a suite run depends on besides TOLERANCES, which no
+    input changes; the seed is echoed into every report so runs stay
+    reproducible."""
 
     couplings: Couplings
     order: int = DEFAULT_ORDER
     seed: int = 0
     suites: Tuple[str, ...] = ()
     sample_counts: Dict[str, int] = field(default_factory=dict)
-    tolerances: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         for section in DEFAULTS:
@@ -169,9 +160,6 @@ class RunConfig:
 
     def samples(self, key: str) -> int:
         return self.sample_counts.get(key, DEFAULTS["sample_counts"][key])
-
-    def tol(self, key: str) -> float:
-        return float(self.tolerances.get(key, DEFAULTS["tolerances"][key]))
 
 
 @dataclass
@@ -246,7 +234,7 @@ def suite_algebra(cfg: RunConfig) -> SuiteResult:
     """Closed-form commutator table, grade by grade, plus the nilpotent
     collapse of [T1, T2]."""
     order = cfg.order
-    tol = cfg.tol("algebra")
+    tol = TOLERANCES["algebra"]
     gens = {k: generator(k, order).matrix for k in (1, 2, 3)}
     j = Jet.variable(order)
     zero = JetMatrix2.zero(order)
@@ -273,7 +261,7 @@ def suite_group(cfg: RunConfig) -> SuiteResult:
     """Unitarity and unimodularity of random products, and the closed
     exponential forms against the series exponential."""
     order = cfg.order
-    tol = cfg.tol("group")
+    tol = TOLERANCES["group"]
     count = cfg.samples("group")
     rng = np.random.default_rng(cfg.seed)
     identity = JetMatrix2.identity(order).jet
@@ -333,8 +321,8 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
         raise ConfigError("the invariance suite needs gp > 0 "
                           "(the U(1) gauge shift divides by gp)")
     order = cfg.order
-    tol_form = cfg.tol("invariance_form")
-    tol_first = cfg.tol("invariance_first_order")
+    tol_form = TOLERANCES["invariance_form"]
+    tol_first = TOLERANCES["invariance_first_order"]
     rng = np.random.default_rng(cfg.seed + 1)
 
     draws = ((rng.normal(size=4).view(complex), *random_factors(rng, (2,)))
@@ -404,8 +392,8 @@ def suite_coordinate(cfg: RunConfig) -> SuiteResult:
     """The embedded doublet sits on the radius-R sphere, and the doublet
     and intrinsic-coordinate matter densities agree grade-wise."""
     order = cfg.order
-    tol_sphere = cfg.tol("coordinate_sphere")
-    tol_equiv = cfg.tol("coordinate_equivalence")
+    tol_sphere = TOLERANCES["coordinate_sphere"]
+    tol_equiv = TOLERANCES["coordinate_equivalence"]
     rng = np.random.default_rng(cfg.seed + 2)
     c = cfg.couplings
 
@@ -464,9 +452,9 @@ def suite_quadratic(cfg: RunConfig) -> SuiteResult:
     from the fiber gauge fields, and no odd grade of j in the eps^1 and
     eps^2 coefficients (fiber fields enter in pairs)."""
     order = cfg.order
-    tol_quad = cfg.tol("quadratic_form")
-    tol_mass = cfg.tol("mass_rel")
-    tol_zero = cfg.tol("mass_zero")
+    tol_quad = TOLERANCES["quadratic_form"]
+    tol_mass = TOLERANCES["mass_rel"]
+    tol_zero = TOLERANCES["mass_zero"]
     rng = np.random.default_rng(cfg.seed + 3)
     c = cfg.couplings
 
@@ -530,8 +518,8 @@ def suite_cubic(cfg: RunConfig) -> SuiteResult:
     its difference and its terms' grade-2 sizes (the discrepancy is
     documented, not patched)."""
     order = cfg.order
-    tol_zero = cfg.tol("cubic_grade0")
-    tol_match = cfg.tol("cubic_match")
+    tol_zero = TOLERANCES["cubic_grade0"]
+    tol_match = TOLERANCES["cubic_match"]
     rng = np.random.default_rng(cfg.seed + 4)
     c = cfg.couplings
     gauge, psicfg = random_bosonic_config(rng, amplitude=0.04)
@@ -579,17 +567,16 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
     """Matrix vs expanded Yukawa forms, the base-part closed formula, the
     kinetic terms against a numpy oracle, no odd grade of j in the
     density at formal j (the neutrino's j always meets a second one), the
-    extracted electron mass and the massless neutrino.
-
-    At a configured h_e = 0 the Yukawa checks would compare zeros and the
-    electron mass error would divide by 0, so the suite runs with
-    h_e = 1.3 in its place; the report's couplings still show 0."""
+    extracted electron mass and the massless neutrino."""
+    if cfg.couplings.h_e == 0.0:
+        raise ConfigError("the fermion suite needs h_e > 0 "
+                          "(the electron mass error divides by h_e R)")
     order = cfg.order
-    tol_id = cfg.tol("fermion_identity")
-    tol_mass = cfg.tol("fermion_mass")
+    tol_id = TOLERANCES["fermion_identity"]
+    tol_mass = TOLERANCES["fermion_mass"]
     count = cfg.samples("fermion_identity")
     rng = np.random.default_rng(cfg.seed + 5)
-    c = dataclasses.replace(cfg.couplings, h_e=cfg.couplings.h_e or 1.3)
+    c = cfg.couplings
 
     def spinors() -> PlaneWave:
         """Complex spinors over (e_l, nu_l, e_r): with real ones the i psi_1
@@ -654,7 +641,7 @@ def suite_limit(cfg: RunConfig) -> SuiteResult:
     of a commutator entry, a hermitian form and the bosonic density
     against their extrapolation to t = 0, and the t^2 scaling of the W
     mass coefficient."""
-    tol = cfg.tol("limit")
+    tol = TOLERANCES["limit"]
     order, c = cfg.order, cfg.couplings
 
     def commutator_entry(jval: "float | None") -> Jet:

@@ -23,7 +23,7 @@ from ewcontract.cli import (
 )
 from ewcontract.jets import Jet
 from ewcontract.spectrum import mass_spectrum
-from ewcontract.suites import MAX_SAMPLE_COUNT, REGISTRY, _result
+from ewcontract.suites import MAX_SAMPLE_COUNT, REGISTRY, TOLERANCES, _result
 
 
 def _load(path):
@@ -61,10 +61,11 @@ def test_verify_unknown_suite_is_config_error(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
-def test_verify_failure_exit_code_with_impossible_tolerance(tmp_path):
+def test_verify_failure_exit_code_with_impossible_tolerance(tmp_path,
+                                                            monkeypatch):
+    monkeypatch.setitem(TOLERANCES, "group", 0.0)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tolerances": {"group": 0.0},
-                               "sample_counts": {"group": 5}}))
+    cfg.write_text(json.dumps({"sample_counts": {"group": 5}}))
     out = tmp_path / "report.json"
     code = main(["verify", "--suite", "group", "--config", str(cfg),
                  "--out", str(out)])
@@ -153,6 +154,7 @@ def test_bad_mode_is_config_error(capsys):
     {"tolerance": {"algebra": 1e-9}},
     {"couplings": {"g": True}},
     {"couplings": {"gp": "0.35"}},
+    {"tolerances": {"invariance_first_order": 1e300, "invariance_form": 1e300}},
     pytest.param("[" * 200_000, id="nested_too_deep_for_the_json_parser"),
 ])
 @pytest.mark.parametrize("argv", [
@@ -365,6 +367,16 @@ def test_invariance_with_zero_hypercharge_coupling_is_config_error(tmp_path,
     assert main(["verify", "--suite", "invariance", "--config", str(cfg)]) \
         == EXIT_CONFIG_ERROR
     assert "gp" in capsys.readouterr().err
+
+
+def test_fermion_with_zero_electron_yukawa_is_config_error(tmp_path, capsys):
+    """At h_e = 0 the electron mass error would divide by 0."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"couplings": {"h_e": 0.0}}))
+    assert main(["verify", "--suite", "fermion", "--config", str(cfg)]) \
+        == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "h_e" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -33,19 +33,20 @@ def finite_complex(bound=3.0):
     return st.builds(complex, reals, reals)
 
 
+def _coefficients(shape):
+    """One array of coefficients, each drawn from finite_complex()."""
+    return arrays(complex, shape, elements=finite_complex(), fill=st.nothing())
+
+
 def jets(order=DEFAULT_ORDER):
-    return st.lists(
-        finite_complex(), min_size=order + 1, max_size=order + 1
-    ).map(lambda cs: Jet(cs, order))
+    return _coefficients(order + 1).map(lambda cs: Jet(cs, order))
 
 
 def eps_jets(order=DEFAULT_ORDER, eps_order=2):
     """Jets with an eps axis; mixed with plain jets they exercise the
     zero-padding to the wider eps truncation."""
-    size = (order + 1) * (eps_order + 1)
-    return st.lists(finite_complex(), min_size=size, max_size=size).map(
-        lambda cs: Jet(np.reshape(cs, (order + 1, eps_order + 1)), order,
-                       eps_order))
+    return _coefficients((order + 1, eps_order + 1)).map(
+        lambda cs: Jet(cs, order, eps_order))
 
 
 @given(jets(), jets(), jets(), eps_jets())

@@ -89,13 +89,6 @@ def test_unknown_suite_rejected():
         run_suites(_config(suites=("algebra", "does_not_exist")))
 
 
-def test_tolerance_override_can_force_failure():
-    results = run_suites(
-        _config(suites=("algebra",), tolerances={"algebra": -1.0})
-    )
-    assert not results["algebra"].passed
-
-
 def test_result_details_name_each_gate_once():
     """details hold each gate's residual under its name, then the data;
     the suite reports the largest residual and tolerance, and a NaN gate
@@ -133,11 +126,6 @@ def test_exact_expansion_suites_pass_at_defaults(suite, seed):
 
 
 @pytest.mark.parametrize("overrides", [
-    {"tolerances": {"cubic_macth": 1e-9}},
-    {"tolerances": {"invariance_ratio": 0.05}},
-    {"tolerances": {"algebra": "x"}},
-    {"tolerances": {"algebra": float("nan")}},
-    {"tolerances": {"algebra": True}},
     {"sample_counts": {"group": 0}},
     {"sample_counts": {"group": 2.5}},
     {"sample_counts": {"group": "x"}},
