@@ -180,7 +180,11 @@ def _parse_mode(text: str) -> Tuple[str, Optional[float]]:
 def _sanitize(value):
     """Make report payloads strict JSON: dataclasses become dicts of their
     fields, numpy scalars and tuples Python values, complex numbers
-    {re, im}, and non-finite numbers null."""
+    {re, im}, and non-finite numbers null. A float (np.float64 included,
+    which json writes as it writes the float) is tested first: report
+    payloads are mostly floats."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
     if dataclasses.is_dataclass(value):
         value = dataclasses.asdict(value)
     if isinstance(value, dict):

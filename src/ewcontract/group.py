@@ -158,10 +158,10 @@ def u1_element(beta: Param, order: int = DEFAULT_ORDER) -> JetMatrix2:
 
 
 def u1em_element(gamma: Param, order: int = DEFAULT_ORDER) -> JetMatrix2:
-    """Electromagnetic subgroup element exp(gamma*Q) = diag(e^{i gamma}, 1),
-    with charge Q = Y + T3."""
+    """Electromagnetic subgroup element exp(gamma*Q) = diag(1, e^{i gamma}),
+    with charge Q = Y - T3: the subgroup that fixes the vacuum (R, 0)."""
     phase = np.exp(1j * np.asarray(gamma))[..., None, None]
-    return JetMatrix2(Jet.const(phase * np.diag([1.0, 0.0]) + np.diag([0.0, 1.0]), order))
+    return JetMatrix2(Jet.const(np.diag([1.0, 0.0]) + phase * np.diag([0.0, 1.0]), order))
 
 
 def graded_doublet(phi1: "complex | np.ndarray", phi2: "complex | np.ndarray",

@@ -209,39 +209,27 @@ class SpectrumReport:
     closed_form: Dict[str, float]
 
 
-def gauge_mass_coefficients(backgrounds: np.ndarray, c: Couplings,
+def background_coefficients(c: Couplings, gauge: Optional[np.ndarray] = None,
+                            leptons: Optional[np.ndarray] = None,
                             jval: Optional[float] = None) -> Jet:
-    """eps^2 coefficients of the bosonic density for constant gauge
-    backgrounds at psi = 0: one density evaluation, batch item i being the
-    constant gauge field whose time components over (A^1, A^2, A^3, B)
-    are backgrounds[i] (the backgrounds broadcast over one point)."""
-    gauge = constant(np.asarray(backgrounds)[..., None] * np.eye(4)[0])
-    psi = constant(np.zeros(3))
+    """eps^2 coefficients of the density on constant backgrounds at psi = 0
+    and x = 0, from one density evaluation: batch item i is background i.
+    Exactly one of gauge, (B, 4) time components over (A^1, A^2, A^3, B),
+    and leptons, (B, 3) upper spinor components over (e_l, nu_l, e_r), is
+    given; its backgrounds carry eps and enter lagrangian_bosonic, or
+    lagrangian_fermion at zero gauge field, alone."""
     x = np.zeros(4)
+    ps = sample_psi(constant(np.zeros(3)), x, MASS_ORDER, jval)
 
     def evaluate(scale: Jet) -> Jet:
-        gs = sample_gauge(gauge, x, MASS_ORDER, jval, scale)
-        ps = sample_psi(psi, x, MASS_ORDER, jval)
-        return lagrangian_bosonic(gs, ps, c)
-
-    return epsilon_expand(evaluate, 2, MASS_ORDER)[2]
-
-
-def _fermion_mass_coefficients(c: Couplings) -> Jet:
-    """eps^2 coefficients of the fermion density for the constant unit
-    spinor backgrounds at psi = 0: one density evaluation, batch item 0
-    the electron pair and item 1 the lone neutrino (the stacked
-    backgrounds broadcast over one point)."""
-    leptons = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # over (e_l, nu_l, e_r)
-    cfg = constant(leptons[..., None] * np.eye(2)[0])
-    x = np.zeros(4)
-    gs = sample_gauge(constant(np.zeros((4, 4))), x, MASS_ORDER)
-    ps = sample_psi(constant(np.zeros(3)), x, MASS_ORDER)
-    phi = phi_from_psi(ps, c.R).value
-
-    def evaluate(scale: Jet) -> Jet:
-        fs = sample_fermions(cfg, x, MASS_ORDER, scale=scale)
-        return lagrangian_fermion(fs, phi, gs, c)
+        if leptons is None:
+            gs = sample_gauge(constant(np.asarray(gauge)[..., None] * np.eye(4)[0]),
+                              x, MASS_ORDER, jval, scale)
+            return lagrangian_bosonic(gs, ps, c)
+        fs = sample_fermions(constant(np.asarray(leptons)[..., None] * np.eye(2)[0]),
+                             x, MASS_ORDER, jval, scale)
+        gs = sample_gauge(constant(np.zeros((4, 4))), x, MASS_ORDER, jval)
+        return lagrangian_fermion(fs, phi_from_psi(ps, c.R).value, gs, c)
 
     return epsilon_expand(evaluate, 2, MASS_ORDER)[2]
 
@@ -258,7 +246,7 @@ def gauge_masses(c: Couplings) -> Tuple[float, float, float]:
     backgrounds = np.array([[1.0, 0.0, 0.0, 0.0],
                             [0.0, 0.0, c.g / c.gz, c.gp / c.gz],
                             [0.0, 0.0, c.gp / c.gz, -c.g / c.gz]])
-    w_coeff, z_coeff, a_coeff = gauge_mass_coefficients(backgrounds, c).coeffs[..., 0]
+    w_coeff, z_coeff, a_coeff = background_coefficients(c, backgrounds).coeffs[..., 0]
     # unit W background: W+ W- = 1/2, so the coefficient is m_W^2 / 2
     return (math.sqrt(max(2.0 * w_coeff[2].real, 0.0)),
             math.sqrt(max(2.0 * z_coeff[0].real, 0.0)),
@@ -270,7 +258,8 @@ def lepton_masses(c: Couplings) -> Tuple[float, float]:
     unit spinor backgrounds (both 0 when h_e = 0)."""
     if c.h_e == 0.0:
         return 0.0, 0.0
-    e_coeff, nu_coeff = _fermion_mass_coefficients(c).grade(0)
+    leptons = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # over (e_l, nu_l, e_r)
+    e_coeff, nu_coeff = background_coefficients(c, leptons=leptons).grade(0)
     # mass term -m_e (e_r+ e_l + e_l+ e_r) = -2 m_e on unit spinors
     return float(-0.5 * e_coeff.real), float(abs(nu_coeff))
 

@@ -73,11 +73,11 @@ from .lagrangian import (
 )
 from .spectrum import (
     LIMIT_T_VALUES,
+    background_coefficients,
     bosonic_density_evaluator,
     closed_masses,
     epsilon_expand,
     extrapolate_even,
-    gauge_mass_coefficients,
     gauge_masses,
     halton_points,
     lepton_masses,
@@ -289,9 +289,13 @@ def suite_group(cfg: RunConfig) -> SuiteResult:
     along = np.moveaxis(samples[..., None] * np.eye(3), -1, 0)
     subgroup_resid = max(one_param(np.arange(1, 4), samples, order, jval).max_abs_diff(
         exp_series(*along, order=order, jval=jval)) for jval in (None, 1.0))
-    # charge Q = Y + T3: exp(gamma Q) = exp(gamma Y) exp(gamma T3)
-    charge_resid = u1em_element(a[2], order).max_abs_diff(
-        u1_element(a[2], order) * one_param(3, a[2], order))
+    # charge Q = Y - T3: exp(gamma Q) = exp(gamma Y) exp(-gamma T3), and
+    # exp(gamma Q) leaves the vacuum direction (1, 0) where it is
+    charge = u1em_element(a[2], order)
+    charge_resid = charge.max_abs_diff(
+        u1_element(a[2], order) * one_param(3, -a[2], order))
+    vacuum = Jet.const(np.array([1.0, 0.0]), order)
+    stabilizer_resid = charge.apply(vacuum).max_abs_diff(vacuum)
 
     return _result("group", {
         "unitarity": (unitarity, tol),
@@ -299,6 +303,7 @@ def suite_group(cfg: RunConfig) -> SuiteResult:
         "closed_exponentials": (closed_resid, tol),
         "one_parameter_subgroups": (subgroup_resid, tol),
         "electromagnetic_charge": (charge_resid, tol),
+        "vacuum_stabilizer": (stabilizer_resid, tol),
     }, {"product_samples": count})
 
 
@@ -317,9 +322,6 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
     sectors' eps**1 coefficients, its size the sum of the sectors'
     unvaried magnitudes, and the gauge sector's eps**0 coefficient is
     checked against the trace form."""
-    if cfg.couplings.gp == 0.0:
-        raise ConfigError("the invariance suite needs gp > 0 "
-                          "(the U(1) gauge shift divides by gp)")
     order = cfg.order
     tol_form = TOLERANCES["invariance_form"]
     tol_first = TOLERANCES["invariance_first_order"]
@@ -568,9 +570,6 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
     kinetic terms against a numpy oracle, no odd grade of j in the
     density at formal j (the neutrino's j always meets a second one), the
     extracted electron mass and the massless neutrino."""
-    if cfg.couplings.h_e == 0.0:
-        raise ConfigError("the fermion suite needs h_e > 0 "
-                          "(the electron mass error divides by h_e R)")
     order = cfg.order
     tol_id = TOLERANCES["fermion_identity"]
     tol_mass = TOLERANCES["fermion_mass"]
@@ -669,8 +668,8 @@ def suite_limit(cfg: RunConfig) -> SuiteResult:
         grade_diff = max(grade_diff, abs(formal.grade(0) - a0),
                          abs(formal.grade(2) - a2))
 
-    w_values = [gauge_mass_coefficients(np.eye(4)[:1], c, jval=t)
-                .grade(0)[0].real for t in LIMIT_T_VALUES]
+    w_values = [background_coefficients(c, np.eye(4)[:1], jval=t).grade(0)[0].real
+                for t in LIMIT_T_VALUES]
     logs = np.log(np.abs(w_values))
     logt = np.log(np.asarray(LIMIT_T_VALUES))
     slope = float(np.polyfit(logt, logs, 1)[0])
@@ -693,11 +692,22 @@ REGISTRY: Dict[str, Callable[[RunConfig], SuiteResult]] = {
 }
 
 
+#: (suite, coupling, reason): a selected suite needs that coupling > 0
+_NEEDS_POSITIVE = (
+    ("invariance", "gp", "the U(1) gauge shift divides by gp"),
+    ("fermion", "h_e", "the electron mass error divides by h_e R"),
+)
+
+
 def run_suites(cfg: RunConfig) -> Dict[str, SuiteResult]:
     """Run the selected suites, each once and in the order first named
-    (all of them when none is named)."""
+    (all of them when none is named), after rejecting an unknown name or a
+    coupling that a selected suite cannot use."""
     names = tuple(dict.fromkeys(cfg.suites or REGISTRY))
     unknown = [n for n in names if n not in REGISTRY]
     if unknown:
         raise ConfigError(f"unknown suite name(s): {', '.join(unknown)}")
+    for suite, coupling, reason in _NEEDS_POSITIVE:
+        if suite in names and getattr(cfg.couplings, coupling) == 0.0:
+            raise ConfigError(f"the {suite} suite needs {coupling} > 0 ({reason})")
     return {name: REGISTRY[name](cfg) for name in names}

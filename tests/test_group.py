@@ -180,10 +180,10 @@ def test_u1_elements_commute_with_everything():
 
 
 def test_charge_is_hypercharge_plus_third_generator():
-    """exp(gamma Q) must equal exp(gamma Y) exp(gamma T3)."""
+    """With Q = Y - T3, exp(gamma Q) must equal exp(gamma Y) exp(-gamma T3)."""
     gamma = 0.37
     q = u1em_element(gamma, ORDER)
-    combined = u1_element(gamma, ORDER) * one_param(3, gamma, ORDER)
+    combined = u1_element(gamma, ORDER) * one_param(3, -gamma, ORDER)
     assert q.max_abs_diff(combined) <= TOL
 
 
@@ -205,11 +205,13 @@ def test_hypercharge_matrix_value():
 
 
 def test_electromagnetic_charge_leaves_lower_component_fixed():
+    """exp(gamma Q) with Q = Y - T3 leaves the upper component, the vacuum
+    direction, fixed and multiplies the lower one by e^{i gamma}."""
     d = graded_doublet(1.0 + 0.5j, -0.3 + 0.2j, ORDER)
     moved = u1em_element(0.61, ORDER).apply(d)
     phi1, phi2 = d
-    assert moved[0].max_abs_diff(phi1 * cmath.exp(0.61j)) <= TOL
-    assert moved[1].max_abs_diff(phi2) <= TOL
+    assert moved[0].max_abs_diff(phi1) <= TOL
+    assert moved[1].max_abs_diff(phi2 * cmath.exp(0.61j)) <= TOL
 
 
 def _entries(m: JetMatrix2) -> np.ndarray:

@@ -79,6 +79,9 @@ MUTANTS = [
      _edit("x.conjugate() * y", "x * y"), ("invariance", "coordinate", "fermion")),
     ("closed_m_w_negated", spectrum, "closed_masses",
      _edit('"m_w": c.R * c.g / 2.0', '"m_w": -c.R * c.g / 2.0'), ("quadratic",)),
+    ("u1em_phase_on_upper_component", group, "u1em_element",
+     _edit("np.diag([1.0, 0.0]) + phase * np.diag([0.0, 1.0])",
+           "phase * np.diag([1.0, 0.0]) + np.diag([0.0, 1.0])"), ("group",)),
 ]
 
 

@@ -22,11 +22,10 @@ from ewcontract.jets import DEFAULT_ORDER, Jet, stack
 from ewcontract.lagrangian import lagrangian_bosonic, lagrangian_fermion
 from ewcontract.spectrum import (
     MASS_ORDER,
-    _fermion_mass_coefficients,
+    background_coefficients,
     bosonic_density_evaluator,
     epsilon_expand,
     extrapolate_even,
-    gauge_mass_coefficients,
     halton_points,
     mass_spectrum,
     normative_cubic_terms,
@@ -281,46 +280,67 @@ def test_mass_spectrum_closed_formulas():
         assert rep.nu_mass_coefficient == 0.0
 
 
-@pytest.mark.parametrize("jval", [None, 0.1])
-def test_batched_gauge_mass_coefficients_equal_one_background_at_a_time(jval):
-    """One evaluation over the stacked W, Z and A backgrounds gives each
-    background's coefficients bit for bit, as the evaluation of that
-    background alone at one point does."""
+#: the lepton backgrounds of lepton_masses over (e_l, nu_l, e_r): the
+#: electron pair and the lone neutrino
+LEPTONS = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+
+
+def _gauge_backgrounds(c):
+    """The W, Z and A backgrounds of gauge_masses over (A^1, A^2, A^3, B)."""
+    return np.array([[1.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, c.g / c.gz, c.gp / c.gz],
+                     [0.0, 0.0, c.gp / c.gz, -c.g / c.gz]])
+
+
+@pytest.mark.parametrize("sector,jval", [("gauge", None), ("gauge", 0.1),
+                                         ("leptons", None)])
+def test_batched_background_coefficients_equal_one_background_at_a_time(sector, jval):
+    """One evaluation over stacked backgrounds gives each background's
+    coefficients bit for bit, as the evaluation of that background alone
+    at one point does: the W, Z and A backgrounds in the bosonic density,
+    the electron pair and the lone neutrino in the fermion density."""
     c = COUPLINGS
-    backgrounds = np.array([[1.0, 0.0, 0.0, 0.0],
-                            [0.0, 0.0, c.g / c.gz, c.gp / c.gz],
-                            [0.0, 0.0, c.gp / c.gz, -c.g / c.gz]])
-    batch = gauge_mass_coefficients(backgrounds, c, jval)
-    assert batch.batch_shape == (3,)
     x = np.zeros(4)
+    ps = sample_psi(constant(np.zeros(3)), x, MASS_ORDER, jval)
+    gs = sample_gauge(constant(np.zeros((4, 4))), x, MASS_ORDER, jval)
+    if sector == "gauge":
+        backgrounds = _gauge_backgrounds(c)
+        batch = background_coefficients(c, gauge=backgrounds, jval=jval)
+    else:
+        backgrounds = LEPTONS
+        batch = background_coefficients(c, leptons=backgrounds, jval=jval)
+    assert batch.batch_shape == (len(backgrounds),)
     for i, background in enumerate(backgrounds):
-        potentials = np.zeros((4, 4))  # over (A^1, A^2, A^3, B) x mu
-        potentials[:, 0] = background
-        gauge = constant(potentials)
+        # time components over (A^1, A^2, A^3, B), or upper spinor components
+        values = np.zeros((len(background), 4 if sector == "gauge" else 2))
+        values[:, 0] = background
+        cfg = constant(values)
 
         def evaluate(scale):
-            return lagrangian_bosonic(
-                sample_gauge(gauge, x, MASS_ORDER, jval, scale),
-                sample_psi(constant(np.zeros(3)), x, MASS_ORDER, jval), c)
+            if sector == "gauge":
+                return lagrangian_bosonic(
+                    sample_gauge(cfg, x, MASS_ORDER, jval, scale), ps, c)
+            return lagrangian_fermion(sample_fermions(cfg, x, MASS_ORDER, jval, scale),
+                                      phi_from_psi(ps, c.R).value, gs, c)
 
         alone = epsilon_expand(evaluate, 2, MASS_ORDER)[2]
         assert np.array_equal(batch.coeffs[i], alone.coeffs)
 
 
-def test_batched_fermion_mass_coefficients_equal_one_background_at_a_time():
-    c = COUPLINGS
-    batch = _fermion_mass_coefficients(c)
-    zero, unit = np.zeros(2), np.array([1.0, 0.0])
-    x = np.zeros(4)
-    gs = sample_gauge(constant(np.zeros((4, 4))), x, MASS_ORDER)
-    phi = phi_from_psi(sample_psi(constant(np.zeros(3)), x, MASS_ORDER), c.R).value
-    for i, cfg in enumerate((constant(np.array([unit, zero, unit])),
-                             constant(np.array([zero, unit, zero])))):
-        alone = epsilon_expand(
-            lambda scale: lagrangian_fermion(
-                sample_fermions(cfg, x, MASS_ORDER, scale=scale), phi, gs, c),
-            2, MASS_ORDER)[2]
-        assert np.array_equal(batch.coeffs[i], alone.coeffs)
+def test_background_coefficients_evaluate_only_the_density_they_reach(monkeypatch):
+    """Gauge backgrounds at zero leptons reach the bosonic density alone,
+    lepton backgrounds at zero gauge field the fermion density alone."""
+    calls = []
+    for name in ("lagrangian_bosonic", "lagrangian_fermion"):
+        def spy(*args, name=name, density=getattr(spectrum, name)):
+            calls.append(name)
+            return density(*args)
+        monkeypatch.setattr(spectrum, name, spy)
+    background_coefficients(COUPLINGS, gauge=_gauge_backgrounds(COUPLINGS))
+    assert calls == ["lagrangian_bosonic"]
+    calls.clear()
+    background_coefficients(COUPLINGS, leptons=LEPTONS)
+    assert calls == ["lagrangian_fermion"]
 
 
 def test_reference_coupling_point():
@@ -341,10 +361,8 @@ def test_mass_coefficients_do_not_depend_on_the_order(monkeypatch):
              for _ in range(3)]
 
     def coefficients(c):
-        backgrounds = np.array([[1.0, 0.0, 0.0, 0.0],
-                                [0.0, 0.0, c.g / c.gz, c.gp / c.gz],
-                                [0.0, 0.0, c.gp / c.gz, -c.g / c.gz]])
-        return gauge_mass_coefficients(backgrounds, c), _fermion_mass_coefficients(c)
+        return (background_coefficients(c, gauge=_gauge_backgrounds(c)),
+                background_coefficients(c, leptons=LEPTONS))
 
     at_mass_order = [coefficients(c) for c in draws]
     monkeypatch.setattr(spectrum, "MASS_ORDER", 8)

@@ -84,6 +84,20 @@ def test_a_suite_named_more_than_once_runs_once(monkeypatch):
     assert list(results) == ["group", "algebra"]
 
 
+def test_a_coupling_a_selected_suite_cannot_use_is_rejected_before_any_suite_runs(
+        monkeypatch):
+    """At h_e = 0 the fermion suite cannot run, so no selected suite runs."""
+    calls = []
+    for name, suite in list(REGISTRY.items()):
+        def counted(cfg, name=name, suite=suite):
+            calls.append(name)
+            return suite(cfg)
+        monkeypatch.setitem(REGISTRY, name, counted)
+    with pytest.raises(ConfigError, match="h_e"):
+        run_suites(RunConfig(Couplings(g=0.65, gp=0.35, R=0.8, h_e=0.0)))
+    assert calls == []
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ConfigError):
         run_suites(_config(suites=("algebra", "does_not_exist")))
