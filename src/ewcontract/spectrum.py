@@ -5,8 +5,6 @@ once on field samples multiplied by the field-scale variable eps of the
 jet ring, and the coefficient of eps**n is read off like a grade of j.
 That expansion is the normative definition of every derived quantity
 (masses, quadratic form, cubic terms); closed formulas are cross-checks.
-Printed third-order displays are transcribed literally and treated as
-claims under test against the exact coefficient.
 """
 
 from __future__ import annotations
@@ -116,18 +114,16 @@ def physical_fields(gs: Sample, ps: Sample, c: Couplings) -> Tuple[Jet, Jet, Jet
     )
 
 
-def _abelian_curls(gs: Sample, c: Couplings, b_sign: float = 1.0):
+def _abelian_curls(gs: Sample, c: Couplings):
     """Curls [..., mu, nu] of the physical combinations W+, W-, Z and A;
     second derivatives of psi drop out of every antisymmetrized
-    derivative, so only gauge curls enter. b_sign = -1 gives the printed
-    convention, with B entering Z and A with the opposite sign."""
+    derivative, so only gauge curls enter."""
     curls = gs.grad - gs.grad.swapaxes(-1, -2)
     c1, c2, c3, bcurl = (curls[..., k, :, :] for k in range(4))
     inv_rt2 = 1.0 / math.sqrt(2.0)
-    gp_b, g_b = b_sign * c.gp, b_sign * c.g
     return (inv_rt2 * (c1 - 1j * c2), inv_rt2 * (c1 + 1j * c2),
-            (1.0 / c.gz) * (c.g * c3 + gp_b * bcurl),
-            (1.0 / c.gz) * (c.gp * c3 - g_b * bcurl))
+            (1.0 / c.gz) * (c.g * c3 + c.gp * bcurl),
+            (1.0 / c.gz) * (c.gp * c3 - c.g * bcurl))
 
 
 def quadratic_form(gs: Sample, ps: Sample, c: Couplings) -> Jet:
@@ -277,89 +273,16 @@ def mass_spectrum(c: Couplings) -> SpectrumReport:
 # ---------------------------------------------------------------------------
 
 
-def _printed_physical_fields(gs: Sample, ps: Sample, c: Couplings):
-    """Field combinations exactly as displayed in the source material
-    (these differ from physical_fields in the signs of the d psi_1 term of
-    W+- and of B in Z and A); used only to transcribe the cubic claims."""
-    inv_rt2 = 1.0 / math.sqrt(2.0)
-    a, dp = gs.value, ps.grad
-    hat1 = a[..., 0, :] - (2.0 / c.g) * dp[..., 0, :]
-    hat2 = a[..., 1, :] - (2.0 / c.g) * dp[..., 1, :]
-    return (
-        inv_rt2 * (hat1 - 1j * hat2),
-        inv_rt2 * (hat1 + 1j * hat2),
-        (1.0 / c.gz) * (c.g * a[..., 2, :] - c.gp * a[..., 3, :] + 2.0 * dp[..., 2, :]),
-        (1.0 / c.gz) * (c.gp * a[..., 2, :] + c.g * a[..., 3, :]),
-    ) + _abelian_curls(gs, c, b_sign=-1.0)
-
-
 def _components(ps: Sample) -> Tuple[Jet, ...]:
     """psi_1, psi_2, psi_3 and the gradients d psi_1, d psi_2, d psi_3."""
     return tuple(ps.value[..., k] for k in range(3)) + tuple(
         ps.grad[..., k, :] for k in range(3))
 
 
-def transcribed_cubic_terms(gs: Sample, ps: Sample, c: Couplings) -> Dict[str, Jet]:
-    """Literal transcription of the printed third-order displays.
-
-    Every spacetime index appearing in a printed product is summed over
-    0..3, including the places where an index is repeated more than twice
-    (written as explicit loops over that index); the transcription
-    deliberately preserves such oddities (they are part of the claim
-    being tested). Arrays are indexed [..., m] or [..., m, n]."""
-    wp, wm, z, a, wpc, wmc, zc, ac = _printed_physical_fields(gs, ps, c)
-    psi1, psi2, psi3, dp1, dp2, dp3 = _components(ps)
-    rt2 = math.sqrt(2.0)
-    gz = c.gz
-    minus, plus = dp2 - 1j * dp1, dp2 + 1j * dp1
-    neutral = c.gp * a + c.g * z
-    ww = wmc * wp[..., :, None] - wpc * wm[..., :, None]
-    bracket = wpc * minus[..., None, :] + wmc * plus[..., None, :]
-
-    terms: Dict[str, Jet] = {}
-
-    # gauge-sector display: overall prefactor -g/gz on five summands
-    terms["A3_ww_neutral"] = (-c.g / gz) * (
-        1j * (ww * neutral[..., None, :])).sum((-2, -1))
-    terms["A3_wcurl_dpsi_neutral"] = (-c.g / gz) * (-(rt2 / c.g)) * (
-        neutral[..., :, None] * bracket).sum((-2, -1))
-    terms["A3_ww_dpsi3"] = (-c.g / gz) * (-2j * c.g / gz) * (
-        ww * dp3[..., None, :]).sum((-2, -1))
-
-    t = 0.0
-    for n in range(4):  # n appears three times in each printed product
-        t = t + (bracket[..., :, n] * dp3[..., n, None]).sum(-1)
-    terms["A3_wcurl_dpsi_dpsi3"] = (-c.g / gz) * (-2.0 * rt2 / gz) * t
-
-    ncurl = c.gp * ac + c.g * zc
-    t = 0.0
-    for m in range(4):  # m appears three times in the W W products
-        wp_m, wm_m = wp[..., m, None], wm[..., m, None]
-        inner = (0.25j * (wp_m * wp_m - wm_m * wm_m)
-                 + (4.0 / c.g**2) * (dp1[..., m, None] * dp2)
-                 + (rt2 / c.g) * (wp_m * minus + wm_m * plus))
-        t = t + (ncurl[..., m, :] * inner).sum(-1)
-    terms["A3_neutral_curl_block"] = (-c.g / gz) * t
-
-    # matter-sector display: prefactor R^2 g / (2 sqrt(2))
-    pref = c.R**2 * c.g / (2.0 * rt2)
-    ratio = (c.g**2 - c.gp**2) / (c.g**2 + c.gp**2)
-    neutral = (c.gp * (c.g * a - c.gp * z)) / gz
-    lower, upper = (psi2 - 1j * psi1)[..., None], (psi2 + 1j * psi1)[..., None]
-    terms["P3_wplus_block"] = pref * (wp * (
-        psi3[..., None] * minus - ratio * (lower * dp3) + neutral * lower)).sum(-1)
-    terms["P3_wminus_block"] = pref * (wm * (
-        psi3[..., None] * plus - ratio * (upper * dp3) + neutral * upper)).sum(-1)
-    terms["P3_z_block"] = pref * (gz / c.g) * (
-        z * (psi1[..., None] * dp2 - psi2[..., None] * dp1)).sum(-1)
-    return terms
-
-
 def normative_cubic_terms(gs: Sample, ps: Sample, c: Couplings) -> Dict[str, Jet]:
     """Third-order terms of this package's Lagrangian in its own physical
-    fields, derived from the exact expansion. Their relation to the
-    printed displays (two typo-level corrections plus the sign
-    conventions of physical_fields) is not recorded yet: ROADMAP item 12."""
+    fields and field conventions, rederived from the exact expansion; the
+    cubic suite checks their sum against the exact eps^3 coefficient."""
     wp, wm, z, a = physical_fields(gs, ps, c)
     wpc, wmc, zc, ac = _abelian_curls(gs, c)
     psi1, psi2, psi3, dp1, dp2, dp3 = _components(ps)

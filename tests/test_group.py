@@ -179,7 +179,7 @@ def test_u1_elements_commute_with_everything():
         assert (y * u).max_abs_diff(u * y) <= TOL
 
 
-def test_charge_is_hypercharge_plus_third_generator():
+def test_charge_is_hypercharge_minus_third_generator():
     """With Q = Y - T3, exp(gamma Q) must equal exp(gamma Y) exp(-gamma T3)."""
     gamma = 0.37
     q = u1em_element(gamma, ORDER)
@@ -204,7 +204,7 @@ def test_hypercharge_matrix_value():
     assert abs(y[0, 1].grade(0)) == 0.0
 
 
-def test_electromagnetic_charge_leaves_lower_component_fixed():
+def test_electromagnetic_charge_leaves_upper_component_fixed():
     """exp(gamma Q) with Q = Y - T3 leaves the upper component, the vacuum
     direction, fixed and multiplies the lower one by e^{i gamma}."""
     d = graded_doublet(1.0 + 0.5j, -0.3 + 0.2j, ORDER)

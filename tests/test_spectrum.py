@@ -31,7 +31,6 @@ from ewcontract.spectrum import (
     normative_cubic_terms,
     random_bosonic_config,
     random_plane_wave,
-    transcribed_cubic_terms,
 )
 from ewcontract.suites import RunConfig, run_suites
 
@@ -372,82 +371,31 @@ def test_mass_coefficients_do_not_depend_on_the_order(monkeypatch):
             assert np.array_equal(short.coeffs, long.coeffs[..., :MASS_ORDER + 1, :])
 
 
-def _cubic(seed, term_fn):
-    """The exact eps^3 coefficient, the point-averaged terms of term_fn,
-    their sum and its difference from the exact coefficient relative to
-    grade 2, for random_bosonic_config(default_rng(seed), amplitude=0.04)
-    at COUPLINGS and Halton seed `seed`."""
+def _cubic(seed):
+    """The point-averaged normative_cubic_terms and the difference of their
+    sum from the exact eps^3 coefficient relative to grade 2, for
+    random_bosonic_config(default_rng(seed), amplitude=0.04) at COUPLINGS
+    and Halton seed `seed`."""
     gauge, psi = random_bosonic_config(np.random.default_rng(seed), amplitude=0.04)
     points = halton_points(seed=seed)
     exact = epsilon_expand(
         bosonic_density_evaluator(gauge, psi, COUPLINGS, points), 3)[3]
-    terms = {name: t.mean() for name, t in term_fn(
+    terms = {name: t.mean() for name, t in normative_cubic_terms(
         sample_gauge(gauge, points, ORDER), sample_psi(psi, points, ORDER),
         COUPLINGS).items()}
     total = sum(terms.values(), Jet.zero(ORDER))
     scale = max(abs(exact.grade(2)), abs(total.grade(2)))
-    return terms, total, exact.max_abs_diff(total) / scale
+    return terms, exact.max_abs_diff(total) / scale
 
 
 def test_cubic_normative_form_matches_exact():
-    terms, _, rel_diff = _cubic(4, normative_cubic_terms)
+    terms, rel_diff = _cubic(4)
     assert rel_diff <= 1e-11
     assert set(terms) >= {
         "A3_ww_neutral",
         "P3_wplus_block",
         "P3_z_block",
     }
-
-
-#: the literal transcription's point-averaged grade-2 values, per term and
-#: in total, and its rel_diff against the exact coefficient, for
-#: random_bosonic_config(default_rng(seed), amplitude=0.04) at COUPLINGS
-#: and Halton seed `seed`; pinned so an index slip in the transcription
-#: (or in its b_sign=-1 curls) changes a value the report prints
-LITERAL_GOLDEN = {
-    5: (-4.6393553868313966e-05, 0.6487475010637571, {
-        "A3_ww_neutral": 0.0001732175181081355,
-        "A3_wcurl_dpsi_neutral": -7.421533673184975e-05,
-        "A3_ww_dpsi3": -0.00015504723112293148,
-        "A3_wcurl_dpsi_dpsi3": 1.0393306482132083e-05,
-        "A3_neutral_curl_block": 3.760196866664782e-07,
-        "P3_wplus_block": -7.59326812615788e-07 - 2.000771793447555e-06j,
-        "P3_wminus_block": -7.59326812615788e-07 + 2.000771793447555e-06j,
-        "P3_z_block": 4.0082333476478063e-07,
-    }),
-    11: (2.9014149289913727e-06, 0.15204104825219703, {
-        "A3_ww_neutral": -2.58211521016477e-05,
-        "A3_wcurl_dpsi_neutral": 2.164119235063582e-05,
-        "A3_ww_dpsi3": -1.3775072688836403e-06,
-        "A3_wcurl_dpsi_dpsi3": -1.236957874595546e-06,
-        "A3_neutral_curl_block": 7.800359464119896e-06,
-        "P3_wplus_block": 1.0552065511869978e-06 - 4.748981435237265e-08j,
-        "P3_wminus_block": 1.0552065511869978e-06 + 4.748981435237265e-08j,
-        "P3_z_block": -2.1493274301145485e-07,
-    }),
-    23: (-2.2989987339058313e-05, 1.6700818674407654, {
-        "A3_ww_neutral": -2.4019644219964197e-05,
-        "A3_wcurl_dpsi_neutral": -5.869846532233719e-06,
-        "A3_ww_dpsi3": -6.934980752587914e-06,
-        "A3_wcurl_dpsi_dpsi3": 6.925517643497811e-06,
-        "A3_neutral_curl_block": 6.311202740101151e-06,
-        "P3_wplus_block": -5.944322741761025e-07 - 4.895754126267065e-06j,
-        "P3_wminus_block": -5.944322741761025e-07 + 4.895754126267065e-06j,
-        "P3_z_block": 1.7866283304807575e-06,
-    }),
-}
-
-
-@pytest.mark.parametrize("seed", sorted(LITERAL_GOLDEN))
-def test_cubic_literal_transcription_values_are_pinned(seed):
-    total, rel_diff, terms = LITERAL_GOLDEN[seed]
-    literal, literal_total, literal_rel_diff = _cubic(seed, transcribed_cubic_terms)
-    assert set(literal) == set(terms)
-    for name, want in terms.items():
-        got = literal[name].grade(2)
-        assert abs(got - want) <= 1e-12 * abs(want), name
-    assert abs(literal_total.grade(2) - total) <= 1e-12 * abs(total)
-    assert abs(literal_rel_diff - rel_diff) <= 1e-12 * rel_diff
 
 
 def test_extrapolation_exact_for_even_quartics():
