@@ -355,30 +355,17 @@ def _factor(value: "Scalar | np.ndarray"):
 
 
 @functools.lru_cache(maxsize=None)
-def _pairs(block_a: Tuple[int, int], block_b: Tuple[int, int], rows: int,
-           cols: int) -> np.ndarray:
-    """Every coefficient pair of the truncated product of blocks of shapes
-    block_a and block_b, at `rows` j rows and `cols` eps columns, as rows
-    (left, right, n, p): the flat (row-major j, eps) index of each pair
-    into each block and the term j**n eps**p it adds to, sorted by term and
-    then by left index.
-
-    Term (n, p) takes left (k, q) and right (n - k, p - q) for (k, q) in
-    block_a and (n - k, p - q) in block_b; the grid over (n, p, k, q),
-    flattened row-major, is in that order, so no sort is needed. The two
-    conditions are read from step tables indexed by n - k and p - q: an
-    integer comparison would page in numpy code that no product runs."""
-    (ra, ca), (rb, cb) = block_a, block_b
-    grades, powers = min(ra + rb - 1, rows), min(ca + cb - 1, cols)
-    n, p, k, q = np.ix_(range(grades), range(powers), range(ra), range(ca))
-    below = np.zeros(grades + ra - 1, dtype=bool)  # at n - k + ra - 1
-    below[ra - 1:ra - 1 + rb] = True
-    within = np.zeros(powers + ca - 1, dtype=bool)  # at p - q + ca - 1
-    within[ca - 1:ca - 1 + cb] = True
-    kept = below[n - k + ra - 1] & within[p - q + ca - 1]
+def _term_table(rows: int, cols: int) -> np.ndarray:
+    """Every coefficient pair of the dense truncated product at `rows` j
+    rows and `cols` eps columns, as rows (k, q, n - k, p - q, n, p): term
+    j**n eps**p takes left (k, q) and right (n - k, p - q). The grid over
+    (n, p, k, q), flattened row-major, is in that order: by term, then by
+    left position. Every plan at this truncation is a mask of it."""
+    n, p, k, q = np.ix_(range(rows), range(cols), range(rows), range(cols))
+    kept = (k <= n) & (q <= p)
     table = np.stack([np.broadcast_to(index, kept.shape)[kept]
-                      for index in (k * ca + q, (n - k) * cb + (p - q), n, p)])
-    table.flags.writeable = False  # shared by every plan of the shapes
+                      for index in (k, q, n - k, p - q, n, p)])
+    table.flags.writeable = False  # shared by every plan of the truncation
     return table
 
 
@@ -390,21 +377,26 @@ def _plan(block_a: Tuple[int, int], block_b: Tuple[int, int], rows: int,
     (row-major j, eps) positions outside support_a, support_b (one byte per
     position) are 0 in every batch element.
 
-    The shapes' table of every pair (`_pairs`) is masked by the two
-    supports, which keeps its order: by term, then by left index, so each
-    term is summed in the order of the dense plan. The plan is (left,
-    right, starts, terms, shape): the pairs' indices into each block, the
-    offset of each term's first pair, and the flat terms it writes in a
-    result block of that shape, the smallest that holds them (None when
-    they are the whole block, a slice when they are a run). A term with no
-    pair is not written, so supports that meet in no kept term give no
-    plan (None)."""
-    left, right, n, p = _pairs(block_a, block_b, rows, cols)
-    kept = (np.frombuffer(support_a, dtype=bool)[left]
-            & np.frombuffer(support_b, dtype=bool)[right])
-    left, right, n, p = left[kept], right[kept], n[kept], p[kept]
+    The truncation's table of every pair (`_term_table`) is masked to the
+    pairs inside both blocks and both supports, which keeps its order: by
+    term, then by left index, so each term is summed in the order of the
+    dense plan. The plan is (left, right, starts, terms, shape): the pairs'
+    indices into each block, the offset of each term's first pair, and the
+    flat terms it writes in a result block of that shape, the smallest that
+    holds them (None when they are the whole block, a slice when they are a
+    run). A term with no pair is not written, so supports that meet in no
+    kept term give no plan (None)."""
+    table = _term_table(rows, cols)
+    inside = []
+    for block, support in ((block_a, support_a), (block_b, support_b)):
+        padded = np.zeros((rows, cols), dtype=bool)
+        padded[:block[0], :block[1]] = np.frombuffer(support, dtype=bool).reshape(block)
+        inside.append(padded)
+    k, q, r, s, n, p = table[:, inside[0][table[0], table[1]]
+                             & inside[1][table[2], table[3]]]
     if not len(n):  # e.g. j**3 * j**3 at order 4
         return None
+    left, right = k * block_a[1] + q, r * block_b[1] + s
     shape = (int(n[-1]) + 1, max(p.tolist()) + 1)
     term = n * shape[1] + p
     starts = np.flatnonzero(np.diff(term, prepend=-1))

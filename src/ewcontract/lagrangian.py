@@ -170,15 +170,18 @@ def _kinetic(spinor: Jet, d: Jet, sigma: np.ndarray) -> Jet:
 
 def covariant_derivative_doublet(fs: Sample, gs: Sample, c: Couplings) -> Jet:
     """Covariant derivative D L[..., comp, s, mu] of the lepton doublet
-    L = (e_l, nu): each Lorentz spinor component s is an SU(2) doublet,
-    acted on exactly like the scalar doublet. One covariant_derivative_phi
-    runs on a view of the leptons' doublet rows as [..., s, comp], the
-    gauge sample broadcast over s, so each value takes the same scalar
-    operations as one at a time would."""
+    L = (e_l, nu), of hypercharge -1/2: each Lorentz spinor component s is
+    an SU(2) doublet, acted on like the scalar doublet, whose hypercharge
+    is +1/2, so i g' B L is subtracted from the scalar route's derivative.
+    One covariant_derivative_phi runs on a view of the leptons' doublet
+    rows as [..., s, comp], the gauge sample broadcast over s, so each
+    value takes the same scalar operations as one at a time would."""
     doublet = Sample(fs.value[..., :2, :].swapaxes(-1, -2),
                      fs.grad[..., :2, :, :].swapaxes(-2, -3))
     over_s = Sample(gs.value[..., None, :, :], gs.grad[..., None, :, :, :])
-    return covariant_derivative_phi(doublet, over_s, c).swapaxes(-3, -2)
+    scalar = covariant_derivative_phi(doublet, over_s, c).swapaxes(-3, -2)
+    return scalar - 1j * c.gp * (gs.value[..., 3, None, None, :]
+                                 * fs.value[..., :2, :, None])
 
 
 def yukawa_matrix_form(phi: Jet, fs: Sample, h_e: float) -> Jet:
@@ -215,10 +218,12 @@ def yukawa_expanded_form(ps: Sample, fs: Sample, c: Couplings) -> Jet:
 
 def lagrangian_fermion(fs: Sample, phi: Jet, gs: Sample, c: Couplings) -> Jet:
     """Kinetic terms L_l+ i tilde-tau_mu D_mu L_l + e_r+ i tau_mu D_mu e_r
-    plus the Yukawa term -h_e[...] with the doublet value phi, all graded."""
+    plus the Yukawa term -h_e[...] with the doublet value phi, all graded.
+    The hypercharges are -1/2 for L_l and -1 for e_r (D_mu e_r = d_mu e_r
+    - i g' B_mu e_r), so with phi's +1/2 the Yukawa term has none."""
     doublet, er = fs.value[..., :2, :], fs.value[..., 2, :]
     d_doublet = covariant_derivative_doublet(fs, gs, c)
-    d_er = fs.grad[..., 2, :, :] + 1j * c.gp * (gs.value[..., 3, None, :] * er[..., None])
+    d_er = fs.grad[..., 2, :, :] - 1j * c.gp * (gs.value[..., 3, None, :] * er[..., None])
     kinetic = (_kinetic(doublet, d_doublet, _SIGMA_TILDE).sum(-1)
                + _kinetic(er, d_er, _SIGMA))
     return kinetic - yukawa_matrix_form(phi, fs, c.h_e)
@@ -228,8 +233,9 @@ def fermion_kinetic_oracle(gauge: PlaneWave, leptons: PlaneWave, x: np.ndarray,
                            c: Couplings) -> np.ndarray:
     """Kinetic-term oracle in plain numpy at j = 1, one value per stacked
     configuration at the points x (N, 4): L_l+ i sigma~^mu D_mu L_l with
-    D_mu = d_mu + (i/2)(g A.tau + g' B) on L_l = (e_l, nu_l), plus
-    e_r+ i sigma^mu (d_mu + i g' B) e_r; its Pauli matrices are its own."""
+    D_mu = d_mu + (i/2)(g A.tau - g' B) on L_l = (e_l, nu_l), plus
+    e_r+ i sigma^mu (d_mu - i g' B) e_r: hypercharges -1/2 and -1, as its
+    own constants. Its Pauli matrices are its own."""
     tau = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
     sigma = np.concatenate([np.eye(2)[None], tau])
     sigma_tilde = np.concatenate([np.eye(2)[None], -tau])
@@ -240,9 +246,9 @@ def fermion_kinetic_oracle(gauge: PlaneWave, leptons: PlaneWave, x: np.ndarray,
     L, dL = F[:, :2], dF[:, :2]  # the doublet (e_l, nu_l): [n, a, s], [n, a, s, mu]
     er, der = F[:, 2], dF[:, 2]
     conn = 0.5j * (c.g * np.einsum("nkm,kab->nmab", A, tau)
-                   + c.gp * B[..., None, None] * np.eye(2))
+                   - c.gp * B[..., None, None] * np.eye(2))
     DL = dL + np.einsum("nmab,nbs->nasm", conn, L)
-    Der = der + 1j * c.gp * B[:, None, :] * er[..., None]
+    Der = der - 1j * c.gp * B[:, None, :] * er[..., None]
     return (np.einsum("nas,mst,natm->n", L.conj(), 1j * sigma_tilde, DL)
             + np.einsum("ns,mst,ntm->n", er.conj(), 1j * sigma, Der))
 

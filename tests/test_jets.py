@@ -492,6 +492,39 @@ def test_plan_matches_the_brute_force_enumeration(block_a, block_b, rows, cols):
                                 max(p for (_, p), _ in want) + 1)
 
 
+def test_plan_equals_the_nested_loop_reference_on_random_shapes():
+    """At random truncations up to (9, 7), random block shapes inside them
+    and random supports, the plan's pair indices, term starts, written
+    terms and block shape equal, exactly, those of the nested loops over
+    the dense product in its order (_oracle_terms)."""
+    rng = np.random.default_rng(46)
+    for _ in range(300):
+        rows, cols = int(rng.integers(1, 10)), int(rng.integers(1, 8))
+        block_a, block_b = ((int(rng.integers(1, rows + 1)),
+                             int(rng.integers(1, cols + 1))) for _ in range(2))
+        density = rng.choice([0.2, 0.5, 1.0])
+        support_a = (rng.random(block_a) < density).astype(np.uint8).tobytes()
+        support_b = (rng.random(block_b) < density).astype(np.uint8).tobytes()
+        want = _oracle_terms(block_a, block_b, rows, cols, support_a, support_b)
+        plan = jets_module._plan(block_a, block_b, rows, cols,
+                                 support_a, support_b)
+        if not want:
+            assert plan is None
+            continue
+        left, right, starts, written, shape = plan
+        assert shape == (max(n for (n, _), _ in want) + 1,
+                         max(p for (_, p), _ in want) + 1)
+        if written is None:
+            written = range(shape[0] * shape[1])
+        elif isinstance(written, slice):
+            written = range(written.start, written.stop)
+        pairs = [pair for _, term_pairs in want for pair in term_pairs]
+        assert left.tolist() == [i for i, _ in pairs]
+        assert right.tolist() == [k for _, k in pairs]
+        assert starts.tolist() == np.cumsum([0] + [len(t) for _, t in want[:-1]]).tolist()
+        assert list(written) == [n * shape[1] + p for (n, p), _ in want]
+
+
 def test_supports_that_meet_in_no_kept_term_give_an_empty_plan():
     """j**3 * j**3 at order 4: both operands are nonzero, every pair lands
     beyond the truncation, and the product is an exact 0."""

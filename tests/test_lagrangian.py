@@ -251,15 +251,56 @@ def test_lepton_density_is_even_in_j():
     assert not density.coeffs[:, 1::2].any()
 
 
+@pytest.mark.parametrize("jval", [None, 1.0])
+def test_fermion_density_is_invariant_under_local_hypercharge(jval):
+    """With theta(x) a plane wave and eps the ring's field scale, the
+    shifts B -> B - eps d theta / g' and f -> (1 + i eps y_f theta) f,
+    f = phi, e_l, nu_l, e_r, move the fermion density by an eps**1
+    coefficient of at most 1e-12 of its eps**0 one, at the grades 0-2 of
+    formal j and at j = 1: the first-order U(1)_Y variation, exactly."""
+    grades = range(3) if jval is None else range(1)
+    eps = Jet([[0.0, 1.0]], ORDER, 1)
+    y_phi, y_leptons = 0.5, np.array([-0.5, -0.5, -1.0])  # e_l, nu_l, e_r
+    worst = 0.0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        gauge, psicfg = random_bosonic_config(rng, amplitude=0.5)
+        fcfg, theta = _complex_leptons(rng), random_plane_wave(rng, 1.0)
+        x = rng.uniform(-0.5, 0.5, size=(8, 4))
+        gs = sample_gauge(gauge, x, ORDER, jval)
+        fs = sample_fermions(fcfg, x, ORDER, jval)
+        phi = phi_from_psi(sample_psi(psicfg, x, ORDER, jval), COUPLINGS.R).value
+        shift, dshift = np.zeros((8, 4, 4)), np.zeros((8, 4, 4, 4))
+        shift[:, 3], dshift[:, 3] = theta.grad(x), theta.hess(x)
+        gs_y = Sample(gs.value - eps * (shift / COUPLINGS.gp),
+                      gs.grad - eps * (dshift / COUPLINGS.gp))
+        phase = 1j * eps * theta.value(x)
+        phi_y = (1.0 + y_phi * phase)[..., None] * phi
+        rotate = 1.0 + phase[..., None] * y_leptons  # [point, field]
+        dphase = 1j * eps * (theta.grad(x)[:, None, None, :]
+                             * y_leptons[:, None, None])
+        fs_y = Sample(rotate[..., None] * fs.value,
+                      rotate[..., None, None] * fs.grad + dphase * fs.value[..., None])
+        density = lagrangian_fermion(fs_y, phi_y, gs_y, COUPLINGS).coeffs
+        size = np.abs(density[:, grades, 0]).max(axis=1)
+        assert (size > 1e-3).all()
+        worst = max(worst, (np.abs(density[:, grades, 1]).max(axis=1) / size).max())
+    assert worst <= 1e-12
+
+
 def _doublet_one_component_at_a_time(fs, gs, c):
     """The lepton doublet's covariant derivative, one Lorentz spinor
-    component s after the other through the scalar doublet's."""
+    component s after the other through the scalar doublet's, less the
+    i g' B L that takes its hypercharge from +1/2 to -1/2."""
     el, nu = fs.value[..., 0, :], fs.value[..., 1, :]
     d_el, d_nu = fs.grad[..., 0, :, :], fs.grad[..., 1, :, :]
-    per_s = [covariant_derivative_phi(Sample(
-        stack([el[..., s], nu[..., s]]),
-        stack([d_el[..., s, :], d_nu[..., s, :]], axis=-2)), gs, c)
-        for s in range(2)]
+    b = gs.value[..., 3, None, :]
+    per_s = []
+    for s in range(2):
+        doublet = stack([el[..., s], nu[..., s]])
+        scalar = covariant_derivative_phi(Sample(
+            doublet, stack([d_el[..., s, :], d_nu[..., s, :]], axis=-2)), gs, c)
+        per_s.append(scalar - 1j * c.gp * (b * doublet[..., None]))
     return tuple(stack([d[..., comp, :] for d in per_s], axis=-2)
                  for comp in range(2))
 

@@ -5,8 +5,9 @@ plausible one-line fault can trip checks nothing.
 
 Every oracle runs in `verify`, so each row is killed by the suites alone:
 `one_param` with the full angle instead of the half fails the group
-suite's one-parameter-subgroup gate, and `_SIGMA_TILDE = _SIGMA` and the
-`e_r` hypercharge coupling halved fail the fermion suite's kinetic oracle.
+suite's one-parameter-subgroup gate, and `_SIGMA_TILDE = _SIGMA`, the
+`e_r` hypercharge coupling halved and the doublet's hypercharge shift
+flipped fail the fermion suite's kinetic oracle.
 """
 
 import __future__
@@ -75,6 +76,8 @@ MUTANTS = [
      lambda _: lagrangian._SIGMA, ("fermion",)),
     ("e_r_hypercharge_halved", lagrangian, "lagrangian_fermion",
      _edit("1j * c.gp * (gs.value", "0.5j * c.gp * (gs.value"), ("fermion",)),
+    ("lepton_doublet_hypercharge_sign", lagrangian, "covariant_derivative_doublet",
+     _edit("scalar - 1j * c.gp", "scalar + 1j * c.gp"), ("fermion",)),
     ("hermitian_form_without_conjugate", fields, "hermitian_form_jets",
      _edit("x.conjugate() * y", "x * y"), ("invariance", "coordinate", "fermion")),
     ("closed_m_w_negated", spectrum, "closed_masses",
