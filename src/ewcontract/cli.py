@@ -46,8 +46,7 @@ from .spectrum import (
     mass_spectrum,
     random_bosonic_config,
 )
-from .suites import (DEFAULTS, REGISTRY, RunConfig, SCHEMA_VERSION,
-                     check_overrides, run_suites)
+from .suites import REGISTRY, RunConfig, SCHEMA_VERSION, check_overrides, run_suites
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
@@ -129,11 +128,10 @@ def _load_config_file(path: Optional[str]) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
-    unknown = sorted(set(data) - {"couplings", *DEFAULTS})
+    unknown = sorted(set(data) - {"couplings", "sample_counts"})
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    for section in DEFAULTS:
-        check_overrides(section, data.get(section, {}))
+    check_overrides(data.get("sample_counts", {}))
     return data
 
 

@@ -13,8 +13,8 @@ density in the amplitude of its fields.
 A configuration is one PlaneWave whose parameters carry its component
 indices on trailing axes: the gauge field over (A^1, A^2, A^3, B) x mu,
 shape (4, 4); the sphere coordinates psi, shape (3,); the leptons over
-(e_l, nu_l, e_r) x spinor, shape (3, 2); and the gauge parameters
-(eps_1, eps_2, eps_3, eps_Y), shape (4,). A sample of a configuration is
+(e_l, nu_l, e_r) x spinor, shape (3, 2); and the gauge angles over
+(T1, T2, T3, Y), shape (4,). A sample of a configuration is
 one :class:`Sample`, its graded value and its 4-gradient on one more
 axis: for the gauge field ``value[..., k, mu]`` is A^k_mu (B at k = 3)
 and ``grad[..., k, mu, nu]`` is d_mu A^k_nu. The leading axes are the
@@ -42,6 +42,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .group import DOUBLET_GENERATORS, LEPTON_GENERATORS, STRUCTURE_CONSTANTS
 from .jets import DEFAULT_ORDER, Jet, jparam, stack
 
 Vec4 = np.ndarray
@@ -212,6 +213,13 @@ def sample_fermions(cfg: PlaneWave, x: Vec4, order: int = DEFAULT_ORDER,
 # ---------------------------------------------------------------------------
 
 
+def _direction(ps: Sample) -> Sample:
+    """The doublet's direction u = (1 + i psi_3, psi_2 + i psi_1), phi = r u."""
+    v, dv = ps.value, ps.grad
+    return Sample(stack([1.0 + 1j * v[..., 2], v[..., 1] + 1j * v[..., 0]]), stack(
+        [1j * dv[..., 2, :], dv[..., 1, :] + 1j * dv[..., 0, :]], axis=-2))
+
+
 def phi_from_psi(ps: Sample, R: float) -> Sample:
     """The graded doublet (phi_1, j phi_2) on the radius-R sphere as a
     sample over its component axis c, with its exact 4-gradient, from
@@ -219,13 +227,11 @@ def phi_from_psi(ps: Sample, R: float) -> Sample:
     v, dv = ps.value, ps.grad
     s = 1.0 + (v * v).sum(-1)
     r = R * s.inv_sqrt()
-    unit = stack([1.0 + 1j * v[..., 2], v[..., 1] + 1j * v[..., 0]])
-    dunit = stack([1j * dv[..., 2, :], dv[..., 1, :] + 1j * dv[..., 0, :]],
-                  axis=-2)
+    unit = _direction(ps)
     ds = 2.0 * (v[..., None] * dv).sum(-2)
     dr = -0.5 * ((r * s.inv())[..., None] * ds)
-    return Sample(r[..., None] * unit,
-                  dr[..., None, :] * unit[..., None] + r[..., None, None] * dunit)
+    return Sample(r[..., None] * unit.value, dr[..., None, :] * unit.value[..., None]
+                  + r[..., None, None] * unit.grad)
 
 
 def hermitian_form_jets(x: Jet, y: Jet) -> Jet:
@@ -248,13 +254,11 @@ def phi_jacobian(psi: Jet, R: float) -> Jet:
 
 #: the generators over the axis a = T1, T2, T3, Y act on the sphere
 #: coordinates as X_a(v) = (s_a/2)(e_a + (e_a.v) v + t_a e_a x v), e_a the
-#: unit vector of axis _AXIS[a], s = (1, -1, 1, 1) and t = (1, 1, 1, -1);
-#: _CROSS[a] is the matrix of v -> t_a e_a x v
+#: unit vector of axis _AXIS[a], s = (1, -1, 1, 1) and t = (1, 1, 1, -1)
 _AXIS = np.array([0, 1, 2, 2])
 _E = np.eye(3)[_AXIS]
 _TE = np.array([1.0, 1.0, 1.0, -1.0])[:, None] * _E
 _HALF_SIGN = 0.5 * np.array([1.0, -1.0, 1.0, 1.0])
-_CROSS = np.cross(_TE[:, None, :], np.eye(3)).swapaxes(-1, -2)
 
 
 def generator_vector_fields(v: Jet) -> Jet:
@@ -272,69 +276,61 @@ def generator_vector_fields(v: Jet) -> Jet:
     return _HALF_SIGN[:, None] * (_E + (v[..., _AXIS, None] * v[..., None, :] + cross))
 
 
-def generator_vector_jacobians(v: Jet) -> Jet:
-    """d(X_k)/d(v_l) as jac[..., a, k, l] for the four vector fields above."""
-    outer = _E[:, None, :] * v[..., None, :, None]
-    diagonal = v[..., _AXIS, None, None] * np.eye(3)
-    return _HALF_SIGN[:, None, None] * (outer + diagonal + _CROSS)
-
-
 # ---------------------------------------------------------------------------
-# infinitesimal gauge transformation (pointwise)
+# first-order gauge transformation from the group's generator matrices
 # ---------------------------------------------------------------------------
 
-def infinitesimal_gauge_transform(
-    gs: Sample,
-    ps: Sample,
-    eps: PlaneWave,
-    x: Vec4,
-    c: Couplings,
-    jval: Optional[float] = None,
-    scale: Optional[Jet] = None,
-) -> Tuple[Sample, Sample]:
-    """First-order gauge transformation of a gauge and a sphere-coordinate
-    sample at x (one point, or points with a leading axis, as the samples
-    were taken); an eps jet `scale` multiplies the gauge parameters `eps`
-    over (eps_1, eps_2, eps_3, eps_Y), so the eps**1 coefficient of a
-    transformed density is its exact first-order variation.
 
-    With u = exp(sum_a eps_a T_a(j) + eps_Y Y) the linearized shifts are
-      dA^a_mu  = -(1/g) d_mu eps_a - eps_{bca} eps_b A^c_mu
-      dB_mu    = -(1/g') d_mu eps_Y
-      dpsi_k   = sum_a eps_a X_a(psi)_k + eps_Y X_Y(psi)_k
-    in graded variables (eps_1, eps_2 carry grade 1, matching T_1(j),
-    T_2(j)). Derivatives of the shifted fields are produced analytically,
-    so invariance checks remain discretization-free. The su(2) rows and
-    the B row are shifted apart and stacked back over (A^1, A^2, A^3, B).
-    """
+def _moved(gens: np.ndarray, angles: Sample, field: Sample) -> Sample:
+    """field + Theta field, Theta = sum_a angles_a gens[a], and its gradient
+    by the product rule. Theta acts on the axis i of field.value[..., i,
+    *rest] after the angles' leading axes, row i summing over the columns
+    that some generator fills; field.grad ends in mu."""
+    n = len(field.value.batch_shape) - len(angles.value.batch_shape)
+    filled = np.abs(gens).sum(0) > 0
+    cols = np.argsort(~filled, axis=1, kind="stable")[:, :filled.sum(1).max()]
+    table = np.take_along_axis(gens, cols[None], 2)  # [a, i, e]: row i, column cols[i, e]
+    pad = (Ellipsis, slice(None), slice(None)) + (None,) * n
+    m = (angles.value[..., None, None] * table).sum(-3)[pad]
+    dm = (angles.grad[..., :, None, None, :] * table[..., None]).sum(-4)[pad + (slice(None),)]
+    v = field.value[(Ellipsis, cols) + (slice(None),) * n]
+    dv = field.grad[(Ellipsis, cols) + (slice(None),) * (n + 1)]
+    return Sample(field.value + (m * v).sum(-1 - n),
+                  field.grad + (dm * v[..., None] + m[..., None] * dv).sum(-2 - n))
+
+
+def gauge_transform(theta: PlaneWave, x: Vec4, c: Couplings, gs: Sample, ps: Sample,
+                    fs: Sample, jval: Optional[float] = None,
+                    scale: Optional[Jet] = None) -> Tuple[Sample, Sample, Sample]:
+    """The gauge, sphere-coordinate and lepton samples at x, taken as the
+    samples were, under U = 1 + Theta(x), Theta = sum_a
+    theta_a T_a over the group's generator matrices (T1, T2, T3, Y). An eps
+    jet `scale` multiplies the angles, theta_1 and theta_2 at grade 1, so
+    the eps**1 coefficient of a density is its exact first-order variation.
+
+    The connection M = sum_a c_a A^a T_a, c = (g, g, g, g'), moves by
+    [Theta, M] - d Theta; the structure constants join components of one
+    factor, one coupling, so A moves by Theta's adjoint action. A matter
+    field moves to value + Theta value: the leptons, and psi through the
+    doublet's direction u, read back as (Im u_2, Re u_2, Im u_1) / Re u_1."""
     g = _grading((True, True, False, False), gs.value.order, jval, scale)
     xc = x[..., None, :]
-    ev = g * eps.value(xc)
-    dev = g[..., None] * eps.grad(xc)
-    coupling = -1.0 / np.array([c.g, c.g, c.g, c.gp])
-    shift = coupling[:, None] * dev  # -(1/g) d_mu eps_a
-    hess_shift = g[..., None, None] * (coupling[:, None, None] * eps.hess(xc))
+    angles = Sample(g * theta.value(xc), g[..., None] * theta.grad(xc))
+    inverse = 1.0 / np.array([c.g, c.g, c.g, c.gp])
+    # the gauge gradient with its derivative axis last while it moves
+    a = _moved(STRUCTURE_CONSTANTS.swapaxes(1, 2), angles,
+               Sample(gs.value, gs.grad.swapaxes(-1, -2)))
+    gauge = Sample(a.value - inverse[:, None] * angles.grad, a.grad.swapaxes(-1, -2)
+                   - g[..., None, None] * (inverse[:, None, None] * theta.hess(xc)))
 
-    X = generator_vector_fields(ps.value)
-    dX = (generator_vector_jacobians(ps.value)[..., None]
-          * ps.grad[..., None, None, :, :]).sum(-2)  # d_mu X_a(psi)_k
-    psi_new = ps.value + (ev[..., None] * X).sum(-2)
-    dpsi_new = ps.grad + (dev[..., :, None, :] * X[..., None]
-                          + ev[..., None, None] * dX).sum(-3)
+    def parts(w: Jet) -> Jet:
+        """(Im w_2, Re w_2, Im w_1, Re w_1) over the last axis of w."""
+        re, im = 0.5 * (w + w.conjugate()), -0.5j * (w - w.conjugate())
+        return stack([im[..., 1], re[..., 1], im[..., 0], re[..., 0]])
 
-    # eps_{bca} = +1 for a = 0, 1, 2 and (b, e) below, -1 for (e, b)
-    b, e = [1, 2, 0], [2, 0, 1]
-    a, da = gs.value[..., :3, :], gs.grad[..., :3, :, :]
-    a_new = a + (shift[..., :3, :] - (ev[..., b, None] * a[..., e, :]
-                                      - ev[..., e, None] * a[..., b, :]))
-    da_new = da + (
-        hess_shift[..., :3, :, :]
-        - (dev[..., b, :, None] * a[..., e, None, :]
-           + ev[..., b, None, None] * da[..., e, :, :])
-        + (dev[..., e, :, None] * a[..., b, None, :]
-           + ev[..., e, None, None] * da[..., b, :, :]))
-    b_new = gs.value[..., 3, :] + shift[..., 3, :]
-    db_new = gs.grad[..., 3, :, :] + hess_shift[..., 3, :, :]
-    value = stack([*(a_new[..., k, :] for k in range(3)), b_new], axis=-2)
-    grad = stack([*(da_new[..., k, :, :] for k in range(3)), db_new], axis=-3)
-    return Sample(value, grad), Sample(psi_new, dpsi_new)
+    u = _moved(DOUBLET_GENERATORS, angles, _direction(ps))
+    read, dread = parts(u.value), parts(u.grad.swapaxes(-1, -2))  # dread[..., mu, k]
+    inv = read[..., 3].inv()
+    psi = read[..., :3] * inv[..., None]
+    dpsi = (dread[..., :3] - psi[..., None, :] * dread[..., 3, None]) * inv[..., None, None]
+    return gauge, Sample(psi, dpsi.swapaxes(-1, -2)), _moved(LEPTON_GENERATORS, angles, fs)

@@ -28,6 +28,17 @@ PAULI = (
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
 
+#: generator matrices [a, i, k] over (T1, T2, T3, Y) at j = 1 on each matter
+#: field: the doublet's (i/2)(tau_1, tau_2, tau_3, 1), and on the leptons
+#: (e_l, nu_l, e_r) its T_a on (e_l, nu_l) and Y = i diag(-1/2, -1/2, -1)
+DOUBLET_GENERATORS = 0.5j * np.stack(PAULI + (np.eye(2),))
+LEPTON_GENERATORS = np.concatenate([
+    np.pad(DOUBLET_GENERATORS[:3], ((0, 0), (0, 1), (0, 1))),
+    [np.diag([-0.5j, -0.5j, -1j])]])
+#: [T_a, T_b] = f[a, b, c] T_c, by trace with tr(T_c T_d) = -delta_cd / 2
+_TRIPLE = np.einsum("aij,bjk,cki->abc", *(DOUBLET_GENERATORS,) * 3)
+STRUCTURE_CONSTANTS = (-2.0 * (_TRIPLE - _TRIPLE.swapaxes(0, 1))).real
+
 EXP_SERIES_TERMS = 20
 
 #: a number, or an array of numbers for a batch of elements

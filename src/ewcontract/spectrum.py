@@ -210,21 +210,22 @@ def background_coefficients(c: Couplings, gauge: Optional[np.ndarray] = None,
                             jval: Optional[float] = None) -> Jet:
     """eps^2 coefficients of the density on constant backgrounds at psi = 0
     and x = 0, from one density evaluation: batch item i is background i.
-    Exactly one of gauge, (B, 4) time components over (A^1, A^2, A^3, B),
-    and leptons, (B, 3) upper spinor components over (e_l, nu_l, e_r), is
-    given; its backgrounds carry eps and enter lagrangian_bosonic, or
-    lagrangian_fermion at zero gauge field, alone."""
+    Gauge backgrounds are time components over (A^1, A^2, A^3, B) and lepton
+    ones upper spinor components over (e_l, nu_l, e_r). Without leptons,
+    the (B, 4) gauge backgrounds carry eps and enter lagrangian_bosonic
+    alone; with (B, 3) leptons, those carry eps and enter
+    lagrangian_fermion in one fixed gauge background (4,), 0 when not given."""
     x = np.zeros(4)
     ps = sample_psi(constant(np.zeros(3)), x, MASS_ORDER, jval)
+    field = constant((np.zeros(4) if gauge is None else np.asarray(gauge))[..., None]
+                     * np.eye(4)[0])
 
     def evaluate(scale: Jet) -> Jet:
         if leptons is None:
-            gs = sample_gauge(constant(np.asarray(gauge)[..., None] * np.eye(4)[0]),
-                              x, MASS_ORDER, jval, scale)
-            return lagrangian_bosonic(gs, ps, c)
+            return lagrangian_bosonic(sample_gauge(field, x, MASS_ORDER, jval, scale), ps, c)
         fs = sample_fermions(constant(np.asarray(leptons)[..., None] * np.eye(2)[0]),
                              x, MASS_ORDER, jval, scale)
-        gs = sample_gauge(constant(np.zeros((4, 4))), x, MASS_ORDER, jval)
+        gs = sample_gauge(field, x, MASS_ORDER, jval)
         return lagrangian_fermion(fs, phi_from_psi(ps, c.R).value, gs, c)
 
     return epsilon_expand(evaluate, 2, MASS_ORDER)[2]

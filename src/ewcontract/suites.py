@@ -8,9 +8,10 @@ each of its gates once, from the building blocks of the lower layers,
 and names it once: _result takes the gates as (residual, tolerance)
 pairs by name, and the report's details hold each gate's residual under
 its name plus the suite's data, the values it reports that are not gates.
-TOLERANCES holds every gate's tolerance, which no input changes; DEFAULTS
-holds every sampled check's default size, and RunConfig can override any
-of them and rejects an override that names no default or has a bad value.
+TOLERANCES holds every gate's tolerance, which no input changes;
+SAMPLE_COUNTS holds every sampled check's default size, and RunConfig can
+override any of them and rejects an override that names no default or
+has a bad value.
 
 A sampled check draws its samples one after the other (the group suite's
 factors as one block, the same numbers), and _sampled_max evaluates them
@@ -34,13 +35,13 @@ from .fields import (
     Couplings,
     PlaneWave,
     constant,
+    gauge_transform,
     hermitian_form_jets,
     phi_from_psi,
     phi_jacobian,
     sample_fermions,
     sample_gauge,
     sample_psi,
-    infinitesimal_gauge_transform,
     stack_configs,
 )
 from .group import (
@@ -105,14 +106,12 @@ TOLERANCES: Dict[str, float] = {
 #: default size of every sampled check, under the config key that
 #: overrides it (one line per suite); fermion_identity sizes both sampled
 #: fermion checks
-DEFAULTS: Dict[str, Dict[str, int]] = {
-    "sample_counts": {
-        "group": 1000,
-        "invariance_form": 100, "invariance_gauge": 20,
-        "coordinate_sphere": 100, "coordinate_equivalence": 50,
-        "mass_sets": 10,
-        "fermion_identity": 50,
-    },
+SAMPLE_COUNTS: Dict[str, int] = {
+    "group": 1000,
+    "invariance_form": 100, "invariance_gauge": 20,
+    "coordinate_sphere": 100, "coordinate_equivalence": 50,
+    "mass_sets": 10,
+    "fermion_identity": 50,
 }
 
 #: largest accepted sample count: the time of a sampled check grows
@@ -121,20 +120,20 @@ MAX_SAMPLE_COUNT = 10000
 
 #: samples a sampled check evaluates at once: the one bound on its memory,
 #: which does not grow with its sample count. At 10,000 samples (2-vCPU
-#: host) `invariance` peaked at 69 MiB, `coordinate` at 49 and `fermion`
-#: at 42 with chunks of 500; with dense coefficient arrays `invariance`
+#: host) `invariance` peaked at 75 MiB, `coordinate` at 49 and `fermion`
+#: at 44 with chunks of 500; with dense coefficient arrays `invariance`
 #: peaked at 116 MiB with chunks of 1,000, 76 with 500 and 57 with 250,
 #: and 250 ran `coordinate` about 6 % slower than 500
 CONFIG_CHUNK = 500
 
 
-def check_overrides(section: str, overrides) -> None:
-    """Raise ConfigError for a bad key or value under DEFAULTS[section]."""
+def check_overrides(overrides) -> None:
+    """Raise ConfigError for a bad key or value of sample-count overrides."""
     if not isinstance(overrides, dict):
-        raise ConfigError(f"{section} must be an object")
+        raise ConfigError("sample_counts must be an object")
     for key, value in overrides.items():
-        if key not in DEFAULTS[section]:
-            raise ConfigError(f"unknown {section} key {key!r}")
+        if key not in SAMPLE_COUNTS:
+            raise ConfigError(f"unknown sample_counts key {key!r}")
         if isinstance(value, bool) or not isinstance(value, int) \
                 or not 1 <= value <= MAX_SAMPLE_COUNT:
             raise ConfigError(f"sample count {key!r} must be an integer "
@@ -154,11 +153,10 @@ class RunConfig:
     sample_counts: Dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        for section in DEFAULTS:
-            check_overrides(section, getattr(self, section))
+        check_overrides(self.sample_counts)
 
     def samples(self, key: str) -> int:
-        return self.sample_counts.get(key, DEFAULTS["sample_counts"][key])
+        return self.sample_counts.get(key, SAMPLE_COUNTS[key])
 
 
 @dataclass
@@ -207,6 +205,13 @@ def _sample_size(x: Jet) -> np.ndarray:
 def _odd_grades(x: Jet) -> np.ndarray:
     """Largest coefficient at odd grades of j of each batch element."""
     return np.abs(x.coeffs[..., 1::2, :]).max(axis=(-2, -1))
+
+
+def _spinors(rng: np.random.Generator) -> PlaneWave:
+    """Complex spinors over (e_l, nu_l, e_r): with real ones the i psi_1
+    and i psi_3 terms vanish."""
+    return stack_configs([random_plane_wave(rng, 1.0, (2,)).scaled(
+        np.exp(1j * rng.uniform(-math.pi, math.pi, size=2))) for _ in range(3)])
 
 
 def _sampled_max(draws: Iterable[tuple],
@@ -316,11 +321,11 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
     vanishing of the Lagrangian's first-order gauge variation relative to
     the unvaried density, at the grades each contraction regime reads.
 
-    One evaluation expands the gauge and matter densities, stacked on a
-    trailing sector axis, to eps**1: the variation is the sum of the
-    sectors' eps**1 coefficients, its size the sum of the sectors'
-    unvaried magnitudes, and the gauge sector's eps**0 coefficient is
-    checked against the trace form."""
+    One evaluation expands the gauge, sphere and lepton densities, stacked
+    on a trailing sector axis, under fields.gauge_transform to eps**1: the
+    gauge and sphere sectors' variations are read summed, the lepton
+    sector's alone, and the gauge sector's eps**0 coefficient against the
+    trace form."""
     order = cfg.order
     tol_form = TOLERANCES["invariance_form"]
     tol_first = TOLERANCES["invariance_first_order"]
@@ -343,39 +348,44 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
     c = cfg.couplings
     configs = cfg.samples("invariance_gauge")
     draws = ((*random_bosonic_config(rng, amplitude=0.1),
-              random_plane_wave(rng, 0.1, (4,)),
+              random_plane_wave(rng, 0.1, (4,)), _spinors(rng),
               rng.uniform(-0.5, 0.5, size=4)) for _ in range(configs))
 
-    def gauge_variation(gauge, psicfg, eps, x):
-        worst, trace = [], []
+    def gauge_variation(gauge, psicfg, theta, fcfg, x):
+        worst, leptons, trace = [], [], []
         for jval, grades in ((1.0, (0,)), (None, (0, 1)), (0.1, (0,))):
             gs = sample_gauge(gauge, x, order, jval)
             ps = sample_psi(psicfg, x, order, jval)
+            fs = sample_fermions(fcfg, x, order, jval)
 
             def sectors(scale: Jet) -> Jet:
-                """The gauge and matter densities on a trailing axis; eps**0:
-                unvaried, eps**1: their variations."""
-                gs2, ps2 = infinitesimal_gauge_transform(
-                    gs, ps, eps, x, c, jval, scale)
-                return stack([lagrangian_gauge(gs2, c), lagrangian_psi(ps2, gs2, c)])
+                """The gauge, sphere and lepton densities on a trailing axis;
+                eps**0: unvaried, eps**1: their variations."""
+                gs2, ps2, fs2 = gauge_transform(theta, x, c, gs, ps, fs, jval, scale)
+                phi = phi_from_psi(ps2, c.R).value
+                return stack([lagrangian_gauge(gs2, c), lagrangian_psi(ps2, gs2, c),
+                              lagrangian_fermion(fs2, phi, gs2, c)])
+
+            def relative(variation: Jet, unvaried: Jet) -> np.ndarray:
+                """Per configuration, over unvaried sector sizes (which can cancel)."""
+                size = np.max([abs(unvaried.grade(n)).sum(-1) for n in grades], axis=0)
+                change = np.max([abs(variation.grade(n)) for n in grades], axis=0)
+                return change / np.maximum(size, 1.0e-30)
 
             unvaried, variations = epsilon_expand(sectors, 1, order)
-            variation = variations.sum(-1)
-            # the gauge and matter densities can cancel, so the unvaried
-            # density is measured sector by sector, per configuration
-            size = np.max([abs(unvaried.grade(n)).sum(-1) for n in grades], axis=0)
-            change = np.max([abs(variation.grade(n)) for n in grades], axis=0)
-            worst.append(change / np.maximum(size, 1.0e-30))
+            worst.append(relative(variations[..., :2].sum(-1), unvaried[..., :2]))
+            leptons.append(relative(variations[..., 2], unvaried[..., 2:]))
             gauge_density = unvaried[..., 0]
             trace.append(_sample_size(gauge_density - lagrangian_gauge_trace(gs, c))
                          / _sample_size(gauge_density))
-        return np.max(worst, axis=0), np.max(trace, axis=0)
+        return tuple(np.max(gate, axis=0) for gate in (worst, leptons, trace))
 
-    first_order, trace_resid = _sampled_max(draws, gauge_variation)
+    first_order, lepton_first_order, trace_resid = _sampled_max(draws, gauge_variation)
 
     return _result("invariance", {
         "hermitian_form_residual": (form_resid, tol_form),
         "first_order_variation": (first_order, tol_first),
+        "lepton_first_order": (lepton_first_order, tol_first),
         "gauge_trace_form": (trace_resid, tol_form),
     }, {
         "hermitian_form_tolerance": tol_form,
@@ -555,7 +565,8 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
     """Matrix vs expanded Yukawa forms, the base-part closed formula, the
     kinetic terms against a numpy oracle, no odd grade of j in the
     density at formal j (the neutrino's j always meets a second one), the
-    extracted electron mass and the massless neutrino."""
+    extracted electron mass, the massless neutrino, and the photon's
+    lepton couplings: none to the neutrino, one charge for e_l and e_r."""
     order = cfg.order
     tol_id = TOLERANCES["fermion_identity"]
     tol_mass = TOLERANCES["fermion_mass"]
@@ -563,13 +574,7 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
     rng = np.random.default_rng(cfg.seed + 5)
     c = cfg.couplings
 
-    def spinors() -> PlaneWave:
-        """Complex spinors over (e_l, nu_l, e_r): with real ones the i psi_1
-        and i psi_3 terms vanish."""
-        return stack_configs([random_plane_wave(rng, 1.0, (2,)).scaled(
-            np.exp(1j * rng.uniform(-math.pi, math.pi, size=2))) for _ in range(3)])
-
-    draws = ((random_plane_wave(rng, 0.5, (3,)), spinors(),
+    draws = ((random_plane_wave(rng, 0.5, (3,)), _spinors(rng),
               rng.uniform(-0.5, 0.5, size=4)) for _ in range(count))
 
     def identity(psicfg, fcfg, x):
@@ -584,7 +589,7 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
 
     identity_resid, grade0_resid = _sampled_max(draws, identity)
 
-    draws = ((random_plane_wave(rng, 0.5, (4, 4)), spinors(),
+    draws = ((random_plane_wave(rng, 0.5, (4, 4)), _spinors(rng),
               rng.uniform(-0.5, 0.5, size=4)) for _ in range(count))
     massless = dataclasses.replace(c, h_e=0.0)
     origin = np.zeros(4)
@@ -605,6 +610,10 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
 
     m_e, nu_coeff = lepton_masses(c)
     m_e_err = abs(m_e - c.h_e * c.R) / (c.h_e * c.R)
+    # at h_e = 0 each lepton's eps^2 coefficient is its coupling to the photon
+    photon = np.array([0.0, 0.0, c.gp, -c.g]) / c.gz
+    e_l, nu, e_r = background_coefficients(massless, photon, np.eye(3)).coeffs[..., 0]
+    charge_resid = float(max(np.abs(nu).max(), np.abs(e_l - e_r).max()) / c.g)
 
     return _result("fermion", {
         "yukawa_identity": (identity_resid, tol_id),
@@ -613,6 +622,7 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
         "odd_grades": (odd, 0.0),
         "electron_mass_rel_error": (m_e_err, tol_mass),
         "neutrino_mass_coefficient": (nu_coeff, 0.0),
+        "photon_charges": (charge_resid, tol_mass),
     })
 
 

@@ -16,9 +16,11 @@ import numpy as np
 from ewcontract.fields import (
     Couplings,
     PlaneWave,
+    constant,
+    gauge_transform,
     hermitian_form_jets,
-    infinitesimal_gauge_transform,
     phi_from_psi,
+    sample_fermions,
     sample_gauge,
     sample_psi,
 )
@@ -118,8 +120,8 @@ def test_criterion_05_coordinate_equivalence():
 
 def test_criterion_06_gauge_invariance_scaling():
     """With the gauge parameters scaled by eps, the density's eps**1
-    coefficient vanishes relative to the density and its eps**2
-    coefficient does not, at the grades each regime reads."""
+    coefficient vanishes relative to the density at the grades each regime
+    reads, and its eps**2 coefficient does not where T1 and T2 act."""
     gate = _run("invariance", 15, invariance_gauge=20).details[
         "first_order_variation"]
     # the gate divides by the gauge and matter sectors' sizes added, the
@@ -134,18 +136,21 @@ def test_criterion_06_gauge_invariance_scaling():
     eps = random_plane_wave(rng, 0.1, (20, 4))
     x = rng.uniform(-0.5, 0.5, size=(20, 4))
     first, second = 0.0, math.inf
-    for jval, grades in ((1.0, (0,)), (None, (0, 1)), (0.1, (0,))):
+    # at formal j the eps**2 coefficient is read at grade 2, where T1 and
+    # T2 first act: on grade 0 the abelian T3 and Y leave it 0
+    for jval, grades, later in ((1.0, (0,), (0,)), (None, (0, 1), (2,)),
+                                (0.1, (0,), (0,))):
         gs = sample_gauge(gauge, x, ORDER, jval)
         ps = sample_psi(psicfg, x, ORDER, jval)
+        fs = sample_fermions(constant(np.zeros((3, 2))), x, ORDER, jval)
 
         def transformed(scale):
-            gs2, ps2 = infinitesimal_gauge_transform(
-                gs, ps, eps, x, COUPLINGS, jval, scale
-            )
+            gs2, ps2, _ = gauge_transform(eps, x, COUPLINGS, gs, ps, fs, jval, scale)
             return lagrangian_bosonic(gs2, ps2, COUPLINGS)
 
-        size, d1, d2 = (np.max([abs(term.grade(n)) for n in grades], axis=0)
-                        for term in epsilon_expand(transformed, 2))
+        density, d1, d2 = epsilon_expand(transformed, 2)
+        size, d1, d2 = (np.max([abs(term.grade(n)) for n in read], axis=0)
+                        for term, read in ((density, grades), (d1, grades), (d2, later)))
         first = max(first, float(np.max(d1 / size)))
         second = min(second, float(np.min(d2 / size)))
     _verdict(6, "gauge variation is second order",

@@ -1,5 +1,5 @@
 """Analytic field oracles, contraction grading of point samples, the
-sphere embedding and the generator vector fields."""
+sphere embedding, the generator vector fields and the gauge transform."""
 
 import dataclasses
 import math
@@ -14,10 +14,9 @@ from ewcontract.fields import (
     PlaneWave,
     Sample,
     constant,
+    gauge_transform,
     generator_vector_fields,
-    generator_vector_jacobians,
     hermitian_form_jets,
-    infinitesimal_gauge_transform,
     phi_from_psi,
     phi_jacobian,
     sample_fermions,
@@ -26,7 +25,8 @@ from ewcontract.fields import (
     stack_configs,
 )
 from ewcontract.group import generator
-from ewcontract.jets import DEFAULT_ORDER, Jet
+from ewcontract.jets import DEFAULT_ORDER, Jet, stack
+from ewcontract.spectrum import epsilon_expand, random_bosonic_config, random_plane_wave
 
 ORDER = DEFAULT_ORDER
 
@@ -155,8 +155,8 @@ def test_samples_carry_the_points_then_the_component_axes(points):
         assert sample.grad.batch_shape == shape + (4,)
         samples.append(sample)
     c = Couplings(g=0.65, gp=0.35, R=1.0)
-    moved = infinitesimal_gauge_transform(*samples[:2], _random_waves(rng, (4,)),
-                                          points, c)
+    moved = gauge_transform(_random_waves(rng, (4,)), points, c, *samples)
+    assert len(moved) == 3
     for before, after in zip(samples, moved):
         assert isinstance(after, Sample)
         assert after.value.batch_shape == before.value.batch_shape
@@ -245,20 +245,19 @@ def test_stacked_configurations_pair_with_their_points(with_scale):
     ps = sample_psi(stack_configs(psis), points, ORDER, scale=scale)
     _same_samples(ps, [sample_psi(p, x, ORDER, scale=scale)
                        for _, p, *_, x in per_sample], ("value", "grad"))
-    _same_samples(sample_fermions(stack_configs(fermions), points, ORDER,
-                                  scale=scale),
-                  [sample_fermions(f, x, ORDER, scale=scale)
-                   for _, _, f, _, x in per_sample],
-                  ("value", "grad"))
+    fs = sample_fermions(stack_configs(fermions), points, ORDER, scale=scale)
+    _same_samples(fs, [sample_fermions(f, x, ORDER, scale=scale)
+                       for _, _, f, _, x in per_sample], ("value", "grad"))
 
     c = Couplings(g=0.65, gp=0.35, R=1.0)
-    gs2, ps2 = infinitesimal_gauge_transform(gs, ps, stack_configs(params),
-                                             points, c, scale=scale)
-    moved = [infinitesimal_gauge_transform(
-        sample_gauge(g, x, ORDER, scale=scale), sample_psi(p, x, ORDER, scale=scale),
-        e, x, c, scale=scale) for g, p, _, e, x in per_sample]
-    _same_samples(gs2, [m[0] for m in moved], ("value", "grad"))
-    _same_samples(ps2, [m[1] for m in moved], ("value", "grad"))
+    batched = gauge_transform(stack_configs(params), points, c, gs, ps, fs,
+                              scale=scale)
+    moved = [gauge_transform(
+        e, x, c, sample_gauge(g, x, ORDER, scale=scale),
+        sample_psi(p, x, ORDER, scale=scale), sample_fermions(f, x, ORDER, scale=scale),
+        scale=scale) for g, p, f, e, x in per_sample]
+    for k, sample in enumerate(batched):
+        _same_samples(sample, [m[k] for m in moved], ("value", "grad"))
 
 
 def test_stacked_configurations_broadcast_over_one_point():
@@ -353,28 +352,18 @@ def test_generator_vector_fields_are_flow_pushforwards():
             assert np.allclose(flowed, fields[a], atol=1e-8)
 
 
-def test_generator_jacobians_match_finite_differences():
-    rng = np.random.default_rng(3)
-    psi = rng.normal(size=3) * 0.7
-    h = 1e-6
-    jac = generator_vector_jacobians(Jet.const(psi, ORDER)).grade(0)
-    for l in range(3):
-        up = psi.copy()
-        up[l] += h
-        dn = psi.copy()
-        dn[l] -= h
-        fd = (
-            generator_vector_fields(Jet.const(up, ORDER)).grade(0)
-            - generator_vector_fields(Jet.const(dn, ORDER)).grade(0)
-        ) / (2 * h)
-        for a in range(4):
-            for k in range(3):
-                assert abs(jac[a, k, l] - fd[a, k]) <= 1e-8
+def _jacobians(v):
+    """d(X_a,k)/d(v_l) as jac[..., a, k, l]: the eps**1 coefficient of
+    X(v + eps e_l), exact because X is a polynomial."""
+    moved = epsilon_expand(
+        lambda eps: generator_vector_fields(v[..., None, :] + eps * np.eye(3)),
+        1, v.order)[1]  # [..., l, a, k]
+    return moved.swapaxes(-3, -2).swapaxes(-2, -1)
 
 
 def _bracket(a, b, v):
     """[X_a, X_b]_k = sum_l X_a,l d_l X_b,k - X_b,l d_l X_a,k."""
-    x, jac = generator_vector_fields(v), generator_vector_jacobians(v)
+    x, jac = generator_vector_fields(v), _jacobians(v)
     out = []
     for k in range(3):
         t = Jet.zero(v.order)
@@ -403,16 +392,19 @@ def test_vector_field_bracket_table():
 
 
 def test_psi_generator_action_grading():
-    """The gauge transform moves the sphere coordinates along j X_a for the
-    fiber generators T1, T2 and along X_a for T3 and Y."""
+    """The gauge transform, taken from the group's matrices, moves the
+    sphere coordinates along j X_a for the fiber generators T1, T2 and
+    along X_a for T3 and Y at first order."""
     v = Jet.const(np.array([0.3, -0.2, 0.5]), ORDER)
     ps = Sample(v, Jet.const(np.zeros((3, 4)), ORDER))
     gs = sample_gauge(constant(np.zeros((4, 4))), np.zeros(4), ORDER)
+    fs = sample_fermions(constant(np.zeros((3, 2))), np.zeros(4), ORDER)
     c = Couplings(g=0.65, gp=0.35, R=1.0)
     plain = generator_vector_fields(v)
     for a, grade in enumerate((1, 1, 0, 0)):
-        eps = constant(np.eye(4)[a])
-        action = infinitesimal_gauge_transform(gs, ps, eps, np.zeros(4), c)[1].value - v
+        theta = constant(np.eye(4)[a])
+        action = epsilon_expand(lambda scale: gauge_transform(
+            theta, np.zeros(4), c, gs, ps, fs, scale=scale)[1].value, 1)[1]
         for k in range(3):
             assert action[k].grade(grade) == pytest.approx(
                 plain[a, k].grade(0), abs=1e-14
@@ -426,12 +418,67 @@ def test_zero_parameter_gauge_transform_is_identity():
     gauge = PlaneWave(0.2, rng.normal(size=(4, 4, 4)), 0.0)
     psicfg = PlaneWave(0.2, rng.normal(size=(3, 4)), 0.0)
     x = np.array([0.1, 0.2, -0.3, 0.4])
-    gs = sample_gauge(gauge, x, ORDER)
-    ps = sample_psi(psicfg, x, ORDER)
-    eps = constant(np.zeros(4))
-    gs2, ps2 = infinitesimal_gauge_transform(gs, ps, eps, x, c)
-    for k in range(3):
-        for mu in range(4):
-            assert gs2.value[k][mu].max_abs_diff(gs.value[k][mu]) == 0.0
-    for k in range(3):
-        assert ps2.value[k].max_abs_diff(ps.value[k]) == 0.0
+    samples = (sample_gauge(gauge, x, ORDER), sample_psi(psicfg, x, ORDER),
+               sample_fermions(_random_waves(rng, (3, 2)), x, ORDER))
+    moved = gauge_transform(constant(np.zeros(4)), x, c, *samples)
+    for before, after in zip(samples, moved):
+        assert after.value.max_abs_diff(before.value) == 0.0
+        assert after.grad.max_abs_diff(before.grad) == 0.0
+
+
+def _component_law(gs, ps, theta, x, c, jval, scale):
+    """The first-order transformation written out by hand, component by
+    component, as a reference for the law taken from the group:
+      dA^a_mu  = -(1/g) d_mu theta_a - eps_{bca} theta_b A^c_mu
+      dB_mu    = -(1/g') d_mu theta_Y
+      dpsi_k   = sum_a theta_a X_a(psi)_k
+    over graded values, theta_1 and theta_2 at grade 1."""
+    j = Jet.variable(ORDER) if jval is None else Jet.const(jval, ORDER)
+    g = stack([j * scale, j * scale, scale, scale])
+    xc = x[..., None, :]
+    ev, dev = g * theta.value(xc), g[..., None] * theta.grad(xc)
+    coupling = -1.0 / np.array([c.g, c.g, c.g, c.gp])
+    shift = coupling[:, None] * dev
+    hess_shift = g[..., None, None] * (coupling[:, None, None] * theta.hess(xc))
+    X = generator_vector_fields(ps.value)
+    dX = (_jacobians(ps.value)[..., None] * ps.grad[..., None, None, :, :]).sum(-2)
+    psi = ps.value + (ev[..., None] * X).sum(-2)
+    dpsi = ps.grad + (dev[..., :, None, :] * X[..., None]
+                      + ev[..., None, None] * dX).sum(-3)
+    b, e = [1, 2, 0], [2, 0, 1]
+    a, da = gs.value[..., :3, :], gs.grad[..., :3, :, :]
+    a_new = a + (shift[..., :3, :] - (ev[..., b, None] * a[..., e, :]
+                                      - ev[..., e, None] * a[..., b, :]))
+    da_new = da + (hess_shift[..., :3, :, :]
+                   - (dev[..., b, :, None] * a[..., e, None, :]
+                      + ev[..., b, None, None] * da[..., e, :, :])
+                   + (dev[..., e, :, None] * a[..., b, None, :]
+                      + ev[..., e, None, None] * da[..., b, :, :]))
+    value = stack([*(a_new[..., k, :] for k in range(3)),
+                   gs.value[..., 3, :] + shift[..., 3, :]], axis=-2)
+    grad = stack([*(da_new[..., k, :, :] for k in range(3)),
+                  gs.grad[..., 3, :, :] + hess_shift[..., 3, :, :]], axis=-3)
+    return Sample(value, grad), Sample(psi, dpsi)
+
+
+@pytest.mark.parametrize("jval", [None, 1.0, 0.1])
+def test_gauge_transform_matches_the_component_law(jval):
+    """The eps**1 shifts of A, dA, psi and dpsi taken from the group's
+    generator matrices equal the hand-linearized component law, to 1e-15
+    of the largest coefficient, at 8 points of each of 5 seeds."""
+    c = Couplings(g=0.65, gp=0.35, R=1.0)
+    scale = Jet([[0.0, 1.0]], ORDER, 1)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        gauge, psicfg = random_bosonic_config(rng, 0.1)
+        theta = random_plane_wave(rng, 0.1, (4,))
+        x = rng.uniform(-0.5, 0.5, size=(8, 4))
+        gs, ps = sample_gauge(gauge, x, ORDER, jval), sample_psi(psicfg, x, ORDER, jval)
+        fs = sample_fermions(constant(np.zeros((3, 2))), x, ORDER, jval)
+        moved = gauge_transform(theta, x, c, gs, ps, fs, jval, scale)[:2]
+        for law, got in zip(_component_law(gs, ps, theta, x, c, jval, scale), moved):
+            for want, have in ((law.value, got.value), (law.grad, got.grad)):
+                assert have.coeffs.shape == want.coeffs.shape
+                first = want.coeffs[..., 1]
+                assert np.abs(have.coeffs[..., 1] - first).max() \
+                    <= 1e-15 * np.abs(first).max()

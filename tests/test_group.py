@@ -11,6 +11,9 @@ from scipy.linalg import expm
 from ewcontract.fields import (Couplings, Sample, constant, hermitian_form_jets,
                                sample_gauge)
 from ewcontract.group import (
+    DOUBLET_GENERATORS,
+    LEPTON_GENERATORS,
+    STRUCTURE_CONSTANTS,
     exp_closed_nilpotent,
     exp_closed_su2,
     exp_series,
@@ -27,6 +30,22 @@ from ewcontract.lagrangian import covariant_derivative_phi_matrix
 
 ORDER = DEFAULT_ORDER
 TOL = 1e-12
+
+
+def test_matter_generators_represent_the_algebra():
+    """Each matter field's generator matrices close under the structure
+    constants taken by trace, the doublet's T_k are generator(k) at j = 1,
+    and [T1, T2] = -T3 with Y central."""
+    for gens in (DOUBLET_GENERATORS, LEPTON_GENERATORS):
+        bracket = (np.einsum("aij,bjk->abik", gens, gens)
+                   - np.einsum("bij,ajk->abik", gens, gens))
+        assert np.abs(bracket - np.einsum("abc,cik->abik", STRUCTURE_CONSTANTS, gens)
+                      ).max() <= 1e-16
+    for k in (1, 2, 3):
+        assert np.array_equal(generator(k, ORDER, jval=1.0).matrix.jet.grade(0),
+                              DOUBLET_GENERATORS[k - 1])
+    assert STRUCTURE_CONSTANTS[0, 1].tolist() == [0.0, 0.0, -1.0, 0.0]
+    assert not STRUCTURE_CONSTANTS[3].any() and not STRUCTURE_CONSTANTS[:, 3].any()
 
 
 def test_commutator_table_closed_form():

@@ -7,7 +7,10 @@ Every oracle runs in `verify`, so each row is killed by the suites alone:
 `one_param` with the full angle instead of the half fails the group
 suite's one-parameter-subgroup gate, and `_SIGMA_TILDE = _SIGMA`, the
 `e_r` hypercharge coupling halved and the doublet's hypercharge shift
-flipped fail the fermion suite's kinetic oracle.
+flipped fail the fermion suite's kinetic oracle. The invariance suite
+moves every field by the group's generator matrices, never by the
+densities' own vector fields or charges, so a flipped vector field and
+every hypercharge row fail it too.
 """
 
 import __future__
@@ -15,6 +18,7 @@ import inspect
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from ewcontract import fields, group, lagrangian, spectrum
@@ -50,10 +54,13 @@ MUTANTS = [
      _edit(" - v[..., :, None] * v[..., None, :]", ""), ("invariance", "coordinate")),
     ("sphere_radius_off_by_1e-7", fields, "phi_from_psi",
      _edit("r = R * s", "r = R * (1.0 + 1.0e-7) * s"), ("coordinate", "fermion")),
+    ("y_vector_field_sign", fields, "_HALF_SIGN",
+     lambda half: half * np.array([1.0, 1.0, 1.0, -1.0]),
+     ("invariance", "coordinate", "quadratic", "cubic")),
     ("phi_1_hypercharge_sign", lagrangian, "covariant_derivative_phi",
      _edit("(c.g * a3 + c.gp * b) * p1", "(c.g * a3 - c.gp * b) * p1"),
-     ("coordinate",)),
-    ("u1_gauge_shift_sign", fields, "infinitesimal_gauge_transform",
+     ("coordinate", "invariance")),
+    ("u1_gauge_shift_sign", fields, "gauge_transform",
      _edit("c.g, c.g, c.g, c.gp", "c.g, c.g, c.g, -c.gp"), ("invariance",)),
     ("closed_nilpotent_exp_without_conj", group, "exp_closed_nilpotent",
      _edit("np.conj(a) / a3", "a / a3"), ("group",)),
@@ -75,9 +82,9 @@ MUTANTS = [
     ("sigma_tilde_is_sigma", lagrangian, "_SIGMA_TILDE",
      lambda _: lagrangian._SIGMA, ("fermion",)),
     ("e_r_hypercharge_halved", lagrangian, "lagrangian_fermion",
-     _edit("1j * c.gp * (gs.value", "0.5j * c.gp * (gs.value"), ("fermion",)),
+     _edit("1j * c.gp * (gs.value", "0.5j * c.gp * (gs.value"), ("fermion", "invariance")),
     ("lepton_doublet_hypercharge_sign", lagrangian, "covariant_derivative_doublet",
-     _edit("scalar - 1j * c.gp", "scalar + 1j * c.gp"), ("fermion",)),
+     _edit("scalar - 1j * c.gp", "scalar + 1j * c.gp"), ("fermion", "invariance")),
     ("hermitian_form_without_conjugate", fields, "hermitian_form_jets",
      _edit("x.conjugate() * y", "x * y"), ("invariance", "coordinate", "fermion")),
     ("closed_m_w_negated", spectrum, "closed_masses",

@@ -11,7 +11,7 @@ from ewcontract import jets, lagrangian, spectrum, suites
 from ewcontract.fields import ConfigError, Couplings
 from ewcontract.group import group_product, random_factors
 from ewcontract.jets import Jet, JetMatrix2
-from ewcontract.suites import (DEFAULTS, MAX_SAMPLE_COUNT, REGISTRY, RunConfig,
+from ewcontract.suites import (MAX_SAMPLE_COUNT, REGISTRY, SAMPLE_COUNTS, RunConfig,
                                run_suites)
 
 EXPECTED_NAMES = {
@@ -55,7 +55,7 @@ def test_product_plans_depend_on_structure_not_on_samples():
     the first. (The group suite draws 30 products, so every factor sees
     more than one generator; a batch of diagonal T3 factors alone would
     have zero off-diagonal entries.)"""
-    counts = {key: 3 for key in DEFAULTS["sample_counts"]}
+    counts = {key: 3 for key in SAMPLE_COUNTS}
     counts["group"] = 30
 
     def plans_after(seed):
@@ -153,7 +153,7 @@ def test_bad_overrides_rejected_before_any_suite_runs(overrides):
 
 
 def test_every_default_is_a_valid_override():
-    _config(**DEFAULTS)
+    _config(sample_counts=SAMPLE_COUNTS)
 
 
 def _wave(rng):
@@ -166,6 +166,13 @@ def _wave(rng):
 def _group_element(rng):
     for _ in range(3):  # a factor's index, then its angle
         rng.random(2)
+
+
+def _spinors(rng):
+    for _ in range(3):  # a spinor's two waves, then their phases
+        _wave(rng)
+        _wave(rng)
+        rng.uniform(-math.pi, math.pi, size=2)
 
 
 def _per_sample_draws(suite, seed, n):
@@ -184,8 +191,9 @@ def _per_sample_draws(suite, seed, n):
             _group_element(rng)
             _group_element(rng)
         for _ in range(n):
-            for _ in range(19 + 4):
+            for _ in range(19 + 4):  # the bosonic fields, then the angles
                 _wave(rng)
+            _spinors(rng)
             rng.uniform(-0.5, 0.5, size=4)
     elif suite == "coordinate":
         rng = np.random.default_rng(seed + 2)
@@ -200,10 +208,7 @@ def _per_sample_draws(suite, seed, n):
             for _ in range(n):
                 for _ in range(waves):
                     _wave(rng)
-                for _ in range(3):  # a spinor's two waves, then their phases
-                    _wave(rng)
-                    _wave(rng)
-                    rng.uniform(-math.pi, math.pi, size=2)
+                _spinors(rng)
                 rng.uniform(-0.5, 0.5, size=4)
     return rng.bit_generator.state
 
@@ -221,7 +226,7 @@ def test_batched_suites_draw_what_the_per_sample_loops_draw(monkeypatch, suite):
         return made[-1]
 
     monkeypatch.setattr(np.random, "default_rng", recording)
-    counts = {key: 7 for key in DEFAULTS["sample_counts"] if key != "mass_sets"}
+    counts = {key: 7 for key in SAMPLE_COUNTS if key != "mass_sets"}
     REGISTRY[suite](_config(sample_counts=counts))
     monkeypatch.undo()
     assert made[0].bit_generator.state == _per_sample_draws(suite, 123, 7)
@@ -267,7 +272,7 @@ SAMPLED_SUITES = ["group", "invariance", "coordinate", "fermion"]
 def _sampled(suite: str, count: int):
     """The suite with every one of its sample counts at count."""
     return REGISTRY[suite](_config(sample_counts={
-        key: count for key in DEFAULTS["sample_counts"] if key.startswith(suite)}))
+        key: count for key in SAMPLE_COUNTS if key.startswith(suite)}))
 
 
 @pytest.mark.parametrize("suite", SAMPLED_SUITES)

@@ -25,8 +25,8 @@ from pathlib import Path
 
 SAMPLED_SUITES = ("group", "invariance", "coordinate", "fermion")
 
-_COUNT_KEYS = ("import json; from ewcontract.suites import DEFAULTS; "
-               "print(json.dumps(sorted(DEFAULTS['sample_counts'])))")
+_COUNT_KEYS = ("import json; from ewcontract.suites import SAMPLE_COUNTS; "
+               "print(json.dumps(sorted(SAMPLE_COUNTS)))")
 
 
 def peak(src: Path, suite: str, config: Path) -> tuple:
