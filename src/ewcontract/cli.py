@@ -17,6 +17,10 @@ it reads. JSON is the machine format (schema-versioned, deterministic
 for a fixed config up to the timestamp field), built by ``_sanitize``
 from the result dataclasses; CSV is for spectrum only. Reports are
 strict JSON: a computed value that is not finite is written as null.
+``verify`` runs its suites in up to one process per usable CPU, forked
+from this one, and prints and reports what one process would: each suite
+draws from its own random stream. It runs them all here for one suite or
+one CPU, without os.fork, under a tracer or profiler or beside a thread.
 Exit codes: 0 all checks pass, 1 a suite failed or spectrum/expand
 computed a value that is not finite, 2 the configuration was rejected.
 """
@@ -31,7 +35,9 @@ import io
 import json
 import math
 import os
+import pickle
 import sys
+import threading
 import time
 from typing import Optional, Sequence, Tuple
 
@@ -46,7 +52,8 @@ from .spectrum import (
     mass_spectrum,
     random_bosonic_config,
 )
-from .suites import REGISTRY, RunConfig, SCHEMA_VERSION, check_overrides, run_suites
+from .suites import (REGISTRY, RunConfig, SCHEMA_VERSION, check_overrides, run_suites,
+                     selected_suites)
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
@@ -222,13 +229,55 @@ def _report_envelope(args, couplings: Couplings) -> dict:
     }
 
 
+def _run_lanes(cfg: RunConfig, names: Tuple[str, ...]) -> dict:
+    """run_suites on each lane names[i::lanes]: lane 0 here, each other in
+    a forked child that pipes back its results or its exception."""
+    lanes = min(len(names), len(os.sched_getaffinity(0)) if hasattr(
+        os, "sched_getaffinity") else os.cpu_count() or 1)
+    if (not hasattr(os, "fork") or sys.gettrace() or sys.getprofile()
+            or threading.active_count() > 1):
+        lanes = 1
+    children = {}  # pid -> read end of its pipe, until the child is reaped
+    try:
+        for lane in range(1, lanes):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    with open(write, "wb") as fh:
+                        try:
+                            fh.write(pickle.dumps(run_suites(
+                                dataclasses.replace(cfg, suites=names[lane::lanes]))))
+                        except BaseException as exc:
+                            fh.write(pickle.dumps(exc))
+                finally:  # never back into the caller, no atexit, no stdio flush
+                    os._exit(0)
+            os.close(write)
+            children[pid] = open(read, "rb")
+        results = run_suites(dataclasses.replace(cfg, suites=names[::lanes]))
+        for pid, pipe in list(children.items()):
+            with pipe:  # to EOF before waitpid: a result can outgrow the pipe
+                out = pickle.loads(pipe.read())
+            os.waitpid(pid, 0)
+            del children[pid]
+            if isinstance(out, BaseException):
+                raise out
+            results.update(out)
+    finally:
+        for pid, pipe in children.items():  # none outlives the command
+            import signal  # loaded only when a lane must be stopped
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return {name: results[name] for name in names}
+
+
 def cmd_verify(args, file_cfg: dict, couplings: Couplings) -> int:
     cfg = RunConfig(
         couplings, args.order, args.seed,
         suites=tuple(args.suite or ()),
         sample_counts=file_cfg.get("sample_counts", {}),
     )
-    results = run_suites(cfg)
+    results = _run_lanes(cfg, selected_suites(cfg))
     all_passed = all(r.passed for r in results.values())
 
     for name, res in results.items():

@@ -36,6 +36,7 @@ verified claims are algebraic identities and never need a signature.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -281,15 +282,25 @@ def generator_vector_fields(v: Jet) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-def _moved(gens: np.ndarray, angles: Sample, field: Sample) -> Sample:
-    """field + Theta field, Theta = sum_a angles_a gens[a], and its gradient
-    by the product rule. Theta acts on the axis i of field.value[..., i,
-    *rest] after the angles' leading axes, row i summing over the columns
-    that some generator fills; field.grad ends in mu."""
-    n = len(field.value.batch_shape) - len(angles.value.batch_shape)
+@functools.cache
+def _columns(name: str) -> Tuple[np.ndarray, np.ndarray]:
+    """(cols, table) of the adjoint, doublet or lepton generators gens[a, i,
+    k], built on first use: row i's filled columns come first in cols[i],
+    and table[a, i, e] = gens[a, i, cols[i, e]]."""
+    gens = {"adjoint": STRUCTURE_CONSTANTS.swapaxes(1, 2), "doublet": DOUBLET_GENERATORS,
+            "lepton": LEPTON_GENERATORS}[name]
     filled = np.abs(gens).sum(0) > 0
     cols = np.argsort(~filled, axis=1, kind="stable")[:, :filled.sum(1).max()]
-    table = np.take_along_axis(gens, cols[None], 2)  # [a, i, e]: row i, column cols[i, e]
+    return cols, np.take_along_axis(gens, cols[None], 2)
+
+
+def _moved(gens: str, angles: Sample, field: Sample) -> Sample:
+    """field + Theta field, Theta = sum_a angles_a T_a over the generators
+    named gens, and its gradient by the product rule. Theta acts on axis i
+    of field.value[..., i, *rest] after the angles' leading axes, row i
+    summing over the columns some generator fills; field.grad ends in mu."""
+    n = len(field.value.batch_shape) - len(angles.value.batch_shape)
+    cols, table = _columns(gens)
     pad = (Ellipsis, slice(None), slice(None)) + (None,) * n
     m = (angles.value[..., None, None] * table).sum(-3)[pad]
     dm = (angles.grad[..., :, None, None, :] * table[..., None]).sum(-4)[pad + (slice(None),)]
@@ -318,8 +329,7 @@ def gauge_transform(theta: PlaneWave, x: Vec4, c: Couplings, gs: Sample, ps: Sam
     angles = Sample(g * theta.value(xc), g[..., None] * theta.grad(xc))
     inverse = 1.0 / np.array([c.g, c.g, c.g, c.gp])
     # the gauge gradient with its derivative axis last while it moves
-    a = _moved(STRUCTURE_CONSTANTS.swapaxes(1, 2), angles,
-               Sample(gs.value, gs.grad.swapaxes(-1, -2)))
+    a = _moved("adjoint", angles, Sample(gs.value, gs.grad.swapaxes(-1, -2)))
     gauge = Sample(a.value - inverse[:, None] * angles.grad, a.grad.swapaxes(-1, -2)
                    - g[..., None, None] * (inverse[:, None, None] * theta.hess(xc)))
 
@@ -328,9 +338,9 @@ def gauge_transform(theta: PlaneWave, x: Vec4, c: Couplings, gs: Sample, ps: Sam
         re, im = 0.5 * (w + w.conjugate()), -0.5j * (w - w.conjugate())
         return stack([im[..., 1], re[..., 1], im[..., 0], re[..., 0]])
 
-    u = _moved(DOUBLET_GENERATORS, angles, _direction(ps))
+    u = _moved("doublet", angles, _direction(ps))
     read, dread = parts(u.value), parts(u.grad.swapaxes(-1, -2))  # dread[..., mu, k]
     inv = read[..., 3].inv()
     psi = read[..., :3] * inv[..., None]
     dpsi = (dread[..., :3] - psi[..., None, :] * dread[..., 3, None]) * inv[..., None, None]
-    return gauge, Sample(psi, dpsi.swapaxes(-1, -2)), _moved(LEPTON_GENERATORS, angles, fs)
+    return gauge, Sample(psi, dpsi.swapaxes(-1, -2)), _moved("lepton", angles, fs)

@@ -695,9 +695,9 @@ _NEEDS_POSITIVE = (
 )
 
 
-def run_suites(cfg: RunConfig) -> Dict[str, SuiteResult]:
-    """Run the selected suites, each once and in the order first named
-    (all of them when none is named), after rejecting an unknown name or a
+def selected_suites(cfg: RunConfig) -> Tuple[str, ...]:
+    """The suites cfg selects, each once and in the order first named (all
+    of them when none is named), after rejecting an unknown name or a
     coupling that a selected suite cannot use."""
     names = tuple(dict.fromkeys(cfg.suites or REGISTRY))
     unknown = [n for n in names if n not in REGISTRY]
@@ -706,4 +706,9 @@ def run_suites(cfg: RunConfig) -> Dict[str, SuiteResult]:
     for suite, coupling, reason in _NEEDS_POSITIVE:
         if suite in names and getattr(cfg.couplings, coupling) == 0.0:
             raise ConfigError(f"the {suite} suite needs {coupling} > 0 ({reason})")
-    return {name: REGISTRY[name](cfg) for name in names}
+    return names
+
+
+def run_suites(cfg: RunConfig) -> Dict[str, SuiteResult]:
+    """Run the selected suites in order, in this process."""
+    return {name: REGISTRY[name](cfg) for name in selected_suites(cfg)}

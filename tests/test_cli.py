@@ -7,7 +7,9 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from ewcontract.cli import (
     EXIT_SUITE_FAILURE,
     main,
 )
-from ewcontract.jets import Jet
+from ewcontract.jets import Jet, ZeroConstantTerm
 from ewcontract.spectrum import mass_spectrum
 from ewcontract.suites import MAX_SAMPLE_COUNT, REGISTRY, TOLERANCES, _result
 
@@ -54,6 +56,123 @@ def test_verify_report_deterministic_modulo_timestamp(tmp_path):
     r1.pop("timestamp")
     r2.pop("timestamp")
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+
+def _counted_forks(monkeypatch):
+    """A list that gains an entry each time this process calls os.fork."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(True)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _verify_output(argv, out, capsys):
+    capsys.readouterr()
+    code = main(argv + ["--out", str(out)])
+    report = _load(out)
+    report.pop("timestamp")
+    return code, capsys.readouterr().out, report
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_verify_in_lanes_matches_one_lane(tmp_path, capsys, monkeypatch, seed):
+    """Each suite owns its random stream, so the suites run in two forked
+    lanes print and report what one process does, and leave no child."""
+    argv = ["verify", "--seed", seed]
+    forks = _counted_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
+    lanes = _verify_output(argv, tmp_path / "lanes.json", capsys)
+    assert len(forks) == 1
+    _no_child_left()
+    _cpus(monkeypatch, 1)
+    assert _verify_output(argv, tmp_path / "one.json", capsys) == lanes
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("broken", ["group", "algebra"])
+def test_a_suite_error_in_either_lane_surfaces_as_in_one_lane(monkeypatch, broken):
+    """algebra runs in the first lane, this process, and group in the
+    second, a forked child. Either one's error comes back with its type and
+    message, as in one lane, and no child is left."""
+    def fails(cfg):
+        raise ZeroConstantTerm("x")
+
+    monkeypatch.setitem(REGISTRY, broken, fails)
+    forks = _counted_forks(monkeypatch)
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(ZeroConstantTerm, match="^x$"):
+            main(["verify", "--suite", "algebra", "--suite", "group"])
+        assert forks == [True]
+        _no_child_left()
+
+
+@contextlib.contextmanager
+def _profiled():
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        yield
+    finally:
+        sys.setprofile(None)
+
+
+@contextlib.contextmanager
+def _second_thread():
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        done.set()
+        thread.join()
+
+
+@pytest.mark.parametrize("suites,cpus,context", [
+    (["algebra"], 2, contextlib.nullcontext),
+    (["algebra", "cubic"], 1, contextlib.nullcontext),
+    (["algebra", "cubic"], 2, _profiled),
+    (["algebra", "cubic"], 2, _second_thread),
+], ids=["one-suite", "one-cpu", "profiler", "second-thread"])
+def test_verify_forks_no_lane_where_one_is_expected(monkeypatch, capsys, suites,
+                                                     cpus, context):
+    """One suite, one usable CPU, a profiler that must see every suite and
+    a second thread each keep verify in one process."""
+    forks = _counted_forks(monkeypatch)
+    _cpus(monkeypatch, cpus)
+    with context():
+        assert main(["verify"] + [f"--suite={name}" for name in suites]) == EXIT_OK
+    assert forks == []
+
+
+def test_verify_rejects_before_any_fork(tmp_path, monkeypatch, capsys):
+    """An unknown suite name and a coupling a selected suite cannot use are
+    rejected with the one-lane messages before any lane is forked."""
+    forks = _counted_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"couplings": {"gp": 0.0}}))
+    for argv, message in ((["--suite", "algebra", "--suite", "nonsense"],
+                           "error: unknown suite name(s): nonsense"),
+                          (["--config", str(cfg)],
+                           "error: the invariance suite needs gp > 0")):
+        assert main(["verify"] + argv) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith(message)
+    assert forks == []
 
 
 def test_verify_unknown_suite_is_config_error(capsys):
