@@ -189,9 +189,8 @@ def random_factors(rng: np.random.Generator,
     one-parameter factors of random group elements, shaped (*shape, 3): per
     factor two consecutive doubles u of one rng.random block give
     floor(3 u0) + 1 and numpy's uniform(-pi, pi) of u1. In C order, n
-    elements are bit for bit n single-element calls and leave any bit
-    generator in the same state, so a suite's numbers do not depend on its
-    CONFIG_CHUNK."""
+    elements are n single-element calls, bit for bit: on a stream of its
+    own, a chunk changes no factor, and m elements are the first m of n."""
     u = rng.random((*shape, 3, 2))
     return (3 * u[..., 0]).astype(np.int64) + 1, -math.pi + 2 * math.pi * u[..., 1]
 

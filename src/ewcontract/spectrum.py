@@ -146,23 +146,21 @@ def quadratic_form(gs: Sample, ps: Sample, c: Couplings) -> Jet:
 
 def random_plane_wave(rng: np.random.Generator, amplitude: float,
                       shape: Tuple[int, ...] = ()) -> PlaneWave:
-    """Random waves over components `shape`, drawn one component after
-    the other in row-major order: five normals (amplitude, wavevector), then
-    the phase, bit for bit rng.uniform(-pi, pi) from one rng.random()."""
-    count = math.prod(shape)
-    normals, phase = np.empty((count, 5)), np.empty(count)
-    for row in range(count):
-        normals[row] = rng.normal(size=5)
-        phase[row] = -math.pi + 2 * math.pi * rng.random()
-    return PlaneWave(normals[:, 0].reshape(shape) * amplitude,
-                     normals[:, 1:].reshape(shape + (4,)) * 0.6, phase.reshape(shape))
+    """Random waves over `shape`, whose leading axis may count samples, from
+    one rng.normal block of seven normals per wave in row-major order: the
+    amplitude, the wavevector, then two whose angle is the phase (uniform
+    on (-pi, pi]). On a stream that draws nothing else, rows drawn in two
+    calls are those drawn in one, and the first m rows of n are a draw of m."""
+    normals = rng.normal(size=(*shape, 7))
+    return PlaneWave(normals[..., 0] * amplitude, normals[..., 1:5] * 0.6,
+                     np.arctan2(normals[..., 5], normals[..., 6]))
 
 
 def random_bosonic_config(rng: np.random.Generator,
                           amplitude: float = 0.05) -> Tuple[PlaneWave, PlaneWave]:
-    """A random gauge field over (A^1, A^2, A^3, B) x mu, shape (4, 4),
-    then random sphere coordinates, shape (3,): drawn row-major, the gauge
-    draws are A's (3, 4) followed by B's (4,)."""
+    """One random gauge field over (A^1, A^2, A^3, B) x mu, shape (4, 4),
+    then sphere coordinates, shape (3,), a random_plane_wave block each from
+    rng: `expand` passes default_rng(seed), and a suite a stream of its own."""
     return (random_plane_wave(rng, amplitude, (4, 4)),
             random_plane_wave(rng, amplitude, (3,)))
 

@@ -13,20 +13,19 @@ SAMPLE_COUNTS holds every sampled check's default size, and RunConfig can
 override any of them and rejects an override that names no default or
 has a bad value.
 
-A sampled check draws its samples one after the other (the group suite's
-factors as one block, the same numbers), and _sampled_max evaluates them
-CONFIG_CHUNK at a time over a leading batch axis; the check's residual is
-the maximum over every sample. Evaluation draws no random numbers, so a
-sample's numbers do not depend on the chunk.
+A suite draws from its own streams (_streams), one per slot. A sampled
+check draws its samples as blocks, CONFIG_CHUNK at a time, and
+_sampled_max evaluates each over a leading batch axis; its residual is the
+maximum over every sample. Sample i is row i of every block, so a count
+of m draws the first m samples of any larger count, whatever the chunk.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -120,8 +119,8 @@ MAX_SAMPLE_COUNT = 10000
 
 #: samples a sampled check evaluates at once: the one bound on its memory,
 #: which does not grow with its sample count. At 10,000 samples (2-vCPU
-#: host) `invariance` peaked at 75 MiB, `coordinate` at 49 and `fermion`
-#: at 44 with chunks of 500; with dense coefficient arrays `invariance`
+#: host) `invariance` peaked at 72 MiB, `coordinate` at 46 and `fermion`
+#: at 41 with chunks of 500; with dense coefficient arrays `invariance`
 #: peaked at 116 MiB with chunks of 1,000, 76 with 500 and 57 with 250,
 #: and 250 ran `coordinate` about 6 % slower than 500
 CONFIG_CHUNK = 500
@@ -207,26 +206,48 @@ def _odd_grades(x: Jet) -> np.ndarray:
     return np.abs(x.coeffs[..., 1::2, :]).max(axis=(-2, -1))
 
 
-def _spinors(rng: np.random.Generator) -> PlaneWave:
-    """Complex spinors over (e_l, nu_l, e_r): with real ones the i psi_1
-    and i psi_3 terms vanish."""
-    return stack_configs([random_plane_wave(rng, 1.0, (2,)).scaled(
-        np.exp(1j * rng.uniform(-math.pi, math.pi, size=2))) for _ in range(3)])
+def _streams(cfg: RunConfig, suite: str) -> Iterator[np.random.Generator]:
+    """The suite's random streams in the order it takes them: stream k is
+    SeedSequence([seed, i, k]), i the suite's place in REGISTRY, so no two
+    seeds, suites or streams share one (NumPy's keyed parallel streams)."""
+    return (np.random.default_rng([cfg.seed, list(REGISTRY).index(suite), k])
+            for k in itertools.count())
 
 
-def _sampled_max(draws: Iterable[tuple],
+def _draws(streams: Iterator[np.random.Generator], *slots) -> Callable[[int], tuple]:
+    """draw(n) for _sampled_max: each slot is a function of the next stream
+    and n that draws the slot's next n samples as one block."""
+    pairs = list(zip(slots, streams))
+    return lambda n: tuple(slot(rng, n) for slot, rng in pairs)
+
+
+def _wave(amplitude: float, shape: Tuple[int, ...]):
+    """A slot of random waves over shape."""
+    return lambda rng, n: random_plane_wave(rng, amplitude, (n, *shape))
+
+
+def _points(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A slot of spacetime points in [-0.5, 0.5]^4."""
+    return rng.uniform(-0.5, 0.5, size=(n, 4))
+
+
+def _spinors(rng: np.random.Generator, n: int) -> PlaneWave:
+    """A slot of complex spinors over (e_l, nu_l, e_r), (n, 3, 2): a wave plus
+    i times a second's amplitude (real ones lose the i psi_1, i psi_3 terms)."""
+    waves = random_plane_wave(rng, 1.0, (n, 3, 2, 2))
+    return PlaneWave(waves.amplitude[..., 0] + 1j * waves.amplitude[..., 1],
+                     waves.wavevector[..., 0, :], waves.phase[..., 0])
+
+
+def _sampled_max(count: int, draw: Callable[[int], Sequence],
                  evaluate: Callable[..., Sequence[np.ndarray]]) -> list[float]:
-    """Each gate's largest residual over the draws (one tuple per sample),
-    drawn CONFIG_CHUNK at a time and stacked slot by slot: a PlaneWave
-    by stack_configs, anything else by np.array. evaluate(*slots) returns
-    one per-sample residual array per gate; a NaN residual fails its gate."""
-    draws, worst = iter(draws), None
-    while chunk := list(itertools.islice(draws, CONFIG_CHUNK)):
-        slots = [stack_configs(slot) if isinstance(slot[0], PlaneWave)
-                 else np.array(slot) for slot in zip(*chunk)]
-        maxima = [np.max(residual) for residual in evaluate(*slots)]
-        worst = maxima if worst is None else np.maximum(worst, maxima)
-    return [float(r) for r in worst]
+    """Each gate's largest residual over `count` samples, drawn and
+    evaluated CONFIG_CHUNK at a time: draw(n) returns the next n samples
+    of every slot as blocks, sample i in row i, and evaluate(*slots) one
+    per-sample residual array per gate; a NaN residual fails its gate."""
+    maxima = [[np.max(r) for r in evaluate(*draw(min(CONFIG_CHUNK, count - start)))]
+              for start in range(0, count, CONFIG_CHUNK)]
+    return [float(r) for r in np.max(maxima, axis=0)]
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +288,7 @@ def suite_group(cfg: RunConfig) -> SuiteResult:
     order = cfg.order
     tol = TOLERANCES["group"]
     count = cfg.samples("group")
-    rng = np.random.default_rng(cfg.seed)
+    factors, exponents = itertools.islice(_streams(cfg, "group"), 2)
     identity = JetMatrix2.identity(order).jet
 
     def products(ks: np.ndarray, angles: np.ndarray):
@@ -275,10 +296,10 @@ def suite_group(cfg: RunConfig) -> SuiteResult:
         return (_sample_size((u * u.dagger()).jet - identity),
                 _sample_size(u.det() - 1.0))
 
-    unitarity, det_resid = _sampled_max(zip(*random_factors(rng, (count,))),
-                                        products)
+    unitarity, det_resid = _sampled_max(
+        count, lambda n: random_factors(factors, (n,)), products)
 
-    samples = rng.uniform(-2.0, 2.0, size=(20, 3))
+    samples = exponents.uniform(-2.0, 2.0, size=(20, 3))
     samples[np.abs(samples[:, 2]) < 0.1, 2] = 0.5  # the closed form needs a3 != 0
     a = samples.T
     series = exp_series(*a, order=order)
@@ -329,10 +350,8 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
     order = cfg.order
     tol_form = TOLERANCES["invariance_form"]
     tol_first = TOLERANCES["invariance_first_order"]
-    rng = np.random.default_rng(cfg.seed + 1)
-
-    draws = ((rng.normal(size=4).view(complex), *random_factors(rng, (2,)))
-             for _ in range(cfg.samples("invariance_form")))
+    streams = _streams(cfg, "invariance")
+    phis, factors = next(streams), next(streams)
 
     def form(phi, ks, angles):
         d = graded_doublet(phi[:, 0], phi[:, 1], order)
@@ -343,13 +362,11 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
                               for m in moved))
         return (change / _sample_size(reference),)
 
-    form_resid, = _sampled_max(draws, form)
+    form_resid, = _sampled_max(cfg.samples("invariance_form"), lambda n: (
+        phis.normal(size=(n, 4)).view(complex), *random_factors(factors, (n, 2))), form)
 
     c = cfg.couplings
     configs = cfg.samples("invariance_gauge")
-    draws = ((*random_bosonic_config(rng, amplitude=0.1),
-              random_plane_wave(rng, 0.1, (4,)), _spinors(rng),
-              rng.uniform(-0.5, 0.5, size=4)) for _ in range(configs))
 
     def gauge_variation(gauge, psicfg, theta, fcfg, x):
         worst, leptons, trace = [], [], []
@@ -380,7 +397,9 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
                          / _sample_size(gauge_density))
         return tuple(np.max(gate, axis=0) for gate in (worst, leptons, trace))
 
-    first_order, lepton_first_order, trace_resid = _sampled_max(draws, gauge_variation)
+    first_order, lepton_first_order, trace_resid = _sampled_max(configs, _draws(
+        streams, _wave(0.1, (4, 4)), _wave(0.1, (3,)), _wave(0.1, (4,)), _spinors,
+        _points), gauge_variation)
 
     return _result("invariance", {
         "hermitian_form_residual": (form_resid, tol_form),
@@ -405,22 +424,15 @@ def suite_coordinate(cfg: RunConfig) -> SuiteResult:
     order = cfg.order
     tol_sphere = TOLERANCES["coordinate_sphere"]
     tol_equiv = TOLERANCES["coordinate_equivalence"]
-    rng = np.random.default_rng(cfg.seed + 2)
+    streams = _streams(cfg, "coordinate")
     c = cfg.couplings
-
-    draws = ((random_plane_wave(rng, 0.6, (3,)),
-              rng.uniform(-0.5, 0.5, size=4))
-             for _ in range(cfg.samples("coordinate_sphere")))
 
     def sphere(psicfg, x):
         phi = phi_from_psi(sample_psi(psicfg, x, order), c.R).value
         return (_sample_size(hermitian_form_jets(phi, phi) - c.R**2),)
 
-    sphere_resid, = _sampled_max(draws, sphere)
-
-    draws = ((*random_bosonic_config(rng, amplitude=0.3),
-              rng.uniform(-0.5, 0.5, size=4))
-             for _ in range(cfg.samples("coordinate_equivalence")))
+    sphere_resid, = _sampled_max(cfg.samples("coordinate_sphere"),
+                                 _draws(streams, _wave(0.6, (3,)), _points), sphere)
 
     def equivalence(gauge, psicfg, x):
         gs = sample_gauge(gauge, x, order)
@@ -440,7 +452,8 @@ def suite_coordinate(cfg: RunConfig) -> SuiteResult:
                 _sample_size(d - chain) / d_scale)
 
     equiv_resid, displayed_resid, matrix_resid, chain_resid = _sampled_max(
-        draws, equivalence)
+        cfg.samples("coordinate_equivalence"),
+        _draws(streams, _wave(0.3, (4, 4)), _wave(0.3, (3,)), _points), equivalence)
 
     return _result("coordinate", {
         "sphere_constraint": (sphere_resid, tol_sphere),
@@ -466,10 +479,10 @@ def suite_quadratic(cfg: RunConfig) -> SuiteResult:
     tol_quad = TOLERANCES["quadratic_form"]
     tol_mass = TOLERANCES["mass_rel"]
     tol_zero = TOLERANCES["mass_zero"]
-    rng = np.random.default_rng(cfg.seed + 3)
+    streams = _streams(cfg, "quadratic")
     c = cfg.couplings
 
-    gauge, psicfg = random_bosonic_config(rng)
+    gauge, psicfg = random_bosonic_config(next(streams))
     points = halton_points(seed=cfg.seed)
     expansion = epsilon_expand(
         bosonic_density_evaluator(gauge, psicfg, c, points, order), 2, order)
@@ -480,28 +493,21 @@ def suite_quadratic(cfg: RunConfig) -> SuiteResult:
     tadpole = abs(expansion[1].grade(0)) + abs(expansion[1].grade(2))
     odd = float(max(_odd_grades(e) for e in expansion[1:]))
 
-    mass_resid = 0.0
-    zero_resid = 0.0
-    for _ in range(cfg.samples("mass_sets")):
-        ci = Couplings(
-            g=float(rng.uniform(0.3, 1.2)),
-            gp=float(rng.uniform(0.2, 0.8)),
-            R=float(rng.uniform(0.4, 2.0)),
-            h_e=float(rng.uniform(0.5, 2.5)),
-        )
+    mass_resid = zero_resid = 0.0
+    # one row (g, gp, R, h_e) per mass set
+    for row in next(streams).uniform((0.3, 0.2, 0.4, 0.5), (1.2, 0.8, 2.0, 2.5),
+                                     size=(cfg.samples("mass_sets"), 4)):
+        ci = Couplings(*map(float, row))
         m_w, m_z, m_a = gauge_masses(ci)
         closed = closed_masses(ci)
-        mass_resid = max(
-            mass_resid,
-            abs(m_w - closed["m_w"]) / abs(closed["m_w"]),
-            abs(m_z - closed["m_z"]) / abs(closed["m_z"]),
-        )
+        mass_resid = max(mass_resid, *(abs(m - closed[k]) / abs(closed[k])
+                                       for m, k in ((m_w, "m_w"), (m_z, "m_z"))))
         zero_resid = max(zero_resid, m_a, abs(m_w / m_z - closed["weinberg_cos"]))
 
     # the fiber fields A^1, A^2 must not feed the grade-0 (base) density:
     # the configuration and its copy with A^1, A^2 tripled at 4 points, as
     # a (4 points, 2 configurations) batch
-    points = rng.uniform(-0.5, 0.5, size=(4, 4))[:, None]
+    points = next(streams).uniform(-0.5, 0.5, size=(4, 4))[:, None]
     pair = stack_configs([gauge, gauge.scaled([[3.0], [3.0], [1.0], [1.0]])])
     grade0 = lagrangian_bosonic(sample_gauge(pair, points, order),
                                 sample_psi(psicfg, points, order), c).grade(0)
@@ -529,9 +535,8 @@ def suite_cubic(cfg: RunConfig) -> SuiteResult:
     order = cfg.order
     tol_zero = TOLERANCES["cubic_grade0"]
     tol_match = TOLERANCES["cubic_match"]
-    rng = np.random.default_rng(cfg.seed + 4)
     c = cfg.couplings
-    gauge, psicfg = random_bosonic_config(rng, amplitude=0.04)
+    gauge, psicfg = random_bosonic_config(next(_streams(cfg, "cubic")), amplitude=0.04)
     points = halton_points(seed=cfg.seed)
     exact = epsilon_expand(
         bosonic_density_evaluator(gauge, psicfg, c, points, order), 3, order)[3]
@@ -571,11 +576,8 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
     tol_id = TOLERANCES["fermion_identity"]
     tol_mass = TOLERANCES["fermion_mass"]
     count = cfg.samples("fermion_identity")
-    rng = np.random.default_rng(cfg.seed + 5)
+    streams = _streams(cfg, "fermion")
     c = cfg.couplings
-
-    draws = ((random_plane_wave(rng, 0.5, (3,)), _spinors(rng),
-              rng.uniform(-0.5, 0.5, size=4)) for _ in range(count))
 
     def identity(psicfg, fcfg, x):
         ps = sample_psi(psicfg, x, order)
@@ -587,10 +589,9 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
                                        leptons[..., 2, :], c.h_e, c.R)
         return _sample_size(lhs - rhs), np.abs(lhs.grade(0) - oracle)
 
-    identity_resid, grade0_resid = _sampled_max(draws, identity)
+    identity_resid, grade0_resid = _sampled_max(
+        count, _draws(streams, _wave(0.5, (3,)), _spinors, _points), identity)
 
-    draws = ((random_plane_wave(rng, 0.5, (4, 4)), _spinors(rng),
-              rng.uniform(-0.5, 0.5, size=4)) for _ in range(count))
     massless = dataclasses.replace(c, h_e=0.0)
     origin = np.zeros(4)
     phi = phi_from_psi(sample_psi(constant(np.zeros(3)), origin, order, 1.0), c.R).value
@@ -606,7 +607,8 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
         return (_sample_size(density - oracle) / np.maximum(abs(oracle), 1.0),
                 _odd_grades(graded))
 
-    kinetic_resid, odd = _sampled_max(draws, kinetic)
+    kinetic_resid, odd = _sampled_max(
+        count, _draws(streams, _wave(0.5, (4, 4)), _spinors, _points), kinetic)
 
     m_e, nu_coeff = lepton_masses(c)
     m_e_err = abs(m_e - c.h_e * c.R) / (c.h_e * c.R)
@@ -649,7 +651,7 @@ def suite_limit(cfg: RunConfig) -> SuiteResult:
                      jparam(order, jval) * (0.3 - 0.7j)])
         return hermitian_form_jets(phi, phi)
 
-    gauge, psicfg = random_bosonic_config(np.random.default_rng(cfg.seed), amplitude=0.1)
+    gauge, psicfg = random_bosonic_config(next(_streams(cfg, "limit")), amplitude=0.1)
     x = np.array([0.2, -0.4, 0.1, 0.3])
 
     def density_value(jval: "float | None") -> Jet:

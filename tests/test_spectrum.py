@@ -87,46 +87,36 @@ def test_halton_rows_equal_row_by_row_shuffles():
                 _halton_by_row_shuffles(count, seed).tobytes(), (seed, count)
 
 
-def test_random_plane_waves_are_drawn_one_component_at_a_time():
-    """Component (k, mu) of a (3, 4) draw is the wave that the (4k + mu)-th
-    of twelve single draws from the same seed gives."""
-    waves = random_plane_wave(np.random.default_rng(7), 0.3, (3, 4))
-    assert waves.amplitude.shape == (3, 4)
-    assert waves.wavevector.shape == (3, 4, 4)
-    assert waves.phase.shape == (3, 4)
-    rng = np.random.default_rng(7)
-    for k in range(3):
-        for mu in range(4):
-            amplitude = rng.normal() * 0.3
-            wavevector = rng.normal(size=4) * 0.6
-            phase = rng.uniform(-math.pi, math.pi)
-            assert waves.amplitude[k, mu] == amplitude
-            assert np.array_equal(waves.wavevector[k, mu], wavevector)
-            assert waves.phase[k, mu] == phase
+def test_random_plane_waves_are_rows_of_one_normal_block():
+    """Wave (i, k, mu) of a (5, 3, 4) draw is row (i, k, mu) of one (5, 3,
+    4, 7) rng.normal block: amplitude, wavevector, and the phase as the
+    angle of the last two normals; the generator ends where the block
+    leaves it."""
+    rng, reference = (np.random.default_rng(7) for _ in range(2))
+    waves = random_plane_wave(rng, 0.3, (5, 3, 4))
+    normals = reference.normal(size=(5, 3, 4, 7))
+    assert np.array_equal(waves.amplitude, normals[..., 0] * 0.3)
+    assert np.array_equal(waves.wavevector, normals[..., 1:5] * 0.6)
+    assert np.array_equal(waves.phase, np.arctan2(normals[..., 5], normals[..., 6]))
+    assert np.all(np.abs(waves.phase) <= math.pi)
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
-def _scalar_plane_wave(rng, amplitude, shape):
-    """Waves drawn one numpy call at a time: per component five normals,
-    then rng.uniform(-pi, pi) for the phase."""
-    draws = [(rng.normal(size=5), rng.uniform(-math.pi, math.pi))
-             for _ in range(math.prod(shape))]
-    normals, phase = (np.array(p) for p in zip(*draws))
-    return (normals[:, 0].reshape(shape) * amplitude,
-            normals[:, 1:].reshape(shape + (4,)) * 0.6, phase.reshape(shape))
-
-
-def test_plane_waves_equal_scalar_draws_bit_for_bit():
-    """Same bytes in every array and the same PCG64 state afterwards."""
+def test_plane_waves_drawn_in_two_calls_equal_one_draw():
+    """n + m rows drawn in two calls are the n + m rows of one call, bit for
+    bit and with the same PCG64 state afterwards, so chunks and prefixes of
+    a sampled check hold."""
     for seed in range(200):
-        for shape in [(), (2,), (3,), (4,), (3, 4)]:
-            rng, reference = (np.random.default_rng(seed) for _ in range(2))
-            waves = random_plane_wave(rng, 0.3, shape)
-            expected = _scalar_plane_wave(reference, 0.3, shape)
-            for got, want in zip((waves.amplitude, waves.wavevector,
-                                  waves.phase), expected):
-                assert got.shape == want.shape and got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes(), (seed, shape)
-            assert rng.bit_generator.state == reference.bit_generator.state
+        for shape in [(), (2,), (3,), (4, 4), (3, 2)]:
+            for n, m in ((1, 1), (7, 13), (3, 0)):
+                rng, reference = (np.random.default_rng(seed) for _ in range(2))
+                parts = [random_plane_wave(rng, 0.3, (k, *shape)) for k in (n, m)]
+                whole = random_plane_wave(reference, 0.3, (n + m, *shape))
+                for name in ("amplitude", "wavevector", "phase"):
+                    got = np.concatenate([getattr(w, name) for w in parts])
+                    assert got.tobytes() == getattr(whole, name).tobytes(), \
+                        (seed, shape, n, m)
+                assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_epsilon_expand_recovers_known_polynomial():

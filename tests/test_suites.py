@@ -1,6 +1,8 @@
 """The suite registry: names, pass state and config overrides."""
 
+import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 from ewcontract.cli import DEFAULT_COUPLINGS, _sanitize
 from ewcontract import jets, lagrangian, spectrum, suites
-from ewcontract.fields import ConfigError, Couplings
+from ewcontract.fields import ConfigError, Couplings, PlaneWave
 from ewcontract.group import group_product, random_factors
 from ewcontract.jets import Jet, JetMatrix2
 from ewcontract.suites import (MAX_SAMPLE_COUNT, REGISTRY, SAMPLE_COUNTS, RunConfig,
@@ -156,85 +158,38 @@ def test_every_default_is_a_valid_override():
     _config(sample_counts=SAMPLE_COUNTS)
 
 
-def _wave(rng):
-    """The draws of one random plane wave."""
-    rng.normal()
-    rng.normal(size=4)
-    rng.uniform(-math.pi, math.pi)
-
-
-def _group_element(rng):
-    for _ in range(3):  # a factor's index, then its angle
-        rng.random(2)
-
-
-def _spinors(rng):
-    for _ in range(3):  # a spinor's two waves, then their phases
-        _wave(rng)
-        _wave(rng)
-        rng.uniform(-math.pi, math.pi, size=2)
-
-
-def _per_sample_draws(suite, seed, n):
-    """A generator advanced by the draws of the per-sample loops: every
-    sample's numbers drawn in turn, n samples per sampled check."""
-    if suite == "group":
-        rng = np.random.default_rng(seed)
-        for _ in range(n):
-            _group_element(rng)
-        for _ in range(20):
-            rng.uniform(-2.0, 2.0, size=3)
-    elif suite == "invariance":
-        rng = np.random.default_rng(seed + 1)
-        for _ in range(n):
-            rng.normal(), rng.normal(), rng.normal(), rng.normal()
-            _group_element(rng)
-            _group_element(rng)
-        for _ in range(n):
-            for _ in range(19 + 4):  # the bosonic fields, then the angles
-                _wave(rng)
-            _spinors(rng)
-            rng.uniform(-0.5, 0.5, size=4)
-    elif suite == "coordinate":
-        rng = np.random.default_rng(seed + 2)
-        for waves in (3, 19):
-            for _ in range(n):
-                for _ in range(waves):
-                    _wave(rng)
-                rng.uniform(-0.5, 0.5, size=4)
-    else:
-        rng = np.random.default_rng(seed + 5)
-        for waves in (3, 16):  # the Yukawa check's psi, the kinetic check's gauge
-            for _ in range(n):
-                for _ in range(waves):
-                    _wave(rng)
-                _spinors(rng)
-                rng.uniform(-0.5, 0.5, size=4)
-    return rng.bit_generator.state
-
-
-@pytest.mark.parametrize("suite", ["group", "invariance", "coordinate",
-                                   "fermion"])
-def test_batched_suites_draw_what_the_per_sample_loops_draw(monkeypatch, suite):
-    """Drawing every sample first leaves the suite's generator where the
-    per-sample loops left it."""
+def test_every_suite_stream_is_its_own_at_neighbouring_seeds(monkeypatch):
+    """Every generator the suites make at seeds 123 and 124 starts in a
+    state of its own, apart from halton_points', whose int seed keeps
+    scipy's bits and which the quadratic and cubic suites share; the
+    seed + k keys of the one-stream-per-suite draws overlapped."""
     made = []
     default_rng = np.random.default_rng
 
     def recording(seed):
-        made.append(default_rng(seed))
-        return made[-1]
+        rng = default_rng(seed)
+        made.append((sys._getframe(1).f_code.co_name,
+                     rng.bit_generator.state["state"]["state"]))
+        return rng
 
     monkeypatch.setattr(np.random, "default_rng", recording)
-    counts = {key: 7 for key in SAMPLE_COUNTS if key != "mass_sets"}
-    REGISTRY[suite](_config(sample_counts=counts))
+    counts = {key: 2 for key in SAMPLE_COUNTS}
+    for seed in (123, 124):
+        run_suites(RunConfig(couplings=Couplings(**DEFAULT_COUPLINGS), seed=seed,
+                             sample_counts=counts))
     monkeypatch.undo()
-    assert made[0].bit_generator.state == _per_sample_draws(suite, 123, 7)
+    streams = [state for caller, state in made if caller != "halton_points"]
+    halton = {state for caller, state in made if caller == "halton_points"}
+    assert len(set(streams)) == len(streams)
+    assert len(halton) == 2 and not halton & set(streams)
+    assert len(streams) == 2 * 25  # group 2, invariance 7, coordinate 5, quadratic 3,
+    # cubic 1, fermion 6 and limit 1
 
 
 def test_group_suite_residuals_are_the_per_sample_maxima():
     result = REGISTRY["group"](_config(sample_counts={"group": 40}))
-    rng = np.random.default_rng(123)
+    # the group suite's first stream: seed 123, suite 1 in REGISTRY, stream 0
+    rng = np.random.default_rng(np.random.SeedSequence([123, 1, 0]))
     identity, one = JetMatrix2.identity(), Jet.const(1.0)
     unitarity = determinant = 0.0
     for _ in range(40):
@@ -273,6 +228,42 @@ def _sampled(suite: str, count: int):
     """The suite with every one of its sample counts at count."""
     return REGISTRY[suite](_config(sample_counts={
         key: count for key in SAMPLE_COUNTS if key.startswith(suite)}))
+
+
+def _evaluated_slots(monkeypatch, suite: str, count: int) -> list:
+    """The slots that each sampled check of the suite evaluates, with every
+    sample count of the suite at count: a spy on evaluate."""
+    seen, sampled_max = [], suites._sampled_max
+
+    def spy(n, draw, evaluate):
+        def recording(*slots):
+            seen.append(slots)
+            return evaluate(*slots)
+        return sampled_max(n, draw, recording)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(suites, "_sampled_max", spy)
+        _sampled(suite, count)
+    return seen
+
+
+def _arrays(slot) -> tuple:
+    """A slot's arrays: a wave's three parameters, or the slot itself."""
+    return dataclasses.astuple(slot) if isinstance(slot, PlaneWave) else (slot,)
+
+
+@pytest.mark.parametrize("suite", SAMPLED_SUITES)
+def test_sampled_suites_draw_a_prefix_of_any_larger_count(monkeypatch, suite):
+    """At counts 7 and 20, every slot of every sampled check holds the same
+    first 7 rows, bit for bit."""
+    short, long = (_evaluated_slots(monkeypatch, suite, n) for n in (7, 20))
+    assert len(short) == len(long) == (1 if suite == "group" else 2)
+    for check_short, check_long in zip(short, long):
+        assert len(check_short) == len(check_long)
+        for a, b in zip(check_short, check_long):
+            for x, y in zip(_arrays(a), _arrays(b)):
+                assert (len(x), len(y)) == (7, 20)
+                assert x.tobytes() == y[:7].tobytes()
 
 
 @pytest.mark.parametrize("suite", SAMPLED_SUITES)
