@@ -18,9 +18,10 @@ for a fixed config up to the timestamp field), built by ``_sanitize``
 from the result dataclasses; CSV is for spectrum only. Reports are
 strict JSON: a computed value that is not finite is written as null.
 ``verify`` runs its suites in up to one process per usable CPU, forked
-from this one, and prints and reports what one process would: each suite
-draws from its own random stream. It runs them all here for one suite or
-one CPU, without os.fork, under a tracer or profiler or beside a thread.
+from this one and each pinned to its own CPU, since a kernel need not
+spread them; this process gets its mask back. It prints and reports what
+one process would: each suite draws from its own random stream. One
+suite or CPU, no os.fork, a tracer, a profiler or a thread keep them here.
 Exit codes: 0 all checks pass, 1 a suite failed or spectrum/expand
 computed a value that is not finite, 2 the configuration was rejected.
 """
@@ -28,6 +29,7 @@ computed a value that is not finite, 2 the configuration was rejected.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -197,11 +199,9 @@ def _sanitize(value):
     if isinstance(value, (list, tuple)):
         return [_sanitize(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
+        return _sanitize(value.item())
     if isinstance(value, complex):
         return {"re": _sanitize(value.real), "im": _sanitize(value.imag)}
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
     return value
 
 
@@ -229,20 +229,28 @@ def _report_envelope(args, couplings: Couplings) -> dict:
     }
 
 
+def _pin(cpus) -> None:
+    """Place this process on `cpus` where the platform allows: a hint only."""
+    with contextlib.suppress(AttributeError, OSError):
+        os.sched_setaffinity(0, cpus)
+
+
 def _run_lanes(cfg: RunConfig, names: Tuple[str, ...]) -> dict:
-    """run_suites on each lane names[i::lanes]: lane 0 here, each other in
-    a forked child that pipes back its results or its exception."""
-    lanes = min(len(names), len(os.sched_getaffinity(0)) if hasattr(
-        os, "sched_getaffinity") else os.cpu_count() or 1)
-    if (not hasattr(os, "fork") or sys.gettrace() or sys.getprofile()
-            or threading.active_count() > 1):
-        lanes = 1
+    """run_suites on each lane names[i::lanes], pinned to CPU i of the mask:
+    lane 0 here, each other in a forked child that pipes back its output."""
+    cpus = sorted(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+                  else range(os.cpu_count() or 1))
+    lanes = min(len(names), len(cpus))
+    if (lanes == 1 or not hasattr(os, "fork") or sys.gettrace()
+            or sys.getprofile() or threading.active_count() > 1):
+        return run_suites(dataclasses.replace(cfg, suites=names))
     children = {}  # pid -> read end of its pipe, until the child is reaped
     try:
         for lane in range(1, lanes):
             read, write = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
+                    _pin({cpus[lane]})
                     with open(write, "wb") as fh:
                         try:
                             fh.write(pickle.dumps(run_suites(
@@ -253,12 +261,18 @@ def _run_lanes(cfg: RunConfig, names: Tuple[str, ...]) -> dict:
                     os._exit(0)
             os.close(write)
             children[pid] = open(read, "rb")
+        _pin({cpus[0]})
         results = run_suites(dataclasses.replace(cfg, suites=names[::lanes]))
-        for pid, pipe in list(children.items()):
+        for lane, (pid, pipe) in enumerate(list(children.items()), 1):
             with pipe:  # to EOF before waitpid: a result can outgrow the pipe
-                out = pickle.loads(pipe.read())
-            os.waitpid(pid, 0)
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
             del children[pid]
+            try:
+                out = pickle.loads(data)
+            except Exception as exc:  # it died, or its error cannot be loaded
+                raise RuntimeError(f"verify lane {lane} ({', '.join(names[lane::lanes])})"
+                                   f" sent no result; wait status {status}") from exc
             if isinstance(out, BaseException):
                 raise out
             results.update(out)
@@ -268,6 +282,7 @@ def _run_lanes(cfg: RunConfig, names: Tuple[str, ...]) -> dict:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        _pin(cpus)
     return {name: results[name] for name in names}
 
 

@@ -126,7 +126,11 @@ def test_statistics_and_wins_per_metric(tmp_path):
     assert expand["wall_s"]["change_wins"] == "2/3"
     # each side's calls 0, 1, 2 fail 0, 1, 0 units
     assert expand["failed_units"] == {"parent": 1, "change": 1}
-    assert {"nproc", "cpu", "python", "numpy"} <= set(record["machine"])
+    machine = record["machine"]
+    assert {"nproc", "usable_cpus", "cpu", "cpuset_sched_load_balance",
+            "python", "numpy"} <= set(machine)
+    assert machine["usable_cpus"] == bench_pairs.usable_cpus()
+    assert machine["cpuset_sched_load_balance"] in (None, 0, 1)
     assert len(record["runs"]) == 12
     assert all(r["attempted"] == 3 and r["trace"] == 0 and r["seed"] == 7
                for r in record["runs"])

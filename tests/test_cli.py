@@ -70,9 +70,24 @@ def _counted_forks(monkeypatch):
     return forks
 
 
+#: the real os.sched_getaffinity, and this process's mask, read before any
+#: test fakes them
+_affinity = getattr(os, "sched_getaffinity", lambda pid: set())
+CALLER_MASK = _affinity(0)
+
+
 def _cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+    """Fake a mask of `count` CPUs: this process's own first, then ids past
+    any real CPU, which a pin refuses and a restored mask drops; so the
+    mask that verify restores is this process's real one."""
+    fake = sorted(CALLER_MASK)[:count]
+    fake += range(1 << 16, (1 << 16) + count - len(fake))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(fake),
                         raising=False)
+
+
+def _mask_kept():
+    assert _affinity(0) == CALLER_MASK
 
 
 def _no_child_left():
@@ -98,6 +113,7 @@ def test_verify_in_lanes_matches_one_lane(tmp_path, capsys, monkeypatch, seed):
     lanes = _verify_output(argv, tmp_path / "lanes.json", capsys)
     assert len(forks) == 1
     _no_child_left()
+    _mask_kept()
     _cpus(monkeypatch, 1)
     assert _verify_output(argv, tmp_path / "one.json", capsys) == lanes
     assert len(forks) == 1
@@ -119,6 +135,82 @@ def test_a_suite_error_in_either_lane_surfaces_as_in_one_lane(monkeypatch, broke
             main(["verify", "--suite", "algebra", "--suite", "group"])
         assert forks == [True]
         _no_child_left()
+        _mask_kept()
+
+
+def test_each_lane_runs_pinned_to_its_own_cpu(tmp_path, monkeypatch):
+    """Each lane runs on one CPU of the command's mask, lane i on CPU i,
+    and the caller gets its own mask back."""
+    if len(CALLER_MASK) < 2:
+        pytest.skip("needs two usable CPUs")
+    run_suites = cli.run_suites
+
+    def spy(cfg):
+        (tmp_path / f"{os.getpid()}.json").write_text(json.dumps(
+            {"suites": cfg.suites, "cpus": sorted(_affinity(0))}))
+        return run_suites(cfg)
+
+    monkeypatch.setattr(cli, "run_suites", spy)
+    _cpus(monkeypatch, 2)
+    assert main(["verify", "--suite", "algebra", "--suite", "group"]) == EXIT_OK
+    lanes = sorted((r["suites"], r["cpus"])
+                   for r in map(_load, tmp_path.glob("*.json")))
+    first, second = sorted(CALLER_MASK)[:2]
+    assert lanes == [(["algebra"], [first]), (["group"], [second])]
+    _no_child_left()
+    _mask_kept()
+
+
+@pytest.mark.parametrize("refused", ["raises", "missing"])
+def test_verify_runs_unpinned_where_pinning_is_refused(tmp_path, capsys,
+                                                        monkeypatch, refused):
+    """Pinning is a hint: where os.sched_setaffinity fails or is missing,
+    the lanes still run, unpinned, and print and report what one lane
+    does."""
+    def raises(pid, cpus):
+        raise OSError(22, "Invalid argument")
+
+    if refused == "raises":
+        monkeypatch.setattr(os, "sched_setaffinity", raises, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    argv = ["verify", "--seed", "3"]
+    forks = _counted_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
+    lanes = _verify_output(argv, tmp_path / "lanes.json", capsys)
+    assert forks == [True]
+    _no_child_left()
+    _cpus(monkeypatch, 1)
+    assert _verify_output(argv, tmp_path / "one.json", capsys) == lanes
+    _mask_kept()
+
+
+@pytest.mark.parametrize("death,status", [("exits", 3 << 8), ("unpicklable", 0)])
+def test_a_lane_that_sends_no_result_is_one_clear_error(monkeypatch, death,
+                                                        status):
+    """A child lane that exits before it writes, or whose error cannot be
+    pickled, raises one error naming the lane, its suites and the child's
+    wait status, and leaves no child and the caller's mask."""
+    parent = os.getpid()
+
+    class Local(Exception):  # pickle finds no class by this name
+        pass
+
+    def dies(cfg):
+        assert os.getpid() != parent, "the lane ran in the test process"
+        if death == "exits":
+            os._exit(3)
+        raise Local("x")
+
+    monkeypatch.setitem(REGISTRY, "group", dies)
+    forks = _counted_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"^verify lane 1 \(group\) sent no "
+                       rf"result; wait status {status}$"):
+        main(["verify", "--suite", "algebra", "--suite", "group"])
+    assert forks == [True]
+    _no_child_left()
+    _mask_kept()
 
 
 @contextlib.contextmanager

@@ -50,6 +50,9 @@ SIDES = ("parent", "change")
 #: caches (and `perfbench/.tmp`, the benchmark's scratch directory)
 SKIPPED = {".git", "__pycache__", ".hypothesis", ".pytest_cache"}
 
+#: the root cpuset's load-balancing switch under cgroup v1, read only
+CPUSET_BALANCE = "/sys/fs/cgroup/cpuset/cpuset.sched_load_balance"
+
 
 class RunError(Exception):
     """A benchmark run gave no result."""
@@ -114,6 +117,13 @@ def summary(runs: list, metrics: list) -> dict:
     return entry
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on, which `verify` sizes its lanes by."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def machine() -> dict:
     cpu = platform.processor()
     try:
@@ -126,7 +136,13 @@ def machine() -> dict:
         numpy = importlib.metadata.version("numpy")
     except importlib.metadata.PackageNotFoundError:
         numpy = None
-    return {"nproc": os.cpu_count(), "cpu": cpu,
+    try:  # 0: the kernel moves no task between the cpuset's CPUs
+        with open(CPUSET_BALANCE, encoding="utf-8") as fh:
+            balance = int(fh.read())
+    except (OSError, ValueError):
+        balance = None
+    return {"nproc": os.cpu_count(), "usable_cpus": usable_cpus(), "cpu": cpu,
+            "cpuset_sched_load_balance": balance,
             "python": platform.python_version(), "numpy": numpy,
             "platform": platform.platform()}
 
