@@ -214,11 +214,24 @@ def sample_fermions(cfg: PlaneWave, x: Vec4, order: int = DEFAULT_ORDER,
 # ---------------------------------------------------------------------------
 
 
-def _direction(ps: Sample) -> Sample:
-    """The doublet's direction u = (1 + i psi_3, psi_2 + i psi_1), phi = r u."""
-    v, dv = ps.value, ps.grad
-    return Sample(stack([1.0 + 1j * v[..., 2], v[..., 1] + 1j * v[..., 0]]), stack(
-        [1j * dv[..., 2, :], dv[..., 1, :] + 1j * dv[..., 0, :]], axis=-2))
+def _direction(v: Jet, dv: Optional[Jet] = None) -> Sample:
+    """The doublet's direction u = (1 + i psi_3, psi_2 + i psi_1), phi = r u,
+    at the coordinates' value v, with its gradient at their gradient dv."""
+    grad = None if dv is None else stack(
+        [1j * dv[..., 2, :], dv[..., 1, :] + 1j * dv[..., 0, :]], axis=-2)
+    return Sample(stack([1.0 + 1j * v[..., 2], v[..., 1] + 1j * v[..., 0]]), grad)
+
+
+def _doublet(v: Jet, unit: Jet, R: float) -> Tuple[Jet, Jet, Jet]:
+    """(phi = r u, s = 1 + psi^2, r = R / sqrt(s)) at psi's value v and u."""
+    s = 1.0 + (v * v).sum(-1)
+    r = R * s.inv_sqrt()
+    return r[..., None] * unit, s, r
+
+
+def phi_value(psi: Jet, R: float) -> Jet:
+    """phi_from_psi's value alone, by the same code, for value-only readers."""
+    return _doublet(psi, _direction(psi).value, R)[0]
 
 
 def phi_from_psi(ps: Sample, R: float) -> Sample:
@@ -226,12 +239,11 @@ def phi_from_psi(ps: Sample, R: float) -> Sample:
     sample over its component axis c, with its exact 4-gradient, from
     phi_1 = r(1 + i psi_3), phi_2 = r(psi_2 + i psi_1), r = R / sqrt(1 + psi^2)."""
     v, dv = ps.value, ps.grad
-    s = 1.0 + (v * v).sum(-1)
-    r = R * s.inv_sqrt()
-    unit = _direction(ps)
+    unit = _direction(v, dv)
+    phi, s, r = _doublet(v, unit.value, R)
     ds = 2.0 * (v[..., None] * dv).sum(-2)
     dr = -0.5 * ((r * s.inv())[..., None] * ds)
-    return Sample(r[..., None] * unit.value, dr[..., None, :] * unit.value[..., None]
+    return Sample(phi, dr[..., None, :] * unit.value[..., None]
                   + r[..., None, None] * unit.grad)
 
 
@@ -338,7 +350,7 @@ def gauge_transform(theta: PlaneWave, x: Vec4, c: Couplings, gs: Sample, ps: Sam
         re, im = 0.5 * (w + w.conjugate()), -0.5j * (w - w.conjugate())
         return stack([im[..., 1], re[..., 1], im[..., 0], re[..., 0]])
 
-    u = _moved("doublet", angles, _direction(ps))
+    u = _moved("doublet", angles, _direction(ps.value, ps.grad))
     read, dread = parts(u.value), parts(u.grad.swapaxes(-1, -2))  # dread[..., mu, k]
     inv = read[..., 3].inv()
     psi = read[..., :3] * inv[..., None]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Couplings, PlaneWave, Sample, generator_vector_fields, hermitian_form_jets
-from .jets import Jet, JetMatrix2, stack
+from .jets import Jet, JetMatrix2, contract, stack
 from .group import PAULI
 
 #: sigma^mu[t, s] as [t, s, mu]: (1, tau_1, tau_2, tau_3); its tilde
@@ -64,7 +64,7 @@ def lagrangian_gauge(gs: Sample, c: Couplings) -> Jet:
     F = stress_tensors(gs, c, np.arange(3))[..., _UPPER[0], _UPPER[1]]
     db = gs.grad[..., 3, :, :]
     B = (db - db.swapaxes(-1, -2))[..., _UPPER[0], _UPPER[1]]
-    return -0.5 * ((F * F).sum(-1).sum(-1) + (B * B).sum(-1))
+    return -0.5 * (contract(F, F, (-2, -1)) + contract(B, B, -1))
 
 
 def lagrangian_gauge_trace(gs: Sample, c: Couplings) -> Jet:
@@ -127,7 +127,7 @@ def covariant_derivative_psi(ps: Sample, gs: Sample, c: Couplings) -> Jet:
     as D[..., k, mu] (component form, normative)."""
     X = generator_vector_fields(ps.value)
     a, b = gs.value[..., :3, :], gs.value[..., 3, :]
-    su2 = (X[..., :3, :, None] * (c.g * a)[..., :, None, :]).sum(-3)
+    su2 = contract(X[..., :3, :, None], (c.g * a)[..., :, None, :], -3)
     return ps.grad + su2 + X[..., 3, :, None] * (c.gp * b)[..., None, :]
 
 
@@ -142,7 +142,7 @@ def lagrangian_psi(ps: Sample, gs: Sample, c: Couplings) -> Jet:
     s = 1.0 + (v * v).sum(-1)
     # (1 + psi^2)^2 g_kl
     metric = s[..., None, None] * np.eye(3) - v[..., :, None] * v[..., None, :]
-    total = ((metric[..., None] * d[..., None, :, :]).sum(-2) * d).sum((-2, -1))
+    total = contract(contract(metric[..., None], d[..., None, :, :], -2), d, (-2, -1))
     return 0.5 * c.R**2 * (total * (s * s).inv())
 
 

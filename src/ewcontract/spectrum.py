@@ -21,7 +21,7 @@ from .fields import (
     PlaneWave,
     Sample,
     constant,
-    phi_from_psi,
+    phi_value,
     sample_fermions,
     sample_gauge,
     sample_psi,
@@ -224,7 +224,7 @@ def background_coefficients(c: Couplings, gauge: Optional[np.ndarray] = None,
         fs = sample_fermions(constant(np.asarray(leptons)[..., None] * np.eye(2)[0]),
                              x, MASS_ORDER, jval, scale)
         gs = sample_gauge(field, x, MASS_ORDER, jval)
-        return lagrangian_fermion(fs, phi_from_psi(ps, c.R).value, gs, c)
+        return lagrangian_fermion(fs, phi_value(ps.value, c.R), gs, c)
 
     return epsilon_expand(evaluate, 2, MASS_ORDER)[2]
 

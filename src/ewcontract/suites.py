@@ -38,6 +38,7 @@ from .fields import (
     hermitian_form_jets,
     phi_from_psi,
     phi_jacobian,
+    phi_value,
     sample_fermions,
     sample_gauge,
     sample_psi,
@@ -198,12 +199,12 @@ def _low_grade_diff(x: Jet, y: Jet) -> float:
 
 def _sample_size(x: Jet) -> np.ndarray:
     """Largest coefficient magnitude of each sample (leading axis)."""
-    return np.abs(x.coeffs).reshape(len(x.coeffs), -1).max(axis=1)
+    return np.abs(x.block).reshape(len(x.block), -1).max(axis=1)
 
 
 def _odd_grades(x: Jet) -> np.ndarray:
     """Largest coefficient at odd grades of j of each batch element."""
-    return np.abs(x.coeffs[..., 1::2, :]).max(axis=(-2, -1))
+    return np.abs(x.block[..., 1::2, :]).max(axis=(-2, -1), initial=0.0)
 
 
 def _streams(cfg: RunConfig, suite: str) -> Iterator[np.random.Generator]:
@@ -379,7 +380,7 @@ def suite_invariance(cfg: RunConfig) -> SuiteResult:
                 """The gauge, sphere and lepton densities on a trailing axis;
                 eps**0: unvaried, eps**1: their variations."""
                 gs2, ps2, fs2 = gauge_transform(theta, x, c, gs, ps, fs, jval, scale)
-                phi = phi_from_psi(ps2, c.R).value
+                phi = phi_value(ps2.value, c.R)
                 return stack([lagrangian_gauge(gs2, c), lagrangian_psi(ps2, gs2, c),
                               lagrangian_fermion(fs2, phi, gs2, c)])
 
@@ -428,7 +429,7 @@ def suite_coordinate(cfg: RunConfig) -> SuiteResult:
     c = cfg.couplings
 
     def sphere(psicfg, x):
-        phi = phi_from_psi(sample_psi(psicfg, x, order), c.R).value
+        phi = phi_value(sample_psi(psicfg, x, order).value, c.R)
         return (_sample_size(hermitian_form_jets(phi, phi) - c.R**2),)
 
     sphere_resid, = _sampled_max(cfg.samples("coordinate_sphere"),
@@ -582,7 +583,7 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
     def identity(psicfg, fcfg, x):
         ps = sample_psi(psicfg, x, order)
         fs = sample_fermions(fcfg, x, order)
-        lhs = yukawa_matrix_form(phi_from_psi(ps, c.R).value, fs, c.h_e)
+        lhs = yukawa_matrix_form(phi_value(ps.value, c.R), fs, c.h_e)
         rhs = yukawa_expanded_form(ps, fs, c)
         leptons = fs.value.grade(0)
         oracle = _grade0_yukawa_oracle(ps.value.grade(0)[..., 2], leptons[..., 0, :],
@@ -594,7 +595,7 @@ def suite_fermion(cfg: RunConfig) -> SuiteResult:
 
     massless = dataclasses.replace(c, h_e=0.0)
     origin = np.zeros(4)
-    phi = phi_from_psi(sample_psi(constant(np.zeros(3)), origin, order, 1.0), c.R).value
+    phi = phi_value(sample_psi(constant(np.zeros(3)), origin, order, 1.0).value, c.R)
 
     def kinetic(gauge, fcfg, x):
         """The density at j = 1 and h_e = 0 is its kinetic terms (phi is

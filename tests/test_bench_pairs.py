@@ -112,7 +112,8 @@ def test_statistics_and_wins_per_metric(tmp_path):
         for side, values in (("parent", parent), ("change", change)):
             q1, median, q3 = statistics.quantiles(values, n=4,
                                                   method="inclusive")
-            assert wall[side] == {"median": median, "q1": q1, "q3": q3}
+            assert wall[side] == {"median": median, "q1": q1, "q3": q3,
+                                  "min": min(values)}
         wins = sum(c < p for p, c in zip(parent, change))
         assert wall["change_wins"] == f"{wins}/3"
         assert entry["rate"]["change_wins"] == f"{wins}/3"  # higher is better
@@ -120,9 +121,10 @@ def test_statistics_and_wins_per_metric(tmp_path):
         assert entry["correct"] == {"parent": True, "change": True}
         assert entry["attempted_units"] == {"parent": 9, "change": 9}
     expand = record["end_to_end"]["expand/seed7"]
-    assert expand["wall_s"]["parent"] == {"median": 2.0, "q1": 1.5, "q3": 2.5}
+    assert expand["wall_s"]["parent"] == {"median": 2.0, "q1": 1.5, "q3": 2.5,
+                                          "min": 1.0}
     assert expand["wall_s"]["change"] == {"median": 1.0, "q1": 0.75,
-                                          "q3": 2.25}
+                                          "q3": 2.25, "min": 0.5}
     assert expand["wall_s"]["change_wins"] == "2/3"
     # each side's calls 0, 1, 2 fail 0, 1, 0 units
     assert expand["failed_units"] == {"parent": 1, "change": 1}

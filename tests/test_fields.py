@@ -19,6 +19,7 @@ from ewcontract.fields import (
     hermitian_form_jets,
     phi_from_psi,
     phi_jacobian,
+    phi_value,
     sample_fermions,
     sample_gauge,
     sample_psi,
@@ -296,6 +297,16 @@ def test_sphere_embedding_constraint():
         phi = phi_from_psi(ps, R).value
         form = hermitian_form_jets(phi, phi)
         assert form.max_abs_diff(R**2) <= 1e-10
+
+
+@pytest.mark.parametrize("jval", [None, 1.0, 0.1])
+def test_phi_value_is_the_value_of_phi_from_psi(jval):
+    """The value-only route builds the doublet by the same code, bit for bit."""
+    rng = np.random.default_rng(30)
+    ps = sample_psi(random_plane_wave(rng, 0.6, (3,)), rng.uniform(-1, 1, size=(8, 4)),
+                    ORDER, jval)
+    assert (phi_value(ps.value, 1.3).coeffs.tobytes()
+            == phi_from_psi(ps, 1.3).value.coeffs.tobytes())
 
 
 def test_phi_gradient_matches_chain_rule_via_jacobian():

@@ -17,8 +17,11 @@ from ewcontract.jets import (
     EQ_TOL,
     Jet,
     JetMatrix2,
+    CONTRACT_PAIRS,
     NonPositiveConstantTerm,
     ZeroConstantTerm,
+    contract,
+    jparam,
     stack,
 )
 from ewcontract.suites import RunConfig, run_suites
@@ -34,8 +37,11 @@ def finite_complex(bound=3.0):
 
 
 def _coefficients(shape):
-    """One array of coefficients, each drawn from finite_complex()."""
-    return arrays(complex, shape, elements=finite_complex(), fill=st.nothing())
+    """One array of coefficients, each drawn from finite_complex(), or its
+    real part: real blocks stay real, so the laws also cover real jets
+    and their mixes with complex ones."""
+    drawn = arrays(complex, shape, elements=finite_complex(), fill=st.nothing())
+    return st.one_of(drawn, drawn.map(np.real))
 
 
 def jets(order=DEFAULT_ORDER):
@@ -109,8 +115,8 @@ def batched_jets(shape=(2, 3), order=DEFAULT_ORDER, eps_order=2):
     """Jets with batch axes, for the laws of the batch-axis operations."""
     elements = st.complex_numbers(max_magnitude=3.0, allow_nan=False,
                                   allow_infinity=False)
-    return arrays(complex, shape + (order + 1, eps_order + 1),
-                  elements=elements).map(lambda c: Jet(c, order, eps_order))
+    drawn = arrays(complex, shape + (order + 1, eps_order + 1), elements=elements)
+    return st.one_of(drawn, drawn.map(np.real)).map(lambda c: Jet(c, order, eps_order))
 
 
 #: batch-axis keys of a (2, 3) batch: ints, slices, ..., None, index arrays
@@ -793,3 +799,89 @@ def test_numpy_operands_scale_each_batch_element():
     assert isinstance(np.float64(2.0) * one, Jet)
     assert isinstance(np.float64(2.0) - one, Jet)
     assert (values + one).grade(0) == pytest.approx(values + 1.0)
+
+
+# -- real and complex blocks ------------------------------------------------
+
+
+def test_a_block_is_real_until_a_complex_value_meets_it():
+    """Real values give float64 blocks, complex ones complex128, and an
+    operation that meets a complex operand promotes as numpy does; grade
+    still reads complex numbers, and a real jet is its own conjugate."""
+    rng = np.random.default_rng(27)
+    real = Jet(rng.normal(size=(3, 5, 3)), 4, 2)
+    cplx = _batched(rng, (3,), eps_order=2)
+    eps = Jet([[0.0, 1.0]], 4, 2)
+    for jet in (real, eps, Jet.variable(), Jet.const(2), jparam(4), jparam(4, 0.1),
+                Jet([1, 2, 3]), real * eps + 1.5, real * np.array([1, 2, 3]), real / 2,
+                stack([real, Jet(np.ones((3, 1, 1)), 4, 2)]), real.inv(),
+                (real * real + 1).inv_sqrt()):
+        assert jet.block.dtype == np.float64
+    assert real.conjugate() is real
+    assert real.grade(0).dtype == np.complex128
+    assert isinstance(Jet.variable().grade(1), complex)
+    for jet in (cplx, Jet.const(1j), real * cplx, cplx * real, real + cplx, real - 1j,
+                real * np.array([1, 1j, 2]), 1j * real, contract(real, cplx, 0),
+                stack([real, Jet(np.full((3, 1, 1), 1j), 4, 2)])):
+        assert jet.block.dtype == np.complex128
+    assert (real * cplx).coeffs.tobytes() == (
+        Jet(real.coeffs + 0j, 4, 2) * cplx).coeffs.tobytes()
+
+
+def _operands(rng, shape, block, real):
+    """A jet of batch shape `shape` whose full (5, 3) block is cut to `block`."""
+    coeffs = np.zeros(shape + (5, 3), dtype=complex)
+    size = shape + block
+    coeffs[..., :block[0], :block[1]] = rng.normal(size=size) + (
+        0.0 if real else 1j * rng.normal(size=size))
+    return Jet(coeffs.real if real else coeffs, 4, 2)
+
+
+#: blocks whose product has fewer pairs than CONTRACT_PAIRS (the first), and more
+CONTRACT_BLOCKS = [((2, 1), (2, 1)), ((5, 3), (5, 3)), ((2, 2), (5, 3))]
+
+
+@pytest.mark.parametrize("block_a,block_b", CONTRACT_BLOCKS)
+def test_contract_is_the_summed_product(block_a, block_b):
+    """On random batch shapes, with operands that broadcast and real or
+    complex ones, contract equals (a * b).sum(axes): bit for bit below
+    CONTRACT_PAIRS, where it is that product and sum, and to round-off of
+    the summed terms' magnitudes from it on."""
+    rng = np.random.default_rng(sum(block_a) * 10 + sum(block_b))
+    support = [jets_module._support(np.ones(block, dtype=bool))
+               for block in (block_a, block_b)]
+    pairs = len(jets_module._plan(block_a, block_b, 5, 3, *support)[0])
+    assert (pairs < CONTRACT_PAIRS) == ((block_a, block_b) == CONTRACT_BLOCKS[0])
+    for _ in range(40):
+        shape = tuple(rng.integers(1, 5, size=rng.integers(1, 5)).tolist())
+        n = len(shape)
+        a_shape = tuple(s if rng.random() < 0.7 else 1 for s in shape)
+        b_shape = tuple(s if rng.random() < 0.7 else 1 for s in shape)[rng.integers(0, 2):]
+        axes = tuple(sorted((rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+                             - n).tolist()))
+        a = _operands(rng, a_shape, block_a, rng.random() < 0.5)
+        b = _operands(rng, b_shape, block_b, rng.random() < 0.5)
+        got, want = contract(a, b, axes), (a * b).sum(axes)
+        assert got.block.dtype == want.block.dtype
+        if pairs < CONTRACT_PAIRS:
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            continue
+        magnitude = (Jet(np.abs(a.block), 4, 2) * Jet(np.abs(b.block), 4, 2)).sum(axes)
+        assert got.coeffs.shape == want.coeffs.shape
+        assert np.abs(got.coeffs - want.coeffs).max() <= 1e-15 * 8 * magnitude.coeffs.max()
+
+
+@pytest.mark.parametrize("block_a,block_b", CONTRACT_BLOCKS)
+def test_contract_of_a_batch_is_each_element_alone(block_a, block_b):
+    """Whether contract sums pairs over the axes first depends on the plan,
+    never on the batch: each element of a batch of 20 equals its own
+    contraction bit for bit, fused or not."""
+    rng = np.random.default_rng(28)
+    a = _operands(rng, (20, 3, 1, 4), block_a, True)
+    b = _operands(rng, (20, 1, 3, 4), block_b, False)
+    for axes in (-1, (-3, -2), (-3, -1)):
+        batch = contract(a, b, axes)
+        for i in range(20):
+            assert batch[i].coeffs.tobytes() == contract(a[i], b[i], axes).coeffs.tobytes()
+        pair = contract(a[3:5], b[3:5], axes)
+        assert batch[3:5].coeffs.tobytes() == pair.coeffs.tobytes()

@@ -18,6 +18,7 @@ from ewcontract.fields import (
     sample_psi,
     stack_configs,
 )
+from ewcontract.group import one_param
 from ewcontract.jets import DEFAULT_ORDER, Jet, stack
 from ewcontract.lagrangian import (
     covariant_derivative_doublet,
@@ -178,6 +179,29 @@ def _complex_leptons(rng):
               rng.uniform(-3, 3)) for _ in range(6)]
     amp, k, phase = (np.array(p) for p in zip(*draws))
     return PlaneWave(amp.reshape(3, 2), k.reshape(3, 2, 4), phase.reshape(3, 2))
+
+
+@pytest.mark.parametrize("jval", [None, 1.0, 0.1])
+def test_bosonic_values_are_real_and_matter_values_complex(jval):
+    """At formal j, j = 1 and j = 0.1 the gauge and sphere samples, both
+    bosonic densities and epsilon_expand's coefficients are float64 blocks,
+    so no imaginary part is stored or multiplied; the leptons, the doublet,
+    a group element and the lepton density are complex128."""
+    rng = np.random.default_rng(29)
+    gauge, psicfg = random_bosonic_config(rng)
+    x = rng.uniform(-1.0, 1.0, size=(4, 4))
+    gs, ps = sample_gauge(gauge, x, ORDER, jval), sample_psi(psicfg, x, ORDER, jval)
+    expansion = epsilon_expand(lambda eps: lagrangian_bosonic(
+        sample_gauge(gauge, x, ORDER, jval, eps), sample_psi(psicfg, x, ORDER, jval, eps),
+        COUPLINGS), 2, ORDER)
+    for jet in (gs.value, gs.grad, ps.value, ps.grad, lagrangian_gauge(gs, COUPLINGS),
+                lagrangian_psi(ps, gs, COUPLINGS), *expansion):
+        assert jet.block.dtype == np.float64
+    fs = sample_fermions(_complex_leptons(rng), x, ORDER, jval)
+    phi = phi_from_psi(ps, COUPLINGS.R)
+    for jet in (fs.value, fs.grad, phi.value, phi.grad, one_param(1, 0.3, ORDER, jval).jet,
+                lagrangian_fermion(fs, phi.value, gs, COUPLINGS)):
+        assert jet.block.dtype == np.complex128
 
 
 def test_yukawa_matrix_and_expanded_forms_agree():

@@ -52,7 +52,7 @@ MUTANTS = [
      ("invariance", "coordinate", "quadratic", "cubic")),
     ("sphere_metric_without_psi_psi", lagrangian, "lagrangian_psi",
      _edit(" - v[..., :, None] * v[..., None, :]", ""), ("invariance", "coordinate")),
-    ("sphere_radius_off_by_1e-7", fields, "phi_from_psi",
+    ("sphere_radius_off_by_1e-7", fields, "_doublet",
      _edit("r = R * s", "r = R * (1.0 + 1.0e-7) * s"), ("coordinate", "fermion")),
     ("y_vector_field_sign", fields, "_HALF_SIGN",
      lambda half: half * np.array([1.0, 1.0, 1.0, -1.0]),

@@ -18,14 +18,14 @@ benchmarking in reasonable time", ISMM 2013).
 
 The output file has the layout of the earlier `BENCH_*.json` records:
 `machine`; `end_to_end`, keyed `W/seedS`, which per metric of
-`BENCHMARK.json` gives the median, q1 and q3 of each side (inclusive
-quartiles), `change_wins` (the pairs in which the change is better, in the
-metric's `better` direction; a tie is no win) and both sides' runs in pair
-order, and per side the failed and attempted units and whether every run
-was correct; `per_layer`, keyed like `end_to_end`, which per side gives
-the metrics of one `--trace 1` run at the same seed and seconds, made in
-each copy (parent first) after the workload's pairs; and `runs`, every
-`--trace 0` run in the order it ran. `end_to_end` reads the `--trace 0`
+`BENCHMARK.json` gives the median, q1, q3 (inclusive quartiles) and
+minimum of each side, `change_wins` (the pairs in which the change is
+better, in the metric's `better` direction; a tie is no win) and both
+sides' runs in pair order, and per side the failed and attempted units
+and whether every run was correct; `per_layer`, keyed like `end_to_end`,
+which per side gives the metrics of one `--trace 1` run at the same seed
+and seconds, made in each copy (parent first) after the workload's pairs;
+and `runs`, every `--trace 0` run in the order it ran. `end_to_end` reads the `--trace 0`
 runs only. The exit code is 1 when a run reports `correct: false` (the
 file is still written) and 2 when a run gives no result.
 """
@@ -86,10 +86,12 @@ def copy_checkout(tree: Path, dest: Path) -> Path:
 
 
 def quartiles(values: list) -> dict:
+    """Median, quartiles and minimum: on a host that switches between two
+    speed levels the minimum reads the faster level alone."""
     if len(values) == 1:
-        return dict.fromkeys(("median", "q1", "q3"), values[0])
+        return dict.fromkeys(("median", "q1", "q3", "min"), values[0])
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
+    return {"median": median, "q1": q1, "q3": q3, "min": min(values)}
 
 
 def summary(runs: list, metrics: list) -> dict:
